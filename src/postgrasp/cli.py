@@ -51,8 +51,6 @@ class RunConfig:
     jobs: int = 1
     ik_damping: float | None = None
     ik_max_iterations: int | None = None
-    ik_position_tolerance: float | None = None
-    ik_orientation_tolerance: float | None = None
     grasps_override: list[GraspCandidate] | None = None
 
 
@@ -67,10 +65,6 @@ def _ik_settings(config: RunConfig, spec: TaskSpec, model: ChainModel) -> IkSett
         kwargs["damping"] = config.ik_damping
     if config.ik_max_iterations is not None:
         kwargs["max_iterations"] = config.ik_max_iterations
-    if config.ik_position_tolerance is not None:
-        kwargs["position_tolerance"] = config.ik_position_tolerance
-    if config.ik_orientation_tolerance is not None:
-        kwargs["orientation_tolerance"] = config.ik_orientation_tolerance
     seed = spec.ik_seed if spec.ik_seed is not None else default_seed(model)
     if seed.shape[0] != model.n:
         raise CliError(

@@ -6,6 +6,14 @@ each waypoint with the previous solution, which keeps the joint path on
 one IK branch; joint velocities and accelerations are finite differences
 of the solved positions, so the energy metric reflects what the joint
 path actually does.
+
+A solve that cannot meet the tolerances (target out of reach, or blocked
+by a joint limit) stops once its pose-error norm has fallen by less than
+``STALL_GAIN`` (1%) over the last ``STALL_WINDOW`` (5) iterations;
+``IkSettings.max_iterations`` stays the hard cap.  A stalled solve counts as
+not converged, exactly like a capped one.  Near a solution DLS cuts the
+error by orders of magnitude per iteration, so a solve that converges
+within a few iterations runs exactly the iterates it ran without the rule.
 """
 
 from __future__ import annotations
@@ -18,13 +26,17 @@ import numpy as np
 from .chain import ChainModel, JointState, forward_kinematics, geometric_jacobian
 from .geometry import Pose
 
+STALL_WINDOW = 5  # iterations
+STALL_GAIN = 0.01  # least relative fall of the error norm over the window
+
 
 class IkError(Exception):
     pass
 
 
 class WaypointUnreachable(IkError):
-    """DLS iteration hit the iteration cap before meeting tolerances."""
+    """DLS iteration stalled or hit the iteration cap before meeting
+    tolerances."""
 
 
 class GraspInfeasible(IkError):
@@ -70,17 +82,24 @@ def pose_error(target: Pose, current: Pose) -> np.ndarray:
     return np.concatenate([dp, drot])
 
 
-def _solve(model, target, seed, settings) -> tuple[np.ndarray, bool]:
+def _converged(err: np.ndarray, settings: IkSettings) -> bool:
+    return (
+        np.linalg.norm(err[:3]) <= settings.position_tolerance
+        and np.linalg.norm(err[3:]) <= settings.orientation_tolerance
+    )
+
+
+def _solve(model, target, seed, settings) -> tuple[np.ndarray, bool, int]:
+    """DLS from ``seed``: the last iterate, whether it meets the
+    tolerances, and the number of iterations (Jacobians) run."""
     lo, hi = model.limits_arrays()
     q = np.clip(np.asarray(seed, dtype=float).reshape(model.n), lo, hi)
     lam2 = settings.damping**2
     err = pose_error(target, forward_kinematics(model, q))
-    for _ in range(settings.max_iterations):
-        if (
-            np.linalg.norm(err[:3]) <= settings.position_tolerance
-            and np.linalg.norm(err[3:]) <= settings.orientation_tolerance
-        ):
-            return q, True
+    err_norms = [np.linalg.norm(err)]
+    for it in range(settings.max_iterations):
+        if _converged(err, settings):
+            return q, True, it
         jac = geometric_jacobian(model, q)
         a = jac @ jac.T + lam2 * np.eye(6)
         dq = jac.T @ np.linalg.solve(a, err)
@@ -89,20 +108,21 @@ def _solve(model, target, seed, settings) -> tuple[np.ndarray, bool]:
             dq *= settings.max_step / norm
         # backtrack when a full step would grow the error (keeps the
         # iteration from limit-cycling around tight postures)
-        err_norm = np.linalg.norm(err)
         for _ in range(5):
             q_new = np.clip(q + dq, lo, hi)
             err_new = pose_error(target, forward_kinematics(model, q_new))
-            if np.linalg.norm(err_new) <= err_norm or np.linalg.norm(dq) < 1e-12:
+            norm_new = np.linalg.norm(err_new)
+            if norm_new <= err_norms[-1] or np.linalg.norm(dq) < 1e-12:
                 break
             dq = 0.5 * dq
         q, err = q_new, err_new
-    if (
-        np.linalg.norm(err[:3]) <= settings.position_tolerance
-        and np.linalg.norm(err[3:]) <= settings.orientation_tolerance
-    ):
-        return q, True
-    return q, False
+        err_norms.append(norm_new)
+        if (
+            len(err_norms) > STALL_WINDOW
+            and err_norms[-1] > (1.0 - STALL_GAIN) * err_norms[-1 - STALL_WINDOW]
+        ):
+            break
+    return q, _converged(err, settings), it + 1
 
 
 def solve_waypoint(model: ChainModel, target: Pose, seed, settings: IkSettings) -> np.ndarray:
@@ -111,11 +131,9 @@ def solve_waypoint(model: ChainModel, target: Pose, seed, settings: IkSettings) 
     Returns the joint vector; raises WaypointUnreachable when the target
     cannot be met within tolerances (out of workspace or limit-blocked).
     """
-    q, ok = _solve(model, target, seed, settings)
+    q, ok, iterations = _solve(model, target, seed, settings)
     if not ok:
-        raise WaypointUnreachable(
-            f"no IK solution within tolerances after {settings.max_iterations} iterations"
-        )
+        raise WaypointUnreachable(f"no IK solution within tolerances after {iterations} iterations")
     return q
 
 
@@ -188,12 +206,12 @@ def track_trajectory(model: ChainModel, poses, times, settings: IkSettings) -> J
     n_wp = len(poses)
     positions = np.zeros((n_wp, model.n))
     reachable = np.ones(n_wp, dtype=bool)
-    q, ok = _solve(model, poses[0], seed, settings)
+    q, ok, _ = _solve(model, poses[0], seed, settings)
     if not ok:
         raise GraspInfeasible("first trajectory waypoint is unreachable")
     positions[0] = q
     for i in range(1, n_wp):
-        q, ok = _solve(model, poses[i], q, settings)
+        q, ok, _ = _solve(model, poses[i], q, settings)
         positions[i] = q
         reachable[i] = ok
     vel, acc = _fd_derivatives(t, positions)

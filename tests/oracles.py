@@ -1,9 +1,12 @@
 """Independent closed-form references used only by the tests.
 
-Nothing here shares code with the production modules: all kinematics and
-dynamics below are hand-derived textbook expressions for the smallest
-nontrivial systems, and the Pareto scan is a direct pairwise dominance
-check.
+Apart from ``reference_dls``, nothing here shares code with the production
+modules: all kinematics and dynamics below are hand-derived textbook
+expressions for the smallest nontrivial systems, and the Pareto scan is a
+direct pairwise dominance check.  ``reference_dls`` is the damped
+least-squares loop as it ran before solves stopped on a stall; it runs on
+the production forward kinematics and Jacobian, so it checks the iteration
+logic only.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from postgrasp.chain import forward_kinematics, geometric_jacobian
+from postgrasp.ik import pose_error
 
 
 @dataclass(frozen=True)
@@ -143,3 +149,39 @@ def cuboid_inertia(mass: float, dims) -> np.ndarray:
             mass / 12.0 * (a * a + b * b),
         ]
     )
+
+
+def reference_dls(model, target, seed, settings) -> tuple[np.ndarray, bool]:
+    """Damped least-squares IK that runs to ``settings.max_iterations``
+    unless it meets the tolerances: the last iterate and whether it meets
+    them."""
+    lo, hi = model.limits_arrays()
+    q = np.clip(np.asarray(seed, dtype=float).reshape(model.n), lo, hi)
+    lam2 = settings.damping**2
+    err = pose_error(target, forward_kinematics(model, q))
+    for _ in range(settings.max_iterations):
+        if (
+            np.linalg.norm(err[:3]) <= settings.position_tolerance
+            and np.linalg.norm(err[3:]) <= settings.orientation_tolerance
+        ):
+            return q, True
+        jac = geometric_jacobian(model, q)
+        a = jac @ jac.T + lam2 * np.eye(6)
+        dq = jac.T @ np.linalg.solve(a, err)
+        norm = np.linalg.norm(dq)
+        if norm > settings.max_step:
+            dq *= settings.max_step / norm
+        err_norm = np.linalg.norm(err)
+        for _ in range(5):
+            q_new = np.clip(q + dq, lo, hi)
+            err_new = pose_error(target, forward_kinematics(model, q_new))
+            if np.linalg.norm(err_new) <= err_norm or np.linalg.norm(dq) < 1e-12:
+                break
+            dq = 0.5 * dq
+        q, err = q_new, err_new
+    if (
+        np.linalg.norm(err[:3]) <= settings.position_tolerance
+        and np.linalg.norm(err[3:]) <= settings.orientation_tolerance
+    ):
+        return q, True
+    return q, False

@@ -6,6 +6,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines live.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from postgrasp import (
     load_task,
     mass_matrix,
     operational_mass_inverse,
+    build_report,
     pareto_front,
     reference_robot_path,
     reference_task_path,
@@ -261,6 +263,41 @@ def test_criterion_6_protocol_structural_reproduction(reference_scorecards):
         f"({elapsed:.1f}s on cached evaluations)",
         failures,
     )
+
+
+REFERENCE_GOLDEN = Path(__file__).resolve().parents[1] / "bench/goldens/reference-v00.json"
+
+
+def test_criterion_6_golden_record(reference_scorecards):
+    # the committed golden record of the paper protocol: scalars within
+    # 1e-9 relative, feasibility, reachability, Pareto set, argbest and
+    # conflict exact
+    failures = []
+    gold = {task["name"]: task for task in json.loads(REFERENCE_GOLDEN.read_text())["tasks"]}
+    for name, (spec, task, cards) in reference_scorecards.items():
+        want = gold[name]
+        if [c.grasp_id for c in cards] != [g["id"] for g in want["grasps"]]:
+            failures.append(f"{name}: grasp ids differ from golden")
+            continue
+        for card, g in zip(cards, want["grasps"]):
+            if card.feasible != g["feasible"]:
+                failures.append(f"{name}/{card.grasp_id}: feasible={card.feasible}")
+                continue
+            reach = "".join("0" if u else "1" for u in card.tov_profile.unreachable)
+            if reach != g["reach"]:
+                failures.append(f"{name}/{card.grasp_id}: reachability {reach}")
+            for key in ("h_tov", "h_tme", "h_tem"):
+                drift = rel_err(getattr(card, key), float(g[key]))
+                if drift > 1e-9:
+                    failures.append(f"{name}/{card.grasp_id}: {key} drifted {drift:.2e}")
+        ranking = build_report(cards, weights=(0.4, 0.3, 0.3))
+        if list(ranking.pareto) != want["pareto"]:
+            failures.append(f"{name}: pareto {list(ranking.pareto)} != {want['pareto']}")
+        if ranking.argbest != want["argbest"]:
+            failures.append(f"{name}: argbest {ranking.argbest} != {want['argbest']}")
+        if ranking.conflict != want["conflict"]:
+            failures.append(f"{name}: conflict {ranking.conflict} != {want['conflict']}")
+    report(6, f"protocol reproduces {REFERENCE_GOLDEN.name}", failures)
 
 
 def test_criterion_6_runtime_budget(arm7):

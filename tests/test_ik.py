@@ -11,9 +11,9 @@ from postgrasp import (
     solve_waypoint,
     track_trajectory,
 )
-from postgrasp.ik import default_seed, pose_error
+from postgrasp.ik import _solve, default_seed, pose_error
 
-from oracles import two_r_ik
+from oracles import reference_dls, two_r_ik
 
 
 def joint_path_poses(model, qs):
@@ -50,6 +50,39 @@ class TestSolveWaypoint:
         target = Pose.from_translation((3.0, 0.0, 0.0))  # beyond l1 + l2
         with pytest.raises(WaypointUnreachable):
             solve_waypoint(two_r_model, target, np.array([0.3, 0.3]), IkSettings())
+
+    def test_converged_solves_match_reference_dls(self, arm7, two_r_model, rng):
+        # the stall rule must not touch a solve that converges: same
+        # iterate bit for bit, same flag
+        settings = IkSettings()
+        cases = []
+        for model, count in ((arm7, 40), (two_r_model, 20)):
+            for _ in range(count):
+                q0 = rng.uniform(-1.0, 1.0, model.n)
+                seed = q0 + rng.uniform(-0.15, 0.15, model.n)
+                cases.append((model, forward_kinematics(model, q0), seed))
+        for model, target, seed in cases:
+            q, ok, _ = _solve(model, target, seed, settings)
+            q_ref, ok_ref = reference_dls(model, target, seed, settings)
+            assert ok_ref
+            assert ok == ok_ref
+            assert np.array_equal(q, q_ref)
+
+    def test_out_of_reach_stops_when_stalled(self, two_r_model, monkeypatch):
+        jacobians = []
+
+        def counting_jacobian(model, q):
+            jacobians.append(1)
+            return geometric_jacobian(model, q)
+
+        monkeypatch.setattr("postgrasp.ik.geometric_jacobian", counting_jacobian)
+        target = Pose.from_translation((3.0, 0.0, 0.0))  # beyond l1 + l2
+        settings = IkSettings(max_iterations=200)
+        _, ok, iterations = _solve(two_r_model, target, np.array([0.3, 0.3]), settings)
+        assert not ok
+        assert iterations == len(jacobians) < 50
+        with pytest.raises(WaypointUnreachable, match=f"after {iterations} iterations"):
+            solve_waypoint(two_r_model, target, np.array([0.3, 0.3]), settings)
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
