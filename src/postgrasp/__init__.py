@@ -6,50 +6,34 @@ manipulability (maximize), torque effort (minimize) and effective mass
 from .chain import (
     ChainModel,
     JointSpec,
-    JointState,
     LinkSpec,
     forward_kinematics,
     geometric_jacobian,
-    link_frames,
 )
 from .dynamics import (
     DegenerateModelError,
-    DynamicsEvaluation,
-    GRAVITY_DEFAULT,
     augmented_mass_matrix,
-    coriolis_matrix,
-    evaluate_dynamics,
-    gravity_vector,
     inverse_dynamics,
     mass_matrix,
     operational_mass_inverse,
 )
 from .fileio import (
     SchemaError,
-    TaskSpec,
     load_robot,
     load_task,
     reference_robot_path,
     reference_task_path,
-    save_robot,
-    save_task,
 )
 from .geometry import (
     Pose,
     Rotation,
     SpatialInertia,
-    Twist,
     transform_spatial_inertia,
-    transform_twist,
     velocity_transform,
 )
 from .ik import (
     GraspInfeasible,
     IkSettings,
-    JointTrajectory,
-    WaypointUnreachable,
-    default_seed,
-    solve_waypoint,
     track_trajectory,
 )
 from .metrics import (
@@ -57,15 +41,12 @@ from .metrics import (
     MetricProfile,
     ZeroMotionError,
     directional_manipulability,
-    effective_mass,
     evaluate_grasp,
     tem,
     torque_effort,
     tov,
 )
 from .ranking import (
-    NormalizedScores,
-    RankingReport,
     build_report,
     detect_conflict,
     normalize,

@@ -167,10 +167,6 @@ def link_frames_axes(model: ChainModel, q) -> tuple[list[Pose], list[np.ndarray]
     return poses, axes
 
 
-def link_frames(model: ChainModel, q) -> list[Pose]:
-    return link_frames_axes(model, q)[0]
-
-
 def forward_kinematics(model: ChainModel, q) -> Pose:
     """World pose of the operational point."""
     poses, _ = link_frames_axes(model, q)
@@ -194,18 +190,3 @@ def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
         else:
             jac[:3, i] = z
     return jac
-
-
-@dataclass(frozen=True, eq=False)
-class JointState:
-    """Joint position/velocity/acceleration snapshot."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-
-    def __post_init__(self):
-        for name in ("position", "velocity", "acceleration"):
-            v = np.array(getattr(self, name), dtype=float).reshape(-1)
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)

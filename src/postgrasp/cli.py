@@ -206,6 +206,8 @@ def _parse_grasps_override(text: str) -> list[GraspCandidate]:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.jobs < 1:
+        raise CliError("--jobs must be >= 1")
     config = RunConfig(
         robot=Path(args.robot),
         tasks=[Path(t) for t in args.task],

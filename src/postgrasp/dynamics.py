@@ -7,15 +7,13 @@ Both work with world-frame spatial quantities referred to the world
 origin, which keeps every frame bookkeeping step explicit.
 
 A grasped object enters the dynamics either by merging its rigid body into
-the last link (``ChainModel.with_tool_body``, used by inverse dynamics) or
-through the congruence-transformed 6x6 object inertia pulled into joint
+the last link (``ChainModel.with_tool_body``, used by the torque objective)
+or through the congruence-transformed 6x6 object inertia pulled into joint
 space by the Jacobian (``augmented_mass_matrix``); the two routes agree to
 machine precision.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +22,6 @@ from .geometry import SpatialInertia, skew, transform_spatial_inertia
 from .task import GraspCandidate
 
 GRAVITY_DEFAULT = np.array([0.0, 0.0, -9.81])
-
-CHRISTOFFEL_STEP = 1e-6  # rad; truncation/round-off balance for float64
 
 CONDITION_LIMIT = 1e12
 
@@ -84,23 +80,12 @@ def mass_matrix(model: ChainModel, q) -> np.ndarray:
     return m
 
 
-def inverse_dynamics(
-    model: ChainModel,
-    q,
-    qdot,
-    qddot,
-    gravity=GRAVITY_DEFAULT,
-    tool_inertia: SpatialInertia | None = None,
-) -> np.ndarray:
+def inverse_dynamics(model: ChainModel, q, qdot, qddot, gravity=GRAVITY_DEFAULT) -> np.ndarray:
     """Joint torques by recursive Newton-Euler.
 
-    ``tool_inertia``, when given, is the 6x6 inertia of a rigid body
-    attached at the operational point, expressed in the tool frame; it is
-    merged into the last link before the recursion, which realizes the
-    object-augmented dynamics exactly.
+    A grasped object enters through the model: attach it with
+    ``ChainModel.with_tool_body`` first.
     """
-    if tool_inertia is not None:
-        model = model.with_tool_body(*tool_inertia.to_mass_com_inertia())
     q = _check_q(model, q)
     qd = _check_q(model, qdot)
     qdd = _check_q(model, qddot)
@@ -161,53 +146,6 @@ def inverse_dynamics(
             tau[i] = axes[i] @ f_i
         f_child, n_child, p_child = f_i, n_i, p
     return tau
-
-
-def gravity_vector(model: ChainModel, q, gravity=GRAVITY_DEFAULT) -> np.ndarray:
-    """Configuration-dependent gravity torques (the gradient of the
-    gravitational potential)."""
-    n = model.n
-    return inverse_dynamics(model, q, np.zeros(n), np.zeros(n), gravity=gravity)
-
-
-def coriolis_matrix(model: ChainModel, q, qdot, step: float = CHRISTOFFEL_STEP) -> np.ndarray:
-    """Coriolis/centrifugal matrix in Christoffel form.
-
-    C_ij = 1/2 sum_k (dM_ij/dq_k + dM_ik/dq_j - dM_kj/dq_i) qd_k, with the
-    mass-matrix partials taken by central finite differences.  This form
-    guarantees skew-symmetry of (Mdot - 2C).
-    """
-    q = _check_q(model, q)
-    qd = _check_q(model, qdot)
-    n = model.n
-    partials = np.zeros((n, n, n))
-    for k in range(n):
-        dq = np.zeros(n)
-        dq[k] = step
-        partials[k] = (mass_matrix(model, q + dq) - mass_matrix(model, q - dq)) / (2.0 * step)
-    c = (
-        np.einsum("kij,k->ij", partials, qd)
-        + np.einsum("jik,k->ij", partials, qd)
-        - np.einsum("ikj,k->ij", partials, qd)
-    )
-    return 0.5 * c
-
-
-@dataclass(frozen=True, eq=False)
-class DynamicsEvaluation:
-    """Mass matrix, Coriolis matrix and gravity vector at one state."""
-
-    mass: np.ndarray
-    coriolis: np.ndarray
-    gravity: np.ndarray
-
-
-def evaluate_dynamics(model: ChainModel, q, qdot, gravity=GRAVITY_DEFAULT) -> DynamicsEvaluation:
-    return DynamicsEvaluation(
-        mass=mass_matrix(model, q),
-        coriolis=coriolis_matrix(model, q, qdot),
-        gravity=gravity_vector(model, q, gravity=gravity),
-    )
 
 
 def object_inertia_in_gripper(grasp: GraspCandidate, obj: SpatialInertia) -> SpatialInertia:

@@ -115,20 +115,9 @@ def _parse_pose(obj, path) -> Pose:
     return Pose(Rotation.from_quat(q), t)
 
 
-def _dump_pose(pose: Pose) -> dict:
-    return {
-        "translation": [float(x) for x in pose.translation],
-        "quaternion": [float(x) for x in pose.rotation.quat],
-    }
-
-
 def _inertia_from_six(v: np.ndarray) -> np.ndarray:
     xx, yy, zz, xy, xz, yz = v
     return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
-
-
-def _inertia_to_six(m: np.ndarray) -> list[float]:
-    return [float(m[0, 0]), float(m[1, 1]), float(m[2, 2]), float(m[0, 1]), float(m[0, 2]), float(m[1, 2])]
 
 
 def _check_schema_version(data: dict, path: str):
@@ -197,37 +186,6 @@ def load_robot(path) -> ChainModel:
             raise SchemaError(f"{lpath}.inertia: {exc}") from exc
 
     return ChainModel(joints=tuple(joints), links=tuple(links), base_pose=base, tool_transform=tool, name=name)
-
-
-def dump_robot(model: ChainModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": model.name,
-        "base_pose": _dump_pose(model.base_pose),
-        "joints": [
-            {
-                "kind": j.kind,
-                "axis": [float(x) for x in j.axis],
-                "origin": _dump_pose(j.origin),
-                "limits": [float(j.limits[0]), float(j.limits[1])],
-                "velocity_limit": float(j.velocity_limit),
-            }
-            for j in model.joints
-        ],
-        "links": [
-            {
-                "mass": float(l.mass),
-                "com": [float(x) for x in l.com],
-                "inertia": _inertia_to_six(l.inertia),
-            }
-            for l in model.links
-        ],
-        "tool_transform": _dump_pose(model.tool_transform),
-    }
-
-
-def save_robot(model: ChainModel, path):
-    Path(path).write_text(json.dumps(dump_robot(model), indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,36 +324,6 @@ def load_task(path) -> TaskSpec:
         ik_seed=ik_seed,
         notes=notes,
     )
-
-
-def dump_task(spec: TaskSpec) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "name": spec.name,
-        "total_time_s": float(spec.trajectory.total_time),
-        "gravity": [float(x) for x in spec.gravity],
-        "object": {
-            "mass": float(spec.obj.mass),
-            "inertia": _inertia_to_six(spec.obj.inertia),
-        },
-        "object_waypoints": [
-            {"t": float(t), **_dump_pose(p)}
-            for t, p in zip(spec.trajectory.times, spec.trajectory.poses)
-        ],
-        "grasps": [{"id": g.id, **_dump_pose(g.transform)} for g in spec.grasps],
-        "resample_count": spec.resample_count,
-    }
-    if spec.obj.extents is not None:
-        out["object"]["extents"] = [float(x) for x in spec.obj.extents]
-    if spec.ik_seed is not None:
-        out["ik_seed"] = [float(x) for x in spec.ik_seed]
-    if spec.notes:
-        out["notes"] = spec.notes
-    return out
-
-
-def save_task(spec: TaskSpec, path):
-    Path(path).write_text(json.dumps(dump_task(spec), indent=2, sort_keys=True) + "\n")
 
 
 def write_scorecards_csv(path, scorecards, scores: NormalizedScores | None, pareto_ids):

@@ -1,11 +1,11 @@
-"""SE(3) primitives: unit-quaternion rotations, rigid poses, twists, and the
-6x6 velocity transform used to re-express twists and spatial inertias
-between frames.
+"""SE(3) primitives: unit-quaternion rotations, rigid poses, spatial
+inertias, and the 6x6 velocity transform used to re-express spatial
+inertias between frames.
 
 Conventions
 -----------
-Twists are ordered ``(linear; angular)`` throughout the package.  The
-velocity transform of a pose ``T = (R, t)`` is
+Spatial velocities (twists, as 6-vectors) are ordered ``(linear; angular)``
+throughout the package.  The velocity transform of a pose ``T = (R, t)`` is
 
     E(T) = [ R   skew(t) @ R ]
            [ 0         R     ]
@@ -96,45 +96,6 @@ class Rotation:
     @classmethod
     def rot_z(cls, angle: float) -> "Rotation":
         return cls.from_axis_angle((0.0, 0.0, 1.0), angle)
-
-    @classmethod
-    def from_matrix(cls, m) -> "Rotation":
-        """Quaternion from a rotation matrix (Shepperd's method)."""
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("rotation matrix must be 3x3")
-        tr = m[0, 0] + m[1, 1] + m[2, 2]
-        if tr > 0.0:
-            s = math.sqrt(tr + 1.0) * 2.0
-            return cls(
-                0.25 * s,
-                (m[2, 1] - m[1, 2]) / s,
-                (m[0, 2] - m[2, 0]) / s,
-                (m[1, 0] - m[0, 1]) / s,
-            )
-        if m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            return cls(
-                (m[2, 1] - m[1, 2]) / s,
-                0.25 * s,
-                (m[0, 1] + m[1, 0]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-            )
-        if m[1, 1] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            return cls(
-                (m[0, 2] - m[2, 0]) / s,
-                (m[0, 1] + m[1, 0]) / s,
-                0.25 * s,
-                (m[1, 2] + m[2, 1]) / s,
-            )
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        return cls(
-            (m[1, 0] - m[0, 1]) / s,
-            (m[0, 2] + m[2, 0]) / s,
-            (m[1, 2] + m[2, 1]) / s,
-            0.25 * s,
-        )
 
     @property
     def quat(self) -> np.ndarray:
@@ -249,30 +210,6 @@ class Pose:
         return m
 
 
-@dataclass(frozen=True, eq=False)
-class Twist:
-    """Spatial velocity, (linear m/s; angular rad/s), in a declared frame."""
-
-    linear: np.ndarray
-    angular: np.ndarray
-
-    def __post_init__(self):
-        lin = np.array(self.linear, dtype=float).reshape(3)
-        ang = np.array(self.angular, dtype=float).reshape(3)
-        lin.flags.writeable = False
-        ang.flags.writeable = False
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "angular", ang)
-
-    @classmethod
-    def from_vector(cls, v) -> "Twist":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(v[:3], v[3:])
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.linear, self.angular])
-
-
 def velocity_transform(pose: Pose) -> np.ndarray:
     """6x6 matrix E with twist_B = E @ twist_A for a rigid body.
 
@@ -285,11 +222,6 @@ def velocity_transform(pose: Pose) -> np.ndarray:
     e[:3, 3:] = skew(pose.translation) @ r
     e[3:, 3:] = r
     return e
-
-
-def transform_twist(twist: Twist, pose: Pose) -> Twist:
-    """Re-express a rigid-body twist; ``pose`` as in :func:`velocity_transform`."""
-    return Twist.from_vector(velocity_transform(pose) @ twist.as_vector())
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,23 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, JointState, forward_kinematics, geometric_jacobian
+from .chain import ChainModel, forward_kinematics, geometric_jacobian
 from .geometry import Pose
 
 STALL_WINDOW = 5  # iterations
 STALL_GAIN = 0.01  # least relative fall of the error norm over the window
 
 
-class IkError(Exception):
-    pass
-
-
-class WaypointUnreachable(IkError):
-    """DLS iteration stalled or hit the iteration cap before meeting
-    tolerances."""
-
-
-class GraspInfeasible(IkError):
+class GraspInfeasible(Exception):
     """The first trajectory waypoint could not be reached at all."""
 
 
@@ -125,18 +116,6 @@ def _solve(model, target, seed, settings) -> tuple[np.ndarray, bool, int]:
     return q, _converged(err, settings), it + 1
 
 
-def solve_waypoint(model: ChainModel, target: Pose, seed, settings: IkSettings) -> np.ndarray:
-    """Solve one pose target by damped least squares from the given seed.
-
-    Returns the joint vector; raises WaypointUnreachable when the target
-    cannot be met within tolerances (out of workspace or limit-blocked).
-    """
-    q, ok, iterations = _solve(model, target, seed, settings)
-    if not ok:
-        raise WaypointUnreachable(f"no IK solution within tolerances after {iterations} iterations")
-    return q
-
-
 @dataclass(frozen=True, eq=False)
 class JointTrajectory:
     """Solved joint path with finite-difference velocities/accelerations
@@ -150,9 +129,6 @@ class JointTrajectory:
 
     def __len__(self) -> int:
         return self.times.shape[0]
-
-    def at(self, i: int) -> JointState:
-        return JointState(self.positions[i], self.velocities[i], self.accelerations[i])
 
 
 def _fd_derivatives(times: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,6 @@ from .dynamics import (
     augmented_mass_matrix,
     inverse_dynamics,
     object_inertia_in_gripper,
-    operational_mass_inverse,
 )
 from .geometry import Pose
 from .ik import GraspInfeasible, IkSettings, JointTrajectory, track_trajectory
@@ -200,22 +199,11 @@ def torque_effort(
     obj: RigidObject,
     s: np.ndarray,
     gravity=GRAVITY_DEFAULT,
-    joint_weights: np.ndarray | None = None,
 ) -> MetricProfile:
     """Squared joint-torque norm per waypoint with the grasped object folded
-    into the dynamics, integrated over s.
-
-    ``joint_weights``, when given, scales each torque component (diagonal
-    weighting, e.g. gear ratios); the default is the plain Euclidean norm.
-    """
+    into the dynamics, integrated over s."""
     gmo = object_inertia_in_gripper(grasp, obj.spatial_inertia())
     aug = model.with_tool_body(*gmo.to_mass_com_inertia())
-    if joint_weights is not None:
-        wgt = np.asarray(joint_weights, dtype=float).reshape(model.n)
-        if np.any(wgt < 0.0):
-            raise ValueError("joint weights must be non-negative")
-    else:
-        wgt = None
     n = len(joint_traj)
     values = np.zeros(n)
     for i in range(n):
@@ -226,8 +214,6 @@ def torque_effort(
             joint_traj.accelerations[i],
             gravity=gravity,
         )
-        if wgt is not None:
-            tau = wgt * tau
         values[i] = float(tau @ tau)
     return MetricProfile.from_samples(values, s, unreachable=~joint_traj.reachable)
 
@@ -242,20 +228,6 @@ def directional_effective_mass(lambda_inv: np.ndarray, direction) -> tuple[float
     return 1.0 / quad, False
 
 
-def effective_mass(
-    model: ChainModel,
-    q,
-    grasp: GraspCandidate,
-    obj: RigidObject,
-    direction,
-) -> float:
-    """Mass an obstacle would perceive in a collision along ``direction``:
-    1 / (u^T Lambda_tot^-1 u), capped at 1e9 kg near singularities."""
-    lam_inv = operational_mass_inverse(model, q, grasp, obj.spatial_inertia())
-    value, _ = directional_effective_mass(lam_inv, direction)
-    return value
-
-
 def tem(
     model: ChainModel,
     joint_traj: JointTrajectory,
@@ -263,18 +235,14 @@ def tem(
     grasp: GraspCandidate,
     obj: RigidObject,
     s: np.ndarray,
-    full_twist: bool = False,
 ) -> MetricProfile:
     """Effective-mass profile along the motion direction, integrated over s.
 
     Collisions are modeled as point impacts on the translating end
     effector, so the direction is the unit translation tangent with zero
-    angular part; ``full_twist=True`` switches to the full 6D tangent.
+    angular part.
     """
-    if full_twist:
-        tangents = _twist_tangents(gripper_poses)
-    else:
-        tangents = _translation_tangents(gripper_poses)
+    tangents = _translation_tangents(gripper_poses)
     obj_spatial = obj.spatial_inertia()
     n = len(gripper_poses)
     values = np.zeros(n)
@@ -298,8 +266,6 @@ def evaluate_grasp(
     ik_settings: IkSettings | None = None,
     gravity=GRAVITY_DEFAULT,
     index_quadrature: bool = False,
-    tem_full_twist: bool = False,
-    joint_weights: np.ndarray | None = None,
 ) -> GraspScorecard:
     """Run the full per-grasp pipeline and collect the three objectives.
 
@@ -320,10 +286,8 @@ def evaluate_grasp(
     except GraspInfeasible:
         return GraspScorecard(grasp_id=grasp.id, feasible=False)
     tov_profile = tov(model, joint_traj, poses, s)
-    tme_profile = torque_effort(
-        model, joint_traj, grasp, obj, s, gravity=gravity, joint_weights=joint_weights
-    )
-    tem_profile = tem(model, joint_traj, poses, grasp, obj, s, full_twist=tem_full_twist)
+    tme_profile = torque_effort(model, joint_traj, grasp, obj, s, gravity=gravity)
+    tem_profile = tem(model, joint_traj, poses, grasp, obj, s)
     return GraspScorecard(
         grasp_id=grasp.id,
         feasible=True,

@@ -128,8 +128,8 @@ def scalarize(scores: NormalizedScores, weights) -> list[tuple[str, float]]:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != 3:
         raise ValueError("need exactly three weights")
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be non-negative and sum to 1")
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError(f"weights must be finite, non-negative and sum to 1, got {w.tolist()}")
     values = w[0] * (1.0 - scores.tov) + w[1] * scores.tme + w[2] * scores.tem
     order = np.argsort(values, kind="stable")
     return [(scores.grasp_ids[i], float(values[i])) for i in order]

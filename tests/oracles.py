@@ -1,12 +1,17 @@
-"""Independent closed-form references used only by the tests.
+"""Independent closed-form references and test-only derived quantities.
 
-Apart from ``reference_dls``, nothing here shares code with the production
-modules: all kinematics and dynamics below are hand-derived textbook
-expressions for the smallest nontrivial systems, and the Pareto scan is a
-direct pairwise dominance check.  ``reference_dls`` is the damped
-least-squares loop as it ran before solves stopped on a stall; it runs on
-the production forward kinematics and Jacobian, so it checks the iteration
-logic only.
+The 2R kinematics and dynamics are hand-derived textbook expressions for
+the smallest nontrivial system, and the Pareto scan is a direct pairwise
+dominance check; neither shares code with the production modules.
+
+The rest builds on production functions, so it checks only the logic it
+adds.  ``reference_dls`` is the damped least-squares loop as it ran before
+solves stopped on a stall, on the production forward kinematics and
+Jacobian.  ``gravity_vector`` and ``coriolis_matrix`` (Christoffel form,
+finite differences of the CRBA mass matrix) derive the terms of the
+equation of motion from ``inverse_dynamics`` and ``mass_matrix``;
+``effective_mass`` is the single-configuration form of the ``tem``
+objective on ``operational_mass_inverse``.
 """
 
 from __future__ import annotations
@@ -15,8 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from postgrasp.chain import forward_kinematics, geometric_jacobian
+from postgrasp.chain import ChainModel, _check_q, forward_kinematics, geometric_jacobian
+from postgrasp.dynamics import (
+    GRAVITY_DEFAULT,
+    inverse_dynamics,
+    mass_matrix,
+    operational_mass_inverse,
+)
 from postgrasp.ik import pose_error
+from postgrasp.metrics import directional_effective_mass
+from postgrasp.task import GraspCandidate, RigidObject
+
+CHRISTOFFEL_STEP = 1e-6  # rad; truncation/round-off balance for float64
 
 
 @dataclass(frozen=True)
@@ -185,3 +200,47 @@ def reference_dls(model, target, seed, settings) -> tuple[np.ndarray, bool]:
     ):
         return q, True
     return q, False
+
+
+def gravity_vector(model: ChainModel, q, gravity=GRAVITY_DEFAULT) -> np.ndarray:
+    """Configuration-dependent gravity torques (the gradient of the
+    gravitational potential)."""
+    n = model.n
+    return inverse_dynamics(model, q, np.zeros(n), np.zeros(n), gravity=gravity)
+
+
+def coriolis_matrix(model: ChainModel, q, qdot, step: float = CHRISTOFFEL_STEP) -> np.ndarray:
+    """Coriolis/centrifugal matrix in Christoffel form.
+
+    C_ij = 1/2 sum_k (dM_ij/dq_k + dM_ik/dq_j - dM_kj/dq_i) qd_k, with the
+    mass-matrix partials taken by central finite differences.  This form
+    guarantees skew-symmetry of (Mdot - 2C).
+    """
+    q = _check_q(model, q)
+    qd = _check_q(model, qdot)
+    n = model.n
+    partials = np.zeros((n, n, n))
+    for k in range(n):
+        dq = np.zeros(n)
+        dq[k] = step
+        partials[k] = (mass_matrix(model, q + dq) - mass_matrix(model, q - dq)) / (2.0 * step)
+    c = (
+        np.einsum("kij,k->ij", partials, qd)
+        + np.einsum("jik,k->ij", partials, qd)
+        - np.einsum("ikj,k->ij", partials, qd)
+    )
+    return 0.5 * c
+
+
+def effective_mass(
+    model: ChainModel,
+    q,
+    grasp: GraspCandidate,
+    obj: RigidObject,
+    direction,
+) -> float:
+    """Mass an obstacle would perceive in a collision along ``direction``:
+    1 / (u^T Lambda_tot^-1 u), capped at 1e9 kg near singularities."""
+    lam_inv = operational_mass_inverse(model, q, grasp, obj.spatial_inertia())
+    value, _ = directional_effective_mass(lam_inv, direction)
+    return value

@@ -19,11 +19,8 @@ from postgrasp import (
     Pose,
     RigidObject,
     TaskTrajectory,
-    coriolis_matrix,
     directional_manipulability,
-    effective_mass,
     evaluate_grasp,
-    gravity_vector,
     inverse_dynamics,
     load_task,
     mass_matrix,
@@ -38,7 +35,14 @@ from postgrasp.ik import IkSettings
 from postgrasp.metrics import GraspScorecard, directional_effective_mass
 from postgrasp.task import resample
 
-from oracles import TwoRParams, brute_force_pareto, two_r_closed_form
+from oracles import (
+    TwoRParams,
+    brute_force_pareto,
+    coriolis_matrix,
+    effective_mass,
+    gravity_vector,
+    two_r_closed_form,
+)
 from conftest import make_two_r
 
 

@@ -9,7 +9,6 @@ from postgrasp import (
     Rotation,
     forward_kinematics,
     geometric_jacobian,
-    link_frames,
 )
 
 from oracles import TwoRParams, finite_difference_jacobian, two_r_closed_form
@@ -175,6 +174,3 @@ class TestValidation:
                 joints=(JointSpec(kind="revolute", axis=(0, 0, 1)),),
                 links=(),
             )
-
-    def test_link_frames_length(self, arm7, rng):
-        assert len(link_frames(arm7, rng.uniform(-1, 1, 7))) == 7

@@ -11,17 +11,21 @@ from postgrasp import (
     Rotation,
     SpatialInertia,
     augmented_mass_matrix,
-    coriolis_matrix,
     geometric_jacobian,
-    gravity_vector,
     inverse_dynamics,
-    link_frames,
     mass_matrix,
     operational_mass_inverse,
 )
+from postgrasp.chain import link_frames_axes
 from postgrasp.dynamics import object_inertia_in_gripper
 
-from oracles import TwoRParams, cuboid_inertia, two_r_closed_form
+from oracles import (
+    TwoRParams,
+    coriolis_matrix,
+    cuboid_inertia,
+    gravity_vector,
+    two_r_closed_form,
+)
 from conftest import make_two_r
 
 G2D = np.array([0.0, -9.81, 0.0])  # in-plane gravity for the planar arm
@@ -30,7 +34,7 @@ G2D = np.array([0.0, -9.81, 0.0])  # in-plane gravity for the planar arm
 def potential_energy(model, q, gravity):
     """Energy-route oracle: V = -sum_i m_i g . com_i(q)."""
     total = 0.0
-    for link, pose in zip(model.links, link_frames(model, q)):
+    for link, pose in zip(model.links, link_frames_axes(model, q)[0]):
         total -= link.mass * float(np.dot(gravity, pose.apply(link.com)))
     return total
 
@@ -238,7 +242,11 @@ class TestInverseDynamics:
             q = rng.uniform(-1.2, 1.2, 7)
             tau_free = inverse_dynamics(arm7, q, np.zeros(7), np.zeros(7), gravity=g)
             tau_load = inverse_dynamics(
-                arm7, q, np.zeros(7), np.zeros(7), gravity=g, tool_inertia=tool_si
+                arm7.with_tool_body(*tool_si.to_mass_com_inertia()),
+                q,
+                np.zeros(7),
+                np.zeros(7),
+                gravity=g,
             )
             jac = geometric_jacobian(arm7, q)
             expected = jac[:3].T @ (-obj_mass * g)
@@ -306,18 +314,6 @@ class TestAugmentedDynamics:
             m_aug = augmented_mass_matrix(stripped, q, grasp, body_in_tool)
             m_ref = mass_matrix(arm7, q)
             assert np.abs(m_aug - m_ref).max() / np.abs(m_ref).max() <= 1e-8
-
-
-class TestEvaluateDynamics:
-    def test_bundle_matches_components(self, two_r_model, rng):
-        from postgrasp import evaluate_dynamics
-
-        q = rng.uniform(-np.pi, np.pi, 2)
-        qd = rng.uniform(-1, 1, 2)
-        out = evaluate_dynamics(two_r_model, q, qd, gravity=G2D)
-        assert np.array_equal(out.mass, mass_matrix(two_r_model, q))
-        assert np.array_equal(out.coriolis, coriolis_matrix(two_r_model, q, qd))
-        assert np.array_equal(out.gravity, gravity_vector(two_r_model, q, G2D))
 
 
 class TestOperationalMassInverse:

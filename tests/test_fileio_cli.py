@@ -15,16 +15,9 @@ from postgrasp import (
     load_task,
     reference_robot_path,
     reference_task_path,
-    save_robot,
-    save_task,
 )
 from postgrasp.cli import RunConfig, main, run_evaluation
-from postgrasp.fileio import (
-    dump_robot,
-    dump_task,
-    read_scorecards_csv,
-    write_scorecards_csv,
-)
+from postgrasp.fileio import read_scorecards_csv, write_scorecards_csv
 
 ARM7_SEED = [1.1714, -0.5996, -1.3336, 1.6372, -2.1718, -1.3377, -0.3196]
 
@@ -79,7 +72,7 @@ class TestLoadRobot:
             assert link.mass == lobj["mass"]
 
     def test_negative_mass_names_link(self, tmp_path):
-        data = dump_robot(load_robot(reference_robot_path("planar_rr")))
+        data = json.loads(reference_robot_path("planar_rr").read_text())
         data["links"][1]["mass"] = -1.0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -87,7 +80,7 @@ class TestLoadRobot:
             load_robot(bad)
 
     def test_unknown_field_rejected(self, tmp_path):
-        data = dump_robot(load_robot(reference_robot_path("planar_rr")))
+        data = json.loads(reference_robot_path("planar_rr").read_text())
         data["surprise"] = 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -95,7 +88,7 @@ class TestLoadRobot:
             load_robot(bad)
 
     def test_missing_field_rejected(self, tmp_path):
-        data = dump_robot(load_robot(reference_robot_path("planar_rr")))
+        data = json.loads(reference_robot_path("planar_rr").read_text())
         del data["tool_transform"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -103,7 +96,7 @@ class TestLoadRobot:
             load_robot(bad)
 
     def test_bad_quaternion_rejected(self, tmp_path):
-        data = dump_robot(load_robot(reference_robot_path("planar_rr")))
+        data = json.loads(reference_robot_path("planar_rr").read_text())
         data["base_pose"]["quaternion"] = [1.0, 1.0, 0.0, 0.0]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -111,7 +104,7 @@ class TestLoadRobot:
             load_robot(bad)
 
     def test_wrong_schema_version_rejected(self, tmp_path):
-        data = dump_robot(load_robot(reference_robot_path("planar_rr")))
+        data = json.loads(reference_robot_path("planar_rr").read_text())
         data["schema_version"] = 2
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -123,12 +116,6 @@ class TestLoadRobot:
         bad.write_text("{\n  broken\n}")
         with pytest.raises(SchemaError, match=r"bad\.json:2"):
             load_robot(bad)
-
-    def test_round_trip(self, tmp_path, arm7):
-        out = tmp_path / "arm7_copy.json"
-        save_robot(arm7, out)
-        again = load_robot(out)
-        assert dump_robot(again) == dump_robot(arm7)
 
 
 class TestLoadTask:
@@ -188,12 +175,6 @@ class TestLoadTask:
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaError, match="total_time_s"):
             load_task(path)
-
-    def test_round_trip(self, tmp_path):
-        spec = load_task(reference_task_path("task2"))
-        out = tmp_path / "task2_copy.json"
-        save_task(spec, out)
-        assert dump_task(load_task(out)) == dump_task(spec)
 
 
 class TestCsvPrecision:
@@ -371,6 +352,46 @@ class TestCliCommands:
         )
         s_values = [float(x) for x in header.split(",")[1:]]
         assert np.abs(np.array(s_values) - np.linspace(0, 1, 8)).max() <= 1e-15
+
+    def test_non_finite_weights_rejected(self, tmp_path, synthetic_task_path, capsys):
+        rc = main(
+            [
+                "evaluate",
+                "--robot",
+                str(reference_robot_path("arm7")),
+                "--task",
+                str(synthetic_task_path),
+                "--out",
+                str(tmp_path / "cli_out"),
+                "--resample",
+                "4",
+                "--weights",
+                "nan,0.5,0.5",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "weights" in err and "nan" in err
+        assert not (tmp_path / "cli_out" / "synthetic" / "report.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, synthetic_task_path, capsys, jobs):
+        rc = main(
+            [
+                "evaluate",
+                "--robot",
+                str(reference_robot_path("arm7")),
+                "--task",
+                str(synthetic_task_path),
+                "--out",
+                str(tmp_path / "cli_out"),
+                "--jobs",
+                jobs,
+            ]
+        )
+        assert rc == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "cli_out").exists()
 
     def test_unknown_grasp_id_errors(self, synthetic_task_path, capsys):
         rc = main(

