@@ -12,6 +12,7 @@ from .chain import (
 )
 from .dynamics import (
     DegenerateModelError,
+    attach_object,
     augmented_mass_matrix,
     inverse_dynamics,
     mass_matrix,

@@ -1,24 +1,34 @@
-"""Serial kinematic chains: joint/link description, forward kinematics, and
-the geometric Jacobian of the operational point.
+"""Serial kinematic chains: joint/link description and the one kinematic
+pass per configuration.
 
 The chain is described URDF-style: each joint carries a fixed origin pose
 (parent link frame to joint frame) plus a motion axis, and the link frame
-coincides with the joint frame after the joint motion is applied.  The
-Jacobian maps joint velocities to the world-frame twist of the operational
-point; metrics stay consistent because motion directions are expressed in
-the same frame.
+coincides with the joint frame after the joint motion is applied.
+
+``link_frames_axes(model, q)`` is the only place link frames are built.  It
+returns a frozen ``KinematicState``: link rotations as 3x3 matrices,
+origins, world joint axes, the joint motion columns, the operational
+point's rotation and position, and the 6xn Jacobian, which maps joint
+velocities to the world-frame twist of the operational point.  Forward
+kinematics, the Jacobian and the dynamics (CRBA and RNEA) all read it; the
+model's per-joint constants are stacked into arrays once per
+``ChainModel``.  This is the model/data split of Pinocchio (Carpentier et
+al., SII 2019).  Quaternions appear only where a pose leaves this module
+(``forward_kinematics``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import Pose, Rotation
+from .geometry import Pose, Rotation, skew
 
 _JOINT_KINDS = ("revolute", "prismatic")
+_CYCLE = np.array([[1, 2, 0], [2, 0, 1]])  # (a x b)_i = a_j b_k - a_k b_j, (i, j, k) cyclic
 
 
 def validate_inertia_tensor(inertia, label: str = "inertia tensor") -> np.ndarray:
@@ -109,6 +119,10 @@ class ChainModel:
     def n(self) -> int:
         return len(self.joints)
 
+    @cached_property
+    def _constants(self) -> "_ChainArrays":
+        return _ChainArrays.of(self)
+
     def limits_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.array([j.limits[0] for j in self.joints])
         hi = np.array([j.limits[1] for j in self.joints])
@@ -127,6 +141,53 @@ class ChainModel:
         merged = _merge_bodies(last.mass, last.com, last.inertia, mass, c_extra, i_extra)
         links = self.links[:-1] + (LinkSpec(*merged),)
         return replace(self, links=links)
+
+
+@dataclass(frozen=True, eq=False)
+class _ChainArrays:
+    """A model's per-joint and per-link constants as stacked arrays, built
+    once per ``ChainModel`` for the kinematic pass and the dynamics."""
+
+    fixed: np.ndarray  # (n, 4, 4) joint origin transforms
+    turn1: np.ndarray  # (n, 4, 4) R_o K in the rotation block
+    turn2: np.ndarray  # (n, 4, 4) R_o K^2 in the rotation block
+    slide: np.ndarray  # (n, 4, 4) R_o a in the translation column
+    axes: np.ndarray  # (n, 3) joint axes in the link frames
+    revolute: np.ndarray  # (n,) 1.0 for a revolute joint, else 0.0
+    prismatic: np.ndarray  # (n,) 1.0 for a prismatic joint, else 0.0
+    base: np.ndarray  # (4, 4)
+    tool: np.ndarray  # (4, 4)
+    masses: np.ndarray  # (n,)
+    coms: np.ndarray  # (n, 3) link frame
+    inertias: np.ndarray  # (n, 3, 3) about the CoM, link frame
+
+    @classmethod
+    def of(cls, model: ChainModel) -> "_ChainArrays":
+        n = model.n
+        fixed = np.stack([j.origin.to_matrix() for j in model.joints])
+        turn1 = np.zeros((n, 4, 4))
+        turn2 = np.zeros((n, 4, 4))
+        slide = np.zeros((n, 4, 4))
+        for i, joint in enumerate(model.joints):
+            k = skew(joint.axis)
+            turn1[i, :3, :3] = fixed[i, :3, :3] @ k
+            turn2[i, :3, :3] = fixed[i, :3, :3] @ k @ k
+            slide[i, :3, 3] = fixed[i, :3, :3] @ joint.axis
+        revolute = np.array([j.kind == "revolute" for j in model.joints], dtype=float)
+        return cls(
+            fixed=fixed,
+            turn1=turn1,
+            turn2=turn2,
+            slide=slide,
+            axes=np.stack([j.axis for j in model.joints]),
+            revolute=revolute,
+            prismatic=1.0 - revolute,
+            base=model.base_pose.to_matrix(),
+            tool=model.tool_transform.to_matrix(),
+            masses=np.array([link.mass for link in model.links]),
+            coms=np.stack([link.com for link in model.links]),
+            inertias=np.stack([link.inertia for link in model.links]),
+        )
 
 
 def _merge_bodies(m1, c1, i1, m2, c2, i2):
@@ -149,28 +210,77 @@ def _check_q(model: ChainModel, q) -> np.ndarray:
     return q
 
 
-def link_frames_axes(model: ChainModel, q) -> tuple[list[Pose], list[np.ndarray]]:
-    """World pose of every link frame plus the world-frame joint axes."""
+@dataclass(frozen=True, eq=False)
+class KinematicState:
+    """One forward pass of a chain at a configuration, in world coordinates.
+
+    Everything downstream of q reads it: forward kinematics, the Jacobian,
+    the composite-rigid-body mass matrix and recursive Newton-Euler.  It
+    depends on the joints, base and tool only, so a pass of a model also
+    serves every model that differs from it in link inertias alone (the
+    chain with a grasped object merged by ``ChainModel.with_tool_body``).
+    """
+
+    rotations: np.ndarray  # (n, 3, 3) link-frame rotations
+    origins: np.ndarray  # (n, 3) link-frame origins
+    axes: np.ndarray  # (n, 3) unit joint axes
+    motion: np.ndarray  # (n, 6) joint motion columns referred to the world origin
+    tool_rotation: np.ndarray  # (3, 3) operational-point rotation
+    tool_position: np.ndarray  # (3,) operational-point position
+    jacobian: np.ndarray  # (6, n) geometric Jacobian of the operational point
+
+    @property
+    def n(self) -> int:
+        return self.origins.shape[0]
+
+
+def _cross(a, b) -> np.ndarray:
+    """Cross product over the last axis of broadcastable (..., 3) arrays,
+    from the antisymmetrized outer product; several times cheaper than
+    ``np.cross`` on the small arrays used here."""
+    outer = a[..., :, None] * b[..., None, :]
+    return (outer - outer.swapaxes(-1, -2))[..., _CYCLE[0], _CYCLE[1]]
+
+
+def link_frames_axes(model: ChainModel, q) -> KinematicState:
+    """The one kinematic pass: every link frame, joint axis and motion
+    column, the operational point and its Jacobian.
+
+    Each joint's local transform is its fixed origin times the joint motion,
+    the rotation by Rodrigues' formula R_o (I + sin(q) K + (1 - cos(q)) K^2)
+    with K the skew matrix of the axis; the link frames are the running
+    product of the local transforms as 4x4 homogeneous matrices.
+    """
     q = _check_q(model, q)
-    poses: list[Pose] = []
-    axes: list[np.ndarray] = []
-    t = model.base_pose
-    for spec, qi in zip(model.joints, q):
-        x = t.compose(spec.origin)
-        z = x.rotation.apply(spec.axis)
-        if spec.kind == "revolute":
-            t = Pose(x.rotation * Rotation.from_axis_angle(spec.axis, qi), x.translation)
-        else:
-            t = Pose(x.rotation, x.translation + qi * z)
-        poses.append(t)
-        axes.append(z)
-    return poses, axes
+    c = model._constants
+    local = (
+        c.fixed
+        + (np.sin(q) * c.revolute)[:, None, None] * c.turn1
+        + ((1.0 - np.cos(q)) * c.revolute)[:, None, None] * c.turn2
+        + (q * c.prismatic)[:, None, None] * c.slide
+    )
+    frames = np.empty_like(local)
+    t = c.base
+    for i in range(q.shape[0]):
+        t = np.matmul(t, local[i], out=frames[i])
+    tool = t @ c.tool
+    rotations = frames[:, :3, :3]
+    origins = frames[:, :3, 3]
+    p_op = tool[:3, 3]
+    axes = np.matmul(rotations, c.axes[:, :, None])[:, :, 0]
+    spin = axes * c.revolute[:, None]
+    slide = axes * c.prismatic[:, None]
+    # revolute: (p x z; z) at the world origin, z x (p_op - p) at the tool
+    lever = _cross(np.stack([origins, origins - p_op]), spin)
+    motion = np.hstack([lever[0] + slide, spin])
+    jacobian = np.vstack([(lever[1] + slide).T, spin.T])
+    return KinematicState(rotations, origins, axes, motion, tool[:3, :3], p_op, jacobian)
 
 
 def forward_kinematics(model: ChainModel, q) -> Pose:
     """World pose of the operational point."""
-    poses, _ = link_frames_axes(model, q)
-    return poses[-1].compose(model.tool_transform)
+    kin = link_frames_axes(model, q)
+    return Pose(Rotation.from_matrix(kin.tool_rotation), kin.tool_position)
 
 
 def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
@@ -180,13 +290,4 @@ def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
     Columns follow the classic construction: revolute joint i contributes
     (z_i x (p - p_i); z_i), a prismatic joint contributes (z_i; 0).
     """
-    poses, axes = link_frames_axes(model, q)
-    p_op = poses[-1].compose(model.tool_transform).translation
-    jac = np.zeros((6, model.n))
-    for i, (spec, pose, z) in enumerate(zip(model.joints, poses, axes)):
-        if spec.kind == "revolute":
-            jac[:3, i] = np.cross(z, p_op - pose.translation)
-            jac[3:, i] = z
-        else:
-            jac[:3, i] = z
-    return jac
+    return link_frames_axes(model, q).jacobian

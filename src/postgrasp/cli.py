@@ -29,7 +29,7 @@ from .chain import ChainModel, forward_kinematics, geometric_jacobian
 from .fileio import SchemaError, TaskSpec
 from .ik import IkSettings, default_seed
 from .metrics import GraspScorecard, evaluate_grasp
-from .ranking import build_report, normalize
+from .ranking import build_report, check_weights, normalize
 from .task import GraspCandidate, resample
 
 
@@ -161,14 +161,11 @@ def run_evaluation(config: RunConfig) -> int:
 
 
 def _parse_weights(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError("--weights expects three comma-separated numbers")
+    """Parse and check ``--weights`` before any evaluation runs."""
     try:
-        w = tuple(float(p) for p in parts)
+        return tuple(float(w) for w in check_weights([float(p) for p in text.split(",")]))
     except ValueError as exc:
         raise CliError(f"--weights: {exc}") from exc
-    return w
 
 
 def _parse_config_vector(text: str) -> np.ndarray:

@@ -86,6 +86,29 @@ class Rotation:
         return cls(math.cos(half), a[0] * s, a[1] * s, a[2] * s)
 
     @classmethod
+    def from_matrix(cls, m) -> "Rotation":
+        """Quaternion of a rotation matrix by Shepperd's method: solve for
+        the largest of |w|, |x|, |y|, |z| first, so the square root and the
+        division stay well conditioned at every angle."""
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
+        trace = m00 + m11 + m22
+        if trace >= max(m00, m11, m22):
+            r = math.sqrt(1.0 + trace)  # 2|w|
+            s = 0.5 / r
+            return cls(0.5 * r, (m21 - m12) * s, (m02 - m20) * s, (m10 - m01) * s)
+        if m00 >= m11 and m00 >= m22:
+            r = math.sqrt(1.0 + m00 - m11 - m22)  # 2|x|
+            s = 0.5 / r
+            return cls((m21 - m12) * s, 0.5 * r, (m01 + m10) * s, (m02 + m20) * s)
+        if m11 >= m22:
+            r = math.sqrt(1.0 - m00 + m11 - m22)  # 2|y|
+            s = 0.5 / r
+            return cls((m02 - m20) * s, (m01 + m10) * s, 0.5 * r, (m12 + m21) * s)
+        r = math.sqrt(1.0 - m00 - m11 + m22)  # 2|z|
+        s = 0.5 / r
+        return cls((m10 - m01) * s, (m02 + m20) * s, (m12 + m21) * s, 0.5 * r)
+
+    @classmethod
     def rot_x(cls, angle: float) -> "Rotation":
         return cls.from_axis_angle((1.0, 0.0, 0.0), angle)
 

@@ -1,11 +1,11 @@
 """The three path objectives evaluated along a tracked trajectory.
 
 Per grasp, the pipeline is: compose the gripper trajectory, track it in
-joint space, then walk the waypoints computing
+joint space, then walk the waypoints, one kinematic pass each, computing
 
 * directional velocity manipulability a^2 along the motion direction
   (maximize its path integral),
-* squared joint-torque norm with the object folded into the dynamics
+* squared joint-torque norm with the object merged into the last link
   (minimize),
 * effective mass perceived in a collision along the motion direction
   (minimize).
@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, geometric_jacobian
+from .chain import ChainModel, KinematicState, link_frames_axes
 from .dynamics import (
     GRAVITY_DEFAULT,
-    augmented_mass_matrix,
+    attach_object,
     inverse_dynamics,
-    object_inertia_in_gripper,
+    operational_mass_inverse,
 )
 from .geometry import Pose
 from .ik import GraspInfeasible, IkSettings, JointTrajectory, track_trajectory
@@ -175,41 +175,38 @@ def _translation_tangents(poses: list[Pose]) -> np.ndarray:
 
 
 def tov(
-    model: ChainModel,
+    kins: list[KinematicState],
     joint_traj: JointTrajectory,
     gripper_poses: list[Pose],
     s: np.ndarray,
 ) -> MetricProfile:
     """Task-oriented velocity manipulability profile: a^2 along the 6D
-    motion direction at every waypoint, integrated over s."""
+    motion direction at every waypoint, integrated over s.  ``kins`` holds
+    the kinematic pass at each waypoint."""
     tangents = _twist_tangents(gripper_poses)
     n = len(gripper_poses)
     values = np.zeros(n)
     near_singular = np.zeros(n, dtype=bool)
     for i in range(n):
-        jac = geometric_jacobian(model, joint_traj.positions[i])
-        values[i], near_singular[i] = _directional_manipulability(jac, tangents[i])
+        values[i], near_singular[i] = _directional_manipulability(kins[i].jacobian, tangents[i])
     return MetricProfile.from_samples(values, s, near_singular, ~joint_traj.reachable)
 
 
 def torque_effort(
     model: ChainModel,
+    kins: list[KinematicState],
     joint_traj: JointTrajectory,
-    grasp: GraspCandidate,
-    obj: RigidObject,
     s: np.ndarray,
     gravity=GRAVITY_DEFAULT,
 ) -> MetricProfile:
-    """Squared joint-torque norm per waypoint with the grasped object folded
-    into the dynamics, integrated over s."""
-    gmo = object_inertia_in_gripper(grasp, obj.spatial_inertia())
-    aug = model.with_tool_body(*gmo.to_mass_com_inertia())
+    """Squared joint-torque norm per waypoint, integrated over s.  The
+    grasped object counts once ``model`` carries it (``attach_object``)."""
     n = len(joint_traj)
     values = np.zeros(n)
     for i in range(n):
         tau = inverse_dynamics(
-            aug,
-            joint_traj.positions[i],
+            model,
+            kins[i],
             joint_traj.velocities[i],
             joint_traj.accelerations[i],
             gravity=gravity,
@@ -230,30 +227,25 @@ def directional_effective_mass(lambda_inv: np.ndarray, direction) -> tuple[float
 
 def tem(
     model: ChainModel,
+    kins: list[KinematicState],
     joint_traj: JointTrajectory,
     gripper_poses: list[Pose],
-    grasp: GraspCandidate,
-    obj: RigidObject,
     s: np.ndarray,
 ) -> MetricProfile:
     """Effective-mass profile along the motion direction, integrated over s.
 
     Collisions are modeled as point impacts on the translating end
     effector, so the direction is the unit translation tangent with zero
-    angular part.
+    angular part.  The grasped object counts once ``model`` carries it
+    (``attach_object``).
     """
     tangents = _translation_tangents(gripper_poses)
-    obj_spatial = obj.spatial_inertia()
     n = len(gripper_poses)
     values = np.zeros(n)
     near_singular = np.zeros(n, dtype=bool)
     for i in range(n):
-        q = joint_traj.positions[i]
-        m_tot = augmented_mass_matrix(model, q, grasp, obj_spatial)
-        jac = geometric_jacobian(model, q)
-        lam_inv = jac @ np.linalg.solve(m_tot, jac.T)
         values[i], near_singular[i] = directional_effective_mass(
-            0.5 * (lam_inv + lam_inv.T), tangents[i]
+            operational_mass_inverse(model, kins[i]), tangents[i]
         )
     return MetricProfile.from_samples(values, s, near_singular, ~joint_traj.reachable)
 
@@ -285,9 +277,13 @@ def evaluate_grasp(
         joint_traj = track_trajectory(model, poses, task.times, settings)
     except GraspInfeasible:
         return GraspScorecard(grasp_id=grasp.id, feasible=False)
-    tov_profile = tov(model, joint_traj, poses, s)
-    tme_profile = torque_effort(model, joint_traj, grasp, obj, s, gravity=gravity)
-    tem_profile = tem(model, joint_traj, poses, grasp, obj, s)
+    # one kinematic pass per waypoint serves all three objectives; the
+    # object-carrying model shares it, as only its last link's inertia differs
+    kins = [link_frames_axes(model, q) for q in joint_traj.positions]
+    loaded = attach_object(model, grasp, obj.spatial_inertia())
+    tov_profile = tov(kins, joint_traj, poses, s)
+    tme_profile = torque_effort(loaded, kins, joint_traj, s, gravity=gravity)
+    tem_profile = tem(loaded, kins, joint_traj, poses, s)
     return GraspScorecard(
         grasp_id=grasp.id,
         feasible=True,

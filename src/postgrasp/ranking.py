@@ -118,6 +118,17 @@ def detect_conflict(scorecards) -> tuple[bool, dict[str, str]]:
     return conflict, argbest
 
 
+def check_weights(weights) -> np.ndarray:
+    """Scalarization weights as an array; raises ValueError unless there are
+    three, finite, non-negative and summing to 1."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape[0] != 3:
+        raise ValueError("need exactly three weights")
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError(f"weights must be finite, non-negative and sum to 1, got {w.tolist()}")
+    return w
+
+
 def scalarize(scores: NormalizedScores, weights) -> list[tuple[str, float]]:
     """Affine combination w1*(1 - Htov) + w2*Htme + w3*Htem, minimized.
 
@@ -125,11 +136,7 @@ def scalarize(scores: NormalizedScores, weights) -> list[tuple[str, float]]:
     ties.  Offered as a baseline only; a singleton Pareto front is the
     robust notion of agreement.
     """
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape[0] != 3:
-        raise ValueError("need exactly three weights")
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must be finite, non-negative and sum to 1, got {w.tolist()}")
+    w = check_weights(weights)
     values = w[0] * (1.0 - scores.tov) + w[1] * scores.tme + w[2] * scores.tem
     order = np.argsort(values, kind="stable")
     return [(scores.grasp_ids[i], float(values[i])) for i in order]

@@ -20,9 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from postgrasp.chain import ChainModel, _check_q, forward_kinematics, geometric_jacobian
+from postgrasp.chain import (
+    ChainModel,
+    _check_q,
+    forward_kinematics,
+    geometric_jacobian,
+    link_frames_axes,
+)
 from postgrasp.dynamics import (
     GRAVITY_DEFAULT,
+    attach_object,
     inverse_dynamics,
     mass_matrix,
     operational_mass_inverse,
@@ -206,7 +213,8 @@ def gravity_vector(model: ChainModel, q, gravity=GRAVITY_DEFAULT) -> np.ndarray:
     """Configuration-dependent gravity torques (the gradient of the
     gravitational potential)."""
     n = model.n
-    return inverse_dynamics(model, q, np.zeros(n), np.zeros(n), gravity=gravity)
+    kin = link_frames_axes(model, q)
+    return inverse_dynamics(model, kin, np.zeros(n), np.zeros(n), gravity=gravity)
 
 
 def coriolis_matrix(model: ChainModel, q, qdot, step: float = CHRISTOFFEL_STEP) -> np.ndarray:
@@ -223,7 +231,10 @@ def coriolis_matrix(model: ChainModel, q, qdot, step: float = CHRISTOFFEL_STEP) 
     for k in range(n):
         dq = np.zeros(n)
         dq[k] = step
-        partials[k] = (mass_matrix(model, q + dq) - mass_matrix(model, q - dq)) / (2.0 * step)
+        partials[k] = (
+            mass_matrix(model, link_frames_axes(model, q + dq))
+            - mass_matrix(model, link_frames_axes(model, q - dq))
+        ) / (2.0 * step)
     c = (
         np.einsum("kij,k->ij", partials, qd)
         + np.einsum("jik,k->ij", partials, qd)
@@ -241,6 +252,7 @@ def effective_mass(
 ) -> float:
     """Mass an obstacle would perceive in a collision along ``direction``:
     1 / (u^T Lambda_tot^-1 u), capped at 1e9 kg near singularities."""
-    lam_inv = operational_mass_inverse(model, q, grasp, obj.spatial_inertia())
+    loaded = attach_object(model, grasp, obj.spatial_inertia())
+    lam_inv = operational_mass_inverse(loaded, link_frames_axes(model, q))
     value, _ = directional_effective_mass(lam_inv, direction)
     return value

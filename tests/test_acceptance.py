@@ -30,6 +30,7 @@ from postgrasp import (
     reference_robot_path,
     reference_task_path,
 )
+from postgrasp.chain import link_frames_axes
 from postgrasp.cli import RunConfig, run_evaluation
 from postgrasp.ik import IkSettings
 from postgrasp.metrics import GraspScorecard, directional_effective_mass
@@ -71,11 +72,12 @@ def test_criterion_1_dynamics_cross_validation():
         qd = rng.uniform(-1.0, 1.0, 2)
         qdd = rng.uniform(-1.0, 1.0, 2)
         oracle = two_r_closed_form(params, q, qd, qdd)
-        worst["M"] = max(worst["M"], rel_err(mass_matrix(model, q), oracle["M"]))
+        kin = link_frames_axes(model, q)
+        worst["M"] = max(worst["M"], rel_err(mass_matrix(model, kin), oracle["M"]))
         worst["C"] = max(worst["C"], rel_err(coriolis_matrix(model, q, qd), oracle["C"]))
         worst["N"] = max(worst["N"], rel_err(gravity_vector(model, q, gravity), oracle["N"]))
         worst["tau"] = max(
-            worst["tau"], rel_err(inverse_dynamics(model, q, qd, qdd, gravity=gravity), oracle["tau"])
+            worst["tau"], rel_err(inverse_dynamics(model, kin, qd, qdd, gravity=gravity), oracle["tau"])
         )
     elapsed = time.time() - start
     if worst["M"] >= 1e-8:
@@ -99,21 +101,25 @@ def test_criterion_2_structural_properties_7dof(arm7):
     for _ in range(200):
         q = rng.uniform(-1.8, 1.8, 7)
         qd = rng.uniform(-1.0, 1.0, 7)
-        m = mass_matrix(arm7, q)
+        kin = link_frames_axes(arm7, q)
+        m = mass_matrix(arm7, kin)
         if np.abs(m - m.T).max() > 1e-10:
             failures.append("asymmetric M")
             break
         if np.linalg.eigvalsh(m)[0] <= 0.0:
             failures.append("non-SPD M")
             break
-        mdot = (mass_matrix(arm7, q + qd * dt) - mass_matrix(arm7, q - qd * dt)) / (2 * dt)
+        mdot = (
+            mass_matrix(arm7, link_frames_axes(arm7, q + qd * dt))
+            - mass_matrix(arm7, link_frames_axes(arm7, q - qd * dt))
+        ) / (2 * dt)
         skew = mdot - 2.0 * coriolis_matrix(arm7, q, qd)
         if np.abs(skew + skew.T).max() > 1e-6:
             failures.append(f"Mdot-2C not skew ({np.abs(skew + skew.T).max():.2e})")
             break
         n_vec = gravity_vector(arm7, q)
         cols = np.column_stack(
-            [inverse_dynamics(arm7, q, np.zeros(7), e) - n_vec for e in np.eye(7)]
+            [inverse_dynamics(arm7, kin, np.zeros(7), e) - n_vec for e in np.eye(7)]
         )
         if rel_err(cols, m) > 1e-9:
             failures.append(f"CRBA vs RNEA columns rel err {rel_err(cols, m):.2e}")
@@ -171,13 +177,16 @@ def test_criterion_4_effective_mass_anchors():
     )
     q = 0.6
     tangent = np.array([-np.sin(q), np.cos(q), 0, 0, 0, 0])
-    value, flagged = directional_effective_mass(operational_mass_inverse(pend, [q]), tangent)
+    value, flagged = directional_effective_mass(
+        operational_mass_inverse(pend, link_frames_axes(pend, [q])), tangent
+    )
     if abs(value - mass) > 1e-10 or flagged:
         failures.append(f"pendulum tangential m_e {value!r}")
 
     straight = make_two_r(TwoRParams())
     value, flagged = directional_effective_mass(
-        operational_mass_inverse(straight, np.zeros(2)), np.array([1.0, 0, 0, 0, 0, 0])
+        operational_mass_inverse(straight, link_frames_axes(straight, np.zeros(2))),
+        np.array([1.0, 0, 0, 0, 0, 0]),
     )
     if value != 1e9 or not flagged:
         failures.append(f"singular capping: value={value!r} flagged={flagged}")

@@ -34,8 +34,9 @@ G2D = np.array([0.0, -9.81, 0.0])  # in-plane gravity for the planar arm
 def potential_energy(model, q, gravity):
     """Energy-route oracle: V = -sum_i m_i g . com_i(q)."""
     total = 0.0
-    for link, pose in zip(model.links, link_frames_axes(model, q)[0]):
-        total -= link.mass * float(np.dot(gravity, pose.apply(link.com)))
+    kin = link_frames_axes(model, q)
+    for link, rot, origin in zip(model.links, kin.rotations, kin.origins):
+        total -= link.mass * float(np.dot(gravity, rot @ link.com + origin))
     return total
 
 
@@ -67,27 +68,29 @@ class TestMassMatrix:
             joints=(JointSpec(kind="prismatic", axis=(0, 0, 1)),),
             links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
         )
-        assert np.abs(mass_matrix(model, [0.4]) - np.array([[2.0]])).max() <= 1e-15
+        m = mass_matrix(model, link_frames_axes(model, [0.4]))
+        assert np.abs(m - np.array([[2.0]])).max() <= 1e-15
 
     def test_two_r_m11_closed_form(self, two_r_params, two_r_model, rng):
         p = two_r_params
         for _ in range(50):
             q = rng.uniform(-np.pi, np.pi, 2)
             m11 = p.m1 * p.l1**2 + p.m2 * (p.l1**2 + p.l2**2 + 2 * p.l1 * p.l2 * np.cos(q[1]))
-            assert abs(mass_matrix(two_r_model, q)[0, 0] - m11) <= 1e-12
+            m = mass_matrix(two_r_model, link_frames_axes(two_r_model, q))
+            assert abs(m[0, 0] - m11) <= 1e-12
 
     def test_two_r_full_matrix(self, two_r_params, two_r_model, rng):
         for _ in range(100):
             q = rng.uniform(-np.pi, np.pi, 2)
             oracle = two_r_closed_form(two_r_params, q)["M"]
-            got = mass_matrix(two_r_model, q)
+            got = mass_matrix(two_r_model, link_frames_axes(two_r_model, q))
             assert np.abs(got - oracle).max() / np.abs(oracle).max() <= 1e-12
 
     def test_symmetric_positive_definite(self, rng):
         for trial in range(10):
             model = random_spatial_chain(rng)
             q = rng.uniform(-np.pi, np.pi, model.n)
-            m = mass_matrix(model, q)
+            m = mass_matrix(model, link_frames_axes(model, q))
             assert np.abs(m - m.T).max() <= 1e-10
             assert np.linalg.eigvalsh(m)[0] > 0.0
 
@@ -97,11 +100,12 @@ class TestMassMatrix:
         g = np.array([0.0, 0.0, -9.81])
         for _ in range(10):
             q = rng.uniform(-np.pi, np.pi, model.n)
-            m = mass_matrix(model, q)
+            kin = link_frames_axes(model, q)
+            m = mass_matrix(model, kin)
             n_vec = gravity_vector(model, q, g)
             cols = np.column_stack(
                 [
-                    inverse_dynamics(model, q, np.zeros(model.n), e, gravity=g) - n_vec
+                    inverse_dynamics(model, kin, np.zeros(model.n), e, gravity=g) - n_vec
                     for e in np.eye(model.n)
                 ]
             )
@@ -134,7 +138,10 @@ class TestCoriolis:
         for _ in range(5):
             q = rng.uniform(-1.5, 1.5, 7)
             qd = rng.uniform(-1.0, 1.0, 7)
-            mdot = (mass_matrix(arm7, q + qd * dt) - mass_matrix(arm7, q - qd * dt)) / (2 * dt)
+            mdot = (
+                mass_matrix(arm7, link_frames_axes(arm7, q + qd * dt))
+                - mass_matrix(arm7, link_frames_axes(arm7, q - qd * dt))
+            ) / (2 * dt)
             s = mdot - 2.0 * coriolis_matrix(arm7, q, qd)
             assert np.abs(s + s.T).max() <= 1e-6
 
@@ -179,7 +186,8 @@ class TestGravity:
 class TestInverseDynamics:
     def test_static_hold_equals_gravity(self, two_r_model, rng):
         q = rng.uniform(-np.pi, np.pi, 2)
-        tau = inverse_dynamics(two_r_model, q, np.zeros(2), np.zeros(2), gravity=G2D)
+        kin = link_frames_axes(two_r_model, q)
+        tau = inverse_dynamics(two_r_model, kin, np.zeros(2), np.zeros(2), gravity=G2D)
         assert np.abs(tau - gravity_vector(two_r_model, q, G2D)).max() <= 1e-12
 
     def test_two_r_closed_form(self, two_r_params, two_r_model, rng):
@@ -188,7 +196,8 @@ class TestInverseDynamics:
             qd = rng.uniform(-1.0, 1.0, 2)
             qdd = rng.uniform(-1.0, 1.0, 2)
             oracle = two_r_closed_form(two_r_params, q, qd, qdd)["tau"]
-            got = inverse_dynamics(two_r_model, q, qd, qdd, gravity=G2D)
+            kin = link_frames_axes(two_r_model, q)
+            got = inverse_dynamics(two_r_model, kin, qd, qdd, gravity=G2D)
             assert np.abs(got - oracle).max() / max(np.abs(oracle).max(), 1e-9) <= 1e-10
 
     def test_assembled_equation_of_motion(self, arm7, rng):
@@ -196,9 +205,10 @@ class TestInverseDynamics:
             q = rng.uniform(-1.5, 1.5, 7)
             qd = rng.uniform(-1.0, 1.0, 7)
             qdd = rng.uniform(-1.0, 1.0, 7)
-            tau = inverse_dynamics(arm7, q, qd, qdd)
+            kin = link_frames_axes(arm7, q)
+            tau = inverse_dynamics(arm7, kin, qd, qdd)
             assembled = (
-                mass_matrix(arm7, q) @ qdd
+                mass_matrix(arm7, kin) @ qdd
                 + coriolis_matrix(arm7, q, qd) @ qd
                 + gravity_vector(arm7, q)
             )
@@ -221,12 +231,12 @@ class TestInverseDynamics:
 
         def kinetic(t):
             q, qd, _ = state(t)
-            return 0.5 * qd @ mass_matrix(model, q) @ qd
+            return 0.5 * qd @ mass_matrix(model, link_frames_axes(model, q)) @ qd
 
         dt = 1e-6
         for t in np.linspace(0.2, 2.0, 8):
             q, qd, qdd = state(t)
-            tau = inverse_dynamics(model, q, qd, qdd, gravity=g)
+            tau = inverse_dynamics(model, link_frames_axes(model, q), qd, qdd, gravity=g)
             n_vec = gravity_vector(model, q, g)
             lhs = (kinetic(t + dt) - kinetic(t - dt)) / (2 * dt)
             rhs = qd @ (tau - n_vec)
@@ -240,10 +250,11 @@ class TestInverseDynamics:
         g = np.array([0.0, 0.0, -9.81])
         for _ in range(5):
             q = rng.uniform(-1.2, 1.2, 7)
-            tau_free = inverse_dynamics(arm7, q, np.zeros(7), np.zeros(7), gravity=g)
+            kin = link_frames_axes(arm7, q)
+            tau_free = inverse_dynamics(arm7, kin, np.zeros(7), np.zeros(7), gravity=g)
             tau_load = inverse_dynamics(
                 arm7.with_tool_body(*tool_si.to_mass_com_inertia()),
-                q,
+                kin,
                 np.zeros(7),
                 np.zeros(7),
                 gravity=g,
@@ -259,7 +270,8 @@ class TestAugmentedDynamics:
         obj = SpatialInertia.zero()
         q = rng.uniform(-1.0, 1.0, 7)
         assert np.abs(
-            augmented_mass_matrix(arm7, q, grasp, obj) - mass_matrix(arm7, q)
+            augmented_mass_matrix(arm7, q, grasp, obj)
+            - mass_matrix(arm7, link_frames_axes(arm7, q))
         ).max() <= 1e-12
 
     def test_prismatic_point_mass_direct_sum(self):
@@ -289,7 +301,7 @@ class TestAugmentedDynamics:
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, 7)
             m1 = augmented_mass_matrix(arm7, q, grasp, obj)
-            m2 = mass_matrix(combined, q)
+            m2 = mass_matrix(combined, link_frames_axes(combined, q))
             assert np.abs(m1 - m2).max() / np.abs(m1).max() <= 1e-12
 
     def test_relink_last_link_as_object(self, arm7, rng):
@@ -312,7 +324,7 @@ class TestAugmentedDynamics:
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, 7)
             m_aug = augmented_mass_matrix(stripped, q, grasp, body_in_tool)
-            m_ref = mass_matrix(arm7, q)
+            m_ref = mass_matrix(arm7, link_frames_axes(arm7, q))
             assert np.abs(m_aug - m_ref).max() / np.abs(m_ref).max() <= 1e-8
 
 
@@ -322,18 +334,19 @@ class TestOperationalMassInverse:
             joints=(JointSpec(kind="prismatic", axis=(0, 0, 1)),),
             links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
         )
-        lam_inv = operational_mass_inverse(model, [0.3])
+        lam_inv = operational_mass_inverse(model, link_frames_axes(model, [0.3]))
         u = np.array([0, 0, 1.0, 0, 0, 0])
         assert abs(u @ lam_inv @ u - 0.5) <= 1e-12
 
     def test_symmetric_psd(self, arm7, rng):
         for _ in range(10):
-            lam_inv = operational_mass_inverse(arm7, rng.uniform(-1.5, 1.5, 7))
+            kin = link_frames_axes(arm7, rng.uniform(-1.5, 1.5, 7))
+            lam_inv = operational_mass_inverse(arm7, kin)
             assert np.abs(lam_inv - lam_inv.T).max() <= 1e-12
             assert np.linalg.eigvalsh(lam_inv)[0] >= -1e-12
 
     def test_straightened_two_r_radial_direction_vanishes(self, two_r_model):
-        lam_inv = operational_mass_inverse(two_r_model, np.zeros(2))
+        lam_inv = operational_mass_inverse(two_r_model, link_frames_axes(two_r_model, np.zeros(2)))
         u = np.array([1.0, 0, 0, 0, 0, 0])
         assert abs(u @ lam_inv @ u) <= 1e-12
 
@@ -350,8 +363,8 @@ class TestOperationalMassInverse:
             ),
         )
         with pytest.raises(DegenerateModelError):
-            operational_mass_inverse(model, np.array([0.3, 0.4]))
+            operational_mass_inverse(model, link_frames_axes(model, np.array([0.3, 0.4])))
 
-    def test_grasp_and_object_must_pair(self, arm7):
-        with pytest.raises(ValueError):
-            operational_mass_inverse(arm7, np.zeros(7), grasp=GraspCandidate("g", Pose.identity()))
+    def test_state_of_another_chain_rejected(self, arm7, two_r_model):
+        with pytest.raises(ValueError, match="kinematic state has 2 joints"):
+            operational_mass_inverse(arm7, link_frames_axes(two_r_model, np.zeros(2)))

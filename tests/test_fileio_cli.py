@@ -48,6 +48,40 @@ def synthetic_task_dict(grasps=None):
     }
 
 
+def tip_mass_3r_dict():
+    """Planar 3R arm with unit links whose only mass is a point at the tip."""
+    identity = {"translation": [0.0, 0.0, 0.0], "quaternion": [1.0, 0.0, 0.0, 0.0]}
+    link_end = {"translation": [1.0, 0.0, 0.0], "quaternion": [1.0, 0.0, 0.0, 0.0]}
+    joint = {"kind": "revolute", "axis": [0.0, 0.0, 1.0], "limits": [-3.1, 3.1], "velocity_limit": 3.0}
+    massless = {"mass": 0.0, "com": [0.0, 0.0, 0.0], "inertia": [0.0] * 6}
+    return {
+        "schema_version": 1,
+        "name": "tip_mass_3r",
+        "base_pose": identity,
+        "joints": [dict(joint, origin=o) for o in (identity, link_end, link_end)],
+        "links": [massless, massless, {"mass": 1.0, "com": [1.0, 0.0, 0.0], "inertia": [0.0] * 6}],
+        "tool_transform": link_end,
+    }
+
+
+def planar_task_dict():
+    """A point object carried along a line in the plane of the 3R arm."""
+    return {
+        "schema_version": 1,
+        "name": "planar",
+        "total_time_s": 1.0,
+        "gravity": [0.0, -9.81, 0.0],
+        "object": {"mass": 0.5, "inertia": [0.0] * 6},
+        "object_waypoints": [
+            {"t": 0.0, "translation": [1.5, 0.3, 0.0], "quaternion": [1.0, 0.0, 0.0, 0.0]},
+            {"t": 1.0, "translation": [1.5, -0.3, 0.0], "quaternion": [1.0, 0.0, 0.0, 0.0]},
+        ],
+        "grasps": [{"id": "g", "translation": [0.0, 0.0, 0.0], "quaternion": [1.0, 0.0, 0.0, 0.0]}],
+        "resample_count": 5,
+        "ik_seed": [0.5, -1.0, 0.5],
+    }
+
+
 @pytest.fixture
 def synthetic_task_path(tmp_path):
     path = tmp_path / "synthetic.json"
@@ -392,6 +426,50 @@ class TestCliCommands:
         assert rc == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "cli_out").exists()
+
+    def test_weights_checked_before_evaluation(self, tmp_path, capsys):
+        out = tmp_path / "cli_out"
+        rc = main(
+            [
+                "evaluate",
+                "--robot",
+                str(reference_robot_path("arm7")),
+                "--task",
+                str(reference_task_path("task2")),
+                "--out",
+                str(out),
+                "--weights",
+                "nan,0.5,0.5",
+            ]
+        )
+        assert rc == 2
+        assert "weights must be finite" in capsys.readouterr().err
+        assert not (out / "task2").exists()
+
+    def test_pareto_rejects_non_finite_weights(self, tmp_path, capsys):
+        cards = [
+            GraspScorecard("a", True, h_tov=2.0, h_tme=1.0, h_tem=1.0),
+            GraspScorecard("b", True, h_tov=1.0, h_tme=2.0, h_tem=2.0),
+        ]
+        path = tmp_path / "cards.csv"
+        write_scorecards_csv(path, cards, None, [])
+        rc = main(["pareto", "--scorecards", str(path), "--weights", "nan,0.5,0.5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "weights must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_singular_mass_matrix_exits_2(self, tmp_path, capsys):
+        # all the mass of a planar 3R arm sits at its tip (the object is a
+        # point there too), so M has rank 2: tem must refuse, not return
+        # a number
+        robot = tmp_path / "tip_mass_3r.json"
+        robot.write_text(json.dumps(tip_mass_3r_dict()))
+        task = tmp_path / "planar.json"
+        task.write_text(json.dumps(planar_task_dict()))
+        rc = main(["evaluate", "--robot", str(robot), "--task", str(task), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "numerically singular" in capsys.readouterr().err
 
     def test_unknown_grasp_id_errors(self, synthetic_task_path, capsys):
         rc = main(

@@ -61,6 +61,23 @@ class TestRotation:
         with pytest.raises(ValueError):
             Rotation(0.0, 0.0, 0.0, 0.0)
 
+    def test_from_matrix_round_trip(self, rng):
+        for _ in range(500):
+            r = Rotation.from_quat(rng.normal(size=4))
+            back = Rotation.from_matrix(r.as_matrix())
+            assert back.w >= 0.0
+            assert np.abs(back.quat - r.quat).max() <= 1e-14
+
+    @pytest.mark.parametrize("axis", np.eye(3).tolist())
+    @pytest.mark.parametrize("offset", [-1e-6, -1e-9, 1e-9, 1e-6])
+    def test_from_matrix_near_half_turn(self, axis, offset):
+        # trace near -1: w is tiny and one of x, y, z carries the rotation,
+        # so the branches solving for x, y or z first are the ones exercised
+        r = Rotation.from_axis_angle(axis, np.pi + offset)
+        back = Rotation.from_matrix(r.as_matrix())
+        assert back.w >= 0.0
+        assert np.abs(back.quat - r.quat).max() <= 1e-14
+
 
 class TestPose:
     def test_compose_identity(self, rng):

@@ -5,6 +5,7 @@ import pytest
 
 from postgrasp import (
     ChainModel,
+    DegenerateModelError,
     GraspCandidate,
     IkSettings,
     JointSpec,
@@ -15,6 +16,7 @@ from postgrasp import (
     RigidObject,
     TaskTrajectory,
     ZeroMotionError,
+    attach_object,
     directional_manipulability,
     evaluate_grasp,
     forward_kinematics,
@@ -26,6 +28,7 @@ from postgrasp import (
     tov,
     track_trajectory,
 )
+from postgrasp.chain import link_frames_axes
 from postgrasp.metrics import directional_effective_mass
 from postgrasp.task import path_parameter
 
@@ -51,6 +54,11 @@ def svd_route_a2(jac, u, leak_tol=1e-2):
 def joint_path_task(model, qs, total_time=2.0):
     times = np.linspace(0.0, total_time, len(qs))
     return TaskTrajectory(tuple(forward_kinematics(model, q) for q in qs), times)
+
+
+def passes(model, traj):
+    """The kinematic pass at every waypoint of a solved joint path."""
+    return [link_frames_axes(model, q) for q in traj.positions]
 
 
 def small_object():
@@ -130,7 +138,7 @@ class TestTov:
         traj = track_trajectory(
             two_r_model, poses, task.times, IkSettings(seed=traj_seed(task, two_r_params))
         )
-        profile = tov(two_r_model, traj, poses, s)
+        profile = tov(passes(two_r_model, traj), traj, poses, s)
         assert profile.values.min() > 0.0
         # oracle: secant tangents + closed-form Jacobian + SVD route
         oracle_vals = []
@@ -154,7 +162,7 @@ class TestTov:
         s = path_parameter(task)
         poses = list(task.poses)
         traj = track_trajectory(two_r_model, poses, task.times, IkSettings(seed=qs[0]))
-        profile = tov(two_r_model, traj, poses, s)
+        profile = tov(passes(two_r_model, traj), traj, poses, s)
         manual = 0.0
         for i in range(len(s) - 1):
             manual += 0.5 * (profile.values[i] + profile.values[i + 1]) * (s[i + 1] - s[i])
@@ -170,7 +178,7 @@ class TestTov:
             task = joint_path_task(two_r_model, np.array(qs))
             poses = list(task.poses)
             traj = track_trajectory(two_r_model, poses, task.times, IkSettings(seed=np.array(qs[0])))
-            return tov(two_r_model, traj, poses, path_parameter(task)).integral
+            return tov(passes(two_r_model, traj), traj, poses, path_parameter(task)).integral
 
         coarse, fine = h_tov(50), h_tov(100)
         assert abs(fine - coarse) / abs(fine) < 0.01
@@ -183,7 +191,7 @@ class TestTov:
             two_r_model, poses, task.times, IkSettings(seed=np.array([0.4, 0.8]))
         )
         with pytest.raises(ZeroMotionError):
-            tov(two_r_model, traj, poses, path_parameter(task))
+            tov(passes(two_r_model, traj), traj, poses, path_parameter(task))
 
 
 def traj_seed(task, params):
@@ -210,9 +218,9 @@ class TestTorqueEffort:
         task = joint_path_task(model, qs)
         traj = track_trajectory(model, list(task.poses), task.times, IkSettings(seed=qs[0]))
         obj = RigidObject(mass=1e-12, inertia=np.eye(3) * 1e-15)
+        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj.spatial_inertia())
         profile = torque_effort(
-            model, traj, GraspCandidate("g", Pose.identity()), obj, path_parameter(task),
-            gravity=np.zeros(3),
+            loaded, passes(model, traj), traj, path_parameter(task), gravity=np.zeros(3)
         )
         assert profile.values.max() <= 1e-10
 
@@ -225,7 +233,11 @@ class TestTorqueEffort:
         obj = RigidObject(mass=0.3, inertia=np.eye(3) * 1e-5)
         grasp = GraspCandidate("g", Pose.identity())
         profile = torque_effort(
-            two_r_model, traj, grasp, obj, np.linspace(0, 1, 2), gravity=G2D
+            attach_object(two_r_model, grasp, obj.spatial_inertia()),
+            passes(two_r_model, traj),
+            traj,
+            np.linspace(0, 1, 2),
+            gravity=G2D,
         )
         n_arm = two_r_closed_form(two_r_params, q0)["N"]
         jac = two_r_closed_form(two_r_params, q0)["J"]
@@ -238,16 +250,20 @@ class TestTorqueEffort:
         s = path_parameter(task)
         traj = track_trajectory(two_r_model, list(task.poses), task.times, IkSettings(seed=qs[0]))
         grasp = GraspCandidate("g", Pose.identity())
+        obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-4)
         with_obj = torque_effort(
-            two_r_model, traj, grasp, RigidObject(mass=0.4, inertia=np.eye(3) * 1e-4), s,
+            attach_object(two_r_model, grasp, obj.spatial_inertia()),
+            passes(two_r_model, traj),
+            traj,
+            s,
             gravity=G2D,
         )
         # no-object baseline straight from inverse dynamics
         base_vals = np.array(
             [
                 float(np.sum(inverse_dynamics(
-                    two_r_model, traj.positions[i], traj.velocities[i], traj.accelerations[i],
-                    gravity=G2D,
+                    two_r_model, link_frames_axes(two_r_model, traj.positions[i]),
+                    traj.velocities[i], traj.accelerations[i], gravity=G2D,
                 ) ** 2))
                 for i in range(len(task))
             ]
@@ -277,13 +293,13 @@ class TestEffectiveMass:
         )
         q = 0.3
         u = np.array([-np.sin(q), np.cos(q), 0.0, 0.0, 0.0, 0.0])
-        lam_inv = operational_mass_inverse(model, [q])
+        lam_inv = operational_mass_inverse(model, link_frames_axes(model, [q]))
         value, flagged = directional_effective_mass(lam_inv, u)
         assert abs(value - mass) <= 1e-10
         assert not flagged
 
     def test_singular_direction_capped_and_flagged(self, two_r_model):
-        lam_inv = operational_mass_inverse(two_r_model, np.zeros(2))
+        lam_inv = operational_mass_inverse(two_r_model, link_frames_axes(two_r_model, np.zeros(2)))
         value, flagged = directional_effective_mass(lam_inv, np.array([1.0, 0, 0, 0, 0, 0]))
         assert value == 1e9
         assert flagged
@@ -293,7 +309,8 @@ class TestEffectiveMass:
         grasp = GraspCandidate("g", Pose.from_translation((0, 0, 0.1)))
         for _ in range(10):
             q = rng.uniform(-1.2, 1.2, 7)
-            lam_inv = operational_mass_inverse(arm7, q, grasp, obj.spatial_inertia())
+            loaded = attach_object(arm7, grasp, obj.spatial_inertia())
+            lam_inv = operational_mass_inverse(loaded, link_frames_axes(arm7, q))
             eigs = np.linalg.eigvalsh(lam_inv)
             if eigs[0] < 1e-9:
                 continue
@@ -337,8 +354,14 @@ class TestEffectiveMass:
         s = np.linspace(0, 1, len(task))
         base = RigidObject(mass=spec.obj.mass, inertia=spec.obj.inertia)
         doubled = RigidObject(mass=2 * spec.obj.mass, inertia=2 * spec.obj.inertia)
-        prof1 = torque_effort(arm7, static, grasp, base, s, gravity=spec.gravity)
-        prof2 = torque_effort(arm7, static, grasp, doubled, s, gravity=spec.gravity)
+        kins = passes(arm7, static)
+        prof1, prof2 = (
+            torque_effort(
+                attach_object(arm7, grasp, obj.spatial_inertia()), kins, static, s,
+                gravity=spec.gravity,
+            )
+            for obj in (base, doubled)
+        )
         assert np.all(prof2.values >= prof1.values - 1e-12)
 
 
@@ -352,9 +375,8 @@ class TestTem:
         task = TaskTrajectory(tuple(poses), np.linspace(0, 1, 6))
         traj = track_trajectory(model, poses, task.times, IkSettings(seed=np.zeros(1)))
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
-        profile = tem(
-            model, traj, poses, GraspCandidate("g", Pose.identity()), obj, path_parameter(task)
-        )
+        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj.spatial_inertia())
+        profile = tem(loaded, passes(model, traj), traj, poses, path_parameter(task))
         assert np.abs(profile.values - 2.4).max() <= 1e-9
         assert abs(profile.integral - 2.4) <= 1e-9
 
@@ -367,15 +389,39 @@ class TestTem:
         traj = track_trajectory(
             two_r_model, list(task.poses), task.times, IkSettings(seed=np.array([0.2, 0.5]))
         )
+        loaded = attach_object(
+            two_r_model, GraspCandidate("g", Pose.identity()), small_object().spatial_inertia()
+        )
         with pytest.raises(ZeroMotionError):
             tem(
-                two_r_model,
+                loaded,
+                passes(two_r_model, traj),
                 traj,
                 list(task.poses),
-                GraspCandidate("g", Pose.identity()),
-                small_object(),
                 path_parameter(task),
             )
+
+
+    def test_singular_mass_matrix_raises(self):
+        # planar 3R whose only mass is a point at the tip, carrying a point
+        # object there: M = m J_p^T J_p has rank 2
+        link_end = Pose.from_translation((1.0, 0.0, 0.0))
+        massless = LinkSpec(mass=0.0, com=np.zeros(3), inertia=np.zeros((3, 3)))
+        model = ChainModel(
+            joints=tuple(
+                JointSpec(kind="revolute", axis=(0, 0, 1), origin=origin)
+                for origin in (Pose.identity(), link_end, link_end)
+            ),
+            links=(massless, massless, LinkSpec(mass=1.0, com=(1, 0, 0), inertia=np.zeros((3, 3)))),
+            tool_transform=link_end,
+        )
+        qs = np.linspace([0.4, -0.9, 0.3], [0.6, -1.1, 0.4], 5)
+        task = joint_path_task(model, qs)
+        traj = track_trajectory(model, list(task.poses), task.times, IkSettings(seed=qs[0]))
+        obj = RigidObject(mass=0.5, inertia=np.zeros((3, 3)))
+        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj.spatial_inertia())
+        with pytest.raises(DegenerateModelError, match="numerically singular"):
+            tem(loaded, passes(model, traj), traj, list(task.poses), path_parameter(task))
 
 
 class TestEvaluateGrasp:
