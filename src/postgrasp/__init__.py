@@ -25,13 +25,7 @@ from .fileio import (
     reference_robot_path,
     reference_task_path,
 )
-from .geometry import (
-    Pose,
-    Rotation,
-    SpatialInertia,
-    transform_spatial_inertia,
-    velocity_transform,
-)
+from .geometry import Pose, Rotation
 from .ik import (
     GraspInfeasible,
     IkSettings,

@@ -7,12 +7,12 @@ coincides with the joint frame after the joint motion is applied.
 
 ``link_frames_axes(model, q)`` is the only place link frames are built.  It
 returns a frozen ``KinematicState``: link rotations as 3x3 matrices,
-origins, world joint axes, the joint motion columns, the operational
-point's rotation and position, and the 6xn Jacobian, which maps joint
-velocities to the world-frame twist of the operational point.  Forward
-kinematics, the Jacobian and the dynamics (CRBA and RNEA) all read it; the
-model's per-joint constants are stacked into arrays once per
-``ChainModel``.  This is the model/data split of Pinocchio (Carpentier et
+origins, the joint motion columns, the operational point's rotation and
+position, and the 6xn Jacobian, which maps joint velocities to the
+world-frame twist of the operational point.  Forward kinematics, the
+Jacobian and the dynamics (CRBA and RNEA) all read it; the model's
+per-joint constants are stacked into arrays once per ``ChainModel``.
+This is the model/data split of Pinocchio (Carpentier et
 al., SII 2019).  Quaternions appear only where a pose leaves this module
 (``forward_kinematics``).
 """
@@ -168,18 +168,18 @@ class _ChainArrays:
         turn1 = np.zeros((n, 4, 4))
         turn2 = np.zeros((n, 4, 4))
         slide = np.zeros((n, 4, 4))
-        for i, joint in enumerate(model.joints):
-            k = skew(joint.axis)
+        axes = np.stack([j.axis for j in model.joints])
+        for i, k in enumerate(skew(axes)):
             turn1[i, :3, :3] = fixed[i, :3, :3] @ k
             turn2[i, :3, :3] = fixed[i, :3, :3] @ k @ k
-            slide[i, :3, 3] = fixed[i, :3, :3] @ joint.axis
+            slide[i, :3, 3] = fixed[i, :3, :3] @ axes[i]
         revolute = np.array([j.kind == "revolute" for j in model.joints], dtype=float)
         return cls(
             fixed=fixed,
             turn1=turn1,
             turn2=turn2,
             slide=slide,
-            axes=np.stack([j.axis for j in model.joints]),
+            axes=axes,
             revolute=revolute,
             prismatic=1.0 - revolute,
             base=model.base_pose.to_matrix(),
@@ -223,7 +223,6 @@ class KinematicState:
 
     rotations: np.ndarray  # (n, 3, 3) link-frame rotations
     origins: np.ndarray  # (n, 3) link-frame origins
-    axes: np.ndarray  # (n, 3) unit joint axes
     motion: np.ndarray  # (n, 6) joint motion columns referred to the world origin
     tool_rotation: np.ndarray  # (3, 3) operational-point rotation
     tool_position: np.ndarray  # (3,) operational-point position
@@ -243,8 +242,8 @@ def _cross(a, b) -> np.ndarray:
 
 
 def link_frames_axes(model: ChainModel, q) -> KinematicState:
-    """The one kinematic pass: every link frame, joint axis and motion
-    column, the operational point and its Jacobian.
+    """The one kinematic pass: every link frame and motion column, the
+    operational point and its Jacobian.
 
     Each joint's local transform is its fixed origin times the joint motion,
     the rotation by Rodrigues' formula R_o (I + sin(q) K + (1 - cos(q)) K^2)
@@ -274,7 +273,7 @@ def link_frames_axes(model: ChainModel, q) -> KinematicState:
     lever = _cross(np.stack([origins, origins - p_op]), spin)
     motion = np.hstack([lever[0] + slide, spin])
     jacobian = np.vstack([(lever[1] + slide).T, spin.T])
-    return KinematicState(rotations, origins, axes, motion, tool[:3, :3], p_op, jacobian)
+    return KinematicState(rotations, origins, motion, tool[:3, :3], p_op, jacobian)
 
 
 def forward_kinematics(model: ChainModel, q) -> Pose:

@@ -180,26 +180,18 @@ def _parse_grasps_override(text: str) -> list[GraspCandidate]:
     [{"id", "translation", "quaternion"}, ...]."""
     raw = text.strip()
     if not raw.startswith("["):
-        raw = Path(text).read_text()
+        try:
+            raw = Path(text).read_text()
+        except OSError as exc:
+            raise CliError(f"--grasps-override: cannot read file ({exc})") from exc
     try:
         entries = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliError(f"--grasps-override: invalid JSON ({exc.msg})") from exc
-    if not isinstance(entries, list) or not entries:
-        raise CliError("--grasps-override: expected a non-empty JSON list")
-    grasps = []
-    for i, entry in enumerate(entries):
-        try:
-            fileio._check_keys(entry, {"id", "translation", "quaternion"}, set(), f"grasps[{i}]")
-            gid = fileio._string(entry, "id", f"grasps[{i}]")
-            pose = fileio._parse_pose(
-                {"translation": entry["translation"], "quaternion": entry["quaternion"]},
-                f"grasps[{i}]",
-            )
-        except SchemaError as exc:
-            raise CliError(f"--grasps-override: {exc}") from exc
-        grasps.append(GraspCandidate(gid, pose))
-    return grasps
+    try:
+        return fileio.parse_grasps(entries, "grasps")
+    except SchemaError as exc:
+        raise CliError(f"--grasps-override: {exc}") from exc
 
 
 def _cmd_evaluate(args) -> int:

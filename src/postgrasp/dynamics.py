@@ -10,13 +10,19 @@ frame no quantity needs transforming from one link to the next, so both
 recursions are running sums along the chain (Featherstone, *Rigid Body
 Dynamics Algorithms*, 2008, ch. 5-6).
 
-The pipeline attaches a grasped object by merging its rigid body into the
-last link (``attach_object``, through ``ChainModel.with_tool_body``); the
+A rigid body is given by its mass, its CoM and its 3x3 inertia about the
+CoM, from the task file (``task.RigidObject``) and the robot file
+(``chain.LinkSpec``) through to these recursions, which build each link's
+6x6 world-origin inertia on the fly.  The pipeline attaches a grasped
+object by expressing that triple in the gripper frame through the grasp
+transform and merging it into the last link (``attach_object``, through
+``ChainModel.with_tool_body``; composition as in Featherstone ch. 2); the
 merged model serves RNEA for the torque objective and CRBA for the
 effective-mass objective (``operational_mass_inverse``).
 ``augmented_mass_matrix`` is the independent cross-check: the arm's mass
-matrix plus the 6x6 object inertia pulled into joint space by the Jacobian,
-M + J^T M_obj J.  The two routes agree to machine precision.
+matrix plus the object's 6x6 inertia about the operational point pulled
+into joint space by the Jacobian, M + J^T M_obj J.  The two routes agree
+to machine precision.
 """
 
 from __future__ import annotations
@@ -24,16 +30,12 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import ChainModel, KinematicState, _check_q, link_frames_axes
-from .geometry import SpatialInertia, transform_spatial_inertia
-from .task import GraspCandidate
+from .geometry import skew
+from .task import GraspCandidate, RigidObject
 
 GRAVITY_DEFAULT = np.array([0.0, 0.0, -9.81])
 
 CONDITION_LIMIT = 1e12
-
-_LEVI_CIVITA = np.zeros((3, 3, 3))
-_LEVI_CIVITA[0, 1, 2] = _LEVI_CIVITA[1, 2, 0] = _LEVI_CIVITA[2, 0, 1] = 1.0
-_LEVI_CIVITA[0, 2, 1] = _LEVI_CIVITA[2, 1, 0] = _LEVI_CIVITA[1, 0, 2] = -1.0
 
 
 class DegenerateModelError(ValueError):
@@ -49,16 +51,11 @@ def _check_state(model: ChainModel, kin: KinematicState) -> None:
         raise ValueError(f"kinematic state has {kin.n} joints, model has {model.n}")
 
 
-def _skews(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrices of (..., 3) vectors: skew(v)[i, k] = eps_ijk v_j."""
-    return np.einsum("ijk,...j->...ik", _LEVI_CIVITA, v)
-
-
 def _spatial_inertias(model: ChainModel, kin: KinematicState) -> np.ndarray:
     """(n, 6, 6) link inertias referred to the world origin, world axes."""
     c = model._constants
     rot = kin.rotations
-    com_x = _skews(kin.origins + (rot @ c.coms[:, :, None])[:, :, 0])
+    com_x = skew(kin.origins + (rot @ c.coms[:, :, None])[:, :, 0])
     m_com_x = c.masses[:, None, None] * com_x
     out = np.zeros((model.n, 6, 6))
     out[:, :3, :3] = c.masses[:, None, None] * np.eye(3)
@@ -82,7 +79,7 @@ def _motion_cross(v: np.ndarray) -> np.ndarray:
     """(n, 6, 6) matrices of the spatial cross product v x for (n, 6) motion
     vectors, [[w x, v_lin x], [0, w x]] in (linear; angular) order; the force
     cross product v x* is -(v x)^T."""
-    sk = _skews(v.reshape(-1, 2, 3))
+    sk = skew(v.reshape(-1, 2, 3))
     out = np.zeros((v.shape[0], 6, 6))
     out[:, :3, :3] = out[:, 3:, 3:] = sk[:, 1]
     out[:, :3, 3:] = sk[:, 0]
@@ -116,38 +113,39 @@ def inverse_dynamics(
     return np.einsum("ij,ij->i", s, carried)
 
 
-def object_inertia_in_gripper(grasp: GraspCandidate, obj: SpatialInertia) -> SpatialInertia:
-    """Object inertia (given at the object CoM) re-expressed in the gripper
-    frame through the grasp transform."""
-    return transform_spatial_inertia(obj, grasp.transform.inverse())
-
-
-def attach_object(model: ChainModel, grasp: GraspCandidate, obj: SpatialInertia) -> ChainModel:
+def attach_object(model: ChainModel, grasp: GraspCandidate, obj: RigidObject) -> ChainModel:
     """The chain carrying a grasped object, merged into its last link.
 
-    Only the last link's inertia changes, so a ``KinematicState`` of
-    ``model`` serves the returned model too."""
-    return model.with_tool_body(*object_inertia_in_gripper(grasp, obj).to_mass_com_inertia())
+    The object's pose in the gripper frame is the inverse grasp transform
+    g: its CoM sits at g's translation and its inertia about the CoM is
+    R_g I R_g^T.  Only the last link's inertia changes, so a
+    ``KinematicState`` of ``model`` serves the returned model too."""
+    g = grasp.transform.inverse()
+    r = g.rotation.as_matrix()
+    return model.with_tool_body(obj.mass, g.translation, r @ obj.inertia @ r.T)
 
 
 def augmented_mass_matrix(
-    model: ChainModel, q, grasp: GraspCandidate, obj: SpatialInertia
+    model: ChainModel, q, grasp: GraspCandidate, obj: RigidObject
 ) -> np.ndarray:
     """Arm mass matrix plus the grasped object's inertia mapped into joint
     space: M_tot = M_arm + J^T M_obj J.
 
-    The object inertia is first re-expressed in the gripper frame through
-    the fixed grasp transform, then rotated into world axes at the current
-    configuration so it matches the world-frame Jacobian.  This is the
-    cross-check of ``attach_object``; the pipeline does not use it.
+    M_obj is the object's 6x6 inertia about the operational point in world
+    axes, built from the tool rotation at ``q`` and the fixed grasp
+    transform.  This is the cross-check of ``attach_object``; the pipeline
+    does not use it.
     """
     kin = link_frames_axes(model, q)
-    gmo = object_inertia_in_gripper(grasp, obj).matrix
-    r = kin.tool_rotation
-    rblk = np.zeros((6, 6))
-    rblk[:3, :3] = r
-    rblk[3:, 3:] = r
-    mo_world = rblk @ gmo @ rblk.T
+    r_grasp = grasp.transform.rotation.as_matrix()
+    r_obj = kin.tool_rotation @ r_grasp.T  # object axes in the world
+    com_x = skew(-r_obj @ grasp.transform.translation)  # CoM offset from the tool point
+    m = obj.mass
+    mo_world = np.zeros((6, 6))
+    mo_world[:3, :3] = m * np.eye(3)
+    mo_world[:3, 3:] = -m * com_x
+    mo_world[3:, :3] = m * com_x
+    mo_world[3:, 3:] = r_obj @ obj.inertia @ r_obj.T - m * com_x @ com_x
     jac = kin.jacobian
     return _symmetrize(mass_matrix(model, kin) + jac.T @ mo_world @ jac)
 

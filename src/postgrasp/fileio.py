@@ -203,6 +203,28 @@ class TaskSpec:
     notes: str = ""
 
 
+def parse_grasps(entries, path: str) -> list[GraspCandidate]:
+    """Grasp candidates from a non-empty list of ``{"id", "translation",
+    "quaternion"}`` objects with unique, non-empty ids; errors name the
+    field under ``path``."""
+    if not isinstance(entries, list) or not entries:
+        raise SchemaError(f"{path}: expected a non-empty list")
+    grasps = []
+    seen = set()
+    for i, g in enumerate(entries):
+        gpath = f"{path}[{i}]"
+        _check_keys(g, {"id", "translation", "quaternion"}, set(), gpath)
+        gid = _string(g, "id", gpath)
+        if not gid:
+            raise SchemaError(f"{gpath}.id: must be non-empty")
+        if gid in seen:
+            raise SchemaError(f"{gpath}.id: duplicate grasp id {gid!r}")
+        seen.add(gid)
+        pose = _parse_pose({"translation": g["translation"], "quaternion": g["quaternion"]}, gpath)
+        grasps.append(GraspCandidate(gid, pose))
+    return grasps
+
+
 def load_task(path) -> TaskSpec:
     """Load and validate a task file."""
     fname = str(path)
@@ -265,28 +287,7 @@ def load_task(path) -> TaskSpec:
     if has_grasps == has_sweep:
         raise SchemaError(f"{fname}: exactly one of 'grasps' or 'sweep' is required")
     if has_grasps:
-        gobj = data["grasps"]
-        if not isinstance(gobj, list) or not gobj:
-            raise SchemaError(f"{fname}.grasps: expected a non-empty list")
-        grasps = []
-        seen = set()
-        for i, g in enumerate(gobj):
-            gpath = f"{fname}.grasps[{i}]"
-            _check_keys(g, {"id", "translation", "quaternion"}, set(), gpath)
-            gid = _string(g, "id", gpath)
-            if not gid:
-                raise SchemaError(f"{gpath}.id: must be non-empty")
-            if gid in seen:
-                raise SchemaError(f"{gpath}.id: duplicate grasp id {gid!r}")
-            seen.add(gid)
-            grasps.append(
-                GraspCandidate(
-                    gid,
-                    _parse_pose(
-                        {"translation": g["translation"], "quaternion": g["quaternion"]}, gpath
-                    ),
-                )
-            )
+        grasps = parse_grasps(data["grasps"], f"{fname}.grasps")
     else:
         spath = f"{fname}.sweep"
         sobj = data["sweep"]

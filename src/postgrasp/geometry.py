@@ -1,20 +1,10 @@
-"""SE(3) primitives: unit-quaternion rotations, rigid poses, spatial
-inertias, and the 6x6 velocity transform used to re-express spatial
-inertias between frames.
+"""SE(3) primitives: unit-quaternion rotations, rigid poses and the
+cross-product matrix.
 
-Conventions
------------
-Spatial velocities (twists, as 6-vectors) are ordered ``(linear; angular)``
-throughout the package.  The velocity transform of a pose ``T = (R, t)`` is
-
-    E(T) = [ R   skew(t) @ R ]
-           [ 0         R     ]
-
-so that for a rigid body ``twist_B = E(T_BA) @ twist_A`` where ``T_BA`` is
-the pose of frame A expressed in frame B (i.e. ``p_B = R p_A + t``).  This
-block layout is one of the two standard adjoint conventions; it is stated
-here explicitly because everything in :mod:`postgrasp.dynamics` depends on
-it being used consistently.
+A ``Pose`` maps coordinates of its child frame into its parent frame,
+``p_parent = R p_child + t``.  Spatial vectors are ordered
+``(linear; angular)``.  Rigid bodies are described by mass, center of mass
+and the 3x3 inertia about it (``chain.LinkSpec``, ``task.RigidObject``).
 """
 
 from __future__ import annotations
@@ -24,19 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+_LEVI_CIVITA[0, 1, 2] = _LEVI_CIVITA[1, 2, 0] = _LEVI_CIVITA[2, 0, 1] = 1.0
+_LEVI_CIVITA[0, 2, 1] = _LEVI_CIVITA[2, 1, 0] = _LEVI_CIVITA[1, 0, 2] = -1.0
+
 
 def skew(v) -> np.ndarray:
-    """Cross-product matrix: ``skew(v) @ u == np.cross(v, u)``."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def _vee(m: np.ndarray) -> np.ndarray:
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """Cross-product matrices of (..., 3) vectors, ``skew(v) @ u == np.cross(v, u)``:
+    skew(v)[i, k] = eps_ijk v_j."""
+    return np.einsum("ijk,...j->...ik", _LEVI_CIVITA, np.asarray(v, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -232,102 +218,3 @@ class Pose:
         m[:3, 3] = self.translation
         return m
 
-
-def velocity_transform(pose: Pose) -> np.ndarray:
-    """6x6 matrix E with twist_B = E @ twist_A for a rigid body.
-
-    ``pose`` is the pose of frame A expressed in frame B.  See the module
-    docstring for the block layout.
-    """
-    r = pose.rotation.as_matrix()
-    e = np.zeros((6, 6))
-    e[:3, :3] = r
-    e[:3, 3:] = skew(pose.translation) @ r
-    e[3:, 3:] = r
-    return e
-
-
-@dataclass(frozen=True, eq=False)
-class SpatialInertia:
-    """6x6 rigid-body inertia for (linear; angular) twists.
-
-    At the body's center of mass with no offset this is
-    ``blockdiag(m I3, I_com)``; after :func:`transform_spatial_inertia` the
-    off-diagonal mass-offset coupling blocks appear.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float).reshape(6, 6)
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > 1e-9 * scale:
-            raise ValueError("spatial inertia matrix must be symmetric")
-        m = _symmetrize(m)
-        if np.linalg.eigvalsh(m)[0] < -1e-9 * scale:
-            raise ValueError("spatial inertia matrix must be positive semidefinite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def zero(cls) -> "SpatialInertia":
-        return cls(np.zeros((6, 6)))
-
-    @classmethod
-    def point_mass(cls, mass: float) -> "SpatialInertia":
-        return cls.from_mass_inertia(mass, np.zeros((3, 3)))
-
-    @classmethod
-    def from_mass_inertia(cls, mass: float, inertia_com) -> "SpatialInertia":
-        """Block-diagonal inertia at the center of mass."""
-        if mass < 0.0:
-            raise ValueError("mass must be non-negative")
-        m = np.zeros((6, 6))
-        m[:3, :3] = mass * np.eye(3)
-        m[3:, 3:] = np.asarray(inertia_com, dtype=float)
-        return cls(m)
-
-    @classmethod
-    def from_mass_com_inertia(cls, mass: float, com, inertia_com) -> "SpatialInertia":
-        """Inertia of a body whose CoM sits at ``com`` in the reference frame."""
-        if mass < 0.0:
-            raise ValueError("mass must be non-negative")
-        c = np.asarray(com, dtype=float)
-        sc = skew(c)
-        m = np.zeros((6, 6))
-        m[:3, :3] = mass * np.eye(3)
-        m[:3, 3:] = -mass * sc
-        m[3:, :3] = mass * sc
-        m[3:, 3:] = np.asarray(inertia_com, dtype=float) + mass * (sc @ sc.T)
-        return cls(m)
-
-    def to_mass_com_inertia(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Decompose into (mass, com, inertia about com).
-
-        Only valid for rigid-body inertias (translational block m*I3);
-        raises ValueError otherwise.
-        """
-        m = self.matrix
-        mass = float(np.trace(m[:3, :3]) / 3.0)
-        tol = 1e-6 * max(1.0, mass)
-        if np.abs(m[:3, :3] - mass * np.eye(3)).max() > tol:
-            raise ValueError("translational block is not a scaled identity")
-        if mass < 1e-12:
-            return 0.0, np.zeros(3), m[3:, 3:].copy()
-        sc = -m[:3, 3:] / mass
-        com = _vee(0.5 * (sc - sc.T))
-        sc = skew(com)
-        inertia = m[3:, 3:] - mass * (sc @ sc.T)
-        return mass, com, inertia
-
-
-def transform_spatial_inertia(inertia: SpatialInertia, pose: Pose) -> SpatialInertia:
-    """Congruence transform E^-T M E^-1 re-expressing a spatial inertia.
-
-    ``inertia`` is valid for twists expressed in frame A; ``pose`` is the
-    pose of frame A expressed in frame B; the result is valid for twists
-    expressed in frame B.  Kinetic energy 0.5 u^T M u is invariant under
-    the change of frame.
-    """
-    e_inv = velocity_transform(pose.inverse())
-    return SpatialInertia(_symmetrize(e_inv.T @ inertia.matrix @ e_inv))

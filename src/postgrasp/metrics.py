@@ -167,8 +167,7 @@ def _twist_tangents(poses: list[Pose]) -> np.ndarray:
 
 def _translation_tangents(poses: list[Pose]) -> np.ndarray:
     """Unit translation directions padded with a zero angular part."""
-    deltas = _segment_deltas(poses)[:, :3]
-    tangents3 = _fill_tangents(deltas)
+    tangents3 = _fill_tangents(np.diff([p.translation for p in poses], axis=0))
     out = np.zeros((tangents3.shape[0], 6))
     out[:, :3] = tangents3
     return out
@@ -280,7 +279,7 @@ def evaluate_grasp(
     # one kinematic pass per waypoint serves all three objectives; the
     # object-carrying model shares it, as only its last link's inertia differs
     kins = [link_frames_axes(model, q) for q in joint_traj.positions]
-    loaded = attach_object(model, grasp, obj.spatial_inertia())
+    loaded = attach_object(model, grasp, obj)
     tov_profile = tov(kins, joint_traj, poses, s)
     tme_profile = torque_effort(loaded, kins, joint_traj, s, gravity=gravity)
     tem_profile = tem(loaded, kins, joint_traj, poses, s)

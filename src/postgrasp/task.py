@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import validate_inertia_tensor
-from .geometry import Pose, SpatialInertia
+from .geometry import Pose
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +76,6 @@ class RigidObject:
             e = np.array(self.extents, dtype=float).reshape(3)
             e.flags.writeable = False
             object.__setattr__(self, "extents", e)
-
-    def spatial_inertia(self) -> SpatialInertia:
-        """6x6 inertia at the object CoM, object-frame axes."""
-        return SpatialInertia.from_mass_inertia(self.mass, self.inertia)
 
 
 def gripper_trajectory(task: TaskTrajectory, grasp: GraspCandidate) -> list[Pose]:

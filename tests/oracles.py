@@ -252,7 +252,7 @@ def effective_mass(
 ) -> float:
     """Mass an obstacle would perceive in a collision along ``direction``:
     1 / (u^T Lambda_tot^-1 u), capped at 1e9 kg near singularities."""
-    loaded = attach_object(model, grasp, obj.spatial_inertia())
+    loaded = attach_object(model, grasp, obj)
     lam_inv = operational_mass_inverse(loaded, link_frames_axes(model, q))
     value, _ = directional_effective_mass(lam_inv, direction)
     return value

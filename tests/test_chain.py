@@ -136,6 +136,30 @@ class TestToolBodyMerge:
         assert abs(link.inertia[2, 2] - 0.5) <= 1e-15
         assert abs(link.inertia[0, 0]) <= 1e-15
 
+    def test_point_masses_merge_to_reduced_mass_inertia(self, rng):
+        # oracle: parallel-axis theorem for two point masses a distance d
+        # apart, I = m1 m2 / (m1 + m2) (|d|^2 I3 - d d^T) about their CoM
+        for _ in range(20):
+            m1, m2 = rng.uniform(0.1, 3.0, 2)
+            c1 = rng.uniform(-0.5, 0.5, 3)
+            tool = Pose(
+                Rotation.from_axis_angle(rng.normal(size=3), rng.uniform(-np.pi, np.pi)),
+                rng.uniform(-0.5, 0.5, 3),
+            )
+            model = ChainModel(
+                joints=(JointSpec(kind="revolute", axis=(0, 0, 1)),),
+                links=(LinkSpec(mass=m1, com=c1, inertia=np.zeros((3, 3))),),
+                tool_transform=tool,
+            )
+            c2_tool = rng.uniform(-0.5, 0.5, 3)
+            link = model.with_tool_body(m2, c2_tool, np.zeros((3, 3))).links[-1]
+            c2 = tool.apply(c2_tool)
+            d = c2 - c1
+            expected = m1 * m2 / (m1 + m2) * (float(d @ d) * np.eye(3) - np.outer(d, d))
+            assert abs(link.mass - (m1 + m2)) <= 1e-12
+            assert np.abs(link.com - (m1 * c1 + m2 * c2) / (m1 + m2)).max() <= 1e-12
+            assert np.abs(link.inertia - expected).max() <= 1e-12
+
 
 class TestValidation:
     def test_joint_axis_zero_rejected(self):

@@ -8,8 +8,9 @@ from postgrasp import (
     JointSpec,
     LinkSpec,
     Pose,
+    RigidObject,
     Rotation,
-    SpatialInertia,
+    attach_object,
     augmented_mass_matrix,
     geometric_jacobian,
     inverse_dynamics,
@@ -17,7 +18,6 @@ from postgrasp import (
     operational_mass_inverse,
 )
 from postgrasp.chain import link_frames_axes
-from postgrasp.dynamics import object_inertia_in_gripper
 
 from oracles import (
     TwoRParams,
@@ -246,14 +246,13 @@ class TestInverseDynamics:
         # static-equilibrium oracle: attaching a mass at the tool raises the
         # hold torque by J_com^T (-m g)
         obj_mass = 0.4
-        tool_si = SpatialInertia.from_mass_inertia(obj_mass, np.zeros((3, 3)))
         g = np.array([0.0, 0.0, -9.81])
         for _ in range(5):
             q = rng.uniform(-1.2, 1.2, 7)
             kin = link_frames_axes(arm7, q)
             tau_free = inverse_dynamics(arm7, kin, np.zeros(7), np.zeros(7), gravity=g)
             tau_load = inverse_dynamics(
-                arm7.with_tool_body(*tool_si.to_mass_com_inertia()),
+                arm7.with_tool_body(obj_mass, np.zeros(3), np.zeros((3, 3))),
                 kin,
                 np.zeros(7),
                 np.zeros(7),
@@ -266,13 +265,9 @@ class TestInverseDynamics:
 
 class TestAugmentedDynamics:
     def test_zero_mass_object_is_noop(self, arm7, rng):
-        grasp = GraspCandidate("g", Pose.from_translation((0.0, 0.1, 0.05)))
-        obj = SpatialInertia.zero()
-        q = rng.uniform(-1.0, 1.0, 7)
-        assert np.abs(
-            augmented_mass_matrix(arm7, q, grasp, obj)
-            - mass_matrix(arm7, link_frames_axes(arm7, q))
-        ).max() <= 1e-12
+        loaded = arm7.with_tool_body(0.0, np.array([0.0, 0.1, 0.05]), np.zeros((3, 3)))
+        kin = link_frames_axes(arm7, rng.uniform(-1.0, 1.0, 7))
+        assert np.abs(mass_matrix(loaded, kin) - mass_matrix(arm7, kin)).max() <= 1e-12
 
     def test_prismatic_point_mass_direct_sum(self):
         model = ChainModel(
@@ -280,7 +275,7 @@ class TestAugmentedDynamics:
             links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
         )
         grasp = GraspCandidate("g", Pose.identity())
-        obj = SpatialInertia.point_mass(0.4)
+        obj = RigidObject(mass=0.4, inertia=np.zeros((3, 3)))
         m_tot = augmented_mass_matrix(model, [0.2], grasp, obj)
         assert np.abs(m_tot - np.array([[2.4]])).max() <= 1e-12
 
@@ -294,10 +289,9 @@ class TestAugmentedDynamics:
     def test_matches_combined_chain(self, arm7, rng):
         # folding the object into the last link and re-running CRBA must
         # agree with the Jacobian-mapped augmentation
-        obj = SpatialInertia.from_mass_inertia(0.4, cuboid_inertia(0.4, (0.5, 0.15, 0.2)))
+        obj = RigidObject(mass=0.4, inertia=cuboid_inertia(0.4, (0.5, 0.15, 0.2)))
         grasp = GraspCandidate("g", Pose(Rotation.rot_x(np.pi), np.array([0.0, 0.1, 0.1])))
-        gmo = object_inertia_in_gripper(grasp, obj)
-        combined = arm7.with_tool_body(*gmo.to_mass_com_inertia())
+        combined = attach_object(arm7, grasp, obj)
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, 7)
             m1 = augmented_mass_matrix(arm7, q, grasp, obj)
@@ -315,15 +309,15 @@ class TestAugmentedDynamics:
             tool_transform=arm7.tool_transform,
             name="stripped",
         )
-        body = SpatialInertia.from_mass_com_inertia(last.mass, last.com, last.inertia)
-        body_in_tool = object_inertia_in_gripper(
-            GraspCandidate("relink", arm7.tool_transform), body
+        body = RigidObject(mass=last.mass, inertia=last.inertia)
+        # the "object frame" sits at the link CoM with the link's axes, so
+        # the gripper (tool) frame is the tool transform seen from the CoM
+        grasp = GraspCandidate(
+            "relink", Pose.from_translation(-last.com).compose(arm7.tool_transform)
         )
-        # grasp transform = identity: the "object frame" is the tool frame
-        grasp = GraspCandidate("relink", Pose.identity())
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, 7)
-            m_aug = augmented_mass_matrix(stripped, q, grasp, body_in_tool)
+            m_aug = augmented_mass_matrix(stripped, q, grasp, body)
             m_ref = mass_matrix(arm7, link_frames_axes(arm7, q))
             assert np.abs(m_aug - m_ref).max() / np.abs(m_ref).max() <= 1e-8
 

@@ -471,6 +471,47 @@ class TestCliCommands:
         assert rc == 2
         assert "numerically singular" in capsys.readouterr().err
 
+    def test_duplicate_override_ids_rejected(self, tmp_path, capsys):
+        # the override gets the checks a task file's grasps get, before any
+        # output directory is made
+        grasp = {"id": "g06", "translation": [0.0, 0.0, 0.1], "quaternion": [0.0, 1.0, 0.0, 0.0]}
+        out = tmp_path / "cli_out"
+        rc = main(
+            [
+                "evaluate",
+                "--robot",
+                str(reference_robot_path("arm7")),
+                "--task",
+                str(reference_task_path("task2")),
+                "--out",
+                str(out),
+                "--grasps-override",
+                json.dumps([grasp, grasp]),
+            ]
+        )
+        assert rc == 2
+        assert "--grasps-override: grasps[1].id: duplicate grasp id 'g06'" in capsys.readouterr().err
+        assert not (out / "task2").exists()
+
+    def test_unreadable_override_file_rejected(self, tmp_path, capsys):
+        out = tmp_path / "cli_out"
+        rc = main(
+            [
+                "evaluate",
+                "--robot",
+                str(reference_robot_path("arm7")),
+                "--task",
+                str(reference_task_path("task2")),
+                "--out",
+                str(out),
+                "--grasps-override",
+                str(tmp_path / "missing.json"),
+            ]
+        )
+        assert rc == 2
+        assert "--grasps-override: cannot read file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_grasp_id_errors(self, synthetic_task_path, capsys):
         rc = main(
             [

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from postgrasp import (
-    Pose,
-    Rotation,
-    SpatialInertia,
-    transform_spatial_inertia,
-    velocity_transform,
-)
+from postgrasp import Pose, Rotation
+from postgrasp.geometry import skew
 
 
 def random_rotation(rng) -> Rotation:
@@ -119,84 +114,9 @@ class TestPose:
         assert np.abs(p.apply(x) - expected).max() <= 1e-12
 
 
-class TestVelocityTransform:
-    def test_identity(self):
-        assert np.array_equal(velocity_transform(Pose.identity()), np.eye(6))
-
-    def test_pure_translation_couples_angular_to_linear(self):
-        # oracle: rigid-body point velocity v = w x r, with r the vector
-        # from the rotation center to the new reference point (-t here)
-        d = 0.37
-        t = np.array([0.0, 0.0, d])
-        e = velocity_transform(Pose.from_translation(t))
-        omega = np.array([1.3, 0.0, 0.0])
-        tw = e @ np.concatenate([np.zeros(3), omega])
-        v_expected = np.cross(omega, -t)
-        assert np.abs(tw[:3] - v_expected).max() <= 1e-12
-        assert np.abs(tw[3:] - omega).max() <= 1e-12
-
-    def test_homomorphism(self, rng):
-        for _ in range(50):
-            a = random_pose(rng)
-            b = random_pose(rng)
-            lhs = velocity_transform(a.compose(b))
-            rhs = velocity_transform(a) @ velocity_transform(b)
-            assert np.abs(lhs - rhs).max() <= 1e-10
-
-    def test_inverse_identity(self, rng):
-        for _ in range(50):
-            p = random_pose(rng)
-            prod = velocity_transform(p) @ velocity_transform(p.inverse())
-            assert np.abs(prod - np.eye(6)).max() <= 1e-10
-
-
-class TestSpatialInertia:
-    def test_transform_by_identity(self, rng):
-        m = SpatialInertia.from_mass_inertia(1.7, np.diag([0.1, 0.2, 0.3]))
-        out = transform_spatial_inertia(m, Pose.identity())
-        assert np.abs(out.matrix - m.matrix).max() <= 1e-12
-
-    def test_point_mass_parallel_axis(self, rng):
-        # oracle: parallel-axis theorem for a point mass at offset r
-        mass = 2.3
-        r = np.array([0.2, -0.1, 0.4])
-        # frame B sits at -r from the mass, i.e. the mass is at +r in B
-        pose_mass_in_b = Pose.from_translation(-r)
-        out = transform_spatial_inertia(SpatialInertia.point_mass(mass), pose_mass_in_b)
-        expected_rot = mass * (float(r @ r) * np.eye(3) - np.outer(r, r))
-        assert np.abs(out.matrix[3:, 3:] - expected_rot).max() <= 1e-12
-        assert np.abs(out.matrix[:3, :3] - mass * np.eye(3)).max() <= 1e-12
-
-    def test_kinetic_energy_invariant(self, rng):
-        for _ in range(100):
-            m = SpatialInertia.from_mass_com_inertia(
-                rng.uniform(0.1, 3.0), rng.uniform(-0.3, 0.3, 3), np.diag(rng.uniform(0.01, 0.2, 3))
-            )
-            p = random_pose(rng)
-            u1 = rng.normal(size=6)
-            u2 = velocity_transform(p) @ u1
-            ke1 = 0.5 * u1 @ m.matrix @ u1
-            ke2 = 0.5 * u2 @ transform_spatial_inertia(m, p).matrix @ u2
-            assert abs(ke1 - ke2) <= 1e-10 * max(1.0, abs(ke1))
-
-    def test_rejects_non_symmetric(self):
-        bad = np.eye(6)
-        bad[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            SpatialInertia(bad)
-
-    def test_preserves_positive_definiteness(self, rng):
-        for _ in range(50):
-            a = rng.normal(size=(6, 6))
-            spd = a @ a.T + 0.1 * np.eye(6)
-            out = transform_spatial_inertia(SpatialInertia(spd), random_pose(rng))
-            assert np.linalg.eigvalsh(out.matrix)[0] > 0.0
-
-    def test_mass_com_round_trip(self, rng):
-        mass, com = 1.4, np.array([0.05, -0.02, 0.11])
-        inertia = np.diag([0.02, 0.03, 0.04])
-        si = SpatialInertia.from_mass_com_inertia(mass, com, inertia)
-        m2, c2, i2 = si.to_mass_com_inertia()
-        assert abs(m2 - mass) <= 1e-12
-        assert np.abs(c2 - com).max() <= 1e-12
-        assert np.abs(i2 - inertia).max() <= 1e-12
+def test_skew_is_the_batched_cross_product(rng):
+    v = rng.normal(size=(4, 2, 3))
+    u = rng.normal(size=(4, 2, 3))
+    assert skew(v).shape == (4, 2, 3, 3)
+    assert np.abs((skew(v) @ u[..., None])[..., 0] - np.cross(v, u)).max() <= 1e-15
+    assert np.array_equal(skew(v[1, 0]), skew(v)[1, 0])

@@ -218,7 +218,7 @@ class TestTorqueEffort:
         task = joint_path_task(model, qs)
         traj = track_trajectory(model, list(task.poses), task.times, IkSettings(seed=qs[0]))
         obj = RigidObject(mass=1e-12, inertia=np.eye(3) * 1e-15)
-        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj.spatial_inertia())
+        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         profile = torque_effort(
             loaded, passes(model, traj), traj, path_parameter(task), gravity=np.zeros(3)
         )
@@ -233,7 +233,7 @@ class TestTorqueEffort:
         obj = RigidObject(mass=0.3, inertia=np.eye(3) * 1e-5)
         grasp = GraspCandidate("g", Pose.identity())
         profile = torque_effort(
-            attach_object(two_r_model, grasp, obj.spatial_inertia()),
+            attach_object(two_r_model, grasp, obj),
             passes(two_r_model, traj),
             traj,
             np.linspace(0, 1, 2),
@@ -252,7 +252,7 @@ class TestTorqueEffort:
         grasp = GraspCandidate("g", Pose.identity())
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-4)
         with_obj = torque_effort(
-            attach_object(two_r_model, grasp, obj.spatial_inertia()),
+            attach_object(two_r_model, grasp, obj),
             passes(two_r_model, traj),
             traj,
             s,
@@ -309,7 +309,7 @@ class TestEffectiveMass:
         grasp = GraspCandidate("g", Pose.from_translation((0, 0, 0.1)))
         for _ in range(10):
             q = rng.uniform(-1.2, 1.2, 7)
-            loaded = attach_object(arm7, grasp, obj.spatial_inertia())
+            loaded = attach_object(arm7, grasp, obj)
             lam_inv = operational_mass_inverse(loaded, link_frames_axes(arm7, q))
             eigs = np.linalg.eigvalsh(lam_inv)
             if eigs[0] < 1e-9:
@@ -357,7 +357,7 @@ class TestEffectiveMass:
         kins = passes(arm7, static)
         prof1, prof2 = (
             torque_effort(
-                attach_object(arm7, grasp, obj.spatial_inertia()), kins, static, s,
+                attach_object(arm7, grasp, obj), kins, static, s,
                 gravity=spec.gravity,
             )
             for obj in (base, doubled)
@@ -375,7 +375,7 @@ class TestTem:
         task = TaskTrajectory(tuple(poses), np.linspace(0, 1, 6))
         traj = track_trajectory(model, poses, task.times, IkSettings(seed=np.zeros(1)))
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
-        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj.spatial_inertia())
+        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         profile = tem(loaded, passes(model, traj), traj, poses, path_parameter(task))
         assert np.abs(profile.values - 2.4).max() <= 1e-9
         assert abs(profile.integral - 2.4) <= 1e-9
@@ -390,7 +390,7 @@ class TestTem:
             two_r_model, list(task.poses), task.times, IkSettings(seed=np.array([0.2, 0.5]))
         )
         loaded = attach_object(
-            two_r_model, GraspCandidate("g", Pose.identity()), small_object().spatial_inertia()
+            two_r_model, GraspCandidate("g", Pose.identity()), small_object()
         )
         with pytest.raises(ZeroMotionError):
             tem(
@@ -419,7 +419,7 @@ class TestTem:
         task = joint_path_task(model, qs)
         traj = track_trajectory(model, list(task.poses), task.times, IkSettings(seed=qs[0]))
         obj = RigidObject(mass=0.5, inertia=np.zeros((3, 3)))
-        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj.spatial_inertia())
+        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         with pytest.raises(DegenerateModelError, match="numerically singular"):
             tem(loaded, passes(model, traj), traj, list(task.poses), path_parameter(task))
 

@@ -12,8 +12,8 @@ from postgrasp import (
     JointSpec,
     LinkSpec,
     Pose,
+    RigidObject,
     Rotation,
-    SpatialInertia,
     attach_object,
     augmented_mass_matrix,
     forward_kinematics,
@@ -122,6 +122,6 @@ def test_unit_acceleration_torques_are_mass_matrix_columns(case):
 def test_merged_object_matches_augmented_mass_matrix(case, grasp_pose, mass, inertia):
     model, q = case
     grasp = GraspCandidate("g", grasp_pose)
-    obj = SpatialInertia.from_mass_inertia(mass, inertia)
+    obj = RigidObject(mass=mass, inertia=inertia)
     merged = mass_matrix(attach_object(model, grasp, obj), link_frames_axes(model, q))
     assert rel_err(merged, augmented_mass_matrix(model, q, grasp, obj)) <= 1e-12

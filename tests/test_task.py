@@ -182,13 +182,6 @@ class TestRigidObject:
         with pytest.raises(ValueError):
             RigidObject(mass=1.0, inertia=np.diag([0.1, 0.1, 0.30001]))
 
-    def test_spatial_inertia_blocks(self):
-        obj = RigidObject(mass=0.4, inertia=np.diag([0.002, 0.0097, 0.0091]))
-        si = obj.spatial_inertia().matrix
-        assert np.abs(si[:3, :3] - 0.4 * np.eye(3)).max() <= 1e-15
-        assert np.abs(si[3:, 3:] - obj.inertia).max() <= 1e-15
-        assert np.abs(si[:3, 3:]).max() == 0.0
-
     def test_grasp_id_required(self):
         with pytest.raises(ValueError):
             GraspCandidate("", Pose.identity())
