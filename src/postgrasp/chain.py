@@ -9,12 +9,19 @@ coincides with the joint frame after the joint motion is applied.
 returns a frozen ``KinematicState``: link rotations as 3x3 matrices,
 origins, the joint motion columns, the operational point's rotation and
 position, and the 6xn Jacobian, which maps joint velocities to the
-world-frame twist of the operational point.  Forward kinematics, the
-Jacobian and the dynamics (CRBA and RNEA) all read it; the model's
-per-joint constants are stacked into arrays once per ``ChainModel``.
-This is the model/data split of Pinocchio (Carpentier et
-al., SII 2019).  Quaternions appear only where a pose leaves this module
-(``forward_kinematics``).
+world-frame twist of the operational point.  ``q`` may carry leading batch
+axes, ``(..., n)``; every field then carries the same leading axes, so a
+whole joint path is one call.  Forward kinematics, the Jacobian and the
+dynamics (CRBA and RNEA) all read it; the model's per-joint constants are
+stacked into arrays once per ``ChainModel``.  This is the model/data split
+of Pinocchio (Carpentier et al., SII 2019).  Quaternions appear only where
+a pose leaves this module (``forward_kinematics``).
+
+``forward_kinematics`` and ``geometric_jacobian`` take one configuration
+each and share a one-entry memo of the last pass, keyed on the model object
+and the bytes of ``q``: damped-least-squares IK asks for the pose and the
+Jacobian at the same iterate, and each waypoint starts at the previous
+waypoint's last iterate, so most of its requests repeat the last one.
 """
 
 from __future__ import annotations
@@ -204,15 +211,21 @@ def _merge_bodies(m1, c1, i1, m2, c2, i2):
 
 
 def _check_q(model: ChainModel, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != model.n:
-        raise ValueError(f"expected {model.n} joint values, got {q.shape[0]}")
+    """Joint values as a float array of shape (..., n); a flat sequence is
+    one configuration."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim < 2:
+        q = q.reshape(-1)
+    if q.shape[-1] != model.n:
+        raise ValueError(f"expected {model.n} joint values, got {q.shape[-1]}")
     return q
 
 
 @dataclass(frozen=True, eq=False)
 class KinematicState:
-    """One forward pass of a chain at a configuration, in world coordinates.
+    """One forward pass of a chain, in world coordinates, at one
+    configuration or at a batch of them (every field then carries the
+    batch's leading axes).  The arrays are read-only.
 
     Everything downstream of q reads it: forward kinematics, the Jacobian,
     the composite-rigid-body mass matrix and recursive Newton-Euler.  It
@@ -221,16 +234,20 @@ class KinematicState:
     chain with a grasped object merged by ``ChainModel.with_tool_body``).
     """
 
-    rotations: np.ndarray  # (n, 3, 3) link-frame rotations
-    origins: np.ndarray  # (n, 3) link-frame origins
-    motion: np.ndarray  # (n, 6) joint motion columns referred to the world origin
-    tool_rotation: np.ndarray  # (3, 3) operational-point rotation
-    tool_position: np.ndarray  # (3,) operational-point position
-    jacobian: np.ndarray  # (6, n) geometric Jacobian of the operational point
+    rotations: np.ndarray  # (..., n, 3, 3) link-frame rotations
+    origins: np.ndarray  # (..., n, 3) link-frame origins
+    motion: np.ndarray  # (..., n, 6) joint motion columns referred to the world origin
+    tool_rotation: np.ndarray  # (..., 3, 3) operational-point rotation
+    tool_position: np.ndarray  # (..., 3) operational-point position
+    jacobian: np.ndarray  # (..., 6, n) geometric Jacobian of the operational point
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.origins.shape[0]
+        return self.origins.shape[-2]
 
 
 def _cross(a, b) -> np.ndarray:
@@ -243,50 +260,75 @@ def _cross(a, b) -> np.ndarray:
 
 def link_frames_axes(model: ChainModel, q) -> KinematicState:
     """The one kinematic pass: every link frame and motion column, the
-    operational point and its Jacobian.
+    operational point and its Jacobian, at q of shape (..., n).
 
     Each joint's local transform is its fixed origin times the joint motion,
     the rotation by Rodrigues' formula R_o (I + sin(q) K + (1 - cos(q)) K^2)
     with K the skew matrix of the axis; the link frames are the running
-    product of the local transforms as 4x4 homogeneous matrices.
+    product of the local transforms as 4x4 homogeneous matrices, one batched
+    product per joint.
     """
     q = _check_q(model, q)
     c = model._constants
+    batch = q.shape[:-1]
+    # joint-major (n, m): each joint's transforms are contiguous for matmul
+    qj = q.reshape(-1, model.n).T
     local = (
-        c.fixed
-        + (np.sin(q) * c.revolute)[:, None, None] * c.turn1
-        + ((1.0 - np.cos(q)) * c.revolute)[:, None, None] * c.turn2
-        + (q * c.prismatic)[:, None, None] * c.slide
+        c.fixed[:, None]
+        + (np.sin(qj) * c.revolute[:, None])[..., None, None] * c.turn1[:, None]
+        + ((1.0 - np.cos(qj)) * c.revolute[:, None])[..., None, None] * c.turn2[:, None]
+        + (qj * c.prismatic[:, None])[..., None, None] * c.slide[:, None]
     )
     frames = np.empty_like(local)
     t = c.base
-    for i in range(q.shape[0]):
+    for i in range(model.n):
         t = np.matmul(t, local[i], out=frames[i])
-    tool = t @ c.tool
-    rotations = frames[:, :3, :3]
-    origins = frames[:, :3, 3]
-    p_op = tool[:3, 3]
-    axes = np.matmul(rotations, c.axes[:, :, None])[:, :, 0]
+    tool = (t @ c.tool).reshape(batch + (4, 4))
+    frames = frames.swapaxes(0, 1).reshape(batch + (model.n, 4, 4))
+    rotations = frames[..., :3, :3]
+    origins = frames[..., :3, 3]
+    p_op = tool[..., :3, 3]
+    axes = np.matmul(rotations, c.axes[:, :, None])[..., 0]
     spin = axes * c.revolute[:, None]
     slide = axes * c.prismatic[:, None]
     # revolute: (p x z; z) at the world origin, z x (p_op - p) at the tool
-    lever = _cross(np.stack([origins, origins - p_op]), spin)
-    motion = np.hstack([lever[0] + slide, spin])
-    jacobian = np.vstack([(lever[1] + slide).T, spin.T])
-    return KinematicState(rotations, origins, motion, tool[:3, :3], p_op, jacobian)
+    lever = _cross(np.stack([origins, origins - p_op[..., None, :]]), spin)
+    motion = np.concatenate([lever[0] + slide, spin], axis=-1)
+    jacobian = np.concatenate(
+        [(lever[1] + slide).swapaxes(-1, -2), spin.swapaxes(-1, -2)], axis=-2
+    )
+    return KinematicState(rotations, origins, motion, tool[..., :3, :3], p_op, jacobian)
+
+
+# (model, q bytes, KinematicState) of the last single-configuration pass;
+# replaced as one tuple, so concurrent threads see a stale entry at worst
+_last_pass: tuple = (None, b"", None)
+
+
+def _pass_at(model: ChainModel, q) -> KinematicState:
+    """``link_frames_axes`` at one configuration, reused while the model
+    object and the bytes of q repeat."""
+    global _last_pass
+    q = _check_q(model, np.ravel(q))
+    key = q.tobytes()
+    last_model, last_key, kin = _last_pass
+    if last_model is not model or last_key != key:
+        kin = link_frames_axes(model, q)
+        _last_pass = (model, key, kin)
+    return kin
 
 
 def forward_kinematics(model: ChainModel, q) -> Pose:
-    """World pose of the operational point."""
-    kin = link_frames_axes(model, q)
+    """World pose of the operational point at one configuration."""
+    kin = _pass_at(model, q)
     return Pose(Rotation.from_matrix(kin.tool_rotation), kin.tool_position)
 
 
 def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
-    """6xn Jacobian: world-frame (linear; angular) twist of the operational
-    point per unit joint velocity.
+    """6xn Jacobian at one configuration (read-only): world-frame (linear;
+    angular) twist of the operational point per unit joint velocity.
 
     Columns follow the classic construction: revolute joint i contributes
     (z_i x (p - p_i); z_i), a prismatic joint contributes (z_i; 0).
     """
-    return link_frames_axes(model, q).jacobian
+    return _pass_at(model, q).jacobian

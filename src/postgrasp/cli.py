@@ -30,7 +30,7 @@ from .fileio import SchemaError, TaskSpec
 from .ik import IkSettings, default_seed
 from .metrics import GraspScorecard, evaluate_grasp
 from .ranking import build_report, check_weights, normalize
-from .task import GraspCandidate, resample
+from .task import GraspCandidate, TaskTrajectory, resample
 
 
 class CliError(Exception):
@@ -73,10 +73,15 @@ def _ik_settings(config: RunConfig, spec: TaskSpec, model: ChainModel) -> IkSett
     return IkSettings(seed=seed, **kwargs)
 
 
+def _resampled(spec: TaskSpec, config: RunConfig) -> TaskTrajectory:
+    count = spec.resample_count if config.resample is None else config.resample
+    return resample(spec.trajectory, count)
+
+
 def _evaluate_task(
     model: ChainModel, spec: TaskSpec, config: RunConfig
 ) -> list[GraspScorecard]:
-    traj = resample(spec.trajectory, config.resample or spec.resample_count)
+    traj = _resampled(spec, config)
     grasps = config.grasps_override or list(spec.grasps)
     settings = _ik_settings(config, spec, model)
 
@@ -168,6 +173,12 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
         raise CliError(f"--weights: {exc}") from exc
 
 
+def _check_resample(count: int | None) -> None:
+    """Check ``--resample`` before any evaluation runs."""
+    if count is not None and count < 2:
+        raise CliError("--resample must be >= 2")
+
+
 def _parse_config_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(p) for p in text.split(",")])
@@ -197,6 +208,7 @@ def _parse_grasps_override(text: str) -> list[GraspCandidate]:
 def _cmd_evaluate(args) -> int:
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
+    _check_resample(args.resample)
     config = RunConfig(
         robot=Path(args.robot),
         tasks=[Path(t) for t in args.task],
@@ -237,6 +249,7 @@ def _cmd_inspect_model(args) -> int:
 
 
 def _cmd_metrics_at(args) -> int:
+    _check_resample(args.resample)
     model = fileio.load_robot(args.robot)
     spec = fileio.load_task(args.task)
     config = RunConfig(
@@ -248,7 +261,7 @@ def _cmd_metrics_at(args) -> int:
     grasps = {g.id: g for g in spec.grasps}
     if args.grasp not in grasps:
         raise CliError(f"grasp {args.grasp!r} not in task (ids: {', '.join(grasps)})")
-    traj = resample(spec.trajectory, config.resample or spec.resample_count)
+    traj = _resampled(spec, config)
     settings = _ik_settings(config, spec, model)
     sc = evaluate_grasp(
         model, traj, grasps[args.grasp], spec.obj, ik_settings=settings, gravity=spec.gravity

@@ -1,7 +1,11 @@
 """Joint-space and operational-space dynamics of serial chains.
 
 Every function reads one ``KinematicState`` (``chain.link_frames_axes``)
-instead of rebuilding the link frames.  Two independent algorithms are used
+instead of rebuilding the link frames, and accepts a batched one: a state
+of m configurations (with joint rates of shape (m, n)) gives m mass
+matrices or torque vectors in one call.  The link inertias of a model at a
+state are built once and reused by the next CRBA or RNEA call on the same
+model and state object.  Two independent algorithms are used
 on purpose: the mass matrix comes from a composite-rigid-body assembly
 (CRBA) while inverse dynamics is a recursive Newton-Euler pass (RNEA), so
 tests can cross-validate one against the other.  Both work with world-frame
@@ -43,7 +47,7 @@ class DegenerateModelError(ValueError):
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _check_state(model: ChainModel, kin: KinematicState) -> None:
@@ -51,17 +55,30 @@ def _check_state(model: ChainModel, kin: KinematicState) -> None:
         raise ValueError(f"kinematic state has {kin.n} joints, model has {model.n}")
 
 
+# (model, KinematicState, inertias) of the last build, replaced as one tuple:
+# the torque and effective-mass objectives of a grasp run RNEA and CRBA on
+# the same object-carrying model and pass
+_last_inertias: tuple = (None, None, None)
+
+
 def _spatial_inertias(model: ChainModel, kin: KinematicState) -> np.ndarray:
-    """(n, 6, 6) link inertias referred to the world origin, world axes."""
+    """(..., n, 6, 6) link inertias referred to the world origin, world axes
+    (read-only; reused while the model and state objects repeat)."""
+    global _last_inertias
+    last_model, last_kin, out = _last_inertias
+    if last_model is model and last_kin is kin:
+        return out
     c = model._constants
     rot = kin.rotations
-    com_x = skew(kin.origins + (rot @ c.coms[:, :, None])[:, :, 0])
+    com_x = skew(kin.origins + (rot @ c.coms[:, :, None])[..., 0])
     m_com_x = c.masses[:, None, None] * com_x
-    out = np.zeros((model.n, 6, 6))
-    out[:, :3, :3] = c.masses[:, None, None] * np.eye(3)
-    out[:, :3, 3:] = -m_com_x
-    out[:, 3:, :3] = m_com_x
-    out[:, 3:, 3:] = rot @ c.inertias @ rot.transpose(0, 2, 1) - m_com_x @ com_x
+    out = np.zeros(com_x.shape[:-2] + (6, 6))
+    out[..., :3, :3] = c.masses[:, None, None] * np.eye(3)
+    out[..., :3, 3:] = -m_com_x
+    out[..., 3:, :3] = m_com_x
+    out[..., 3:, 3:] = rot @ c.inertias @ rot.swapaxes(-1, -2) - m_com_x @ com_x
+    out.flags.writeable = False
+    _last_inertias = (model, kin, out)
     return out
 
 
@@ -70,19 +87,19 @@ def mass_matrix(model: ChainModel, kin: KinematicState) -> np.ndarray:
     M_ij = s_i . C_j s_j for i <= j, with C_j the inertia of links j..n-1."""
     _check_state(model, kin)
     s = kin.motion
-    composite = np.cumsum(_spatial_inertias(model, kin)[::-1], axis=0)[::-1]
-    sf = s @ (composite @ s[:, :, None])[:, :, 0].T
-    return np.where(np.tri(model.n, dtype=bool), sf.T, sf)
+    composite = np.flip(np.cumsum(np.flip(_spatial_inertias(model, kin), -3), axis=-3), -3)
+    sf = s @ (composite @ s[..., None])[..., 0].swapaxes(-1, -2)
+    return np.where(np.tri(model.n, dtype=bool), sf.swapaxes(-1, -2), sf)
 
 
 def _motion_cross(v: np.ndarray) -> np.ndarray:
-    """(n, 6, 6) matrices of the spatial cross product v x for (n, 6) motion
-    vectors, [[w x, v_lin x], [0, w x]] in (linear; angular) order; the force
-    cross product v x* is -(v x)^T."""
-    sk = skew(v.reshape(-1, 2, 3))
-    out = np.zeros((v.shape[0], 6, 6))
-    out[:, :3, :3] = out[:, 3:, 3:] = sk[:, 1]
-    out[:, :3, 3:] = sk[:, 0]
+    """(..., 6, 6) matrices of the spatial cross product v x for (..., 6)
+    motion vectors, [[w x, v_lin x], [0, w x]] in (linear; angular) order;
+    the force cross product v x* is -(v x)^T."""
+    sk = skew(v.reshape(v.shape[:-1] + (2, 3)))
+    out = np.zeros(v.shape[:-1] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = sk[..., 1, :, :]
+    out[..., :3, 3:] = sk[..., 0, :, :]
     return out
 
 
@@ -102,15 +119,15 @@ def inverse_dynamics(
     qdd = _check_q(model, qddot)
     g = np.asarray(gravity, dtype=float).reshape(3)
     s = kin.motion
-    s_qd = s * qd[:, None]
-    v = np.cumsum(s_qd, axis=0)
+    s_qd = s * qd[..., None]
+    v = np.cumsum(s_qd, axis=-2)
     vx = _motion_cross(v)
-    a = np.cumsum(s * qdd[:, None] + (vx @ s_qd[:, :, None])[:, :, 0], axis=0)
-    a[:, :3] -= g
+    a = np.cumsum(s * qdd[..., None] + (vx @ s_qd[..., None])[..., 0], axis=-2)
+    a[..., :3] -= g
     inertia = _spatial_inertias(model, kin)
-    f = inertia @ a[:, :, None] - vx.transpose(0, 2, 1) @ (inertia @ v[:, :, None])
-    carried = np.cumsum(f[::-1, :, 0], axis=0)[::-1]
-    return np.einsum("ij,ij->i", s, carried)
+    f = inertia @ a[..., None] - vx.swapaxes(-1, -2) @ (inertia @ v[..., None])
+    carried = np.flip(np.cumsum(np.flip(f[..., 0], -2), axis=-2), -2)
+    return np.einsum("...ij,...ij->...i", s, carried)
 
 
 def attach_object(model: ChainModel, grasp: GraspCandidate, obj: RigidObject) -> ChainModel:
@@ -157,13 +174,16 @@ def operational_mass_inverse(model: ChainModel, kin: KinematicState) -> np.ndarr
     (``attach_object``).  Valid for redundant chains; at a singular
     configuration the result is rank-deficient but still well defined.
     Raises DegenerateModelError if the joint-space mass matrix itself is
-    numerically singular.
+    numerically singular at any configuration of the state: its condition
+    number, the ratio of the extreme eigenvalue magnitudes of the symmetric
+    M, reaches ``CONDITION_LIMIT``.
     """
     m = mass_matrix(model, kin)
-    if np.linalg.cond(m) > CONDITION_LIMIT:
+    eigs = np.abs(np.linalg.eigvalsh(m))
+    if np.any(eigs.min(axis=-1) <= eigs.max(axis=-1) / CONDITION_LIMIT):
         raise DegenerateModelError(
             "joint-space mass matrix is numerically singular; "
             "check for massless distal links"
         )
     jac = kin.jacobian
-    return _symmetrize(jac @ np.linalg.solve(m, jac.T))
+    return _symmetrize(jac @ np.linalg.solve(m, jac.swapaxes(-1, -2)))

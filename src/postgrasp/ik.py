@@ -7,6 +7,11 @@ one IK branch; joint velocities and accelerations are finite differences
 of the solved positions, so the energy metric reflects what the joint
 path actually does.
 
+Each iteration asks ``forward_kinematics`` and ``geometric_jacobian`` for
+the same iterate, and each waypoint starts at the previous waypoint's last
+iterate; both functions read the chain's memo of the last kinematic pass,
+so every distinct iterate is one pass.
+
 A solve that cannot meet the tolerances (target out of reach, or blocked
 by a joint limit) stops once its pose-error norm has fallen by less than
 ``STALL_GAIN`` (1%) over the last ``STALL_WINDOW`` (5) iterations;

@@ -1,7 +1,8 @@
 """The three path objectives evaluated along a tracked trajectory.
 
 Per grasp, the pipeline is: compose the gripper trajectory, track it in
-joint space, then walk the waypoints, one kinematic pass each, computing
+joint space, then run one batched kinematic pass over the whole joint path
+and compute every waypoint's value at once:
 
 * directional velocity manipulability a^2 along the motion direction
   (maximize its path integral),
@@ -92,25 +93,37 @@ def directional_manipulability(jacobian: np.ndarray, direction) -> float:
     a^2 = 0; tiny null leakage, as produced by finite pose differencing, is
     projected out instead of collapsing the metric.
     """
-    a2, _ = _directional_manipulability(jacobian, direction)
-    return a2
+    a2, _ = _directional_manipulability(
+        np.asarray(jacobian, dtype=float)[None], np.reshape(direction, (1, 6))
+    )
+    return float(a2[0])
 
 
-def _check_unit(direction) -> np.ndarray:
-    u = np.asarray(direction, dtype=float).reshape(6)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
+def _check_unit(directions) -> np.ndarray:
+    u = np.asarray(directions, dtype=float)
+    if np.any(np.abs(np.linalg.norm(u, axis=-1) - 1.0) > 1e-9):
         raise ValueError("direction must be a unit 6-vector")
     return u
 
 
-def _directional_manipulability(jacobian: np.ndarray, direction) -> tuple[float, bool]:
-    """Returns (a^2, unachievable-direction flag)."""
-    u = _check_unit(direction)
-    gram = jacobian @ jacobian.T
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] >= _RANK_EPS:
-        denom = float(u @ np.linalg.solve(gram, u))
-        return 1.0 / denom, False
+def _directional_manipulability(
+    jacobians: np.ndarray, directions
+) -> tuple[np.ndarray, np.ndarray]:
+    """a^2 and the unachievable-direction flag per row of (m, 6, n)
+    Jacobians and (m, 6) directions."""
+    u = _check_unit(directions)
+    gram = jacobians @ jacobians.swapaxes(-1, -2)
+    full = np.linalg.eigvalsh(gram)[:, 0] >= _RANK_EPS
+    a2 = np.zeros(u.shape[0])
+    unachievable = np.zeros(u.shape[0], dtype=bool)
+    w = np.linalg.solve(gram[full], u[full, :, None])[..., 0]
+    a2[full] = 1.0 / np.einsum("ij,ij->i", u[full], w)
+    for i in np.flatnonzero(~full):
+        a2[i], unachievable[i] = _rank_deficient_manipulability(gram[i], u[i])
+    return a2, unachievable
+
+
+def _rank_deficient_manipulability(gram: np.ndarray, u: np.ndarray) -> tuple[float, bool]:
     eigs, vecs = np.linalg.eigh(gram)
     coords = vecs.T @ u
     null = eigs < _RANK_EPS
@@ -124,109 +137,100 @@ def _directional_manipulability(jacobian: np.ndarray, direction) -> tuple[float,
     return 1.0 / denom, False
 
 
-def _segment_deltas(poses: list[Pose]) -> np.ndarray:
-    """6-vector pose increments (translation; rotation-log) per segment."""
-    out = np.zeros((len(poses) - 1, 6))
-    for i in range(len(poses) - 1):
-        a, b = poses[i], poses[i + 1]
-        out[i, :3] = b.translation - a.translation
-        out[i, 3:] = (b.rotation * a.rotation.inverse()).log()
-    return out
+def _segment_deltas(translations: np.ndarray, quats: np.ndarray) -> np.ndarray:
+    """6-vector pose increments (translation; rotation log) per segment,
+    from (m, 3) translations and (m, 4) unit quaternions (w, x, y, z): the
+    array form of ``(b.rotation * a.rotation.inverse()).log()``."""
+    w0, v0 = quats[:-1, 0], quats[:-1, 1:]
+    w1, v1 = quats[1:, 0], quats[1:, 1:]
+    # q1 q0^-1, with the sign that makes w >= 0 so angles lie in [0, pi]
+    w = w1 * w0 + np.einsum("ij,ij->i", v1, v0)
+    v = w0[:, None] * v1 - w1[:, None] * v0 + np.cross(v0, v1)
+    sign = np.where(w < 0.0, -1.0, 1.0)
+    w, v = w * sign, v * sign[:, None]
+    s = np.linalg.norm(v, axis=1)
+    small = s < 1e-9  # 2 atan2(s, w) / s -> 2 / w with w ~ 1
+    scale = np.where(small, 2.0, 2.0 * np.arctan2(s, w) / np.where(small, 1.0, s))
+    return np.hstack([np.diff(translations, axis=0), scale[:, None] * v])
 
 
 def _fill_tangents(raw: np.ndarray) -> np.ndarray:
     """Unit tangents at each waypoint from segment increments: waypoint i
     uses segment i->i+1, the last reuses the final segment, and zero-motion
-    waypoints reuse the nearest neighboring tangent."""
-    n_seg = raw.shape[0]
+    waypoints reuse the nearest preceding tangent (the first moving one for
+    a leading run of zero-motion waypoints)."""
     norms = np.linalg.norm(raw, axis=1)
-    if np.all(norms < 1e-12):
+    moving = norms >= 1e-12
+    if not moving.any():
         raise ZeroMotionError("trajectory has no motion; path direction undefined")
-    tangents = np.zeros((n_seg + 1, raw.shape[1]))
-    valid = np.zeros(n_seg + 1, dtype=bool)
-    for i in range(n_seg):
-        if norms[i] >= 1e-12:
-            tangents[i] = raw[i] / norms[i]
-            valid[i] = True
-    # forward fill, then backward fill for a leading run of zeros
-    for i in range(1, n_seg + 1):
-        if not valid[i]:
-            tangents[i] = tangents[i - 1]
-            valid[i] = valid[i - 1]
-    for i in range(n_seg - 1, -1, -1):
-        if not valid[i]:
-            tangents[i] = tangents[i + 1]
-            valid[i] = True
-    return tangents
+    latest = np.maximum.accumulate(np.where(moving, np.arange(raw.shape[0]), -1))
+    source = np.append(np.where(latest < 0, np.argmax(moving), latest), latest[-1])
+    return raw[source] / norms[source, None]
 
 
 def _twist_tangents(poses: list[Pose]) -> np.ndarray:
     """Full 6D unit motion directions between consecutive gripper poses."""
-    return _fill_tangents(_segment_deltas(poses))
+    translations = np.array([p.translation for p in poses])
+    quats = np.array([p.rotation.quat for p in poses])
+    return _fill_tangents(_segment_deltas(translations, quats))
 
 
-def _translation_tangents(poses: list[Pose]) -> np.ndarray:
-    """Unit translation directions padded with a zero angular part."""
-    tangents3 = _fill_tangents(np.diff([p.translation for p in poses], axis=0))
-    out = np.zeros((tangents3.shape[0], 6))
-    out[:, :3] = tangents3
-    return out
+def _translation_tangents(translations: np.ndarray) -> np.ndarray:
+    """Unit translation directions of (m, 3) waypoints, padded with a zero
+    angular part."""
+    tangents3 = _fill_tangents(np.diff(translations, axis=0))
+    return np.hstack([tangents3, np.zeros_like(tangents3)])
 
 
 def tov(
-    kins: list[KinematicState],
+    kins: KinematicState,
     joint_traj: JointTrajectory,
     gripper_poses: list[Pose],
     s: np.ndarray,
 ) -> MetricProfile:
     """Task-oriented velocity manipulability profile: a^2 along the 6D
-    motion direction at every waypoint, integrated over s.  ``kins`` holds
-    the kinematic pass at each waypoint."""
-    tangents = _twist_tangents(gripper_poses)
-    n = len(gripper_poses)
-    values = np.zeros(n)
-    near_singular = np.zeros(n, dtype=bool)
-    for i in range(n):
-        values[i], near_singular[i] = _directional_manipulability(kins[i].jacobian, tangents[i])
-    return MetricProfile.from_samples(values, s, near_singular, ~joint_traj.reachable)
+    motion direction at every waypoint, integrated over s.  ``kins`` is the
+    kinematic pass over the joint path (``link_frames_axes`` at
+    ``joint_traj.positions``)."""
+    values, unachievable = _directional_manipulability(
+        kins.jacobian, _twist_tangents(gripper_poses)
+    )
+    return MetricProfile.from_samples(values, s, unachievable, ~joint_traj.reachable)
 
 
 def torque_effort(
     model: ChainModel,
-    kins: list[KinematicState],
+    kins: KinematicState,
     joint_traj: JointTrajectory,
     s: np.ndarray,
     gravity=GRAVITY_DEFAULT,
 ) -> MetricProfile:
     """Squared joint-torque norm per waypoint, integrated over s.  The
-    grasped object counts once ``model`` carries it (``attach_object``)."""
-    n = len(joint_traj)
-    values = np.zeros(n)
-    for i in range(n):
-        tau = inverse_dynamics(
-            model,
-            kins[i],
-            joint_traj.velocities[i],
-            joint_traj.accelerations[i],
-            gravity=gravity,
-        )
-        values[i] = float(tau @ tau)
+    grasped object counts once ``model`` carries it (``attach_object``);
+    ``kins`` is the kinematic pass over the joint path."""
+    tau = inverse_dynamics(
+        model, kins, joint_traj.velocities, joint_traj.accelerations, gravity=gravity
+    )
+    values = np.einsum("ij,ij->i", tau, tau)
     return MetricProfile.from_samples(values, s, unreachable=~joint_traj.reachable)
 
 
-def directional_effective_mass(lambda_inv: np.ndarray, direction) -> tuple[float, bool]:
-    """Effective mass along a unit direction from the operational-space
-    inverse inertia, with the near-singular cap-and-flag policy."""
+def directional_effective_mass(lambda_inv, direction) -> tuple[np.ndarray, np.ndarray]:
+    """Effective mass 1 / (u^T Lambda^-1 u) along unit directions from
+    operational-space inverse inertias, per row of (..., 6, 6) and (..., 6)
+    arrays, with the near-singular cap-and-flag policy: where the quadratic
+    form falls below ``NEAR_SINGULAR_THRESHOLD`` the value is
+    ``EFFECTIVE_MASS_CAP`` and the flag is set."""
     u = _check_unit(direction)
-    quad = float(u @ lambda_inv @ u)
-    if quad < NEAR_SINGULAR_THRESHOLD:
-        return EFFECTIVE_MASS_CAP, True
-    return 1.0 / quad, False
+    quad = np.einsum("...i,...i->...", (u[..., None, :] @ lambda_inv)[..., 0, :], u)
+    near_singular = quad < NEAR_SINGULAR_THRESHOLD
+    values = np.where(near_singular, EFFECTIVE_MASS_CAP, 1.0 / np.where(near_singular, 1.0, quad))
+    return values, near_singular
 
 
 def tem(
     model: ChainModel,
-    kins: list[KinematicState],
+    kins: KinematicState,
     joint_traj: JointTrajectory,
     gripper_poses: list[Pose],
     s: np.ndarray,
@@ -236,16 +240,12 @@ def tem(
     Collisions are modeled as point impacts on the translating end
     effector, so the direction is the unit translation tangent with zero
     angular part.  The grasped object counts once ``model`` carries it
-    (``attach_object``).
+    (``attach_object``); ``kins`` is the kinematic pass over the joint path.
     """
-    tangents = _translation_tangents(gripper_poses)
-    n = len(gripper_poses)
-    values = np.zeros(n)
-    near_singular = np.zeros(n, dtype=bool)
-    for i in range(n):
-        values[i], near_singular[i] = directional_effective_mass(
-            operational_mass_inverse(model, kins[i]), tangents[i]
-        )
+    tangents = _translation_tangents(np.array([p.translation for p in gripper_poses]))
+    values, near_singular = directional_effective_mass(
+        operational_mass_inverse(model, kins), tangents
+    )
     return MetricProfile.from_samples(values, s, near_singular, ~joint_traj.reachable)
 
 
@@ -276,9 +276,11 @@ def evaluate_grasp(
         joint_traj = track_trajectory(model, poses, task.times, settings)
     except GraspInfeasible:
         return GraspScorecard(grasp_id=grasp.id, feasible=False)
-    # one kinematic pass per waypoint serves all three objectives; the
-    # object-carrying model shares it, as only its last link's inertia differs
-    kins = [link_frames_axes(model, q) for q in joint_traj.positions]
+    # one batched kinematic pass over the joint path serves all three
+    # objectives; the object-carrying model shares it, as only its last
+    # link's inertia differs, and its RNEA (tme) and CRBA (tem) share that
+    # model's link inertias
+    kins = link_frames_axes(model, joint_traj.positions)
     loaded = attach_object(model, grasp, obj)
     tov_profile = tov(kins, joint_traj, poses, s)
     tme_profile = torque_effort(loaded, kins, joint_traj, s, gravity=gravity)

@@ -1,0 +1,55 @@
+"""The program names the benchmark's tracer (bench/spans.py) wraps.
+
+A renamed or removed function would drop the per-layer metrics derived from
+it, and a DLS that stopped calling forward kinematics or the Jacobian by
+their ``postgrasp.ik`` names would leave ``ik.fk_per_iteration`` and
+``ik.jacobians_per_waypoint`` with nothing to count.  spans.py is loaded
+from its file and only read.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from postgrasp import IkSettings, forward_kinematics, track_trajectory
+from postgrasp import ik
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_resolves(spans):
+    names = [(module, attribute) for _, module, attribute in spans.SPANNED] + list(spans.COUNTED)
+    missing = [f"{module}.{attribute}" for module, attribute in names if spans._resolve(module, attribute) is None]
+    assert missing == []
+
+
+def test_tracking_calls_pose_and_jacobian_by_their_ik_names(arm7, monkeypatch):
+    calls = {"forward_kinematics": 0, "geometric_jacobian": 0}
+
+    def counting(name):
+        original = getattr(ik, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ik, name, counting(name))
+    qs = np.linspace([0.1, 0.5, -0.2, -1.2, 0.3, 0.8, 0.0], [0.2, 0.6, -0.1, -1.1, 0.4, 0.9, 0.1], 4)
+    poses = [forward_kinematics(arm7, q) for q in qs]
+    result = track_trajectory(arm7, poses, np.linspace(0.0, 1.0, 4), IkSettings(seed=qs[0]))
+    assert calls["forward_kinematics"] > 0
+    assert calls["geometric_jacobian"] > 0
+    assert result.reachable.shape == (4,)

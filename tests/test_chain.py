@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from postgrasp import (
     forward_kinematics,
     geometric_jacobian,
 )
+from postgrasp import chain
 
 from oracles import TwoRParams, finite_difference_jacobian, two_r_closed_form
 from conftest import make_two_r
@@ -110,6 +113,42 @@ class TestGeometricJacobian:
                 rb = forward_kinematics(arm7, q + dq).rotation
                 omega = (rb * ra.inverse()).log() / (2 * h)
                 assert np.abs(jac[3:, k] - omega).max() <= 1e-5
+
+
+class TestPassMemo:
+    def test_same_q_on_two_models(self, arm7):
+        # the memo must key on the model too: at the same q, a model with
+        # another tool transform has its own pose and Jacobian
+        other = replace(arm7, tool_transform=Pose(Rotation.rot_y(0.4), np.array([0.0, 0.05, 0.3])))
+        q = np.linspace(-1.0, 1.0, 7)
+        for model in (arm7, other, arm7, other):
+            want = chain.link_frames_axes(model, q)
+            assert np.array_equal(forward_kinematics(model, q).translation, want.tool_position)
+            assert np.array_equal(geometric_jacobian(model, q), want.jacobian)
+        assert not np.allclose(geometric_jacobian(arm7, q), geometric_jacobian(other, q))
+
+    def test_pose_then_jacobian_is_one_pass(self, arm7, monkeypatch):
+        passes = []
+
+        def counted(model, q):
+            passes.append(1)
+            return link_frames_axes(model, q)
+
+        link_frames_axes = chain.link_frames_axes
+        monkeypatch.setattr(chain, "link_frames_axes", counted)
+        monkeypatch.setattr(chain, "_last_pass", (None, b"", None))
+        q = np.linspace(-0.3, 0.9, 7)
+        forward_kinematics(arm7, q)
+        geometric_jacobian(arm7, q)
+        forward_kinematics(arm7, list(q))
+        assert len(passes) == 1
+        geometric_jacobian(arm7, q + 1e-9)
+        assert len(passes) == 2
+
+    def test_jacobian_is_read_only(self, arm7):
+        jac = geometric_jacobian(arm7, np.zeros(7))
+        with pytest.raises(ValueError):
+            jac[0, 0] = 1.0
 
 
 class TestToolBodyMerge:

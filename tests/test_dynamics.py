@@ -288,9 +288,12 @@ class TestAugmentedDynamics:
 
     def test_matches_combined_chain(self, arm7, rng):
         # folding the object into the last link and re-running CRBA must
-        # agree with the Jacobian-mapped augmentation
+        # agree with the Jacobian-mapped augmentation; the grasp rotation is
+        # not a half turn about a principal axis, so R I R^T != I and a lost
+        # grasp rotation shows
         obj = RigidObject(mass=0.4, inertia=cuboid_inertia(0.4, (0.5, 0.15, 0.2)))
-        grasp = GraspCandidate("g", Pose(Rotation.rot_x(np.pi), np.array([0.0, 0.1, 0.1])))
+        rotation = Rotation.from_axis_angle((1.0, 2.0, 3.0), 0.7)
+        grasp = GraspCandidate("g", Pose(rotation, np.array([0.0, 0.1, 0.1])))
         combined = attach_object(arm7, grasp, obj)
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, 7)

@@ -427,6 +427,47 @@ class TestCliCommands:
         assert "--jobs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "cli_out").exists()
 
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_resample_below_two_rejected(self, tmp_path, synthetic_task_path, capsys, count):
+        rc = main(
+            [
+                "evaluate",
+                "--robot",
+                str(reference_robot_path("arm7")),
+                "--task",
+                str(synthetic_task_path),
+                "--out",
+                str(tmp_path / "cli_out"),
+                "--resample",
+                count,
+            ]
+        )
+        assert rc == 2
+        assert "--resample must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "cli_out").exists()
+
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_metrics_at_resample_below_two_rejected(self, synthetic_task_path, capsys, count):
+        rc = main(
+            [
+                "metrics-at",
+                "--robot",
+                str(reference_robot_path("arm7")),
+                "--task",
+                str(synthetic_task_path),
+                "--grasp",
+                "g_a",
+                "--waypoint",
+                "0",
+                "--resample",
+                count,
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--resample must be >= 2" in captured.err
+        assert "tov a^2" not in captured.out
+
     def test_weights_checked_before_evaluation(self, tmp_path, capsys):
         out = tmp_path / "cli_out"
         rc = main(

@@ -57,8 +57,8 @@ def joint_path_task(model, qs, total_time=2.0):
 
 
 def passes(model, traj):
-    """The kinematic pass at every waypoint of a solved joint path."""
-    return [link_frames_axes(model, q) for q in traj.positions]
+    """The batched kinematic pass over a solved joint path."""
+    return link_frames_axes(model, traj.positions)
 
 
 def small_object():

@@ -1,6 +1,6 @@
 """Property tests of the kinematic pass and the dynamics on random serial
 chains: 1-7 joints, revolute and prismatic mixed, random joint origins,
-base and tool poses and link inertias."""
+base and tool poses and link inertias, at one configuration or a stack."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -71,6 +71,16 @@ def chains_and_configurations(draw):
     return model, q
 
 
+@st.composite
+def chains_and_stacks(draw):
+    """A chain with m configurations, joint velocities and accelerations."""
+    model = draw(chains())
+    m = draw(st.integers(1, 4))
+    rows = [[draw(angles) for _ in range(3 * model.n)] for _ in range(m)]
+    q, qd, qdd = np.split(np.array(rows), 3, axis=1)
+    return model, q, qd, qdd
+
+
 def rel_err(got, want):
     return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-12))
 
@@ -125,3 +135,21 @@ def test_merged_object_matches_augmented_mass_matrix(case, grasp_pose, mass, ine
     obj = RigidObject(mass=mass, inertia=inertia)
     merged = mass_matrix(attach_object(model, grasp, obj), link_frames_axes(model, q))
     assert rel_err(merged, augmented_mass_matrix(model, q, grasp, obj)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(chains_and_stacks())
+def test_stacked_configurations_match_rows(case):
+    # leading axes (m, 1): the pass, CRBA and RNEA on a stack agree with
+    # one call per configuration
+    model, q, qd, qdd = case
+    stack = link_frames_axes(model, q[:, None])
+    m_stack = mass_matrix(model, stack)
+    tau_stack = inverse_dynamics(model, stack, qd[:, None], qdd[:, None])
+    assert m_stack.shape == (q.shape[0], 1, model.n, model.n)
+    for i in range(q.shape[0]):
+        row = link_frames_axes(model, q[i])
+        for field in ("rotations", "origins", "motion", "tool_rotation", "tool_position", "jacobian"):
+            assert rel_err(getattr(stack, field)[i, 0], getattr(row, field)) <= 1e-13
+        assert rel_err(m_stack[i, 0], mass_matrix(model, row)) <= 1e-13
+        assert rel_err(tau_stack[i, 0], inverse_dynamics(model, row, qd[i], qdd[i])) <= 1e-13
