@@ -3,10 +3,8 @@
 Every function reads one ``KinematicState`` (``chain.link_frames_axes``)
 instead of rebuilding the link frames, and accepts a batched one: a state
 of m configurations (with joint rates of shape (m, n)) gives m mass
-matrices or torque vectors in one call.  The link inertias of a model at a
-state are built once and reused by the next CRBA or RNEA call on the same
-model and state object.  Two independent algorithms are used
-on purpose: the mass matrix comes from a composite-rigid-body assembly
+matrices or torque vectors in one call.  Two independent algorithms are
+used on purpose: the mass matrix comes from a composite-rigid-body assembly
 (CRBA) while inverse dynamics is a recursive Newton-Euler pass (RNEA), so
 tests can cross-validate one against the other.  Both work with world-frame
 spatial vectors (linear; angular) referred to the world origin.  In that
@@ -55,19 +53,8 @@ def _check_state(model: ChainModel, kin: KinematicState) -> None:
         raise ValueError(f"kinematic state has {kin.n} joints, model has {model.n}")
 
 
-# (model, KinematicState, inertias) of the last build, replaced as one tuple:
-# the torque and effective-mass objectives of a grasp run RNEA and CRBA on
-# the same object-carrying model and pass
-_last_inertias: tuple = (None, None, None)
-
-
 def _spatial_inertias(model: ChainModel, kin: KinematicState) -> np.ndarray:
-    """(..., n, 6, 6) link inertias referred to the world origin, world axes
-    (read-only; reused while the model and state objects repeat)."""
-    global _last_inertias
-    last_model, last_kin, out = _last_inertias
-    if last_model is model and last_kin is kin:
-        return out
+    """(..., n, 6, 6) link inertias referred to the world origin, world axes."""
     c = model._constants
     rot = kin.rotations
     com_x = skew(kin.origins + (rot @ c.coms[:, :, None])[..., 0])
@@ -77,8 +64,6 @@ def _spatial_inertias(model: ChainModel, kin: KinematicState) -> np.ndarray:
     out[..., :3, 3:] = -m_com_x
     out[..., 3:, :3] = m_com_x
     out[..., 3:, 3:] = rot @ c.inertias @ rot.swapaxes(-1, -2) - m_com_x @ com_x
-    out.flags.writeable = False
-    _last_inertias = (model, kin, out)
     return out
 
 
@@ -117,6 +102,12 @@ def inverse_dynamics(
     _check_state(model, kin)
     qd = _check_q(model, qdot)
     qdd = _check_q(model, qddot)
+    batch = kin.motion.shape[:-1]
+    if qd.shape != batch or qdd.shape != batch:
+        raise ValueError(
+            f"joint rates of shapes {qd.shape} and {qdd.shape} do not match "
+            f"the kinematic state's {batch}"
+        )
     g = np.asarray(gravity, dtype=float).reshape(3)
     s = kin.motion
     s_qd = s * qd[..., None]

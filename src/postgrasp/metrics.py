@@ -278,8 +278,7 @@ def evaluate_grasp(
         return GraspScorecard(grasp_id=grasp.id, feasible=False)
     # one batched kinematic pass over the joint path serves all three
     # objectives; the object-carrying model shares it, as only its last
-    # link's inertia differs, and its RNEA (tme) and CRBA (tem) share that
-    # model's link inertias
+    # link's inertia differs
     kins = link_frames_axes(model, joint_traj.positions)
     loaded = attach_object(model, grasp, obj)
     tov_profile = tov(kins, joint_traj, poses, s)

@@ -190,6 +190,19 @@ class TestInverseDynamics:
         tau = inverse_dynamics(two_r_model, kin, np.zeros(2), np.zeros(2), gravity=G2D)
         assert np.abs(tau - gravity_vector(two_r_model, q, G2D)).max() <= 1e-12
 
+    def test_rates_must_match_the_state_batch(self, arm7, rng):
+        one = link_frames_axes(arm7, rng.uniform(-1.0, 1.0, 7))
+        three = link_frames_axes(arm7, rng.uniform(-1.0, 1.0, (3, 7)))
+        for kin, qd, qdd in (
+            (one, np.zeros((3, 7)), np.zeros((3, 7))),
+            (one, np.zeros(7), np.zeros((3, 7))),
+            (three, np.zeros(7), np.zeros(7)),
+            (three, np.zeros((3, 7)), np.zeros(7)),
+            (three, np.zeros((2, 7)), np.zeros((2, 7))),
+        ):
+            with pytest.raises(ValueError, match="do not match"):
+                inverse_dynamics(arm7, kin, qd, qdd)
+
     def test_two_r_closed_form(self, two_r_params, two_r_model, rng):
         for _ in range(100):
             q = rng.uniform(-np.pi, np.pi, 2)
