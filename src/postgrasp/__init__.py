@@ -28,7 +28,6 @@ from .fileio import (
 from .geometry import Pose, Rotation
 from .ik import (
     GraspInfeasible,
-    IkSettings,
     track_trajectory,
 )
 from .metrics import (

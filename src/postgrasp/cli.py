@@ -27,7 +27,7 @@ import numpy as np
 from . import fileio
 from .chain import ChainModel, forward_kinematics, geometric_jacobian
 from .fileio import SchemaError, TaskSpec
-from .ik import IkSettings, default_seed
+from .ik import default_seed
 from .metrics import GraspScorecard, evaluate_grasp
 from .ranking import build_report, check_weights, normalize
 from .task import GraspCandidate, TaskTrajectory, resample
@@ -49,8 +49,6 @@ class RunConfig:
     allow_infeasible: bool = False
     index_quadrature: bool = False
     jobs: int = 1
-    ik_damping: float | None = None
-    ik_max_iterations: int | None = None
     grasps_override: list[GraspCandidate] | None = None
 
 
@@ -59,18 +57,14 @@ def _sanitize(name: str) -> str:
     return out or "task"
 
 
-def _ik_settings(config: RunConfig, spec: TaskSpec, model: ChainModel) -> IkSettings:
-    kwargs = {}
-    if config.ik_damping is not None:
-        kwargs["damping"] = config.ik_damping
-    if config.ik_max_iterations is not None:
-        kwargs["max_iterations"] = config.ik_max_iterations
-    seed = spec.ik_seed if spec.ik_seed is not None else default_seed(model)
-    if seed.shape[0] != model.n:
+def _ik_seed(spec: TaskSpec, model: ChainModel) -> np.ndarray | None:
+    """The task's IK seed, checked against the robot before any evaluation."""
+    seed = spec.ik_seed
+    if seed is not None and seed.shape[0] != model.n:
         raise CliError(
             f"task {spec.name!r}: ik_seed has length {seed.shape[0]}, robot has {model.n} joints"
         )
-    return IkSettings(seed=seed, **kwargs)
+    return seed
 
 
 def _resampled(spec: TaskSpec, config: RunConfig) -> TaskTrajectory:
@@ -83,7 +77,7 @@ def _evaluate_task(
 ) -> list[GraspScorecard]:
     traj = _resampled(spec, config)
     grasps = config.grasps_override or list(spec.grasps)
-    settings = _ik_settings(config, spec, model)
+    seed = _ik_seed(spec, model)
 
     def run_one(grasp: GraspCandidate) -> GraspScorecard:
         return evaluate_grasp(
@@ -91,7 +85,7 @@ def _evaluate_task(
             traj,
             grasp,
             spec.obj,
-            ik_settings=settings,
+            ik_seed=seed,
             gravity=spec.gravity,
             index_quadrature=config.index_quadrature,
         )
@@ -218,8 +212,6 @@ def _cmd_evaluate(args) -> int:
         allow_infeasible=args.allow_infeasible,
         index_quadrature=args.index_quadrature,
         jobs=args.jobs,
-        ik_damping=args.ik_damping,
-        ik_max_iterations=args.ik_max_iterations,
         grasps_override=(
             _parse_grasps_override(args.grasps_override) if args.grasps_override else None
         ),
@@ -262,9 +254,9 @@ def _cmd_metrics_at(args) -> int:
     if args.grasp not in grasps:
         raise CliError(f"grasp {args.grasp!r} not in task (ids: {', '.join(grasps)})")
     traj = _resampled(spec, config)
-    settings = _ik_settings(config, spec, model)
+    seed = _ik_seed(spec, model)
     sc = evaluate_grasp(
-        model, traj, grasps[args.grasp], spec.obj, ik_settings=settings, gravity=spec.gravity
+        model, traj, grasps[args.grasp], spec.obj, ik_seed=seed, gravity=spec.gravity
     )
     if not sc.feasible:
         print(f"grasp {args.grasp}: infeasible (first waypoint unreachable)")
@@ -316,8 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="integrate over uniform waypoint index instead of arc length",
     )
     p_eval.add_argument("--jobs", type=int, default=1, help="parallel grasp evaluations")
-    p_eval.add_argument("--ik-damping", type=float, default=None)
-    p_eval.add_argument("--ik-max-iterations", type=int, default=None)
     p_eval.add_argument(
         "--grasps-override", default=None, help="JSON list or file replacing the task grasps"
     )

@@ -15,7 +15,7 @@ so every distinct iterate is one pass.
 A solve that cannot meet the tolerances (target out of reach, or blocked
 by a joint limit) stops once its pose-error norm has fallen by less than
 ``STALL_GAIN`` (1%) over the last ``STALL_WINDOW`` (5) iterations;
-``IkSettings.max_iterations`` stays the hard cap.  A stalled solve counts as
+``MAX_ITERATIONS`` stays the hard cap.  A stalled solve counts as
 not converged, exactly like a capped one.  Near a solution DLS cuts the
 error by orders of magnitude per iteration, so a solve that converges
 within a few iterations runs exactly the iterates it ran without the rule.
@@ -31,33 +31,17 @@ import numpy as np
 from .chain import ChainModel, forward_kinematics, geometric_jacobian
 from .geometry import Pose
 
+DAMPING = 1e-3
+MAX_ITERATIONS = 200  # hard cap per waypoint
+POSITION_TOLERANCE = 1e-6  # m
+ORIENTATION_TOLERANCE = 1e-6  # rad
+MAX_STEP = 0.5  # per-iteration joint-space step cap
 STALL_WINDOW = 5  # iterations
 STALL_GAIN = 0.01  # least relative fall of the error norm over the window
 
 
 class GraspInfeasible(Exception):
     """The first trajectory waypoint could not be reached at all."""
-
-
-@dataclass(frozen=True)
-class IkSettings:
-    damping: float = 1e-3
-    max_iterations: int = 200
-    position_tolerance: float = 1e-6  # m
-    orientation_tolerance: float = 1e-6  # rad
-    max_step: float = 0.5  # per-iteration joint-space step cap
-    seed: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not self.damping > 0.0:
-            raise ValueError("damping must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        for name in ("position_tolerance", "orientation_tolerance", "max_step"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.seed is not None:
-            object.__setattr__(self, "seed", np.asarray(self.seed, dtype=float).reshape(-1))
 
 
 def default_seed(model: ChainModel) -> np.ndarray:
@@ -78,30 +62,30 @@ def pose_error(target: Pose, current: Pose) -> np.ndarray:
     return np.concatenate([dp, drot])
 
 
-def _converged(err: np.ndarray, settings: IkSettings) -> bool:
+def _converged(err: np.ndarray) -> bool:
     return (
-        np.linalg.norm(err[:3]) <= settings.position_tolerance
-        and np.linalg.norm(err[3:]) <= settings.orientation_tolerance
+        np.linalg.norm(err[:3]) <= POSITION_TOLERANCE
+        and np.linalg.norm(err[3:]) <= ORIENTATION_TOLERANCE
     )
 
 
-def _solve(model, target, seed, settings) -> tuple[np.ndarray, bool, int]:
+def _solve(model, target, seed) -> tuple[np.ndarray, bool, int]:
     """DLS from ``seed``: the last iterate, whether it meets the
     tolerances, and the number of iterations (Jacobians) run."""
     lo, hi = model.limits_arrays()
     q = np.clip(np.asarray(seed, dtype=float).reshape(model.n), lo, hi)
-    lam2 = settings.damping**2
+    lam2 = DAMPING**2
     err = pose_error(target, forward_kinematics(model, q))
     err_norms = [np.linalg.norm(err)]
-    for it in range(settings.max_iterations):
-        if _converged(err, settings):
+    for it in range(MAX_ITERATIONS):
+        if _converged(err):
             return q, True, it
         jac = geometric_jacobian(model, q)
         a = jac @ jac.T + lam2 * np.eye(6)
         dq = jac.T @ np.linalg.solve(a, err)
         norm = np.linalg.norm(dq)
-        if norm > settings.max_step:
-            dq *= settings.max_step / norm
+        if norm > MAX_STEP:
+            dq *= MAX_STEP / norm
         # backtrack when a full step would grow the error (keeps the
         # iteration from limit-cycling around tight postures)
         for _ in range(5):
@@ -118,7 +102,7 @@ def _solve(model, target, seed, settings) -> tuple[np.ndarray, bool, int]:
             and err_norms[-1] > (1.0 - STALL_GAIN) * err_norms[-1 - STALL_WINDOW]
         ):
             break
-    return q, _converged(err, settings), it + 1
+    return q, _converged(err), it + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +147,11 @@ def _fd_derivatives(times: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.
     return vel, acc
 
 
-def track_trajectory(model: ChainModel, poses, times, settings: IkSettings) -> JointTrajectory:
+def track_trajectory(model: ChainModel, poses, times, seed=None) -> JointTrajectory:
     """Track a gripper pose sequence waypoint by waypoint.
 
-    Each waypoint is seeded with the previous solution.  An unreachable
+    The first waypoint starts from ``seed`` (``default_seed`` when None);
+    each later one is seeded with the previous solution.  An unreachable
     waypoint after the first is flagged (its best-effort iterate is kept so
     the trajectory stays usable); an unreachable first waypoint makes the
     whole grasp infeasible.
@@ -180,19 +165,19 @@ def track_trajectory(model: ChainModel, poses, times, settings: IkSettings) -> J
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("waypoint times must be strictly increasing")
 
-    seed = settings.seed if settings.seed is not None else default_seed(model)
+    seed = default_seed(model) if seed is None else np.asarray(seed, dtype=float).reshape(-1)
     if seed.shape[0] != model.n:
         raise ValueError(f"IK seed has length {seed.shape[0]}, expected {model.n}")
 
     n_wp = len(poses)
     positions = np.zeros((n_wp, model.n))
     reachable = np.ones(n_wp, dtype=bool)
-    q, ok, _ = _solve(model, poses[0], seed, settings)
+    q, ok, _ = _solve(model, poses[0], seed)
     if not ok:
         raise GraspInfeasible("first trajectory waypoint is unreachable")
     positions[0] = q
     for i in range(1, n_wp):
-        q, ok, _ = _solve(model, poses[i], q, settings)
+        q, ok, _ = _solve(model, poses[i], q)
         positions[i] = q
         reachable[i] = ok
     vel, acc = _fd_derivatives(t, positions)

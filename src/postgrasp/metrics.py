@@ -32,7 +32,7 @@ from .dynamics import (
     operational_mass_inverse,
 )
 from .geometry import Pose
-from .ik import GraspInfeasible, IkSettings, JointTrajectory, track_trajectory
+from .ik import GraspInfeasible, JointTrajectory, track_trajectory
 from .task import GraspCandidate, RigidObject, TaskTrajectory, gripper_trajectory, path_parameter
 
 EFFECTIVE_MASS_CAP = 1e9  # kg
@@ -254,7 +254,7 @@ def evaluate_grasp(
     task: TaskTrajectory,
     grasp: GraspCandidate,
     obj: RigidObject,
-    ik_settings: IkSettings | None = None,
+    ik_seed=None,
     gravity=GRAVITY_DEFAULT,
     index_quadrature: bool = False,
 ) -> GraspScorecard:
@@ -262,18 +262,18 @@ def evaluate_grasp(
 
     A grasp whose first waypoint is unreachable yields an infeasible
     scorecard (no scalars); unreachable waypoints later in the path are
-    flagged in the profiles but the grasp still scores.
+    flagged in the profiles but the grasp still scores.  ``ik_seed`` is
+    the joint configuration IK starts from (see ``track_trajectory``).
     ``index_quadrature=True`` integrates over a uniform waypoint-index grid
     instead of arc length.
     """
-    settings = ik_settings if ik_settings is not None else IkSettings()
     poses = gripper_trajectory(task, grasp)
     if index_quadrature:
         s = np.linspace(0.0, 1.0, len(task))
     else:
         s = path_parameter(task)
     try:
-        joint_traj = track_trajectory(model, poses, task.times, settings)
+        joint_traj = track_trajectory(model, poses, task.times, ik_seed)
     except GraspInfeasible:
         return GraspScorecard(grasp_id=grasp.id, feasible=False)
     # one batched kinematic pass over the joint path serves all three

@@ -15,8 +15,6 @@ import numpy as np
 
 from .metrics import GraspScorecard
 
-DEFAULT_SENSES = {"tov": "max", "tme": "min", "tem": "min"}
-
 _METRIC_ATTRS = {"tov": "h_tov", "tme": "h_tme", "tem": "h_tem"}
 
 
@@ -71,19 +69,7 @@ def normalize(scorecards) -> NormalizedScores:
     )
 
 
-def _minimization_matrix(cards, senses) -> np.ndarray:
-    cols = []
-    table = _scalar_table(cards)
-    for metric in ("tov", "tme", "tem"):
-        sense = senses[metric]
-        if sense not in ("min", "max"):
-            raise ValueError(f"sense for {metric} must be 'min' or 'max'")
-        vals = table[metric]
-        cols.append(-vals if sense == "max" else vals)
-    return np.column_stack(cols)
-
-
-def pareto_front(scorecards, senses: dict | None = None) -> list[str]:
+def pareto_front(scorecards) -> list[str]:
     """Ids of the non-dominated feasible grasps, in input order.
 
     A grasp is dominated when another is at least as good in every
@@ -92,7 +78,8 @@ def pareto_front(scorecards, senses: dict | None = None) -> list[str]:
     cards = _feasible(scorecards)
     if not cards:
         raise ValueError("no feasible grasps")
-    vals = _minimization_matrix(cards, senses or DEFAULT_SENSES)
+    table = _scalar_table(cards)
+    vals = np.column_stack([-table["tov"], table["tme"], table["tem"]])
     weak = np.all(vals[:, None, :] <= vals[None, :, :], axis=-1)
     strict = np.any(vals[:, None, :] < vals[None, :, :], axis=-1)
     dominated = np.any(weak & strict, axis=0)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from postgrasp import ik
 from postgrasp.chain import (
     ChainModel,
     _check_q,
@@ -173,26 +174,26 @@ def cuboid_inertia(mass: float, dims) -> np.ndarray:
     )
 
 
-def reference_dls(model, target, seed, settings) -> tuple[np.ndarray, bool]:
-    """Damped least-squares IK that runs to ``settings.max_iterations``
+def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:
+    """Damped least-squares IK that runs to ``ik.MAX_ITERATIONS``
     unless it meets the tolerances: the last iterate and whether it meets
     them."""
     lo, hi = model.limits_arrays()
     q = np.clip(np.asarray(seed, dtype=float).reshape(model.n), lo, hi)
-    lam2 = settings.damping**2
+    lam2 = ik.DAMPING**2
     err = pose_error(target, forward_kinematics(model, q))
-    for _ in range(settings.max_iterations):
+    for _ in range(ik.MAX_ITERATIONS):
         if (
-            np.linalg.norm(err[:3]) <= settings.position_tolerance
-            and np.linalg.norm(err[3:]) <= settings.orientation_tolerance
+            np.linalg.norm(err[:3]) <= ik.POSITION_TOLERANCE
+            and np.linalg.norm(err[3:]) <= ik.ORIENTATION_TOLERANCE
         ):
             return q, True
         jac = geometric_jacobian(model, q)
         a = jac @ jac.T + lam2 * np.eye(6)
         dq = jac.T @ np.linalg.solve(a, err)
         norm = np.linalg.norm(dq)
-        if norm > settings.max_step:
-            dq *= settings.max_step / norm
+        if norm > ik.MAX_STEP:
+            dq *= ik.MAX_STEP / norm
         err_norm = np.linalg.norm(err)
         for _ in range(5):
             q_new = np.clip(q + dq, lo, hi)
@@ -202,8 +203,8 @@ def reference_dls(model, target, seed, settings) -> tuple[np.ndarray, bool]:
             dq = 0.5 * dq
         q, err = q_new, err_new
     if (
-        np.linalg.norm(err[:3]) <= settings.position_tolerance
-        and np.linalg.norm(err[3:]) <= settings.orientation_tolerance
+        np.linalg.norm(err[:3]) <= ik.POSITION_TOLERANCE
+        and np.linalg.norm(err[3:]) <= ik.ORIENTATION_TOLERANCE
     ):
         return q, True
     return q, False

@@ -32,7 +32,6 @@ from postgrasp import (
 )
 from postgrasp.chain import link_frames_axes
 from postgrasp.cli import RunConfig, run_evaluation
-from postgrasp.ik import IkSettings
 from postgrasp.metrics import GraspScorecard, directional_effective_mass
 from postgrasp.task import resample
 
@@ -196,20 +195,19 @@ def test_criterion_4_effective_mass_anchors():
 def _load_reference(name):
     spec = load_task(reference_task_path(name))
     task = resample(spec.trajectory, spec.resample_count)
-    settings = IkSettings(seed=spec.ik_seed)
-    return spec, task, settings
+    return spec, task, spec.ik_seed
 
 
 @pytest.fixture(scope="module")
 def reference_scorecards(arm7):
     out = {}
     for name in ("task1", "task2", "task3"):
-        spec, task, settings = _load_reference(name)
+        spec, task, seed = _load_reference(name)
         out[name] = (
             spec,
             task,
             [
-                evaluate_grasp(arm7, task, g, spec.obj, ik_settings=settings, gravity=spec.gravity)
+                evaluate_grasp(arm7, task, g, spec.obj, ik_seed=seed, gravity=spec.gravity)
                 for g in spec.grasps
             ],
         )
@@ -221,11 +219,10 @@ def test_criterion_5_reparametrization(arm7, reference_scorecards):
     for name, (spec, task, cards) in reference_scorecards.items():
         warped_times = 2.0 * task.total_time * (task.times / task.total_time) ** 1.3
         warped = TaskTrajectory(task.poses, warped_times)
-        settings = IkSettings(seed=spec.ik_seed)
         for idx in (0, 4, 9):
             base = cards[idx]
             retimed = evaluate_grasp(
-                arm7, warped, spec.grasps[idx], spec.obj, ik_settings=settings, gravity=spec.gravity
+                arm7, warped, spec.grasps[idx], spec.obj, ik_seed=spec.ik_seed, gravity=spec.gravity
             )
             d_tov = abs(retimed.h_tov - base.h_tov) / abs(base.h_tov)
             d_tem = abs(retimed.h_tem - base.h_tem) / abs(base.h_tem)
@@ -317,9 +314,9 @@ def test_criterion_6_runtime_budget(arm7):
     # the protocol itself (fresh, no caching) must finish within 2 minutes
     start = time.time()
     for name in ("task1", "task2", "task3"):
-        spec, task, settings = _load_reference(name)
+        spec, task, seed = _load_reference(name)
         for g in spec.grasps:
-            evaluate_grasp(arm7, task, g, spec.obj, ik_settings=settings, gravity=spec.gravity)
+            evaluate_grasp(arm7, task, g, spec.obj, ik_seed=seed, gravity=spec.gravity)
     elapsed = time.time() - start
     failures = [] if elapsed < 120.0 else [f"runtime {elapsed:.1f}s"]
     report(6, f"full 3-task x 10-grasp protocol runtime {elapsed:.1f}s < 120s", failures)

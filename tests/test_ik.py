@@ -3,13 +3,18 @@ import pytest
 
 from postgrasp import (
     GraspInfeasible,
-    IkSettings,
     Pose,
     forward_kinematics,
     geometric_jacobian,
     track_trajectory,
 )
-from postgrasp.ik import _solve, default_seed, pose_error
+from postgrasp.ik import (
+    ORIENTATION_TOLERANCE,
+    POSITION_TOLERANCE,
+    _solve,
+    default_seed,
+    pose_error,
+)
 
 from oracles import reference_dls, two_r_ik
 
@@ -22,7 +27,7 @@ class TestSolveWaypoint:
     def test_already_solved_returns_seed(self, two_r_model, rng):
         seed = rng.uniform(-1.0, 1.0, 2)
         target = forward_kinematics(two_r_model, seed)
-        q, ok, _ = _solve(two_r_model, target, seed, IkSettings())
+        q, ok, _ = _solve(two_r_model, target, seed)
         assert ok
         assert np.array_equal(q, seed)
 
@@ -32,30 +37,28 @@ class TestSolveWaypoint:
         for q1, q2 in branches:
             target = forward_kinematics(two_r_model, [q1, q2])
             seed = np.array([q1, q2]) + 0.3
-            q, ok, _ = _solve(two_r_model, target, seed, IkSettings())
+            q, ok, _ = _solve(two_r_model, target, seed)
             assert ok
             assert np.abs(q - np.array([q1, q2])).max() <= 1e-5
 
     def test_tolerances_met(self, arm7, rng):
-        settings = IkSettings()
         seed = default_seed(arm7)
         q0 = rng.uniform(-1.0, 1.0, 7)
         target = forward_kinematics(arm7, q0)
-        q, ok, _ = _solve(arm7, target, q0 + 0.15, settings)
+        q, ok, _ = _solve(arm7, target, q0 + 0.15)
         assert ok
         err = pose_error(target, forward_kinematics(arm7, q))
-        assert np.linalg.norm(err[:3]) <= settings.position_tolerance
-        assert np.linalg.norm(err[3:]) <= settings.orientation_tolerance
+        assert np.linalg.norm(err[:3]) <= POSITION_TOLERANCE
+        assert np.linalg.norm(err[3:]) <= ORIENTATION_TOLERANCE
 
     def test_out_of_reach_raises(self, two_r_model):
         target = Pose.from_translation((3.0, 0.0, 0.0))  # beyond l1 + l2
-        _, ok, _ = _solve(two_r_model, target, np.array([0.3, 0.3]), IkSettings())
+        _, ok, _ = _solve(two_r_model, target, np.array([0.3, 0.3]))
         assert not ok
 
     def test_converged_solves_match_reference_dls(self, arm7, two_r_model, rng):
         # the stall rule must not touch a solve that converges: same
         # iterate bit for bit, same flag
-        settings = IkSettings()
         cases = []
         for model, count in ((arm7, 40), (two_r_model, 20)):
             for _ in range(count):
@@ -63,8 +66,8 @@ class TestSolveWaypoint:
                 seed = q0 + rng.uniform(-0.15, 0.15, model.n)
                 cases.append((model, forward_kinematics(model, q0), seed))
         for model, target, seed in cases:
-            q, ok, _ = _solve(model, target, seed, settings)
-            q_ref, ok_ref = reference_dls(model, target, seed, settings)
+            q, ok, _ = _solve(model, target, seed)
+            q_ref, ok_ref = reference_dls(model, target, seed)
             assert ok_ref
             assert ok == ok_ref
             assert np.array_equal(q, q_ref)
@@ -78,25 +81,16 @@ class TestSolveWaypoint:
 
         monkeypatch.setattr("postgrasp.ik.geometric_jacobian", counting_jacobian)
         target = Pose.from_translation((3.0, 0.0, 0.0))  # beyond l1 + l2
-        settings = IkSettings(max_iterations=200)
-        _, ok, iterations = _solve(two_r_model, target, np.array([0.3, 0.3]), settings)
+        _, ok, iterations = _solve(two_r_model, target, np.array([0.3, 0.3]))
         assert not ok
         assert iterations == len(jacobians) < 50
-
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            IkSettings(damping=0.0)
-        with pytest.raises(ValueError):
-            IkSettings(position_tolerance=-1.0)
 
 
 class TestTrackTrajectory:
     def test_constant_trajectory_zero_derivatives(self, two_r_model):
         pose = forward_kinematics(two_r_model, [0.4, 0.8])
         times = np.linspace(0.0, 1.0, 8)
-        traj = track_trajectory(
-            two_r_model, [pose] * 8, times, IkSettings(seed=np.array([0.4, 0.8]))
-        )
+        traj = track_trajectory(two_r_model, [pose] * 8, times, np.array([0.4, 0.8]))
         assert np.abs(traj.velocities).max() <= 1e-12
         assert np.abs(traj.accelerations).max() <= 1e-12
         assert traj.reachable.all()
@@ -112,9 +106,7 @@ class TestTrackTrajectory:
             for u in np.linspace(0.0, 1.0, 21)
         ]
         poses = joint_path_poses(two_r_model, qs)
-        traj = track_trajectory(
-            two_r_model, poses, np.linspace(0, 2, 21), IkSettings(seed=q0)
-        )
+        traj = track_trajectory(two_r_model, poses, np.linspace(0, 2, 21), q0)
         assert traj.reachable.all()
         steps = np.abs(np.diff(traj.positions, axis=0)).max(axis=1)
         assert steps.max() < 0.2
@@ -122,20 +114,19 @@ class TestTrackTrajectory:
     def test_reconstruction_within_tolerance(self, arm7, rng):
         qs = np.linspace(rng.uniform(-0.8, 0.8, 7), rng.uniform(-0.8, 0.8, 7), 15)
         poses = joint_path_poses(arm7, qs)
-        settings = IkSettings(seed=qs[0] + 0.05)
-        traj = track_trajectory(arm7, poses, np.linspace(0, 2, 15), settings)
+        traj = track_trajectory(arm7, poses, np.linspace(0, 2, 15), qs[0] + 0.05)
         assert traj.reachable.all()
         for q, target in zip(traj.positions, poses):
             err = pose_error(target, forward_kinematics(arm7, q))
-            assert np.linalg.norm(err[:3]) <= 10 * settings.position_tolerance
-            assert np.linalg.norm(err[3:]) <= 10 * settings.orientation_tolerance
+            assert np.linalg.norm(err[:3]) <= 10 * POSITION_TOLERANCE
+            assert np.linalg.norm(err[3:]) <= 10 * ORIENTATION_TOLERANCE
 
     def test_seeded_continuity_bound(self, arm7, rng):
         # adjacent joint motion bounded by the task-space step through the
         # smallest observed singular value
         qs = np.linspace(rng.uniform(-0.7, 0.7, 7), rng.uniform(-0.7, 0.7, 7), 20)
         poses = joint_path_poses(arm7, qs)
-        traj = track_trajectory(arm7, poses, np.linspace(0, 2, 20), IkSettings(seed=qs[0]))
+        traj = track_trajectory(arm7, poses, np.linspace(0, 2, 20), qs[0])
         sigma_min = min(
             np.linalg.svd(geometric_jacobian(arm7, q), compute_uv=False)[-1]
             for q in traj.positions
@@ -151,7 +142,7 @@ class TestTrackTrajectory:
             Pose.from_translation((1.0, 0.5, 0.0)),
         ]
         with pytest.raises(GraspInfeasible):
-            track_trajectory(two_r_model, poses, [0.0, 1.0], IkSettings(seed=np.zeros(2)))
+            track_trajectory(two_r_model, poses, [0.0, 1.0], np.zeros(2))
 
     def test_mid_trajectory_unreachable_flagged(self, two_r_model):
         # path marches straight out of the workspace: early waypoints fine,
@@ -162,7 +153,7 @@ class TestTrackTrajectory:
         poses = [
             Pose(start.rotation, start.translation + u * direction) for u in np.linspace(0, 1.2, 12)
         ]
-        traj = track_trajectory(two_r_model, poses, np.linspace(0, 2, 12), IkSettings(seed=q0))
+        traj = track_trajectory(two_r_model, poses, np.linspace(0, 2, 12), q0)
         assert traj.reachable[0]
         assert not traj.reachable[-1]
         assert np.isfinite(traj.positions).all()
@@ -170,7 +161,7 @@ class TestTrackTrajectory:
     def test_non_increasing_times_rejected(self, two_r_model):
         pose = forward_kinematics(two_r_model, [0.1, 0.2])
         with pytest.raises(ValueError):
-            track_trajectory(two_r_model, [pose, pose], [0.0, 0.0], IkSettings())
+            track_trajectory(two_r_model, [pose, pose], [0.0, 0.0])
 
     def test_velocities_match_finite_differences(self, two_r_model):
         # quadratic joint path over non-uniform times: the 3-point stencil
@@ -178,7 +169,7 @@ class TestTrackTrajectory:
         times = np.array([0.0, 0.3, 0.7, 1.2, 2.0])
         qs = np.stack([0.2 + 0.3 * times + 0.1 * times**2, 0.9 - 0.2 * times], axis=1)
         poses = joint_path_poses(two_r_model, qs)
-        traj = track_trajectory(two_r_model, poses, times, IkSettings(seed=qs[0]))
+        traj = track_trajectory(two_r_model, poses, times, qs[0])
         expected_v0 = 0.3 + 0.2 * times
         assert np.abs(traj.velocities[:, 0] - expected_v0).max() <= 1e-4
         assert np.abs(traj.accelerations[:, 0] - 0.2).max() <= 1e-3

@@ -7,7 +7,6 @@ from postgrasp import (
     ChainModel,
     DegenerateModelError,
     GraspCandidate,
-    IkSettings,
     JointSpec,
     LinkSpec,
     MetricProfile,
@@ -136,7 +135,7 @@ class TestTov:
         s = path_parameter(task)
         poses = list(task.poses)
         traj = track_trajectory(
-            two_r_model, poses, task.times, IkSettings(seed=traj_seed(task, two_r_params))
+            two_r_model, poses, task.times, traj_seed(task, two_r_params)
         )
         profile = tov(passes(two_r_model, traj), traj, poses, s)
         assert profile.values.min() > 0.0
@@ -161,7 +160,7 @@ class TestTov:
         task = joint_path_task(two_r_model, qs)
         s = path_parameter(task)
         poses = list(task.poses)
-        traj = track_trajectory(two_r_model, poses, task.times, IkSettings(seed=qs[0]))
+        traj = track_trajectory(two_r_model, poses, task.times, qs[0])
         profile = tov(passes(two_r_model, traj), traj, poses, s)
         manual = 0.0
         for i in range(len(s) - 1):
@@ -177,7 +176,7 @@ class TestTov:
                 qs.append(min(two_r_ik(two_r_params, x, y), key=lambda b: abs(b[1] - 1.0)))
             task = joint_path_task(two_r_model, np.array(qs))
             poses = list(task.poses)
-            traj = track_trajectory(two_r_model, poses, task.times, IkSettings(seed=np.array(qs[0])))
+            traj = track_trajectory(two_r_model, poses, task.times, np.array(qs[0]))
             return tov(passes(two_r_model, traj), traj, poses, path_parameter(task)).integral
 
         coarse, fine = h_tov(50), h_tov(100)
@@ -188,7 +187,7 @@ class TestTov:
         task = TaskTrajectory((pose, pose, pose), np.array([0.0, 0.5, 1.0]))
         poses = list(task.poses)
         traj = track_trajectory(
-            two_r_model, poses, task.times, IkSettings(seed=np.array([0.4, 0.8]))
+            two_r_model, poses, task.times, np.array([0.4, 0.8])
         )
         with pytest.raises(ZeroMotionError):
             tov(passes(two_r_model, traj), traj, poses, path_parameter(task))
@@ -216,7 +215,7 @@ class TestTorqueEffort:
         )
         qs = np.linspace([0.3, 0.9], [0.8, 0.6], 10)
         task = joint_path_task(model, qs)
-        traj = track_trajectory(model, list(task.poses), task.times, IkSettings(seed=qs[0]))
+        traj = track_trajectory(model, list(task.poses), task.times, qs[0])
         obj = RigidObject(mass=1e-12, inertia=np.eye(3) * 1e-15)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         profile = torque_effort(
@@ -229,7 +228,7 @@ class TestTorqueEffort:
         q0 = np.array([0.5, 0.9])
         pose = forward_kinematics(two_r_model, q0)
         task = TaskTrajectory((pose, pose), np.array([0.0, 1.0]))
-        traj = track_trajectory(two_r_model, list(task.poses), task.times, IkSettings(seed=q0))
+        traj = track_trajectory(two_r_model, list(task.poses), task.times, q0)
         obj = RigidObject(mass=0.3, inertia=np.eye(3) * 1e-5)
         grasp = GraspCandidate("g", Pose.identity())
         profile = torque_effort(
@@ -248,7 +247,7 @@ class TestTorqueEffort:
         qs = np.linspace([0.4, 1.1], [1.2, 0.5], 15)
         task = joint_path_task(two_r_model, qs)
         s = path_parameter(task)
-        traj = track_trajectory(two_r_model, list(task.poses), task.times, IkSettings(seed=qs[0]))
+        traj = track_trajectory(two_r_model, list(task.poses), task.times, qs[0])
         grasp = GraspCandidate("g", Pose.identity())
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-4)
         with_obj = torque_effort(
@@ -345,7 +344,7 @@ class TestEffectiveMass:
             arm7,
             gripper_trajectory(task, grasp),
             task.times,
-            IkSettings(seed=spec.ik_seed),
+            spec.ik_seed,
         )
         static = type(traj)(
             traj.times, traj.positions, np.zeros_like(traj.velocities),
@@ -373,7 +372,7 @@ class TestTem:
         )
         poses = [Pose.from_translation((0, 0, 0.1 * i)) for i in range(6)]
         task = TaskTrajectory(tuple(poses), np.linspace(0, 1, 6))
-        traj = track_trajectory(model, poses, task.times, IkSettings(seed=np.zeros(1)))
+        traj = track_trajectory(model, poses, task.times, np.zeros(1))
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         profile = tem(loaded, passes(model, traj), traj, poses, path_parameter(task))
@@ -387,7 +386,7 @@ class TestTem:
         pose = forward_kinematics(two_r_model, [0.2, 0.5])
         task = TaskTrajectory((pose, pose), np.array([0.0, 1.0]))
         traj = track_trajectory(
-            two_r_model, list(task.poses), task.times, IkSettings(seed=np.array([0.2, 0.5]))
+            two_r_model, list(task.poses), task.times, np.array([0.2, 0.5])
         )
         loaded = attach_object(
             two_r_model, GraspCandidate("g", Pose.identity()), small_object()
@@ -417,7 +416,7 @@ class TestTem:
         )
         qs = np.linspace([0.4, -0.9, 0.3], [0.6, -1.1, 0.4], 5)
         task = joint_path_task(model, qs)
-        traj = track_trajectory(model, list(task.poses), task.times, IkSettings(seed=qs[0]))
+        traj = track_trajectory(model, list(task.poses), task.times, qs[0])
         obj = RigidObject(mass=0.5, inertia=np.zeros((3, 3)))
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         with pytest.raises(DegenerateModelError, match="numerically singular"):
@@ -436,7 +435,7 @@ class TestEvaluateGrasp:
             task,
             GraspCandidate("g01", Pose.identity()),
             small_object(),
-            ik_settings=IkSettings(seed=q0),
+            ik_seed=q0,
             gravity=G2D,
         )
         assert sc.feasible
@@ -450,7 +449,7 @@ class TestEvaluateGrasp:
         task, q0 = self._task_and_grasp(two_r_model)
         far = GraspCandidate("gx", Pose.from_translation((5.0, 0.0, 0.0)))
         sc = evaluate_grasp(
-            two_r_model, task, far, small_object(), ik_settings=IkSettings(seed=q0), gravity=G2D
+            two_r_model, task, far, small_object(), ik_seed=q0, gravity=G2D
         )
         assert not sc.feasible
         assert sc.h_tov is None and sc.h_tme is None and sc.h_tem is None
@@ -464,7 +463,7 @@ class TestEvaluateGrasp:
                 task,
                 GraspCandidate("g", Pose.identity()),
                 small_object(),
-                ik_settings=IkSettings(seed=np.array([0.3, 0.9])),
+                ik_seed=np.array([0.3, 0.9]),
                 gravity=G2D,
             )
 
@@ -481,11 +480,10 @@ class TestEvaluateGrasp:
             GraspCandidate("b", Pose(down, np.array([0.0, 0.04, 0.1]))),
         ]
         seed = np.array([1.1714, -0.5996, -1.3336, 1.6372, -2.1718, -1.3377, -0.3196])
-        settings = IkSettings(seed=seed)
 
         def run(order):
             return {
-                g.id: evaluate_grasp(arm7, task, g, small_object(), ik_settings=settings)
+                g.id: evaluate_grasp(arm7, task, g, small_object(), ik_seed=seed)
                 for g in order
             }
 
@@ -504,7 +502,7 @@ class TestEvaluateGrasp:
             task,
             GraspCandidate("g", Pose.identity()),
             small_object(),
-            ik_settings=IkSettings(seed=q0),
+            ik_seed=q0,
             gravity=G2D,
             index_quadrature=True,
         )
@@ -515,9 +513,8 @@ class TestEvaluateGrasp:
         # unchanged
         task, q0 = self._task_and_grasp(two_r_model)
         grasp = GraspCandidate("g", Pose.identity())
-        settings = IkSettings(seed=q0)
         base_sc = evaluate_grasp(
-            two_r_model, task, grasp, small_object(), ik_settings=settings, gravity=G2D
+            two_r_model, task, grasp, small_object(), ik_seed=q0, gravity=G2D
         )
         rot = Rotation.from_axis_angle((0.3, -0.5, 0.8), 1.1)
         world = Pose.from_rotation(rot)
@@ -530,7 +527,7 @@ class TestEvaluateGrasp:
             turned_task,
             grasp,
             small_object(),
-            ik_settings=settings,
+            ik_seed=q0,
             gravity=rot.apply(G2D),
         )
         assert abs(turned_sc.h_tov - base_sc.h_tov) <= 1e-8 * abs(base_sc.h_tov)
@@ -540,14 +537,13 @@ class TestEvaluateGrasp:
     def test_retiming_changes_only_torque_metric(self, two_r_model):
         task, q0 = self._task_and_grasp(two_r_model)
         grasp = GraspCandidate("g", Pose.identity())
-        settings = IkSettings(seed=q0)
         sc = evaluate_grasp(
-            two_r_model, task, grasp, small_object(), ik_settings=settings, gravity=G2D
+            two_r_model, task, grasp, small_object(), ik_seed=q0, gravity=G2D
         )
         warped_times = 2.0 * task.total_time * (task.times / task.total_time) ** 1.4
         warped = TaskTrajectory(task.poses, warped_times)
         sc2 = evaluate_grasp(
-            two_r_model, warped, grasp, small_object(), ik_settings=settings, gravity=G2D
+            two_r_model, warped, grasp, small_object(), ik_seed=q0, gravity=G2D
         )
         assert sc2.h_tov == sc.h_tov
         assert sc2.h_tem == sc.h_tem

@@ -90,13 +90,6 @@ class TestParetoFront:
         for _ in range(50):
             assert len(pareto_front(random_cards(rng, n=5))) >= 1
 
-    def test_custom_senses(self):
-        cards = [card("a", 1.0, 5.0, 5.0), card("b", 2.0, 1.0, 1.0)]
-        assert pareto_front(cards) == ["b"]
-        # flip every sense: domination reverses
-        front = pareto_front(cards, senses={"tov": "min", "tme": "max", "tem": "max"})
-        assert front == ["a"]
-
 
 class TestDetectConflict:
     def test_dominant_grasp_no_conflict(self):
