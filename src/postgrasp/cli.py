@@ -175,9 +175,12 @@ def _check_resample(count: int | None) -> None:
 
 def _parse_config_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(p) for p in text.split(",")])
+        q = np.array([float(p) for p in text.split(",")])
     except ValueError as exc:
         raise CliError(f"--config: {exc}") from exc
+    if not np.all(np.isfinite(q)):
+        raise CliError(f"--config: values must be finite, got {text}")
+    return q
 
 
 def _parse_grasps_override(text: str) -> list[GraspCandidate]:

@@ -20,13 +20,17 @@ from .chain import ChainModel, JointSpec, LinkSpec
 from .geometry import Pose, Rotation
 from .metrics import GraspScorecard, MetricProfile
 from .ranking import NormalizedScores, RankingReport
-from .task import GraspCandidate, RigidObject, TaskTrajectory, generate_grasp_sweep
+from .task import (
+    START_TIME_TOLERANCE,
+    GraspCandidate,
+    RigidObject,
+    TaskTrajectory,
+    generate_grasp_sweep,
+)
 
 SCHEMA_VERSION = 1
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
-
-METRIC_NAMES = ("tov", "tme", "tem")
 
 
 class SchemaError(ValueError):
@@ -272,7 +276,7 @@ def load_task(path) -> TaskSpec:
             _parse_pose({"translation": wp["translation"], "quaternion": wp["quaternion"]}, wpath)
         )
     times = np.array(times)
-    if abs(times[0]) > 1e-9:
+    if abs(times[0]) > START_TIME_TOLERANCE:
         raise SchemaError(f"{fname}.object_waypoints[0].t: trajectory must start at t = 0")
     if np.any(np.diff(times) <= 0.0):
         raise SchemaError(f"{fname}.object_waypoints: times must be strictly increasing")
@@ -370,12 +374,22 @@ def write_scorecards_csv(path, scorecards, scores: NormalizedScores | None, pare
                 writer.writerow([sc.grasp_id, "false", "", "", "", "", "", "", "false"])
 
 
+_SCORECARD_COLUMNS = ("grasp_id", "feasible", "h_tov", "h_tme", "h_tem")
+
+
 def read_scorecards_csv(path) -> list[GraspScorecard]:
     """Parse a scorecards.csv back into scalar-only scorecards (profiles are
     not stored in the CSV)."""
     cards = []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read file ({exc})") from exc
+    with fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in _SCORECARD_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
             feasible = row["feasible"] == "true"
             cards.append(

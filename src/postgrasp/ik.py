@@ -15,10 +15,17 @@ so every distinct iterate is one pass.
 A solve that cannot meet the tolerances (target out of reach, or blocked
 by a joint limit) stops once its pose-error norm has fallen by less than
 ``STALL_GAIN`` (1%) over the last ``STALL_WINDOW`` (5) iterations;
-``MAX_ITERATIONS`` stays the hard cap.  A stalled solve counts as
-not converged, exactly like a capped one.  Near a solution DLS cuts the
+``MAX_ITERATIONS`` stays the hard cap.  A stalled solve counts as not
+converged, exactly like a capped one.  Near a solution DLS cuts the
 error by orders of magnitude per iteration, so a solve that converges
 within a few iterations runs exactly the iterates it ran without the rule.
+
+The tracker runs one fixed protocol.  Its constants: damping ``DAMPING``
+(1e-3), at most ``MAX_ITERATIONS`` (200) iterations per waypoint, position
+and orientation tolerances ``POSITION_TOLERANCE`` (1e-6 m) and
+``ORIENTATION_TOLERANCE`` (1e-6 rad), and a joint-space step of at most
+``MAX_STEP`` (0.5) per iteration.  Only the seed of the first waypoint is
+an input; it defaults to ``default_seed``.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ import numpy as np
 from .chain import validate_inertia_tensor
 from .geometry import Pose
 
+START_TIME_TOLERANCE = 1e-9  # s, on the first waypoint's time
+
 
 @dataclass(frozen=True, eq=False)
 class TaskTrajectory:
@@ -30,7 +32,7 @@ class TaskTrajectory:
             raise ValueError("trajectory needs at least two waypoints")
         if t.shape[0] != len(self.poses):
             raise ValueError("times and poses must have equal length")
-        if abs(t[0]) > 1e-12:
+        if abs(t[0]) > START_TIME_TOLERANCE:
             raise ValueError("trajectory must start at t = 0")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("waypoint times must be strictly increasing")

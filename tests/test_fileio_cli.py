@@ -202,6 +202,23 @@ class TestLoadTask:
         with pytest.raises(SchemaError, match="duplicate"):
             load_task(path)
 
+    @pytest.mark.parametrize("t0, accepted", [(5e-10, True), (1e-6, False)])
+    def test_one_start_time_tolerance(self, tmp_path, capsys, t0, accepted):
+        # a start time the loader accepts is accepted by the evaluation too;
+        # a rejected one names its field
+        data = synthetic_task_dict()
+        data["object_waypoints"][0]["t"] = t0
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps(data))
+        argv = ["evaluate", "--robot", str(reference_robot_path("arm7")), "--task", str(path)]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if accepted:
+            assert rc == 0, err
+        else:
+            assert rc == 2
+            assert "object_waypoints[0].t: trajectory must start at t = 0" in err
+
     def test_bad_final_time_rejected(self, tmp_path):
         data = synthetic_task_dict()
         data["object_waypoints"][-1]["t"] = 0.5
@@ -326,6 +343,21 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "planar_rr" in out
         assert "tool position: 2," in out
+
+    def test_inspect_model_rejects_non_finite_config(self, capsys):
+        rc = main(
+            [
+                "inspect-model",
+                "--robot",
+                str(reference_robot_path("arm7")),
+                "--config",
+                "nan,0,0,0,0,0,0",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--config: values must be finite" in captured.err
+        assert captured.out == ""
 
     def test_metrics_at(self, capsys, synthetic_task_path):
         rc = main(
@@ -487,6 +519,23 @@ class TestCliCommands:
         assert "weights must be finite" in capsys.readouterr().err
         assert not (out / "task2").exists()
 
+    def test_pareto_missing_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        rc = main(["pareto", "--scorecards", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: cannot read file")
+        assert captured.out == ""
+
+    def test_pareto_missing_column_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cards.csv"
+        path.write_text("grasp_id,feasible,h_tov,h_tem\na,true,2.0,1.0\n")
+        rc = main(["pareto", "--scorecards", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: missing column(s) h_tme\n"
+        assert captured.out == ""
+
     def test_pareto_rejects_non_finite_weights(self, tmp_path, capsys):
         cards = [
             GraspScorecard("a", True, h_tov=2.0, h_tme=1.0, h_tem=1.0),
@@ -499,6 +548,19 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert "weights must be finite" in captured.err
         assert captured.out == ""
+
+    def test_wrong_length_ik_seed_rejected(self, tmp_path, capsys):
+        data = synthetic_task_dict()
+        data["ik_seed"] = ARM7_SEED[:6]
+        task = tmp_path / "short_seed.json"
+        task.write_text(json.dumps(data))
+        out = tmp_path / "cli_out"
+        argv = ["evaluate", "--robot", str(reference_robot_path("arm7")), "--task", str(task)]
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: task 'synthetic': ik_seed has length 6, robot has 7 joints" in err
+        assert not (out / "synthetic").exists()
 
     def test_singular_mass_matrix_exits_2(self, tmp_path, capsys):
         # all the mass of a planar 3R arm sits at its tip (the object is a
