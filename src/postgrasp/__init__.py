@@ -36,6 +36,7 @@ from .metrics import (
     ZeroMotionError,
     directional_manipulability,
     evaluate_grasp,
+    evaluate_task,
     tem,
     torque_effort,
     tov,

@@ -18,19 +18,18 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
-from .chain import ChainModel, forward_kinematics, geometric_jacobian
-from .fileio import SchemaError, TaskSpec
+from .chain import forward_kinematics, geometric_jacobian
+from .fileio import SchemaError
 from .ik import default_seed
-from .metrics import GraspScorecard, evaluate_grasp
+from .metrics import evaluate_task
 from .ranking import build_report, check_weights, normalize
-from .task import GraspCandidate, TaskTrajectory, resample
+from .task import GraspCandidate
 
 
 class CliError(Exception):
@@ -55,47 +54,6 @@ class RunConfig:
 def _sanitize(name: str) -> str:
     out = re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_")
     return out or "task"
-
-
-def _ik_seed(spec: TaskSpec, model: ChainModel) -> np.ndarray | None:
-    """The task's IK seed, checked against the robot before any evaluation."""
-    seed = spec.ik_seed
-    if seed is not None and seed.shape[0] != model.n:
-        raise CliError(
-            f"task {spec.name!r}: ik_seed has length {seed.shape[0]}, robot has {model.n} joints"
-        )
-    return seed
-
-
-def _resampled(spec: TaskSpec, config: RunConfig) -> TaskTrajectory:
-    count = spec.resample_count if config.resample is None else config.resample
-    return resample(spec.trajectory, count)
-
-
-def _evaluate_task(
-    model: ChainModel, spec: TaskSpec, config: RunConfig
-) -> list[GraspScorecard]:
-    traj = _resampled(spec, config)
-    grasps = config.grasps_override or list(spec.grasps)
-    seed = _ik_seed(spec, model)
-
-    def run_one(grasp: GraspCandidate) -> GraspScorecard:
-        return evaluate_grasp(
-            model,
-            traj,
-            grasp,
-            spec.obj,
-            ik_seed=seed,
-            gravity=spec.gravity,
-            index_quadrature=config.index_quadrature,
-        )
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            scorecards = list(pool.map(run_one, grasps))
-    else:
-        scorecards = [run_one(g) for g in grasps]
-    return scorecards
 
 
 def emit_plot_data(outdir: Path, scorecards, scores) -> None:
@@ -124,7 +82,9 @@ def run_evaluation(config: RunConfig) -> int:
     status = 0
     for task_path in config.tasks:
         spec = fileio.load_task(task_path)
-        scorecards = _evaluate_task(model, spec, config)
+        scorecards = evaluate_task(
+            model, spec, config.grasps_override, config.resample, config.index_quadrature, config.jobs
+        )
         outdir = config.out / _sanitize(spec.name)
         outdir.mkdir(parents=True, exist_ok=True)
 
@@ -247,20 +207,10 @@ def _cmd_metrics_at(args) -> int:
     _check_resample(args.resample)
     model = fileio.load_robot(args.robot)
     spec = fileio.load_task(args.task)
-    config = RunConfig(
-        robot=Path(args.robot),
-        tasks=[Path(args.task)],
-        out=Path("."),
-        resample=args.resample,
-    )
     grasps = {g.id: g for g in spec.grasps}
     if args.grasp not in grasps:
         raise CliError(f"grasp {args.grasp!r} not in task (ids: {', '.join(grasps)})")
-    traj = _resampled(spec, config)
-    seed = _ik_seed(spec, model)
-    sc = evaluate_grasp(
-        model, traj, grasps[args.grasp], spec.obj, ik_seed=seed, gravity=spec.gravity
-    )
+    (sc,) = evaluate_task(model, spec, grasps=[grasps[args.grasp]], resample_count=args.resample)
     if not sc.feasible:
         print(f"grasp {args.grasp}: infeasible (first waypoint unreachable)")
         return 2

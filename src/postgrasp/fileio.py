@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from .task import (
     START_TIME_TOLERANCE,
     GraspCandidate,
     RigidObject,
+    TaskSpec,
     TaskTrajectory,
     generate_grasp_sweep,
 )
@@ -190,21 +190,6 @@ def load_robot(path) -> ChainModel:
             raise SchemaError(f"{lpath}.inertia: {exc}") from exc
 
     return ChainModel(joints=tuple(joints), links=tuple(links), base_pose=base, tool_transform=tool, name=name)
-
-
-@dataclass(frozen=True, eq=False)
-class TaskSpec:
-    """A parsed task file: keyframe trajectory, object, grasp set and the
-    evaluation settings the file carries."""
-
-    name: str
-    trajectory: TaskTrajectory
-    obj: RigidObject
-    grasps: tuple[GraspCandidate, ...]
-    gravity: np.ndarray
-    resample_count: int
-    ik_seed: np.ndarray | None = None
-    notes: str = ""
 
 
 def parse_grasps(entries, path: str) -> list[GraspCandidate]:

@@ -37,6 +37,7 @@ import numpy as np
 
 from .chain import ChainModel, forward_kinematics, geometric_jacobian
 from .geometry import Pose
+from .task import TaskTrajectory
 
 DAMPING = 1e-3
 MAX_ITERATIONS = 200  # hard cap per waypoint
@@ -154,8 +155,8 @@ def _fd_derivatives(times: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.
     return vel, acc
 
 
-def track_trajectory(model: ChainModel, poses, times, seed=None) -> JointTrajectory:
-    """Track a gripper pose sequence waypoint by waypoint.
+def track_trajectory(model: ChainModel, trajectory: TaskTrajectory, seed=None) -> JointTrajectory:
+    """Track a gripper trajectory waypoint by waypoint.
 
     The first waypoint starts from ``seed`` (``default_seed`` when None);
     each later one is seeded with the previous solution.  An unreachable
@@ -163,19 +164,11 @@ def track_trajectory(model: ChainModel, poses, times, seed=None) -> JointTraject
     the trajectory stays usable); an unreachable first waypoint makes the
     whole grasp infeasible.
     """
-    poses = list(poses)
-    t = np.asarray(times, dtype=float).reshape(-1)
-    if len(poses) < 2:
-        raise ValueError("trajectory needs at least two waypoints")
-    if t.shape[0] != len(poses):
-        raise ValueError("times and poses must have equal length")
-    if np.any(np.diff(t) <= 0.0):
-        raise ValueError("waypoint times must be strictly increasing")
-
     seed = default_seed(model) if seed is None else np.asarray(seed, dtype=float).reshape(-1)
     if seed.shape[0] != model.n:
         raise ValueError(f"IK seed has length {seed.shape[0]}, expected {model.n}")
 
+    poses = trajectory.poses
     n_wp = len(poses)
     positions = np.zeros((n_wp, model.n))
     reachable = np.ones(n_wp, dtype=bool)
@@ -187,5 +180,5 @@ def track_trajectory(model: ChainModel, poses, times, seed=None) -> JointTraject
         q, ok, _ = _solve(model, poses[i], q)
         positions[i] = q
         reachable[i] = ok
-    vel, acc = _fd_derivatives(t, positions)
-    return JointTrajectory(t, positions, vel, acc, reachable)
+    vel, acc = _fd_derivatives(trajectory.times, positions)
+    return JointTrajectory(trajectory.times, positions, vel, acc, reachable)

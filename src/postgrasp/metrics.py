@@ -1,8 +1,9 @@
 """The three path objectives evaluated along a tracked trajectory.
 
-Per grasp, the pipeline is: compose the gripper trajectory, track it in
-joint space, then run one batched kinematic pass over the whole joint path
-and compute every waypoint's value at once:
+A task's grasps share one resampled trajectory and one quadrature grid
+(``evaluate_task``).  Per grasp, the pipeline is: compose the gripper
+trajectory, track it in joint space, then run one batched kinematic pass
+over the whole joint path and compute every waypoint's value at once:
 
 * directional velocity manipulability a^2 along the motion direction
   (maximize its path integral),
@@ -20,6 +21,8 @@ NaNs so whole-trajectory integrals stay finite and comparable.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,15 @@ from .dynamics import (
 )
 from .geometry import Pose
 from .ik import GraspInfeasible, JointTrajectory, track_trajectory
-from .task import GraspCandidate, RigidObject, TaskTrajectory, gripper_trajectory, path_parameter
+from .task import (
+    GraspCandidate,
+    RigidObject,
+    TaskSpec,
+    TaskTrajectory,
+    gripper_trajectory,
+    path_parameter,
+    resample,
+)
 
 EFFECTIVE_MASS_CAP = 1e9  # kg
 NEAR_SINGULAR_THRESHOLD = 1e-9  # 1/kg, on the directional inverse inertia
@@ -168,7 +179,7 @@ def _fill_tangents(raw: np.ndarray) -> np.ndarray:
     return raw[source] / norms[source, None]
 
 
-def _twist_tangents(poses: list[Pose]) -> np.ndarray:
+def _twist_tangents(poses: Sequence[Pose]) -> np.ndarray:
     """Full 6D unit motion directions between consecutive gripper poses."""
     translations = np.array([p.translation for p in poses])
     quats = np.array([p.rotation.quat for p in poses])
@@ -185,7 +196,7 @@ def _translation_tangents(translations: np.ndarray) -> np.ndarray:
 def tov(
     kins: KinematicState,
     joint_traj: JointTrajectory,
-    gripper_poses: list[Pose],
+    gripper_poses: Sequence[Pose],
     s: np.ndarray,
 ) -> MetricProfile:
     """Task-oriented velocity manipulability profile: a^2 along the 6D
@@ -232,7 +243,7 @@ def tem(
     model: ChainModel,
     kins: KinematicState,
     joint_traj: JointTrajectory,
-    gripper_poses: list[Pose],
+    gripper_poses: Sequence[Pose],
     s: np.ndarray,
 ) -> MetricProfile:
     """Effective-mass profile along the motion direction, integrated over s.
@@ -254,26 +265,22 @@ def evaluate_grasp(
     task: TaskTrajectory,
     grasp: GraspCandidate,
     obj: RigidObject,
+    s: np.ndarray,
     ik_seed=None,
     gravity=GRAVITY_DEFAULT,
-    index_quadrature: bool = False,
 ) -> GraspScorecard:
     """Run the full per-grasp pipeline and collect the three objectives.
 
     A grasp whose first waypoint is unreachable yields an infeasible
     scorecard (no scalars); unreachable waypoints later in the path are
-    flagged in the profiles but the grasp still scores.  ``ik_seed`` is
-    the joint configuration IK starts from (see ``track_trajectory``).
-    ``index_quadrature=True`` integrates over a uniform waypoint-index grid
-    instead of arc length.
+    flagged in the profiles but the grasp still scores.  ``s`` is the
+    quadrature grid, one value per waypoint (``path_parameter`` of the
+    task); ``ik_seed`` is the joint configuration IK starts from (see
+    ``track_trajectory``).
     """
-    poses = gripper_trajectory(task, grasp)
-    if index_quadrature:
-        s = np.linspace(0.0, 1.0, len(task))
-    else:
-        s = path_parameter(task)
+    gripper = gripper_trajectory(task, grasp)
     try:
-        joint_traj = track_trajectory(model, poses, task.times, ik_seed)
+        joint_traj = track_trajectory(model, gripper, ik_seed)
     except GraspInfeasible:
         return GraspScorecard(grasp_id=grasp.id, feasible=False)
     # one batched kinematic pass over the joint path serves all three
@@ -281,9 +288,9 @@ def evaluate_grasp(
     # link's inertia differs
     kins = link_frames_axes(model, joint_traj.positions)
     loaded = attach_object(model, grasp, obj)
-    tov_profile = tov(kins, joint_traj, poses, s)
+    tov_profile = tov(kins, joint_traj, gripper.poses, s)
     tme_profile = torque_effort(loaded, kins, joint_traj, s, gravity=gravity)
-    tem_profile = tem(loaded, kins, joint_traj, poses, s)
+    tem_profile = tem(loaded, kins, joint_traj, gripper.poses, s)
     return GraspScorecard(
         grasp_id=grasp.id,
         feasible=True,
@@ -294,3 +301,35 @@ def evaluate_grasp(
         tme_profile=tme_profile,
         tem_profile=tem_profile,
     )
+
+
+def evaluate_task(
+    model: ChainModel,
+    spec: TaskSpec,
+    grasps=None,
+    resample_count: int | None = None,
+    index_quadrature: bool = False,
+    jobs: int = 1,
+) -> list[GraspScorecard]:
+    """Scorecards of ``grasps`` (the task's own when None), in order, on
+    the keyframes resampled to ``resample_count`` waypoints (the file's
+    count when None).  One grid, arc length or the uniform waypoint index
+    (``index_quadrature``), serves every grasp; ``jobs > 1`` runs them on
+    a thread pool without changing a scorecard."""
+    seed = spec.ik_seed
+    if seed is not None and seed.shape[0] != model.n:
+        raise ValueError(
+            f"task {spec.name!r}: ik_seed has length {seed.shape[0]}, robot has {model.n} joints"
+        )
+    task = resample(spec.trajectory, spec.resample_count if resample_count is None else resample_count)
+    s = np.linspace(0.0, 1.0, len(task)) if index_quadrature else path_parameter(task)
+    s.flags.writeable = False  # shared by every grasp's profiles
+
+    def run_one(grasp: GraspCandidate) -> GraspScorecard:
+        return evaluate_grasp(model, task, grasp, spec.obj, s, ik_seed=seed, gravity=spec.gravity)
+
+    grasps = spec.grasps if grasps is None else grasps
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run_one, grasps))
+    return [run_one(g) for g in grasps]

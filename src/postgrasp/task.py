@@ -20,7 +20,8 @@ START_TIME_TOLERANCE = 1e-9  # s, on the first waypoint's time
 
 @dataclass(frozen=True, eq=False)
 class TaskTrajectory:
-    """Object-CoM pose waypoints at strictly increasing times starting at 0."""
+    """Pose waypoints (of the object CoM, or of the gripper once a grasp is
+    composed in) at strictly increasing times starting at 0."""
 
     poses: tuple[Pose, ...]
     times: np.ndarray
@@ -80,9 +81,25 @@ class RigidObject:
             object.__setattr__(self, "extents", e)
 
 
-def gripper_trajectory(task: TaskTrajectory, grasp: GraspCandidate) -> list[Pose]:
-    """Pointwise composition of the object poses with the grasp transform."""
-    return [p.compose(grasp.transform) for p in task.poses]
+@dataclass(frozen=True, eq=False)
+class TaskSpec:
+    """A parsed task file: keyframe trajectory, object, grasp set and the
+    evaluation settings the file carries."""
+
+    name: str
+    trajectory: TaskTrajectory
+    obj: RigidObject
+    grasps: tuple[GraspCandidate, ...]
+    gravity: np.ndarray
+    resample_count: int
+    ik_seed: np.ndarray | None = None
+    notes: str = ""
+
+
+def gripper_trajectory(task: TaskTrajectory, grasp: GraspCandidate) -> TaskTrajectory:
+    """Pointwise composition of the object poses with the grasp transform,
+    on the task's times."""
+    return TaskTrajectory(tuple(p.compose(grasp.transform) for p in task.poses), task.times)
 
 
 def path_parameter(task: TaskTrajectory) -> np.ndarray:

@@ -21,6 +21,7 @@ from postgrasp import (
     TaskTrajectory,
     directional_manipulability,
     evaluate_grasp,
+    evaluate_task,
     inverse_dynamics,
     load_task,
     mass_matrix,
@@ -33,7 +34,7 @@ from postgrasp import (
 from postgrasp.chain import link_frames_axes
 from postgrasp.cli import RunConfig, run_evaluation
 from postgrasp.metrics import GraspScorecard, directional_effective_mass
-from postgrasp.task import resample
+from postgrasp.task import path_parameter, resample
 
 from oracles import (
     TwoRParams,
@@ -195,22 +196,15 @@ def test_criterion_4_effective_mass_anchors():
 def _load_reference(name):
     spec = load_task(reference_task_path(name))
     task = resample(spec.trajectory, spec.resample_count)
-    return spec, task, spec.ik_seed
+    return spec, task
 
 
 @pytest.fixture(scope="module")
 def reference_scorecards(arm7):
     out = {}
     for name in ("task1", "task2", "task3"):
-        spec, task, seed = _load_reference(name)
-        out[name] = (
-            spec,
-            task,
-            [
-                evaluate_grasp(arm7, task, g, spec.obj, ik_seed=seed, gravity=spec.gravity)
-                for g in spec.grasps
-            ],
-        )
+        spec, task = _load_reference(name)
+        out[name] = (spec, task, evaluate_task(arm7, spec))
     return out
 
 
@@ -222,7 +216,13 @@ def test_criterion_5_reparametrization(arm7, reference_scorecards):
         for idx in (0, 4, 9):
             base = cards[idx]
             retimed = evaluate_grasp(
-                arm7, warped, spec.grasps[idx], spec.obj, ik_seed=spec.ik_seed, gravity=spec.gravity
+                arm7,
+                warped,
+                spec.grasps[idx],
+                spec.obj,
+                path_parameter(warped),
+                ik_seed=spec.ik_seed,
+                gravity=spec.gravity,
             )
             d_tov = abs(retimed.h_tov - base.h_tov) / abs(base.h_tov)
             d_tem = abs(retimed.h_tem - base.h_tem) / abs(base.h_tem)
@@ -314,9 +314,7 @@ def test_criterion_6_runtime_budget(arm7):
     # the protocol itself (fresh, no caching) must finish within 2 minutes
     start = time.time()
     for name in ("task1", "task2", "task3"):
-        spec, task, seed = _load_reference(name)
-        for g in spec.grasps:
-            evaluate_grasp(arm7, task, g, spec.obj, ik_seed=seed, gravity=spec.gravity)
+        evaluate_task(arm7, load_task(reference_task_path(name)))
     elapsed = time.time() - start
     failures = [] if elapsed < 120.0 else [f"runtime {elapsed:.1f}s"]
     report(6, f"full 3-task x 10-grasp protocol runtime {elapsed:.1f}s < 120s", failures)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from postgrasp import forward_kinematics, track_trajectory
+from postgrasp import TaskTrajectory, forward_kinematics, track_trajectory
 from postgrasp import ik
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -49,7 +49,7 @@ def test_tracking_calls_pose_and_jacobian_by_their_ik_names(arm7, monkeypatch):
         monkeypatch.setattr(ik, name, counting(name))
     qs = np.linspace([0.1, 0.5, -0.2, -1.2, 0.3, 0.8, 0.0], [0.2, 0.6, -0.1, -1.1, 0.4, 0.9, 0.1], 4)
     poses = [forward_kinematics(arm7, q) for q in qs]
-    result = track_trajectory(arm7, poses, np.linspace(0.0, 1.0, 4), qs[0])
+    result = track_trajectory(arm7, TaskTrajectory(poses, np.linspace(0.0, 1.0, 4)), qs[0])
     assert calls["forward_kinematics"] > 0
     assert calls["geometric_jacobian"] > 0
     assert result.reachable.shape == (4,)

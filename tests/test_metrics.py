@@ -18,6 +18,7 @@ from postgrasp import (
     attach_object,
     directional_manipulability,
     evaluate_grasp,
+    evaluate_task,
     forward_kinematics,
     geometric_jacobian,
     inverse_dynamics,
@@ -29,7 +30,7 @@ from postgrasp import (
 )
 from postgrasp.chain import link_frames_axes
 from postgrasp.metrics import directional_effective_mass
-from postgrasp.task import path_parameter
+from postgrasp.task import TaskSpec, path_parameter
 
 from oracles import effective_mass, two_r_closed_form, two_r_ik
 
@@ -135,7 +136,7 @@ class TestTov:
         s = path_parameter(task)
         poses = list(task.poses)
         traj = track_trajectory(
-            two_r_model, poses, task.times, traj_seed(task, two_r_params)
+            two_r_model, task, traj_seed(task, two_r_params)
         )
         profile = tov(passes(two_r_model, traj), traj, poses, s)
         assert profile.values.min() > 0.0
@@ -160,7 +161,7 @@ class TestTov:
         task = joint_path_task(two_r_model, qs)
         s = path_parameter(task)
         poses = list(task.poses)
-        traj = track_trajectory(two_r_model, poses, task.times, qs[0])
+        traj = track_trajectory(two_r_model, task, qs[0])
         profile = tov(passes(two_r_model, traj), traj, poses, s)
         manual = 0.0
         for i in range(len(s) - 1):
@@ -176,7 +177,7 @@ class TestTov:
                 qs.append(min(two_r_ik(two_r_params, x, y), key=lambda b: abs(b[1] - 1.0)))
             task = joint_path_task(two_r_model, np.array(qs))
             poses = list(task.poses)
-            traj = track_trajectory(two_r_model, poses, task.times, np.array(qs[0]))
+            traj = track_trajectory(two_r_model, task, np.array(qs[0]))
             return tov(passes(two_r_model, traj), traj, poses, path_parameter(task)).integral
 
         coarse, fine = h_tov(50), h_tov(100)
@@ -187,7 +188,7 @@ class TestTov:
         task = TaskTrajectory((pose, pose, pose), np.array([0.0, 0.5, 1.0]))
         poses = list(task.poses)
         traj = track_trajectory(
-            two_r_model, poses, task.times, np.array([0.4, 0.8])
+            two_r_model, task, np.array([0.4, 0.8])
         )
         with pytest.raises(ZeroMotionError):
             tov(passes(two_r_model, traj), traj, poses, path_parameter(task))
@@ -215,7 +216,7 @@ class TestTorqueEffort:
         )
         qs = np.linspace([0.3, 0.9], [0.8, 0.6], 10)
         task = joint_path_task(model, qs)
-        traj = track_trajectory(model, list(task.poses), task.times, qs[0])
+        traj = track_trajectory(model, task, qs[0])
         obj = RigidObject(mass=1e-12, inertia=np.eye(3) * 1e-15)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         profile = torque_effort(
@@ -228,7 +229,7 @@ class TestTorqueEffort:
         q0 = np.array([0.5, 0.9])
         pose = forward_kinematics(two_r_model, q0)
         task = TaskTrajectory((pose, pose), np.array([0.0, 1.0]))
-        traj = track_trajectory(two_r_model, list(task.poses), task.times, q0)
+        traj = track_trajectory(two_r_model, task, q0)
         obj = RigidObject(mass=0.3, inertia=np.eye(3) * 1e-5)
         grasp = GraspCandidate("g", Pose.identity())
         profile = torque_effort(
@@ -247,7 +248,7 @@ class TestTorqueEffort:
         qs = np.linspace([0.4, 1.1], [1.2, 0.5], 15)
         task = joint_path_task(two_r_model, qs)
         s = path_parameter(task)
-        traj = track_trajectory(two_r_model, list(task.poses), task.times, qs[0])
+        traj = track_trajectory(two_r_model, task, qs[0])
         grasp = GraspCandidate("g", Pose.identity())
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-4)
         with_obj = torque_effort(
@@ -343,7 +344,6 @@ class TestEffectiveMass:
         traj = track_trajectory(
             arm7,
             gripper_trajectory(task, grasp),
-            task.times,
             spec.ik_seed,
         )
         static = type(traj)(
@@ -372,7 +372,7 @@ class TestTem:
         )
         poses = [Pose.from_translation((0, 0, 0.1 * i)) for i in range(6)]
         task = TaskTrajectory(tuple(poses), np.linspace(0, 1, 6))
-        traj = track_trajectory(model, poses, task.times, np.zeros(1))
+        traj = track_trajectory(model, task, np.zeros(1))
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         profile = tem(loaded, passes(model, traj), traj, poses, path_parameter(task))
@@ -386,7 +386,7 @@ class TestTem:
         pose = forward_kinematics(two_r_model, [0.2, 0.5])
         task = TaskTrajectory((pose, pose), np.array([0.0, 1.0]))
         traj = track_trajectory(
-            two_r_model, list(task.poses), task.times, np.array([0.2, 0.5])
+            two_r_model, task, np.array([0.2, 0.5])
         )
         loaded = attach_object(
             two_r_model, GraspCandidate("g", Pose.identity()), small_object()
@@ -416,7 +416,7 @@ class TestTem:
         )
         qs = np.linspace([0.4, -0.9, 0.3], [0.6, -1.1, 0.4], 5)
         task = joint_path_task(model, qs)
-        traj = track_trajectory(model, list(task.poses), task.times, qs[0])
+        traj = track_trajectory(model, task, qs[0])
         obj = RigidObject(mass=0.5, inertia=np.zeros((3, 3)))
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         with pytest.raises(DegenerateModelError, match="numerically singular"):
@@ -435,6 +435,7 @@ class TestEvaluateGrasp:
             task,
             GraspCandidate("g01", Pose.identity()),
             small_object(),
+            path_parameter(task),
             ik_seed=q0,
             gravity=G2D,
         )
@@ -449,7 +450,7 @@ class TestEvaluateGrasp:
         task, q0 = self._task_and_grasp(two_r_model)
         far = GraspCandidate("gx", Pose.from_translation((5.0, 0.0, 0.0)))
         sc = evaluate_grasp(
-            two_r_model, task, far, small_object(), ik_seed=q0, gravity=G2D
+            two_r_model, task, far, small_object(), path_parameter(task), ik_seed=q0, gravity=G2D
         )
         assert not sc.feasible
         assert sc.h_tov is None and sc.h_tme is None and sc.h_tem is None
@@ -463,6 +464,7 @@ class TestEvaluateGrasp:
                 task,
                 GraspCandidate("g", Pose.identity()),
                 small_object(),
+                path_parameter(task),
                 ik_seed=np.array([0.3, 0.9]),
                 gravity=G2D,
             )
@@ -483,7 +485,7 @@ class TestEvaluateGrasp:
 
         def run(order):
             return {
-                g.id: evaluate_grasp(arm7, task, g, small_object(), ik_seed=seed)
+                g.id: evaluate_grasp(arm7, task, g, small_object(), path_parameter(task), ik_seed=seed)
                 for g in order
             }
 
@@ -497,15 +499,10 @@ class TestEvaluateGrasp:
 
     def test_index_quadrature_mode(self, two_r_model):
         task, q0 = self._task_and_grasp(two_r_model)
-        sc = evaluate_grasp(
-            two_r_model,
-            task,
-            GraspCandidate("g", Pose.identity()),
-            small_object(),
-            ik_seed=q0,
-            gravity=G2D,
-            index_quadrature=True,
+        spec = TaskSpec(
+            "t", task, small_object(), (GraspCandidate("g", Pose.identity()),), G2D, len(task), q0
         )
+        (sc,) = evaluate_task(two_r_model, spec, index_quadrature=True)
         assert np.abs(sc.tov_profile.s - np.linspace(0, 1, len(task))).max() <= 1e-15
 
     def test_frame_invariance(self, two_r_model):
@@ -514,7 +511,7 @@ class TestEvaluateGrasp:
         task, q0 = self._task_and_grasp(two_r_model)
         grasp = GraspCandidate("g", Pose.identity())
         base_sc = evaluate_grasp(
-            two_r_model, task, grasp, small_object(), ik_seed=q0, gravity=G2D
+            two_r_model, task, grasp, small_object(), path_parameter(task), ik_seed=q0, gravity=G2D
         )
         rot = Rotation.from_axis_angle((0.3, -0.5, 0.8), 1.1)
         world = Pose.from_rotation(rot)
@@ -527,6 +524,7 @@ class TestEvaluateGrasp:
             turned_task,
             grasp,
             small_object(),
+            path_parameter(turned_task),
             ik_seed=q0,
             gravity=rot.apply(G2D),
         )
@@ -538,12 +536,12 @@ class TestEvaluateGrasp:
         task, q0 = self._task_and_grasp(two_r_model)
         grasp = GraspCandidate("g", Pose.identity())
         sc = evaluate_grasp(
-            two_r_model, task, grasp, small_object(), ik_seed=q0, gravity=G2D
+            two_r_model, task, grasp, small_object(), path_parameter(task), ik_seed=q0, gravity=G2D
         )
         warped_times = 2.0 * task.total_time * (task.times / task.total_time) ** 1.4
         warped = TaskTrajectory(task.poses, warped_times)
         sc2 = evaluate_grasp(
-            two_r_model, warped, grasp, small_object(), ik_seed=q0, gravity=G2D
+            two_r_model, warped, grasp, small_object(), path_parameter(warped), ik_seed=q0, gravity=G2D
         )
         assert sc2.h_tov == sc.h_tov
         assert sc2.h_tem == sc.h_tem

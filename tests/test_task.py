@@ -37,7 +37,7 @@ class TestGripperTrajectory:
     def test_identity_grasp(self):
         task = translation_task([(0, 0, 0), (0.1, 0, 0), (0.2, 0, 0)])
         out = gripper_trajectory(task, GraspCandidate("g", Pose.identity()))
-        for got, want in zip(out, task.poses):
+        for got, want in zip(out.poses, task.poses):
             assert np.abs(got.translation - want.translation).max() <= 1e-15
 
     def test_pure_translation_with_offset(self):
@@ -51,7 +51,7 @@ class TestGripperTrajectory:
         )
         out = gripper_trajectory(task, GraspCandidate("g", Pose.from_translation(offset)))
         shift = rot.apply(offset)
-        for got, obj_pose in zip(out, task.poses):
+        for got, obj_pose in zip(out.poses, task.poses):
             assert np.abs(got.translation - (obj_pose.translation + shift)).max() <= 1e-12
 
     def test_rotation_sweeps_quarter_arc(self):
@@ -64,10 +64,10 @@ class TestGripperTrajectory:
         )
         grasp = GraspCandidate("g", Pose.from_translation((0.1, 0.0, 0.0)))
         out = gripper_trajectory(task, grasp)
-        for a, pose in zip(angles, out):
+        for a, pose in zip(angles, out.poses):
             expected = np.array([0.1 * np.cos(a), 0.1 * np.sin(a), 0.0])
             assert np.abs(pose.translation - expected).max() <= 1e-12
-        assert np.abs(out[-1].translation - np.array([0.0, 0.1, 0.0])).max() <= 1e-12
+        assert np.abs(out.poses[-1].translation - np.array([0.0, 0.1, 0.0])).max() <= 1e-12
 
     def test_rigidity_preserves_segment_lengths(self, rng):
         rot = Rotation.rot_y(0.4)
@@ -79,7 +79,7 @@ class TestGripperTrajectory:
         out = gripper_trajectory(task, grasp)
         for i in range(5):
             obj_step = np.linalg.norm(pts[i + 1] - pts[i])
-            grip_step = np.linalg.norm(out[i + 1].translation - out[i].translation)
+            grip_step = np.linalg.norm(out.poses[i + 1].translation - out.poses[i].translation)
             assert abs(obj_step - grip_step) <= 1e-12
 
 
