@@ -53,7 +53,19 @@ class RunConfig:
 
 def _sanitize(name: str) -> str:
     out = re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_")
-    return out or "task"
+    return "task" if out in ("", ".", "..") else out
+
+
+def _output_dirs(config: RunConfig, specs) -> list[Path]:
+    """One directory under ``config.out`` per task, checked before any
+    evaluation: two tasks never share one."""
+    owners: dict[str, Path] = {}
+    for path, spec in zip(config.tasks, specs):
+        name = _sanitize(spec.name)
+        if name in owners:
+            raise CliError(f"tasks {owners[name]} and {path} both write to {config.out / name}")
+        owners[name] = path
+    return [config.out / name for name in owners]
 
 
 def emit_plot_data(outdir: Path, scorecards, scores) -> None:
@@ -79,13 +91,12 @@ def run_evaluation(config: RunConfig) -> int:
     has no feasible grasp at all.
     """
     model = fileio.load_robot(config.robot)
+    specs = [fileio.load_task(path) for path in config.tasks]
     status = 0
-    for task_path in config.tasks:
-        spec = fileio.load_task(task_path)
+    for spec, outdir in zip(specs, _output_dirs(config, specs)):
         scorecards = evaluate_task(
             model, spec, config.grasps_override, config.resample, config.index_quadrature, config.jobs
         )
-        outdir = config.out / _sanitize(spec.name)
         outdir.mkdir(parents=True, exist_ok=True)
 
         infeasible = [sc.grasp_id for sc in scorecards if not sc.feasible]

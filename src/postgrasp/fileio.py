@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainModel, JointSpec, LinkSpec
+from .dynamics import GRAVITY_DEFAULT
 from .geometry import Pose, Rotation
 from .metrics import GraspScorecard, MetricProfile
 from .ranking import NormalizedScores, RankingReport
@@ -215,7 +216,8 @@ def parse_grasps(entries, path: str) -> list[GraspCandidate]:
 
 
 def load_task(path) -> TaskSpec:
-    """Load and validate a task file."""
+    """Load and validate a task file.  ``notes`` and ``object.extents`` are
+    documentation only: they are checked (a string; 3 numbers), not kept."""
     fname = str(path)
     data = _load_json(path)
     _check_keys(
@@ -233,7 +235,7 @@ def load_task(path) -> TaskSpec:
     if "gravity" in data:
         gravity = _vector(data, "gravity", fname, 3)
     else:
-        gravity = np.array([0.0, 0.0, -9.81])
+        gravity = GRAVITY_DEFAULT.copy()
 
     opath = f"{fname}.object"
     oobj = data["object"]
@@ -242,9 +244,10 @@ def load_task(path) -> TaskSpec:
     if not mass > 0.0:
         raise SchemaError(f"{opath}.mass: must be positive, got {mass}")
     inertia = _inertia_from_six(_vector(oobj, "inertia", opath, 6))
-    extents = _vector(oobj, "extents", opath, 3) if "extents" in oobj else None
+    if "extents" in oobj:
+        _vector(oobj, "extents", opath, 3)
     try:
-        obj = RigidObject(mass=mass, inertia=inertia, extents=extents)
+        obj = RigidObject(mass=mass, inertia=inertia)
     except ValueError as exc:
         raise SchemaError(f"{opath}: {exc}") from exc
 
@@ -303,7 +306,8 @@ def load_task(path) -> TaskSpec:
             raise SchemaError(f"{fname}.ik_seed: expected a list of numbers")
         ik_seed = np.array(v, dtype=float)
 
-    notes = _string(data, "notes", fname) if "notes" in data else ""
+    if "notes" in data:
+        _string(data, "notes", fname)
     return TaskSpec(
         name=name,
         trajectory=trajectory,
@@ -312,7 +316,6 @@ def load_task(path) -> TaskSpec:
         gravity=gravity,
         resample_count=resample_count,
         ik_seed=ik_seed,
-        notes=notes,
     )
 
 
@@ -359,12 +362,15 @@ def write_scorecards_csv(path, scorecards, scores: NormalizedScores | None, pare
                 writer.writerow([sc.grasp_id, "false", "", "", "", "", "", "", "false"])
 
 
-_SCORECARD_COLUMNS = ("grasp_id", "feasible", "h_tov", "h_tme", "h_tem")
+_SCALARS = ("h_tov", "h_tme", "h_tem")
+_SCORECARD_COLUMNS = ("grasp_id", "feasible", *_SCALARS)
 
 
 def read_scorecards_csv(path) -> list[GraspScorecard]:
     """Parse a scorecards.csv back into scalar-only scorecards (profiles are
-    not stored in the CSV)."""
+    not stored in the CSV).  ``feasible`` must be ``true`` or ``false``, and
+    a feasible row needs its three scalars; errors name the file, the row
+    (the header is row 1) and the column."""
     cards = []
     try:
         fh = open(path, newline="")
@@ -376,17 +382,22 @@ def read_scorecards_csv(path) -> list[GraspScorecard]:
         if missing:
             raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
-            feasible = row["feasible"] == "true"
-            cards.append(
-                GraspScorecard(
-                    grasp_id=row["grasp_id"],
-                    feasible=feasible,
-                    h_tov=float(row["h_tov"]) if feasible else None,
-                    h_tme=float(row["h_tme"]) if feasible else None,
-                    h_tem=float(row["h_tem"]) if feasible else None,
+            where = f"{path}: row {reader.line_num}"
+            if row["feasible"] not in ("true", "false"):
+                raise SchemaError(
+                    f"{where}, column feasible: expected true or false, got {row['feasible']!r}"
                 )
-            )
+            feasible = row["feasible"] == "true"
+            scalars = {key: _scalar_cell(row, key, where) if feasible else None for key in _SCALARS}
+            cards.append(GraspScorecard(grasp_id=row["grasp_id"], feasible=feasible, **scalars))
     return cards
+
+
+def _scalar_cell(row: dict, column: str, where: str) -> float:
+    try:
+        return float(row[column])
+    except (TypeError, ValueError):  # TypeError: the row ends early
+        raise SchemaError(f"{where}, column {column}: expected a number, got {row[column]!r}") from None
 
 
 def write_profile_csv(path, grasp_ids, profiles: list[MetricProfile]):

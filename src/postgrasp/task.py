@@ -62,12 +62,10 @@ class GraspCandidate:
 
 @dataclass(frozen=True, eq=False)
 class RigidObject:
-    """Mass and CoM inertia tensor of the manipulated object; extents are
-    documentation only."""
+    """Mass and CoM inertia tensor of the manipulated object."""
 
     mass: float
     inertia: np.ndarray
-    extents: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.mass > 0.0:
@@ -75,10 +73,6 @@ class RigidObject:
         m = validate_inertia_tensor(self.inertia, "object inertia tensor")
         m.flags.writeable = False
         object.__setattr__(self, "inertia", m)
-        if self.extents is not None:
-            e = np.array(self.extents, dtype=float).reshape(3)
-            e.flags.writeable = False
-            object.__setattr__(self, "extents", e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +87,6 @@ class TaskSpec:
     gravity: np.ndarray
     resample_count: int
     ik_seed: np.ndarray | None = None
-    notes: str = ""
 
 
 def gripper_trajectory(task: TaskTrajectory, grasp: GraspCandidate) -> TaskTrajectory:

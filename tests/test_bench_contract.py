@@ -3,8 +3,9 @@
 A renamed or removed function would drop the per-layer metrics derived from
 it, and a DLS that stopped calling forward kinematics or the Jacobian by
 their ``postgrasp.ik`` names would leave ``ik.fk_per_iteration`` and
-``ik.jacobians_per_waypoint`` with nothing to count.  spans.py is loaded
-from its file and only read.
+``ik.jacobians_per_waypoint`` with nothing to count.  The golden check
+reads the reachability flags through ``postgrasp.ik.track_trajectory``,
+called once per grasp.  spans.py is loaded from its file and only read.
 """
 
 import importlib.util
@@ -13,7 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from postgrasp import TaskTrajectory, forward_kinematics, track_trajectory
+from postgrasp import (
+    TaskTrajectory,
+    evaluate_task,
+    forward_kinematics,
+    load_task,
+    reference_task_path,
+    track_trajectory,
+)
 from postgrasp import ik
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -53,3 +61,15 @@ def test_tracking_calls_pose_and_jacobian_by_their_ik_names(arm7, monkeypatch):
     assert calls["forward_kinematics"] > 0
     assert calls["geometric_jacobian"] > 0
     assert result.reachable.shape == (4,)
+
+
+def test_evaluate_task_tracks_each_grasp_once(arm7, spans):
+    # the golden check's own observer sees one reachability string of the
+    # waypoint count per grasp
+    spec = load_task(reference_task_path("task1"))
+    with spans.ReachObserver() as observer:
+        cards = evaluate_task(arm7, spec, resample_count=6)
+    flags = observer.take()
+    assert observer.present
+    assert flags is not None and len(flags) == len(cards) == len(spec.grasps)
+    assert all(f is not None and len(f) == 6 for f in flags)

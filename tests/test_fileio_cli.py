@@ -631,3 +631,100 @@ class TestCliCommands:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestTaskFileDocumentationFields:
+    def test_extents_and_notes_checked(self, tmp_path):
+        for key, value, field in (
+            ("object", {"mass": 0.4, "inertia": [0.002, 0.0097, 0.0091, 0, 0, 0], "extents": [0.5, 0.15]},
+             r"object\.extents"),
+            ("notes", 5, r"\.notes"),
+        ):
+            data = synthetic_task_dict()
+            data[key] = value
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(data))
+            with pytest.raises(SchemaError, match=field):
+                load_task(path)
+
+    def test_shipped_tasks_load_with_extents_and_notes(self):
+        data = json.loads(reference_task_path("task1").read_text())
+        assert "extents" in data["object"] and "notes" in data
+        assert load_task(reference_task_path("task1")).obj.mass == data["object"]["mass"]
+
+
+def _evaluate(robot, tasks, out, *extra):
+    argv = ["evaluate", "--robot", str(robot), "--out", str(out), *extra]
+    for task in tasks:
+        argv += ["--task", str(task)]
+    return main(argv)
+
+
+def _named_task(tmp_path, filename, name):
+    data = synthetic_task_dict()
+    data["name"] = name
+    path = tmp_path / filename
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestOutputDirectories:
+    def test_dot_dot_name_stays_inside_out(self, tmp_path):
+        task = _named_task(tmp_path, "up.json", "..")
+        out = tmp_path / "runs" / "out"
+        assert _evaluate(reference_robot_path("arm7"), [task], out) == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == ["out"]
+        assert (out / "task" / "report.json").exists()
+
+    def test_dot_name_gets_its_own_directory(self, tmp_path):
+        task = _named_task(tmp_path, "here.json", ".")
+        out = tmp_path / "out"
+        assert _evaluate(reference_robot_path("arm7"), [task], out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["task"]
+
+    def test_tasks_sharing_a_directory_rejected(self, tmp_path, capsys):
+        first = _named_task(tmp_path, "first.json", "a b")
+        second = _named_task(tmp_path, "second.json", "a_b")
+        out = tmp_path / "out"
+        assert _evaluate(reference_robot_path("arm7"), [first, second], out) == 2
+        err = capsys.readouterr().err
+        assert f"tasks {first} and {second} both write to {out / 'a_b'}" in err
+        assert not out.exists()
+
+
+class TestStrictScorecardsInput:
+    HEADER = "grasp_id,feasible,h_tov,h_tme,h_tem\n"
+
+    def _pareto(self, tmp_path, rows):
+        path = tmp_path / "cards.csv"
+        path.write_text(self.HEADER + rows)
+        return path, main(["pareto", "--scorecards", str(path)])
+
+    def test_unknown_feasible_cell_rejected(self, tmp_path, capsys):
+        path, rc = self._pareto(tmp_path, "a,yes,2.0,1,1.0\nb,true,1.0,2,2.0\n")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: row 2, column feasible: expected true or false, got 'yes'" in captured.err
+        assert captured.out == ""
+
+    def test_empty_scalar_of_feasible_row_named(self, tmp_path, capsys):
+        path, rc = self._pareto(tmp_path, "b,true,1.0,2,2.0\na,true,,1,1.0\n")
+        assert rc == 2
+        assert f"error: {path}: row 3, column h_tov: expected a number, got ''" in capsys.readouterr().err
+
+    def test_infeasible_row_needs_no_scalars(self, tmp_path, capsys):
+        _, rc = self._pareto(tmp_path, "a,false,,,\nb,true,1.0,2,2.0\n")
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["infeasible"] == ["a"]
+
+
+def test_metrics_at_prints_the_scalars_evaluate_writes(tmp_path, synthetic_task_path, capsys):
+    robot = reference_robot_path("arm7")
+    assert _evaluate(robot, [synthetic_task_path], tmp_path, "--resample", "8") == 0
+    card = {c.grasp_id: c for c in read_scorecards_csv(tmp_path / "synthetic" / "scorecards.csv")}["g_b"]
+    capsys.readouterr()
+    argv = ["metrics-at", "--robot", str(robot), "--task", str(synthetic_task_path), "--grasp", "g_b"]
+    assert main(argv + ["--waypoint", "3", "--resample", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "grasp g_b, waypoint 3/7:"
+    assert lines[-1] == f"scalars: H_tov={card.h_tov:.6g} H_tme={card.h_tme:.6g} H_tem={card.h_tem:.6g}"

@@ -1,26 +1,34 @@
 """Property tests of the kinematic pass and the dynamics on random serial
 chains: 1-7 joints, revolute and prismatic mixed, random joint origins,
-base and tool poses and link inertias, at one configuration or a stack."""
+base and tool poses and link inertias, at one configuration or a stack;
+and of the three objectives along a joint path on such a chain."""
 
 import numpy as np
+from dataclasses import replace
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from postgrasp import (
     ChainModel,
+    DegenerateModelError,
     GraspCandidate,
     JointSpec,
     LinkSpec,
     Pose,
     RigidObject,
     Rotation,
+    TaskTrajectory,
+    ZeroMotionError,
     attach_object,
     augmented_mass_matrix,
+    evaluate_grasp,
     forward_kinematics,
     inverse_dynamics,
     mass_matrix,
 )
 from postgrasp.chain import link_frames_axes
+from postgrasp.task import path_parameter
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -153,3 +161,61 @@ def test_stacked_configurations_match_rows(case):
             assert rel_err(getattr(stack, field)[i, 0], getattr(row, field)) <= 1e-13
         assert rel_err(m_stack[i, 0], mass_matrix(model, row)) <= 1e-13
         assert rel_err(tau_stack[i, 0], inverse_dynamics(model, row, qd[i], qdd[i])) <= 1e-13
+
+
+@st.composite
+def chains_and_joint_paths(draw):
+    """A chain and a straight joint path of 4-8 waypoints, at least 0.05
+    long, from a random configuration."""
+    model = draw(chains())
+    q0 = np.array([draw(angles) for _ in range(model.n)])
+    step = np.array([draw(st.floats(-0.3, 0.3)) for _ in range(model.n)])
+    assume(np.linalg.norm(step) > 0.05)
+    return model, np.linspace(q0, q0 + step, draw(st.integers(4, 8)))
+
+
+# a scalar agrees within SCENE_RTOL relative plus SCENE_ATOL absolute; the
+# absolute part covers scalars at or near 0, such as h_tov ~ 1e-7 on a
+# near-singular path, where the relative error of a^2 grows
+SCENE_RTOL = 1e-6
+SCENE_ATOL = 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(
+    chains_and_joint_paths(),
+    unit_vectors,
+    angles,
+    poses(),
+    st.floats(0.05, 2.0),
+    inertia_tensors(),
+)
+def test_objectives_invariant_under_scene_rotation(case, axis, angle, grasp_pose, mass, inertia):
+    # the task puts the gripper on the chain's FK along the joint path;
+    # rotating the base, the task and gravity together changes no scalar
+    model, qs = case
+    grasp = GraspCandidate("g", grasp_pose)
+    obj = RigidObject(mass=mass, inertia=inertia)
+    release = grasp_pose.inverse()
+    task = TaskTrajectory(
+        tuple(forward_kinematics(model, q).compose(release) for q in qs),
+        np.linspace(0.0, 1.0, len(qs)),
+    )
+    world = Pose.from_rotation(Rotation.from_axis_angle(axis, angle))
+    turned_model = replace(model, base_pose=world.compose(model.base_pose))
+    turned_task = TaskTrajectory(tuple(world.compose(p) for p in task.poses), task.times)
+    gravity = np.array([0.0, 0.0, -9.81])
+
+    def card(model, task, gravity):
+        return evaluate_grasp(model, task, grasp, obj, path_parameter(task), ik_seed=qs[0], gravity=gravity)
+
+    try:
+        base = card(model, task, gravity)
+    except (ZeroMotionError, DegenerateModelError):
+        assume(False)
+    assume(base.feasible and not base.tov_profile.unreachable.any())
+    turned = card(turned_model, turned_task, world.rotation.apply(gravity))
+    assert turned.feasible
+    for key in ("h_tov", "h_tme", "h_tem"):
+        want, got = getattr(base, key), getattr(turned, key)
+        assert abs(got - want) <= SCENE_RTOL * abs(want) + SCENE_ATOL, (key, got, want)
