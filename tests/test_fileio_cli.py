@@ -647,11 +647,6 @@ class TestTaskFileDocumentationFields:
             with pytest.raises(SchemaError, match=field):
                 load_task(path)
 
-    def test_shipped_tasks_load_with_extents_and_notes(self):
-        data = json.loads(reference_task_path("task1").read_text())
-        assert "extents" in data["object"] and "notes" in data
-        assert load_task(reference_task_path("task1")).obj.mass == data["object"]["mass"]
-
 
 def _evaluate(robot, tasks, out, *extra):
     argv = ["evaluate", "--robot", str(robot), "--out", str(out), *extra]
@@ -711,11 +706,6 @@ class TestStrictScorecardsInput:
         path, rc = self._pareto(tmp_path, "b,true,1.0,2,2.0\na,true,,1,1.0\n")
         assert rc == 2
         assert f"error: {path}: row 3, column h_tov: expected a number, got ''" in capsys.readouterr().err
-
-    def test_infeasible_row_needs_no_scalars(self, tmp_path, capsys):
-        _, rc = self._pareto(tmp_path, "a,false,,,\nb,true,1.0,2,2.0\n")
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["infeasible"] == ["a"]
 
 
 def test_metrics_at_prints_the_scalars_evaluate_writes(tmp_path, synthetic_task_path, capsys):
