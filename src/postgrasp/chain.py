@@ -21,12 +21,14 @@ a pose leaves this module (``forward_kinematics``).
 each and share a one-entry memo of the last pass, keyed on the model object
 and the bytes of ``q``: damped-least-squares IK asks for the pose and the
 Jacobian at the same iterate, and each waypoint starts at the previous
-waypoint's last iterate, so most of its requests repeat the last one.
+waypoint's last iterate, so most of its requests repeat the last one.  The
+memo is per thread, so grasps tracked on a thread pool keep their own.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -131,9 +133,9 @@ class ChainModel:
         return _ChainArrays.of(self)
 
     def limits_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([j.limits[0] for j in self.joints])
-        hi = np.array([j.limits[1] for j in self.joints])
-        return lo, hi
+        """Lower and upper joint limits, read-only, built once per model."""
+        c = self._constants
+        return c.lower, c.upper
 
     def with_tool_body(self, mass: float, com, inertia) -> "ChainModel":
         """Rigidly attach an extra body, given in the tool frame, by merging
@@ -162,6 +164,8 @@ class _ChainArrays:
     axes: np.ndarray  # (n, 3) joint axes in the link frames
     revolute: np.ndarray  # (n,) 1.0 for a revolute joint, else 0.0
     prismatic: np.ndarray  # (n,) 1.0 for a prismatic joint, else 0.0
+    lower: np.ndarray  # (n,) joint limits (read-only)
+    upper: np.ndarray  # (n,)
     base: np.ndarray  # (4, 4)
     tool: np.ndarray  # (4, 4)
     masses: np.ndarray  # (n,)
@@ -181,6 +185,8 @@ class _ChainArrays:
             turn2[i, :3, :3] = fixed[i, :3, :3] @ k @ k
             slide[i, :3, 3] = fixed[i, :3, :3] @ axes[i]
         revolute = np.array([j.kind == "revolute" for j in model.joints], dtype=float)
+        lower, upper = np.array([j.limits for j in model.joints]).T.copy()
+        lower.flags.writeable = upper.flags.writeable = False
         return cls(
             fixed=fixed,
             turn1=turn1,
@@ -189,6 +195,8 @@ class _ChainArrays:
             axes=axes,
             revolute=revolute,
             prismatic=1.0 - revolute,
+            lower=lower,
+            upper=upper,
             base=model.base_pose.to_matrix(),
             tool=model.tool_transform.to_matrix(),
             masses=np.array([link.mass for link in model.links]),
@@ -292,7 +300,10 @@ def link_frames_axes(model: ChainModel, q) -> KinematicState:
     spin = axes * c.revolute[:, None]
     slide = axes * c.prismatic[:, None]
     # revolute: (p x z; z) at the world origin, z x (p_op - p) at the tool
-    lever = _cross(np.stack([origins, origins - p_op[..., None, :]]), spin)
+    arms = np.empty((2,) + origins.shape)
+    arms[0] = origins
+    np.subtract(origins, p_op[..., None, :], out=arms[1])
+    lever = _cross(arms, spin)
     motion = np.concatenate([lever[0] + slide, spin], axis=-1)
     jacobian = np.concatenate(
         [(lever[1] + slide).swapaxes(-1, -2), spin.swapaxes(-1, -2)], axis=-2
@@ -300,21 +311,22 @@ def link_frames_axes(model: ChainModel, q) -> KinematicState:
     return KinematicState(rotations, origins, motion, tool[..., :3, :3], p_op, jacobian)
 
 
-# (model, q bytes, KinematicState) of the last single-configuration pass;
-# replaced as one tuple, so concurrent threads see a stale entry at worst
-_last_pass: tuple = (None, b"", None)
+# .entry: (model, q bytes, KinematicState) of the calling thread's last
+# single-configuration pass; per thread, so grasps tracked on concurrent
+# threads never evict each other's entry
+_last_pass = threading.local()
+_NO_PASS = (None, b"", None)
 
 
 def _pass_at(model: ChainModel, q) -> KinematicState:
     """``link_frames_axes`` at one configuration, reused while the model
-    object and the bytes of q repeat."""
-    global _last_pass
+    object and the bytes of q repeat on the calling thread."""
     q = _check_q(model, np.ravel(q))
     key = q.tobytes()
-    last_model, last_key, kin = _last_pass
+    last_model, last_key, kin = getattr(_last_pass, "entry", _NO_PASS)
     if last_model is not model or last_key != key:
         kin = link_frames_axes(model, q)
-        _last_pass = (model, key, kin)
+        _last_pass.entry = (model, key, kin)
     return kin
 
 

@@ -221,14 +221,14 @@ def _cmd_metrics_at(args) -> int:
     grasps = {g.id: g for g in spec.grasps}
     if args.grasp not in grasps:
         raise CliError(f"grasp {args.grasp!r} not in task (ids: {', '.join(grasps)})")
+    k = args.waypoint
+    n = spec.resample_count if args.resample is None else args.resample
+    if not 0 <= k < n:
+        raise CliError(f"--waypoint must be in [0, {n - 1}]")
     (sc,) = evaluate_task(model, spec, grasps=[grasps[args.grasp]], resample_count=args.resample)
     if not sc.feasible:
         print(f"grasp {args.grasp}: infeasible (first waypoint unreachable)")
         return 2
-    k = args.waypoint
-    n = len(sc.tov_profile.values)
-    if not 0 <= k < n:
-        raise CliError(f"--waypoint must be in [0, {n - 1}]")
     print(f"grasp {args.grasp}, waypoint {k}/{n - 1}:")
     print(f"  s            = {sc.tov_profile.s[k]:.6g}")
     print(f"  tov a^2      = {sc.tov_profile.values[k]:.6g}")

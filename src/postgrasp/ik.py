@@ -12,6 +12,14 @@ the same iterate, and each waypoint starts at the previous waypoint's last
 iterate; both functions read the chain's memo of the last kinematic pass,
 so every distinct iterate is one pass.
 
+The pose error works on the quaternions' floats: it repeats
+``(target.rotation * current.rotation.inverse()).log()`` operation for
+operation (both renormalisations, the flip to w >= 0, and ``|v|`` as the
+BLAS dot product ``np.linalg.norm`` runs) without building a ``Rotation``,
+so every iterate matches the object form bit for bit.  The loop's norms are
+that same dot product, and the derivatives of the joint path are one array
+expression over all waypoints.
+
 A solve that cannot meet the tolerances (target out of reach, or blocked
 by a joint limit) stops once its pose-error norm has fallen by less than
 ``STALL_GAIN`` (1%) over the last ``STALL_WINDOW`` (5) iterations;
@@ -46,6 +54,7 @@ ORIENTATION_TOLERANCE = 1e-6  # rad
 MAX_STEP = 0.5  # per-iteration joint-space step cap
 STALL_WINDOW = 5  # iterations
 STALL_GAIN = 0.01  # least relative fall of the error norm over the window
+_DAMPING_EYE = DAMPING**2 * np.eye(6)
 
 
 class GraspInfeasible(Exception):
@@ -64,43 +73,66 @@ def default_seed(model: ChainModel) -> np.ndarray:
 
 def pose_error(target: Pose, current: Pose) -> np.ndarray:
     """6-vector (position error; orientation error as a rotation vector),
-    world frame, consistent with the world-frame Jacobian."""
-    dp = target.translation - current.translation
-    drot = (target.rotation * current.rotation.inverse()).log()
-    return np.concatenate([dp, drot])
+    world frame, consistent with the world-frame Jacobian.  Computed on
+    floats, bit for bit the ``Rotation`` form (see the module docstring)."""
+    a, b = target.rotation, current.rotation
+    # b.inverse(): the conjugate, renormalised (its w = b.w >= 0 needs no flip)
+    w2, x2, y2, z2 = b.w, -b.x, -b.y, -b.z
+    s = 1.0 / math.sqrt(w2**2 + x2**2 + y2**2 + z2**2)
+    w2, x2, y2, z2 = w2 * s, x2 * s, y2 * s, z2 * s
+    # a * b.inverse(), renormalised to w >= 0
+    w1, x1, y1, z1 = a.w, a.x, a.y, a.z
+    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    y = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    z = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    s = 1.0 / math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if w < 0.0:
+        s = -s
+    w, x, y, z = w * s, x * s, y * s, z * s
+    # log: 2 atan2(|v|, w) / |v| times v, or 2 v at a small angle
+    v = np.array([x, y, z])
+    sin_half = _norm(v)
+    k = 2.0 if sin_half < 1e-9 else 2.0 * math.atan2(sin_half, w) / sin_half
+    t0, t1, t2 = target.translation.tolist()
+    c0, c1, c2 = current.translation.tolist()
+    return np.array([t0 - c0, t1 - c1, t2 - c2, k * x, k * y, k * z])
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D vector, the same dot product and square
+    root without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _converged(err: np.ndarray) -> bool:
-    return (
-        np.linalg.norm(err[:3]) <= POSITION_TOLERANCE
-        and np.linalg.norm(err[3:]) <= ORIENTATION_TOLERANCE
-    )
+    return _norm(err[:3]) <= POSITION_TOLERANCE and _norm(err[3:]) <= ORIENTATION_TOLERANCE
 
 
 def _solve(model, target, seed) -> tuple[np.ndarray, bool, int]:
     """DLS from ``seed``: the last iterate, whether it meets the
     tolerances, and the number of iterations (Jacobians) run."""
     lo, hi = model.limits_arrays()
-    q = np.clip(np.asarray(seed, dtype=float).reshape(model.n), lo, hi)
-    lam2 = DAMPING**2
+    q = np.minimum(np.maximum(np.asarray(seed, dtype=float).reshape(model.n), lo), hi)
     err = pose_error(target, forward_kinematics(model, q))
-    err_norms = [np.linalg.norm(err)]
+    err_norms = [_norm(err)]
     for it in range(MAX_ITERATIONS):
         if _converged(err):
             return q, True, it
         jac = geometric_jacobian(model, q)
-        a = jac @ jac.T + lam2 * np.eye(6)
-        dq = jac.T @ np.linalg.solve(a, err)
-        norm = np.linalg.norm(dq)
+        dq = jac.T @ np.linalg.solve(jac @ jac.T + _DAMPING_EYE, err)
+        norm = _norm(dq)
         if norm > MAX_STEP:
             dq *= MAX_STEP / norm
         # backtrack when a full step would grow the error (keeps the
         # iteration from limit-cycling around tight postures)
         for _ in range(5):
-            q_new = np.clip(q + dq, lo, hi)
+            q_new = q + dq
+            np.maximum(q_new, lo, out=q_new)
+            np.minimum(q_new, hi, out=q_new)
             err_new = pose_error(target, forward_kinematics(model, q_new))
-            norm_new = np.linalg.norm(err_new)
-            if norm_new <= err_norms[-1] or np.linalg.norm(dq) < 1e-12:
+            norm_new = _norm(err_new)
+            if norm_new <= err_norms[-1] or _norm(dq) < 1e-12:
                 break
             dq = 0.5 * dq
         q, err = q_new, err_new
@@ -130,28 +162,26 @@ class JointTrajectory:
 
 def _fd_derivatives(times: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic-fit finite differences on a (possibly non-uniform) grid,
-    one-sided at the endpoints."""
+    one-sided at the endpoints: waypoint i fits the three waypoints from
+    k = clip(i - 1, 0, n - 3)."""
     n = pos.shape[0]
-    vel = np.zeros_like(pos)
-    acc = np.zeros_like(pos)
     if n == 2:
-        v = (pos[1] - pos[0]) / (times[1] - times[0])
-        vel[0] = vel[1] = v
-        return vel, acc
-    for i in range(n):
-        k = min(max(i - 1, 0), n - 3)
-        t0, t1, t2 = times[k], times[k + 1], times[k + 2]
-        y0, y1, y2 = pos[k], pos[k + 1], pos[k + 2]
-        t = times[i]
-        d0 = (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
-        d1 = (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
-        d2 = (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
-        vel[i] = d0 * y0 + d1 * y1 + d2 * y2
-        acc[i] = 2.0 * (
-            y0 / ((t0 - t1) * (t0 - t2))
-            + y1 / ((t1 - t0) * (t1 - t2))
-            + y2 / ((t2 - t0) * (t2 - t1))
-        )
+        vel = np.zeros_like(pos)
+        vel[0] = vel[1] = (pos[1] - pos[0]) / (times[1] - times[0])
+        return vel, np.zeros_like(pos)
+    k = np.minimum(np.maximum(np.arange(n) - 1, 0), n - 3)
+    t = times[:, None]
+    t0, t1, t2 = t[k], t[k + 1], t[k + 2]
+    y0, y1, y2 = pos[k], pos[k + 1], pos[k + 2]
+    d0 = (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+    d1 = (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+    d2 = (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
+    vel = d0 * y0 + d1 * y1 + d2 * y2
+    acc = 2.0 * (
+        y0 / ((t0 - t1) * (t0 - t2))
+        + y1 / ((t1 - t0) * (t1 - t2))
+        + y2 / ((t2 - t0) * (t2 - t1))
+    )
     return vel, acc
 
 

@@ -5,13 +5,16 @@ the smallest nontrivial system, and the Pareto scan is a direct pairwise
 dominance check; neither shares code with the production modules.
 
 The rest builds on production functions, so it checks only the logic it
-adds.  ``reference_dls`` is the damped least-squares loop as it ran before
-solves stopped on a stall, on the production forward kinematics and
-Jacobian.  ``gravity_vector`` and ``coriolis_matrix`` (Christoffel form,
-finite differences of the CRBA mass matrix) derive the terms of the
-equation of motion from ``inverse_dynamics`` and ``mass_matrix``;
-``effective_mass`` is the single-configuration form of the ``tem``
-objective on ``operational_mass_inverse``.
+adds.  ``rotation_pose_error`` is the IK pose error on ``Rotation`` objects
+and ``loop_fd_derivatives`` the finite differences one waypoint at a time,
+the forms ``ik`` computed before it worked on floats and whole arrays.
+``reference_dls`` is the damped least-squares loop as it ran before solves
+stopped on a stall, on the production forward kinematics and Jacobian and
+``rotation_pose_error``.  ``gravity_vector`` and ``coriolis_matrix``
+(Christoffel form, finite differences of the CRBA mass matrix) derive the
+terms of the equation of motion from ``inverse_dynamics`` and
+``mass_matrix``; ``effective_mass`` is the single-configuration form of the
+``tem`` objective on ``operational_mass_inverse``.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from postgrasp.dynamics import (
     mass_matrix,
     operational_mass_inverse,
 )
-from postgrasp.ik import pose_error
 from postgrasp.metrics import directional_effective_mass
+from postgrasp.geometry import Pose
 from postgrasp.task import GraspCandidate, RigidObject
 
 CHRISTOFFEL_STEP = 1e-6  # rad; truncation/round-off balance for float64
@@ -174,6 +177,41 @@ def cuboid_inertia(mass: float, dims) -> np.ndarray:
     )
 
 
+def rotation_pose_error(target: Pose, current: Pose) -> np.ndarray:
+    """(position error; rotation vector of target * current^-1), built from
+    ``Rotation`` objects."""
+    dp = target.translation - current.translation
+    drot = (target.rotation * current.rotation.inverse()).log()
+    return np.concatenate([dp, drot])
+
+
+def loop_fd_derivatives(times, pos) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic-fit finite differences, one waypoint per loop pass: the
+    three-point stencil from k = clip(i - 1, 0, n - 3)."""
+    n = pos.shape[0]
+    vel = np.zeros_like(pos)
+    acc = np.zeros_like(pos)
+    if n == 2:
+        v = (pos[1] - pos[0]) / (times[1] - times[0])
+        vel[0] = vel[1] = v
+        return vel, acc
+    for i in range(n):
+        k = min(max(i - 1, 0), n - 3)
+        t0, t1, t2 = times[k], times[k + 1], times[k + 2]
+        y0, y1, y2 = pos[k], pos[k + 1], pos[k + 2]
+        t = times[i]
+        d0 = (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+        d1 = (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+        d2 = (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
+        vel[i] = d0 * y0 + d1 * y1 + d2 * y2
+        acc[i] = 2.0 * (
+            y0 / ((t0 - t1) * (t0 - t2))
+            + y1 / ((t1 - t0) * (t1 - t2))
+            + y2 / ((t2 - t0) * (t2 - t1))
+        )
+    return vel, acc
+
+
 def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:
     """Damped least-squares IK that runs to ``ik.MAX_ITERATIONS``
     unless it meets the tolerances: the last iterate and whether it meets
@@ -181,7 +219,7 @@ def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:
     lo, hi = model.limits_arrays()
     q = np.clip(np.asarray(seed, dtype=float).reshape(model.n), lo, hi)
     lam2 = ik.DAMPING**2
-    err = pose_error(target, forward_kinematics(model, q))
+    err = rotation_pose_error(target, forward_kinematics(model, q))
     for _ in range(ik.MAX_ITERATIONS):
         if (
             np.linalg.norm(err[:3]) <= ik.POSITION_TOLERANCE
@@ -197,7 +235,7 @@ def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:
         err_norm = np.linalg.norm(err)
         for _ in range(5):
             q_new = np.clip(q + dq, lo, hi)
-            err_new = pose_error(target, forward_kinematics(model, q_new))
+            err_new = rotation_pose_error(target, forward_kinematics(model, q_new))
             if np.linalg.norm(err_new) <= err_norm or np.linalg.norm(dq) < 1e-12:
                 break
             dq = 0.5 * dq

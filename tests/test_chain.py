@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +11,11 @@ from postgrasp import (
     LinkSpec,
     Pose,
     Rotation,
+    evaluate_task,
     forward_kinematics,
     geometric_jacobian,
+    load_task,
+    reference_task_path,
 )
 from postgrasp import chain
 
@@ -136,7 +141,7 @@ class TestPassMemo:
 
         link_frames_axes = chain.link_frames_axes
         monkeypatch.setattr(chain, "link_frames_axes", counted)
-        monkeypatch.setattr(chain, "_last_pass", (None, b"", None))
+        monkeypatch.setattr(chain, "_last_pass", threading.local())
         q = np.linspace(-0.3, 0.9, 7)
         forward_kinematics(arm7, q)
         geometric_jacobian(arm7, q)
@@ -144,6 +149,34 @@ class TestPassMemo:
         assert len(passes) == 1
         geometric_jacobian(arm7, q + 1e-9)
         assert len(passes) == 2
+
+    def test_threads_keep_their_own_memo(self, arm7, monkeypatch):
+        # grasps tracked on two threads make as many passes as on one: the
+        # threads never evict each other's memo entry, however often they
+        # switch
+        spec = load_task(reference_task_path("task1"))
+        lock = threading.Lock()
+        passes = []
+
+        def counted(model, q):
+            with lock:
+                passes.append(1)
+            return link_frames_axes(model, q)
+
+        link_frames_axes = chain.link_frames_axes
+        monkeypatch.setattr(chain, "link_frames_axes", counted)
+        counts = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for jobs in (1, 2):
+                monkeypatch.setattr(chain, "_last_pass", threading.local())
+                passes.clear()
+                evaluate_task(arm7, spec, jobs=jobs)
+                counts.append(len(passes))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts[0] == counts[1] > 0
 
     def test_jacobian_is_read_only(self, arm7):
         jac = geometric_jacobian(arm7, np.zeros(7))

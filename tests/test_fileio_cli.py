@@ -500,6 +500,21 @@ class TestCliCommands:
         assert "--resample must be >= 2" in captured.err
         assert "tov a^2" not in captured.out
 
+    @pytest.mark.parametrize(
+        "extra, bound",
+        [(["--waypoint", "999", "--resample", "400"], 399), (["--waypoint", "10"], 9), (["--waypoint", "-1"], 9)],
+    )
+    def test_metrics_at_waypoint_checked_before_evaluation(
+        self, synthetic_task_path, capsys, monkeypatch, extra, bound
+    ):
+        # the range comes from --resample, else the file's resample_count (10)
+        calls = []
+        monkeypatch.setattr("postgrasp.cli.evaluate_task", lambda *a, **k: calls.append(1))
+        argv = ["metrics-at", "--robot", str(reference_robot_path("arm7")), "--task", str(synthetic_task_path)]
+        assert main(argv + ["--grasp", "g_a", *extra]) == 2
+        assert f"error: --waypoint must be in [0, {bound}]" in capsys.readouterr().err
+        assert calls == []
+
     def test_weights_checked_before_evaluation(self, tmp_path, capsys):
         out = tmp_path / "cli_out"
         rc = main(

@@ -4,6 +4,7 @@ import pytest
 from postgrasp import (
     GraspInfeasible,
     Pose,
+    Rotation,
     TaskTrajectory,
     forward_kinematics,
     geometric_jacobian,
@@ -12,12 +13,13 @@ from postgrasp import (
 from postgrasp.ik import (
     ORIENTATION_TOLERANCE,
     POSITION_TOLERANCE,
+    _fd_derivatives,
     _solve,
     default_seed,
     pose_error,
 )
 
-from oracles import reference_dls, two_r_ik
+from oracles import loop_fd_derivatives, reference_dls, rotation_pose_error, two_r_ik
 
 
 def joint_path_poses(model, qs):
@@ -180,3 +182,75 @@ class TestTrackTrajectory:
         seed = default_seed(arm7)
         lo, hi = arm7.limits_arrays()
         assert np.abs(seed - 0.5 * (lo + hi)).max() <= 1e-12
+
+
+def _poses(rng, count, angles):
+    """Poses with random axes and translations at the given angles."""
+    axes = rng.normal(size=(count, 3))
+    return [
+        Pose(Rotation.from_axis_angle(axis, angle), rng.uniform(-1.0, 1.0, 3))
+        for axis, angle in zip(axes, angles)
+    ]
+
+
+def _relative(target, current):
+    """Quaternion of target * current^-1 before it is renormalised."""
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = target.rotation.quat, current.rotation.quat
+    x2, y2, z2 = -x2, -y2, -z2
+    return np.array([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+class TestFloatKernelsMatchOracles:
+    """``pose_error`` and ``_fd_derivatives`` reproduce their former forms
+    (``tests/oracles.py``) bit for bit."""
+
+    def assert_pose_errors_identical(self, pairs):
+        for target, current in pairs:
+            got, want = pose_error(target, current), rotation_pose_error(target, current)
+            assert got.tobytes() == want.tobytes(), (got, want)
+
+    def test_random_poses(self, rng):
+        targets = _poses(rng, 500, rng.uniform(-np.pi, np.pi, 500))
+        currents = _poses(rng, 500, rng.uniform(-np.pi, np.pi, 500))
+        self.assert_pose_errors_identical(zip(targets, currents))
+
+    def test_small_angles(self, rng):
+        # |v| < 1e-9 takes the small-angle branch, 2 v
+        targets = _poses(rng, 40, rng.uniform(-np.pi, np.pi, 40))
+        pairs = []
+        for target, eps in zip(targets, np.tile([0.0, 1e-15, 1e-12, 1e-10, 1.5e-9], 8)):
+            turn = Rotation.from_axis_angle(rng.normal(size=3), eps)
+            pairs.append((target, Pose(turn * target.rotation, target.translation)))
+        assert all(np.linalg.norm(_relative(t, c)[1:]) < 1e-9 for t, c in pairs)
+        self.assert_pose_errors_identical(pairs)
+
+    def test_angles_near_pi_and_negative_w(self, rng):
+        # relative turns about one axis through pi: near pi the log is
+        # ill-conditioned, and past pi the raw product has w < 0 and is
+        # flipped to w >= 0
+        pairs = []
+        for delta in (-1e-3, -1e-9, 0.0, 1e-12, 1e-9, 1e-3, 0.5, 1.5):
+            for _ in range(10):
+                axis, a = rng.normal(size=3), rng.uniform(0.0, np.pi)
+                b = a - np.pi - delta
+                t = rng.uniform(-1.0, 1.0, 3)
+                pairs.append(
+                    (Pose(Rotation.from_axis_angle(axis, a), t), Pose(Rotation.from_axis_angle(axis, b), -t))
+                )
+        assert sum(_relative(t, c)[0] < 0.0 for t, c in pairs) >= 30
+        self.assert_pose_errors_identical(pairs)
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 50])
+    def test_fd_derivatives_on_non_uniform_grids(self, rng, count):
+        for _ in range(20):
+            times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, count - 1))])
+            pos = rng.normal(size=(count, 7))
+            vel, acc = _fd_derivatives(times, pos)
+            want_vel, want_acc = loop_fd_derivatives(times, pos)
+            assert vel.tobytes() == want_vel.tobytes()
+            assert acc.tobytes() == want_acc.tobytes()

@@ -1,6 +1,7 @@
 """Property tests of the kinematic pass and the dynamics on random serial
 chains: 1-7 joints, revolute and prismatic mixed, random joint origins,
 base and tool poses and link inertias, at one configuration or a stack;
+of damped least-squares IK against the reference loop on such a chain;
 and of the three objectives along a joint path on such a chain."""
 
 import numpy as np
@@ -28,7 +29,10 @@ from postgrasp import (
     mass_matrix,
 )
 from postgrasp.chain import link_frames_axes
+from postgrasp.ik import _solve
 from postgrasp.task import path_parameter
+
+from oracles import reference_dls
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -219,3 +223,26 @@ def test_objectives_invariant_under_scene_rotation(case, axis, angle, grasp_pose
     for key in ("h_tov", "h_tme", "h_tem"):
         want, got = getattr(base, key), getattr(turned, key)
         assert abs(got - want) <= SCENE_RTOL * abs(want) + SCENE_ATOL, (key, got, want)
+
+
+@st.composite
+def chains_targets_and_seeds(draw):
+    """A chain, the pose of a random configuration q0 and an IK seed within
+    0.5 of q0 per joint: near enough that most solves converge, far enough
+    that some first steps exceed ``ik.MAX_STEP`` and are scaled down."""
+    model, q0 = draw(chains_and_configurations())
+    offset = np.array([draw(st.floats(-0.5, 0.5)) for _ in range(model.n)])
+    return model, forward_kinematics(model, q0), q0 + offset
+
+
+@PROPERTY_SETTINGS
+@given(chains_targets_and_seeds())
+def test_converged_solves_match_reference_dls_on_random_chains(case):
+    # a solve that meets the tolerances ran no stall check that stopped it,
+    # so it must run the reference loop's iterates bit for bit
+    model, target, seed = case
+    q, ok, _ = _solve(model, target, seed)
+    assume(ok)
+    q_ref, ok_ref = reference_dls(model, target, seed)
+    assert ok_ref
+    assert q.tobytes() == q_ref.tobytes()
