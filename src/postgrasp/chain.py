@@ -19,10 +19,12 @@ a pose leaves this module (``forward_kinematics``).
 
 ``forward_kinematics`` and ``geometric_jacobian`` take one configuration
 each and share a one-entry memo of the last pass, keyed on the model object
-and the bytes of ``q``: damped-least-squares IK asks for the pose and the
-Jacobian at the same iterate, and each waypoint starts at the previous
-waypoint's last iterate, so most of its requests repeat the last one.  The
-memo is per thread, so grasps tracked on a thread pool keep their own.
+and the bytes of ``q``: damped-least-squares IK asks for the pose at each
+new iterate and then for the Jacobian at the accepted one, and each
+waypoint starts at the previous waypoint's last iterate, so the Jacobian
+requests repeat the last pass.  The pose is not asked twice: IK hands the
+last iterate's pose on to the next waypoint (``ik.track_trajectory``).
+The memo is per thread, so grasps tracked on a thread pool keep their own.
 """
 
 from __future__ import annotations
@@ -140,7 +142,8 @@ class ChainModel:
     def with_tool_body(self, mass: float, com, inertia) -> "ChainModel":
         """Rigidly attach an extra body, given in the tool frame, by merging
         it into the last link.  Used to augment the dynamics with a grasped
-        object."""
+        object.  The returned model's stacked constants are this model's
+        with the body arrays replaced."""
         if mass < 0.0:
             raise ValueError("attached body mass must be non-negative")
         r_tool = self.tool_transform.rotation.as_matrix()
@@ -149,13 +152,18 @@ class ChainModel:
         last = self.links[-1]
         merged = _merge_bodies(last.mass, last.com, last.inertia, mass, c_extra, i_extra)
         links = self.links[:-1] + (LinkSpec(*merged),)
-        return replace(self, links=links)
+        attached = replace(self, links=links)
+        # the joint constants carry over; only the body arrays change
+        object.__setattr__(attached, "_constants", replace(self._constants, **_body_arrays(links)))
+        return attached
 
 
 @dataclass(frozen=True, eq=False)
 class _ChainArrays:
     """A model's per-joint and per-link constants as stacked arrays, built
-    once per ``ChainModel`` for the kinematic pass and the dynamics."""
+    once per ``ChainModel`` for the kinematic pass and the dynamics; a
+    model with a body attached (``ChainModel.with_tool_body``) shares its
+    parent's joint arrays and rebuilds only the body arrays."""
 
     fixed: np.ndarray  # (n, 4, 4) joint origin transforms
     turn1: np.ndarray  # (n, 4, 4) R_o K in the rotation block
@@ -199,10 +207,17 @@ class _ChainArrays:
             upper=upper,
             base=model.base_pose.to_matrix(),
             tool=model.tool_transform.to_matrix(),
-            masses=np.array([link.mass for link in model.links]),
-            coms=np.stack([link.com for link in model.links]),
-            inertias=np.stack([link.inertia for link in model.links]),
+            **_body_arrays(model.links),
         )
+
+
+def _body_arrays(links) -> dict[str, np.ndarray]:
+    """The ``_ChainArrays`` fields that come from the link bodies."""
+    return {
+        "masses": np.array([link.mass for link in links]),
+        "coms": np.stack([link.com for link in links]),
+        "inertias": np.stack([link.inertia for link in links]),
+    }
 
 
 def _merge_bodies(m1, c1, i1, m2, c2, i2):

@@ -235,6 +235,7 @@ def _cmd_metrics_at(args) -> int:
     print(f"  |tau|^2      = {sc.tme_profile.values[k]:.6g}")
     print(f"  m_e          = {sc.tem_profile.values[k]:.6g}")
     print(f"  near_singular= {bool(sc.tem_profile.near_singular[k])}")
+    print(f"  unachievable = {bool(sc.tov_profile.near_singular[k])}")
     print(f"  unreachable  = {bool(sc.tov_profile.unreachable[k])}")
     print(f"scalars: H_tov={sc.h_tov:.6g} H_tme={sc.h_tme:.6g} H_tem={sc.h_tem:.6g}")
     return 0

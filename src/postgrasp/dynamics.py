@@ -20,7 +20,11 @@ object by expressing that triple in the gripper frame through the grasp
 transform and merging it into the last link (``attach_object``, through
 ``ChainModel.with_tool_body``; composition as in Featherstone ch. 2); the
 merged model serves RNEA for the torque objective and CRBA for the
-effective-mass objective (``operational_mass_inverse``).
+effective-mass objective (``operational_mass_inverse``).  Both recursions
+read the same world-origin link inertias, so each takes an ``inertias``
+argument: the caller builds them once per model and kinematic pass
+(``_spatial_inertias``; ``metrics.evaluate_grasp`` does, once per grasp),
+and a function builds its own when given None.
 ``augmented_mass_matrix`` is the independent cross-check: the arm's mass
 matrix plus the object's 6x6 inertia about the operational point pulled
 into joint space by the Jacobian, M + J^T M_obj J.  The two routes agree
@@ -54,7 +58,8 @@ def _check_state(model: ChainModel, kin: KinematicState) -> None:
 
 
 def _spatial_inertias(model: ChainModel, kin: KinematicState) -> np.ndarray:
-    """(..., n, 6, 6) link inertias referred to the world origin, world axes."""
+    """(..., n, 6, 6) link inertias referred to the world origin, world
+    axes, read-only."""
     c = model._constants
     rot = kin.rotations
     com_x = skew(kin.origins + (rot @ c.coms[:, :, None])[..., 0])
@@ -64,15 +69,19 @@ def _spatial_inertias(model: ChainModel, kin: KinematicState) -> np.ndarray:
     out[..., :3, 3:] = -m_com_x
     out[..., 3:, :3] = m_com_x
     out[..., 3:, 3:] = rot @ c.inertias @ rot.swapaxes(-1, -2) - m_com_x @ com_x
+    out.flags.writeable = False
     return out
 
 
-def mass_matrix(model: ChainModel, kin: KinematicState) -> np.ndarray:
+def mass_matrix(model: ChainModel, kin: KinematicState, inertias=None) -> np.ndarray:
     """Joint-space mass matrix by the composite-rigid-body method:
-    M_ij = s_i . C_j s_j for i <= j, with C_j the inertia of links j..n-1."""
+    M_ij = s_i . C_j s_j for i <= j, with C_j the inertia of links j..n-1.
+    ``inertias`` is ``_spatial_inertias(model, kin)``, built here when None."""
     _check_state(model, kin)
+    if inertias is None:
+        inertias = _spatial_inertias(model, kin)
     s = kin.motion
-    composite = np.flip(np.cumsum(np.flip(_spatial_inertias(model, kin), -3), axis=-3), -3)
+    composite = np.flip(np.cumsum(np.flip(inertias, -3), axis=-3), -3)
     sf = s @ (composite @ s[..., None])[..., 0].swapaxes(-1, -2)
     return np.where(np.tri(model.n, dtype=bool), sf.swapaxes(-1, -2), sf)
 
@@ -89,7 +98,7 @@ def _motion_cross(v: np.ndarray) -> np.ndarray:
 
 
 def inverse_dynamics(
-    model: ChainModel, kin: KinematicState, qdot, qddot, gravity=GRAVITY_DEFAULT
+    model: ChainModel, kin: KinematicState, qdot, qddot, gravity=GRAVITY_DEFAULT, inertias=None
 ) -> np.ndarray:
     """Joint torques by recursive Newton-Euler.
 
@@ -98,6 +107,7 @@ def inverse_dynamics(
     enters as a base acceleration of -g.  Joint i carries the sum of the
     link forces I_k a_k + v_k x* I_k v_k over links k >= i.  A grasped
     object enters through the model: attach it with ``attach_object``.
+    ``inertias`` is ``_spatial_inertias(model, kin)``, built here when None.
     """
     _check_state(model, kin)
     qd = _check_q(model, qdot)
@@ -115,8 +125,9 @@ def inverse_dynamics(
     vx = _motion_cross(v)
     a = np.cumsum(s * qdd[..., None] + (vx @ s_qd[..., None])[..., 0], axis=-2)
     a[..., :3] -= g
-    inertia = _spatial_inertias(model, kin)
-    f = inertia @ a[..., None] - vx.swapaxes(-1, -2) @ (inertia @ v[..., None])
+    if inertias is None:
+        inertias = _spatial_inertias(model, kin)
+    f = inertias @ a[..., None] - vx.swapaxes(-1, -2) @ (inertias @ v[..., None])
     carried = np.flip(np.cumsum(np.flip(f[..., 0], -2), axis=-2), -2)
     return np.einsum("...ij,...ij->...i", s, carried)
 
@@ -158,7 +169,7 @@ def augmented_mass_matrix(
     return _symmetrize(mass_matrix(model, kin) + jac.T @ mo_world @ jac)
 
 
-def operational_mass_inverse(model: ChainModel, kin: KinematicState) -> np.ndarray:
+def operational_mass_inverse(model: ChainModel, kin: KinematicState, inertias=None) -> np.ndarray:
     """Operational-space inverse inertia J M^-1 J^T at the operational point.
 
     A grasped object counts once it is attached to ``model``
@@ -167,9 +178,9 @@ def operational_mass_inverse(model: ChainModel, kin: KinematicState) -> np.ndarr
     Raises DegenerateModelError if the joint-space mass matrix itself is
     numerically singular at any configuration of the state: its condition
     number, the ratio of the extreme eigenvalue magnitudes of the symmetric
-    M, reaches ``CONDITION_LIMIT``.
+    M, reaches ``CONDITION_LIMIT``.  ``inertias`` goes to ``mass_matrix``.
     """
-    m = mass_matrix(model, kin)
+    m = mass_matrix(model, kin, inertias)
     eigs = np.abs(np.linalg.eigvalsh(m))
     if np.any(eigs.min(axis=-1) <= eigs.max(axis=-1) / CONDITION_LIMIT):
         raise DegenerateModelError(

@@ -1,5 +1,8 @@
 """SE(3) primitives: unit-quaternion rotations, rigid poses and the
-cross-product matrix.
+cross-product matrix.  The quaternion product and the rotation matrix are
+written once, on floats or arrays alike (``quaternion_product``,
+``quaternion_matrices``), so a whole trajectory composed on arrays matches
+``Rotation`` and ``Pose`` bit for bit.
 
 A ``Pose`` maps coordinates of its child frame into its parent frame,
 ``p_parent = R p_child + t``.  Spatial vectors are ordered
@@ -14,15 +17,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_LEVI_CIVITA = np.zeros((3, 3, 3))
-_LEVI_CIVITA[0, 1, 2] = _LEVI_CIVITA[1, 2, 0] = _LEVI_CIVITA[2, 0, 1] = 1.0
-_LEVI_CIVITA[0, 2, 1] = _LEVI_CIVITA[2, 1, 0] = _LEVI_CIVITA[1, 0, 2] = -1.0
-
 
 def skew(v) -> np.ndarray:
     """Cross-product matrices of (..., 3) vectors, ``skew(v) @ u == np.cross(v, u)``:
-    skew(v)[i, k] = eps_ijk v_j."""
-    return np.einsum("ijk,...j->...ik", _LEVI_CIVITA, np.asarray(v, dtype=float))
+    the six off-diagonal entries filled directly, the diagonal zero."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1] = -z
+    out[..., 0, 2] = y
+    out[..., 1, 0] = z
+    out[..., 1, 2] = -x
+    out[..., 2, 0] = -y
+    out[..., 2, 1] = x
+    return out
+
+
+def quaternion_product(a, b) -> tuple:
+    """Hamilton product a b of (w, x, y, z) quadruples whose entries are
+    floats or broadcastable arrays, not normalised."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _matrix_entries(w, x, y, z) -> tuple:
+    """The nine entries, row by row, of the rotation matrix of a unit
+    quaternion (w, x, y, z) whose entries are floats or arrays."""
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
+
+
+def quaternion_matrices(quats) -> np.ndarray:
+    """Rotation matrices, (..., 3, 3) and C-contiguous, of (..., 4) unit
+    quaternions (w, x, y, z)."""
+    quats = np.asarray(quats, dtype=float)
+    entries = _matrix_entries(*np.moveaxis(quats, -1, 0))
+    return np.stack(entries, axis=-1).reshape(quats.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -111,14 +150,7 @@ class Rotation:
         return np.array([self.w, self.x, self.y, self.z])
 
     def as_matrix(self) -> np.ndarray:
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        return np.array(_matrix_entries(self.w, self.x, self.y, self.z)).reshape(3, 3)
 
     def apply(self, v) -> np.ndarray:
         """Rotate a 3-vector."""
@@ -128,13 +160,8 @@ class Rotation:
         return Rotation(self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other: "Rotation") -> "Rotation":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
         return Rotation(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+            *quaternion_product((self.w, self.x, self.y, self.z), (other.w, other.x, other.y, other.z))
         )
 
     def log(self) -> np.ndarray:

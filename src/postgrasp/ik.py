@@ -7,10 +7,12 @@ one IK branch; joint velocities and accelerations are finite differences
 of the solved positions, so the energy metric reflects what the joint
 path actually does.
 
-Each iteration asks ``forward_kinematics`` and ``geometric_jacobian`` for
-the same iterate, and each waypoint starts at the previous waypoint's last
-iterate; both functions read the chain's memo of the last kinematic pass,
-so every distinct iterate is one pass.
+Each iteration asks ``geometric_jacobian`` for the accepted iterate, whose
+pose ``forward_kinematics`` gave when it was tried; both functions read the
+chain's memo of the last kinematic pass, so every distinct iterate is one
+pass.  A solve returns its last iterate's tool pose with the iterate, and
+the next waypoint starts from both, so the start of a waypoint asks for no
+pose.
 
 The pose error works on the quaternions' floats: it repeats
 ``(target.rotation * current.rotation.inverse()).log()`` operation for
@@ -109,16 +111,22 @@ def _converged(err: np.ndarray) -> bool:
     return _norm(err[:3]) <= POSITION_TOLERANCE and _norm(err[3:]) <= ORIENTATION_TOLERANCE
 
 
-def _solve(model, target, seed) -> tuple[np.ndarray, bool, int]:
-    """DLS from ``seed``: the last iterate, whether it meets the
-    tolerances, and the number of iterations (Jacobians) run."""
+def _solve(model, target, seed, current=None) -> tuple[np.ndarray, Pose, bool, int]:
+    """DLS from ``seed``: the last iterate, its tool pose, whether it meets
+    the tolerances, and the number of iterations (Jacobians) run.
+
+    ``current`` is the seed's tool pose when the caller has it: a seed that
+    is an earlier solve's iterate lies within the joint limits, so the
+    clamp below leaves it as it is."""
     lo, hi = model.limits_arrays()
     q = np.minimum(np.maximum(np.asarray(seed, dtype=float).reshape(model.n), lo), hi)
-    err = pose_error(target, forward_kinematics(model, q))
+    if current is None:
+        current = forward_kinematics(model, q)
+    err = pose_error(target, current)
     err_norms = [_norm(err)]
     for it in range(MAX_ITERATIONS):
         if _converged(err):
-            return q, True, it
+            return q, current, True, it
         jac = geometric_jacobian(model, q)
         dq = jac.T @ np.linalg.solve(jac @ jac.T + _DAMPING_EYE, err)
         norm = _norm(dq)
@@ -130,19 +138,20 @@ def _solve(model, target, seed) -> tuple[np.ndarray, bool, int]:
             q_new = q + dq
             np.maximum(q_new, lo, out=q_new)
             np.minimum(q_new, hi, out=q_new)
-            err_new = pose_error(target, forward_kinematics(model, q_new))
+            pose_new = forward_kinematics(model, q_new)
+            err_new = pose_error(target, pose_new)
             norm_new = _norm(err_new)
             if norm_new <= err_norms[-1] or _norm(dq) < 1e-12:
                 break
             dq = 0.5 * dq
-        q, err = q_new, err_new
+        q, current, err = q_new, pose_new, err_new
         err_norms.append(norm_new)
         if (
             len(err_norms) > STALL_WINDOW
             and err_norms[-1] > (1.0 - STALL_GAIN) * err_norms[-1 - STALL_WINDOW]
         ):
             break
-    return q, _converged(err), it + 1
+    return q, current, _converged(err), it + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +198,10 @@ def track_trajectory(model: ChainModel, trajectory: TaskTrajectory, seed=None) -
     """Track a gripper trajectory waypoint by waypoint.
 
     The first waypoint starts from ``seed`` (``default_seed`` when None);
-    each later one is seeded with the previous solution.  An unreachable
-    waypoint after the first is flagged (its best-effort iterate is kept so
-    the trajectory stays usable); an unreachable first waypoint makes the
-    whole grasp infeasible.
+    each later one is seeded with the previous solution and its tool pose.
+    An unreachable waypoint after the first is flagged (its best-effort
+    iterate is kept so the trajectory stays usable); an unreachable first
+    waypoint makes the whole grasp infeasible.
     """
     seed = default_seed(model) if seed is None else np.asarray(seed, dtype=float).reshape(-1)
     if seed.shape[0] != model.n:
@@ -202,12 +211,12 @@ def track_trajectory(model: ChainModel, trajectory: TaskTrajectory, seed=None) -
     n_wp = len(poses)
     positions = np.zeros((n_wp, model.n))
     reachable = np.ones(n_wp, dtype=bool)
-    q, ok, _ = _solve(model, poses[0], seed)
+    q, current, ok, _ = _solve(model, poses[0], seed)
     if not ok:
         raise GraspInfeasible("first trajectory waypoint is unreachable")
     positions[0] = q
     for i in range(1, n_wp):
-        q, ok, _ = _solve(model, poses[i], q)
+        q, current, ok, _ = _solve(model, poses[i], q, current)
         positions[i] = q
         reachable[i] = ok
     vel, acc = _fd_derivatives(trajectory.times, positions)

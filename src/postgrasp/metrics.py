@@ -1,9 +1,11 @@
 """The three path objectives evaluated along a tracked trajectory.
 
-A task's grasps share one resampled trajectory and one quadrature grid
-(``evaluate_task``).  Per grasp, the pipeline is: compose the gripper
-trajectory, track it in joint space, then run one batched kinematic pass
-over the whole joint path and compute every waypoint's value at once:
+A task's grasps share one resampled trajectory, with its pose arrays, and
+one quadrature grid (``evaluate_task``).  Per grasp, the pipeline is:
+compose the gripper trajectory on those arrays, track it in joint space,
+then run one batched kinematic pass over the whole joint path, build the
+object-carrying model's link inertias on it once for both dynamics
+objectives, and compute every waypoint's value at once:
 
 * directional velocity manipulability a^2 along the motion direction
   (maximize its path integral),
@@ -21,7 +23,6 @@ NaNs so whole-trajectory integrals stay finite and comparable.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,11 +31,11 @@ import numpy as np
 from .chain import ChainModel, KinematicState, link_frames_axes
 from .dynamics import (
     GRAVITY_DEFAULT,
+    _spatial_inertias,
     attach_object,
     inverse_dynamics,
     operational_mass_inverse,
 )
-from .geometry import Pose
 from .ik import GraspInfeasible, JointTrajectory, track_trajectory
 from .task import (
     GraspCandidate,
@@ -179,13 +180,6 @@ def _fill_tangents(raw: np.ndarray) -> np.ndarray:
     return raw[source] / norms[source, None]
 
 
-def _twist_tangents(poses: Sequence[Pose]) -> np.ndarray:
-    """Full 6D unit motion directions between consecutive gripper poses."""
-    translations = np.array([p.translation for p in poses])
-    quats = np.array([p.rotation.quat for p in poses])
-    return _fill_tangents(_segment_deltas(translations, quats))
-
-
 def _translation_tangents(translations: np.ndarray) -> np.ndarray:
     """Unit translation directions of (m, 3) waypoints, padded with a zero
     angular part."""
@@ -196,16 +190,15 @@ def _translation_tangents(translations: np.ndarray) -> np.ndarray:
 def tov(
     kins: KinematicState,
     joint_traj: JointTrajectory,
-    gripper_poses: Sequence[Pose],
+    gripper: TaskTrajectory,
     s: np.ndarray,
 ) -> MetricProfile:
     """Task-oriented velocity manipulability profile: a^2 along the 6D
-    motion direction at every waypoint, integrated over s.  ``kins`` is the
-    kinematic pass over the joint path (``link_frames_axes`` at
-    ``joint_traj.positions``)."""
-    values, unachievable = _directional_manipulability(
-        kins.jacobian, _twist_tangents(gripper_poses)
-    )
+    motion direction between consecutive gripper poses at every waypoint,
+    integrated over s.  ``kins`` is the kinematic pass over the joint path
+    (``link_frames_axes`` at ``joint_traj.positions``)."""
+    tangents = _fill_tangents(_segment_deltas(gripper.translations, gripper.quaternions))
+    values, unachievable = _directional_manipulability(kins.jacobian, tangents)
     return MetricProfile.from_samples(values, s, unachievable, ~joint_traj.reachable)
 
 
@@ -215,12 +208,14 @@ def torque_effort(
     joint_traj: JointTrajectory,
     s: np.ndarray,
     gravity=GRAVITY_DEFAULT,
+    inertias=None,
 ) -> MetricProfile:
     """Squared joint-torque norm per waypoint, integrated over s.  The
     grasped object counts once ``model`` carries it (``attach_object``);
-    ``kins`` is the kinematic pass over the joint path."""
+    ``kins`` is the kinematic pass over the joint path and ``inertias``
+    goes to ``inverse_dynamics``."""
     tau = inverse_dynamics(
-        model, kins, joint_traj.velocities, joint_traj.accelerations, gravity=gravity
+        model, kins, joint_traj.velocities, joint_traj.accelerations, gravity, inertias
     )
     values = np.einsum("ij,ij->i", tau, tau)
     return MetricProfile.from_samples(values, s, unreachable=~joint_traj.reachable)
@@ -243,19 +238,21 @@ def tem(
     model: ChainModel,
     kins: KinematicState,
     joint_traj: JointTrajectory,
-    gripper_poses: Sequence[Pose],
+    gripper: TaskTrajectory,
     s: np.ndarray,
+    inertias=None,
 ) -> MetricProfile:
     """Effective-mass profile along the motion direction, integrated over s.
 
     Collisions are modeled as point impacts on the translating end
-    effector, so the direction is the unit translation tangent with zero
-    angular part.  The grasped object counts once ``model`` carries it
-    (``attach_object``); ``kins`` is the kinematic pass over the joint path.
+    effector, so the direction is the unit translation tangent of the
+    gripper path with zero angular part.  The grasped object counts once
+    ``model`` carries it (``attach_object``); ``kins`` is the kinematic
+    pass over the joint path and ``inertias`` goes to
+    ``operational_mass_inverse``.
     """
-    tangents = _translation_tangents(np.array([p.translation for p in gripper_poses]))
     values, near_singular = directional_effective_mass(
-        operational_mass_inverse(model, kins), tangents
+        operational_mass_inverse(model, kins, inertias), _translation_tangents(gripper.translations)
     )
     return MetricProfile.from_samples(values, s, near_singular, ~joint_traj.reachable)
 
@@ -285,12 +282,14 @@ def evaluate_grasp(
         return GraspScorecard(grasp_id=grasp.id, feasible=False)
     # one batched kinematic pass over the joint path serves all three
     # objectives; the object-carrying model shares it, as only its last
-    # link's inertia differs
+    # link's inertia differs, and its link inertias on that pass serve
+    # both RNEA and CRBA
     kins = link_frames_axes(model, joint_traj.positions)
     loaded = attach_object(model, grasp, obj)
-    tov_profile = tov(kins, joint_traj, gripper.poses, s)
-    tme_profile = torque_effort(loaded, kins, joint_traj, s, gravity=gravity)
-    tem_profile = tem(loaded, kins, joint_traj, gripper.poses, s)
+    inertias = _spatial_inertias(loaded, kins)
+    tov_profile = tov(kins, joint_traj, gripper, s)
+    tme_profile = torque_effort(loaded, kins, joint_traj, s, gravity, inertias)
+    tem_profile = tem(loaded, kins, joint_traj, gripper, s, inertias)
     return GraspScorecard(
         grasp_id=grasp.id,
         feasible=True,

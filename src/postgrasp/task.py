@@ -4,16 +4,21 @@ A task prescribes a timed sequence of object-CoM poses; a grasp candidate
 is a fixed object-to-gripper transform.  Composing the two yields the
 gripper trajectory the arm must track, and the normalized arc length of
 the object path provides the integration variable for all path metrics.
+
+A trajectory stacks its quaternions, rotation matrices and translations
+into read-only arrays once, when it is built.  Every grasp of a task is
+composed on the object trajectory's arrays (``gripper_trajectory``), and
+the path metrics read the gripper trajectory's arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain import validate_inertia_tensor
-from .geometry import Pose
+from .geometry import Pose, Rotation, quaternion_matrices, quaternion_product
 
 START_TIME_TOLERANCE = 1e-9  # s, on the first waypoint's time
 
@@ -21,10 +26,15 @@ START_TIME_TOLERANCE = 1e-9  # s, on the first waypoint's time
 @dataclass(frozen=True, eq=False)
 class TaskTrajectory:
     """Pose waypoints (of the object CoM, or of the gripper once a grasp is
-    composed in) at strictly increasing times starting at 0."""
+    composed in) at strictly increasing times starting at 0, with the
+    poses' unit quaternions (w, x, y, z), rotation matrices and
+    translations as read-only arrays."""
 
     poses: tuple[Pose, ...]
     times: np.ndarray
+    quaternions: np.ndarray = field(init=False, repr=False)  # (m, 4)
+    rotation_matrices: np.ndarray = field(init=False, repr=False)  # (m, 3, 3)
+    translations: np.ndarray = field(init=False, repr=False)  # (m, 3)
 
     def __post_init__(self):
         object.__setattr__(self, "poses", tuple(self.poses))
@@ -37,8 +47,16 @@ class TaskTrajectory:
             raise ValueError("trajectory must start at t = 0")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("waypoint times must be strictly increasing")
-        t.flags.writeable = False
-        object.__setattr__(self, "times", t)
+        quats = np.array([(p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z) for p in self.poses])
+        arrays = {
+            "times": t,
+            "quaternions": quats,
+            "rotation_matrices": quaternion_matrices(quats),
+            "translations": np.array([p.translation for p in self.poses]),
+        }
+        for name, value in arrays.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.poses)
@@ -91,8 +109,21 @@ class TaskSpec:
 
 def gripper_trajectory(task: TaskTrajectory, grasp: GraspCandidate) -> TaskTrajectory:
     """Pointwise composition of the object poses with the grasp transform,
-    on the task's times."""
-    return TaskTrajectory(tuple(p.compose(grasp.transform) for p in task.poses), task.times)
+    on the task's times: ``p.compose(grasp.transform)`` per waypoint, bit
+    for bit, computed on the task's arrays.
+
+    Each rotation is built from the raw quaternion product, so it is
+    normalised once, as ``Rotation.__mul__`` does; each translation is
+    t + R t_grasp by the same matrix-vector product as ``Rotation.apply``.
+    """
+    g = grasp.transform
+    r = g.rotation
+    products = quaternion_product(task.quaternions.T, (r.w, r.x, r.y, r.z))
+    translations = task.translations + task.rotation_matrices @ g.translation
+    poses = tuple(
+        Pose(Rotation(*q), t) for q, t in zip(np.stack(products, axis=1).tolist(), translations)
+    )
+    return TaskTrajectory(poses, task.times)
 
 
 def path_parameter(task: TaskTrajectory) -> np.ndarray:
@@ -101,8 +132,7 @@ def path_parameter(task: TaskTrajectory) -> np.ndarray:
     A zero-length (stationary) path degenerates to a uniform grid so that
     quadrature weights stay well defined.
     """
-    pts = np.array([p.translation for p in task.poses])
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    seg = np.linalg.norm(np.diff(task.translations, axis=0), axis=1)
     total = float(seg.sum())
     n = len(task)
     if total < 1e-12:

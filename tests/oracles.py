@@ -4,6 +4,10 @@ The 2R kinematics and dynamics are hand-derived textbook expressions for
 the smallest nontrivial system, and the Pareto scan is a direct pairwise
 dominance check; neither shares code with the production modules.
 
+``levi_civita_skew`` is the cross-product matrix as the contraction
+eps_ijk v_j, the form ``geometry.skew`` had before it filled the entries
+directly.
+
 The rest builds on production functions, so it checks only the logic it
 adds.  ``rotation_pose_error`` is the IK pose error on ``Rotation`` objects
 and ``loop_fd_derivatives`` the finite differences one waypoint at a time,
@@ -163,6 +167,14 @@ def finite_difference_jacobian(f, x, h: float = 1e-7) -> np.ndarray:
         dx[k] = h
         jac[:, k] = (np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2.0 * h)
     return jac
+
+
+def levi_civita_skew(v) -> np.ndarray:
+    """Cross-product matrices of (..., 3) vectors: skew(v)[i, k] = eps_ijk v_j."""
+    eps = np.zeros((3, 3, 3))
+    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
+    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+    return np.einsum("ijk,...j->...ik", eps, np.asarray(v, dtype=float))
 
 
 def cuboid_inertia(mass: float, dims) -> np.ndarray:

@@ -1,6 +1,6 @@
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -231,6 +231,16 @@ class TestToolBodyMerge:
             assert abs(link.mass - (m1 + m2)) <= 1e-12
             assert np.abs(link.com - (m1 * c1 + m2 * c2) / (m1 + m2)).max() <= 1e-12
             assert np.abs(link.inertia - expected).max() <= 1e-12
+
+
+    def test_attached_constants_equal_a_fresh_build(self, arm7):
+        # with_tool_body carries the joint arrays over; every field must
+        # equal the build from the attached model's own specs
+        attached = arm7.with_tool_body(0.4, np.array([0.01, -0.02, 0.1]), np.diag([2e-3, 9.7e-3, 9.1e-3]))
+        fresh = chain._ChainArrays.of(attached)
+        for f in fields(chain._ChainArrays):
+            got, want = getattr(attached._constants, f.name), getattr(fresh, f.name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
 
 
 class TestValidation:

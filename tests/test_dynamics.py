@@ -18,6 +18,7 @@ from postgrasp import (
     operational_mass_inverse,
 )
 from postgrasp.chain import link_frames_axes
+from postgrasp.dynamics import _spatial_inertias
 
 from oracles import (
     TwoRParams,
@@ -336,6 +337,26 @@ class TestAugmentedDynamics:
             m_aug = augmented_mass_matrix(stripped, q, grasp, body)
             m_ref = mass_matrix(arm7, link_frames_axes(arm7, q))
             assert np.abs(m_aug - m_ref).max() / np.abs(m_ref).max() <= 1e-8
+
+
+class TestSharedInertias:
+    def test_one_build_serves_rnea_and_crba_bit_for_bit(self, arm7, rng):
+        # the pipeline builds the object-carrying model's link inertias
+        # once per grasp; both recursions must give what they give on
+        # their own build
+        obj = RigidObject(mass=0.4, inertia=cuboid_inertia(0.4, (0.5, 0.15, 0.2)))
+        grasp = GraspCandidate("g", Pose(Rotation.from_axis_angle((1.0, 2.0, 3.0), 0.7), np.array([0.0, 0.1, 0.1])))
+        loaded = attach_object(arm7, grasp, obj)
+        kin = link_frames_axes(arm7, rng.uniform(-1.5, 1.5, (20, 7)))
+        qd, qdd = rng.uniform(-1.0, 1.0, (2, 20, 7))
+        shared = _spatial_inertias(loaded, kin)
+        pairs = (
+            (inverse_dynamics(loaded, kin, qd, qdd, inertias=shared), inverse_dynamics(loaded, kin, qd, qdd)),
+            (mass_matrix(loaded, kin, shared), mass_matrix(loaded, kin)),
+            (operational_mass_inverse(loaded, kin, shared), operational_mass_inverse(loaded, kin)),
+        )
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOperationalMassInverse:

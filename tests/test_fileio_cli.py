@@ -377,6 +377,34 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "tov a^2" in out
         assert "m_e" in out
+        # a 7-joint arm can move its gripper in any direction
+        assert "  unachievable = False\n" in out
+
+    def test_metrics_at_prints_the_unachievable_direction_flag(self, tmp_path, capsys, planar_rr):
+        # the planar arm holds its first waypoint, but the path then lifts
+        # out of the arm's plane: at waypoint 0 tov's direction is
+        # unachievable and tem's is near-singular
+        pose = forward_kinematics(planar_rr, [0.3, 0.9])
+        start = {"translation": pose.translation.tolist(), "quaternion": pose.rotation.quat.tolist()}
+        lifted = dict(start, translation=(pose.translation + [0.0, 0.0, 0.1]).tolist())
+        task = {
+            "schema_version": 1,
+            "name": "lift",
+            "total_time_s": 1.0,
+            "gravity": [0.0, -9.81, 0.0],
+            "object": {"mass": 0.5, "inertia": [0.0] * 6},
+            "object_waypoints": [dict(start, t=0.0), dict(lifted, t=1.0)],
+            "grasps": [{"id": "g", "translation": [0.0, 0.0, 0.0], "quaternion": [1.0, 0.0, 0.0, 0.0]}],
+            "resample_count": 5,
+            "ik_seed": [0.3, 0.9],
+        }
+        path = tmp_path / "lift.json"
+        path.write_text(json.dumps(task))
+        argv = ["metrics-at", "--robot", str(reference_robot_path("planar_rr")), "--task", str(path)]
+        assert main(argv + ["--grasp", "g", "--waypoint", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["  s            = 0", "  tov a^2      = 0"]
+        assert lines[5:8] == ["  near_singular= True", "  unachievable = True", "  unreachable  = False"]
 
     def test_pareto_verb(self, tmp_path, capsys):
         cards = [

@@ -4,6 +4,8 @@ import pytest
 from postgrasp import Pose, Rotation
 from postgrasp.geometry import skew
 
+from oracles import levi_civita_skew
+
 
 def random_rotation(rng) -> Rotation:
     return Rotation.from_axis_angle(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
@@ -120,3 +122,11 @@ def test_skew_is_the_batched_cross_product(rng):
     assert skew(v).shape == (4, 2, 3, 3)
     assert np.abs((skew(v) @ u[..., None])[..., 0] - np.cross(v, u)).max() <= 1e-15
     assert np.array_equal(skew(v[1, 0]), skew(v)[1, 0])
+
+
+def test_skew_equals_the_levi_civita_contraction(rng):
+    # values only: a zero component may come out as -0.0 on one side
+    v = rng.normal(size=(100, 7, 3))
+    v[::3, :, 1] = 0.0
+    assert np.all(skew(v) == levi_civita_skew(v))
+    assert np.all(skew(v[0, 0]) == levi_civita_skew(v[0, 0]))

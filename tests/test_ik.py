@@ -8,8 +8,13 @@ from postgrasp import (
     TaskTrajectory,
     forward_kinematics,
     geometric_jacobian,
+    gripper_trajectory,
+    load_task,
+    reference_task_path,
+    resample,
     track_trajectory,
 )
+from postgrasp import ik
 from postgrasp.ik import (
     ORIENTATION_TOLERANCE,
     POSITION_TOLERANCE,
@@ -30,7 +35,7 @@ class TestSolveWaypoint:
     def test_already_solved_returns_seed(self, two_r_model, rng):
         seed = rng.uniform(-1.0, 1.0, 2)
         target = forward_kinematics(two_r_model, seed)
-        q, ok, _ = _solve(two_r_model, target, seed)
+        q, _, ok, _ = _solve(two_r_model, target, seed)
         assert ok
         assert np.array_equal(q, seed)
 
@@ -40,7 +45,7 @@ class TestSolveWaypoint:
         for q1, q2 in branches:
             target = forward_kinematics(two_r_model, [q1, q2])
             seed = np.array([q1, q2]) + 0.3
-            q, ok, _ = _solve(two_r_model, target, seed)
+            q, _, ok, _ = _solve(two_r_model, target, seed)
             assert ok
             assert np.abs(q - np.array([q1, q2])).max() <= 1e-5
 
@@ -48,7 +53,7 @@ class TestSolveWaypoint:
         seed = default_seed(arm7)
         q0 = rng.uniform(-1.0, 1.0, 7)
         target = forward_kinematics(arm7, q0)
-        q, ok, _ = _solve(arm7, target, q0 + 0.15)
+        q, _, ok, _ = _solve(arm7, target, q0 + 0.15)
         assert ok
         err = pose_error(target, forward_kinematics(arm7, q))
         assert np.linalg.norm(err[:3]) <= POSITION_TOLERANCE
@@ -56,7 +61,7 @@ class TestSolveWaypoint:
 
     def test_out_of_reach_raises(self, two_r_model):
         target = Pose.from_translation((3.0, 0.0, 0.0))  # beyond l1 + l2
-        _, ok, _ = _solve(two_r_model, target, np.array([0.3, 0.3]))
+        _, _, ok, _ = _solve(two_r_model, target, np.array([0.3, 0.3]))
         assert not ok
 
     def test_converged_solves_match_reference_dls(self, arm7, two_r_model, rng):
@@ -69,7 +74,7 @@ class TestSolveWaypoint:
                 seed = q0 + rng.uniform(-0.15, 0.15, model.n)
                 cases.append((model, forward_kinematics(model, q0), seed))
         for model, target, seed in cases:
-            q, ok, _ = _solve(model, target, seed)
+            q, _, ok, _ = _solve(model, target, seed)
             q_ref, ok_ref = reference_dls(model, target, seed)
             assert ok_ref
             assert ok == ok_ref
@@ -84,7 +89,7 @@ class TestSolveWaypoint:
 
         monkeypatch.setattr("postgrasp.ik.geometric_jacobian", counting_jacobian)
         target = Pose.from_translation((3.0, 0.0, 0.0))  # beyond l1 + l2
-        _, ok, iterations = _solve(two_r_model, target, np.array([0.3, 0.3]))
+        _, _, ok, iterations = _solve(two_r_model, target, np.array([0.3, 0.3]))
         assert not ok
         assert iterations == len(jacobians) < 50
 
@@ -113,6 +118,21 @@ class TestTrackTrajectory:
         assert traj.reachable.all()
         steps = np.abs(np.diff(traj.positions, axis=0)).max(axis=1)
         assert steps.max() < 0.2
+
+    def test_carried_pose_gives_the_joint_path_of_a_fresh_pass(self, arm7, monkeypatch):
+        # each waypoint starts from the previous solve's iterate and tool
+        # pose; asking forward kinematics again at that iterate instead must
+        # give the same joint path bit for bit
+        spec = load_task(reference_task_path("task1"))
+        task = resample(spec.trajectory, spec.resample_count)
+        grippers = [gripper_trajectory(task, g) for g in spec.grasps]
+        carried = [track_trajectory(arm7, g, spec.ik_seed) for g in grippers]
+        solve = ik._solve
+        monkeypatch.setattr(ik, "_solve", lambda model, target, seed, current=None: solve(model, target, seed))
+        for gripper, got in zip(grippers, carried):
+            want = track_trajectory(arm7, gripper, spec.ik_seed)
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert np.array_equal(got.reachable, want.reachable)
 
     def test_reconstruction_within_tolerance(self, arm7, rng):
         qs = np.linspace(rng.uniform(-0.8, 0.8, 7), rng.uniform(-0.8, 0.8, 7), 15)

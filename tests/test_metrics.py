@@ -138,7 +138,7 @@ class TestTov:
         traj = track_trajectory(
             two_r_model, task, traj_seed(task, two_r_params)
         )
-        profile = tov(passes(two_r_model, traj), traj, poses, s)
+        profile = tov(passes(two_r_model, traj), traj, task, s)
         assert profile.values.min() > 0.0
         # oracle: secant tangents + closed-form Jacobian + SVD route
         oracle_vals = []
@@ -160,9 +160,8 @@ class TestTov:
         qs = np.linspace([0.3, 0.9], [1.0, 0.5], 12)
         task = joint_path_task(two_r_model, qs)
         s = path_parameter(task)
-        poses = list(task.poses)
         traj = track_trajectory(two_r_model, task, qs[0])
-        profile = tov(passes(two_r_model, traj), traj, poses, s)
+        profile = tov(passes(two_r_model, traj), traj, task, s)
         manual = 0.0
         for i in range(len(s) - 1):
             manual += 0.5 * (profile.values[i] + profile.values[i + 1]) * (s[i + 1] - s[i])
@@ -176,9 +175,8 @@ class TestTov:
                 x, y = center + radius * np.array([np.cos(theta), np.sin(theta)])
                 qs.append(min(two_r_ik(two_r_params, x, y), key=lambda b: abs(b[1] - 1.0)))
             task = joint_path_task(two_r_model, np.array(qs))
-            poses = list(task.poses)
             traj = track_trajectory(two_r_model, task, np.array(qs[0]))
-            return tov(passes(two_r_model, traj), traj, poses, path_parameter(task)).integral
+            return tov(passes(two_r_model, traj), traj, task, path_parameter(task)).integral
 
         coarse, fine = h_tov(50), h_tov(100)
         assert abs(fine - coarse) / abs(fine) < 0.01
@@ -186,12 +184,11 @@ class TestTov:
     def test_zero_motion_raises(self, two_r_model):
         pose = forward_kinematics(two_r_model, [0.4, 0.8])
         task = TaskTrajectory((pose, pose, pose), np.array([0.0, 0.5, 1.0]))
-        poses = list(task.poses)
         traj = track_trajectory(
             two_r_model, task, np.array([0.4, 0.8])
         )
         with pytest.raises(ZeroMotionError):
-            tov(passes(two_r_model, traj), traj, poses, path_parameter(task))
+            tov(passes(two_r_model, traj), traj, task, path_parameter(task))
 
 
 def traj_seed(task, params):
@@ -375,7 +372,7 @@ class TestTem:
         traj = track_trajectory(model, task, np.zeros(1))
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
-        profile = tem(loaded, passes(model, traj), traj, poses, path_parameter(task))
+        profile = tem(loaded, passes(model, traj), traj, task, path_parameter(task))
         assert np.abs(profile.values - 2.4).max() <= 1e-9
         assert abs(profile.integral - 2.4) <= 1e-9
 
@@ -396,7 +393,7 @@ class TestTem:
                 loaded,
                 passes(two_r_model, traj),
                 traj,
-                list(task.poses),
+                task,
                 path_parameter(task),
             )
 
@@ -420,7 +417,7 @@ class TestTem:
         obj = RigidObject(mass=0.5, inertia=np.zeros((3, 3)))
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         with pytest.raises(DegenerateModelError, match="numerically singular"):
-            tem(loaded, passes(model, traj), traj, list(task.poses), path_parameter(task))
+            tem(loaded, passes(model, traj), traj, task, path_parameter(task))
 
 
 class TestEvaluateGrasp:
@@ -496,6 +493,32 @@ class TestEvaluateGrasp:
             assert first[gid].h_tov == second[gid].h_tov
             assert first[gid].h_tme == second[gid].h_tme
             assert first[gid].h_tem == second[gid].h_tem
+
+    def test_scoring_invariants_are_built_once(self, monkeypatch):
+        # object frames once per task, link inertias once per grasp, and
+        # the attached model's constants derived from the robot's
+        from postgrasp import chain, dynamics, load_robot, load_task, metrics
+        from postgrasp import reference_robot_path, reference_task_path
+
+        model = load_robot(reference_robot_path("arm7"))
+        model.limits_arrays()  # the robot's own constants, built before counting
+        calls = {"compose": 0, "inertias": 0, "constants": 0}
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(Pose, "compose", counting("compose", Pose.compose))
+        inertias = counting("inertias", dynamics._spatial_inertias)
+        monkeypatch.setattr(dynamics, "_spatial_inertias", inertias)
+        monkeypatch.setattr(metrics, "_spatial_inertias", inertias)
+        monkeypatch.setattr(chain._ChainArrays, "of", classmethod(counting("constants", chain._ChainArrays.of.__func__)))
+        cards = evaluate_task(model, load_task(reference_task_path("task1")))
+        assert calls == {"compose": 0, "inertias": sum(c.feasible for c in cards), "constants": 0}
+        assert calls["inertias"] == len(cards)
 
     def test_index_quadrature_mode(self, two_r_model):
         task, q0 = self._task_and_grasp(two_r_model)

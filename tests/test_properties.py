@@ -241,7 +241,7 @@ def test_converged_solves_match_reference_dls_on_random_chains(case):
     # a solve that meets the tolerances ran no stall check that stopped it,
     # so it must run the reference loop's iterates bit for bit
     model, target, seed = case
-    q, ok, _ = _solve(model, target, seed)
+    q, _, ok, _ = _solve(model, target, seed)
     assume(ok)
     q_ref, ok_ref = reference_dls(model, target, seed)
     assert ok_ref

@@ -12,6 +12,7 @@ from postgrasp import (
     path_parameter,
     resample,
 )
+from postgrasp.geometry import quaternion_product
 
 
 def translation_task(points, total_time=1.0):
@@ -27,6 +28,16 @@ class TestTaskTrajectory:
     def test_requires_start_at_zero(self):
         with pytest.raises(ValueError):
             TaskTrajectory((Pose.identity(), Pose.identity()), np.array([0.5, 1.0]))
+
+    def test_pose_arrays_are_read_only_stacks_of_the_poses(self, rng):
+        poses = tuple(Pose(Rotation.from_quat(rng.normal(size=4)), rng.normal(size=3)) for _ in range(5))
+        task = TaskTrajectory(poses, np.linspace(0.0, 1.0, 5))
+        assert task.quaternions.tobytes() == np.array([p.rotation.quat for p in poses]).tobytes()
+        assert task.rotation_matrices.tobytes() == np.array([p.rotation.as_matrix() for p in poses]).tobytes()
+        assert task.translations.tobytes() == np.array([p.translation for p in poses]).tobytes()
+        for array in (task.quaternions, task.rotation_matrices, task.translations):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError):
@@ -81,6 +92,27 @@ class TestGripperTrajectory:
             obj_step = np.linalg.norm(pts[i + 1] - pts[i])
             grip_step = np.linalg.norm(out.poses[i + 1].translation - out.poses[i].translation)
             assert abs(obj_step - grip_step) <= 1e-12
+
+
+    def test_matches_pose_compose_bit_for_bit(self, rng):
+        # composition on the task's arrays gives per waypoint exactly what
+        # Pose.compose gives, including where the raw quaternion product
+        # has w < 0 and Rotation flips its sign
+        poses = tuple(Pose(Rotation.from_quat(rng.normal(size=4)), rng.normal(size=3)) for _ in range(64))
+        task = TaskTrajectory(poses, np.linspace(0.0, 1.0, 64))
+        flips = 0
+        for _ in range(8):
+            grasp = GraspCandidate("g", Pose(Rotation.from_quat(rng.normal(size=4)), rng.normal(size=3)))
+            g = grasp.transform.rotation
+            flips += int(np.sum(quaternion_product(task.quaternions.T, (g.w, g.x, g.y, g.z))[0] < 0.0))
+            out = gripper_trajectory(task, grasp)
+            want = [p.compose(grasp.transform) for p in poses]
+            assert out.quaternions.tobytes() == np.array([p.rotation.quat for p in want]).tobytes()
+            assert out.translations.tobytes() == np.array([p.translation for p in want]).tobytes()
+            for got, expected in zip(out.poses, want):
+                assert got.rotation.quat.tobytes() == expected.rotation.quat.tobytes()
+                assert got.translation.tobytes() == expected.translation.tobytes()
+        assert flips > 0
 
 
 class TestPathParameter:
