@@ -15,6 +15,7 @@ from .dynamics import (
     attach_object,
     augmented_mass_matrix,
     inverse_dynamics,
+    link_inertias,
     mass_matrix,
     operational_mass_inverse,
 )

@@ -14,17 +14,16 @@ Dynamics Algorithms*, 2008, ch. 5-6).
 
 A rigid body is given by its mass, its CoM and its 3x3 inertia about the
 CoM, from the task file (``task.RigidObject``) and the robot file
-(``chain.LinkSpec``) through to these recursions, which build each link's
-6x6 world-origin inertia on the fly.  The pipeline attaches a grasped
-object by expressing that triple in the gripper frame through the grasp
-transform and merging it into the last link (``attach_object``, through
-``ChainModel.with_tool_body``; composition as in Featherstone ch. 2); the
-merged model serves RNEA for the torque objective and CRBA for the
-effective-mass objective (``operational_mass_inverse``).  Both recursions
-read the same world-origin link inertias, so each takes an ``inertias``
-argument: the caller builds them once per model and kinematic pass
-(``_spatial_inertias``; ``metrics.evaluate_grasp`` does, once per grasp),
-and a function builds its own when given None.
+(``chain.LinkSpec``) through to ``link_inertias``, the one place that reads
+a model's bodies: it turns them into each link's 6x6 world-origin inertia
+on a kinematic pass.  The recursions take that pass and those inertias and
+no model, so the inertial parameters are their explicit, linear input.  The
+pipeline attaches a grasped object by expressing that triple in the
+gripper frame through the grasp transform and merging it into the last
+link (``attach_object``, through ``ChainModel.with_tool_body``; composition
+as in Featherstone ch. 2); the merged model's link inertias, built once per
+grasp (``metrics.evaluate_grasp``), serve RNEA for the torque objective and
+CRBA for the effective-mass objective (``operational_mass_inverse``).
 ``augmented_mass_matrix`` is the independent cross-check: the arm's mass
 matrix plus the object's 6x6 inertia about the operational point pulled
 into joint space by the Jacobian, M + J^T M_obj J.  The two routes agree
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainModel, KinematicState, _check_q, link_frames_axes
+from .chain import ChainModel, KinematicState, link_frames_axes
 from .geometry import skew
 from .task import GraspCandidate, RigidObject
 
@@ -52,14 +51,12 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def _check_state(model: ChainModel, kin: KinematicState) -> None:
+def link_inertias(model: ChainModel, kin: KinematicState) -> np.ndarray:
+    """(..., n, 6, 6) inertias of ``model``'s links on the pass ``kin``,
+    referred to the world origin, world axes, read-only: the input of
+    ``mass_matrix``, ``inverse_dynamics`` and ``operational_mass_inverse``."""
     if kin.n != model.n:
         raise ValueError(f"kinematic state has {kin.n} joints, model has {model.n}")
-
-
-def _spatial_inertias(model: ChainModel, kin: KinematicState) -> np.ndarray:
-    """(..., n, 6, 6) link inertias referred to the world origin, world
-    axes, read-only."""
     c = model._constants
     rot = kin.rotations
     com_x = skew(kin.origins + (rot @ c.coms[:, :, None])[..., 0])
@@ -73,17 +70,23 @@ def _spatial_inertias(model: ChainModel, kin: KinematicState) -> np.ndarray:
     return out
 
 
-def mass_matrix(model: ChainModel, kin: KinematicState, inertias=None) -> np.ndarray:
+def _check_inertias(kin: KinematicState, inertias: np.ndarray) -> None:
+    if inertias.shape != kin.motion.shape + (6,):
+        raise ValueError(
+            f"link inertias of shape {inertias.shape} do not fit the kinematic "
+            f"state's {kin.motion.shape + (6,)}"
+        )
+
+
+def mass_matrix(kin: KinematicState, inertias: np.ndarray) -> np.ndarray:
     """Joint-space mass matrix by the composite-rigid-body method:
-    M_ij = s_i . C_j s_j for i <= j, with C_j the inertia of links j..n-1.
-    ``inertias`` is ``_spatial_inertias(model, kin)``, built here when None."""
-    _check_state(model, kin)
-    if inertias is None:
-        inertias = _spatial_inertias(model, kin)
+    M_ij = s_i . C_j s_j for i <= j, with C_j the inertia of links j..n-1
+    (``inertias`` is ``link_inertias`` on ``kin``)."""
+    _check_inertias(kin, inertias)
     s = kin.motion
     composite = np.flip(np.cumsum(np.flip(inertias, -3), axis=-3), -3)
     sf = s @ (composite @ s[..., None])[..., 0].swapaxes(-1, -2)
-    return np.where(np.tri(model.n, dtype=bool), sf.swapaxes(-1, -2), sf)
+    return np.where(np.tri(kin.n, dtype=bool), sf.swapaxes(-1, -2), sf)
 
 
 def _motion_cross(v: np.ndarray) -> np.ndarray:
@@ -98,7 +101,7 @@ def _motion_cross(v: np.ndarray) -> np.ndarray:
 
 
 def inverse_dynamics(
-    model: ChainModel, kin: KinematicState, qdot, qddot, gravity=GRAVITY_DEFAULT, inertias=None
+    kin: KinematicState, inertias: np.ndarray, qdot, qddot, gravity=GRAVITY_DEFAULT
 ) -> np.ndarray:
     """Joint torques by recursive Newton-Euler.
 
@@ -106,12 +109,12 @@ def inverse_dynamics(
     acceleration the sum of s_k qdd_k + v_k x s_k qd_k; uniform gravity
     enters as a base acceleration of -g.  Joint i carries the sum of the
     link forces I_k a_k + v_k x* I_k v_k over links k >= i.  A grasped
-    object enters through the model: attach it with ``attach_object``.
-    ``inertias`` is ``_spatial_inertias(model, kin)``, built here when None.
+    object enters through the inertias: build them with ``link_inertias``
+    on the model ``attach_object`` returns.
     """
-    _check_state(model, kin)
-    qd = _check_q(model, qdot)
-    qdd = _check_q(model, qddot)
+    _check_inertias(kin, inertias)
+    qd = np.asarray(qdot, dtype=float)
+    qdd = np.asarray(qddot, dtype=float)
     batch = kin.motion.shape[:-1]
     if qd.shape != batch or qdd.shape != batch:
         raise ValueError(
@@ -125,8 +128,6 @@ def inverse_dynamics(
     vx = _motion_cross(v)
     a = np.cumsum(s * qdd[..., None] + (vx @ s_qd[..., None])[..., 0], axis=-2)
     a[..., :3] -= g
-    if inertias is None:
-        inertias = _spatial_inertias(model, kin)
     f = inertias @ a[..., None] - vx.swapaxes(-1, -2) @ (inertias @ v[..., None])
     carried = np.flip(np.cumsum(np.flip(f[..., 0], -2), axis=-2), -2)
     return np.einsum("...ij,...ij->...i", s, carried)
@@ -166,21 +167,21 @@ def augmented_mass_matrix(
     mo_world[3:, :3] = m * com_x
     mo_world[3:, 3:] = r_obj @ obj.inertia @ r_obj.T - m * com_x @ com_x
     jac = kin.jacobian
-    return _symmetrize(mass_matrix(model, kin) + jac.T @ mo_world @ jac)
+    return _symmetrize(mass_matrix(kin, link_inertias(model, kin)) + jac.T @ mo_world @ jac)
 
 
-def operational_mass_inverse(model: ChainModel, kin: KinematicState, inertias=None) -> np.ndarray:
+def operational_mass_inverse(kin: KinematicState, inertias: np.ndarray) -> np.ndarray:
     """Operational-space inverse inertia J M^-1 J^T at the operational point.
 
-    A grasped object counts once it is attached to ``model``
-    (``attach_object``).  Valid for redundant chains; at a singular
+    A grasped object counts once ``inertias`` are those of the model
+    ``attach_object`` returns.  Valid for redundant chains; at a singular
     configuration the result is rank-deficient but still well defined.
     Raises DegenerateModelError if the joint-space mass matrix itself is
     numerically singular at any configuration of the state: its condition
     number, the ratio of the extreme eigenvalue magnitudes of the symmetric
-    M, reaches ``CONDITION_LIMIT``.  ``inertias`` goes to ``mass_matrix``.
+    M, reaches ``CONDITION_LIMIT``.
     """
-    m = mass_matrix(model, kin, inertias)
+    m = mass_matrix(kin, inertias)
     eigs = np.abs(np.linalg.eigvalsh(m))
     if np.any(eigs.min(axis=-1) <= eigs.max(axis=-1) / CONDITION_LIMIT):
         raise DegenerateModelError(

@@ -1,8 +1,8 @@
 """JSON model/task ingestion and CSV/JSON result emission.
 
 Input schemas are versioned (``schema_version: 1``) and strict: unknown
-fields are rejected and invariant violations raise :class:`SchemaError`
-with the offending field path.  All numeric output is written with 17
+fields and non-finite numbers are rejected and invariant violations raise
+:class:`SchemaError` with the offending field path.  All numeric output is written with 17
 significant digits so values round-trip exactly, and every writer is
 deterministic byte for byte for identical inputs.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -78,10 +79,21 @@ def _check_keys(obj: dict, required: set, optional: set, path: str):
             raise SchemaError(f"{path}.{key}: missing field")
 
 
+def _finite(x) -> bool:
+    """Whether a parsed JSON value is a number that is a finite float: not a
+    bool, nor ``NaN``, ``Infinity`` or a literal too large for a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _number(obj, key, path) -> float:
     v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise SchemaError(f"{path}.{key}: expected a number")
+    if not _finite(v):
+        raise SchemaError(f"{path}.{key}: expected a finite number")
     return float(v)
 
 
@@ -101,12 +113,8 @@ def _string(obj, key, path) -> str:
 
 def _vector(obj, key, path, length) -> np.ndarray:
     v = obj[key]
-    if (
-        not isinstance(v, list)
-        or len(v) != length
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
-    ):
-        raise SchemaError(f"{path}.{key}: expected {length} numbers")
+    if not isinstance(v, list) or len(v) != length or not all(map(_finite, v)):
+        raise SchemaError(f"{path}.{key}: expected {length} finite numbers")
     return np.array(v, dtype=float)
 
 
@@ -300,10 +308,8 @@ def load_task(path) -> TaskSpec:
     ik_seed = None
     if "ik_seed" in data:
         v = data["ik_seed"]
-        if not isinstance(v, list) or any(
-            isinstance(x, bool) or not isinstance(x, (int, float)) for x in v
-        ):
-            raise SchemaError(f"{fname}.ik_seed: expected a list of numbers")
+        if not isinstance(v, list) or not all(map(_finite, v)):
+            raise SchemaError(f"{fname}.ik_seed: expected a list of finite numbers")
         ik_seed = np.array(v, dtype=float)
 
     if "notes" in data:
@@ -395,9 +401,12 @@ def read_scorecards_csv(path) -> list[GraspScorecard]:
 
 def _scalar_cell(row: dict, column: str, where: str) -> float:
     try:
-        return float(row[column])
+        value = float(row[column])
     except (TypeError, ValueError):  # TypeError: the row ends early
         raise SchemaError(f"{where}, column {column}: expected a number, got {row[column]!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}, column {column}: expected a finite number, got {row[column]!r}")
+    return value
 
 
 def write_profile_csv(path, grasp_ids, profiles: list[MetricProfile]):

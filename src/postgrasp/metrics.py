@@ -4,8 +4,9 @@ A task's grasps share one resampled trajectory, with its pose arrays, and
 one quadrature grid (``evaluate_task``).  Per grasp, the pipeline is:
 compose the gripper trajectory on those arrays, track it in joint space,
 then run one batched kinematic pass over the whole joint path, build the
-object-carrying model's link inertias on it once for both dynamics
-objectives, and compute every waypoint's value at once:
+object-carrying model's link inertias on it once (``link_inertias``; the
+two dynamics objectives read that pass and those inertias, not a model),
+and compute every waypoint's value at once:
 
 * directional velocity manipulability a^2 along the motion direction
   (maximize its path integral),
@@ -31,9 +32,9 @@ import numpy as np
 from .chain import ChainModel, KinematicState, link_frames_axes
 from .dynamics import (
     GRAVITY_DEFAULT,
-    _spatial_inertias,
     attach_object,
     inverse_dynamics,
+    link_inertias,
     operational_mass_inverse,
 )
 from .ik import GraspInfeasible, JointTrajectory, track_trajectory
@@ -94,23 +95,6 @@ class GraspScorecard:
     tem_profile: MetricProfile | None = None
 
 
-def directional_manipulability(jacobian: np.ndarray, direction) -> float:
-    """Squared radius of the velocity manipulability ellipsoid along a unit
-    6-direction: a^2 = 1 / (u^T (J J^T)^-1 u).
-
-    At a rank-deficient J J^T (always the case for arms with fewer than six
-    joints), eigenvalues below 1e-12 are treated as exact zeros and the
-    radius is taken inside the achievable subspace.  A direction with
-    significant mass in the null directions is unachievable and yields
-    a^2 = 0; tiny null leakage, as produced by finite pose differencing, is
-    projected out instead of collapsing the metric.
-    """
-    a2, _ = _directional_manipulability(
-        np.asarray(jacobian, dtype=float)[None], np.reshape(direction, (1, 6))
-    )
-    return float(a2[0])
-
-
 def _check_unit(directions) -> np.ndarray:
     u = np.asarray(directions, dtype=float)
     if np.any(np.abs(np.linalg.norm(u, axis=-1) - 1.0) > 1e-9):
@@ -118,13 +102,23 @@ def _check_unit(directions) -> np.ndarray:
     return u
 
 
-def _directional_manipulability(
-    jacobians: np.ndarray, directions
-) -> tuple[np.ndarray, np.ndarray]:
-    """a^2 and the unachievable-direction flag per row of (m, 6, n)
-    Jacobians and (m, 6) directions."""
-    u = _check_unit(directions)
-    gram = jacobians @ jacobians.swapaxes(-1, -2)
+def directional_manipulability(jacobian, direction) -> tuple[np.ndarray, np.ndarray]:
+    """Squared radius of the velocity manipulability ellipsoid along unit
+    6-directions, a^2 = 1 / (u^T (J J^T)^-1 u), and the unachievable-direction
+    flag, per row of (..., 6, n) Jacobians and (..., 6) directions.
+
+    At a rank-deficient J J^T (always the case for arms with fewer than six
+    joints), eigenvalues below 1e-12 are treated as exact zeros and the
+    radius is taken inside the achievable subspace.  A direction with
+    significant mass in the null directions is unachievable and yields
+    a^2 = 0 with the flag set; tiny null leakage, as produced by finite
+    pose differencing, is projected out instead of collapsing the metric.
+    """
+    u = _check_unit(direction)
+    jac = np.asarray(jacobian, dtype=float)
+    lead = u.shape[:-1]
+    u = u.reshape(-1, 6)
+    gram = (jac @ jac.swapaxes(-1, -2)).reshape(-1, 6, 6)
     full = np.linalg.eigvalsh(gram)[:, 0] >= _RANK_EPS
     a2 = np.zeros(u.shape[0])
     unachievable = np.zeros(u.shape[0], dtype=bool)
@@ -132,7 +126,7 @@ def _directional_manipulability(
     a2[full] = 1.0 / np.einsum("ij,ij->i", u[full], w)
     for i in np.flatnonzero(~full):
         a2[i], unachievable[i] = _rank_deficient_manipulability(gram[i], u[i])
-    return a2, unachievable
+    return a2.reshape(lead), unachievable.reshape(lead)
 
 
 def _rank_deficient_manipulability(gram: np.ndarray, u: np.ndarray) -> tuple[float, bool]:
@@ -198,25 +192,22 @@ def tov(
     integrated over s.  ``kins`` is the kinematic pass over the joint path
     (``link_frames_axes`` at ``joint_traj.positions``)."""
     tangents = _fill_tangents(_segment_deltas(gripper.translations, gripper.quaternions))
-    values, unachievable = _directional_manipulability(kins.jacobian, tangents)
+    values, unachievable = directional_manipulability(kins.jacobian, tangents)
     return MetricProfile.from_samples(values, s, unachievable, ~joint_traj.reachable)
 
 
 def torque_effort(
-    model: ChainModel,
     kins: KinematicState,
+    inertias: np.ndarray,
     joint_traj: JointTrajectory,
     s: np.ndarray,
     gravity=GRAVITY_DEFAULT,
-    inertias=None,
 ) -> MetricProfile:
-    """Squared joint-torque norm per waypoint, integrated over s.  The
-    grasped object counts once ``model`` carries it (``attach_object``);
-    ``kins`` is the kinematic pass over the joint path and ``inertias``
-    goes to ``inverse_dynamics``."""
-    tau = inverse_dynamics(
-        model, kins, joint_traj.velocities, joint_traj.accelerations, gravity, inertias
-    )
+    """Squared joint-torque norm per waypoint, integrated over s.  ``kins``
+    is the kinematic pass over the joint path and ``inertias`` its link
+    inertias (``link_inertias``); the grasped object counts once they are
+    built on the model that carries it (``attach_object``)."""
+    tau = inverse_dynamics(kins, inertias, joint_traj.velocities, joint_traj.accelerations, gravity)
     values = np.einsum("ij,ij->i", tau, tau)
     return MetricProfile.from_samples(values, s, unreachable=~joint_traj.reachable)
 
@@ -235,24 +226,21 @@ def directional_effective_mass(lambda_inv, direction) -> tuple[np.ndarray, np.nd
 
 
 def tem(
-    model: ChainModel,
     kins: KinematicState,
+    inertias: np.ndarray,
     joint_traj: JointTrajectory,
     gripper: TaskTrajectory,
     s: np.ndarray,
-    inertias=None,
 ) -> MetricProfile:
     """Effective-mass profile along the motion direction, integrated over s.
 
     Collisions are modeled as point impacts on the translating end
     effector, so the direction is the unit translation tangent of the
-    gripper path with zero angular part.  The grasped object counts once
-    ``model`` carries it (``attach_object``); ``kins`` is the kinematic
-    pass over the joint path and ``inertias`` goes to
-    ``operational_mass_inverse``.
+    gripper path with zero angular part.  ``kins`` and ``inertias`` are as
+    for ``torque_effort``.
     """
     values, near_singular = directional_effective_mass(
-        operational_mass_inverse(model, kins, inertias), _translation_tangents(gripper.translations)
+        operational_mass_inverse(kins, inertias), _translation_tangents(gripper.translations)
     )
     return MetricProfile.from_samples(values, s, near_singular, ~joint_traj.reachable)
 
@@ -285,11 +273,10 @@ def evaluate_grasp(
     # link's inertia differs, and its link inertias on that pass serve
     # both RNEA and CRBA
     kins = link_frames_axes(model, joint_traj.positions)
-    loaded = attach_object(model, grasp, obj)
-    inertias = _spatial_inertias(loaded, kins)
+    inertias = link_inertias(attach_object(model, grasp, obj), kins)
     tov_profile = tov(kins, joint_traj, gripper, s)
-    tme_profile = torque_effort(loaded, kins, joint_traj, s, gravity, inertias)
-    tem_profile = tem(loaded, kins, joint_traj, gripper, s, inertias)
+    tme_profile = torque_effort(kins, inertias, joint_traj, s, gravity)
+    tem_profile = tem(kins, inertias, joint_traj, gripper, s)
     return GraspScorecard(
         grasp_id=grasp.id,
         feasible=True,

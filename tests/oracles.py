@@ -39,6 +39,7 @@ from postgrasp.dynamics import (
     GRAVITY_DEFAULT,
     attach_object,
     inverse_dynamics,
+    link_inertias,
     mass_matrix,
     operational_mass_inverse,
 )
@@ -265,7 +266,7 @@ def gravity_vector(model: ChainModel, q, gravity=GRAVITY_DEFAULT) -> np.ndarray:
     gravitational potential)."""
     n = model.n
     kin = link_frames_axes(model, q)
-    return inverse_dynamics(model, kin, np.zeros(n), np.zeros(n), gravity=gravity)
+    return inverse_dynamics(kin, link_inertias(model, kin), np.zeros(n), np.zeros(n), gravity=gravity)
 
 
 def coriolis_matrix(model: ChainModel, q, qdot, step: float = CHRISTOFFEL_STEP) -> np.ndarray:
@@ -282,9 +283,10 @@ def coriolis_matrix(model: ChainModel, q, qdot, step: float = CHRISTOFFEL_STEP) 
     for k in range(n):
         dq = np.zeros(n)
         dq[k] = step
+        plus, minus = link_frames_axes(model, q + dq), link_frames_axes(model, q - dq)
         partials[k] = (
-            mass_matrix(model, link_frames_axes(model, q + dq))
-            - mass_matrix(model, link_frames_axes(model, q - dq))
+            mass_matrix(plus, link_inertias(model, plus))
+            - mass_matrix(minus, link_inertias(model, minus))
         ) / (2.0 * step)
     c = (
         np.einsum("kij,k->ij", partials, qd)
@@ -304,6 +306,7 @@ def effective_mass(
     """Mass an obstacle would perceive in a collision along ``direction``:
     1 / (u^T Lambda_tot^-1 u), capped at 1e9 kg near singularities."""
     loaded = attach_object(model, grasp, obj)
-    lam_inv = operational_mass_inverse(loaded, link_frames_axes(model, q))
+    kin = link_frames_axes(model, q)
+    lam_inv = operational_mass_inverse(kin, link_inertias(loaded, kin))
     value, _ = directional_effective_mass(lam_inv, direction)
     return value

@@ -14,11 +14,11 @@ from postgrasp import (
     augmented_mass_matrix,
     geometric_jacobian,
     inverse_dynamics,
+    link_inertias,
     mass_matrix,
     operational_mass_inverse,
 )
 from postgrasp.chain import link_frames_axes
-from postgrasp.dynamics import _spatial_inertias
 
 from oracles import (
     TwoRParams,
@@ -69,7 +69,8 @@ class TestMassMatrix:
             joints=(JointSpec(kind="prismatic", axis=(0, 0, 1)),),
             links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
         )
-        m = mass_matrix(model, link_frames_axes(model, [0.4]))
+        kin = link_frames_axes(model, [0.4])
+        m = mass_matrix(kin, link_inertias(model, kin))
         assert np.abs(m - np.array([[2.0]])).max() <= 1e-15
 
     def test_two_r_m11_closed_form(self, two_r_params, two_r_model, rng):
@@ -77,21 +78,24 @@ class TestMassMatrix:
         for _ in range(50):
             q = rng.uniform(-np.pi, np.pi, 2)
             m11 = p.m1 * p.l1**2 + p.m2 * (p.l1**2 + p.l2**2 + 2 * p.l1 * p.l2 * np.cos(q[1]))
-            m = mass_matrix(two_r_model, link_frames_axes(two_r_model, q))
+            kin = link_frames_axes(two_r_model, q)
+            m = mass_matrix(kin, link_inertias(two_r_model, kin))
             assert abs(m[0, 0] - m11) <= 1e-12
 
     def test_two_r_full_matrix(self, two_r_params, two_r_model, rng):
         for _ in range(100):
             q = rng.uniform(-np.pi, np.pi, 2)
             oracle = two_r_closed_form(two_r_params, q)["M"]
-            got = mass_matrix(two_r_model, link_frames_axes(two_r_model, q))
+            kin = link_frames_axes(two_r_model, q)
+            got = mass_matrix(kin, link_inertias(two_r_model, kin))
             assert np.abs(got - oracle).max() / np.abs(oracle).max() <= 1e-12
 
     def test_symmetric_positive_definite(self, rng):
         for trial in range(10):
             model = random_spatial_chain(rng)
             q = rng.uniform(-np.pi, np.pi, model.n)
-            m = mass_matrix(model, link_frames_axes(model, q))
+            kin = link_frames_axes(model, q)
+            m = mass_matrix(kin, link_inertias(model, kin))
             assert np.abs(m - m.T).max() <= 1e-10
             assert np.linalg.eigvalsh(m)[0] > 0.0
 
@@ -102,11 +106,12 @@ class TestMassMatrix:
         for _ in range(10):
             q = rng.uniform(-np.pi, np.pi, model.n)
             kin = link_frames_axes(model, q)
-            m = mass_matrix(model, kin)
+            inertias = link_inertias(model, kin)
+            m = mass_matrix(kin, inertias)
             n_vec = gravity_vector(model, q, g)
             cols = np.column_stack(
                 [
-                    inverse_dynamics(model, kin, np.zeros(model.n), e, gravity=g) - n_vec
+                    inverse_dynamics(kin, inertias, np.zeros(model.n), e, gravity=g) - n_vec
                     for e in np.eye(model.n)
                 ]
             )
@@ -139,9 +144,10 @@ class TestCoriolis:
         for _ in range(5):
             q = rng.uniform(-1.5, 1.5, 7)
             qd = rng.uniform(-1.0, 1.0, 7)
+            plus, minus = link_frames_axes(arm7, q + qd * dt), link_frames_axes(arm7, q - qd * dt)
             mdot = (
-                mass_matrix(arm7, link_frames_axes(arm7, q + qd * dt))
-                - mass_matrix(arm7, link_frames_axes(arm7, q - qd * dt))
+                mass_matrix(plus, link_inertias(arm7, plus))
+                - mass_matrix(minus, link_inertias(arm7, minus))
             ) / (2 * dt)
             s = mdot - 2.0 * coriolis_matrix(arm7, q, qd)
             assert np.abs(s + s.T).max() <= 1e-6
@@ -188,7 +194,7 @@ class TestInverseDynamics:
     def test_static_hold_equals_gravity(self, two_r_model, rng):
         q = rng.uniform(-np.pi, np.pi, 2)
         kin = link_frames_axes(two_r_model, q)
-        tau = inverse_dynamics(two_r_model, kin, np.zeros(2), np.zeros(2), gravity=G2D)
+        tau = inverse_dynamics(kin, link_inertias(two_r_model, kin), np.zeros(2), np.zeros(2), gravity=G2D)
         assert np.abs(tau - gravity_vector(two_r_model, q, G2D)).max() <= 1e-12
 
     def test_rates_must_match_the_state_batch(self, arm7, rng):
@@ -202,7 +208,7 @@ class TestInverseDynamics:
             (three, np.zeros((2, 7)), np.zeros((2, 7))),
         ):
             with pytest.raises(ValueError, match="do not match"):
-                inverse_dynamics(arm7, kin, qd, qdd)
+                inverse_dynamics(kin, link_inertias(arm7, kin), qd, qdd)
 
     def test_two_r_closed_form(self, two_r_params, two_r_model, rng):
         for _ in range(100):
@@ -211,7 +217,7 @@ class TestInverseDynamics:
             qdd = rng.uniform(-1.0, 1.0, 2)
             oracle = two_r_closed_form(two_r_params, q, qd, qdd)["tau"]
             kin = link_frames_axes(two_r_model, q)
-            got = inverse_dynamics(two_r_model, kin, qd, qdd, gravity=G2D)
+            got = inverse_dynamics(kin, link_inertias(two_r_model, kin), qd, qdd, gravity=G2D)
             assert np.abs(got - oracle).max() / max(np.abs(oracle).max(), 1e-9) <= 1e-10
 
     def test_assembled_equation_of_motion(self, arm7, rng):
@@ -220,9 +226,10 @@ class TestInverseDynamics:
             qd = rng.uniform(-1.0, 1.0, 7)
             qdd = rng.uniform(-1.0, 1.0, 7)
             kin = link_frames_axes(arm7, q)
-            tau = inverse_dynamics(arm7, kin, qd, qdd)
+            inertias = link_inertias(arm7, kin)
+            tau = inverse_dynamics(kin, inertias, qd, qdd)
             assembled = (
-                mass_matrix(arm7, kin) @ qdd
+                mass_matrix(kin, inertias) @ qdd
                 + coriolis_matrix(arm7, q, qd) @ qd
                 + gravity_vector(arm7, q)
             )
@@ -245,12 +252,14 @@ class TestInverseDynamics:
 
         def kinetic(t):
             q, qd, _ = state(t)
-            return 0.5 * qd @ mass_matrix(model, link_frames_axes(model, q)) @ qd
+            kin = link_frames_axes(model, q)
+            return 0.5 * qd @ mass_matrix(kin, link_inertias(model, kin)) @ qd
 
         dt = 1e-6
         for t in np.linspace(0.2, 2.0, 8):
             q, qd, qdd = state(t)
-            tau = inverse_dynamics(model, link_frames_axes(model, q), qd, qdd, gravity=g)
+            kin = link_frames_axes(model, q)
+            tau = inverse_dynamics(kin, link_inertias(model, kin), qd, qdd, gravity=g)
             n_vec = gravity_vector(model, q, g)
             lhs = (kinetic(t + dt) - kinetic(t - dt)) / (2 * dt)
             rhs = qd @ (tau - n_vec)
@@ -264,10 +273,10 @@ class TestInverseDynamics:
         for _ in range(5):
             q = rng.uniform(-1.2, 1.2, 7)
             kin = link_frames_axes(arm7, q)
-            tau_free = inverse_dynamics(arm7, kin, np.zeros(7), np.zeros(7), gravity=g)
+            tau_free = inverse_dynamics(kin, link_inertias(arm7, kin), np.zeros(7), np.zeros(7), gravity=g)
             tau_load = inverse_dynamics(
-                arm7.with_tool_body(obj_mass, np.zeros(3), np.zeros((3, 3))),
                 kin,
+                link_inertias(arm7.with_tool_body(obj_mass, np.zeros(3), np.zeros((3, 3))), kin),
                 np.zeros(7),
                 np.zeros(7),
                 gravity=g,
@@ -281,7 +290,9 @@ class TestAugmentedDynamics:
     def test_zero_mass_object_is_noop(self, arm7, rng):
         loaded = arm7.with_tool_body(0.0, np.array([0.0, 0.1, 0.05]), np.zeros((3, 3)))
         kin = link_frames_axes(arm7, rng.uniform(-1.0, 1.0, 7))
-        assert np.abs(mass_matrix(loaded, kin) - mass_matrix(arm7, kin)).max() <= 1e-12
+        assert np.abs(
+            mass_matrix(kin, link_inertias(loaded, kin)) - mass_matrix(kin, link_inertias(arm7, kin))
+        ).max() <= 1e-12
 
     def test_prismatic_point_mass_direct_sum(self):
         model = ChainModel(
@@ -312,7 +323,8 @@ class TestAugmentedDynamics:
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, 7)
             m1 = augmented_mass_matrix(arm7, q, grasp, obj)
-            m2 = mass_matrix(combined, link_frames_axes(combined, q))
+            kin = link_frames_axes(combined, q)
+            m2 = mass_matrix(kin, link_inertias(combined, kin))
             assert np.abs(m1 - m2).max() / np.abs(m1).max() <= 1e-12
 
     def test_relink_last_link_as_object(self, arm7, rng):
@@ -335,28 +347,9 @@ class TestAugmentedDynamics:
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, 7)
             m_aug = augmented_mass_matrix(stripped, q, grasp, body)
-            m_ref = mass_matrix(arm7, link_frames_axes(arm7, q))
+            kin = link_frames_axes(arm7, q)
+            m_ref = mass_matrix(kin, link_inertias(arm7, kin))
             assert np.abs(m_aug - m_ref).max() / np.abs(m_ref).max() <= 1e-8
-
-
-class TestSharedInertias:
-    def test_one_build_serves_rnea_and_crba_bit_for_bit(self, arm7, rng):
-        # the pipeline builds the object-carrying model's link inertias
-        # once per grasp; both recursions must give what they give on
-        # their own build
-        obj = RigidObject(mass=0.4, inertia=cuboid_inertia(0.4, (0.5, 0.15, 0.2)))
-        grasp = GraspCandidate("g", Pose(Rotation.from_axis_angle((1.0, 2.0, 3.0), 0.7), np.array([0.0, 0.1, 0.1])))
-        loaded = attach_object(arm7, grasp, obj)
-        kin = link_frames_axes(arm7, rng.uniform(-1.5, 1.5, (20, 7)))
-        qd, qdd = rng.uniform(-1.0, 1.0, (2, 20, 7))
-        shared = _spatial_inertias(loaded, kin)
-        pairs = (
-            (inverse_dynamics(loaded, kin, qd, qdd, inertias=shared), inverse_dynamics(loaded, kin, qd, qdd)),
-            (mass_matrix(loaded, kin, shared), mass_matrix(loaded, kin)),
-            (operational_mass_inverse(loaded, kin, shared), operational_mass_inverse(loaded, kin)),
-        )
-        for got, want in pairs:
-            assert got.tobytes() == want.tobytes()
 
 
 class TestOperationalMassInverse:
@@ -365,19 +358,21 @@ class TestOperationalMassInverse:
             joints=(JointSpec(kind="prismatic", axis=(0, 0, 1)),),
             links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
         )
-        lam_inv = operational_mass_inverse(model, link_frames_axes(model, [0.3]))
+        kin = link_frames_axes(model, [0.3])
+        lam_inv = operational_mass_inverse(kin, link_inertias(model, kin))
         u = np.array([0, 0, 1.0, 0, 0, 0])
         assert abs(u @ lam_inv @ u - 0.5) <= 1e-12
 
     def test_symmetric_psd(self, arm7, rng):
         for _ in range(10):
             kin = link_frames_axes(arm7, rng.uniform(-1.5, 1.5, 7))
-            lam_inv = operational_mass_inverse(arm7, kin)
+            lam_inv = operational_mass_inverse(kin, link_inertias(arm7, kin))
             assert np.abs(lam_inv - lam_inv.T).max() <= 1e-12
             assert np.linalg.eigvalsh(lam_inv)[0] >= -1e-12
 
     def test_straightened_two_r_radial_direction_vanishes(self, two_r_model):
-        lam_inv = operational_mass_inverse(two_r_model, link_frames_axes(two_r_model, np.zeros(2)))
+        kin = link_frames_axes(two_r_model, np.zeros(2))
+        lam_inv = operational_mass_inverse(kin, link_inertias(two_r_model, kin))
         u = np.array([1.0, 0, 0, 0, 0, 0])
         assert abs(u @ lam_inv @ u) <= 1e-12
 
@@ -393,9 +388,27 @@ class TestOperationalMassInverse:
                 LinkSpec(mass=0.0, com=np.zeros(3), inertia=np.zeros((3, 3))),
             ),
         )
+        kin = link_frames_axes(model, np.array([0.3, 0.4]))
         with pytest.raises(DegenerateModelError):
-            operational_mass_inverse(model, link_frames_axes(model, np.array([0.3, 0.4])))
+            operational_mass_inverse(kin, link_inertias(model, kin))
+
+    def test_inertias_of_another_pass_rejected(self, arm7, two_r_model, rng):
+        # inertias built on a pass of another batch shape or joint count
+        # would broadcast into a wrong answer
+        one = link_frames_axes(arm7, rng.uniform(-1.0, 1.0, 7))
+        three = link_frames_axes(arm7, rng.uniform(-1.0, 1.0, (3, 7)))
+        planar = link_inertias(two_r_model, link_frames_axes(two_r_model, np.zeros(2)))
+        cases = ((one, link_inertias(arm7, three)), (three, link_inertias(arm7, one)), (one, planar))
+        for kin, inertias in cases:
+            rates = np.zeros(kin.motion.shape[:-1])
+            for call in (
+                lambda: mass_matrix(kin, inertias),
+                lambda: inverse_dynamics(kin, inertias, rates, rates),
+                lambda: operational_mass_inverse(kin, inertias),
+            ):
+                with pytest.raises(ValueError, match="do not fit"):
+                    call()
 
     def test_state_of_another_chain_rejected(self, arm7, two_r_model):
         with pytest.raises(ValueError, match="kinematic state has 2 joints"):
-            operational_mass_inverse(arm7, link_frames_axes(two_r_model, np.zeros(2)))
+            link_inertias(arm7, link_frames_axes(two_r_model, np.zeros(2)))

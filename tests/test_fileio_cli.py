@@ -751,6 +751,65 @@ class TestStrictScorecardsInput:
         assert f"error: {path}: row 3, column h_tov: expected a number, got ''" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+# (command, input edited, where in it, new value, message naming the field):
+# Python's json reads NaN, Infinity and -Infinity, and an integer literal
+# past the float range, so each must be refused where it is parsed
+NON_FINITE_INPUTS = [
+    ("evaluate", "robot", ("links", 2, "mass"), NAN, "links[2].mass: expected a finite number"),
+    ("inspect-model", "robot", ("links", 0, "mass"), NAN, "links[0].mass: expected a finite number"),
+    ("evaluate", "task", ("object_waypoints", 1, "quaternion"), [NAN, 0.0, 0.0, 0.0],
+     "object_waypoints[1].quaternion: expected 4 finite numbers"),
+    ("evaluate", "task", ("object_waypoints", 0, "translation"), [0.62, NAN, 0.12],
+     "object_waypoints[0].translation: expected 3 finite numbers"),
+    ("evaluate", "task", ("ik_seed",), [NAN] * 7, "ik_seed: expected a list of finite numbers"),
+    ("evaluate", "task", ("gravity",), [0.0, 0.0, NAN], "gravity: expected 3 finite numbers"),
+    ("evaluate", "task", ("grasps", 0, "translation"), [INF, -0.05, 0.1],
+     "grasps[0].translation: expected 3 finite numbers"),
+    ("evaluate", "task", ("total_time_s",), 10**400, "total_time_s: expected a finite number"),
+    ("evaluate", "override", (1, "translation"), [0.0, -INF, 0.1],
+     "--grasps-override: grasps[1].translation: expected 3 finite numbers"),
+    ("pareto", "scorecards", (1, 3), "nan", "row 3, column h_tme: expected a finite number, got 'nan'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, target, where, value, message",
+    NON_FINITE_INPUTS,
+    ids=[f"{c}-{t}-{'.'.join(map(str, w))}" for c, t, w, *_ in NON_FINITE_INPUTS],
+)
+def test_non_finite_input_rejected_with_its_field(tmp_path, capsys, command, target, where, value, message):
+    inputs = {
+        "robot": json.loads(reference_robot_path("arm7").read_text()),
+        "task": synthetic_task_dict(),
+        "override": synthetic_task_dict()["grasps"],
+        "scorecards": [["a", "true", "2.0", "1", "1.0"], ["b", "true", "1.0", "2", "2.0"]],
+    }
+    edited = inputs[target]
+    for key in where[:-1]:
+        edited = edited[key]
+    edited[where[-1]] = value
+    robot, task, cards = tmp_path / "robot.json", tmp_path / "task.json", tmp_path / "cards.csv"
+    robot.write_text(json.dumps(inputs["robot"]))
+    task.write_text(json.dumps(inputs["task"]))
+    rows = ["grasp_id,feasible,h_tov,h_tme,h_tem"] + [",".join(r) for r in inputs["scorecards"]]
+    cards.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "cli_out"
+    argv = {
+        "evaluate": ["evaluate", "--robot", str(robot), "--task", str(task), "--out", str(out)],
+        "inspect-model": ["inspect-model", "--robot", str(robot)],
+        "pareto": ["pareto", "--scorecards", str(cards)],
+    }[command]
+    if target == "override":
+        argv += ["--grasps-override", json.dumps(inputs["override"])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_metrics_at_prints_the_scalars_evaluate_writes(tmp_path, synthetic_task_path, capsys):
     robot = reference_robot_path("arm7")
     assert _evaluate(robot, [synthetic_task_path], tmp_path, "--resample", "8") == 0

@@ -22,6 +22,7 @@ from postgrasp import (
     forward_kinematics,
     geometric_jacobian,
     inverse_dynamics,
+    link_inertias,
     operational_mass_inverse,
     tem,
     torque_effort,
@@ -71,26 +72,29 @@ class TestDirectionalManipulability:
         for _ in range(20):
             u = rng.normal(size=6)
             u /= np.linalg.norm(u)
-            assert abs(directional_manipulability(jac, u) - 1.0) <= 1e-12
+            a2, _ = directional_manipulability(jac, u)
+            assert abs(a2 - 1.0) <= 1e-12
 
     def test_major_axis_gives_largest_eigenvalue(self, two_r_params, two_r_model):
         q = np.array([0.0, np.pi / 2])
         jac = two_r_closed_form(two_r_params, q)["J"]
         eigs, vecs = np.linalg.eigh(jac @ jac.T)
         u = vecs[:, -1]
-        assert abs(directional_manipulability(jac, u) - eigs[-1]) <= 1e-10 * eigs[-1]
+        a2, _ = directional_manipulability(jac, u)
+        assert abs(a2 - eigs[-1]) <= 1e-10 * eigs[-1]
 
     def test_null_direction_gives_zero(self, two_r_model):
         jac = geometric_jacobian(two_r_model, np.zeros(2))  # straightened arm
         u = np.array([1.0, 0, 0, 0, 0, 0])  # radial translation: unreachable
-        assert directional_manipulability(jac, u) == 0.0
+        a2, _ = directional_manipulability(jac, u)
+        assert a2 == 0.0
 
     def test_matches_svd_oracle_full_rank(self, rng):
         for _ in range(200):
             jac = rng.normal(size=(6, rng.integers(6, 9)))
             u = rng.normal(size=6)
             u /= np.linalg.norm(u)
-            a2 = directional_manipulability(jac, u)
+            a2, _ = directional_manipulability(jac, u)
             assert abs(a2 - svd_route_a2(jac, u)) <= 1e-10 * max(1.0, a2)
 
     def test_defining_identity(self, rng):
@@ -99,7 +103,7 @@ class TestDirectionalManipulability:
             jac = rng.normal(size=(6, 7))
             u = rng.normal(size=6)
             u /= np.linalg.norm(u)
-            a2 = directional_manipulability(jac, u)
+            a2, _ = directional_manipulability(jac, u)
             residual = a2 * (u @ np.linalg.inv(jac @ jac.T) @ u)
             assert abs(residual - 1.0) <= 1e-9
 
@@ -114,7 +118,8 @@ class TestDirectionalManipulability:
                 continue
             u = rng.normal(size=6)
             u /= np.linalg.norm(u)
-            assert directional_manipulability(jac, u) > 0.0
+            a2, _ = directional_manipulability(jac, u)
+            assert a2 > 0.0
 
 
 class TestTov:
@@ -216,8 +221,9 @@ class TestTorqueEffort:
         traj = track_trajectory(model, task, qs[0])
         obj = RigidObject(mass=1e-12, inertia=np.eye(3) * 1e-15)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
+        kins = passes(model, traj)
         profile = torque_effort(
-            loaded, passes(model, traj), traj, path_parameter(task), gravity=np.zeros(3)
+            kins, link_inertias(loaded, kins), traj, path_parameter(task), gravity=np.zeros(3)
         )
         assert profile.values.max() <= 1e-10
 
@@ -229,9 +235,10 @@ class TestTorqueEffort:
         traj = track_trajectory(two_r_model, task, q0)
         obj = RigidObject(mass=0.3, inertia=np.eye(3) * 1e-5)
         grasp = GraspCandidate("g", Pose.identity())
+        kins = passes(two_r_model, traj)
         profile = torque_effort(
-            attach_object(two_r_model, grasp, obj),
-            passes(two_r_model, traj),
+            kins,
+            link_inertias(attach_object(two_r_model, grasp, obj), kins),
             traj,
             np.linspace(0, 1, 2),
             gravity=G2D,
@@ -248,21 +255,23 @@ class TestTorqueEffort:
         traj = track_trajectory(two_r_model, task, qs[0])
         grasp = GraspCandidate("g", Pose.identity())
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-4)
+        kins = passes(two_r_model, traj)
         with_obj = torque_effort(
-            attach_object(two_r_model, grasp, obj),
-            passes(two_r_model, traj),
+            kins,
+            link_inertias(attach_object(two_r_model, grasp, obj), kins),
             traj,
             s,
             gravity=G2D,
         )
         # no-object baseline straight from inverse dynamics
+        rows = [link_frames_axes(two_r_model, traj.positions[i]) for i in range(len(task))]
         base_vals = np.array(
             [
                 float(np.sum(inverse_dynamics(
-                    two_r_model, link_frames_axes(two_r_model, traj.positions[i]),
+                    kin, link_inertias(two_r_model, kin),
                     traj.velocities[i], traj.accelerations[i], gravity=G2D,
                 ) ** 2))
-                for i in range(len(task))
+                for i, kin in enumerate(rows)
             ]
         )
         base = float(np.trapezoid(base_vals, s))
@@ -290,13 +299,15 @@ class TestEffectiveMass:
         )
         q = 0.3
         u = np.array([-np.sin(q), np.cos(q), 0.0, 0.0, 0.0, 0.0])
-        lam_inv = operational_mass_inverse(model, link_frames_axes(model, [q]))
+        kin = link_frames_axes(model, [q])
+        lam_inv = operational_mass_inverse(kin, link_inertias(model, kin))
         value, flagged = directional_effective_mass(lam_inv, u)
         assert abs(value - mass) <= 1e-10
         assert not flagged
 
     def test_singular_direction_capped_and_flagged(self, two_r_model):
-        lam_inv = operational_mass_inverse(two_r_model, link_frames_axes(two_r_model, np.zeros(2)))
+        kin = link_frames_axes(two_r_model, np.zeros(2))
+        lam_inv = operational_mass_inverse(kin, link_inertias(two_r_model, kin))
         value, flagged = directional_effective_mass(lam_inv, np.array([1.0, 0, 0, 0, 0, 0]))
         assert value == 1e9
         assert flagged
@@ -307,7 +318,8 @@ class TestEffectiveMass:
         for _ in range(10):
             q = rng.uniform(-1.2, 1.2, 7)
             loaded = attach_object(arm7, grasp, obj)
-            lam_inv = operational_mass_inverse(loaded, link_frames_axes(arm7, q))
+            kin = link_frames_axes(arm7, q)
+            lam_inv = operational_mass_inverse(kin, link_inertias(loaded, kin))
             eigs = np.linalg.eigvalsh(lam_inv)
             if eigs[0] < 1e-9:
                 continue
@@ -353,7 +365,7 @@ class TestEffectiveMass:
         kins = passes(arm7, static)
         prof1, prof2 = (
             torque_effort(
-                attach_object(arm7, grasp, obj), kins, static, s,
+                kins, link_inertias(attach_object(arm7, grasp, obj), kins), static, s,
                 gravity=spec.gravity,
             )
             for obj in (base, doubled)
@@ -372,7 +384,8 @@ class TestTem:
         traj = track_trajectory(model, task, np.zeros(1))
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
-        profile = tem(loaded, passes(model, traj), traj, task, path_parameter(task))
+        kins = passes(model, traj)
+        profile = tem(kins, link_inertias(loaded, kins), traj, task, path_parameter(task))
         assert np.abs(profile.values - 2.4).max() <= 1e-9
         assert abs(profile.integral - 2.4) <= 1e-9
 
@@ -388,10 +401,11 @@ class TestTem:
         loaded = attach_object(
             two_r_model, GraspCandidate("g", Pose.identity()), small_object()
         )
+        kins = passes(two_r_model, traj)
         with pytest.raises(ZeroMotionError):
             tem(
-                loaded,
-                passes(two_r_model, traj),
+                kins,
+                link_inertias(loaded, kins),
                 traj,
                 task,
                 path_parameter(task),
@@ -416,8 +430,9 @@ class TestTem:
         traj = track_trajectory(model, task, qs[0])
         obj = RigidObject(mass=0.5, inertia=np.zeros((3, 3)))
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
+        kins = passes(model, traj)
         with pytest.raises(DegenerateModelError, match="numerically singular"):
-            tem(loaded, passes(model, traj), traj, task, path_parameter(task))
+            tem(kins, link_inertias(loaded, kins), traj, task, path_parameter(task))
 
 
 class TestEvaluateGrasp:
@@ -512,9 +527,9 @@ class TestEvaluateGrasp:
             return counted
 
         monkeypatch.setattr(Pose, "compose", counting("compose", Pose.compose))
-        inertias = counting("inertias", dynamics._spatial_inertias)
-        monkeypatch.setattr(dynamics, "_spatial_inertias", inertias)
-        monkeypatch.setattr(metrics, "_spatial_inertias", inertias)
+        inertias = counting("inertias", dynamics.link_inertias)
+        monkeypatch.setattr(dynamics, "link_inertias", inertias)
+        monkeypatch.setattr(metrics, "link_inertias", inertias)
         monkeypatch.setattr(chain._ChainArrays, "of", classmethod(counting("constants", chain._ChainArrays.of.__func__)))
         cards = evaluate_task(model, load_task(reference_task_path("task1")))
         assert calls == {"compose": 0, "inertias": sum(c.feasible for c in cards), "constants": 0}

@@ -1,8 +1,9 @@
 """Property tests of the kinematic pass and the dynamics on random serial
 chains: 1-7 joints, revolute and prismatic mixed, random joint origins,
-base and tool poses and link inertias, at one configuration or a stack;
-of damped least-squares IK against the reference loop on such a chain;
-and of the three objectives along a joint path on such a chain."""
+base and tool poses and link inertias, at one configuration or a stack,
+including the dynamics' linearity in the link inertias; of damped
+least-squares IK against the reference loop on such a chain; and of the
+three objectives along a joint path on such a chain."""
 
 import numpy as np
 from dataclasses import replace
@@ -26,6 +27,7 @@ from postgrasp import (
     evaluate_grasp,
     forward_kinematics,
     inverse_dynamics,
+    link_inertias,
     mass_matrix,
 )
 from postgrasp.chain import link_frames_axes
@@ -118,7 +120,7 @@ def test_jacobian_matches_central_differences(case):
 def test_mass_matrix_symmetric_positive_definite(case):
     model, q = case
     kin = link_frames_axes(model, q)
-    m = mass_matrix(model, kin)
+    m = mass_matrix(kin, link_inertias(model, kin))
     assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
     # every link has a positive-definite inertia, so M is positive definite
     # whenever the motion columns of the first six joints are independent
@@ -131,10 +133,11 @@ def test_mass_matrix_symmetric_positive_definite(case):
 def test_unit_acceleration_torques_are_mass_matrix_columns(case):
     model, q = case
     kin = link_frames_axes(model, q)
-    m = mass_matrix(model, kin)
+    inertias = link_inertias(model, kin)
+    m = mass_matrix(kin, inertias)
     zero = np.zeros(model.n)
     cols = np.column_stack(
-        [inverse_dynamics(model, kin, zero, e, gravity=np.zeros(3)) for e in np.eye(model.n)]
+        [inverse_dynamics(kin, inertias, zero, e, gravity=np.zeros(3)) for e in np.eye(model.n)]
     )
     assert rel_err(cols, m) <= 1e-12
 
@@ -145,7 +148,8 @@ def test_merged_object_matches_augmented_mass_matrix(case, grasp_pose, mass, ine
     model, q = case
     grasp = GraspCandidate("g", grasp_pose)
     obj = RigidObject(mass=mass, inertia=inertia)
-    merged = mass_matrix(attach_object(model, grasp, obj), link_frames_axes(model, q))
+    kin = link_frames_axes(model, q)
+    merged = mass_matrix(kin, link_inertias(attach_object(model, grasp, obj), kin))
     assert rel_err(merged, augmented_mass_matrix(model, q, grasp, obj)) <= 1e-12
 
 
@@ -156,15 +160,47 @@ def test_stacked_configurations_match_rows(case):
     # one call per configuration
     model, q, qd, qdd = case
     stack = link_frames_axes(model, q[:, None])
-    m_stack = mass_matrix(model, stack)
-    tau_stack = inverse_dynamics(model, stack, qd[:, None], qdd[:, None])
+    m_stack = mass_matrix(stack, link_inertias(model, stack))
+    tau_stack = inverse_dynamics(stack, link_inertias(model, stack), qd[:, None], qdd[:, None])
     assert m_stack.shape == (q.shape[0], 1, model.n, model.n)
     for i in range(q.shape[0]):
         row = link_frames_axes(model, q[i])
         for field in ("rotations", "origins", "motion", "tool_rotation", "tool_position", "jacobian"):
             assert rel_err(getattr(stack, field)[i, 0], getattr(row, field)) <= 1e-13
-        assert rel_err(m_stack[i, 0], mass_matrix(model, row)) <= 1e-13
-        assert rel_err(tau_stack[i, 0], inverse_dynamics(model, row, qd[i], qdd[i])) <= 1e-13
+        assert rel_err(m_stack[i, 0], mass_matrix(row, link_inertias(model, row))) <= 1e-13
+        tau_row = inverse_dynamics(row, link_inertias(model, row), qd[i], qdd[i])
+        assert rel_err(tau_stack[i, 0], tau_row) <= 1e-13
+
+
+@st.composite
+def link_sets(draw, n):
+    """n random link bodies, to put on the joints of a drawn chain."""
+    return tuple(
+        LinkSpec(mass=draw(st.floats(0.1, 3.0)), com=draw(vectors), inertia=draw(inertia_tensors()))
+        for _ in range(n)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(chains_and_stacks(), st.data())
+def test_dynamics_are_linear_in_the_link_inertias(case, data):
+    # RNEA and CRBA read the link inertias linearly (Atkeson, An &
+    # Hollerbach, IJRR 1986): on one pass, two bodies' inertias summed give
+    # the sum of their torques and of their mass matrices
+    model_a, q, qd, qdd = case
+    model_b = replace(model_a, links=data.draw(link_sets(model_a.n)))
+    kin = link_frames_axes(model_a, q)
+    ia, ib = link_inertias(model_a, kin), link_inertias(model_b, kin)
+    g = np.array([0.4, -1.2, -9.81])
+    tau_a, tau_b = (inverse_dynamics(kin, i, qd, qdd, gravity=g) for i in (ia, ib))
+    m_a, m_b = mass_matrix(kin, ia), mass_matrix(kin, ib)
+    # relative to at least 1 N m or 1 kg m^2: a torque can vanish exactly
+    # while its link forces do not, leaving round-off of their size
+    for got, want in (
+        (inverse_dynamics(kin, ia + ib, qd, qdd, gravity=g), tau_a + tau_b),
+        (mass_matrix(kin, ia + ib), m_a + m_b),
+    ):
+        assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
 
 
 @st.composite
