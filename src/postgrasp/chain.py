@@ -6,16 +6,22 @@ The chain is described URDF-style: each joint carries a fixed origin pose
 coincides with the joint frame after the joint motion is applied.
 
 ``link_frames_axes(model, q)`` is the only place link frames are built.  It
-returns a frozen ``KinematicState``: link rotations as 3x3 matrices,
-origins, the joint motion columns, the operational point's rotation and
-position, and the 6xn Jacobian, which maps joint velocities to the
-world-frame twist of the operational point.  ``q`` may carry leading batch
-axes, ``(..., n)``; every field then carries the same leading axes, so a
-whole joint path is one call.  Forward kinematics, the Jacobian and the
-dynamics (CRBA and RNEA) all read it; the model's per-joint constants are
-stacked into arrays once per ``ChainModel``.  This is the model/data split
-of Pinocchio (Carpentier et al., SII 2019).  Quaternions appear only where
-a pose leaves this module (``forward_kinematics``).
+returns a frozen ``KinematicState``.  The pass builds its fields eagerly:
+link rotations as 3x3 matrices, origins, the operational point's rotation
+and position, the 6xn Jacobian, which maps joint velocities to the
+world-frame twist of the operational point, and the world joint axes split
+by joint kind.  The joint motion columns referred to the world origin,
+``motion``, are derived from those on first read and then kept: only the
+dynamics read them, and IK, which makes most passes, never does.  ``q``
+may carry leading batch axes, ``(..., n)``; every field then carries the
+same leading axes, so a whole joint path is one call.  Forward kinematics,
+the Jacobian and the dynamics (CRBA and RNEA) all read it.  The model's
+per-joint constants are stacked into arrays once per ``ChainModel``,
+already in the shape the pass broadcasts with and already multiplied by
+their joint-kind masks, so a pass on one configuration makes few numpy
+calls.  This is the model/data split of Pinocchio (Carpentier et al., SII
+2019).  Quaternions appear only where a pose leaves this module
+(``forward_kinematics``).
 
 ``forward_kinematics`` and ``geometric_jacobian`` take one configuration
 each and share a one-entry memo of the last pass, keyed on the model object
@@ -25,6 +31,9 @@ waypoint starts at the previous waypoint's last iterate, so the Jacobian
 requests repeat the last pass.  The pose is not asked twice: IK hands the
 last iterate's pose on to the next waypoint (``ik.track_trajectory``).
 The memo is per thread, so grasps tracked on a thread pool keep their own.
+It takes a float64 array of shape (n,), what IK passes, as it is; any
+other ``q`` is converted and flattened first.  The memo calls the pass by
+its module name, and the pass checks every new ``q``.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ import numpy as np
 from .geometry import Pose, Rotation, skew
 
 _JOINT_KINDS = ("revolute", "prismatic")
-_CYCLE = np.array([[1, 2, 0], [2, 0, 1]])  # (a x b)_i = a_j b_k - a_k b_j, (i, j, k) cyclic
+# (a x b)_i = a_j b_k - a_k b_j, (i, j, k) cyclic
+_CYCLE_J = np.array([1, 2, 0])
+_CYCLE_K = np.array([2, 0, 1])
 
 
 def validate_inertia_tensor(inertia, label: str = "inertia tensor") -> np.ndarray:
@@ -165,13 +176,14 @@ class _ChainArrays:
     model with a body attached (``ChainModel.with_tool_body``) shares its
     parent's joint arrays and rebuilds only the body arrays."""
 
-    fixed: np.ndarray  # (n, 4, 4) joint origin transforms
-    turn1: np.ndarray  # (n, 4, 4) R_o K in the rotation block
-    turn2: np.ndarray  # (n, 4, 4) R_o K^2 in the rotation block
-    slide: np.ndarray  # (n, 4, 4) R_o a in the translation column
-    axes: np.ndarray  # (n, 3) joint axes in the link frames
-    revolute: np.ndarray  # (n,) 1.0 for a revolute joint, else 0.0
-    prismatic: np.ndarray  # (n,) 1.0 for a prismatic joint, else 0.0
+    # (n, 1, 4, 4), the shape the pass broadcasts over a batch of m
+    fixed: np.ndarray  # joint origin transforms
+    turn1: np.ndarray  # R_o K in the rotation block of a revolute joint, else zero
+    turn2: np.ndarray  # R_o K^2 in the rotation block of a revolute joint, else zero
+    slide: np.ndarray  # R_o a in the translation column of a prismatic joint, else zero
+    axes: np.ndarray  # (n, 3, 1) joint axes in the link frames
+    revolute: np.ndarray  # (n, 1) 1.0 for a revolute joint, else 0.0
+    prismatic: np.ndarray  # (n, 1) 1.0 for a prismatic joint, else 0.0
     lower: np.ndarray  # (n,) joint limits (read-only)
     upper: np.ndarray  # (n,)
     base: np.ndarray  # (4, 4)
@@ -192,17 +204,18 @@ class _ChainArrays:
             turn1[i, :3, :3] = fixed[i, :3, :3] @ k
             turn2[i, :3, :3] = fixed[i, :3, :3] @ k @ k
             slide[i, :3, 3] = fixed[i, :3, :3] @ axes[i]
-        revolute = np.array([j.kind == "revolute" for j in model.joints], dtype=float)
+        revolute = np.array([[j.kind == "revolute"] for j in model.joints], dtype=float)
+        prismatic = 1.0 - revolute
         lower, upper = np.array([j.limits for j in model.joints]).T.copy()
         lower.flags.writeable = upper.flags.writeable = False
         return cls(
-            fixed=fixed,
-            turn1=turn1,
-            turn2=turn2,
-            slide=slide,
-            axes=axes,
+            fixed=fixed[:, None],
+            turn1=(turn1 * revolute[:, :, None])[:, None],
+            turn2=(turn2 * revolute[:, :, None])[:, None],
+            slide=(slide * prismatic[:, :, None])[:, None],
+            axes=axes[:, :, None],
             revolute=revolute,
-            prismatic=1.0 - revolute,
+            prismatic=prismatic,
             lower=lower,
             upper=upper,
             base=model.base_pose.to_matrix(),
@@ -255,75 +268,81 @@ class KinematicState:
     depends on the joints, base and tool only, so a pass of a model also
     serves every model that differs from it in link inertias alone (the
     chain with a grasped object merged by ``ChainModel.with_tool_body``).
+
+    The fields are built by the pass; ``motion``, which only the dynamics
+    read, is derived from them on first read and then kept.
     """
 
     rotations: np.ndarray  # (..., n, 3, 3) link-frame rotations
     origins: np.ndarray  # (..., n, 3) link-frame origins
-    motion: np.ndarray  # (..., n, 6) joint motion columns referred to the world origin
     tool_rotation: np.ndarray  # (..., 3, 3) operational-point rotation
     tool_position: np.ndarray  # (..., 3) operational-point position
     jacobian: np.ndarray  # (..., 6, n) geometric Jacobian of the operational point
+    spin: np.ndarray  # (..., n, 3) world axes of the revolute joints, zero rows elsewhere
+    slide: np.ndarray  # (..., n, 3) world axes of the prismatic joints, zero rows elsewhere
 
     def __post_init__(self):
         for value in vars(self).values():
-            value.flags.writeable = False
+            value.setflags(write=False)  # cheaper than ``flags.writeable``
 
     @property
     def n(self) -> int:
         return self.origins.shape[-2]
 
+    @cached_property
+    def motion(self) -> np.ndarray:
+        """(..., n, 6) joint motion columns referred to the world origin:
+        (p x z; z) for a revolute joint, (z; 0) for a prismatic one."""
+        motion = np.concatenate([_cross(self.origins, self.spin) + self.slide, self.spin], axis=-1)
+        motion.setflags(write=False)
+        return motion
+
 
 def _cross(a, b) -> np.ndarray:
     """Cross product over the last axis of broadcastable (..., 3) arrays,
-    from the antisymmetrized outer product; several times cheaper than
-    ``np.cross`` on the small arrays used here."""
-    outer = a[..., :, None] * b[..., None, :]
-    return (outer - outer.swapaxes(-1, -2))[..., _CYCLE[0], _CYCLE[1]]
+    a_j b_k - a_k b_j on the cyclic index arrays; several times cheaper
+    than ``np.cross`` on the small arrays used here."""
+    return a.take(_CYCLE_J, -1) * b.take(_CYCLE_K, -1) - a.take(_CYCLE_K, -1) * b.take(_CYCLE_J, -1)
 
 
 def link_frames_axes(model: ChainModel, q) -> KinematicState:
-    """The one kinematic pass: every link frame and motion column, the
+    """The one kinematic pass: every link frame and joint axis, the
     operational point and its Jacobian, at q of shape (..., n).
 
     Each joint's local transform is its fixed origin times the joint motion,
     the rotation by Rodrigues' formula R_o (I + sin(q) K + (1 - cos(q)) K^2)
     with K the skew matrix of the axis; the link frames are the running
     product of the local transforms as 4x4 homogeneous matrices, one batched
-    product per joint.
+    product per joint.  The model's joint constants carry their joint-kind
+    masks already, so the local transform is three products summed in place.
     """
     q = _check_q(model, q)
     c = model._constants
+    n = q.shape[-1]
     batch = q.shape[:-1]
     # joint-major (n, m): each joint's transforms are contiguous for matmul
-    qj = q.reshape(-1, model.n).T
-    local = (
-        c.fixed[:, None]
-        + (np.sin(qj) * c.revolute[:, None])[..., None, None] * c.turn1[:, None]
-        + ((1.0 - np.cos(qj)) * c.revolute[:, None])[..., None, None] * c.turn2[:, None]
-        + (qj * c.prismatic[:, None])[..., None, None] * c.slide[:, None]
-    )
+    qj = q.reshape(-1, n).T
+    local = c.fixed + np.sin(qj)[..., None, None] * c.turn1
+    local += (1.0 - np.cos(qj))[..., None, None] * c.turn2
+    local += qj[..., None, None] * c.slide
     frames = np.empty_like(local)
     t = c.base
-    for i in range(model.n):
-        t = np.matmul(t, local[i], out=frames[i])
+    for joint, frame in zip(local, frames):
+        t = np.matmul(t, joint, out=frame)
     tool = (t @ c.tool).reshape(batch + (4, 4))
-    frames = frames.swapaxes(0, 1).reshape(batch + (model.n, 4, 4))
+    frames = frames.swapaxes(0, 1).reshape(batch + (n, 4, 4))
     rotations = frames[..., :3, :3]
     origins = frames[..., :3, 3]
     p_op = tool[..., :3, 3]
-    axes = np.matmul(rotations, c.axes[:, :, None])[..., 0]
-    spin = axes * c.revolute[:, None]
-    slide = axes * c.prismatic[:, None]
-    # revolute: (p x z; z) at the world origin, z x (p_op - p) at the tool
-    arms = np.empty((2,) + origins.shape)
-    arms[0] = origins
-    np.subtract(origins, p_op[..., None, :], out=arms[1])
-    lever = _cross(arms, spin)
-    motion = np.concatenate([lever[0] + slide, spin], axis=-1)
+    axes = np.matmul(rotations, c.axes)[..., 0]
+    spin = axes * c.revolute
+    slide = axes * c.prismatic
+    # revolute: z x (p_op - p) at the tool
+    lever = _cross(origins - p_op[..., None, :], spin)
     jacobian = np.concatenate(
-        [(lever[1] + slide).swapaxes(-1, -2), spin.swapaxes(-1, -2)], axis=-2
+        [(lever + slide).swapaxes(-1, -2), spin.swapaxes(-1, -2)], axis=-2
     )
-    return KinematicState(rotations, origins, motion, tool[..., :3, :3], p_op, jacobian)
+    return KinematicState(rotations, origins, tool[..., :3, :3], p_op, jacobian, spin, slide)
 
 
 # .entry: (model, q bytes, KinematicState) of the calling thread's last
@@ -331,12 +350,16 @@ def link_frames_axes(model: ChainModel, q) -> KinematicState:
 # threads never evict each other's entry
 _last_pass = threading.local()
 _NO_PASS = (None, b"", None)
+_FLOAT = np.dtype(float)
 
 
 def _pass_at(model: ChainModel, q) -> KinematicState:
     """``link_frames_axes`` at one configuration, reused while the model
-    object and the bytes of q repeat on the calling thread."""
-    q = _check_q(model, np.ravel(q))
+    object and the bytes of q repeat on the calling thread.  A float64
+    (n,) array, what IK always passes, is used as it is; any other q is
+    checked and flattened first."""
+    if type(q) is not np.ndarray or q.dtype is not _FLOAT or q.shape != (model.n,):
+        q = _check_q(model, np.ravel(q))
     key = q.tobytes()
     last_model, last_key, kin = getattr(_last_pass, "entry", _NO_PASS)
     if last_model is not model or last_key != key:

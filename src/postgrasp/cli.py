@@ -142,6 +142,8 @@ def _check_resample(count: int | None) -> None:
     """Check ``--resample`` before any evaluation runs."""
     if count is not None and count < 2:
         raise CliError("--resample must be >= 2")
+    if count is not None and count > fileio.MAX_COUNT:
+        raise CliError(f"--resample must be <= {fileio.MAX_COUNT}")
 
 
 def _parse_config_vector(text: str) -> np.ndarray:

@@ -31,6 +31,9 @@ from .task import (
 )
 
 SCHEMA_VERSION = 1
+# most waypoints (``resample_count``, ``--resample``) or sweep grasps a task
+# may ask for; past it a count would only exhaust memory or time
+MAX_COUNT = 100_000
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -101,6 +104,16 @@ def _integer(obj, key, path) -> int:
     v = obj[key]
     if not isinstance(v, int) or isinstance(v, bool):
         raise SchemaError(f"{path}.{key}: expected an integer")
+    return v
+
+
+def _count(obj, key, path) -> int:
+    """A waypoint or grasp count, in [2, MAX_COUNT]."""
+    v = _integer(obj, key, path)
+    if v < 2:
+        raise SchemaError(f"{path}.{key}: must be >= 2")
+    if v > MAX_COUNT:
+        raise SchemaError(f"{path}.{key}: must be <= {MAX_COUNT}")
     return v
 
 
@@ -292,18 +305,14 @@ def load_task(path) -> TaskSpec:
         spath = f"{fname}.sweep"
         sobj = data["sweep"]
         _check_keys(sobj, {"start", "end", "count"}, set(), spath)
-        count = _integer(sobj, "count", spath)
-        if count < 2:
-            raise SchemaError(f"{spath}.count: must be >= 2")
+        count = _count(sobj, "count", spath)
         start = _parse_pose(sobj["start"], f"{spath}.start")
         end = _parse_pose(sobj["end"], f"{spath}.end")
         grasps = generate_grasp_sweep(start, end, count)
 
     resample_count = 50
     if "resample_count" in data:
-        resample_count = _integer(data, "resample_count", fname)
-        if resample_count < 2:
-            raise SchemaError(f"{fname}.resample_count: must be >= 2")
+        resample_count = _count(data, "resample_count", fname)
 
     ik_seed = None
     if "ik_seed" in data:

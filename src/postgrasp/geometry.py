@@ -209,7 +209,7 @@ class Pose:
 
     def __post_init__(self):
         t = np.array(self.translation, dtype=float).reshape(3)
-        t.flags.writeable = False
+        t.setflags(write=False)
         object.__setattr__(self, "translation", t)
 
     @classmethod

@@ -12,7 +12,10 @@ pose ``forward_kinematics`` gave when it was tried; both functions read the
 chain's memo of the last kinematic pass, so every distinct iterate is one
 pass.  A solve returns its last iterate's tool pose with the iterate, and
 the next waypoint starts from both, so the start of a waypoint asks for no
-pose.
+pose.  Nor is that seed clamped to the joint limits again: every iterate
+is clamped when it is made, and clamping a value already within the
+limits returns it unchanged, so only the first waypoint's seed, an input,
+is clamped.
 
 The pose error works on the quaternions' floats: it repeats
 ``(target.rotation * current.rotation.inverse()).log()`` operation for
@@ -115,13 +118,15 @@ def _solve(model, target, seed, current=None) -> tuple[np.ndarray, Pose, bool, i
     """DLS from ``seed``: the last iterate, its tool pose, whether it meets
     the tolerances, and the number of iterations (Jacobians) run.
 
-    ``current`` is the seed's tool pose when the caller has it: a seed that
-    is an earlier solve's iterate lies within the joint limits, so the
-    clamp below leaves it as it is."""
+    ``current`` is the seed's tool pose when the caller has it.  Such a
+    seed is an earlier solve's last iterate, a float array within the
+    joint limits, so it is used as it is; any other seed is clamped."""
     lo, hi = model.limits_arrays()
-    q = np.minimum(np.maximum(np.asarray(seed, dtype=float).reshape(model.n), lo), hi)
     if current is None:
+        q = np.minimum(np.maximum(np.asarray(seed, dtype=float).reshape(model.n), lo), hi)
         current = forward_kinematics(model, q)
+    else:
+        q = seed
     err = pose_error(target, current)
     err_norms = [_norm(err)]
     for it in range(MAX_ITERATIONS):

@@ -9,9 +9,13 @@ eps_ijk v_j, the form ``geometry.skew`` had before it filled the entries
 directly.
 
 The rest builds on production functions, so it checks only the logic it
-adds.  ``rotation_pose_error`` is the IK pose error on ``Rotation`` objects
-and ``loop_fd_derivatives`` the finite differences one waypoint at a time,
-the forms ``ik`` computed before it worked on floats and whole arrays.
+adds.  ``eager_link_frames_axes`` is the kinematic pass with the
+joint-kind masks applied inside it and the motion columns built eagerly,
+the form ``chain`` ran before its joint constants carried the masks and
+``motion`` was derived on first read.  ``rotation_pose_error`` is the IK
+pose error on ``Rotation`` objects and ``loop_fd_derivatives`` the finite
+differences one waypoint at a time, the forms ``ik`` computed before it
+worked on floats and whole arrays.
 ``reference_dls`` is the damped least-squares loop as it ran before solves
 stopped on a stall, on the production forward kinematics and Jacobian and
 ``rotation_pose_error``.  ``gravity_vector`` and ``coriolis_matrix``
@@ -44,7 +48,7 @@ from postgrasp.dynamics import (
     operational_mass_inverse,
 )
 from postgrasp.metrics import directional_effective_mass
-from postgrasp.geometry import Pose
+from postgrasp.geometry import Pose, skew
 from postgrasp.task import GraspCandidate, RigidObject
 
 CHRISTOFFEL_STEP = 1e-6  # rad; truncation/round-off balance for float64
@@ -223,6 +227,67 @@ def loop_fd_derivatives(times, pos) -> tuple[np.ndarray, np.ndarray]:
             + y2 / ((t2 - t0) * (t2 - t1))
         )
     return vel, acc
+
+
+def eager_link_frames_axes(model: ChainModel, q) -> dict[str, np.ndarray]:
+    """The kinematic pass as it ran while the joint-kind masks were applied
+    inside it and the motion columns were built eagerly: every field of a
+    ``KinematicState``, ``motion`` included, by name.  The joint constants
+    are stacked here as ``chain`` stacked them then, unmasked."""
+    q = _check_q(model, q)
+    n = model.n
+    fixed = np.stack([j.origin.to_matrix() for j in model.joints])
+    turn1 = np.zeros((n, 4, 4))
+    turn2 = np.zeros((n, 4, 4))
+    slide_basis = np.zeros((n, 4, 4))
+    link_axes = np.stack([j.axis for j in model.joints])
+    for i, k in enumerate(skew(link_axes)):
+        turn1[i, :3, :3] = fixed[i, :3, :3] @ k
+        turn2[i, :3, :3] = fixed[i, :3, :3] @ k @ k
+        slide_basis[i, :3, 3] = fixed[i, :3, :3] @ link_axes[i]
+    revolute = np.array([j.kind == "revolute" for j in model.joints], dtype=float)
+    prismatic = 1.0 - revolute
+
+    def cross(a, b):
+        outer = a[..., :, None] * b[..., None, :]
+        return (outer - outer.swapaxes(-1, -2))[..., [1, 2, 0], [2, 0, 1]]
+
+    batch = q.shape[:-1]
+    qj = q.reshape(-1, n).T
+    local = (
+        fixed[:, None]
+        + (np.sin(qj) * revolute[:, None])[..., None, None] * turn1[:, None]
+        + ((1.0 - np.cos(qj)) * revolute[:, None])[..., None, None] * turn2[:, None]
+        + (qj * prismatic[:, None])[..., None, None] * slide_basis[:, None]
+    )
+    frames = np.empty_like(local)
+    t = model.base_pose.to_matrix()
+    for i in range(n):
+        t = np.matmul(t, local[i], out=frames[i])
+    tool = (t @ model.tool_transform.to_matrix()).reshape(batch + (4, 4))
+    frames = frames.swapaxes(0, 1).reshape(batch + (n, 4, 4))
+    rotations = frames[..., :3, :3]
+    origins = frames[..., :3, 3]
+    p_op = tool[..., :3, 3]
+    axes = np.matmul(rotations, link_axes[:, :, None])[..., 0]
+    spin = axes * revolute[:, None]
+    slide = axes * prismatic[:, None]
+    arms = np.empty((2,) + origins.shape)
+    arms[0] = origins
+    np.subtract(origins, p_op[..., None, :], out=arms[1])
+    lever = cross(arms, spin)
+    return {
+        "rotations": rotations,
+        "origins": origins,
+        "motion": np.concatenate([lever[0] + slide, spin], axis=-1),
+        "tool_rotation": tool[..., :3, :3],
+        "tool_position": p_op,
+        "jacobian": np.concatenate(
+            [(lever[1] + slide).swapaxes(-1, -2), spin.swapaxes(-1, -2)], axis=-2
+        ),
+        "spin": spin,
+        "slide": slide,
+    }
 
 
 def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:

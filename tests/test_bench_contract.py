@@ -3,12 +3,15 @@
 A renamed or removed function would drop the per-layer metrics derived from
 it, and a DLS that stopped calling forward kinematics or the Jacobian by
 their ``postgrasp.ik`` names would leave ``ik.fk_per_iteration`` and
-``ik.jacobians_per_waypoint`` with nothing to count.  The golden check
+``ik.jacobians_per_waypoint`` with nothing to count, and one that reached
+the kinematic pass other than by ``postgrasp.chain.link_frames_axes``
+would leave ``chain.ik_passes_per_pair`` at 0.  The golden check
 reads the reachability flags through ``postgrasp.ik.track_trajectory``,
 called once per grasp.  spans.py is loaded from its file and only read.
 """
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from postgrasp import (
     reference_task_path,
     track_trajectory,
 )
-from postgrasp import ik
+from postgrasp import chain, ik
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -61,6 +64,32 @@ def test_tracking_calls_pose_and_jacobian_by_their_ik_names(arm7, monkeypatch):
     assert calls["forward_kinematics"] > 0
     assert calls["geometric_jacobian"] > 0
     assert result.reachable.shape == (4,)
+
+
+def test_tracking_reaches_the_pass_through_its_module_binding(arm7, spans, monkeypatch):
+    # chain.ik_passes_per_pair counts postgrasp.chain.link_frames_axes as
+    # the tracer rebinds it: DLS must reach the pass by that module name,
+    # once per distinct iterate whose pose or Jacobian it asks for
+    asked = []
+
+    def recording(original):
+        def recorded(model, q):
+            asked.append(q.tobytes())
+            return original(model, q)
+
+        return recorded
+
+    for name in ("forward_kinematics", "geometric_jacobian"):
+        monkeypatch.setattr(ik, name, recording(getattr(ik, name)))
+    qs = np.linspace([0.1, 0.5, -0.2, -1.2, 0.3, 0.8, 0.0], [0.4, 0.8, 0.1, -0.9, 0.6, 1.1, 0.3], 4)
+    poses = [forward_kinematics(arm7, q) for q in qs]
+    monkeypatch.setattr(chain, "_last_pass", threading.local())
+    with spans.Tracer() as tracer:
+        result = ik.track_trajectory(arm7, TaskTrajectory(poses, np.linspace(0.0, 1.0, 4)), qs[0])
+    assert tracer.absent == []
+    assert result.reachable.all()
+    runs = sum(1 for i, key in enumerate(asked) if i == 0 or key != asked[i - 1])
+    assert tracer.counts["chain.link_frames_axes", "ik"] == runs == len(set(asked)) > len(qs)
 
 
 def test_evaluate_task_tracks_each_grasp_once(arm7, spans):

@@ -184,6 +184,52 @@ class TestPassMemo:
             jac[0, 0] = 1.0
 
 
+Q7 = np.linspace(-1.2, 0.9, 7)
+
+
+class TestPassInputs:
+    # IK's float64 (n,) arrays go to the pass unchecked by the memo; every
+    # other form is still converted and flattened, and the pass itself
+    # checks every new q
+
+    @pytest.mark.parametrize(
+        "q",
+        [list(Q7), np.round(2 * Q7).astype(int), Q7.astype(np.float32), Q7[None, :], np.repeat(Q7, 2)[::2]],
+        ids=["list", "int-array", "float32", "row", "strided"],
+    )
+    def test_any_form_gives_the_pass_of_its_float_values(self, arm7, monkeypatch, q):
+        monkeypatch.setattr(chain, "_last_pass", threading.local())
+        want = chain.link_frames_axes(arm7, np.asarray(q, dtype=float).ravel())
+        pose = forward_kinematics(arm7, q)
+        assert pose.translation.tobytes() == want.tool_position.tobytes()
+        assert pose.rotation == Rotation.from_matrix(want.tool_rotation)
+        assert geometric_jacobian(arm7, q).tobytes() == want.jacobian.tobytes()
+
+    @pytest.mark.parametrize(
+        "q, got",
+        [(np.zeros(6), 6), (np.zeros(8, dtype=int), 8), ([0.0] * 8, 8), (np.zeros((2, 7)), 14)],
+        ids=["short", "long-int", "long-list", "two-rows"],
+    )
+    @pytest.mark.parametrize("function", [forward_kinematics, geometric_jacobian])
+    def test_wrong_length_rejected(self, arm7, monkeypatch, function, q, got):
+        monkeypatch.setattr(chain, "_last_pass", threading.local())
+        with pytest.raises(ValueError, match=f"^expected 7 joint values, got {got}$"):
+            function(arm7, q)
+
+    def test_pass_checks_every_new_q(self, arm7):
+        with pytest.raises(ValueError, match="^expected 7 joint values, got 6$"):
+            chain.link_frames_axes(arm7, np.zeros(6))
+
+    def test_motion_is_derived_once_and_read_only(self, arm7):
+        kin = chain.link_frames_axes(arm7, Q7)
+        assert "motion" not in vars(kin)
+        motion = kin.motion
+        assert kin.motion is motion
+        assert motion.shape == (7, 6)
+        with pytest.raises(ValueError):
+            motion[0, 0] = 1.0
+
+
 class TestToolBodyMerge:
     def test_zero_mass_merge_is_noop(self, arm7):
         merged = arm7.with_tool_body(0.0, np.zeros(3), np.zeros((3, 3)))

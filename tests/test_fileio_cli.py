@@ -17,7 +17,7 @@ from postgrasp import (
     reference_task_path,
 )
 from postgrasp.cli import RunConfig, main, run_evaluation
-from postgrasp.fileio import read_scorecards_csv, write_scorecards_csv
+from postgrasp.fileio import MAX_COUNT, read_scorecards_csv, write_scorecards_csv
 
 ARM7_SEED = [1.1714, -0.5996, -1.3336, 1.6372, -2.1718, -1.3377, -0.3196]
 
@@ -820,3 +820,61 @@ def test_metrics_at_prints_the_scalars_evaluate_writes(tmp_path, synthetic_task_
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "grasp g_b, waypoint 3/7:"
     assert lines[-1] == f"scalars: H_tov={card.h_tov:.6g} H_tme={card.h_tme:.6g} H_tem={card.h_tem:.6g}"
+
+
+def _sweep_task_dict(count):
+    data = synthetic_task_dict()
+    del data["grasps"]
+    data["sweep"] = {
+        "start": {"translation": [0.0, -0.05, 0.1], "quaternion": [0.0, 1.0, 0.0, 0.0]},
+        "end": {"translation": [0.0, 0.05, 0.1], "quaternion": [0.0, 1.0, 0.0, 0.0]},
+        "count": count,
+    }
+    return data
+
+
+@pytest.mark.parametrize("count", [MAX_COUNT + 1, 10**400])
+@pytest.mark.parametrize("field", ["resample_count", "sweep.count"])
+def test_count_above_the_bound_rejected_with_its_field(tmp_path, capsys, field, count):
+    # json.dumps writes 10**400 as a bare integer literal; before the bound
+    # it reached numpy as "Maximum allowed size exceeded", naming no field
+    data = synthetic_task_dict() if field == "resample_count" else _sweep_task_dict(2)
+    if field == "resample_count":
+        data["resample_count"] = count
+    else:
+        data["sweep"]["count"] = count
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(data))
+    message = f"{task}.{field}: must be <= {MAX_COUNT}"
+    with pytest.raises(SchemaError) as excinfo:
+        load_task(task)
+    assert str(excinfo.value) == message
+    out = tmp_path / "cli_out"
+    argv = ["evaluate", "--robot", str(reference_robot_path("arm7")), "--task", str(task), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_count_at_the_bound_accepted(tmp_path):
+    data = _sweep_task_dict(MAX_COUNT)
+    data["resample_count"] = MAX_COUNT
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(data))
+    spec = load_task(task)
+    assert spec.resample_count == MAX_COUNT
+    assert len(spec.grasps) == MAX_COUNT
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "metrics-at"])
+@pytest.mark.parametrize("count", [MAX_COUNT + 1, 10**400])
+def test_resample_above_the_bound_rejected(tmp_path, synthetic_task_path, capsys, monkeypatch, verb, count):
+    calls = []
+    monkeypatch.setattr("postgrasp.cli.evaluate_task", lambda *a, **k: calls.append(1))
+    out = tmp_path / "cli_out"
+    argv = [verb, "--robot", str(reference_robot_path("arm7")), "--task", str(synthetic_task_path)]
+    argv += ["--out", str(out)] if verb == "evaluate" else ["--grasp", "g_a", "--waypoint", "0"]
+    assert main(argv + ["--resample", str(count)]) == 2
+    assert f"error: --resample must be <= {MAX_COUNT}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()

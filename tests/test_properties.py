@@ -1,12 +1,13 @@
 """Property tests of the kinematic pass and the dynamics on random serial
 chains: 1-7 joints, revolute and prismatic mixed, random joint origins,
 base and tool poses and link inertias, at one configuration or a stack,
-including the dynamics' linearity in the link inertias; of damped
-least-squares IK against the reference loop on such a chain; and of the
-three objectives along a joint path on such a chain."""
+including the pass's bit identity with its eager form and the dynamics'
+linearity in the link inertias; of damped least-squares IK against the
+reference loop on such a chain; and of the three objectives along a joint
+path on such a chain."""
 
 import numpy as np
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,7 @@ from postgrasp.chain import link_frames_axes
 from postgrasp.ik import _solve
 from postgrasp.task import path_parameter
 
-from oracles import reference_dls
+from oracles import eager_link_frames_axes, reference_dls
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -93,6 +94,17 @@ def chains_and_stacks(draw):
     rows = [[draw(angles) for _ in range(3 * model.n)] for _ in range(m)]
     q, qd, qdd = np.split(np.array(rows), 3, axis=1)
     return model, q, qd, qdd
+
+
+@st.composite
+def chains_and_joint_arrays(draw):
+    """A chain with one configuration or a stack of them, shaped (n,),
+    (m, n) or (2, 2, n), whose entries include signed zeros."""
+    model = draw(chains())
+    shape = draw(st.sampled_from(((), (1,), (3,), (2, 2)))) + (model.n,)
+    values = st.one_of(angles, st.sampled_from((0.0, -0.0)))
+    q = np.array([draw(values) for _ in range(int(np.prod(shape)))]).reshape(shape)
+    return model, q
 
 
 def rel_err(got, want):
@@ -170,6 +182,26 @@ def test_stacked_configurations_match_rows(case):
         assert rel_err(m_stack[i, 0], mass_matrix(row, link_inertias(model, row))) <= 1e-13
         tau_row = inverse_dynamics(row, link_inertias(model, row), qd[i], qdd[i])
         assert rel_err(tau_stack[i, 0], tau_row) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(chains_and_joint_arrays())
+def test_pass_matches_the_eager_pass_bit_for_bit(case):
+    # the joint-kind masks carried by the model's constants, the in-place
+    # sum and the motion columns derived on first read change no bit,
+    # signed zeros included, of any field
+    model, q = case
+    kin = link_frames_axes(model, q)
+    want = eager_link_frames_axes(model, q)
+    names = [f.name for f in fields(kin)] + ["motion"]
+    assert sorted(names) == sorted(want)
+    differ = [
+        name
+        for name in names
+        if getattr(kin, name).shape != want[name].shape
+        or getattr(kin, name).tobytes() != want[name].tobytes()
+    ]
+    assert differ == []
 
 
 @st.composite
