@@ -28,7 +28,7 @@ from .chain import forward_kinematics, geometric_jacobian
 from .fileio import SchemaError
 from .ik import default_seed
 from .metrics import evaluate_task
-from .ranking import build_report, check_weights, normalize
+from .ranking import OBJECTIVES, build_report, check_weights
 from .task import GraspCandidate
 
 
@@ -73,13 +73,9 @@ def emit_plot_data(outdir: Path, scorecards, scores) -> None:
     scalars CSV for external plotting."""
     feasible = [sc for sc in scorecards if sc.feasible]
     ids = [sc.grasp_id for sc in feasible]
-    for metric, attr in (
-        ("tov", "tov_profile"),
-        ("tme", "tme_profile"),
-        ("tem", "tem_profile"),
-    ):
+    for name in OBJECTIVES:
         fileio.write_profile_csv(
-            outdir / f"profile_{metric}.csv", ids, [getattr(sc, attr) for sc in feasible]
+            outdir / f"profile_{name}.csv", ids, [getattr(sc, f"{name}_profile") for sc in feasible]
         )
     fileio.write_scalars_long_csv(outdir / "scalars_long.csv", scores)
 
@@ -107,17 +103,14 @@ def run_evaluation(config: RunConfig) -> int:
                 file=sys.stderr,
             )
         if not any(sc.feasible for sc in scorecards):
-            fileio.write_scorecards_csv(outdir / "scorecards.csv", scorecards, None, [])
+            fileio.write_scorecards_csv(outdir / "scorecards.csv", scorecards, None)
             print(f"{spec.name}: no feasible grasps", file=sys.stderr)
             status = max(status, 2)
             continue
 
-        scores = normalize(scorecards)
         report = build_report(scorecards, weights=config.weights)
-        fileio.write_scorecards_csv(
-            outdir / "scorecards.csv", scorecards, scores, report.pareto
-        )
-        emit_plot_data(outdir, scorecards, scores)
+        fileio.write_scorecards_csv(outdir / "scorecards.csv", scorecards, report)
+        emit_plot_data(outdir, scorecards, report.scores)
         fileio.write_report_json(
             outdir / "report.json",
             fileio.report_to_dict(report, spec.name, model.name, scorecards),

@@ -20,7 +20,7 @@ from .chain import ChainModel, JointSpec, LinkSpec
 from .dynamics import GRAVITY_DEFAULT
 from .geometry import Pose, Rotation
 from .metrics import GraspScorecard, MetricProfile
-from .ranking import NormalizedScores, RankingReport
+from .ranking import OBJECTIVES, NormalizedScores, RankingReport
 from .task import (
     START_TIME_TOLERANCE,
     GraspCandidate,
@@ -334,59 +334,42 @@ def load_task(path) -> TaskSpec:
     )
 
 
-def write_scorecards_csv(path, scorecards, scores: NormalizedScores | None, pareto_ids):
+_SCALARS = tuple(f"h_{name}" for name in OBJECTIVES)
+_SCORECARD_COLUMNS = ("grasp_id", "feasible", *_SCALARS)
+
+
+def write_scorecards_csv(path, scorecards, report: RankingReport | None):
     """One row per grasp: raw scalars, normalized scalars, feasibility and
-    Pareto membership.  Infeasible grasps keep empty numeric cells."""
+    Pareto membership.  Infeasible grasps keep empty numeric cells, and
+    without a report every normalized cell is empty."""
+    blank = [""] * len(OBJECTIVES)
     norm_by_id = {}
-    if scores is not None:
-        for i, gid in enumerate(scores.grasp_ids):
-            norm_by_id[gid] = (scores.tov[i], scores.tme[i], scores.tem[i])
-    pareto_ids = set(pareto_ids)
+    pareto = set()
+    if report is not None:
+        columns = [getattr(report.scores, name) for name in OBJECTIVES]
+        for i, gid in enumerate(report.scores.grasp_ids):
+            norm_by_id[gid] = [_fmt(column[i]) for column in columns]
+        pareto = set(report.pareto)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "grasp_id",
-                "feasible",
-                "h_tov",
-                "h_tme",
-                "h_tem",
-                "h_tov_norm",
-                "h_tme_norm",
-                "h_tem_norm",
-                "pareto",
-            ]
-        )
+        writer.writerow([*_SCORECARD_COLUMNS, *(f"{c}_norm" for c in _SCALARS), "pareto"])
         for sc in scorecards:
             if sc.feasible:
-                norm = norm_by_id.get(sc.grasp_id)
-                writer.writerow(
-                    [
-                        sc.grasp_id,
-                        "true",
-                        _fmt(sc.h_tov),
-                        _fmt(sc.h_tme),
-                        _fmt(sc.h_tem),
-                        _fmt(norm[0]) if norm else "",
-                        _fmt(norm[1]) if norm else "",
-                        _fmt(norm[2]) if norm else "",
-                        "true" if sc.grasp_id in pareto_ids else "false",
-                    ]
-                )
+                raw = [_fmt(getattr(sc, c)) for c in _SCALARS]
+                member = "true" if sc.grasp_id in pareto else "false"
+                writer.writerow([sc.grasp_id, "true", *raw, *norm_by_id.get(sc.grasp_id, blank), member])
             else:
-                writer.writerow([sc.grasp_id, "false", "", "", "", "", "", "", "false"])
-
-
-_SCALARS = ("h_tov", "h_tme", "h_tem")
-_SCORECARD_COLUMNS = ("grasp_id", "feasible", *_SCALARS)
+                writer.writerow([sc.grasp_id, "false", *blank, *blank, "false"])
 
 
 def read_scorecards_csv(path) -> list[GraspScorecard]:
     """Parse a scorecards.csv back into scalar-only scorecards (profiles are
-    not stored in the CSV).  ``feasible`` must be ``true`` or ``false``, and
-    a feasible row needs its three scalars; errors name the file, the row
-    (the header is row 1) and the column."""
+    not stored in the CSV).  Grasp ids must be non-empty and unique,
+    ``feasible`` must be ``true`` or ``false``, and a feasible row needs its
+    scalars; errors name the file, the row (the header is row 1) and the
+    column."""
     cards = []
+    seen = set()
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -398,13 +381,19 @@ def read_scorecards_csv(path) -> list[GraspScorecard]:
             raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
             where = f"{path}: row {reader.line_num}"
+            gid = row["grasp_id"]
+            if not gid:
+                raise SchemaError(f"{where}, column grasp_id: must be non-empty")
+            if gid in seen:
+                raise SchemaError(f"{where}, column grasp_id: duplicate grasp id {gid!r}")
+            seen.add(gid)
             if row["feasible"] not in ("true", "false"):
                 raise SchemaError(
                     f"{where}, column feasible: expected true or false, got {row['feasible']!r}"
                 )
             feasible = row["feasible"] == "true"
             scalars = {key: _scalar_cell(row, key, where) if feasible else None for key in _SCALARS}
-            cards.append(GraspScorecard(grasp_id=row["grasp_id"], feasible=feasible, **scalars))
+            cards.append(GraspScorecard(grasp_id=gid, feasible=feasible, **scalars))
     return cards
 
 
@@ -436,9 +425,8 @@ def write_scalars_long_csv(path, scores: NormalizedScores):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["grasp_id", "metric", "value_normalized"])
         for i, gid in enumerate(scores.grasp_ids):
-            writer.writerow([gid, "tov", _fmt(scores.tov[i])])
-            writer.writerow([gid, "tme", _fmt(scores.tme[i])])
-            writer.writerow([gid, "tem", _fmt(scores.tem[i])])
+            for name in OBJECTIVES:
+                writer.writerow([gid, name, _fmt(getattr(scores, name)[i])])
 
 
 def report_to_dict(report: RankingReport, task_name: str, robot_name: str, scorecards) -> dict:

@@ -1,8 +1,6 @@
 """Normalization, Pareto-front extraction and conflict detection over a set
 of grasp scorecards.
 
-Sense convention: manipulability is maximized, torque effort and effective
-mass are minimized.  Internally everything is mapped to minimization.
 Tie-breaking is always by ascending position in the input grasp list so
 reports are deterministic.
 """
@@ -15,21 +13,24 @@ import numpy as np
 
 from .metrics import GraspScorecard
 
-_METRIC_ATTRS = {"tov": "h_tov", "tme": "h_tme", "tem": "h_tem"}
+# The objectives in output order, each with its sense: a scorecard's
+# ``h_<name>`` times the sense is minimized.  Manipulability (tov) is
+# maximized; torque effort (tme) and effective mass (tem) are minimized.
+OBJECTIVES = {"tov": -1.0, "tme": 1.0, "tem": 1.0}
+_SENSES = np.array(list(OBJECTIVES.values()))
 
 
-def _feasible(scorecards) -> list[GraspScorecard]:
-    return [sc for sc in scorecards if sc.feasible]
-
-
-def _scalar_table(cards: list[GraspScorecard]) -> dict[str, np.ndarray]:
-    table = {}
-    for metric, attr in _METRIC_ATTRS.items():
-        vals = np.array([getattr(sc, attr) for sc in cards], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"non-finite {metric} scalar among feasible grasps")
-        table[metric] = vals
-    return table
+def _feasible_table(scorecards, fewest: int, message: str) -> tuple[list[GraspScorecard], np.ndarray]:
+    """The feasible scorecards, in input order, and their (k, objectives)
+    scalar table; raises ValueError(message) below ``fewest`` of them."""
+    cards = [sc for sc in scorecards if sc.feasible]
+    if len(cards) < fewest:
+        raise ValueError(message)
+    table = np.array([[getattr(sc, f"h_{name}") for name in OBJECTIVES] for sc in cards], dtype=float)
+    for name, column in zip(OBJECTIVES, table.T):
+        if not np.all(np.isfinite(column)):
+            raise ValueError(f"non-finite {name} scalar among feasible grasps")
+    return cards, table
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +41,24 @@ class NormalizedScores:
     tov: np.ndarray
     tme: np.ndarray
     tem: np.ndarray
-    maxima: dict
+
+
+def _normalized(cards, table) -> NormalizedScores:
+    top = table.max(axis=0)
+    # all-zero column: every grasp is equal, define the ratio as 1
+    norm = np.divide(table, top, out=np.ones_like(table), where=top > 0.0)
+    return NormalizedScores(tuple(sc.grasp_id for sc in cards), **dict(zip(OBJECTIVES, norm.T)))
+
+
+def _front(cards, signed) -> list[str]:
+    weak = np.all(signed[:, None, :] <= signed[None, :, :], axis=-1)
+    strict = np.any(signed[:, None, :] < signed[None, :, :], axis=-1)
+    dominated = np.any(weak & strict, axis=0)
+    return [sc.grasp_id for sc, dom in zip(cards, dominated) if not dom]
+
+
+def _argbest(cards, signed) -> dict[str, str]:
+    return {name: cards[i].grasp_id for name, i in zip(OBJECTIVES, np.argmin(signed, axis=0).tolist())}
 
 
 def normalize(scorecards) -> NormalizedScores:
@@ -49,24 +67,7 @@ def normalize(scorecards) -> NormalizedScores:
     Infeasible grasps are excluded so an unreachable candidate cannot
     distort the scale; the per-objective maximum normalizes to exactly 1.
     """
-    cards = _feasible(scorecards)
-    if not cards:
-        raise ValueError("no feasible grasps to normalize")
-    table = _scalar_table(cards)
-    norm = {}
-    maxima = {}
-    for metric, vals in table.items():
-        top = float(vals.max())
-        maxima[metric] = top
-        # all-zero column: every grasp is equal, define the ratio as 1
-        norm[metric] = vals / top if top > 0.0 else np.ones_like(vals)
-    return NormalizedScores(
-        grasp_ids=tuple(sc.grasp_id for sc in cards),
-        tov=norm["tov"],
-        tme=norm["tme"],
-        tem=norm["tem"],
-        maxima=maxima,
-    )
+    return _normalized(*_feasible_table(scorecards, 1, "no feasible grasps to normalize"))
 
 
 def pareto_front(scorecards) -> list[str]:
@@ -75,34 +76,19 @@ def pareto_front(scorecards) -> list[str]:
     A grasp is dominated when another is at least as good in every
     objective and strictly better in at least one; exact ties are kept.
     """
-    cards = _feasible(scorecards)
-    if not cards:
-        raise ValueError("no feasible grasps")
-    table = _scalar_table(cards)
-    vals = np.column_stack([-table["tov"], table["tme"], table["tem"]])
-    weak = np.all(vals[:, None, :] <= vals[None, :, :], axis=-1)
-    strict = np.any(vals[:, None, :] < vals[None, :, :], axis=-1)
-    dominated = np.any(weak & strict, axis=0)
-    return [sc.grasp_id for sc, dom in zip(cards, dominated) if not dom]
+    cards, table = _feasible_table(scorecards, 1, "no feasible grasps")
+    return _front(cards, table * _SENSES)
 
 
 def detect_conflict(scorecards) -> tuple[bool, dict[str, str]]:
-    """Whether the three per-objective best grasps disagree.
+    """Whether the per-objective best grasps disagree.
 
     Ties resolve to the lowest grasp index.  Returns the conflict flag and
     the per-objective argbest table.
     """
-    cards = _feasible(scorecards)
-    if len(cards) < 2:
-        raise ValueError("conflict detection needs at least two feasible grasps")
-    table = _scalar_table(cards)
-    argbest = {
-        "tov": cards[int(np.argmax(table["tov"]))].grasp_id,
-        "tme": cards[int(np.argmin(table["tme"]))].grasp_id,
-        "tem": cards[int(np.argmin(table["tem"]))].grasp_id,
-    }
-    conflict = len(set(argbest.values())) > 1
-    return conflict, argbest
+    cards, table = _feasible_table(scorecards, 2, "conflict detection needs at least two feasible grasps")
+    argbest = _argbest(cards, table * _SENSES)
+    return len(set(argbest.values())) > 1, argbest
 
 
 def check_weights(weights) -> np.ndarray:
@@ -131,37 +117,28 @@ def scalarize(scores: NormalizedScores, weights) -> list[tuple[str, float]]:
 
 @dataclass(frozen=True, eq=False)
 class RankingReport:
-    """Per-objective argbest ids, the Pareto set, the conflict flag and an
-    optional scalarized ordering."""
+    """Per-objective argbest ids, the Pareto set, the conflict flag, the
+    normalized scores and an optional scalarized ordering."""
 
     argbest: dict
     pareto: tuple[str, ...]
     conflict: bool
+    scores: NormalizedScores
     weights: tuple | None = None
     scalarized: tuple | None = None
 
 
 def build_report(scorecards, weights=None) -> RankingReport:
     """Assemble the decision-support summary for a completed grasp set."""
-    cards = _feasible(scorecards)
-    if not cards:
-        raise ValueError("no feasible grasps")
-    if len(cards) == 1:
-        only = cards[0].grasp_id
-        argbest = {"tov": only, "tme": only, "tem": only}
-        conflict = False
-    else:
-        conflict, argbest = detect_conflict(scorecards)
-    pareto = tuple(pareto_front(scorecards))
-    scalarized = None
-    wtuple = None
-    if weights is not None:
-        scalarized = tuple(scalarize(normalize(scorecards), weights))
-        wtuple = tuple(float(w) for w in weights)
+    cards, table = _feasible_table(scorecards, 1, "no feasible grasps")
+    signed = table * _SENSES
+    argbest = _argbest(cards, signed)
+    scores = _normalized(cards, table)
     return RankingReport(
         argbest=argbest,
-        pareto=pareto,
-        conflict=conflict,
-        weights=wtuple,
-        scalarized=scalarized,
+        pareto=tuple(_front(cards, signed)),
+        conflict=len(set(argbest.values())) > 1,
+        scores=scores,
+        scalarized=None if weights is None else tuple(scalarize(scores, weights)),
+        weights=None if weights is None else tuple(float(w) for w in weights),
     )

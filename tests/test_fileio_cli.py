@@ -235,7 +235,7 @@ class TestCsvPrecision:
             GraspScorecard("g02", False),
         ]
         path = tmp_path / "scorecards.csv"
-        write_scorecards_csv(path, cards, None, [])
+        write_scorecards_csv(path, cards, None)
         back = read_scorecards_csv(path)
         assert back[0].h_tov == math.pi
         assert back[0].h_tme == 1e-17 + 2.0
@@ -412,7 +412,7 @@ class TestCliCommands:
             GraspScorecard("b", True, h_tov=1.0, h_tme=2.0, h_tem=2.0),
         ]
         path = tmp_path / "cards.csv"
-        write_scorecards_csv(path, cards, None, [])
+        write_scorecards_csv(path, cards, None)
         rc = main(["pareto", "--scorecards", str(path)])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -585,7 +585,7 @@ class TestCliCommands:
             GraspScorecard("b", True, h_tov=1.0, h_tme=2.0, h_tem=2.0),
         ]
         path = tmp_path / "cards.csv"
-        write_scorecards_csv(path, cards, None, [])
+        write_scorecards_csv(path, cards, None)
         rc = main(["pareto", "--scorecards", str(path), "--weights", "nan,0.5,0.5"])
         assert rc == 2
         captured = capsys.readouterr()
@@ -749,6 +749,22 @@ class TestStrictScorecardsInput:
         path, rc = self._pareto(tmp_path, "b,true,1.0,2,2.0\na,true,,1,1.0\n")
         assert rc == 2
         assert f"error: {path}: row 3, column h_tov: expected a number, got ''" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("a,true,2.0,1,1.0\na,true,1.0,2,2.0\n", "row 3, column grasp_id: duplicate grasp id 'a'"),
+            ("a,true,2.0,1,1.0\n,true,1.0,2,2.0\n", "row 3, column grasp_id: must be non-empty"),
+            ("a,true,2.0,1,1.0\na,false,,,\n", "row 3, column grasp_id: duplicate grasp id 'a'"),
+        ],
+        ids=["duplicate", "empty", "duplicate-infeasible"],
+    )
+    def test_bad_grasp_id_rejected(self, tmp_path, capsys, rows, message):
+        path, rc = self._pareto(tmp_path, rows)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == ""
 
 
 NAN, INF = float("nan"), float("inf")
