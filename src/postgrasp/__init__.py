@@ -33,7 +33,6 @@ from .ik import (
 )
 from .metrics import (
     GraspScorecard,
-    MetricProfile,
     ZeroMotionError,
     directional_manipulability,
     evaluate_grasp,

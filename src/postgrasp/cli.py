@@ -27,8 +27,8 @@ from . import fileio
 from .chain import forward_kinematics, geometric_jacobian
 from .fileio import SchemaError
 from .ik import default_seed
-from .metrics import evaluate_task
-from .ranking import OBJECTIVES, build_report, check_weights
+from .metrics import FLAGS, OBJECTIVES, check_ik_seed, evaluate_task
+from .ranking import build_report, check_weights
 from .task import GraspCandidate
 
 
@@ -75,51 +75,70 @@ def emit_plot_data(outdir: Path, scorecards, scores) -> None:
     ids = [sc.grasp_id for sc in feasible]
     for name in OBJECTIVES:
         fileio.write_profile_csv(
-            outdir / f"profile_{name}.csv", ids, [getattr(sc, f"{name}_profile") for sc in feasible]
+            outdir / f"profile_{name}.csv", feasible[0].s, ids, [sc.profiles[name] for sc in feasible]
         )
     fileio.write_scalars_long_csv(outdir / "scalars_long.csv", scores)
+
+
+def _score(task_path, model, spec, *args, **kwargs):
+    """``evaluate_task``; an error raised while scoring names the task file."""
+    try:
+        return evaluate_task(model, spec, *args, **kwargs)
+    except ValueError as exc:
+        raise CliError(f"{task_path}: {exc}") from exc
+
+
+def _write_task(config: RunConfig, model_name: str, spec, outdir: Path, scorecards) -> int:
+    """Write one task's result files into ``outdir``; returns its exit status."""
+    outdir.mkdir(exist_ok=True)
+    infeasible = [sc.grasp_id for sc in scorecards if not sc.feasible]
+    status = 2 if infeasible and not config.allow_infeasible else 0
+    if status:
+        print(f"{spec.name}: infeasible grasps: {', '.join(infeasible)}", file=sys.stderr)
+    if not any(sc.feasible for sc in scorecards):
+        fileio.write_scorecards_csv(outdir / "scorecards.csv", scorecards, None)
+        print(f"{spec.name}: no feasible grasps", file=sys.stderr)
+        return 2
+
+    report = build_report(scorecards, weights=config.weights)
+    fileio.write_scorecards_csv(outdir / "scorecards.csv", scorecards, report)
+    emit_plot_data(outdir, scorecards, report.scores)
+    fileio.write_report_json(
+        outdir / "report.json", fileio.report_to_dict(report, spec.name, model_name, scorecards)
+    )
+    print(
+        f"{spec.name}: feasible {sum(sc.feasible for sc in scorecards)}/{len(scorecards)}, "
+        f"conflict={str(report.conflict).lower()}, pareto=[{', '.join(report.pareto)}] "
+        f"-> {outdir}"
+    )
+    return status
 
 
 def run_evaluation(config: RunConfig) -> int:
     """Evaluate every task in the config; returns the process exit status.
 
     Nonzero when any grasp is infeasible (unless allowed) or when a task
-    has no feasible grasp at all.
+    has no feasible grasp at all.  Every input is loaded and checked, and
+    ``config.out`` created, before the first task is scored.
     """
     model = fileio.load_robot(config.robot)
     specs = [fileio.load_task(path) for path in config.tasks]
+    outdirs = _output_dirs(config, specs)
+    for spec in specs:
+        check_ik_seed(model, spec)
+    try:
+        config.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"--out: cannot create directory ({exc})") from exc
     status = 0
-    for spec, outdir in zip(specs, _output_dirs(config, specs)):
-        scorecards = evaluate_task(
-            model, spec, config.grasps_override, config.resample, config.index_quadrature, config.jobs
+    for path, spec, outdir in zip(config.tasks, specs, outdirs):
+        scorecards = _score(
+            path, model, spec, config.grasps_override, config.resample, config.index_quadrature, config.jobs
         )
-        outdir.mkdir(parents=True, exist_ok=True)
-
-        infeasible = [sc.grasp_id for sc in scorecards if not sc.feasible]
-        if infeasible and not config.allow_infeasible:
-            status = max(status, 2)
-            print(
-                f"{spec.name}: infeasible grasps: {', '.join(infeasible)}",
-                file=sys.stderr,
-            )
-        if not any(sc.feasible for sc in scorecards):
-            fileio.write_scorecards_csv(outdir / "scorecards.csv", scorecards, None)
-            print(f"{spec.name}: no feasible grasps", file=sys.stderr)
-            status = max(status, 2)
-            continue
-
-        report = build_report(scorecards, weights=config.weights)
-        fileio.write_scorecards_csv(outdir / "scorecards.csv", scorecards, report)
-        emit_plot_data(outdir, scorecards, report.scores)
-        fileio.write_report_json(
-            outdir / "report.json",
-            fileio.report_to_dict(report, spec.name, model.name, scorecards),
-        )
-        print(
-            f"{spec.name}: feasible {sum(sc.feasible for sc in scorecards)}/{len(scorecards)}, "
-            f"conflict={str(report.conflict).lower()}, pareto=[{', '.join(report.pareto)}] "
-            f"-> {outdir}"
-        )
+        try:
+            status = max(status, _write_task(config, model.name, spec, outdir, scorecards))
+        except OSError as exc:
+            raise CliError(f"{exc.filename or outdir}: cannot write ({exc.strerror or exc})") from exc
     return status
 
 
@@ -155,9 +174,11 @@ def _parse_grasps_override(text: str) -> list[GraspCandidate]:
     raw = text.strip()
     if not raw.startswith("["):
         try:
-            raw = Path(text).read_text()
+            raw = Path(text).read_text(encoding="utf-8")
         except OSError as exc:
             raise CliError(f"--grasps-override: cannot read file ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise CliError(f"--grasps-override: {text}: cannot decode as UTF-8 ({exc})") from exc
     try:
         entries = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -220,18 +241,17 @@ def _cmd_metrics_at(args) -> int:
     n = spec.resample_count if args.resample is None else args.resample
     if not 0 <= k < n:
         raise CliError(f"--waypoint must be in [0, {n - 1}]")
-    (sc,) = evaluate_task(model, spec, grasps=[grasps[args.grasp]], resample_count=args.resample)
+    (sc,) = _score(args.task, model, spec, grasps=[grasps[args.grasp]], resample_count=args.resample)
     if not sc.feasible:
         print(f"grasp {args.grasp}: infeasible (first waypoint unreachable)")
         return 2
     print(f"grasp {args.grasp}, waypoint {k}/{n - 1}:")
-    print(f"  s            = {sc.tov_profile.s[k]:.6g}")
-    print(f"  tov a^2      = {sc.tov_profile.values[k]:.6g}")
-    print(f"  |tau|^2      = {sc.tme_profile.values[k]:.6g}")
-    print(f"  m_e          = {sc.tem_profile.values[k]:.6g}")
-    print(f"  near_singular= {bool(sc.tem_profile.near_singular[k])}")
-    print(f"  unachievable = {bool(sc.tov_profile.near_singular[k])}")
-    print(f"  unreachable  = {bool(sc.tov_profile.unreachable[k])}")
+    print(f"  s            = {sc.s[k]:.6g}")
+    print(f"  tov a^2      = {sc.profiles['tov'][k]:.6g}")
+    print(f"  |tau|^2      = {sc.profiles['tme'][k]:.6g}")
+    print(f"  m_e          = {sc.profiles['tem'][k]:.6g}")
+    for name in FLAGS:
+        print(f"  {name:<13}= {bool(sc.flags[name][k])}")
     print(f"scalars: H_tov={sc.h_tov:.6g} H_tme={sc.h_tme:.6g} H_tem={sc.h_tem:.6g}")
     return 0
 

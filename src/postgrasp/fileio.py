@@ -10,6 +10,7 @@ deterministic byte for byte for identical inputs.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -19,8 +20,8 @@ import numpy as np
 from .chain import ChainModel, JointSpec, LinkSpec
 from .dynamics import GRAVITY_DEFAULT
 from .geometry import Pose, Rotation
-from .metrics import GraspScorecard, MetricProfile
-from .ranking import OBJECTIVES, NormalizedScores, RankingReport
+from .metrics import OBJECTIVES, GraspScorecard
+from .ranking import NormalizedScores, RankingReport
 from .task import (
     START_TIME_TOLERANCE,
     GraspCandidate,
@@ -56,14 +57,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _read_text(path, newline=None) -> str:
+    """An input file's text, decoded as UTF-8; errors name the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read file ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: cannot decode as UTF-8 ({exc})") from exc
+
+
 def _load_json(path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read file ({exc})") from exc
-    try:
-        data = json.loads(text)
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(data, dict):
@@ -370,30 +378,25 @@ def read_scorecards_csv(path) -> list[GraspScorecard]:
     column."""
     cards = []
     seen = set()
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read file ({exc})") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _SCORECARD_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            where = f"{path}: row {reader.line_num}"
-            gid = row["grasp_id"]
-            if not gid:
-                raise SchemaError(f"{where}, column grasp_id: must be non-empty")
-            if gid in seen:
-                raise SchemaError(f"{where}, column grasp_id: duplicate grasp id {gid!r}")
-            seen.add(gid)
-            if row["feasible"] not in ("true", "false"):
-                raise SchemaError(
-                    f"{where}, column feasible: expected true or false, got {row['feasible']!r}"
-                )
-            feasible = row["feasible"] == "true"
-            scalars = {key: _scalar_cell(row, key, where) if feasible else None for key in _SCALARS}
-            cards.append(GraspScorecard(grasp_id=gid, feasible=feasible, **scalars))
+    reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
+    missing = [c for c in _SCORECARD_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
+    for row in reader:
+        where = f"{path}: row {reader.line_num}"
+        gid = row["grasp_id"]
+        if not gid:
+            raise SchemaError(f"{where}, column grasp_id: must be non-empty")
+        if gid in seen:
+            raise SchemaError(f"{where}, column grasp_id: duplicate grasp id {gid!r}")
+        seen.add(gid)
+        if row["feasible"] not in ("true", "false"):
+            raise SchemaError(
+                f"{where}, column feasible: expected true or false, got {row['feasible']!r}"
+            )
+        feasible = row["feasible"] == "true"
+        scalars = {key: _scalar_cell(row, key, where) if feasible else None for key in _SCALARS}
+        cards.append(GraspScorecard(grasp_id=gid, feasible=feasible, **scalars))
     return cards
 
 
@@ -407,15 +410,15 @@ def _scalar_cell(row: dict, column: str, where: str) -> float:
     return value
 
 
-def write_profile_csv(path, grasp_ids, profiles: list[MetricProfile]):
-    """Grasp x waypoint matrix of one metric (heatmap data); the header row
-    carries the arc-length parameter of each waypoint."""
+def write_profile_csv(path, s, grasp_ids, rows):
+    """Grasp x waypoint matrix of one metric (heatmap data): the header row
+    carries the quadrature grid ``s`` (normalized arc length or waypoint
+    index), then one row of samples per grasp."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if profiles:
-            writer.writerow(["grasp_id"] + [_fmt(si) for si in profiles[0].s])
-        for gid, profile in zip(grasp_ids, profiles):
-            writer.writerow([gid] + [_fmt(v) for v in profile.values])
+        writer.writerow(["grasp_id"] + [_fmt(si) for si in s])
+        for gid, values in zip(grasp_ids, rows):
+            writer.writerow([gid] + [_fmt(v) for v in values])
 
 
 def write_scalars_long_csv(path, scores: NormalizedScores):

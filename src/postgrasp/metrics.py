@@ -15,11 +15,12 @@ and compute every waypoint's value at once:
 * effective mass perceived in a collision along the motion direction
   (minimize).
 
-Integrals are trapezoidal over the normalized arc length of the object
-path, so the first and third objectives depend on geometry only, while the
-torque objective also feels the timing through the joint accelerations.
-Near-singular waypoints are capped and flagged rather than turned into
-NaNs so whole-trajectory integrals stay finite and comparable.
+Each kernel (``tov``, ``torque_effort``, ``tem``) returns its samples and
+the flag it sets; ``evaluate_grasp`` integrates each once, trapezoidally
+over the task's grid (normalized arc length by default), so tov and tem
+depend on geometry only, while tme also feels the timing through the joint
+accelerations.  Near-singular waypoints are capped and flagged rather than
+turned into NaNs so whole-trajectory integrals stay finite and comparable.
 """
 
 from __future__ import annotations
@@ -58,41 +59,32 @@ class ZeroMotionError(ValueError):
     """The trajectory never moves, so path-direction metrics are undefined."""
 
 
-@dataclass(frozen=True, eq=False)
-class MetricProfile:
-    """Per-waypoint metric samples plus their path integral over s."""
-
-    values: np.ndarray
-    s: np.ndarray
-    integral: float
-    near_singular: np.ndarray
-    unreachable: np.ndarray
-
-    @classmethod
-    def from_samples(cls, values, s, near_singular=None, unreachable=None) -> "MetricProfile":
-        values = np.asarray(values, dtype=float)
-        s = np.asarray(s, dtype=float)
-        n = values.shape[0]
-        if near_singular is None:
-            near_singular = np.zeros(n, dtype=bool)
-        if unreachable is None:
-            unreachable = np.zeros(n, dtype=bool)
-        integral = float(np.trapezoid(values, s))
-        return cls(values, s, integral, np.asarray(near_singular), np.asarray(unreachable))
+# The objectives in output order, each with its sense: a scorecard's
+# ``h_<name>`` times the sense is minimized.  Manipulability (tov) is
+# maximized; torque effort (tme) and effective mass (tem) are minimized.
+OBJECTIVES = {"tov": -1.0, "tme": 1.0, "tem": 1.0}
+# The per-waypoint flags of a scored grasp, in output order, by the stage that sets each.
+FLAGS = (
+    "near_singular",  # tem: the direction's inverse inertia is below the threshold; m_e is capped
+    "unachievable",  # tov: the motion direction leaves the arm's velocity range; a^2 is 0
+    "unreachable",  # IK: the waypoint was not reached (``JointTrajectory.reachable``)
+)
 
 
 @dataclass(eq=False)
 class GraspScorecard:
-    """Scalar objectives and per-waypoint profiles for one grasp."""
+    """One grasp's path integrals ``h_<name>`` and, once scored, the task's
+    shared grid ``s`` with the per-waypoint samples (``profiles``, keyed by
+    ``OBJECTIVES``) and flags (``flags``, keyed by ``FLAGS``) on it."""
 
     grasp_id: str
     feasible: bool
     h_tov: float | None = None
     h_tme: float | None = None
     h_tem: float | None = None
-    tov_profile: MetricProfile | None = None
-    tme_profile: MetricProfile | None = None
-    tem_profile: MetricProfile | None = None
+    s: np.ndarray | None = None
+    profiles: dict[str, np.ndarray] | None = None
+    flags: dict[str, np.ndarray] | None = None
 
 
 def _check_unit(directions) -> np.ndarray:
@@ -181,35 +173,24 @@ def _translation_tangents(translations: np.ndarray) -> np.ndarray:
     return np.hstack([tangents3, np.zeros_like(tangents3)])
 
 
-def tov(
-    kins: KinematicState,
-    joint_traj: JointTrajectory,
-    gripper: TaskTrajectory,
-    s: np.ndarray,
-) -> MetricProfile:
-    """Task-oriented velocity manipulability profile: a^2 along the 6D
-    motion direction between consecutive gripper poses at every waypoint,
-    integrated over s.  ``kins`` is the kinematic pass over the joint path
-    (``link_frames_axes`` at ``joint_traj.positions``)."""
+def tov(kins: KinematicState, gripper: TaskTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Task-oriented velocity manipulability per waypoint: a^2 along the 6D
+    motion direction between consecutive gripper poses, and the
+    unachievable-direction flag.  ``kins`` is the kinematic pass over the
+    joint path (``link_frames_axes`` at the tracked joint positions)."""
     tangents = _fill_tangents(_segment_deltas(gripper.translations, gripper.quaternions))
-    values, unachievable = directional_manipulability(kins.jacobian, tangents)
-    return MetricProfile.from_samples(values, s, unachievable, ~joint_traj.reachable)
+    return directional_manipulability(kins.jacobian, tangents)
 
 
 def torque_effort(
-    kins: KinematicState,
-    inertias: np.ndarray,
-    joint_traj: JointTrajectory,
-    s: np.ndarray,
-    gravity=GRAVITY_DEFAULT,
-) -> MetricProfile:
-    """Squared joint-torque norm per waypoint, integrated over s.  ``kins``
-    is the kinematic pass over the joint path and ``inertias`` its link
-    inertias (``link_inertias``); the grasped object counts once they are
-    built on the model that carries it (``attach_object``)."""
+    kins: KinematicState, inertias: np.ndarray, joint_traj: JointTrajectory, gravity=GRAVITY_DEFAULT
+) -> np.ndarray:
+    """Squared joint-torque norm per waypoint.  ``kins`` is the kinematic
+    pass over the joint path and ``inertias`` its link inertias
+    (``link_inertias``); the grasped object counts once they are built on
+    the model that carries it (``attach_object``)."""
     tau = inverse_dynamics(kins, inertias, joint_traj.velocities, joint_traj.accelerations, gravity)
-    values = np.einsum("ij,ij->i", tau, tau)
-    return MetricProfile.from_samples(values, s, unreachable=~joint_traj.reachable)
+    return np.einsum("ij,ij->i", tau, tau)
 
 
 def directional_effective_mass(lambda_inv, direction) -> tuple[np.ndarray, np.ndarray]:
@@ -225,24 +206,18 @@ def directional_effective_mass(lambda_inv, direction) -> tuple[np.ndarray, np.nd
     return values, near_singular
 
 
-def tem(
-    kins: KinematicState,
-    inertias: np.ndarray,
-    joint_traj: JointTrajectory,
-    gripper: TaskTrajectory,
-    s: np.ndarray,
-) -> MetricProfile:
-    """Effective-mass profile along the motion direction, integrated over s.
+def tem(kins: KinematicState, inertias: np.ndarray, gripper: TaskTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Effective mass per waypoint along the motion direction, and the
+    near-singular flag (``directional_effective_mass``).
 
     Collisions are modeled as point impacts on the translating end
     effector, so the direction is the unit translation tangent of the
     gripper path with zero angular part.  ``kins`` and ``inertias`` are as
     for ``torque_effort``.
     """
-    values, near_singular = directional_effective_mass(
+    return directional_effective_mass(
         operational_mass_inverse(kins, inertias), _translation_tangents(gripper.translations)
     )
-    return MetricProfile.from_samples(values, s, near_singular, ~joint_traj.reachable)
 
 
 def evaluate_grasp(
@@ -258,10 +233,9 @@ def evaluate_grasp(
 
     A grasp whose first waypoint is unreachable yields an infeasible
     scorecard (no scalars); unreachable waypoints later in the path are
-    flagged in the profiles but the grasp still scores.  ``s`` is the
-    quadrature grid, one value per waypoint (``path_parameter`` of the
-    task); ``ik_seed`` is the joint configuration IK starts from (see
-    ``track_trajectory``).
+    flagged but the grasp still scores.  ``s`` is the quadrature grid, one
+    value per waypoint (``path_parameter`` of the task); ``ik_seed`` is the
+    joint configuration IK starts from (see ``track_trajectory``).
     """
     gripper = gripper_trajectory(task, grasp)
     try:
@@ -274,19 +248,25 @@ def evaluate_grasp(
     # both RNEA and CRBA
     kins = link_frames_axes(model, joint_traj.positions)
     inertias = link_inertias(attach_object(model, grasp, obj), kins)
-    tov_profile = tov(kins, joint_traj, gripper, s)
-    tme_profile = torque_effort(kins, inertias, joint_traj, s, gravity)
-    tem_profile = tem(kins, inertias, joint_traj, gripper, s)
+    a2, unachievable = tov(kins, gripper)
+    tau2 = torque_effort(kins, inertias, joint_traj, gravity)
+    m_e, near_singular = tem(kins, inertias, gripper)
+    profiles = dict(zip(OBJECTIVES, (a2, tau2, m_e)))
     return GraspScorecard(
         grasp_id=grasp.id,
         feasible=True,
-        h_tov=tov_profile.integral,
-        h_tme=tme_profile.integral,
-        h_tem=tem_profile.integral,
-        tov_profile=tov_profile,
-        tme_profile=tme_profile,
-        tem_profile=tem_profile,
+        **{f"h_{name}": float(np.trapezoid(values, s)) for name, values in profiles.items()},
+        s=s,
+        profiles=profiles,
+        flags=dict(zip(FLAGS, (near_singular, unachievable, ~joint_traj.reachable))),
     )
+
+
+def check_ik_seed(model: ChainModel, spec: TaskSpec) -> None:
+    """Raise ValueError unless the task's IK seed, if any, has one value per joint."""
+    seed = spec.ik_seed
+    if seed is not None and seed.shape[0] != model.n:
+        raise ValueError(f"task {spec.name!r}: ik_seed has length {seed.shape[0]}, robot has {model.n} joints")
 
 
 def evaluate_task(
@@ -302,17 +282,13 @@ def evaluate_task(
     count when None).  One grid, arc length or the uniform waypoint index
     (``index_quadrature``), serves every grasp; ``jobs > 1`` runs them on
     a thread pool without changing a scorecard."""
-    seed = spec.ik_seed
-    if seed is not None and seed.shape[0] != model.n:
-        raise ValueError(
-            f"task {spec.name!r}: ik_seed has length {seed.shape[0]}, robot has {model.n} joints"
-        )
+    check_ik_seed(model, spec)
     task = resample(spec.trajectory, spec.resample_count if resample_count is None else resample_count)
     s = np.linspace(0.0, 1.0, len(task)) if index_quadrature else path_parameter(task)
-    s.flags.writeable = False  # shared by every grasp's profiles
+    s.flags.writeable = False  # shared by every grasp's scorecard
 
     def run_one(grasp: GraspCandidate) -> GraspScorecard:
-        return evaluate_grasp(model, task, grasp, spec.obj, s, ik_seed=seed, gravity=spec.gravity)
+        return evaluate_grasp(model, task, grasp, spec.obj, s, ik_seed=spec.ik_seed, gravity=spec.gravity)
 
     grasps = spec.grasps if grasps is None else grasps
     if jobs > 1:

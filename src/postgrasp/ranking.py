@@ -11,12 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import GraspScorecard
+from .metrics import OBJECTIVES, GraspScorecard
 
-# The objectives in output order, each with its sense: a scorecard's
-# ``h_<name>`` times the sense is minimized.  Manipulability (tov) is
-# maximized; torque effort (tme) and effective mass (tem) are minimized.
-OBJECTIVES = {"tov": -1.0, "tme": 1.0, "tem": 1.0}
 _SENSES = np.array(list(OBJECTIVES.values()))
 
 

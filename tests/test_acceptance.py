@@ -299,7 +299,7 @@ def test_criterion_6_golden_record(reference_scorecards):
             if card.feasible != g["feasible"]:
                 failures.append(f"{name}/{card.grasp_id}: feasible={card.feasible}")
                 continue
-            reach = "".join("0" if u else "1" for u in card.tov_profile.unreachable)
+            reach = "".join("0" if u else "1" for u in card.flags["unreachable"])
             if reach != g["reach"]:
                 failures.append(f"{name}/{card.grasp_id}: reachability {reach}")
             for key in ("h_tov", "h_tme", "h_tem"):

@@ -894,3 +894,55 @@ def test_resample_above_the_bound_rejected(tmp_path, synthetic_task_path, capsys
     assert f"error: --resample must be <= {MAX_COUNT}" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+def test_out_that_cannot_be_created_fails_before_scoring(tmp_path, synthetic_task_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("postgrasp.cli.evaluate_task", lambda *a, **k: calls.append(1))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert _evaluate(reference_robot_path("arm7"), [synthetic_task_path], blocker / "x") == 2
+    assert capsys.readouterr().err.startswith("error: --out: cannot create directory (")
+    assert calls == []
+
+
+def test_write_error_names_the_file(tmp_path, synthetic_task_path, capsys):
+    blocked = tmp_path / "out" / "synthetic" / "scorecards.csv"
+    blocked.mkdir(parents=True)
+    assert _evaluate(reference_robot_path("arm7"), [synthetic_task_path], tmp_path / "out", "--resample", "5") == 2
+    assert f"error: {blocked}: cannot write (" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["robot", "task", "override", "scorecards"])
+def test_non_utf8_input_names_its_file(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[]")
+    robot, task, out = reference_robot_path("arm7"), reference_task_path("task1"), tmp_path / "out"
+    evaluate = ["evaluate", "--out", str(out)]
+    argv = {
+        "robot": evaluate + ["--robot", str(bad), "--task", str(task)],
+        "task": evaluate + ["--robot", str(robot), "--task", str(bad)],
+        "override": evaluate + ["--robot", str(robot), "--task", str(task), "--grasps-override", str(bad)],
+        "scorecards": ["pareto", "--scorecards", str(bad)],
+    }[reader]
+    assert main(argv) == 2
+    assert f"{bad}: cannot decode as UTF-8 (" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "metrics-at"])
+def test_scoring_error_names_the_task_file(tmp_path, synthetic_task_path, capsys, verb):
+    # every waypoint of the second task holds one pose: the path direction
+    # is undefined, which only scoring finds out
+    data = dict(synthetic_task_dict(), name="still")
+    for wp in data["object_waypoints"]:
+        wp["translation"] = [0.62, 0.0, 0.12]
+    still = tmp_path / "still.json"
+    still.write_text(json.dumps(data))
+    robot = reference_robot_path("arm7")
+    if verb == "evaluate":
+        rc = _evaluate(robot, [synthetic_task_path, still], tmp_path / "out", "--resample", "5")
+    else:
+        rc = main(["metrics-at", "--robot", str(robot), "--task", str(still), "--grasp", "g_a", "--waypoint", "0"])
+    assert rc == 2
+    assert f"error: {still}: trajectory has no motion; path direction undefined" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from postgrasp import (
     GraspCandidate,
     JointSpec,
     LinkSpec,
-    MetricProfile,
     Pose,
     Rotation,
     RigidObject,
@@ -30,8 +29,8 @@ from postgrasp import (
     track_trajectory,
 )
 from postgrasp.chain import link_frames_axes
-from postgrasp.metrics import directional_effective_mass
-from postgrasp.task import TaskSpec, path_parameter
+from postgrasp.metrics import FLAGS, OBJECTIVES, directional_effective_mass
+from postgrasp.task import TaskSpec, gripper_trajectory, path_parameter, resample
 
 from oracles import effective_mass, two_r_closed_form, two_r_ik
 
@@ -138,13 +137,12 @@ class TestTov:
 
     def test_arc_profile_matches_oracle_route(self, two_r_params, two_r_model):
         task = self._arc_task(two_r_params, two_r_model)
-        s = path_parameter(task)
         poses = list(task.poses)
         traj = track_trajectory(
             two_r_model, task, traj_seed(task, two_r_params)
         )
-        profile = tov(passes(two_r_model, traj), traj, task, s)
-        assert profile.values.min() > 0.0
+        values, _ = tov(passes(two_r_model, traj), task)
+        assert values.min() > 0.0
         # oracle: secant tangents + closed-form Jacobian + SVD route
         oracle_vals = []
         for i in range(len(poses)):
@@ -156,8 +154,8 @@ class TestTov:
             jac = two_r_closed_form(two_r_params, traj.positions[i])["J"]
             oracle_vals.append(svd_route_a2(jac, u))
         oracle_vals = np.array(oracle_vals)
-        assert np.abs(profile.values - oracle_vals).max() <= 1e-4 * oracle_vals.max()
-        assert abs(int(np.argmax(profile.values)) - int(np.argmax(oracle_vals))) <= 1
+        assert np.abs(values - oracle_vals).max() <= 1e-4 * oracle_vals.max()
+        assert abs(int(np.argmax(values)) - int(np.argmax(oracle_vals))) <= 1
         # the radius genuinely grows and shrinks along the arc
         assert oracle_vals.max() / oracle_vals.min() > 1.2
 
@@ -165,12 +163,14 @@ class TestTov:
         qs = np.linspace([0.3, 0.9], [1.0, 0.5], 12)
         task = joint_path_task(two_r_model, qs)
         s = path_parameter(task)
-        traj = track_trajectory(two_r_model, task, qs[0])
-        profile = tov(passes(two_r_model, traj), traj, task, s)
+        sc = evaluate_grasp(
+            two_r_model, task, GraspCandidate("g", Pose.identity()), small_object(), s, ik_seed=qs[0], gravity=G2D
+        )
+        values = sc.profiles["tov"]
         manual = 0.0
         for i in range(len(s) - 1):
-            manual += 0.5 * (profile.values[i] + profile.values[i + 1]) * (s[i + 1] - s[i])
-        assert abs(profile.integral - manual) <= 1e-12 * max(1.0, abs(manual))
+            manual += 0.5 * (values[i] + values[i + 1]) * (s[i + 1] - s[i])
+        assert abs(sc.h_tov - manual) <= 1e-12 * max(1.0, abs(manual))
 
     def test_quadrature_convergence_on_density(self, two_r_params, two_r_model):
         def h_tov(n_points):
@@ -181,7 +181,8 @@ class TestTov:
                 qs.append(min(two_r_ik(two_r_params, x, y), key=lambda b: abs(b[1] - 1.0)))
             task = joint_path_task(two_r_model, np.array(qs))
             traj = track_trajectory(two_r_model, task, np.array(qs[0]))
-            return tov(passes(two_r_model, traj), traj, task, path_parameter(task)).integral
+            values, _ = tov(passes(two_r_model, traj), task)
+            return float(np.trapezoid(values, path_parameter(task)))
 
         coarse, fine = h_tov(50), h_tov(100)
         assert abs(fine - coarse) / abs(fine) < 0.01
@@ -193,7 +194,7 @@ class TestTov:
             two_r_model, task, np.array([0.4, 0.8])
         )
         with pytest.raises(ZeroMotionError):
-            tov(passes(two_r_model, traj), traj, task, path_parameter(task))
+            tov(passes(two_r_model, traj), task)
 
 
 def traj_seed(task, params):
@@ -222,10 +223,8 @@ class TestTorqueEffort:
         obj = RigidObject(mass=1e-12, inertia=np.eye(3) * 1e-15)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         kins = passes(model, traj)
-        profile = torque_effort(
-            kins, link_inertias(loaded, kins), traj, path_parameter(task), gravity=np.zeros(3)
-        )
-        assert profile.values.max() <= 1e-10
+        values = torque_effort(kins, link_inertias(loaded, kins), traj, gravity=np.zeros(3))
+        assert values.max() <= 1e-10
 
     def test_static_hold_matches_equilibrium_oracle(self, two_r_params, two_r_model):
         # constant trajectory: |tau|^2 = |N_arm + J_com^T (-m g)|^2
@@ -236,17 +235,16 @@ class TestTorqueEffort:
         obj = RigidObject(mass=0.3, inertia=np.eye(3) * 1e-5)
         grasp = GraspCandidate("g", Pose.identity())
         kins = passes(two_r_model, traj)
-        profile = torque_effort(
+        values = torque_effort(
             kins,
             link_inertias(attach_object(two_r_model, grasp, obj), kins),
             traj,
-            np.linspace(0, 1, 2),
             gravity=G2D,
         )
         n_arm = two_r_closed_form(two_r_params, q0)["N"]
         jac = two_r_closed_form(two_r_params, q0)["J"]
         tau_expected = n_arm + jac[:3].T @ (-obj.mass * G2D)
-        assert abs(profile.values[0] - float(tau_expected @ tau_expected)) <= 1e-8
+        assert abs(values[0] - float(tau_expected @ tau_expected)) <= 1e-8
 
     def test_object_strictly_increases_effort(self, two_r_params, two_r_model):
         qs = np.linspace([0.4, 1.1], [1.2, 0.5], 15)
@@ -260,7 +258,6 @@ class TestTorqueEffort:
             kins,
             link_inertias(attach_object(two_r_model, grasp, obj), kins),
             traj,
-            s,
             gravity=G2D,
         )
         # no-object baseline straight from inverse dynamics
@@ -275,7 +272,7 @@ class TestTorqueEffort:
             ]
         )
         base = float(np.trapezoid(base_vals, s))
-        assert with_obj.integral > base
+        assert float(np.trapezoid(with_obj, s)) > base
 
 
 class TestEffectiveMass:
@@ -359,18 +356,17 @@ class TestEffectiveMass:
             traj.times, traj.positions, np.zeros_like(traj.velocities),
             np.zeros_like(traj.accelerations), traj.reachable,
         )
-        s = np.linspace(0, 1, len(task))
         base = RigidObject(mass=spec.obj.mass, inertia=spec.obj.inertia)
         doubled = RigidObject(mass=2 * spec.obj.mass, inertia=2 * spec.obj.inertia)
         kins = passes(arm7, static)
         prof1, prof2 = (
             torque_effort(
-                kins, link_inertias(attach_object(arm7, grasp, obj), kins), static, s,
+                kins, link_inertias(attach_object(arm7, grasp, obj), kins), static,
                 gravity=spec.gravity,
             )
             for obj in (base, doubled)
         )
-        assert np.all(prof2.values >= prof1.values - 1e-12)
+        assert np.all(prof2 >= prof1 - 1e-12)
 
 
 class TestTem:
@@ -385,9 +381,9 @@ class TestTem:
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         kins = passes(model, traj)
-        profile = tem(kins, link_inertias(loaded, kins), traj, task, path_parameter(task))
-        assert np.abs(profile.values - 2.4).max() <= 1e-9
-        assert abs(profile.integral - 2.4) <= 1e-9
+        values, _ = tem(kins, link_inertias(loaded, kins), task)
+        assert np.abs(values - 2.4).max() <= 1e-9
+        assert abs(float(np.trapezoid(values, path_parameter(task))) - 2.4) <= 1e-9
 
     def test_pure_rotation_task_raises_zero_motion(self, two_r_model):
         # tool orbits the second joint: translation present, but build a
@@ -403,13 +399,7 @@ class TestTem:
         )
         kins = passes(two_r_model, traj)
         with pytest.raises(ZeroMotionError):
-            tem(
-                kins,
-                link_inertias(loaded, kins),
-                traj,
-                task,
-                path_parameter(task),
-            )
+            tem(kins, link_inertias(loaded, kins), task)
 
 
     def test_singular_mass_matrix_raises(self):
@@ -432,7 +422,7 @@ class TestTem:
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         kins = passes(model, traj)
         with pytest.raises(DegenerateModelError, match="numerically singular"):
-            tem(kins, link_inertias(loaded, kins), traj, task, path_parameter(task))
+            tem(kins, link_inertias(loaded, kins), task)
 
 
 class TestEvaluateGrasp:
@@ -454,9 +444,9 @@ class TestEvaluateGrasp:
         assert sc.feasible
         for scalar in (sc.h_tov, sc.h_tme, sc.h_tem):
             assert np.isfinite(scalar)
-        for profile in (sc.tov_profile, sc.tme_profile, sc.tem_profile):
-            assert isinstance(profile, MetricProfile)
-            assert len(profile.values) == len(task)
+        for values in sc.profiles.values():
+            assert isinstance(values, np.ndarray)
+            assert len(values) == len(task)
 
     def test_infeasible_grasp_scorecard(self, two_r_model):
         task, q0 = self._task_and_grasp(two_r_model)
@@ -541,7 +531,7 @@ class TestEvaluateGrasp:
             "t", task, small_object(), (GraspCandidate("g", Pose.identity()),), G2D, len(task), q0
         )
         (sc,) = evaluate_task(two_r_model, spec, index_quadrature=True)
-        assert np.abs(sc.tov_profile.s - np.linspace(0, 1, len(task))).max() <= 1e-15
+        assert np.abs(sc.s - np.linspace(0, 1, len(task))).max() <= 1e-15
 
     def test_frame_invariance(self, two_r_model):
         # rotating base, task and gravity together leaves all three scalars
@@ -584,3 +574,31 @@ class TestEvaluateGrasp:
         assert sc2.h_tov == sc.h_tov
         assert sc2.h_tem == sc.h_tem
         assert abs(sc2.h_tme - sc.h_tme) / sc.h_tme > 0.01
+
+
+def test_scorecard_holds_each_fact_once(two_r_model):
+    # a 2R path that marches out of the workspace: the early waypoints are
+    # reached, later ones are flagged, and the grasp still scores; two
+    # grasps (the same pose, as a 2R arm reaches one orientation per
+    # point) show the grid is shared
+    q0 = np.array([0.6, 0.8])
+    start = forward_kinematics(two_r_model, q0)
+    direction = start.translation / np.linalg.norm(start.translation)
+    poses = tuple(
+        Pose(start.rotation, start.translation + u * direction) for u in np.linspace(0, 1.2, 12)
+    )
+    trajectory = TaskTrajectory(poses, np.linspace(0, 2, 12))
+    grasps = (GraspCandidate("g0", Pose.identity()), GraspCandidate("g1", Pose.identity()))
+    spec = TaskSpec("outward", trajectory, small_object(), grasps, G2D, 12, q0)
+    cards = evaluate_task(two_r_model, spec)
+    task = resample(trajectory, 12)
+    for grasp, sc in zip(grasps, cards):
+        assert sc.feasible
+        assert tuple(sc.flags) == FLAGS
+        assert tuple(sc.profiles) == tuple(OBJECTIVES)
+        reachable = track_trajectory(two_r_model, gripper_trajectory(task, grasp), q0).reachable
+        assert reachable[0] and not reachable[-1]
+        assert np.array_equal(sc.flags["unreachable"], ~reachable)
+        for name in OBJECTIVES:
+            assert getattr(sc, f"h_{name}") == np.trapezoid(sc.profiles[name], sc.s)
+        assert sc.s is cards[0].s

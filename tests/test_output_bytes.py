@@ -10,26 +10,28 @@ stood before the objective table replaced the hand-listed columns.
 
 import math
 
+import numpy as np
+
 import postgrasp.cli as cli
-from postgrasp import GraspScorecard, MetricProfile, reference_robot_path, reference_task_path
+from postgrasp import GraspScorecard, reference_robot_path, reference_task_path
 from postgrasp.cli import RunConfig, run_evaluation
 
-S = (0.0, 0.5, 1.0)
+S = np.array((0.0, 0.5, 1.0))
 
 
 def card(gid, h_tov, h_tme, h_tem):
-    def profile(values):
-        return MetricProfile.from_samples(values, S)
-
     return GraspScorecard(
         gid,
         True,
         h_tov=h_tov,
         h_tme=h_tme,
         h_tem=h_tem,
-        tov_profile=profile((0.0, 0.0, 0.0)),
-        tme_profile=profile((h_tme, 2 * h_tme, h_tme)),
-        tem_profile=profile((h_tem, h_tem / 3, h_tem)),
+        s=S,
+        profiles={
+            "tov": np.array((0.0, 0.0, 0.0)),
+            "tme": np.array((h_tme, 2 * h_tme, h_tme)),
+            "tem": np.array((h_tem, h_tem / 3, h_tem)),
+        },
     )
 
 

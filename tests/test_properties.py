@@ -293,7 +293,7 @@ def test_objectives_invariant_under_scene_rotation(case, axis, angle, grasp_pose
         base = card(model, task, gravity)
     except (ZeroMotionError, DegenerateModelError):
         assume(False)
-    assume(base.feasible and not base.tov_profile.unreachable.any())
+    assume(base.feasible and not base.flags["unreachable"].any())
     turned = card(turned_model, turned_task, world.rotation.apply(gravity))
     assert turned.feasible
     for key in ("h_tov", "h_tme", "h_tem"):
