@@ -21,7 +21,8 @@ already in the shape the pass broadcasts with and already multiplied by
 their joint-kind masks, so a pass on one configuration makes few numpy
 calls.  This is the model/data split of Pinocchio (Carpentier et al., SII
 2019).  Quaternions appear only where a pose leaves this module
-(``forward_kinematics``).
+(``forward_kinematics``), which builds its pose from the pass's floats
+without a second normalisation or a copy.
 
 ``forward_kinematics`` and ``geometric_jacobian`` take one configuration
 each and share a one-entry memo of the last pass, keyed on the model object
@@ -45,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Pose, Rotation, skew
+from .geometry import Pose, Rotation, matrix_quaternion, skew, unit_quaternion
 
 _JOINT_KINDS = ("revolute", "prismatic")
 # (a x b)_i = a_j b_k - a_k b_j, (i, j, k) cyclic
@@ -369,9 +370,17 @@ def _pass_at(model: ChainModel, q) -> KinematicState:
 
 
 def forward_kinematics(model: ChainModel, q) -> Pose:
-    """World pose of the operational point at one configuration."""
+    """World pose of the operational point at one configuration.
+
+    The pose is built straight off the pass: Shepperd's method and the
+    normalisation of ``Rotation`` run on the floats of the tool rotation,
+    and the pass's read-only tool position is the translation, uncopied.
+    So it equals ``Pose(Rotation.from_matrix(R), p)`` bit for bit without
+    the dataclass constructors, which DLS would otherwise run at every
+    iterate it tries."""
     kin = _pass_at(model, q)
-    return Pose(Rotation.from_matrix(kin.tool_rotation), kin.tool_position)
+    quat = unit_quaternion(*matrix_quaternion(kin.tool_rotation.tolist()))
+    return Pose.from_parts(Rotation.from_unit(*quat), kin.tool_position)
 
 
 def geometric_jacobian(model: ChainModel, q) -> np.ndarray:

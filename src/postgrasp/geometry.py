@@ -1,8 +1,12 @@
 """SE(3) primitives: unit-quaternion rotations, rigid poses and the
 cross-product matrix.  The quaternion product and the rotation matrix are
 written once, on floats or arrays alike (``quaternion_product``,
-``quaternion_matrices``), so a whole trajectory composed on arrays matches
-``Rotation`` and ``Pose`` bit for bit.
+``quaternion_matrices``), and so are a ``Rotation``'s normalisation
+(``unit_quaternion``) and Shepperd's method (``matrix_quaternion``), on
+floats; so a whole trajectory composed on arrays, or a pose read off a
+kinematic pass, matches ``Rotation`` and ``Pose`` bit for bit without
+building one per step.  ``Rotation.from_unit`` and ``Pose.from_parts`` then
+wrap such finished values without normalising or copying them again.
 
 A ``Pose`` maps coordinates of its child frame into its parent frame,
 ``p_parent = R p_child + t``.  Spatial vectors are ordered
@@ -56,6 +60,43 @@ def _matrix_entries(w, x, y, z) -> tuple:
     )
 
 
+def unit_quaternion(w, x, y, z) -> tuple:
+    """(w, x, y, z) divided by its norm and flipped to w >= 0: the one
+    normalisation every ``Rotation`` makes.  The squares are ``**2``, as
+    written: on floats that is libm ``pow``, which is not always ``x * x``."""
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if n < 1e-12:
+        raise ValueError("quaternion has (near-)zero norm")
+    s = 1.0 / n
+    if w < 0.0:
+        s = -s
+    return w * s, x * s, y * s, z * s
+
+
+def matrix_quaternion(rows) -> tuple:
+    """Quaternion (w, x, y, z), not normalised, of a rotation matrix given
+    as three rows of three floats, by Shepperd's method: solve for the
+    largest of |w|, |x|, |y|, |z| first, so the square root and the
+    division stay well conditioned at every angle."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    trace = m00 + m11 + m22
+    if trace >= max(m00, m11, m22):
+        r = math.sqrt(1.0 + trace)  # 2|w|
+        s = 0.5 / r
+        return 0.5 * r, (m21 - m12) * s, (m02 - m20) * s, (m10 - m01) * s
+    if m00 >= m11 and m00 >= m22:
+        r = math.sqrt(1.0 + m00 - m11 - m22)  # 2|x|
+        s = 0.5 / r
+        return (m21 - m12) * s, 0.5 * r, (m01 + m10) * s, (m02 + m20) * s
+    if m11 >= m22:
+        r = math.sqrt(1.0 - m00 + m11 - m22)  # 2|y|
+        s = 0.5 / r
+        return (m02 - m20) * s, (m01 + m10) * s, 0.5 * r, (m12 + m21) * s
+    r = math.sqrt(1.0 - m00 - m11 + m22)  # 2|z|
+    s = 0.5 / r
+    return (m10 - m01) * s, (m02 + m20) * s, (m12 + m21) * s, 0.5 * r
+
+
 def quaternion_matrices(quats) -> np.ndarray:
     """Rotation matrices, (..., 3, 3) and C-contiguous, of (..., 4) unit
     quaternions (w, x, y, z)."""
@@ -79,16 +120,20 @@ class Rotation:
     z: float
 
     def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if n < 1e-12:
-            raise ValueError("quaternion has (near-)zero norm")
-        s = 1.0 / n
-        if self.w < 0.0:
-            s = -s
-        object.__setattr__(self, "w", self.w * s)
-        object.__setattr__(self, "x", self.x * s)
-        object.__setattr__(self, "y", self.y * s)
-        object.__setattr__(self, "z", self.z * s)
+        vars(self).update(zip("wxyz", unit_quaternion(self.w, self.x, self.y, self.z)))
+
+    @classmethod
+    def from_unit(cls, w, x, y, z) -> "Rotation":
+        """The rotation of a quaternion that is already normalised as
+        ``unit_quaternion`` normalises, stored as given: normalising it
+        again would change the last bit of some entries."""
+        r = object.__new__(cls)
+        fields = vars(r)
+        fields["w"] = w
+        fields["x"] = x
+        fields["y"] = y
+        fields["z"] = z
+        return r
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -112,26 +157,9 @@ class Rotation:
 
     @classmethod
     def from_matrix(cls, m) -> "Rotation":
-        """Quaternion of a rotation matrix by Shepperd's method: solve for
-        the largest of |w|, |x|, |y|, |z| first, so the square root and the
-        division stay well conditioned at every angle."""
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
-        trace = m00 + m11 + m22
-        if trace >= max(m00, m11, m22):
-            r = math.sqrt(1.0 + trace)  # 2|w|
-            s = 0.5 / r
-            return cls(0.5 * r, (m21 - m12) * s, (m02 - m20) * s, (m10 - m01) * s)
-        if m00 >= m11 and m00 >= m22:
-            r = math.sqrt(1.0 + m00 - m11 - m22)  # 2|x|
-            s = 0.5 / r
-            return cls((m21 - m12) * s, 0.5 * r, (m01 + m10) * s, (m02 + m20) * s)
-        if m11 >= m22:
-            r = math.sqrt(1.0 - m00 + m11 - m22)  # 2|y|
-            s = 0.5 / r
-            return cls((m02 - m20) * s, (m01 + m10) * s, 0.5 * r, (m12 + m21) * s)
-        r = math.sqrt(1.0 - m00 - m11 + m22)  # 2|z|
-        s = 0.5 / r
-        return cls((m10 - m01) * s, (m02 + m20) * s, (m12 + m21) * s, 0.5 * r)
+        """Quaternion of a rotation matrix by Shepperd's method
+        (``matrix_quaternion``)."""
+        return cls(*matrix_quaternion(np.asarray(m, dtype=float).tolist()))
 
     @classmethod
     def rot_x(cls, angle: float) -> "Rotation":
@@ -211,6 +239,16 @@ class Pose:
         t = np.array(self.translation, dtype=float).reshape(3)
         t.setflags(write=False)
         object.__setattr__(self, "translation", t)
+
+    @classmethod
+    def from_parts(cls, rotation: Rotation, translation: np.ndarray) -> "Pose":
+        """A pose holding ``translation`` as given, without the copy: for a
+        read-only float64 array of shape (3,) that no caller can write."""
+        pose = object.__new__(cls)
+        fields = vars(pose)
+        fields["rotation"] = rotation
+        fields["translation"] = translation
+        return pose
 
     @classmethod
     def identity(cls) -> "Pose":

@@ -17,7 +17,10 @@ is clamped when it is made, and clamping a value already within the
 limits returns it unchanged, so only the first waypoint's seed, an input,
 is clamped.
 
-The pose error works on the quaternions' floats: it repeats
+Targets are read off the trajectory's arrays: each is seven floats, the
+unit quaternion (w, x, y, z) and then the translation (``pose_target``
+gives them for a ``Pose``), so tracking builds no target pose.  The pose
+error works on those floats and the current pose's: it repeats
 ``(target.rotation * current.rotation.inverse()).log()`` operation for
 operation (both renormalisations, the flip to w >= 0, and ``|v|`` as the
 BLAS dot product ``np.linalg.norm`` runs) without building a ``Rotation``,
@@ -76,17 +79,27 @@ def default_seed(model: ChainModel) -> np.ndarray:
     return seed
 
 
-def pose_error(target: Pose, current: Pose) -> np.ndarray:
+def pose_target(pose: Pose) -> tuple:
+    """A pose's seven floats as DLS reads a target: the quaternion
+    (w, x, y, z), then the translation, the layout of a trajectory's
+    ``quaternions`` and ``translations`` rows side by side."""
+    r = pose.rotation
+    return (r.w, r.x, r.y, r.z, *pose.translation.tolist())
+
+
+def pose_error(target, current: Pose) -> np.ndarray:
     """6-vector (position error; orientation error as a rotation vector),
-    world frame, consistent with the world-frame Jacobian.  Computed on
-    floats, bit for bit the ``Rotation`` form (see the module docstring)."""
-    a, b = target.rotation, current.rotation
+    world frame, consistent with the world-frame Jacobian, of the
+    ``current`` pose against a target's seven floats (``pose_target``).
+    Computed on floats, bit for bit the ``Rotation`` form (see the module
+    docstring)."""
+    w1, x1, y1, z1, t0, t1, t2 = target
+    b = current.rotation
     # b.inverse(): the conjugate, renormalised (its w = b.w >= 0 needs no flip)
     w2, x2, y2, z2 = b.w, -b.x, -b.y, -b.z
     s = 1.0 / math.sqrt(w2**2 + x2**2 + y2**2 + z2**2)
     w2, x2, y2, z2 = w2 * s, x2 * s, y2 * s, z2 * s
-    # a * b.inverse(), renormalised to w >= 0
-    w1, x1, y1, z1 = a.w, a.x, a.y, a.z
+    # target * b.inverse(), renormalised to w >= 0
     w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
     x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
     y = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
@@ -99,7 +112,6 @@ def pose_error(target: Pose, current: Pose) -> np.ndarray:
     v = np.array([x, y, z])
     sin_half = _norm(v)
     k = 2.0 if sin_half < 1e-9 else 2.0 * math.atan2(sin_half, w) / sin_half
-    t0, t1, t2 = target.translation.tolist()
     c0, c1, c2 = current.translation.tolist()
     return np.array([t0 - c0, t1 - c1, t2 - c2, k * x, k * y, k * z])
 
@@ -115,8 +127,9 @@ def _converged(err: np.ndarray) -> bool:
 
 
 def _solve(model, target, seed, current=None) -> tuple[np.ndarray, Pose, bool, int]:
-    """DLS from ``seed``: the last iterate, its tool pose, whether it meets
-    the tolerances, and the number of iterations (Jacobians) run.
+    """DLS from ``seed`` towards ``target``'s seven floats (``pose_target``):
+    the last iterate, its tool pose, whether it meets the tolerances, and
+    the number of iterations (Jacobians) run.
 
     ``current`` is the seed's tool pose when the caller has it.  Such a
     seed is an earlier solve's last iterate, a float array within the
@@ -212,16 +225,16 @@ def track_trajectory(model: ChainModel, trajectory: TaskTrajectory, seed=None) -
     if seed.shape[0] != model.n:
         raise ValueError(f"IK seed has length {seed.shape[0]}, expected {model.n}")
 
-    poses = trajectory.poses
-    n_wp = len(poses)
+    targets = np.hstack([trajectory.quaternions, trajectory.translations]).tolist()
+    n_wp = len(targets)
     positions = np.zeros((n_wp, model.n))
     reachable = np.ones(n_wp, dtype=bool)
-    q, current, ok, _ = _solve(model, poses[0], seed)
+    q, current, ok, _ = _solve(model, targets[0], seed)
     if not ok:
         raise GraspInfeasible("first trajectory waypoint is unreachable")
     positions[0] = q
     for i in range(1, n_wp):
-        q, current, ok, _ = _solve(model, poses[i], q, current)
+        q, current, ok, _ = _solve(model, targets[i], q, current)
         positions[i] = q
         reachable[i] = ok
     vel, acc = _fd_derivatives(trajectory.times, positions)

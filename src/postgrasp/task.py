@@ -5,65 +5,97 @@ is a fixed object-to-gripper transform.  Composing the two yields the
 gripper trajectory the arm must track, and the normalized arc length of
 the object path provides the integration variable for all path metrics.
 
-A trajectory stacks its quaternions, rotation matrices and translations
-into read-only arrays once, when it is built.  Every grasp of a task is
-composed on the object trajectory's arrays (``gripper_trajectory``), and
-the path metrics read the gripper trajectory's arrays.
+A trajectory's data are arrays: its unit quaternions, translations and
+times.  Every grasp of a task is composed on the object trajectory's arrays
+(``gripper_trajectory``) into a new trajectory's arrays, with no ``Pose``
+built; IK and the path metrics read the gripper trajectory's arrays.  The
+``Pose`` objects of a trajectory are derived only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chain import validate_inertia_tensor
-from .geometry import Pose, Rotation, quaternion_matrices, quaternion_product
+from .geometry import Pose, Rotation, quaternion_matrices, quaternion_product, unit_quaternion
 
 START_TIME_TOLERANCE = 1e-9  # s, on the first waypoint's time
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TaskTrajectory:
     """Pose waypoints (of the object CoM, or of the gripper once a grasp is
-    composed in) at strictly increasing times starting at 0, with the
-    poses' unit quaternions (w, x, y, z), rotation matrices and
-    translations as read-only arrays."""
+    composed in) at strictly increasing times starting at 0.
 
-    poses: tuple[Pose, ...]
-    times: np.ndarray
-    quaternions: np.ndarray = field(init=False, repr=False)  # (m, 4)
-    rotation_matrices: np.ndarray = field(init=False, repr=False)  # (m, 3, 3)
-    translations: np.ndarray = field(init=False, repr=False)  # (m, 3)
+    The data are read-only arrays: the unit quaternions (w, x, y, z), the
+    translations and the times.  ``TaskTrajectory(poses, times)`` stacks
+    them from poses, ``from_arrays`` copies them in.  The rotation matrices
+    and the poses are derived on first read and kept; each derived pose
+    holds its stored quaternion as it is, not normalised again, so a
+    trajectory stacked from poses gives those poses back exactly."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "poses", tuple(self.poses))
-        t = np.array(self.times, dtype=float).reshape(-1)
-        if len(self.poses) < 2:
+    times: np.ndarray  # (m,)
+    quaternions: np.ndarray  # (m, 4)
+    translations: np.ndarray  # (m, 3)
+
+    def __init__(self, poses, times):
+        poses = tuple(poses)
+        quats = [(p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z) for p in poses]
+        self._store(quats, [p.translation for p in poses], times)
+
+    @classmethod
+    def from_arrays(cls, quaternions, translations, times) -> "TaskTrajectory":
+        """A trajectory of (m, 4) unit quaternions, each already normalised
+        as ``Rotation`` normalises, (m, 3) translations and (m,) times."""
+        trajectory = object.__new__(cls)
+        trajectory._store(quaternions, translations, times)
+        return trajectory
+
+    def _store(self, quaternions, translations, times):
+        arrays = {
+            "times": np.array(times, dtype=float).reshape(-1),
+            "quaternions": np.array(quaternions, dtype=float).reshape(-1, 4),
+            "translations": np.array(translations, dtype=float).reshape(-1, 3),
+        }
+        t = arrays["times"]
+        m = arrays["quaternions"].shape[0]
+        if m < 2:
             raise ValueError("trajectory needs at least two waypoints")
-        if t.shape[0] != len(self.poses):
+        if t.shape[0] != m or arrays["translations"].shape[0] != m:
             raise ValueError("times and poses must have equal length")
         if abs(t[0]) > START_TIME_TOLERANCE:
             raise ValueError("trajectory must start at t = 0")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("waypoint times must be strictly increasing")
-        quats = np.array([(p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z) for p in self.poses])
-        arrays = {
-            "times": t,
-            "quaternions": quats,
-            "rotation_matrices": quaternion_matrices(quats),
-            "translations": np.array([p.translation for p in self.poses]),
-        }
         for name, value in arrays.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return self.times.shape[0]
 
     @property
     def total_time(self) -> float:
         return float(self.times[-1])
+
+    @cached_property
+    def rotation_matrices(self) -> np.ndarray:
+        """(m, 3, 3) rotation matrices of the quaternions, read-only."""
+        matrices = quaternion_matrices(self.quaternions)
+        matrices.flags.writeable = False
+        return matrices
+
+    @cached_property
+    def poses(self) -> tuple[Pose, ...]:
+        """The waypoints as poses, each wrapping its stored quaternion and
+        translation row as they are."""
+        return tuple(
+            Pose.from_parts(Rotation.from_unit(*q), t)
+            for q, t in zip(self.quaternions.tolist(), self.translations)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,20 +142,20 @@ class TaskSpec:
 def gripper_trajectory(task: TaskTrajectory, grasp: GraspCandidate) -> TaskTrajectory:
     """Pointwise composition of the object poses with the grasp transform,
     on the task's times: ``p.compose(grasp.transform)`` per waypoint, bit
-    for bit, computed on the task's arrays.
+    for bit, computed on the task's arrays without building a ``Pose``.
 
-    Each rotation is built from the raw quaternion product, so it is
-    normalised once, as ``Rotation.__mul__`` does; each translation is
-    t + R t_grasp by the same matrix-vector product as ``Rotation.apply``.
+    Each rotation is the raw quaternion product normalised on its floats by
+    ``unit_quaternion``, once, as ``Rotation.__mul__`` does; numpy's ``**2``
+    on an array squares by multiplication, so it would not always match.
+    Each translation is t + R t_grasp by the same matrix-vector product as
+    ``Rotation.apply``.
     """
     g = grasp.transform
     r = g.rotation
     products = quaternion_product(task.quaternions.T, (r.w, r.x, r.y, r.z))
+    quats = [unit_quaternion(*q) for q in zip(*(p.tolist() for p in products))]
     translations = task.translations + task.rotation_matrices @ g.translation
-    poses = tuple(
-        Pose(Rotation(*q), t) for q, t in zip(np.stack(products, axis=1).tolist(), translations)
-    )
-    return TaskTrajectory(poses, task.times)
+    return TaskTrajectory.from_arrays(quats, translations, task.times)
 
 
 def path_parameter(task: TaskTrajectory) -> np.ndarray:

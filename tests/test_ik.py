@@ -22,6 +22,7 @@ from postgrasp.ik import (
     _solve,
     default_seed,
     pose_error,
+    pose_target,
 )
 
 from oracles import loop_fd_derivatives, reference_dls, rotation_pose_error, two_r_ik
@@ -35,7 +36,7 @@ class TestSolveWaypoint:
     def test_already_solved_returns_seed(self, two_r_model, rng):
         seed = rng.uniform(-1.0, 1.0, 2)
         target = forward_kinematics(two_r_model, seed)
-        q, _, ok, _ = _solve(two_r_model, target, seed)
+        q, _, ok, _ = _solve(two_r_model, pose_target(target), seed)
         assert ok
         assert np.array_equal(q, seed)
 
@@ -45,7 +46,7 @@ class TestSolveWaypoint:
         for q1, q2 in branches:
             target = forward_kinematics(two_r_model, [q1, q2])
             seed = np.array([q1, q2]) + 0.3
-            q, _, ok, _ = _solve(two_r_model, target, seed)
+            q, _, ok, _ = _solve(two_r_model, pose_target(target), seed)
             assert ok
             assert np.abs(q - np.array([q1, q2])).max() <= 1e-5
 
@@ -53,15 +54,15 @@ class TestSolveWaypoint:
         seed = default_seed(arm7)
         q0 = rng.uniform(-1.0, 1.0, 7)
         target = forward_kinematics(arm7, q0)
-        q, _, ok, _ = _solve(arm7, target, q0 + 0.15)
+        q, _, ok, _ = _solve(arm7, pose_target(target), q0 + 0.15)
         assert ok
-        err = pose_error(target, forward_kinematics(arm7, q))
+        err = pose_error(pose_target(target), forward_kinematics(arm7, q))
         assert np.linalg.norm(err[:3]) <= POSITION_TOLERANCE
         assert np.linalg.norm(err[3:]) <= ORIENTATION_TOLERANCE
 
     def test_out_of_reach_raises(self, two_r_model):
         target = Pose.from_translation((3.0, 0.0, 0.0))  # beyond l1 + l2
-        _, _, ok, _ = _solve(two_r_model, target, np.array([0.3, 0.3]))
+        _, _, ok, _ = _solve(two_r_model, pose_target(target), np.array([0.3, 0.3]))
         assert not ok
 
     def test_converged_solves_match_reference_dls(self, arm7, two_r_model, rng):
@@ -74,7 +75,7 @@ class TestSolveWaypoint:
                 seed = q0 + rng.uniform(-0.15, 0.15, model.n)
                 cases.append((model, forward_kinematics(model, q0), seed))
         for model, target, seed in cases:
-            q, _, ok, _ = _solve(model, target, seed)
+            q, _, ok, _ = _solve(model, pose_target(target), seed)
             q_ref, ok_ref = reference_dls(model, target, seed)
             assert ok_ref
             assert ok == ok_ref
@@ -89,7 +90,7 @@ class TestSolveWaypoint:
 
         monkeypatch.setattr("postgrasp.ik.geometric_jacobian", counting_jacobian)
         target = Pose.from_translation((3.0, 0.0, 0.0))  # beyond l1 + l2
-        _, _, ok, iterations = _solve(two_r_model, target, np.array([0.3, 0.3]))
+        _, _, ok, iterations = _solve(two_r_model, pose_target(target), np.array([0.3, 0.3]))
         assert not ok
         assert iterations == len(jacobians) < 50
 
@@ -140,7 +141,7 @@ class TestTrackTrajectory:
         traj = track_trajectory(arm7, TaskTrajectory(poses, np.linspace(0, 2, 15)), qs[0] + 0.05)
         assert traj.reachable.all()
         for q, target in zip(traj.positions, poses):
-            err = pose_error(target, forward_kinematics(arm7, q))
+            err = pose_error(pose_target(target), forward_kinematics(arm7, q))
             assert np.linalg.norm(err[:3]) <= 10 * POSITION_TOLERANCE
             assert np.linalg.norm(err[3:]) <= 10 * ORIENTATION_TOLERANCE
 
@@ -155,7 +156,7 @@ class TestTrackTrajectory:
             for q in traj.positions
         )
         for i in range(len(poses) - 1):
-            step6 = np.linalg.norm(pose_error(poses[i + 1], poses[i]))
+            step6 = np.linalg.norm(pose_error(pose_target(poses[i + 1]), poses[i]))
             dq = np.linalg.norm(traj.positions[i + 1] - traj.positions[i])
             assert dq <= 10.0 * step6 / sigma_min
 
@@ -231,7 +232,7 @@ class TestFloatKernelsMatchOracles:
 
     def assert_pose_errors_identical(self, pairs):
         for target, current in pairs:
-            got, want = pose_error(target, current), rotation_pose_error(target, current)
+            got, want = pose_error(pose_target(target), current), rotation_pose_error(target, current)
             assert got.tobytes() == want.tobytes(), (got, want)
 
     def test_random_poses(self, rng):

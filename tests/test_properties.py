@@ -32,7 +32,7 @@ from postgrasp import (
     mass_matrix,
 )
 from postgrasp.chain import link_frames_axes
-from postgrasp.ik import _solve
+from postgrasp.ik import _solve, pose_target
 from postgrasp.task import path_parameter
 
 from oracles import eager_link_frames_axes, reference_dls
@@ -317,7 +317,7 @@ def test_converged_solves_match_reference_dls_on_random_chains(case):
     # a solve that meets the tolerances ran no stall check that stopped it,
     # so it must run the reference loop's iterates bit for bit
     model, target, seed = case
-    q, _, ok, _ = _solve(model, target, seed)
+    q, _, ok, _ = _solve(model, pose_target(target), seed)
     assume(ok)
     q_ref, ok_ref = reference_dls(model, target, seed)
     assert ok_ref
