@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 from dataclasses import fields, replace
@@ -18,6 +19,7 @@ from postgrasp import (
     reference_task_path,
 )
 from postgrasp import chain
+from postgrasp.geometry import matrix_quaternion
 
 from oracles import TwoRParams, finite_difference_jacobian, two_r_closed_form
 from conftest import make_two_r
@@ -73,6 +75,90 @@ class TestForwardKinematics:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             forward_kinematics(unit_two_r(), [0.1])
+
+
+def _shepperd_branch(m) -> str:
+    """Which component Shepperd's method solves for first."""
+    (m00, _, _), (_, m11, _), (_, _, m22) = m.tolist()
+    if m00 + m11 + m22 >= max(m00, m11, m22):
+        return "w"
+    if m00 >= m11 and m00 >= m22:
+        return "x"
+    return "y" if m11 >= m22 else "z"
+
+
+def _signed_permutation_rotations():
+    """The 24 rotations that map axes to signed axes, each with every sign
+    pattern on its six zero entries: 1,536 matrices of exact signed zeros,
+    half turns among them."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            m = np.zeros((3, 3))
+            m[range(3), perm] = signs
+            if np.linalg.det(m) < 0.0:
+                continue
+            zeros = np.argwhere(m == 0.0)
+            for zero_signs in itertools.product((0.0, -0.0), repeat=len(zeros)):
+                signed = m.copy()
+                signed[tuple(zeros.T)] = zero_signs
+                out.append(signed)
+    return out
+
+
+class TestForwardKinematicsPose:
+    """FK builds its pose straight off the pass: the same bytes as
+    ``Pose(Rotation.from_matrix(R), p)`` on the pass's tool rotation R and
+    position p."""
+
+    @staticmethod
+    def assert_pose_bytes(got, rotation, position):
+        want = Pose(Rotation.from_matrix(rotation), position)
+        assert got.rotation.quat.tobytes() == want.rotation.quat.tobytes(), (rotation, got, want)
+        assert got.translation.tobytes() == want.translation.tobytes()
+
+    def fk_on_tool(self, monkeypatch, model, rotation, position):
+        """``forward_kinematics`` on a pass whose tool frame is given."""
+        kin = replace(chain.link_frames_axes(model, np.zeros(model.n)), tool_rotation=rotation, tool_position=position)
+        monkeypatch.setattr(chain, "link_frames_axes", lambda model, q: kin)
+        monkeypatch.setattr(chain, "_last_pass", threading.local())
+        return forward_kinematics(model, np.zeros(model.n))
+
+    def test_arm7_passes(self, arm7, rng):
+        lo, hi = arm7.limits_arrays()
+        branches = set()
+        for q in rng.uniform(lo, hi, (400, 7)):
+            kin = chain.link_frames_axes(arm7, q)
+            branches.add(_shepperd_branch(kin.tool_rotation))
+            self.assert_pose_bytes(forward_kinematics(arm7, q), kin.tool_rotation, kin.tool_position)
+        assert branches == {"w", "x", "y", "z"}
+
+    def test_random_rotations_every_branch_and_flip(self, monkeypatch, rng):
+        model = unit_two_r()
+        branches, flips = set(), 0
+        for quat in rng.normal(size=(400, 4)):
+            rotation = Rotation.from_quat(quat).as_matrix()
+            position = rng.normal(size=3)
+            branches.add(_shepperd_branch(rotation))
+            flips += matrix_quaternion(rotation.tolist())[0] < 0.0
+            self.assert_pose_bytes(self.fk_on_tool(monkeypatch, model, rotation, position), rotation, position)
+        assert branches == {"w", "x", "y", "z"}
+        assert flips > 0  # a raw quaternion with w < 0, flipped by the normalisation
+
+    def test_signed_zeros(self, monkeypatch):
+        model = unit_two_r()
+        position = np.array([0.0, -0.0, 1.0])
+        signs = set()
+        for rotation in _signed_permutation_rotations():
+            got = self.fk_on_tool(monkeypatch, model, rotation, position)
+            self.assert_pose_bytes(got, rotation, position)
+            signs.update(np.signbit(got.rotation.quat[got.rotation.quat == 0.0]).tolist())
+        assert signs == {False, True}  # both signed zeros reach the quaternion
+
+    def test_translation_is_the_read_only_position(self, arm7):
+        pose = forward_kinematics(arm7, Q7)
+        assert not pose.translation.flags.writeable
+        assert pose.translation.shape == (3,) and pose.translation.dtype == np.float64
 
 
 class TestGeometricJacobian:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,28 @@ class TestGripperTrajectory:
                 assert got.rotation.quat.tobytes() == expected.rotation.quat.tobytes()
                 assert got.translation.tobytes() == expected.translation.tobytes()
         assert flips > 0
+
+
+    def test_raw_product_normalised_with_pow(self):
+        # a raw product whose libm-pow squares differ from x * x: composed
+        # on arrays, it is normalised exactly as Rotation normalises it
+        raw = (0.60040144057608, -0.30084820291487846, -0.7060734954993589, 1.105694907482355)
+        # an identity object rotation makes the raw product the grasp's
+        # quaternion itself, held unnormalised
+        task = translation_task([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.2, 0.05, 0.0)])
+        grasp = GraspCandidate("g", Pose(Rotation.from_unit(*raw), np.array([0.0, 0.1, 0.0])))
+        assert quaternion_product(task.quaternions[0], raw) == raw
+        out = gripper_trajectory(task, grasp)
+        want = [p.compose(grasp.transform) for p in task.poses]
+        assert out.quaternions.tobytes() == np.array([p.rotation.quat for p in want]).tobytes()
+        for got, expected in zip(out.poses, want):
+            assert got.rotation.quat.tobytes() == expected.rotation.quat.tobytes()
+        if any(v**2 != v * v for v in raw):
+            # where pow and x * x differ, squaring by multiplication (what
+            # numpy's ``**2`` on an array does) gives other bits
+            w, x, y, z = raw
+            squared = np.array(raw) * (1.0 / math.sqrt(w * w + x * x + y * y + z * z))
+            assert squared.tobytes() != out.quaternions[0].tobytes()
 
 
 class TestPathParameter:
