@@ -2,8 +2,9 @@
 
 Input schemas are versioned (``schema_version: 1``) and strict: unknown
 fields and non-finite numbers are rejected and invariant violations raise
-:class:`SchemaError` with the offending field path.  All numeric output is written with 17
-significant digits so values round-trip exactly, and every writer is
+:class:`SchemaError` with the offending field path.  ``report.json`` has its
+own version (``REPORT_SCHEMA_VERSION``).  All numeric output is written with
+17 significant digits so values round-trip exactly, and every writer is
 deterministic byte for byte for identical inputs.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from .chain import ChainModel, JointSpec, LinkSpec
 from .dynamics import GRAVITY_DEFAULT
 from .geometry import Pose, Rotation
-from .metrics import OBJECTIVES, GraspScorecard
+from .metrics import FLAGS, OBJECTIVES, GraspScorecard
 from .ranking import NormalizedScores, RankingReport
 from .task import (
     START_TIME_TOLERANCE,
@@ -31,7 +32,9 @@ from .task import (
     generate_grasp_sweep,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # robot and task files
+# report.json; 2 added the per-grasp ``diagnostics`` and the ``normalization`` blocks
+REPORT_SCHEMA_VERSION = 2
 # most waypoints (``resample_count``, ``--resample``) or sweep grasps a task
 # may ask for; past it a count would only exhaust memory or time
 MAX_COUNT = 100_000
@@ -344,13 +347,17 @@ def load_task(path) -> TaskSpec:
 
 _SCALARS = tuple(f"h_{name}" for name in OBJECTIVES)
 _SCORECARD_COLUMNS = ("grasp_id", "feasible", *_SCALARS)
+_COUNT_COLUMNS = tuple(f"n_{name}" for name in FLAGS)
 
 
 def write_scorecards_csv(path, scorecards, report: RankingReport | None):
-    """One row per grasp: raw scalars, normalized scalars, feasibility and
-    Pareto membership.  Infeasible grasps keep empty numeric cells, and
-    without a report every normalized cell is empty."""
+    """One row per grasp: raw scalars, normalized scalars, feasibility,
+    Pareto membership and, per flag, the number of flagged waypoints.
+    Infeasible grasps keep empty numeric cells, without a report every
+    normalized cell is empty, and a card without flags leaves its count
+    cells empty."""
     blank = [""] * len(OBJECTIVES)
+    no_counts = [""] * len(FLAGS)
     norm_by_id = {}
     pareto = set()
     if report is not None:
@@ -360,27 +367,36 @@ def write_scorecards_csv(path, scorecards, report: RankingReport | None):
         pareto = set(report.pareto)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*_SCORECARD_COLUMNS, *(f"{c}_norm" for c in _SCALARS), "pareto"])
+        writer.writerow([*_SCORECARD_COLUMNS, *(f"{c}_norm" for c in _SCALARS), "pareto", *_COUNT_COLUMNS])
         for sc in scorecards:
             if sc.feasible:
                 raw = [_fmt(getattr(sc, c)) for c in _SCALARS]
                 member = "true" if sc.grasp_id in pareto else "false"
-                writer.writerow([sc.grasp_id, "true", *raw, *norm_by_id.get(sc.grasp_id, blank), member])
+                counts = sc.counts()
+                counts = no_counts if counts is None else [str(counts[name]) for name in FLAGS]
+                writer.writerow([sc.grasp_id, "true", *raw, *norm_by_id.get(sc.grasp_id, blank), member, *counts])
             else:
-                writer.writerow([sc.grasp_id, "false", *blank, *blank, "false"])
+                writer.writerow([sc.grasp_id, "false", *blank, *blank, "false", *no_counts])
 
 
 def read_scorecards_csv(path) -> list[GraspScorecard]:
     """Parse a scorecards.csv back into scalar-only scorecards (profiles are
-    not stored in the CSV).  Grasp ids must be non-empty and unique,
-    ``feasible`` must be ``true`` or ``false``, and a feasible row needs its
-    scalars; errors name the file, the row (the header is row 1) and the
-    column."""
+    not stored in the CSV), with the flag counts when the file has their
+    columns (files written before them do not).  Grasp ids must be
+    non-empty and unique, ``feasible`` must be ``true`` or ``false``, and a
+    feasible row needs its scalars; errors name the file, the
+    row (the header is row 1) and the column.  A row's count cells are
+    all empty (no counts) or all non-negative integers."""
     cards = []
     seen = set()
     reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
-    missing = [c for c in _SCORECARD_COLUMNS if c not in (reader.fieldnames or ())]
+    header = reader.fieldnames or ()
+    missing = [c for c in _SCORECARD_COLUMNS if c not in header]
     if missing:
+        raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
+    has_counts = any(c in header for c in _COUNT_COLUMNS)
+    missing = [c for c in _COUNT_COLUMNS if c not in header]
+    if has_counts and missing:
         raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
     for row in reader:
         where = f"{path}: row {reader.line_num}"
@@ -396,8 +412,18 @@ def read_scorecards_csv(path) -> list[GraspScorecard]:
             )
         feasible = row["feasible"] == "true"
         scalars = {key: _scalar_cell(row, key, where) if feasible else None for key in _SCALARS}
-        cards.append(GraspScorecard(grasp_id=gid, feasible=feasible, **scalars))
+        counts = None
+        if feasible and has_counts and any(row[c] for c in _COUNT_COLUMNS):
+            counts = {name: _count_cell(row, f"n_{name}", where) for name in FLAGS}
+        cards.append(GraspScorecard(grasp_id=gid, feasible=feasible, **scalars, flag_counts=counts))
     return cards
+
+
+def _count_cell(row: dict, column: str, where: str) -> int:
+    cell = row[column]
+    if cell is None or not cell.isdigit() or not cell.isascii():  # None: the row ends early
+        raise SchemaError(f"{where}, column {column}: expected a non-negative integer, got {cell!r}")
+    return int(cell)
 
 
 def _scalar_cell(row: dict, column: str, where: str) -> float:
@@ -433,8 +459,20 @@ def write_scalars_long_csv(path, scores: NormalizedScores):
 
 
 def report_to_dict(report: RankingReport, task_name: str, robot_name: str, scorecards) -> dict:
+    """The ``report.json`` record of a ranked task: the ranking, a
+    ``diagnostics`` block per grasp (None for an infeasible grasp) and,
+    per objective, the grasp that sets the normalization maximum and
+    whether it has a flagged waypoint (``normalization``).
+
+    A grasp's diagnostics hold its flagged-waypoint count per flag
+    (``flag_counts``) and the flagged waypoints' indices
+    (``flag_waypoints``); either is None when the scorecards do not hold
+    it, as for cards read back from ``scorecards.csv``, which carries
+    counts only."""
+    by_id = {sc.grasp_id: sc for sc in scorecards}
+    counts = {sc.grasp_id: sc.counts() for sc in scorecards if sc.feasible}
     out = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "task": task_name,
         "robot": robot_name,
         "n_grasps": len(scorecards),
@@ -449,8 +487,26 @@ def report_to_dict(report: RankingReport, task_name: str, robot_name: str, score
             if report.scalarized is not None
             else None
         ),
+        "diagnostics": {
+            sc.grasp_id: _diagnostics(sc, counts[sc.grasp_id]) if sc.feasible else None for sc in scorecards
+        },
+        "normalization": {
+            name: {
+                "grasp_id": gid,
+                "max": getattr(by_id[gid], f"h_{name}"),
+                "flagged": None if counts[gid] is None else any(counts[gid].values()),
+            }
+            for name, gid in report.argmax.items()
+        },
     }
     return out
+
+
+def _diagnostics(sc: GraspScorecard, counts: dict[str, int] | None) -> dict:
+    waypoints = None
+    if sc.flags is not None:
+        waypoints = {name: np.flatnonzero(sc.flags[name]).tolist() for name in FLAGS}
+    return {"flag_counts": counts, "flag_waypoints": waypoints}
 
 
 def write_report_json(path, report_dict: dict):

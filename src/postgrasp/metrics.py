@@ -75,7 +75,10 @@ FLAGS = (
 class GraspScorecard:
     """One grasp's path integrals ``h_<name>`` and, once scored, the task's
     shared grid ``s`` with the per-waypoint samples (``profiles``, keyed by
-    ``OBJECTIVES``) and flags (``flags``, keyed by ``FLAGS``) on it."""
+    ``OBJECTIVES``) and flags (``flags``, keyed by ``FLAGS``) on it.  A card
+    read back from ``scorecards.csv`` has no per-waypoint data; it holds
+    the file's flagged-waypoint counts (``flag_counts``, keyed by
+    ``FLAGS``) instead, when the file has them."""
 
     grasp_id: str
     feasible: bool
@@ -85,6 +88,14 @@ class GraspScorecard:
     s: np.ndarray | None = None
     profiles: dict[str, np.ndarray] | None = None
     flags: dict[str, np.ndarray] | None = None
+    flag_counts: dict[str, int] | None = None
+
+    def counts(self) -> dict[str, int] | None:
+        """Flagged waypoints per flag, in ``FLAGS`` order; None when the
+        card holds neither flags nor counts."""
+        if self.flags is None:
+            return self.flag_counts
+        return {name: int(np.count_nonzero(self.flags[name])) for name in FLAGS}
 
 
 def _check_unit(directions) -> np.ndarray:

@@ -57,6 +57,10 @@ def _argbest(cards, signed) -> dict[str, str]:
     return {name: cards[i].grasp_id for name, i in zip(OBJECTIVES, np.argmin(signed, axis=0).tolist())}
 
 
+def _argmax(cards, table) -> dict[str, str]:
+    return {name: cards[i].grasp_id for name, i in zip(OBJECTIVES, np.argmax(table, axis=0).tolist())}
+
+
 def normalize(scorecards) -> NormalizedScores:
     """Divide each objective by its maximum over the feasible grasps.
 
@@ -114,12 +118,15 @@ def scalarize(scores: NormalizedScores, weights) -> list[tuple[str, float]]:
 @dataclass(frozen=True, eq=False)
 class RankingReport:
     """Per-objective argbest ids, the Pareto set, the conflict flag, the
-    normalized scores and an optional scalarized ordering."""
+    normalized scores, the per-objective id of the grasp whose raw scalar
+    is the normalization maximum (``argmax``; ties go to the first) and an
+    optional scalarized ordering."""
 
     argbest: dict
     pareto: tuple[str, ...]
     conflict: bool
     scores: NormalizedScores
+    argmax: dict
     weights: tuple | None = None
     scalarized: tuple | None = None
 
@@ -135,6 +142,7 @@ def build_report(scorecards, weights=None) -> RankingReport:
         pareto=tuple(_front(cards, signed)),
         conflict=len(set(argbest.values())) > 1,
         scores=scores,
+        argmax=_argmax(cards, table),
         scalarized=None if weights is None else tuple(scalarize(scores, weights)),
         weights=None if weights is None else tuple(float(w) for w in weights),
     )

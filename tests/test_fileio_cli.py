@@ -10,14 +10,24 @@ from postgrasp import (
     Pose,
     Rotation,
     SchemaError,
+    build_report,
+    evaluate_task,
     forward_kinematics,
+    generate_grasp_sweep,
     load_robot,
     load_task,
     reference_robot_path,
     reference_task_path,
 )
 from postgrasp.cli import RunConfig, main, run_evaluation
-from postgrasp.fileio import MAX_COUNT, read_scorecards_csv, write_scorecards_csv
+from postgrasp.fileio import (
+    MAX_COUNT,
+    REPORT_SCHEMA_VERSION,
+    read_scorecards_csv,
+    report_to_dict,
+    write_scorecards_csv,
+)
+from postgrasp.metrics import FLAGS
 
 ARM7_SEED = [1.1714, -0.5996, -1.3336, 1.6372, -2.1718, -1.3377, -0.3196]
 
@@ -241,6 +251,122 @@ class TestCsvPrecision:
         assert back[0].h_tme == 1e-17 + 2.0
         assert back[0].h_tem == math.e * 1e5
         assert back[1].feasible is False
+
+
+def flagged_card(gid, h_tov, h_tme, h_tem, **flagged):
+    """A feasible card on three waypoints; ``flagged`` maps a flag name to
+    the indices of its flagged waypoints."""
+    flags = {name: np.isin(np.arange(3), flagged.get(name, [])) for name in FLAGS}
+    return GraspScorecard(gid, True, h_tov=h_tov, h_tme=h_tme, h_tem=h_tem, flags=flags)
+
+
+COUNTS = ",n_near_singular,n_unachievable,n_unreachable"
+
+
+class TestFlagOutputs:
+    # a capped grasp (unreachable waypoints) sets the tme and tem maxima
+    CARDS = [
+        flagged_card("a", 2.0, 1.0, 1.0),
+        flagged_card("capped", 1.0, 5.0, 7.0, unreachable=[1, 2]),
+        GraspScorecard("off", False),
+        flagged_card("b", 0.5, 2.0, 3.0, near_singular=[0], unachievable=[2]),
+    ]
+
+    def test_report_names_a_flagged_normalization_maximum(self):
+        payload = report_to_dict(build_report(self.CARDS), "t", "r", self.CARDS)
+        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 2
+        assert payload["normalization"] == {
+            "tov": {"grasp_id": "a", "max": 2.0, "flagged": False},
+            "tme": {"grasp_id": "capped", "max": 5.0, "flagged": True},
+            "tem": {"grasp_id": "capped", "max": 7.0, "flagged": True},
+        }
+        assert payload["diagnostics"]["off"] is None
+        assert payload["diagnostics"]["capped"] == {
+            "flag_counts": {"near_singular": 0, "unachievable": 0, "unreachable": 2},
+            "flag_waypoints": {"near_singular": [], "unachievable": [], "unreachable": [1, 2]},
+        }
+        assert payload["diagnostics"]["b"]["flag_waypoints"] == {
+            "near_singular": [0],
+            "unachievable": [2],
+            "unreachable": [],
+        }
+
+    def test_counts_round_trip_and_pareto_reports_counts_only(self, tmp_path, capsys):
+        path = tmp_path / "scorecards.csv"
+        write_scorecards_csv(path, self.CARDS, None)
+        header, *rows = path.read_text().splitlines()
+        assert header.endswith(",pareto,n_near_singular,n_unachievable,n_unreachable")
+        assert [row.split(",")[-3:] for row in rows] == [
+            ["0", "0", "0"],
+            ["0", "0", "2"],
+            ["", "", ""],
+            ["1", "1", "0"],
+        ]
+        back = {sc.grasp_id: sc for sc in read_scorecards_csv(path)}
+        assert back["capped"].counts() == {"near_singular": 0, "unachievable": 0, "unreachable": 2}
+        assert back["off"].counts() is None
+        assert main(["pareto", "--scorecards", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"]["b"] == {
+            "flag_counts": {"near_singular": 1, "unachievable": 1, "unreachable": 0},
+            "flag_waypoints": None,
+        }
+        assert payload["normalization"]["tem"] == {"grasp_id": "capped", "max": 7.0, "flagged": True}
+
+    def test_file_without_count_columns_has_no_counts(self, tmp_path, capsys):
+        path = tmp_path / "cards.csv"
+        path.write_text("grasp_id,feasible,h_tov,h_tme,h_tem\na,true,2.0,1,1.0\nb,true,1.0,2,2.0\n")
+        assert main(["pareto", "--scorecards", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"]["a"] == {"flag_counts": None, "flag_waypoints": None}
+        assert payload["normalization"]["tov"] == {"grasp_id": "a", "max": 2.0, "flagged": None}
+
+    @pytest.mark.parametrize(
+        "columns, row, message",
+        [
+            (COUNTS, ",x,0,0", "row 2, column n_near_singular: expected a non-negative integer, got 'x'"),
+            (COUNTS, ",1,,0", "row 2, column n_unachievable: expected a non-negative integer, got ''"),
+            (COUNTS, ",-1,0,0", "row 2, column n_near_singular: expected a non-negative integer, got '-1'"),
+            (",n_near_singular", ",0", "missing column(s) n_unachievable, n_unreachable"),
+        ],
+        ids=["text", "partly-empty", "negative", "missing-column"],
+    )
+    def test_bad_count_cells_named(self, tmp_path, capsys, columns, row, message):
+        path = tmp_path / "cards.csv"
+        path.write_text(f"grasp_id,feasible,h_tov,h_tme,h_tem{columns}\na,true,2.0,1,1.0{row}\n")
+        assert main(["pareto", "--scorecards", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_evaluate_writes_the_scorecards_flags(self, tmp_path, arm7):
+        # the report's waypoint lists and the CSV's counts are the
+        # scorecards' flags, on a sweep whose far grasps are capped
+        task = load_task(reference_task_path("task3"))
+        grasps = generate_grasp_sweep(
+            Pose(Rotation(0.0, 1.0, 0.0, 0.0), np.array([0.0, -0.6, 0.1])),
+            Pose(Rotation(0.0, 1.0, 0.0, 0.0), np.array([0.0, 0.6, 0.1])),
+            6,
+        )
+        cards = evaluate_task(arm7, task, grasps=grasps, resample_count=8)
+        config = RunConfig(
+            robot=reference_robot_path("arm7"),
+            tasks=[reference_task_path("task3")],
+            out=tmp_path,
+            resample=8,
+            allow_infeasible=True,
+            grasps_override=grasps,
+        )
+        assert run_evaluation(config) == 0
+        outdir = tmp_path / task.name
+        payload = json.loads((outdir / "report.json").read_text())
+        back = {sc.grasp_id: sc for sc in read_scorecards_csv(outdir / "scorecards.csv")}
+        assert any(sc.feasible and sc.flags["unreachable"].any() for sc in cards)
+        for sc in cards:
+            if not sc.feasible:
+                assert payload["diagnostics"][sc.grasp_id] is None and back[sc.grasp_id].counts() is None
+                continue
+            want = {name: np.flatnonzero(sc.flags[name]).tolist() for name in FLAGS}
+            assert payload["diagnostics"][sc.grasp_id]["flag_waypoints"] == want
+            assert back[sc.grasp_id].counts() == {name: len(want[name]) for name in FLAGS}
 
 
 class TestRunEvaluation:

@@ -172,3 +172,16 @@ class TestBuildReport:
         report = build_report(random_cards(rng, n=5), weights=(0.5, 0.25, 0.25))
         assert report.scalarized is not None
         assert len(report.scalarized) == 5
+
+    def test_argmax_names_the_normalization_maximum(self, rng):
+        for _ in range(50):
+            cards = random_cards(rng, n=6) + [card("off", 9.0, 900.0, 9.0, feasible=False)]
+            report = build_report(cards)
+            for name, gid in report.argmax.items():
+                sc = next(c for c in cards if c.grasp_id == gid)
+                assert getattr(report.scores, name)[report.scores.grasp_ids.index(gid)] == 1.0
+                assert sc.feasible
+
+    def test_argmax_ties_go_to_the_first(self):
+        report = build_report([card("a", 1.0, 2.0, 0.0), card("b", 1.0, 2.0, 0.0), card("c", 0.5, 1.0, 0.0)])
+        assert report.argmax == {"tov": "a", "tme": "a", "tem": "a"}
