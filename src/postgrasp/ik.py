@@ -17,16 +17,16 @@ is clamped when it is made, and clamping a value already within the
 limits returns it unchanged, so only the first waypoint's seed, an input,
 is clamped.
 
-Targets are read off the trajectory's arrays: each is seven floats, the
-unit quaternion (w, x, y, z) and then the translation (``pose_target``
-gives them for a ``Pose``), so tracking builds no target pose.  The pose
-error works on those floats and the current pose's: it repeats
+Targets are read off the trajectory's arrays: each is seven floats, a row
+of its unit quaternions (w, x, y, z) and then one of its translations, so
+tracking builds no target pose.  The pose error works on those floats and
+the current pose's: it repeats
 ``(target.rotation * current.rotation.inverse()).log()`` operation for
-operation (both renormalisations, the flip to w >= 0, and ``|v|`` as the
-BLAS dot product ``np.linalg.norm`` runs) without building a ``Rotation``,
-so every iterate matches the object form bit for bit.  The loop's norms are
-that same dot product, and the derivatives of the joint path are one array
-expression over all waypoints.
+operation (both renormalisations by ``Rotation``'s own ``unit_quaternion``,
+and ``|v|`` as the BLAS dot product ``np.linalg.norm`` runs) without
+building a ``Rotation``, so every iterate matches the object form bit for
+bit.  The loop's norms are that same dot product, and the derivatives of
+the joint path are one array expression over all waypoints.
 
 A solve that cannot meet the tolerances (target out of reach, or blocked
 by a joint limit) stops once its pose-error norm has fallen by less than
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainModel, forward_kinematics, geometric_jacobian
-from .geometry import Pose
+from .geometry import Pose, unit_quaternion
 from .task import TaskTrajectory
 
 DAMPING = 1e-3
@@ -79,35 +79,23 @@ def default_seed(model: ChainModel) -> np.ndarray:
     return seed
 
 
-def pose_target(pose: Pose) -> tuple:
-    """A pose's seven floats as DLS reads a target: the quaternion
-    (w, x, y, z), then the translation, the layout of a trajectory's
-    ``quaternions`` and ``translations`` rows side by side."""
-    r = pose.rotation
-    return (r.w, r.x, r.y, r.z, *pose.translation.tolist())
-
-
 def pose_error(target, current: Pose) -> np.ndarray:
     """6-vector (position error; orientation error as a rotation vector),
     world frame, consistent with the world-frame Jacobian, of the
-    ``current`` pose against a target's seven floats (``pose_target``).
-    Computed on floats, bit for bit the ``Rotation`` form (see the module
-    docstring)."""
+    ``current`` pose against a target's seven floats: its quaternion
+    (w, x, y, z), then its translation.  Computed on floats, bit for bit
+    the ``Rotation`` form (see the module docstring)."""
     w1, x1, y1, z1, t0, t1, t2 = target
     b = current.rotation
-    # b.inverse(): the conjugate, renormalised (its w = b.w >= 0 needs no flip)
-    w2, x2, y2, z2 = b.w, -b.x, -b.y, -b.z
-    s = 1.0 / math.sqrt(w2**2 + x2**2 + y2**2 + z2**2)
-    w2, x2, y2, z2 = w2 * s, x2 * s, y2 * s, z2 * s
+    # b.inverse(): the conjugate, renormalised (its w = b.w >= 0 is not flipped)
+    w2, x2, y2, z2 = unit_quaternion(b.w, -b.x, -b.y, -b.z)
     # target * b.inverse(), renormalised to w >= 0
-    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-    x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
-    y = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
-    z = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
-    s = 1.0 / math.sqrt(w**2 + x**2 + y**2 + z**2)
-    if w < 0.0:
-        s = -s
-    w, x, y, z = w * s, x * s, y * s, z * s
+    w, x, y, z = unit_quaternion(
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
     # log: 2 atan2(|v|, w) / |v| times v, or 2 v at a small angle
     v = np.array([x, y, z])
     sin_half = _norm(v)
@@ -127,7 +115,7 @@ def _converged(err: np.ndarray) -> bool:
 
 
 def _solve(model, target, seed, current=None) -> tuple[np.ndarray, Pose, bool, int]:
-    """DLS from ``seed`` towards ``target``'s seven floats (``pose_target``):
+    """DLS from ``seed`` towards ``target``'s seven floats (``pose_error``):
     the last iterate, its tool pose, whether it meets the tolerances, and
     the number of iterations (Jacobians) run.
 

@@ -12,7 +12,8 @@ The rest builds on production functions, so it checks only the logic it
 adds.  ``eager_link_frames_axes`` is the kinematic pass with the
 joint-kind masks applied inside it and the motion columns built eagerly,
 the form ``chain`` ran before its joint constants carried the masks and
-``motion`` was derived on first read.  ``rotation_pose_error`` is the IK
+``motion`` was derived on first read.  ``pose_target`` gives a pose as the
+seven floats IK reads a target as.  ``rotation_pose_error`` is the IK
 pose error on ``Rotation`` objects and ``loop_fd_derivatives`` the finite
 differences one waypoint at a time, the forms ``ik`` computed before it
 worked on floats and whole arrays.
@@ -192,6 +193,13 @@ def cuboid_inertia(mass: float, dims) -> np.ndarray:
             mass / 12.0 * (a * a + b * b),
         ]
     )
+
+
+def pose_target(pose: Pose) -> tuple:
+    """A pose's seven floats as DLS reads a target: the quaternion
+    (w, x, y, z), then the translation."""
+    r = pose.rotation
+    return (r.w, r.x, r.y, r.z, *pose.translation.tolist())
 
 
 def rotation_pose_error(target: Pose, current: Pose) -> np.ndarray:

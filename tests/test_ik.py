@@ -22,10 +22,9 @@ from postgrasp.ik import (
     _solve,
     default_seed,
     pose_error,
-    pose_target,
 )
 
-from oracles import loop_fd_derivatives, reference_dls, rotation_pose_error, two_r_ik
+from oracles import loop_fd_derivatives, pose_target, reference_dls, rotation_pose_error, two_r_ik
 
 
 def joint_path_poses(model, qs):

@@ -32,10 +32,10 @@ from postgrasp import (
     mass_matrix,
 )
 from postgrasp.chain import link_frames_axes
-from postgrasp.ik import _solve, pose_target
+from postgrasp.ik import _solve
 from postgrasp.task import path_parameter
 
-from oracles import eager_link_frames_axes, reference_dls
+from oracles import eager_link_frames_axes, pose_target, reference_dls
 
 # no shrink phase: a failure is reported on the example that first showed
 # it, so a broken kernel fails within the 60 examples instead of shrinking
