@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -151,31 +151,11 @@ class ChainModel:
         c = self._constants
         return c.lower, c.upper
 
-    def with_tool_body(self, mass: float, com, inertia) -> "ChainModel":
-        """Rigidly attach an extra body, given in the tool frame, by merging
-        it into the last link.  Used to augment the dynamics with a grasped
-        object.  The returned model's stacked constants are this model's
-        with the body arrays replaced."""
-        if mass < 0.0:
-            raise ValueError("attached body mass must be non-negative")
-        r_tool = self.tool_transform.rotation.as_matrix()
-        c_extra = self.tool_transform.apply(np.asarray(com, dtype=float))
-        i_extra = r_tool @ np.asarray(inertia, dtype=float) @ r_tool.T
-        last = self.links[-1]
-        merged = _merge_bodies(last.mass, last.com, last.inertia, mass, c_extra, i_extra)
-        links = self.links[:-1] + (LinkSpec(*merged),)
-        attached = replace(self, links=links)
-        # the joint constants carry over; only the body arrays change
-        object.__setattr__(attached, "_constants", replace(self._constants, **_body_arrays(links)))
-        return attached
-
 
 @dataclass(frozen=True, eq=False)
 class _ChainArrays:
     """A model's per-joint and per-link constants as stacked arrays, built
-    once per ``ChainModel`` for the kinematic pass and the dynamics; a
-    model with a body attached (``ChainModel.with_tool_body``) shares its
-    parent's joint arrays and rebuilds only the body arrays."""
+    once per ``ChainModel`` for the kinematic pass and the dynamics."""
 
     # (n, 1, 4, 4), the shape the pass broadcasts over a batch of m
     fixed: np.ndarray  # joint origin transforms
@@ -221,30 +201,10 @@ class _ChainArrays:
             upper=upper,
             base=model.base_pose.to_matrix(),
             tool=model.tool_transform.to_matrix(),
-            **_body_arrays(model.links),
+            masses=np.array([link.mass for link in model.links]),
+            coms=np.stack([link.com for link in model.links]),
+            inertias=np.stack([link.inertia for link in model.links]),
         )
-
-
-def _body_arrays(links) -> dict[str, np.ndarray]:
-    """The ``_ChainArrays`` fields that come from the link bodies."""
-    return {
-        "masses": np.array([link.mass for link in links]),
-        "coms": np.stack([link.com for link in links]),
-        "inertias": np.stack([link.inertia for link in links]),
-    }
-
-
-def _merge_bodies(m1, c1, i1, m2, c2, i2):
-    m = m1 + m2
-    if m < 1e-12:
-        return 0.0, np.zeros(3), i1 + i2
-    c = (m1 * np.asarray(c1, float) + m2 * np.asarray(c2, float)) / m
-
-    def shifted(mi, ci, ii):
-        d = np.asarray(ci, float) - c
-        return ii + mi * (float(d @ d) * np.eye(3) - np.outer(d, d))
-
-    return m, c, shifted(m1, c1, i1) + shifted(m2, c2, i2)
 
 
 def _check_q(model: ChainModel, q) -> np.ndarray:
@@ -266,9 +226,9 @@ class KinematicState:
 
     Everything downstream of q reads it: forward kinematics, the Jacobian,
     the composite-rigid-body mass matrix and recursive Newton-Euler.  It
-    depends on the joints, base and tool only, so a pass of a model also
-    serves every model that differs from it in link inertias alone (the
-    chain with a grasped object merged by ``ChainModel.with_tool_body``).
+    depends on the joints, base and tool only, not on the link bodies, so
+    a grasped object enters the dynamics through the link inertias built on
+    it (``dynamics.link_inertias``), with no second pass.
 
     The fields are built by the pass; ``motion``, which only the dynamics
     read, is derived from them on first read and then kept.

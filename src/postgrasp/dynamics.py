@@ -17,24 +17,25 @@ CoM, from the task file (``task.RigidObject``) and the robot file
 (``chain.LinkSpec``) through to ``link_inertias``, the one place that reads
 a model's bodies: it turns them into each link's 6x6 world-origin inertia
 on a kinematic pass.  The recursions take that pass and those inertias and
-no model, so the inertial parameters are their explicit, linear input.  The
-pipeline attaches a grasped object by expressing that triple in the
-gripper frame through the grasp transform and merging it into the last
-link (``attach_object``, through ``ChainModel.with_tool_body``; composition
-as in Featherstone ch. 2); the merged model's link inertias, built once per
-grasp (``metrics.evaluate_grasp``), serve RNEA for the torque objective and
-CRBA for the effective-mass objective (``operational_mass_inverse``).
-``augmented_mass_matrix`` is the independent cross-check: the arm's mass
-matrix plus the object's 6x6 inertia about the operational point pulled
-into joint space by the Jacobian, M + J^T M_obj J.  The two routes agree
-to machine precision.
+no model, so the inertial parameters are their explicit, linear input.  A
+grasped object is one more body on the last link: ``attach_object`` gives
+its mass, CoM and inertia in that link's frame, through the tool transform
+and the inverse grasp, and ``link_inertias`` builds its spatial inertia by
+the same formula as a link's and adds it to the last link's, as spatial
+inertias referred to one point add (Featherstone ch. 2).  Those link
+inertias, built once per grasp (``metrics.evaluate_grasp``), serve RNEA for
+the torque objective and CRBA for the effective-mass objective
+(``operational_mass_inverse``).  ``augmented_mass_matrix`` is the
+independent cross-check: the arm's mass matrix plus the object's 6x6
+inertia about the operational point pulled into joint space by the
+Jacobian, M + J^T M_obj J.  The two routes agree to machine precision.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainModel, KinematicState, link_frames_axes
+from .chain import ChainModel, KinematicState, LinkSpec, link_frames_axes
 from .geometry import skew
 from .task import GraspCandidate, RigidObject
 
@@ -51,21 +52,36 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def link_inertias(model: ChainModel, kin: KinematicState) -> np.ndarray:
+def _spatial_inertias(rot, origins, masses, coms, inertias) -> np.ndarray:
+    """(..., 6, 6) world-origin inertias of bodies given by their masses,
+    CoMs and inertias about the CoM in frames of world rotations ``rot``
+    (..., 3, 3) and origins ``origins`` (..., 3)."""
+    m = np.asarray(masses)[..., None, None]
+    com_x = skew(origins + (rot @ coms[..., None])[..., 0])
+    m_com_x = m * com_x
+    out = np.zeros(com_x.shape[:-2] + (6, 6))
+    out[..., :3, :3] = m * np.eye(3)
+    out[..., :3, 3:] = -m_com_x
+    out[..., 3:, :3] = m_com_x
+    out[..., 3:, 3:] = rot @ inertias @ rot.swapaxes(-1, -2) - m_com_x @ com_x
+    return out
+
+
+def link_inertias(model: ChainModel, kin: KinematicState, attached: LinkSpec | None = None) -> np.ndarray:
     """(..., n, 6, 6) inertias of ``model``'s links on the pass ``kin``,
     referred to the world origin, world axes, read-only: the input of
-    ``mass_matrix``, ``inverse_dynamics`` and ``operational_mass_inverse``."""
+    ``mass_matrix``, ``inverse_dynamics`` and ``operational_mass_inverse``.
+
+    ``attached`` is a body rigidly held by the last link, given in its
+    frame (``attach_object``); its inertia is added to that link's."""
     if kin.n != model.n:
         raise ValueError(f"kinematic state has {kin.n} joints, model has {model.n}")
     c = model._constants
-    rot = kin.rotations
-    com_x = skew(kin.origins + (rot @ c.coms[:, :, None])[..., 0])
-    m_com_x = c.masses[:, None, None] * com_x
-    out = np.zeros(com_x.shape[:-2] + (6, 6))
-    out[..., :3, :3] = c.masses[:, None, None] * np.eye(3)
-    out[..., :3, 3:] = -m_com_x
-    out[..., 3:, :3] = m_com_x
-    out[..., 3:, 3:] = rot @ c.inertias @ rot.swapaxes(-1, -2) - m_com_x @ com_x
+    out = _spatial_inertias(kin.rotations, kin.origins, c.masses, c.coms, c.inertias)
+    if attached is not None:
+        out[..., -1, :, :] += _spatial_inertias(
+            kin.rotations[..., -1, :, :], kin.origins[..., -1, :], attached.mass, attached.com, attached.inertia
+        )
     out.flags.writeable = False
     return out
 
@@ -110,7 +126,7 @@ def inverse_dynamics(
     enters as a base acceleration of -g.  Joint i carries the sum of the
     link forces I_k a_k + v_k x* I_k v_k over links k >= i.  A grasped
     object enters through the inertias: build them with ``link_inertias``
-    on the model ``attach_object`` returns.
+    and the body ``attach_object`` returns.
     """
     _check_inertias(kin, inertias)
     qd = np.asarray(qdot, dtype=float)
@@ -133,16 +149,17 @@ def inverse_dynamics(
     return np.einsum("...ij,...ij->...i", s, carried)
 
 
-def attach_object(model: ChainModel, grasp: GraspCandidate, obj: RigidObject) -> ChainModel:
-    """The chain carrying a grasped object, merged into its last link.
+def attach_object(model: ChainModel, grasp: GraspCandidate, obj: RigidObject) -> LinkSpec:
+    """The grasped object as a body on the last link, in that link's frame.
 
     The object's pose in the gripper frame is the inverse grasp transform
-    g: its CoM sits at g's translation and its inertia about the CoM is
-    R_g I R_g^T.  Only the last link's inertia changes, so a
-    ``KinematicState`` of ``model`` serves the returned model too."""
+    g, and the gripper frame hangs off the last link by the tool transform
+    T: its CoM sits at T applied to g's translation and its inertia about
+    the CoM is R I R^T with R = R_T R_g.  Pass it to ``link_inertias``."""
     g = grasp.transform.inverse()
-    r = g.rotation.as_matrix()
-    return model.with_tool_body(obj.mass, g.translation, r @ obj.inertia @ r.T)
+    tool = model.tool_transform
+    r = tool.rotation.as_matrix() @ g.rotation.as_matrix()
+    return LinkSpec(obj.mass, tool.apply(g.translation), r @ obj.inertia @ r.T)
 
 
 def augmented_mass_matrix(
@@ -173,7 +190,7 @@ def augmented_mass_matrix(
 def operational_mass_inverse(kin: KinematicState, inertias: np.ndarray) -> np.ndarray:
     """Operational-space inverse inertia J M^-1 J^T at the operational point.
 
-    A grasped object counts once ``inertias`` are those of the model
+    A grasped object counts once ``inertias`` carry the body
     ``attach_object`` returns.  Valid for redundant chains; at a singular
     configuration the result is rank-deficient but still well defined.
     Raises DegenerateModelError if the joint-space mass matrix itself is

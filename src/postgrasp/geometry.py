@@ -206,23 +206,6 @@ class Rotation:
         """Geodesic distance in radians."""
         return float(np.linalg.norm((self.inverse() * other).log()))
 
-    def slerp(self, other: "Rotation", u: float) -> "Rotation":
-        """Spherical interpolation from self (u=0) to other (u=1)."""
-        q0 = self.quat
-        q1 = other.quat
-        dot = float(np.dot(q0, q1))
-        if dot < 0.0:
-            q1 = -q1
-            dot = -dot
-        dot = min(dot, 1.0)
-        theta = math.acos(dot)
-        if theta < 1e-9:
-            q = (1.0 - u) * q0 + u * q1
-        else:
-            st = math.sin(theta)
-            q = (math.sin((1.0 - u) * theta) / st) * q0 + (math.sin(u * theta) / st) * q1
-        return Rotation.from_quat(q)
-
 
 @dataclass(frozen=True, eq=False)
 class Pose:

@@ -4,13 +4,13 @@ A task's grasps share one resampled trajectory, with its pose arrays, and
 one quadrature grid (``evaluate_task``).  Per grasp, the pipeline is:
 compose the gripper trajectory on those arrays, track it in joint space,
 then run one batched kinematic pass over the whole joint path, build the
-object-carrying model's link inertias on it once (``link_inertias``; the
-two dynamics objectives read that pass and those inertias, not a model),
-and compute every waypoint's value at once:
+link inertias on it once with the object as one more body on the last
+link (``link_inertias``; the two dynamics objectives read that pass and
+those inertias, not a model), and compute every waypoint's value at once:
 
 * directional velocity manipulability a^2 along the motion direction
   (maximize its path integral),
-* squared joint-torque norm with the object merged into the last link
+* squared joint-torque norm with the object carried by the last link
   (minimize),
 * effective mass perceived in a collision along the motion direction
   (minimize).
@@ -198,8 +198,8 @@ def torque_effort(
 ) -> np.ndarray:
     """Squared joint-torque norm per waypoint.  ``kins`` is the kinematic
     pass over the joint path and ``inertias`` its link inertias
-    (``link_inertias``); the grasped object counts once they are built on
-    the model that carries it (``attach_object``)."""
+    (``link_inertias``); the grasped object counts once they carry its
+    body (``attach_object``)."""
     tau = inverse_dynamics(kins, inertias, joint_traj.velocities, joint_traj.accelerations, gravity)
     return np.einsum("ij,ij->i", tau, tau)
 
@@ -254,11 +254,10 @@ def evaluate_grasp(
     except GraspInfeasible:
         return GraspScorecard(grasp_id=grasp.id, feasible=False)
     # one batched kinematic pass over the joint path serves all three
-    # objectives; the object-carrying model shares it, as only its last
-    # link's inertia differs, and its link inertias on that pass serve
-    # both RNEA and CRBA
+    # objectives, and the link inertias on it, the object's body added to
+    # the last link's, serve both RNEA and CRBA
     kins = link_frames_axes(model, joint_traj.positions)
-    inertias = link_inertias(attach_object(model, grasp, obj), kins)
+    inertias = link_inertias(model, kins, attach_object(model, grasp, obj))
     a2, unachievable = tov(kins, gripper)
     tau2 = torque_effort(kins, inertias, joint_traj, gravity)
     m_e, near_singular = tem(kins, inertias, gripper)

@@ -6,14 +6,16 @@ gripper trajectory the arm must track, and the normalized arc length of
 the object path provides the integration variable for all path metrics.
 
 A trajectory's data are arrays: its unit quaternions, translations and
-times.  Every grasp of a task is composed on the object trajectory's arrays
-(``gripper_trajectory``) into a new trajectory's arrays, with no ``Pose``
-built; IK and the path metrics read the gripper trajectory's arrays.  The
-``Pose`` objects of a trajectory are derived only when read.
+times.  Keyframes are resampled (``resample``) and every grasp of a task is
+composed (``gripper_trajectory``) on those arrays into a new trajectory's
+arrays, with no ``Pose`` built; IK and the path metrics read the gripper
+trajectory's arrays.  The ``Pose`` objects of a trajectory are derived only
+when read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -194,19 +196,43 @@ def generate_grasp_sweep(
 
 def resample(task: TaskTrajectory, count: int) -> TaskTrajectory:
     """Densify keyframes to ``count`` waypoints uniform in time, with linear
-    interpolation of translation and slerp of rotation."""
+    interpolation of translation and slerp of rotation.
+
+    It runs on the keyframe arrays, with no ``Pose`` built: each keyframe
+    segment's quaternion dot, sign flip and angle are taken once
+    (``_arc``), each waypoint's slerp weights and ``unit_quaternion``
+    normalisation on floats (``_slerp``), in the order a ``Rotation`` slerp
+    takes them, so a waypoint equals the ``Pose`` built from the two
+    keyframe poses bit for bit."""
     if count < 2:
         raise ValueError("resample count must be >= 2")
     times = np.linspace(0.0, task.total_time, count)
-    poses = []
-    for t in times:
-        k = int(np.searchsorted(task.times, t, side="right") - 1)
-        k = min(max(k, 0), len(task) - 2)
-        t0, t1 = task.times[k], task.times[k + 1]
-        u = (t - t0) / (t1 - t0)
-        u = min(max(u, 0.0), 1.0)
-        a, b = task.poses[k], task.poses[k + 1]
-        poses.append(
-            Pose(a.rotation.slerp(b.rotation, u), (1.0 - u) * a.translation + u * b.translation)
-        )
-    return TaskTrajectory(tuple(poses), times)
+    k = np.minimum(np.maximum(np.searchsorted(task.times, times, side="right") - 1, 0), len(task) - 2)
+    t0, t1 = task.times[k], task.times[k + 1]
+    u = np.minimum(np.maximum((times - t0) / (t1 - t0), 0.0), 1.0)
+    translations = (1.0 - u)[:, None] * task.translations[k] + u[:, None] * task.translations[k + 1]
+    arcs = [_arc(q0, q1) for q0, q1 in zip(task.quaternions[:-1], task.quaternions[1:])]
+    quats = [_slerp(*arcs[i], v) for i, v in zip(k.tolist(), u.tolist())]
+    return TaskTrajectory.from_arrays(quats, translations, times)
+
+
+def _arc(q0: np.ndarray, q1: np.ndarray) -> tuple:
+    """The ends of a slerp between two unit quaternions as float lists,
+    the second flipped into the first's hemisphere, their angle theta and
+    sin(theta)."""
+    dot = float(np.dot(q0, q1))
+    q0, q1 = q0.tolist(), q1.tolist()
+    if dot < 0.0:
+        q1 = [-x for x in q1]
+        dot = -dot
+    theta = math.acos(min(dot, 1.0))
+    return q0, q1, theta, math.sin(theta)
+
+
+def _slerp(q0: list, q1: list, theta: float, sin_theta: float, u: float) -> tuple:
+    """The unit quaternion a fraction u along the arc ``_arc`` gives."""
+    if theta < 1e-9:
+        a, b = 1.0 - u, u
+    else:
+        a, b = math.sin((1.0 - u) * theta) / sin_theta, math.sin(u * theta) / sin_theta
+    return unit_quaternion(*(a * x + b * y for x, y in zip(q0, q1)))

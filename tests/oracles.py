@@ -24,17 +24,25 @@ stopped on a stall, on the production forward kinematics and Jacobian and
 terms of the equation of motion from ``inverse_dynamics`` and
 ``mass_matrix``; ``effective_mass`` is the single-configuration form of the
 ``tem`` objective on ``operational_mass_inverse``.
+``merge_bodies`` folds two bodies into one by the parallel-axis theorem,
+and ``merged_model`` puts a held body into a chain's last link that way,
+the form the dynamics took a grasped object in before it became one more
+body added to the last link's inertia.  ``slerp`` and ``resample_poses``
+are the keyframe resampling on ``Rotation`` and ``Pose`` objects, the form
+``task.resample`` computed before it worked on the keyframe arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from postgrasp import ik
 from postgrasp.chain import (
     ChainModel,
+    LinkSpec,
     _check_q,
     forward_kinematics,
     geometric_jacobian,
@@ -49,8 +57,8 @@ from postgrasp.dynamics import (
     operational_mass_inverse,
 )
 from postgrasp.metrics import directional_effective_mass
-from postgrasp.geometry import Pose, skew
-from postgrasp.task import GraspCandidate, RigidObject
+from postgrasp.geometry import Pose, Rotation, skew
+from postgrasp.task import GraspCandidate, RigidObject, TaskTrajectory
 
 CHRISTOFFEL_STEP = 1e-6  # rad; truncation/round-off balance for float64
 
@@ -380,6 +388,65 @@ def effective_mass(
     1 / (u^T Lambda_tot^-1 u), capped at 1e9 kg near singularities."""
     loaded = attach_object(model, grasp, obj)
     kin = link_frames_axes(model, q)
-    lam_inv = operational_mass_inverse(kin, link_inertias(loaded, kin))
+    lam_inv = operational_mass_inverse(kin, link_inertias(model, kin, loaded))
     value, _ = directional_effective_mass(lam_inv, direction)
     return value
+
+
+def merge_bodies(m1, c1, i1, m2, c2, i2) -> tuple:
+    """Mass, CoM and inertia about the CoM of two bodies given in one
+    frame as one rigid body: each inertia shifted to the common CoM by the
+    parallel-axis theorem, then summed."""
+    m = m1 + m2
+    if m < 1e-12:
+        return 0.0, np.zeros(3), i1 + i2
+    c = (m1 * np.asarray(c1, float) + m2 * np.asarray(c2, float)) / m
+
+    def shifted(mi, ci, ii):
+        d = np.asarray(ci, float) - c
+        return ii + mi * (float(d @ d) * np.eye(3) - np.outer(d, d))
+
+    return m, c, shifted(m1, c1, i1) + shifted(m2, c2, i2)
+
+
+def merged_model(model: ChainModel, body: LinkSpec) -> ChainModel:
+    """``model`` with ``body``, given in its last link's frame, merged
+    into that link (``merge_bodies``)."""
+    last = model.links[-1]
+    merged = merge_bodies(last.mass, last.com, last.inertia, body.mass, body.com, body.inertia)
+    return replace(model, links=model.links[:-1] + (LinkSpec(*merged),))
+
+
+def slerp(a: Rotation, b: Rotation, u: float) -> Rotation:
+    """Spherical interpolation from a (u=0) to b (u=1)."""
+    q0 = a.quat
+    q1 = b.quat
+    dot = float(np.dot(q0, q1))
+    if dot < 0.0:
+        q1 = -q1
+        dot = -dot
+    dot = min(dot, 1.0)
+    theta = math.acos(dot)
+    if theta < 1e-9:
+        q = (1.0 - u) * q0 + u * q1
+    else:
+        st = math.sin(theta)
+        q = (math.sin((1.0 - u) * theta) / st) * q0 + (math.sin(u * theta) / st) * q1
+    return Rotation.from_quat(q)
+
+
+def resample_poses(task: TaskTrajectory, count: int) -> TaskTrajectory:
+    """Keyframes densified to ``count`` waypoints uniform in time, one
+    ``Pose`` per waypoint: linear interpolation of translation and
+    ``slerp`` of rotation."""
+    times = np.linspace(0.0, task.total_time, count)
+    poses = []
+    for t in times:
+        k = int(np.searchsorted(task.times, t, side="right") - 1)
+        k = min(max(k, 0), len(task) - 2)
+        t0, t1 = task.times[k], task.times[k + 1]
+        u = (t - t0) / (t1 - t0)
+        u = min(max(u, 0.0), 1.0)
+        a, b = task.poses[k], task.poses[k + 1]
+        poses.append(Pose(slerp(a.rotation, b.rotation, u), (1.0 - u) * a.translation + u * b.translation))
+    return TaskTrajectory(tuple(poses), times)

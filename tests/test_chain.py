@@ -1,20 +1,24 @@
 import itertools
 import sys
 import threading
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from postgrasp import (
     ChainModel,
+    GraspCandidate,
     JointSpec,
     LinkSpec,
     Pose,
+    RigidObject,
     Rotation,
+    attach_object,
     evaluate_task,
     forward_kinematics,
     geometric_jacobian,
+    link_inertias,
     load_task,
     reference_task_path,
 )
@@ -317,12 +321,14 @@ class TestPassInputs:
 
 
 class TestToolBodyMerge:
+    # a body held by the last link adds its spatial inertia to that link's
+    # (``link_inertias``); the sum equals the inertia of the one body the
+    # parallel-axis theorem merges the two into
+
     def test_zero_mass_merge_is_noop(self, arm7):
-        merged = arm7.with_tool_body(0.0, np.zeros(3), np.zeros((3, 3)))
-        last, orig = merged.links[-1], arm7.links[-1]
-        assert abs(last.mass - orig.mass) <= 1e-15
-        assert np.abs(last.com - orig.com).max() <= 1e-15
-        assert np.abs(last.inertia - orig.inertia).max() <= 1e-15
+        kin = chain.link_frames_axes(arm7, Q7)
+        body = LinkSpec(mass=0.0, com=np.zeros(3), inertia=np.zeros((3, 3)))
+        assert np.abs(link_inertias(arm7, kin, body) - link_inertias(arm7, kin)).max() <= 1e-15
 
     def test_point_mass_merge_parallel_axis(self):
         # two point masses on a massless-frame link: combined inertia about
@@ -332,13 +338,13 @@ class TestToolBodyMerge:
             links=(LinkSpec(mass=1.0, com=(1.0, 0, 0), inertia=np.zeros((3, 3))),),
             tool_transform=Pose.from_translation((2.0, 0.0, 0.0)),
         )
-        merged = model.with_tool_body(1.0, np.zeros(3), np.zeros((3, 3)))
-        link = merged.links[-1]
-        assert abs(link.mass - 2.0) <= 1e-15
-        assert np.abs(link.com - np.array([1.5, 0.0, 0.0])).max() <= 1e-15
-        # two unit masses at +-0.5 from the common CoM: Izz = 2 * 0.25
-        assert abs(link.inertia[2, 2] - 0.5) <= 1e-15
-        assert abs(link.inertia[0, 0]) <= 1e-15
+        body = attach_object(model, GraspCandidate("g", Pose.identity()), RigidObject(1.0, np.zeros((3, 3))))
+        # two unit masses at +-0.5 from the common CoM at 1.5: Izz = 2 * 0.25
+        merged = replace(model, links=(LinkSpec(mass=2.0, com=(1.5, 0, 0), inertia=np.diag([0.0, 0.5, 0.5])),))
+        for q in (0.0, 0.7, -2.0):
+            kin = chain.link_frames_axes(model, [q])
+            # entries up to 5 kg m^2 (Izz about the joint), so 1e-15 of that
+            assert np.abs(link_inertias(model, kin, body) - link_inertias(merged, kin)).max() <= 5e-15
 
     def test_point_masses_merge_to_reduced_mass_inertia(self, rng):
         # oracle: parallel-axis theorem for two point masses a distance d
@@ -355,24 +361,16 @@ class TestToolBodyMerge:
                 links=(LinkSpec(mass=m1, com=c1, inertia=np.zeros((3, 3))),),
                 tool_transform=tool,
             )
+            # the object's CoM sits at the inverse grasp's translation
             c2_tool = rng.uniform(-0.5, 0.5, 3)
-            link = model.with_tool_body(m2, c2_tool, np.zeros((3, 3))).links[-1]
+            grasp = GraspCandidate("g", Pose(Rotation.identity(), -c2_tool))
+            body = attach_object(model, grasp, RigidObject(m2, np.zeros((3, 3))))
             c2 = tool.apply(c2_tool)
             d = c2 - c1
             expected = m1 * m2 / (m1 + m2) * (float(d @ d) * np.eye(3) - np.outer(d, d))
-            assert abs(link.mass - (m1 + m2)) <= 1e-12
-            assert np.abs(link.com - (m1 * c1 + m2 * c2) / (m1 + m2)).max() <= 1e-12
-            assert np.abs(link.inertia - expected).max() <= 1e-12
-
-
-    def test_attached_constants_equal_a_fresh_build(self, arm7):
-        # with_tool_body carries the joint arrays over; every field must
-        # equal the build from the attached model's own specs
-        attached = arm7.with_tool_body(0.4, np.array([0.01, -0.02, 0.1]), np.diag([2e-3, 9.7e-3, 9.1e-3]))
-        fresh = chain._ChainArrays.of(attached)
-        for f in fields(chain._ChainArrays):
-            got, want = getattr(attached._constants, f.name), getattr(fresh, f.name)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+            merged = replace(model, links=(LinkSpec(m1 + m2, (m1 * c1 + m2 * c2) / (m1 + m2), expected),))
+            kin = chain.link_frames_axes(model, rng.uniform(-np.pi, np.pi, 1))
+            assert np.abs(link_inertias(model, kin, body) - link_inertias(merged, kin)).max() <= 1e-12
 
 
 class TestValidation:

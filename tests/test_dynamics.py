@@ -269,6 +269,7 @@ class TestInverseDynamics:
         # static-equilibrium oracle: attaching a mass at the tool raises the
         # hold torque by J_com^T (-m g)
         obj_mass = 0.4
+        obj = RigidObject(mass=obj_mass, inertia=np.zeros((3, 3)))
         g = np.array([0.0, 0.0, -9.81])
         for _ in range(5):
             q = rng.uniform(-1.2, 1.2, 7)
@@ -276,7 +277,7 @@ class TestInverseDynamics:
             tau_free = inverse_dynamics(kin, link_inertias(arm7, kin), np.zeros(7), np.zeros(7), gravity=g)
             tau_load = inverse_dynamics(
                 kin,
-                link_inertias(arm7.with_tool_body(obj_mass, np.zeros(3), np.zeros((3, 3))), kin),
+                link_inertias(arm7, kin, attach_object(arm7, GraspCandidate("g", Pose.identity()), obj)),
                 np.zeros(7),
                 np.zeros(7),
                 gravity=g,
@@ -288,10 +289,10 @@ class TestInverseDynamics:
 
 class TestAugmentedDynamics:
     def test_zero_mass_object_is_noop(self, arm7, rng):
-        loaded = arm7.with_tool_body(0.0, np.array([0.0, 0.1, 0.05]), np.zeros((3, 3)))
+        loaded = LinkSpec(mass=0.0, com=arm7.tool_transform.apply([0.0, 0.1, 0.05]), inertia=np.zeros((3, 3)))
         kin = link_frames_axes(arm7, rng.uniform(-1.0, 1.0, 7))
         assert np.abs(
-            mass_matrix(kin, link_inertias(loaded, kin)) - mass_matrix(kin, link_inertias(arm7, kin))
+            mass_matrix(kin, link_inertias(arm7, kin, loaded)) - mass_matrix(kin, link_inertias(arm7, kin))
         ).max() <= 1e-12
 
     def test_prismatic_point_mass_direct_sum(self):
@@ -312,19 +313,19 @@ class TestAugmentedDynamics:
         assert np.abs(np.diag(inertia) - expected).max() <= 1e-15
 
     def test_matches_combined_chain(self, arm7, rng):
-        # folding the object into the last link and re-running CRBA must
-        # agree with the Jacobian-mapped augmentation; the grasp rotation is
-        # not a half turn about a principal axis, so R I R^T != I and a lost
-        # grasp rotation shows
+        # adding the object's body to the last link and re-running CRBA
+        # must agree with the Jacobian-mapped augmentation; the grasp
+        # rotation is not a half turn about a principal axis, so R I R^T != I
+        # and a lost grasp rotation shows
         obj = RigidObject(mass=0.4, inertia=cuboid_inertia(0.4, (0.5, 0.15, 0.2)))
         rotation = Rotation.from_axis_angle((1.0, 2.0, 3.0), 0.7)
         grasp = GraspCandidate("g", Pose(rotation, np.array([0.0, 0.1, 0.1])))
-        combined = attach_object(arm7, grasp, obj)
+        body = attach_object(arm7, grasp, obj)
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, 7)
             m1 = augmented_mass_matrix(arm7, q, grasp, obj)
-            kin = link_frames_axes(combined, q)
-            m2 = mass_matrix(kin, link_inertias(combined, kin))
+            kin = link_frames_axes(arm7, q)
+            m2 = mass_matrix(kin, link_inertias(arm7, kin, body))
             assert np.abs(m1 - m2).max() / np.abs(m1).max() <= 1e-12
 
     def test_relink_last_link_as_object(self, arm7, rng):

@@ -223,7 +223,7 @@ class TestTorqueEffort:
         obj = RigidObject(mass=1e-12, inertia=np.eye(3) * 1e-15)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         kins = passes(model, traj)
-        values = torque_effort(kins, link_inertias(loaded, kins), traj, gravity=np.zeros(3))
+        values = torque_effort(kins, link_inertias(model, kins, loaded), traj, gravity=np.zeros(3))
         assert values.max() <= 1e-10
 
     def test_static_hold_matches_equilibrium_oracle(self, two_r_params, two_r_model):
@@ -237,7 +237,7 @@ class TestTorqueEffort:
         kins = passes(two_r_model, traj)
         values = torque_effort(
             kins,
-            link_inertias(attach_object(two_r_model, grasp, obj), kins),
+            link_inertias(two_r_model, kins, attach_object(two_r_model, grasp, obj)),
             traj,
             gravity=G2D,
         )
@@ -256,7 +256,7 @@ class TestTorqueEffort:
         kins = passes(two_r_model, traj)
         with_obj = torque_effort(
             kins,
-            link_inertias(attach_object(two_r_model, grasp, obj), kins),
+            link_inertias(two_r_model, kins, attach_object(two_r_model, grasp, obj)),
             traj,
             gravity=G2D,
         )
@@ -316,7 +316,7 @@ class TestEffectiveMass:
             q = rng.uniform(-1.2, 1.2, 7)
             loaded = attach_object(arm7, grasp, obj)
             kin = link_frames_axes(arm7, q)
-            lam_inv = operational_mass_inverse(kin, link_inertias(loaded, kin))
+            lam_inv = operational_mass_inverse(kin, link_inertias(arm7, kin, loaded))
             eigs = np.linalg.eigvalsh(lam_inv)
             if eigs[0] < 1e-9:
                 continue
@@ -361,7 +361,7 @@ class TestEffectiveMass:
         kins = passes(arm7, static)
         prof1, prof2 = (
             torque_effort(
-                kins, link_inertias(attach_object(arm7, grasp, obj), kins), static,
+                kins, link_inertias(arm7, kins, attach_object(arm7, grasp, obj)), static,
                 gravity=spec.gravity,
             )
             for obj in (base, doubled)
@@ -381,7 +381,7 @@ class TestTem:
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         kins = passes(model, traj)
-        values, _ = tem(kins, link_inertias(loaded, kins), task)
+        values, _ = tem(kins, link_inertias(model, kins, loaded), task)
         assert np.abs(values - 2.4).max() <= 1e-9
         assert abs(float(np.trapezoid(values, path_parameter(task))) - 2.4) <= 1e-9
 
@@ -399,7 +399,7 @@ class TestTem:
         )
         kins = passes(two_r_model, traj)
         with pytest.raises(ZeroMotionError):
-            tem(kins, link_inertias(loaded, kins), task)
+            tem(kins, link_inertias(two_r_model, kins, loaded), task)
 
 
     def test_singular_mass_matrix_raises(self):
@@ -422,7 +422,7 @@ class TestTem:
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         kins = passes(model, traj)
         with pytest.raises(DegenerateModelError, match="numerically singular"):
-            tem(kins, link_inertias(loaded, kins), task)
+            tem(kins, link_inertias(model, kins, loaded), task)
 
 
 class TestEvaluateGrasp:

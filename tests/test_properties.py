@@ -1,8 +1,9 @@
 """Property tests of the kinematic pass and the dynamics on random serial
 chains: 1-7 joints, revolute and prismatic mixed, random joint origins,
 base and tool poses and link inertias, at one configuration or a stack,
-including the pass's bit identity with its eager form and the dynamics'
-linearity in the link inertias; of damped least-squares IK against the
+including the pass's bit identity with its eager form, the dynamics'
+linearity in the link inertias and a held body's inertia against the
+parallel-axis merge; of damped least-squares IK against the
 reference loop on such a chain; and of the three objectives along a joint
 path on such a chain."""
 
@@ -35,7 +36,7 @@ from postgrasp.chain import link_frames_axes
 from postgrasp.ik import _solve
 from postgrasp.task import path_parameter
 
-from oracles import eager_link_frames_axes, pose_target, reference_dls
+from oracles import eager_link_frames_axes, merged_model, pose_target, reference_dls
 
 # no shrink phase: a failure is reported on the example that first showed
 # it, so a broken kernel fails within the 60 examples instead of shrinking
@@ -169,8 +170,20 @@ def test_merged_object_matches_augmented_mass_matrix(case, grasp_pose, mass, ine
     grasp = GraspCandidate("g", grasp_pose)
     obj = RigidObject(mass=mass, inertia=inertia)
     kin = link_frames_axes(model, q)
-    merged = mass_matrix(kin, link_inertias(attach_object(model, grasp, obj), kin))
-    assert rel_err(merged, augmented_mass_matrix(model, q, grasp, obj)) <= 1e-12
+    attached = mass_matrix(kin, link_inertias(model, kin, attach_object(model, grasp, obj)))
+    assert rel_err(attached, augmented_mass_matrix(model, q, grasp, obj)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(chains_and_joint_arrays(), poses(), st.floats(0.05, 2.0), inertia_tensors())
+def test_attached_body_matches_the_parallel_axis_merge(case, grasp_pose, mass, inertia):
+    # the object's spatial inertia added to the last link's equals the
+    # inertia of the one body the parallel-axis theorem merges them into,
+    # at one configuration or a stack
+    model, q = case
+    body = attach_object(model, GraspCandidate("g", grasp_pose), RigidObject(mass=mass, inertia=inertia))
+    kin = link_frames_axes(model, q)
+    assert rel_err(link_inertias(model, kin, body), link_inertias(merged_model(model, body), kin)) <= 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -11,15 +11,28 @@ from postgrasp import (
     TaskTrajectory,
     generate_grasp_sweep,
     gripper_trajectory,
+    load_task,
     path_parameter,
+    reference_task_path,
     resample,
 )
 from postgrasp.geometry import quaternion_product
+
+from oracles import resample_poses
 
 
 def translation_task(points, total_time=1.0):
     times = np.linspace(0.0, total_time, len(points))
     return TaskTrajectory(tuple(Pose.from_translation(p) for p in points), times)
+
+
+# a quaternion, not normalised, one of whose libm-pow squares is not x * x
+POW_SQUARES_DIFFER = (0.60040144057608, -0.30084820291487846, -0.7060734954993589, 1.105694907482355)
+
+
+def assert_same_arrays(got: TaskTrajectory, want: TaskTrajectory):
+    for name in ("times", "quaternions", "translations"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestTaskTrajectory:
@@ -120,7 +133,7 @@ class TestGripperTrajectory:
     def test_raw_product_normalised_with_pow(self):
         # a raw product whose libm-pow squares differ from x * x: composed
         # on arrays, it is normalised exactly as Rotation normalises it
-        raw = (0.60040144057608, -0.30084820291487846, -0.7060734954993589, 1.105694907482355)
+        raw = POW_SQUARES_DIFFER
         # an identity object rotation makes the raw product the grasp's
         # quaternion itself, held unnormalised
         task = translation_task([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.2, 0.05, 0.0)])
@@ -227,6 +240,32 @@ class TestResample:
         task = translation_task([(0, 0, 0), (1, 0, 0)])
         with pytest.raises(ValueError):
             resample(task, 1)
+
+    @pytest.mark.parametrize("name", ["task1", "task2", "task3"])
+    def test_shipped_tasks_match_pose_slerp_bit_for_bit(self, name):
+        spec = load_task(reference_task_path(name))
+        for count in (spec.resample_count, 2, 7, 137):
+            assert_same_arrays(resample(spec.trajectory, count), resample_poses(spec.trajectory, count))
+
+    def test_flip_and_small_angle_match_pose_slerp_bit_for_bit(self, rng):
+        # random keyframes, some consecutive pairs on opposite hemispheres
+        # (q0 . q1 < 0, slerp flips q1), two pairs equal or 1e-12 rad apart
+        # (theta < 1e-9, linear blend), uneven times starting just after 0
+        # (the first waypoint's fraction is clamped to 0, so it is the first
+        # keyframe's quaternion normalised again; held unnormalised, with
+        # libm-pow squares that differ from x * x, it shows the squaring)
+        rotations = [Rotation.from_quat(rng.normal(size=4)) for _ in range(9)]
+        rotations[0] = Rotation.from_unit(*POW_SQUARES_DIFFER)
+        rotations[3] = rotations[2]
+        rotations[6] = rotations[5] * Rotation.from_axis_angle(rng.normal(size=3), 1e-12)
+        poses = tuple(Pose(r, rng.normal(size=3)) for r in rotations)
+        times = np.concatenate([[5e-10], np.cumsum(rng.uniform(0.1, 1.0, 8))])
+        task = TaskTrajectory(poses, times)
+        dots = np.einsum("ij,ij->i", task.quaternions[:-1], task.quaternions[1:])
+        assert np.any(dots < 0.0)
+        assert sum(math.acos(min(d, 1.0)) < 1e-9 for d in dots) == 2
+        for count in (2, 7, 50, 137):
+            assert_same_arrays(resample(task, count), resample_poses(task, count))
 
 
 class TestRigidObject:
