@@ -43,9 +43,7 @@ from .metrics import (
 )
 from .ranking import (
     build_report,
-    detect_conflict,
     normalize,
-    pareto_front,
     scalarize,
 )
 from .task import (

@@ -6,35 +6,19 @@ The chain is described URDF-style: each joint carries a fixed origin pose
 coincides with the joint frame after the joint motion is applied.
 
 ``link_frames_axes(model, q)`` is the only place link frames are built.  It
-returns a frozen ``KinematicState``.  The pass builds its fields eagerly:
-link rotations as 3x3 matrices, origins, the operational point's rotation
-and position, the 6xn Jacobian, which maps joint velocities to the
-world-frame twist of the operational point, and the world joint axes split
-by joint kind.  The joint motion columns referred to the world origin,
-``motion``, are derived from those on first read and then kept: only the
-dynamics read them, and IK, which makes most passes, never does.  ``q``
-may carry leading batch axes, ``(..., n)``; every field then carries the
-same leading axes, so a whole joint path is one call.  Forward kinematics,
-the Jacobian and the dynamics (CRBA and RNEA) all read it.  The model's
-per-joint constants are stacked into arrays once per ``ChainModel``,
-already in the shape the pass broadcasts with and already multiplied by
-their joint-kind masks, so a pass on one configuration makes few numpy
-calls.  This is the model/data split of Pinocchio (Carpentier et al., SII
-2019).  Quaternions appear only where a pose leaves this module
-(``forward_kinematics``), which builds its pose from the pass's floats
-without a second normalisation or a copy.
+returns a frozen ``KinematicState``: link rotations and origins, the
+operational point's rotation and position, the world-frame Jacobian and
+the world joint axes; the joint motion columns, which only the dynamics
+read, are derived on first read.  ``q`` may carry leading batch axes,
+``(..., n)``, so a whole joint path is one call.  A model's per-joint
+constants are stacked into arrays once, in the shape the pass broadcasts
+with: the model/data split of Pinocchio (Carpentier et al., SII 2019).
 
 ``forward_kinematics`` and ``geometric_jacobian`` take one configuration
-each and share a one-entry memo of the last pass, keyed on the model object
-and the bytes of ``q``: damped-least-squares IK asks for the pose at each
-new iterate and then for the Jacobian at the accepted one, and each
-waypoint starts at the previous waypoint's last iterate, so the Jacobian
-requests repeat the last pass.  The pose is not asked twice: IK hands the
-last iterate's pose on to the next waypoint (``ik.track_trajectory``).
-The memo is per thread, so grasps tracked on a thread pool keep their own.
-It takes a float64 array of shape (n,), what IK passes, as it is; any
-other ``q`` is converted and flattened first.  The memo calls the pass by
-its module name, and the pass checks every new ``q``.
+each and share a one-entry memo of the last pass per thread, keyed on the
+model object and the bytes of ``q``: DLS asks for the pose at each new
+iterate and then for the Jacobian at the accepted one, so the memo saves a
+second pass per iteration.
 """
 
 from __future__ import annotations
@@ -72,14 +56,13 @@ def validate_inertia_tensor(inertia, label: str = "inertia tensor") -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class JointSpec:
-    """One joint: kind, motion axis in the joint frame, fixed origin pose,
-    position limits (rad or m) and a velocity limit."""
+    """One joint: kind, motion axis in the joint frame, fixed origin pose
+    and position limits (rad or m)."""
 
     kind: str
     axis: np.ndarray
     origin: Pose = Pose.identity()
     limits: tuple[float, float] = (-math.inf, math.inf)
-    velocity_limit: float = math.inf
 
     def __post_init__(self):
         if self.kind not in _JOINT_KINDS:
@@ -95,8 +78,6 @@ class JointSpec:
         if not lo < hi:
             raise ValueError(f"joint limits must satisfy min < max, got ({lo}, {hi})")
         object.__setattr__(self, "limits", (lo, hi))
-        if not self.velocity_limit > 0.0:
-            raise ValueError("velocity limit must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,14 +311,9 @@ def _pass_at(model: ChainModel, q) -> KinematicState:
 
 
 def forward_kinematics(model: ChainModel, q) -> Pose:
-    """World pose of the operational point at one configuration.
-
-    The pose is built straight off the pass: Shepperd's method and the
-    normalisation of ``Rotation`` run on the floats of the tool rotation,
-    and the pass's read-only tool position is the translation, uncopied.
-    So it equals ``Pose(Rotation.from_matrix(R), p)`` bit for bit without
-    the dataclass constructors, which DLS would otherwise run at every
-    iterate it tries."""
+    """World pose of the operational point at one configuration, built
+    straight off the pass's floats: DLS asks for one at every iterate it
+    tries, so it skips the dataclass constructors and the copy."""
     kin = _pass_at(model, q)
     quat = unit_quaternion(*matrix_quaternion(kin.tool_rotation.tolist()))
     return Pose.from_parts(Rotation.from_unit(*quat), kin.tool_position)

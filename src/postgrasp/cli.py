@@ -106,12 +106,22 @@ def _write_task(config: RunConfig, model_name: str, spec, outdir: Path, scorecar
     fileio.write_report_json(
         outdir / "report.json", fileio.report_to_dict(report, spec.name, model_name, scorecards)
     )
-    print(
+    _echo(
         f"{spec.name}: feasible {sum(sc.feasible for sc in scorecards)}/{len(scorecards)}, "
         f"conflict={str(report.conflict).lower()}, pareto=[{', '.join(report.pareto)}] "
         f"-> {outdir}"
     )
     return status
+
+
+def _echo(line: str) -> None:
+    """Print a line on stdout, escaping what its encoding cannot hold (a
+    grasp or task name under an ASCII locale) rather than failing a run
+    whose files are written."""
+    try:
+        print(line)
+    except UnicodeEncodeError as exc:
+        print(line.encode(exc.encoding, "backslashreplace").decode(exc.encoding))
 
 
 def run_evaluation(config: RunConfig) -> int:
@@ -214,7 +224,7 @@ def _cmd_inspect_model(args) -> int:
     q = _parse_config_vector(args.config) if args.config else default_seed(model)
     if q.shape[0] != model.n:
         raise CliError(f"--config has {q.shape[0]} values, robot has {model.n} joints")
-    print(f"model: {model.name} ({model.n} joints)")
+    _echo(f"model: {model.name} ({model.n} joints)")
     for i, joint in enumerate(model.joints):
         print(
             f"  joint {i}: {joint.kind:9s} axis=({', '.join(f'{a:g}' for a in joint.axis)}) "

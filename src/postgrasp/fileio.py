@@ -5,7 +5,8 @@ fields and non-finite numbers are rejected and invariant violations raise
 :class:`SchemaError` with the offending field path.  ``report.json`` has its
 own version (``REPORT_SCHEMA_VERSION``).  All numeric output is written with
 17 significant digits so values round-trip exactly, and every writer is
-deterministic byte for byte for identical inputs.
+deterministic byte for byte for identical inputs.  Files are read and
+written as UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _parse_pose(obj, path) -> Pose:
     norm = float(np.linalg.norm(q))
     if abs(norm - 1.0) > 1e-6:
         raise SchemaError(f"{path}.quaternion: norm {norm:.9f} is not 1")
-    return Pose(Rotation.from_quat(q), t)
+    return Pose(Rotation(*q), t)
 
 
 def _inertia_from_six(v: np.ndarray) -> np.ndarray:
@@ -167,7 +168,8 @@ def _check_schema_version(data: dict, path: str):
 
 
 def load_robot(path) -> ChainModel:
-    """Load and validate a robot model file."""
+    """Load and validate a robot model file.  A joint's ``velocity_limit``
+    is documentation only: it is checked (a positive number), not kept."""
     fname = str(path)
     data = _load_json(path)
     _check_keys(
@@ -200,13 +202,10 @@ def load_robot(path) -> ChainModel:
         limits = _vector(jobj, "limits", jpath, 2)
         if not limits[0] < limits[1]:
             raise SchemaError(f"{jpath}.limits: min must be < max")
-        vel = _number(jobj, "velocity_limit", jpath)
-        if not vel > 0.0:
+        if not _number(jobj, "velocity_limit", jpath) > 0.0:
             raise SchemaError(f"{jpath}.velocity_limit: must be positive")
         origin = _parse_pose(jobj["origin"], f"{jpath}.origin")
-        joints.append(
-            JointSpec(kind=kind, axis=axis, origin=origin, limits=(limits[0], limits[1]), velocity_limit=vel)
-        )
+        joints.append(JointSpec(kind=kind, axis=axis, origin=origin, limits=(limits[0], limits[1])))
 
     links = []
     for i, lobj in enumerate(data["links"]):
@@ -365,7 +364,7 @@ def write_scorecards_csv(path, scorecards, report: RankingReport | None):
         for i, gid in enumerate(report.scores.grasp_ids):
             norm_by_id[gid] = [_fmt(column[i]) for column in columns]
         pareto = set(report.pareto)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*_SCORECARD_COLUMNS, *(f"{c}_norm" for c in _SCALARS), "pareto", *_COUNT_COLUMNS])
         for sc in scorecards:
@@ -440,7 +439,7 @@ def write_profile_csv(path, s, grasp_ids, rows):
     """Grasp x waypoint matrix of one metric (heatmap data): the header row
     carries the quadrature grid ``s`` (normalized arc length or waypoint
     index), then one row of samples per grasp."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["grasp_id"] + [_fmt(si) for si in s])
         for gid, values in zip(grasp_ids, rows):
@@ -450,7 +449,7 @@ def write_profile_csv(path, s, grasp_ids, rows):
 def write_scalars_long_csv(path, scores: NormalizedScores):
     """Long-format normalized scalars: one (grasp, metric, value) row per
     cell, ready for any plotting tool."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["grasp_id", "metric", "value_normalized"])
         for i, gid in enumerate(scores.grasp_ids):
@@ -510,4 +509,4 @@ def _diagnostics(sc: GraspScorecard, counts: dict[str, int] | None) -> dict:
 
 
 def write_report_json(path, report_dict: dict):
-    Path(path).write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -140,11 +140,6 @@ class Rotation:
         return cls(1.0, 0.0, 0.0, 0.0)
 
     @classmethod
-    def from_quat(cls, q) -> "Rotation":
-        w, x, y, z = np.asarray(q, dtype=float)
-        return cls(w, x, y, z)
-
-    @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "Rotation":
         a = np.asarray(axis, dtype=float)
         n = np.linalg.norm(a)
@@ -154,24 +149,6 @@ class Rotation:
         half = 0.5 * float(angle)
         s = math.sin(half)
         return cls(math.cos(half), a[0] * s, a[1] * s, a[2] * s)
-
-    @classmethod
-    def from_matrix(cls, m) -> "Rotation":
-        """Quaternion of a rotation matrix by Shepperd's method
-        (``matrix_quaternion``)."""
-        return cls(*matrix_quaternion(np.asarray(m, dtype=float).tolist()))
-
-    @classmethod
-    def rot_x(cls, angle: float) -> "Rotation":
-        return cls.from_axis_angle((1.0, 0.0, 0.0), angle)
-
-    @classmethod
-    def rot_y(cls, angle: float) -> "Rotation":
-        return cls.from_axis_angle((0.0, 1.0, 0.0), angle)
-
-    @classmethod
-    def rot_z(cls, angle: float) -> "Rotation":
-        return cls.from_axis_angle((0.0, 0.0, 1.0), angle)
 
     @property
     def quat(self) -> np.ndarray:
@@ -191,20 +168,6 @@ class Rotation:
         return Rotation(
             *quaternion_product((self.w, self.x, self.y, self.z), (other.w, other.x, other.y, other.z))
         )
-
-    def log(self) -> np.ndarray:
-        """Rotation vector (axis * angle), angle in [0, pi]."""
-        v = np.array([self.x, self.y, self.z])
-        s = np.linalg.norm(v)
-        if s < 1e-9:
-            # small angle: 2*atan2(s, w)/s -> 2/w with w ~ 1
-            return 2.0 * v
-        angle = 2.0 * math.atan2(s, self.w)
-        return (angle / s) * v
-
-    def angle_to(self, other: "Rotation") -> float:
-        """Geodesic distance in radians."""
-        return float(np.linalg.norm((self.inverse() * other).log()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,14 +199,6 @@ class Pose:
     @classmethod
     def identity(cls) -> "Pose":
         return cls(Rotation.identity(), np.zeros(3))
-
-    @classmethod
-    def from_translation(cls, t) -> "Pose":
-        return cls(Rotation.identity(), np.asarray(t, dtype=float))
-
-    @classmethod
-    def from_rotation(cls, r: Rotation) -> "Pose":
-        return cls(r, np.zeros(3))
 
     def compose(self, other: "Pose") -> "Pose":
         """Chain transforms: (self · other), other hanging off self's frame."""

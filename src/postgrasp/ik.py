@@ -2,39 +2,19 @@
 
 Damping is deliberate: the metrics downstream probe near-singular regions
 where a plain pseudo-inverse step explodes.  Tracking a trajectory seeds
-each waypoint with the previous solution, which keeps the joint path on
-one IK branch; joint velocities and accelerations are finite differences
-of the solved positions, so the energy metric reflects what the joint
-path actually does.
-
-Each iteration asks ``geometric_jacobian`` for the accepted iterate, whose
-pose ``forward_kinematics`` gave when it was tried; both functions read the
-chain's memo of the last kinematic pass, so every distinct iterate is one
-pass.  A solve returns its last iterate's tool pose with the iterate, and
-the next waypoint starts from both, so the start of a waypoint asks for no
-pose.  Nor is that seed clamped to the joint limits again: every iterate
-is clamped when it is made, and clamping a value already within the
-limits returns it unchanged, so only the first waypoint's seed, an input,
-is clamped.
-
-Targets are read off the trajectory's arrays: each is seven floats, a row
-of its unit quaternions (w, x, y, z) and then one of its translations, so
-tracking builds no target pose.  The pose error works on those floats and
-the current pose's: it repeats
-``(target.rotation * current.rotation.inverse()).log()`` operation for
-operation (both renormalisations by ``Rotation``'s own ``unit_quaternion``,
-and ``|v|`` as the BLAS dot product ``np.linalg.norm`` runs) without
-building a ``Rotation``, so every iterate matches the object form bit for
-bit.  The loop's norms are that same dot product, and the derivatives of
-the joint path are one array expression over all waypoints.
+each waypoint with the previous solution and its tool pose, which keeps
+the joint path on one IK branch and computes no pose twice; joint
+velocities and accelerations are finite differences of the solved
+positions, so the energy metric reflects what the joint path actually
+does.  Each target is read off the trajectory's arrays as seven floats
+(quaternion, then translation), so tracking builds no target pose.
 
 A solve that cannot meet the tolerances (target out of reach, or blocked
 by a joint limit) stops once its pose-error norm has fallen by less than
-``STALL_GAIN`` (1%) over the last ``STALL_WINDOW`` (5) iterations;
-``MAX_ITERATIONS`` stays the hard cap.  A stalled solve counts as not
-converged, exactly like a capped one.  Near a solution DLS cuts the
-error by orders of magnitude per iteration, so a solve that converges
-within a few iterations runs exactly the iterates it ran without the rule.
+``STALL_GAIN`` (1%) over the last ``STALL_WINDOW`` (5) iterations, and
+counts as not converged, like one capped at ``MAX_ITERATIONS``.  Near a
+solution DLS cuts the error by orders of magnitude per iteration, so the
+rule does not cut a converging solve short.
 
 The tracker runs one fixed protocol.  Its constants: damping ``DAMPING``
 (1e-3), at most ``MAX_ITERATIONS`` (200) iterations per waypoint, position
@@ -52,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainModel, forward_kinematics, geometric_jacobian
-from .geometry import Pose, unit_quaternion
+from .geometry import Pose, quaternion_product, unit_quaternion
 from .task import TaskTrajectory
 
 DAMPING = 1e-3
@@ -83,20 +63,15 @@ def pose_error(target, current: Pose) -> np.ndarray:
     """6-vector (position error; orientation error as a rotation vector),
     world frame, consistent with the world-frame Jacobian, of the
     ``current`` pose against a target's seven floats: its quaternion
-    (w, x, y, z), then its translation.  Computed on floats, bit for bit
-    the ``Rotation`` form (see the module docstring)."""
+    (w, x, y, z), then its translation.  It runs on floats, with no
+    ``Rotation`` built, as DLS calls it at every iterate it tries."""
     w1, x1, y1, z1, t0, t1, t2 = target
     b = current.rotation
-    # b.inverse(): the conjugate, renormalised (its w = b.w >= 0 is not flipped)
-    w2, x2, y2, z2 = unit_quaternion(b.w, -b.x, -b.y, -b.z)
-    # target * b.inverse(), renormalised to w >= 0
-    w, x, y, z = unit_quaternion(
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
-    # log: 2 atan2(|v|, w) / |v| times v, or 2 v at a small angle
+    # target * current^-1, each quaternion renormalised as ``Rotation``
+    # renormalises, so the error equals the object form's bit for bit
+    conjugate = unit_quaternion(b.w, -b.x, -b.y, -b.z)
+    w, x, y, z = unit_quaternion(*quaternion_product((w1, x1, y1, z1), conjugate))
+    # its log: 2 atan2(|v|, w) / |v| times v, or 2 v at a small angle
     v = np.array([x, y, z])
     sin_half = _norm(v)
     k = 2.0 if sin_half < 1e-9 else 2.0 * math.atan2(sin_half, w) / sin_half
@@ -170,9 +145,6 @@ class JointTrajectory:
     velocities: np.ndarray
     accelerations: np.ndarray
     reachable: np.ndarray
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
 
 
 def _fd_derivatives(times: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -147,9 +147,9 @@ def _rank_deficient_manipulability(gram: np.ndarray, u: np.ndarray) -> tuple[flo
 
 
 def _segment_deltas(translations: np.ndarray, quats: np.ndarray) -> np.ndarray:
-    """6-vector pose increments (translation; rotation log) per segment,
-    from (m, 3) translations and (m, 4) unit quaternions (w, x, y, z): the
-    array form of ``(b.rotation * a.rotation.inverse()).log()``."""
+    """6-vector pose increments per segment a -> b, from (m, 3)
+    translations and (m, 4) unit quaternions (w, x, y, z): the translation
+    step, then the rotation vector of b a^-1, its angle in [0, pi]."""
     w0, v0 = quats[:-1, 0], quats[:-1, 1:]
     w1, v1 = quats[1:, 0], quats[1:, 1:]
     # q1 q0^-1, with the sign that makes w >= 0 so angles lie in [0, pi]

@@ -16,12 +16,12 @@ from .metrics import OBJECTIVES, GraspScorecard
 _SENSES = np.array(list(OBJECTIVES.values()))
 
 
-def _feasible_table(scorecards, fewest: int, message: str) -> tuple[list[GraspScorecard], np.ndarray]:
+def _feasible_table(scorecards) -> tuple[list[GraspScorecard], np.ndarray]:
     """The feasible scorecards, in input order, and their (k, objectives)
-    scalar table; raises ValueError(message) below ``fewest`` of them."""
+    scalar table; raises ValueError when there is none."""
     cards = [sc for sc in scorecards if sc.feasible]
-    if len(cards) < fewest:
-        raise ValueError(message)
+    if not cards:
+        raise ValueError("no feasible grasps")
     table = np.array([[getattr(sc, f"h_{name}") for name in OBJECTIVES] for sc in cards], dtype=float)
     for name, column in zip(OBJECTIVES, table.T):
         if not np.all(np.isfinite(column)):
@@ -47,6 +47,9 @@ def _normalized(cards, table) -> NormalizedScores:
 
 
 def _front(cards, signed) -> list[str]:
+    """Ids of the non-dominated grasps, in input order: a grasp is
+    dominated when another is at least as good in every objective and
+    strictly better in one, so exact ties are kept."""
     weak = np.all(signed[:, None, :] <= signed[None, :, :], axis=-1)
     strict = np.any(signed[:, None, :] < signed[None, :, :], axis=-1)
     dominated = np.any(weak & strict, axis=0)
@@ -67,28 +70,7 @@ def normalize(scorecards) -> NormalizedScores:
     Infeasible grasps are excluded so an unreachable candidate cannot
     distort the scale; the per-objective maximum normalizes to exactly 1.
     """
-    return _normalized(*_feasible_table(scorecards, 1, "no feasible grasps to normalize"))
-
-
-def pareto_front(scorecards) -> list[str]:
-    """Ids of the non-dominated feasible grasps, in input order.
-
-    A grasp is dominated when another is at least as good in every
-    objective and strictly better in at least one; exact ties are kept.
-    """
-    cards, table = _feasible_table(scorecards, 1, "no feasible grasps")
-    return _front(cards, table * _SENSES)
-
-
-def detect_conflict(scorecards) -> tuple[bool, dict[str, str]]:
-    """Whether the per-objective best grasps disagree.
-
-    Ties resolve to the lowest grasp index.  Returns the conflict flag and
-    the per-objective argbest table.
-    """
-    cards, table = _feasible_table(scorecards, 2, "conflict detection needs at least two feasible grasps")
-    argbest = _argbest(cards, table * _SENSES)
-    return len(set(argbest.values())) > 1, argbest
+    return _normalized(*_feasible_table(scorecards))
 
 
 def check_weights(weights) -> np.ndarray:
@@ -117,7 +99,8 @@ def scalarize(scores: NormalizedScores, weights) -> list[tuple[str, float]]:
 
 @dataclass(frozen=True, eq=False)
 class RankingReport:
-    """Per-objective argbest ids, the Pareto set, the conflict flag, the
+    """Per-objective argbest ids (ties go to the first grasp), the Pareto
+    set, the conflict flag (whether the argbest ids disagree), the
     normalized scores, the per-objective id of the grasp whose raw scalar
     is the normalization maximum (``argmax``; ties go to the first) and an
     optional scalarized ordering."""
@@ -133,7 +116,7 @@ class RankingReport:
 
 def build_report(scorecards, weights=None) -> RankingReport:
     """Assemble the decision-support summary for a completed grasp set."""
-    cards, table = _feasible_table(scorecards, 1, "no feasible grasps")
+    cards, table = _feasible_table(scorecards)
     signed = table * _SENSES
     argbest = _argbest(cards, signed)
     scores = _normalized(cards, table)

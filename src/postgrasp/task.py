@@ -143,18 +143,12 @@ class TaskSpec:
 
 def gripper_trajectory(task: TaskTrajectory, grasp: GraspCandidate) -> TaskTrajectory:
     """Pointwise composition of the object poses with the grasp transform,
-    on the task's times: ``p.compose(grasp.transform)`` per waypoint, bit
-    for bit, computed on the task's arrays without building a ``Pose``.
-
-    Each rotation is the raw quaternion product normalised on its floats by
-    ``unit_quaternion``, once, as ``Rotation.__mul__`` does; numpy's ``**2``
-    on an array squares by multiplication, so it would not always match.
-    Each translation is t + R t_grasp by the same matrix-vector product as
-    ``Rotation.apply``.
-    """
+    ``p.compose(grasp.transform)`` per waypoint, on the task's arrays and
+    times, with no ``Pose`` built."""
     g = grasp.transform
     r = g.rotation
     products = quaternion_product(task.quaternions.T, (r.w, r.x, r.y, r.z))
+    # normalised on floats: numpy's ``**2`` on an array is not libm ``pow``
     quats = [unit_quaternion(*q) for q in zip(*(p.tolist() for p in products))]
     translations = task.translations + task.rotation_matrices @ g.translation
     return TaskTrajectory.from_arrays(quats, translations, task.times)
@@ -176,11 +170,9 @@ def path_parameter(task: TaskTrajectory) -> np.ndarray:
     return s
 
 
-def generate_grasp_sweep(
-    edge_start: Pose, edge_end: Pose, count: int, id_prefix: str = "g"
-) -> list[GraspCandidate]:
-    """Grasps with translations linearly spaced from edge_start to edge_end,
-    all sharing edge_start's orientation."""
+def generate_grasp_sweep(edge_start: Pose, edge_end: Pose, count: int) -> list[GraspCandidate]:
+    """Grasps ``g01``, ``g02``, ... with translations linearly spaced from
+    edge_start to edge_end, all sharing edge_start's orientation."""
     if count < 2:
         raise ValueError("grasp sweep needs count >= 2")
     t0 = edge_start.translation
@@ -188,22 +180,15 @@ def generate_grasp_sweep(
     rot = edge_start.rotation
     grasps = []
     for i, u in enumerate(np.linspace(0.0, 1.0, count)):
-        grasps.append(
-            GraspCandidate(f"{id_prefix}{i + 1:02d}", Pose(rot, (1.0 - u) * t0 + u * t1))
-        )
+        grasps.append(GraspCandidate(f"g{i + 1:02d}", Pose(rot, (1.0 - u) * t0 + u * t1)))
     return grasps
 
 
 def resample(task: TaskTrajectory, count: int) -> TaskTrajectory:
     """Densify keyframes to ``count`` waypoints uniform in time, with linear
-    interpolation of translation and slerp of rotation.
-
-    It runs on the keyframe arrays, with no ``Pose`` built: each keyframe
-    segment's quaternion dot, sign flip and angle are taken once
-    (``_arc``), each waypoint's slerp weights and ``unit_quaternion``
-    normalisation on floats (``_slerp``), in the order a ``Rotation`` slerp
-    takes them, so a waypoint equals the ``Pose`` built from the two
-    keyframe poses bit for bit."""
+    interpolation of translation and slerp of rotation, on the keyframe
+    arrays: each segment's arc is taken once (``_arc``), and no ``Pose`` is
+    built."""
     if count < 2:
         raise ValueError("resample count must be >= 2")
     times = np.linspace(0.0, task.total_time, count)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from postgrasp import ChainModel, JointSpec, LinkSpec, Pose, load_robot, reference_robot_path
+from postgrasp import ChainModel, JointSpec, LinkSpec, Pose, Rotation, load_robot, reference_robot_path
 
 from oracles import TwoRParams
 
@@ -15,13 +15,13 @@ def make_two_r(params: TwoRParams) -> ChainModel:
     return ChainModel(
         joints=(
             JointSpec(kind="revolute", axis=(0, 0, 1), origin=Pose.identity()),
-            JointSpec(kind="revolute", axis=(0, 0, 1), origin=Pose.from_translation((params.l1, 0, 0))),
+            JointSpec(kind="revolute", axis=(0, 0, 1), origin=Pose(Rotation.identity(), (params.l1, 0, 0))),
         ),
         links=(
             LinkSpec(mass=params.m1, com=(params.l1, 0, 0), inertia=zero_inertia),
             LinkSpec(mass=params.m2, com=(params.l2, 0, 0), inertia=zero_inertia),
         ),
-        tool_transform=Pose.from_translation((params.l2, 0, 0)),
+        tool_transform=Pose(Rotation.identity(), (params.l2, 0, 0)),
         name="two-r-test",
     )
 

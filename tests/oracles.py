@@ -13,8 +13,10 @@ adds.  ``eager_link_frames_axes`` is the kinematic pass with the
 joint-kind masks applied inside it and the motion columns built eagerly,
 the form ``chain`` ran before its joint constants carried the masks and
 ``motion`` was derived on first read.  ``pose_target`` gives a pose as the
-seven floats IK reads a target as.  ``rotation_pose_error`` is the IK
-pose error on ``Rotation`` objects and ``loop_fd_derivatives`` the finite
+seven floats IK reads a target as.  ``rotation_log`` is a rotation's
+rotation vector, the reference for the rotation logs that ``ik.pose_error``
+and ``metrics`` take on floats and arrays; ``rotation_pose_error`` is the
+IK pose error on ``Rotation`` objects and ``loop_fd_derivatives`` the finite
 differences one waypoint at a time, the forms ``ik`` computed before it
 worked on floats and whole arrays.
 ``reference_dls`` is the damped least-squares loop as it ran before solves
@@ -210,11 +212,22 @@ def pose_target(pose: Pose) -> tuple:
     return (r.w, r.x, r.y, r.z, *pose.translation.tolist())
 
 
+def rotation_log(r: Rotation) -> np.ndarray:
+    """Rotation vector (axis * angle), angle in [0, pi], of a ``Rotation``."""
+    v = np.array([r.x, r.y, r.z])
+    s = np.linalg.norm(v)
+    if s < 1e-9:
+        # small angle: 2*atan2(s, w)/s -> 2/w with w ~ 1
+        return 2.0 * v
+    angle = 2.0 * math.atan2(s, r.w)
+    return (angle / s) * v
+
+
 def rotation_pose_error(target: Pose, current: Pose) -> np.ndarray:
     """(position error; rotation vector of target * current^-1), built from
     ``Rotation`` objects."""
     dp = target.translation - current.translation
-    drot = (target.rotation * current.rotation.inverse()).log()
+    drot = rotation_log(target.rotation * current.rotation.inverse())
     return np.concatenate([dp, drot])
 
 
@@ -432,7 +445,7 @@ def slerp(a: Rotation, b: Rotation, u: float) -> Rotation:
     else:
         st = math.sin(theta)
         q = (math.sin((1.0 - u) * theta) / st) * q0 + (math.sin(u * theta) / st) * q1
-    return Rotation.from_quat(q)
+    return Rotation(*q)
 
 
 def resample_poses(task: TaskTrajectory, count: int) -> TaskTrajectory:

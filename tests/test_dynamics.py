@@ -343,7 +343,7 @@ class TestAugmentedDynamics:
         # the "object frame" sits at the link CoM with the link's axes, so
         # the gripper (tool) frame is the tool transform seen from the CoM
         grasp = GraspCandidate(
-            "relink", Pose.from_translation(-last.com).compose(arm7.tool_transform)
+            "relink", Pose(Rotation.identity(), -last.com).compose(arm7.tool_transform)
         )
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, 7)
@@ -382,7 +382,7 @@ class TestOperationalMassInverse:
         model = ChainModel(
             joints=(
                 JointSpec(kind="revolute", axis=(0, 0, 1)),
-                JointSpec(kind="revolute", axis=(0, 0, 1), origin=Pose.from_translation((1, 0, 0))),
+                JointSpec(kind="revolute", axis=(0, 0, 1), origin=Pose(Rotation.identity(), (1, 0, 0))),
             ),
             links=(
                 LinkSpec(mass=1.0, com=(1, 0, 0), inertia=np.zeros((3, 3))),

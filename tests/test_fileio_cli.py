@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import postgrasp
 from postgrasp import (
     GraspCandidate,
     GraspScorecard,
@@ -159,6 +164,16 @@ class TestLoadRobot:
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  broken\n}")
         with pytest.raises(SchemaError, match=r"bad\.json:2"):
+            load_robot(bad)
+
+    @pytest.mark.parametrize("value", [0.0, -2.0])
+    def test_non_positive_velocity_limit_names_its_field(self, tmp_path, value):
+        # the limit is documentation only, yet the file must state a sane one
+        data = json.loads(reference_robot_path("planar_rr").read_text())
+        data["joints"][1]["velocity_limit"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=r"joints\[1\]\.velocity_limit: must be positive"):
             load_robot(bad)
 
 
@@ -1072,3 +1087,35 @@ def test_scoring_error_names_the_task_file(tmp_path, synthetic_task_path, capsys
         rc = main(["metrics-at", "--robot", str(robot), "--task", str(still), "--grasp", "g_a", "--waypoint", "0"])
     assert rc == 2
     assert f"error: {still}: trajectory has no motion; path direction undefined" in capsys.readouterr().err
+
+
+def test_outputs_do_not_depend_on_the_locale(tmp_path):
+    # an ASCII locale with UTF-8 mode and locale coercion off: names that
+    # ASCII cannot hold are still written as UTF-8, and escaped on stdout
+    data = synthetic_task_dict()
+    data["name"] = "t\u00e2che"
+    data["grasps"][0]["id"] = "g\u00e901"
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=str(Path(postgrasp.__file__).parents[1]), LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    trees, stdout = {}, {}
+    for utf8_mode in ("0", "1"):
+        out = tmp_path / f"utf8-{utf8_mode}"
+        argv = ["evaluate", "--robot", str(reference_robot_path("arm7")), "--task", str(task), "--out", str(out)]
+        run = subprocess.run(
+            [sys.executable, "-m", "postgrasp", *argv],
+            env=dict(env, PYTHONUTF8=utf8_mode),
+            capture_output=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr.decode(errors="replace")
+        trees[utf8_mode] = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        stdout[utf8_mode] = run.stdout
+    assert stdout["0"].startswith(b"t\\xe2che: feasible 2/2")
+    assert stdout["1"].startswith("t\u00e2che: feasible 2/2".encode())
+    assert trees["0"] == trees["1"]
+    assert "t_che/report.json" in trees["0"]
+    scorecards = tmp_path / "utf8-0" / "t_che" / "scorecards.csv"
+    assert [sc.grasp_id for sc in read_scorecards_csv(scorecards)] == ["g\u00e901", "g_b"]
+    assert main(["pareto", "--scorecards", str(scorecards)]) == 0

@@ -60,7 +60,7 @@ class TestSolveWaypoint:
         assert np.linalg.norm(err[3:]) <= ORIENTATION_TOLERANCE
 
     def test_out_of_reach_raises(self, two_r_model):
-        target = Pose.from_translation((3.0, 0.0, 0.0))  # beyond l1 + l2
+        target = Pose(Rotation.identity(), (3.0, 0.0, 0.0))  # beyond l1 + l2
         _, _, ok, _ = _solve(two_r_model, pose_target(target), np.array([0.3, 0.3]))
         assert not ok
 
@@ -88,7 +88,7 @@ class TestSolveWaypoint:
             return geometric_jacobian(model, q)
 
         monkeypatch.setattr("postgrasp.ik.geometric_jacobian", counting_jacobian)
-        target = Pose.from_translation((3.0, 0.0, 0.0))  # beyond l1 + l2
+        target = Pose(Rotation.identity(), (3.0, 0.0, 0.0))  # beyond l1 + l2
         _, _, ok, iterations = _solve(two_r_model, pose_target(target), np.array([0.3, 0.3]))
         assert not ok
         assert iterations == len(jacobians) < 50
@@ -161,8 +161,8 @@ class TestTrackTrajectory:
 
     def test_first_waypoint_unreachable_raises(self, two_r_model):
         poses = [
-            Pose.from_translation((5.0, 0.0, 0.0)),
-            Pose.from_translation((1.0, 0.5, 0.0)),
+            Pose(Rotation.identity(), (5.0, 0.0, 0.0)),
+            Pose(Rotation.identity(), (1.0, 0.5, 0.0)),
         ]
         with pytest.raises(GraspInfeasible):
             track_trajectory(two_r_model, TaskTrajectory(poses, [0.0, 1.0]), np.zeros(2))

@@ -32,7 +32,7 @@ from postgrasp.chain import link_frames_axes
 from postgrasp.metrics import FLAGS, OBJECTIVES, directional_effective_mass
 from postgrasp.task import TaskSpec, gripper_trajectory, path_parameter, resample
 
-from oracles import effective_mass, two_r_closed_form, two_r_ik
+from oracles import effective_mass, rotation_log, two_r_closed_form, two_r_ik
 
 G2D = np.array([0.0, -9.81, 0.0])
 
@@ -148,7 +148,7 @@ class TestTov:
         for i in range(len(poses)):
             j = i if i < len(poses) - 1 else i - 1
             dp = poses[j + 1].translation - poses[j].translation
-            drot = (poses[j + 1].rotation * poses[j].rotation.inverse()).log()
+            drot = rotation_log(poses[j + 1].rotation * poses[j].rotation.inverse())
             u = np.concatenate([dp, drot])
             u /= np.linalg.norm(u)
             jac = two_r_closed_form(two_r_params, traj.positions[i])["J"]
@@ -209,13 +209,13 @@ class TestTorqueEffort:
         model = ChainModel(
             joints=(
                 JointSpec(kind="revolute", axis=(0, 0, 1)),
-                JointSpec(kind="revolute", axis=(0, 0, 1), origin=Pose.from_translation((1, 0, 0))),
+                JointSpec(kind="revolute", axis=(0, 0, 1), origin=Pose(Rotation.identity(), (1, 0, 0))),
             ),
             links=(
                 LinkSpec(mass=0.0, com=(1, 0, 0), inertia=np.zeros((3, 3))),
                 LinkSpec(mass=0.0, com=(1, 0, 0), inertia=np.zeros((3, 3))),
             ),
-            tool_transform=Pose.from_translation((1.0, 0.0, 0.0)),
+            tool_transform=Pose(Rotation.identity(), (1.0, 0.0, 0.0)),
         )
         qs = np.linspace([0.3, 0.9], [0.8, 0.6], 10)
         task = joint_path_task(model, qs)
@@ -292,7 +292,7 @@ class TestEffectiveMass:
         model = ChainModel(
             joints=(JointSpec(kind="revolute", axis=(0, 0, 1)),),
             links=(LinkSpec(mass=mass, com=(length, 0, 0), inertia=np.zeros((3, 3))),),
-            tool_transform=Pose.from_translation((length, 0, 0)),
+            tool_transform=Pose(Rotation.identity(), (length, 0, 0)),
         )
         q = 0.3
         u = np.array([-np.sin(q), np.cos(q), 0.0, 0.0, 0.0, 0.0])
@@ -311,7 +311,7 @@ class TestEffectiveMass:
 
     def test_bounded_by_operational_inertia_spectrum(self, arm7, rng):
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-3)
-        grasp = GraspCandidate("g", Pose.from_translation((0, 0, 0.1)))
+        grasp = GraspCandidate("g", Pose(Rotation.identity(), (0, 0, 0.1)))
         for _ in range(10):
             q = rng.uniform(-1.2, 1.2, 7)
             loaded = attach_object(arm7, grasp, obj)
@@ -326,7 +326,7 @@ class TestEffectiveMass:
             assert 1.0 / eigs[-1] - 1e-9 <= m_e <= 1.0 / eigs[0] + 1e-9
 
     def test_object_mass_monotonicity(self, arm7, rng):
-        grasp = GraspCandidate("g", Pose.from_translation((0, 0, 0.08)))
+        grasp = GraspCandidate("g", Pose(Rotation.identity(), (0, 0, 0.08)))
         for _ in range(10):
             q = rng.uniform(-1.2, 1.2, 7)
             u = np.zeros(6)
@@ -375,7 +375,7 @@ class TestTem:
             joints=(JointSpec(kind="prismatic", axis=(0, 0, 1)),),
             links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
         )
-        poses = [Pose.from_translation((0, 0, 0.1 * i)) for i in range(6)]
+        poses = [Pose(Rotation.identity(), (0, 0, 0.1 * i)) for i in range(6)]
         task = TaskTrajectory(tuple(poses), np.linspace(0, 1, 6))
         traj = track_trajectory(model, task, np.zeros(1))
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
@@ -405,7 +405,7 @@ class TestTem:
     def test_singular_mass_matrix_raises(self):
         # planar 3R whose only mass is a point at the tip, carrying a point
         # object there: M = m J_p^T J_p has rank 2
-        link_end = Pose.from_translation((1.0, 0.0, 0.0))
+        link_end = Pose(Rotation.identity(), (1.0, 0.0, 0.0))
         massless = LinkSpec(mass=0.0, com=np.zeros(3), inertia=np.zeros((3, 3)))
         model = ChainModel(
             joints=tuple(
@@ -450,7 +450,7 @@ class TestEvaluateGrasp:
 
     def test_infeasible_grasp_scorecard(self, two_r_model):
         task, q0 = self._task_and_grasp(two_r_model)
-        far = GraspCandidate("gx", Pose.from_translation((5.0, 0.0, 0.0)))
+        far = GraspCandidate("gx", Pose(Rotation.identity(), (5.0, 0.0, 0.0)))
         sc = evaluate_grasp(
             two_r_model, task, far, small_object(), path_parameter(task), ik_seed=q0, gravity=G2D
         )
@@ -542,7 +542,7 @@ class TestEvaluateGrasp:
             two_r_model, task, grasp, small_object(), path_parameter(task), ik_seed=q0, gravity=G2D
         )
         rot = Rotation.from_axis_angle((0.3, -0.5, 0.8), 1.1)
-        world = Pose.from_rotation(rot)
+        world = Pose(rot, np.zeros(3))
         turned_model = replace(two_r_model, base_pose=world.compose(two_r_model.base_pose))
         turned_task = TaskTrajectory(
             tuple(world.compose(p) for p in task.poses), task.times

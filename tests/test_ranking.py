@@ -4,9 +4,7 @@ import pytest
 from postgrasp import (
     GraspScorecard,
     build_report,
-    detect_conflict,
     normalize,
-    pareto_front,
     scalarize,
 )
 
@@ -66,56 +64,51 @@ class TestParetoFront:
             card("mid", 1.5, 2.0, 2.0),
             card("worst", 1.0, 3.0, 3.0),
         ]
-        assert pareto_front(cards) == ["best"]
+        assert build_report(cards).pareto == ("best",)
 
     def test_two_specialists_both_on_front(self):
         cards = [card("a", 2.0, 5.0, 1.0), card("b", 1.0, 1.0, 5.0)]
-        assert pareto_front(cards) == ["a", "b"]
+        assert build_report(cards).pareto == ("a", "b")
 
     def test_exact_ties_kept(self):
         cards = [card("a", 1.0, 2.0, 3.0), card("b", 1.0, 2.0, 3.0)]
-        assert pareto_front(cards) == ["a", "b"]
+        assert build_report(cards).pareto == ("a", "b")
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(300):
             cards = random_cards(rng, n=10)
             points = [(c.h_tov, c.h_tme, c.h_tem) for c in cards]
             expected = brute_force_pareto(points, ("max", "min", "min"))
-            got = set(
-                i for i, c in enumerate(cards) if c.grasp_id in set(pareto_front(cards))
-            )
+            front = set(build_report(cards).pareto)
+            got = set(i for i, c in enumerate(cards) if c.grasp_id in front)
             assert got == expected
 
     def test_never_empty(self, rng):
         for _ in range(50):
-            assert len(pareto_front(random_cards(rng, n=5))) >= 1
+            assert len(build_report(random_cards(rng, n=5)).pareto) >= 1
 
 
 class TestDetectConflict:
     def test_dominant_grasp_no_conflict(self):
         cards = [card("best", 2.0, 1.0, 1.0), card("other", 1.0, 2.0, 2.0)]
-        conflict, argbest = detect_conflict(cards)
-        assert not conflict
-        assert argbest == {"tov": "best", "tme": "best", "tem": "best"}
+        report = build_report(cards)
+        assert not report.conflict
+        assert report.argbest == {"tov": "best", "tme": "best", "tem": "best"}
 
     def test_split_argbest_is_conflict(self):
         cards = [
             card("g1", 2.0, 5.0, 1.0),
             card("g2", 1.0, 1.0, 5.0),
         ]
-        conflict, argbest = detect_conflict(cards)
-        assert conflict
-        assert argbest["tov"] == "g1" and argbest["tme"] == "g2" and argbest["tem"] == "g1"
+        report = build_report(cards)
+        assert report.conflict
+        assert report.argbest == {"tov": "g1", "tme": "g2", "tem": "g1"}
 
     def test_exact_ties_resolve_low_index(self):
         cards = [card("a", 1.0, 1.0, 1.0), card("b", 1.0, 1.0, 1.0)]
-        conflict, argbest = detect_conflict(cards)
-        assert not conflict
-        assert argbest == {"tov": "a", "tme": "a", "tem": "a"}
-
-    def test_needs_two_feasible(self):
-        with pytest.raises(ValueError):
-            detect_conflict([card("a", 1.0, 1.0, 1.0)])
+        report = build_report(cards)
+        assert not report.conflict
+        assert report.argbest == {"tov": "a", "tme": "a", "tem": "a"}
 
 
 class TestScalarize:
@@ -136,7 +129,7 @@ class TestScalarize:
         for _ in range(1000):
             cards = random_cards(rng, n=8)
             winner = scalarize(normalize(cards), (0.4, 0.35, 0.25))[0][0]
-            assert winner in set(pareto_front(cards))
+            assert winner in build_report(cards).pareto
 
     def test_invalid_weights_rejected(self, rng):
         scores = normalize(random_cards(rng, n=3))

@@ -18,12 +18,12 @@ from postgrasp import (
 )
 from postgrasp.geometry import quaternion_product
 
-from oracles import resample_poses
+from oracles import resample_poses, rotation_log
 
 
 def translation_task(points, total_time=1.0):
     times = np.linspace(0.0, total_time, len(points))
-    return TaskTrajectory(tuple(Pose.from_translation(p) for p in points), times)
+    return TaskTrajectory(tuple(Pose(Rotation.identity(), p) for p in points), times)
 
 
 # a quaternion, not normalised, one of whose libm-pow squares is not x * x
@@ -45,7 +45,7 @@ class TestTaskTrajectory:
             TaskTrajectory((Pose.identity(), Pose.identity()), np.array([0.5, 1.0]))
 
     def test_pose_arrays_are_read_only_stacks_of_the_poses(self, rng):
-        poses = tuple(Pose(Rotation.from_quat(rng.normal(size=4)), rng.normal(size=3)) for _ in range(5))
+        poses = tuple(Pose(Rotation(*rng.normal(size=4)), rng.normal(size=3)) for _ in range(5))
         task = TaskTrajectory(poses, np.linspace(0.0, 1.0, 5))
         assert task.quaternions.tobytes() == np.array([p.rotation.quat for p in poses]).tobytes()
         assert task.rotation_matrices.tobytes() == np.array([p.rotation.as_matrix() for p in poses]).tobytes()
@@ -70,12 +70,12 @@ class TestGripperTrajectory:
         # gripper path is the object path shifted by the constant R_o-rotated
         # grasp offset
         offset = np.array([0.0, 0.22, 0.0])
-        rot = Rotation.rot_z(0.6)
+        rot = Rotation.from_axis_angle((0.0, 0.0, 1.0), 0.6)
         task = TaskTrajectory(
             tuple(Pose(rot, np.array([0.1 * i, 0.0, 0.0])) for i in range(4)),
             np.linspace(0.0, 1.0, 4),
         )
-        out = gripper_trajectory(task, GraspCandidate("g", Pose.from_translation(offset)))
+        out = gripper_trajectory(task, GraspCandidate("g", Pose(Rotation.identity(), offset)))
         shift = rot.apply(offset)
         for got, obj_pose in zip(out.poses, task.poses):
             assert np.abs(got.translation - (obj_pose.translation + shift)).max() <= 1e-12
@@ -85,10 +85,10 @@ class TestGripperTrajectory:
         # quarter circle of radius 0.1
         angles = np.linspace(0.0, np.pi / 2, 10)
         task = TaskTrajectory(
-            tuple(Pose(Rotation.rot_z(a), np.zeros(3)) for a in angles),
+            tuple(Pose(Rotation.from_axis_angle((0.0, 0.0, 1.0), a), np.zeros(3)) for a in angles),
             np.linspace(0.0, 1.0, 10),
         )
-        grasp = GraspCandidate("g", Pose.from_translation((0.1, 0.0, 0.0)))
+        grasp = GraspCandidate("g", Pose(Rotation.identity(), (0.1, 0.0, 0.0)))
         out = gripper_trajectory(task, grasp)
         for a, pose in zip(angles, out.poses):
             expected = np.array([0.1 * np.cos(a), 0.1 * np.sin(a), 0.0])
@@ -96,12 +96,12 @@ class TestGripperTrajectory:
         assert np.abs(out.poses[-1].translation - np.array([0.0, 0.1, 0.0])).max() <= 1e-12
 
     def test_rigidity_preserves_segment_lengths(self, rng):
-        rot = Rotation.rot_y(0.4)
+        rot = Rotation.from_axis_angle((0.0, 1.0, 0.0), 0.4)
         pts = np.cumsum(rng.uniform(-0.1, 0.1, (6, 3)), axis=0)
         task = TaskTrajectory(
             tuple(Pose(rot, p) for p in pts), np.linspace(0.0, 1.0, 6)
         )
-        grasp = GraspCandidate("g", Pose.from_translation(rng.uniform(-0.2, 0.2, 3)))
+        grasp = GraspCandidate("g", Pose(Rotation.identity(), rng.uniform(-0.2, 0.2, 3)))
         out = gripper_trajectory(task, grasp)
         for i in range(5):
             obj_step = np.linalg.norm(pts[i + 1] - pts[i])
@@ -113,11 +113,11 @@ class TestGripperTrajectory:
         # composition on the task's arrays gives per waypoint exactly what
         # Pose.compose gives, including where the raw quaternion product
         # has w < 0 and Rotation flips its sign
-        poses = tuple(Pose(Rotation.from_quat(rng.normal(size=4)), rng.normal(size=3)) for _ in range(64))
+        poses = tuple(Pose(Rotation(*rng.normal(size=4)), rng.normal(size=3)) for _ in range(64))
         task = TaskTrajectory(poses, np.linspace(0.0, 1.0, 64))
         flips = 0
         for _ in range(8):
-            grasp = GraspCandidate("g", Pose(Rotation.from_quat(rng.normal(size=4)), rng.normal(size=3)))
+            grasp = GraspCandidate("g", Pose(Rotation(*rng.normal(size=4)), rng.normal(size=3)))
             g = grasp.transform.rotation
             flips += int(np.sum(quaternion_product(task.quaternions.T, (g.w, g.x, g.y, g.z))[0] < 0.0))
             out = gripper_trajectory(task, grasp)
@@ -176,8 +176,8 @@ class TestPathParameter:
 class TestGraspSweep:
     def test_reference_protocol_offsets(self):
         # ten grasps spanning -0.22..0.22 m along y on the top face
-        start = Pose.from_translation((0.0, -0.22, 0.1))
-        end = Pose.from_translation((0.0, 0.22, 0.1))
+        start = Pose(Rotation.identity(), (0.0, -0.22, 0.1))
+        end = Pose(Rotation.identity(), (0.0, 0.22, 0.1))
         sweep = generate_grasp_sweep(start, end, 10)
         ys = [g.transform.translation[1] for g in sweep]
         assert abs(ys[0] - (-0.22)) <= 1e-15
@@ -188,13 +188,13 @@ class TestGraspSweep:
 
     def test_count_two_gives_endpoints(self):
         sweep = generate_grasp_sweep(
-            Pose.from_translation((0, 0, 0)), Pose.from_translation((1, 0, 0)), 2
+            Pose(Rotation.identity(), (0, 0, 0)), Pose(Rotation.identity(), (1, 0, 0)), 2
         )
         assert np.abs(sweep[0].transform.translation - np.zeros(3)).max() == 0.0
         assert np.abs(sweep[1].transform.translation - np.array([1.0, 0, 0])).max() == 0.0
 
     def test_degenerate_sweep(self):
-        p = Pose.from_translation((0.1, 0.2, 0.3))
+        p = Pose(Rotation.identity(), (0.1, 0.2, 0.3))
         sweep = generate_grasp_sweep(p, p, 4)
         for g in sweep:
             assert np.abs(g.transform.translation - p.translation).max() <= 1e-15
@@ -204,12 +204,12 @@ class TestGraspSweep:
             generate_grasp_sweep(Pose.identity(), Pose.identity(), 1)
 
     def test_shared_orientation(self):
-        rot = Rotation.rot_x(np.pi)
+        rot = Rotation.from_axis_angle((1.0, 0.0, 0.0), np.pi)
         sweep = generate_grasp_sweep(
             Pose(rot, np.array([0, -0.2, 0.1])), Pose(rot, np.array([0, 0.2, 0.1])), 5
         )
         for g in sweep:
-            assert g.transform.rotation.angle_to(rot) <= 1e-12
+            assert np.linalg.norm(rotation_log(g.transform.rotation.inverse() * rot)) <= 1e-12
 
 
 class TestResample:
@@ -229,12 +229,14 @@ class TestResample:
         ).max() <= 1e-12
 
     def test_slerp_rotation_midpoint(self):
+        z = (0.0, 0.0, 1.0)
         task = TaskTrajectory(
-            (Pose.identity(), Pose.from_rotation(Rotation.rot_z(np.pi / 2))),
+            (Pose.identity(), Pose(Rotation.from_axis_angle(z, np.pi / 2), np.zeros(3))),
             np.array([0.0, 1.0]),
         )
         out = resample(task, 3)
-        assert out.poses[1].rotation.angle_to(Rotation.rot_z(np.pi / 4)) <= 1e-12
+        eighth = Rotation.from_axis_angle(z, np.pi / 4)
+        assert np.linalg.norm(rotation_log(out.poses[1].rotation.inverse() * eighth)) <= 1e-12
 
     def test_count_below_two_rejected(self):
         task = translation_task([(0, 0, 0), (1, 0, 0)])
@@ -254,7 +256,7 @@ class TestResample:
         # (the first waypoint's fraction is clamped to 0, so it is the first
         # keyframe's quaternion normalised again; held unnormalised, with
         # libm-pow squares that differ from x * x, it shows the squaring)
-        rotations = [Rotation.from_quat(rng.normal(size=4)) for _ in range(9)]
+        rotations = [Rotation(*rng.normal(size=4)) for _ in range(9)]
         rotations[0] = Rotation.from_unit(*POW_SQUARES_DIFFER)
         rotations[3] = rotations[2]
         rotations[6] = rotations[5] * Rotation.from_axis_angle(rng.normal(size=3), 1e-12)
