@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -269,7 +270,10 @@ def _cmd_metrics_at(args) -> int:
 def _cmd_pareto(args) -> int:
     scorecards = fileio.read_scorecards_csv(args.scorecards)
     weights = _parse_weights(args.weights) if args.weights else None
-    report = build_report(scorecards, weights=weights)
+    try:
+        report = build_report(scorecards, weights=weights)
+    except ValueError as exc:
+        raise CliError(f"{args.scorecards}: {exc}") from exc
     payload = fileio.report_to_dict(report, args.scorecards, "", scorecards)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -327,10 +331,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CliError, SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            status = args.func(args)
+        except (CliError, SchemaError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout's reader left early: what is still buffered goes to
+        # devnull, so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import ChainModel, JointSpec, LinkSpec
 from .dynamics import GRAVITY_DEFAULT
-from .geometry import Pose, Rotation
+from .geometry import Pose, Rotation, unit_quaternion
 from .metrics import FLAGS, OBJECTIVES, GraspScorecard
 from .ranking import NormalizedScores, RankingReport
 from .task import (
@@ -143,13 +143,20 @@ def _vector(obj, key, path, length) -> np.ndarray:
     return np.array(v, dtype=float)
 
 
-def _parse_pose(obj, path) -> Pose:
-    _check_keys(obj, {"translation", "quaternion"}, set(), path)
+def _pose_parts(obj, path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``quaternion`` of ``obj``, its norm within 1e-6 of 1 but not
+    normalised, and its ``translation``."""
     t = _vector(obj, "translation", path, 3)
     q = _vector(obj, "quaternion", path, 4)
     norm = float(np.linalg.norm(q))
     if abs(norm - 1.0) > 1e-6:
         raise SchemaError(f"{path}.quaternion: norm {norm:.9f} is not 1")
+    return q, t
+
+
+def _parse_pose(obj, path) -> Pose:
+    _check_keys(obj, {"translation", "quaternion"}, set(), path)
+    q, t = _pose_parts(obj, path)
     return Pose(Rotation(*q), t)
 
 
@@ -286,14 +293,15 @@ def load_task(path) -> TaskSpec:
     if not isinstance(wobj, list) or len(wobj) < 2:
         raise SchemaError(f"{fname}.object_waypoints: expected a list of >= 2 waypoints")
     times = []
-    poses = []
+    quaternions = []
+    translations = []
     for i, wp in enumerate(wobj):
         wpath = f"{fname}.object_waypoints[{i}]"
         _check_keys(wp, {"t", "translation", "quaternion"}, set(), wpath)
         times.append(_number(wp, "t", wpath))
-        poses.append(
-            _parse_pose({"translation": wp["translation"], "quaternion": wp["quaternion"]}, wpath)
-        )
+        q, t = _pose_parts(wp, wpath)
+        quaternions.append(unit_quaternion(*q))
+        translations.append(t)
     times = np.array(times)
     if abs(times[0]) > START_TIME_TOLERANCE:
         raise SchemaError(f"{fname}.object_waypoints[0].t: trajectory must start at t = 0")
@@ -303,7 +311,7 @@ def load_task(path) -> TaskSpec:
         raise SchemaError(
             f"{fname}.object_waypoints[{len(times) - 1}].t: last time must equal total_time_s"
         )
-    trajectory = TaskTrajectory(tuple(poses), times)
+    trajectory = TaskTrajectory(quaternions, translations, times)
 
     has_grasps = "grasps" in data
     has_sweep = "sweep" in data

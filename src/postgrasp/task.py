@@ -9,8 +9,7 @@ A trajectory's data are arrays: its unit quaternions, translations and
 times.  Keyframes are resampled (``resample``) and every grasp of a task is
 composed (``gripper_trajectory``) on those arrays into a new trajectory's
 arrays, with no ``Pose`` built; IK and the path metrics read the gripper
-trajectory's arrays.  The ``Pose`` objects of a trajectory are derived only
-when read.
+trajectory's arrays.
 """
 
 from __future__ import annotations
@@ -22,59 +21,39 @@ from functools import cached_property
 import numpy as np
 
 from .chain import validate_inertia_tensor
-from .geometry import Pose, Rotation, quaternion_matrices, quaternion_product, unit_quaternion
+from .geometry import Pose, quaternion_matrices, quaternion_product, unit_quaternion
 
 START_TIME_TOLERANCE = 1e-9  # s, on the first waypoint's time
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class TaskTrajectory:
     """Pose waypoints (of the object CoM, or of the gripper once a grasp is
     composed in) at strictly increasing times starting at 0.
 
-    The data are read-only arrays: the unit quaternions (w, x, y, z), the
-    translations and the times.  ``TaskTrajectory(poses, times)`` stacks
-    them from poses, ``from_arrays`` copies them in.  The rotation matrices
-    and the poses are derived on first read and kept; each derived pose
-    holds its stored quaternion as it is, not normalised again, so a
-    trajectory stacked from poses gives those poses back exactly."""
+    The data are read-only copies of the (m, 4) unit quaternions
+    (w, x, y, z), each already normalised as ``Rotation`` normalises, the
+    (m, 3) translations and the (m,) times.  The rotation matrices are
+    derived on first read and kept."""
 
-    times: np.ndarray  # (m,)
-    quaternions: np.ndarray  # (m, 4)
-    translations: np.ndarray  # (m, 3)
+    quaternions: np.ndarray
+    translations: np.ndarray
+    times: np.ndarray
 
-    def __init__(self, poses, times):
-        poses = tuple(poses)
-        quats = [(p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z) for p in poses]
-        self._store(quats, [p.translation for p in poses], times)
-
-    @classmethod
-    def from_arrays(cls, quaternions, translations, times) -> "TaskTrajectory":
-        """A trajectory of (m, 4) unit quaternions, each already normalised
-        as ``Rotation`` normalises, (m, 3) translations and (m,) times."""
-        trajectory = object.__new__(cls)
-        trajectory._store(quaternions, translations, times)
-        return trajectory
-
-    def _store(self, quaternions, translations, times):
-        arrays = {
-            "times": np.array(times, dtype=float).reshape(-1),
-            "quaternions": np.array(quaternions, dtype=float).reshape(-1, 4),
-            "translations": np.array(translations, dtype=float).reshape(-1, 3),
-        }
-        t = arrays["times"]
-        m = arrays["quaternions"].shape[0]
+    def __post_init__(self):
+        for name, shape in (("quaternions", (-1, 4)), ("translations", (-1, 3)), ("times", (-1,))):
+            value = np.array(getattr(self, name), dtype=float).reshape(shape)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        t, m = self.times, self.quaternions.shape[0]
         if m < 2:
             raise ValueError("trajectory needs at least two waypoints")
-        if t.shape[0] != m or arrays["translations"].shape[0] != m:
-            raise ValueError("times and poses must have equal length")
+        if t.shape[0] != m or self.translations.shape[0] != m:
+            raise ValueError("quaternions, translations and times must have equal length")
         if abs(t[0]) > START_TIME_TOLERANCE:
             raise ValueError("trajectory must start at t = 0")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("waypoint times must be strictly increasing")
-        for name, value in arrays.items():
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -89,15 +68,6 @@ class TaskTrajectory:
         matrices = quaternion_matrices(self.quaternions)
         matrices.flags.writeable = False
         return matrices
-
-    @cached_property
-    def poses(self) -> tuple[Pose, ...]:
-        """The waypoints as poses, each wrapping its stored quaternion and
-        translation row as they are."""
-        return tuple(
-            Pose.from_parts(Rotation.from_unit(*q), t)
-            for q, t in zip(self.quaternions.tolist(), self.translations)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +121,7 @@ def gripper_trajectory(task: TaskTrajectory, grasp: GraspCandidate) -> TaskTraje
     # normalised on floats: numpy's ``**2`` on an array is not libm ``pow``
     quats = [unit_quaternion(*q) for q in zip(*(p.tolist() for p in products))]
     translations = task.translations + task.rotation_matrices @ g.translation
-    return TaskTrajectory.from_arrays(quats, translations, task.times)
+    return TaskTrajectory(quats, translations, task.times)
 
 
 def path_parameter(task: TaskTrajectory) -> np.ndarray:
@@ -198,7 +168,7 @@ def resample(task: TaskTrajectory, count: int) -> TaskTrajectory:
     translations = (1.0 - u)[:, None] * task.translations[k] + u[:, None] * task.translations[k + 1]
     arcs = [_arc(q0, q1) for q0, q1 in zip(task.quaternions[:-1], task.quaternions[1:])]
     quats = [_slerp(*arcs[i], v) for i, v in zip(k.tolist(), u.tolist())]
-    return TaskTrajectory.from_arrays(quats, translations, times)
+    return TaskTrajectory(quats, translations, times)
 
 
 def _arc(q0: np.ndarray, q1: np.ndarray) -> tuple:

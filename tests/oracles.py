@@ -32,6 +32,9 @@ the form the dynamics took a grasped object in before it became one more
 body added to the last link's inertia.  ``slerp`` and ``resample_poses``
 are the keyframe resampling on ``Rotation`` and ``Pose`` objects, the form
 ``task.resample`` computed before it worked on the keyframe arrays.
+``trajectory_of`` and ``trajectory_poses`` turn poses into a trajectory's
+arrays and back, bit for bit, the two ways a ``TaskTrajectory`` had before
+its arrays became its only constructor's arguments.
 """
 
 from __future__ import annotations
@@ -453,6 +456,7 @@ def resample_poses(task: TaskTrajectory, count: int) -> TaskTrajectory:
     ``Pose`` per waypoint: linear interpolation of translation and
     ``slerp`` of rotation."""
     times = np.linspace(0.0, task.total_time, count)
+    keyframes = trajectory_poses(task)
     poses = []
     for t in times:
         k = int(np.searchsorted(task.times, t, side="right") - 1)
@@ -460,6 +464,22 @@ def resample_poses(task: TaskTrajectory, count: int) -> TaskTrajectory:
         t0, t1 = task.times[k], task.times[k + 1]
         u = (t - t0) / (t1 - t0)
         u = min(max(u, 0.0), 1.0)
-        a, b = task.poses[k], task.poses[k + 1]
+        a, b = keyframes[k], keyframes[k + 1]
         poses.append(Pose(slerp(a.rotation, b.rotation, u), (1.0 - u) * a.translation + u * b.translation))
-    return TaskTrajectory(tuple(poses), times)
+    return trajectory_of(poses, times)
+
+
+def trajectory_of(poses, times) -> TaskTrajectory:
+    """The trajectory of ``poses`` at ``times``, holding each pose's
+    quaternion and translation as they are."""
+    poses = tuple(poses)
+    return TaskTrajectory([p.rotation.quat for p in poses], [p.translation for p in poses], times)
+
+
+def trajectory_poses(trajectory: TaskTrajectory) -> tuple[Pose, ...]:
+    """The waypoints of ``trajectory`` as poses, each wrapping its stored
+    quaternion and translation row as they are, not normalised again."""
+    return tuple(
+        Pose.from_parts(Rotation.from_unit(*q), t)
+        for q, t in zip(trajectory.quaternions.tolist(), trajectory.translations)
+    )

@@ -218,7 +218,7 @@ def test_criterion_5_reparametrization(arm7, reference_scorecards):
     failures = []
     for name, (spec, task, cards) in reference_scorecards.items():
         warped_times = 2.0 * task.total_time * (task.times / task.total_time) ** 1.3
-        warped = TaskTrajectory(task.poses, warped_times)
+        warped = TaskTrajectory(task.quaternions, task.translations, warped_times)
         for idx in (0, 4, 9):
             base = cards[idx]
             retimed = evaluate_grasp(

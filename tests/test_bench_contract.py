@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from postgrasp import (
-    TaskTrajectory,
     evaluate_task,
     forward_kinematics,
     load_task,
@@ -26,6 +25,8 @@ from postgrasp import (
     track_trajectory,
 )
 from postgrasp import chain, ik
+
+from oracles import trajectory_of
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -60,7 +61,7 @@ def test_tracking_calls_pose_and_jacobian_by_their_ik_names(arm7, monkeypatch):
         monkeypatch.setattr(ik, name, counting(name))
     qs = np.linspace([0.1, 0.5, -0.2, -1.2, 0.3, 0.8, 0.0], [0.2, 0.6, -0.1, -1.1, 0.4, 0.9, 0.1], 4)
     poses = [forward_kinematics(arm7, q) for q in qs]
-    result = track_trajectory(arm7, TaskTrajectory(poses, np.linspace(0.0, 1.0, 4)), qs[0])
+    result = track_trajectory(arm7, trajectory_of(poses, np.linspace(0.0, 1.0, 4)), qs[0])
     assert calls["forward_kinematics"] > 0
     assert calls["geometric_jacobian"] > 0
     assert result.reachable.shape == (4,)
@@ -85,7 +86,7 @@ def test_tracking_reaches_the_pass_through_its_module_binding(arm7, spans, monke
     poses = [forward_kinematics(arm7, q) for q in qs]
     monkeypatch.setattr(chain, "_last_pass", threading.local())
     with spans.Tracer() as tracer:
-        result = ik.track_trajectory(arm7, TaskTrajectory(poses, np.linspace(0.0, 1.0, 4)), qs[0])
+        result = ik.track_trajectory(arm7, trajectory_of(poses, np.linspace(0.0, 1.0, 4)), qs[0])
     assert tracer.absent == []
     assert result.reachable.all()
     runs = sum(1 for i, key in enumerate(asked) if i == 0 or key != asked[i - 1])

@@ -244,6 +244,27 @@ class TestLoadTask:
             assert rc == 2
             assert "object_waypoints[0].t: trajectory must start at t = 0" in err
 
+    def test_keyframes_stored_as_rotation_normalises_them(self, tmp_path, rng):
+        # keyframe quaternions with w < 0 and norms up to the accepted 1e-6
+        # off 1: each is stored flipped and normalised, bit for bit as a
+        # Rotation of the parsed floats holds it
+        units = rng.normal(size=(6, 4))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        units[:, 0] = -np.abs(units[:, 0])
+        scales = [1.0 + 9.9e-7, 1.0 - 9.9e-7, 1.0 + 5e-7, 1.0 - 3e-7, 1.0 + 1e-9, 1.0]
+        raw = [(scale * q).tolist() for scale, q in zip(scales, units)]
+        data = synthetic_task_dict()
+        data["object_waypoints"] = [
+            {"t": t, "translation": [0.62, 0.1 - 0.03 * i, 0.12], "quaternion": q}
+            for i, (t, q) in enumerate(zip(np.linspace(0.0, 1.0, 6).tolist(), raw))
+        ]
+        path = tmp_path / "keyframes.json"
+        path.write_text(json.dumps(data))
+        stored = load_task(path).trajectory.quaternions
+        for got, q in zip(stored, raw):
+            assert got.tobytes() == Rotation(*np.array(q)).quat.tobytes()
+            assert got[0] > 0.0 and abs(np.linalg.norm(got) - 1.0) <= 4e-16
+
     def test_bad_final_time_rejected(self, tmp_path):
         data = synthetic_task_dict()
         data["object_waypoints"][-1]["t"] = 0.5
@@ -719,6 +740,43 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: missing column(s) h_tme\n"
         assert captured.out == ""
+
+    def test_pareto_without_feasible_rows_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "cards.csv"
+        write_scorecards_csv(path, [GraspScorecard("a", False), GraspScorecard("b", False)], None)
+        rc = main(["pareto", "--scorecards", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: no feasible grasps\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", ["pareto", "inspect-model"])
+    def test_closed_stdout_pipe_exits_without_traceback(self, tmp_path, verb):
+        cards = tmp_path / "cards.csv"
+        write_scorecards_csv(
+            cards,
+            [
+                GraspScorecard("a", True, h_tov=2.0, h_tme=1.0, h_tem=1.0),
+                GraspScorecard("b", True, h_tov=1.0, h_tme=2.0, h_tem=2.0),
+            ],
+            None,
+        )
+        args = {"pareto": ["--scorecards", str(cards)], "inspect-model": ["--robot", str(reference_robot_path("arm7"))]}
+        env = dict(os.environ, PYTHONPATH=str(Path(postgrasp.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "postgrasp", verb, *args[verb]],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert run.returncode == 1
+        assert b"Traceback" not in run.stderr and b"Exception ignored" not in run.stderr, run.stderr
 
     def test_pareto_rejects_non_finite_weights(self, tmp_path, capsys):
         cards = [

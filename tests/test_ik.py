@@ -5,7 +5,6 @@ from postgrasp import (
     GraspInfeasible,
     Pose,
     Rotation,
-    TaskTrajectory,
     forward_kinematics,
     geometric_jacobian,
     gripper_trajectory,
@@ -24,7 +23,14 @@ from postgrasp.ik import (
     pose_error,
 )
 
-from oracles import loop_fd_derivatives, pose_target, reference_dls, rotation_pose_error, two_r_ik
+from oracles import (
+    loop_fd_derivatives,
+    pose_target,
+    reference_dls,
+    rotation_pose_error,
+    trajectory_of,
+    two_r_ik,
+)
 
 
 def joint_path_poses(model, qs):
@@ -98,7 +104,7 @@ class TestTrackTrajectory:
     def test_constant_trajectory_zero_derivatives(self, two_r_model):
         pose = forward_kinematics(two_r_model, [0.4, 0.8])
         times = np.linspace(0.0, 1.0, 8)
-        traj = track_trajectory(two_r_model, TaskTrajectory([pose] * 8, times), np.array([0.4, 0.8]))
+        traj = track_trajectory(two_r_model, trajectory_of([pose] * 8, times), np.array([0.4, 0.8]))
         assert np.abs(traj.velocities).max() <= 1e-12
         assert np.abs(traj.accelerations).max() <= 1e-12
         assert traj.reachable.all()
@@ -114,7 +120,7 @@ class TestTrackTrajectory:
             for u in np.linspace(0.0, 1.0, 21)
         ]
         poses = joint_path_poses(two_r_model, qs)
-        traj = track_trajectory(two_r_model, TaskTrajectory(poses, np.linspace(0, 2, 21)), q0)
+        traj = track_trajectory(two_r_model, trajectory_of(poses, np.linspace(0, 2, 21)), q0)
         assert traj.reachable.all()
         steps = np.abs(np.diff(traj.positions, axis=0)).max(axis=1)
         assert steps.max() < 0.2
@@ -137,7 +143,7 @@ class TestTrackTrajectory:
     def test_reconstruction_within_tolerance(self, arm7, rng):
         qs = np.linspace(rng.uniform(-0.8, 0.8, 7), rng.uniform(-0.8, 0.8, 7), 15)
         poses = joint_path_poses(arm7, qs)
-        traj = track_trajectory(arm7, TaskTrajectory(poses, np.linspace(0, 2, 15)), qs[0] + 0.05)
+        traj = track_trajectory(arm7, trajectory_of(poses, np.linspace(0, 2, 15)), qs[0] + 0.05)
         assert traj.reachable.all()
         for q, target in zip(traj.positions, poses):
             err = pose_error(pose_target(target), forward_kinematics(arm7, q))
@@ -149,7 +155,7 @@ class TestTrackTrajectory:
         # smallest observed singular value
         qs = np.linspace(rng.uniform(-0.7, 0.7, 7), rng.uniform(-0.7, 0.7, 7), 20)
         poses = joint_path_poses(arm7, qs)
-        traj = track_trajectory(arm7, TaskTrajectory(poses, np.linspace(0, 2, 20)), qs[0])
+        traj = track_trajectory(arm7, trajectory_of(poses, np.linspace(0, 2, 20)), qs[0])
         sigma_min = min(
             np.linalg.svd(geometric_jacobian(arm7, q), compute_uv=False)[-1]
             for q in traj.positions
@@ -165,7 +171,7 @@ class TestTrackTrajectory:
             Pose(Rotation.identity(), (1.0, 0.5, 0.0)),
         ]
         with pytest.raises(GraspInfeasible):
-            track_trajectory(two_r_model, TaskTrajectory(poses, [0.0, 1.0]), np.zeros(2))
+            track_trajectory(two_r_model, trajectory_of(poses, [0.0, 1.0]), np.zeros(2))
 
     def test_mid_trajectory_unreachable_flagged(self, two_r_model):
         # path marches straight out of the workspace: early waypoints fine,
@@ -176,7 +182,7 @@ class TestTrackTrajectory:
         poses = [
             Pose(start.rotation, start.translation + u * direction) for u in np.linspace(0, 1.2, 12)
         ]
-        traj = track_trajectory(two_r_model, TaskTrajectory(poses, np.linspace(0, 2, 12)), q0)
+        traj = track_trajectory(two_r_model, trajectory_of(poses, np.linspace(0, 2, 12)), q0)
         assert traj.reachable[0]
         assert not traj.reachable[-1]
         assert np.isfinite(traj.positions).all()
@@ -184,7 +190,7 @@ class TestTrackTrajectory:
     def test_non_increasing_times_rejected(self, two_r_model):
         pose = forward_kinematics(two_r_model, [0.1, 0.2])
         with pytest.raises(ValueError):
-            track_trajectory(two_r_model, TaskTrajectory([pose, pose], [0.0, 0.0]))
+            track_trajectory(two_r_model, trajectory_of([pose, pose], [0.0, 0.0]))
 
     def test_velocities_match_finite_differences(self, two_r_model):
         # quadratic joint path over non-uniform times: the 3-point stencil
@@ -192,7 +198,7 @@ class TestTrackTrajectory:
         times = np.array([0.0, 0.3, 0.7, 1.2, 2.0])
         qs = np.stack([0.2 + 0.3 * times + 0.1 * times**2, 0.9 - 0.2 * times], axis=1)
         poses = joint_path_poses(two_r_model, qs)
-        traj = track_trajectory(two_r_model, TaskTrajectory(poses, times), qs[0])
+        traj = track_trajectory(two_r_model, trajectory_of(poses, times), qs[0])
         expected_v0 = 0.3 + 0.2 * times
         assert np.abs(traj.velocities[:, 0] - expected_v0).max() <= 1e-4
         assert np.abs(traj.accelerations[:, 0] - 0.2).max() <= 1e-3

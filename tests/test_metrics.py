@@ -29,10 +29,11 @@ from postgrasp import (
     track_trajectory,
 )
 from postgrasp.chain import link_frames_axes
+from postgrasp.geometry import quaternion_product, unit_quaternion
 from postgrasp.metrics import FLAGS, OBJECTIVES, directional_effective_mass
 from postgrasp.task import TaskSpec, gripper_trajectory, path_parameter, resample
 
-from oracles import effective_mass, rotation_log, two_r_closed_form, two_r_ik
+from oracles import effective_mass, rotation_log, trajectory_of, trajectory_poses, two_r_closed_form, two_r_ik
 
 G2D = np.array([0.0, -9.81, 0.0])
 
@@ -53,7 +54,7 @@ def svd_route_a2(jac, u, leak_tol=1e-2):
 
 def joint_path_task(model, qs, total_time=2.0):
     times = np.linspace(0.0, total_time, len(qs))
-    return TaskTrajectory(tuple(forward_kinematics(model, q) for q in qs), times)
+    return trajectory_of((forward_kinematics(model, q) for q in qs), times)
 
 
 def passes(model, traj):
@@ -137,7 +138,7 @@ class TestTov:
 
     def test_arc_profile_matches_oracle_route(self, two_r_params, two_r_model):
         task = self._arc_task(two_r_params, two_r_model)
-        poses = list(task.poses)
+        poses = trajectory_poses(task)
         traj = track_trajectory(
             two_r_model, task, traj_seed(task, two_r_params)
         )
@@ -189,7 +190,7 @@ class TestTov:
 
     def test_zero_motion_raises(self, two_r_model):
         pose = forward_kinematics(two_r_model, [0.4, 0.8])
-        task = TaskTrajectory((pose, pose, pose), np.array([0.0, 0.5, 1.0]))
+        task = trajectory_of((pose, pose, pose), np.array([0.0, 0.5, 1.0]))
         traj = track_trajectory(
             two_r_model, task, np.array([0.4, 0.8])
         )
@@ -198,7 +199,7 @@ class TestTov:
 
 
 def traj_seed(task, params):
-    p0 = task.poses[0].translation
+    p0 = task.translations[0]
     return np.array(min(two_r_ik(params, p0[0], p0[1]), key=lambda b: abs(b[1] - 1.0)))
 
 
@@ -230,7 +231,7 @@ class TestTorqueEffort:
         # constant trajectory: |tau|^2 = |N_arm + J_com^T (-m g)|^2
         q0 = np.array([0.5, 0.9])
         pose = forward_kinematics(two_r_model, q0)
-        task = TaskTrajectory((pose, pose), np.array([0.0, 1.0]))
+        task = trajectory_of((pose, pose), np.array([0.0, 1.0]))
         traj = track_trajectory(two_r_model, task, q0)
         obj = RigidObject(mass=0.3, inertia=np.eye(3) * 1e-5)
         grasp = GraspCandidate("g", Pose.identity())
@@ -376,7 +377,7 @@ class TestTem:
             links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
         )
         poses = [Pose(Rotation.identity(), (0, 0, 0.1 * i)) for i in range(6)]
-        task = TaskTrajectory(tuple(poses), np.linspace(0, 1, 6))
+        task = trajectory_of(poses, np.linspace(0, 1, 6))
         traj = track_trajectory(model, task, np.zeros(1))
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
@@ -390,7 +391,7 @@ class TestTem:
         # genuinely stationary-translation task by rotating in place is not
         # possible for a 2R tool point; use identical poses instead
         pose = forward_kinematics(two_r_model, [0.2, 0.5])
-        task = TaskTrajectory((pose, pose), np.array([0.0, 1.0]))
+        task = trajectory_of((pose, pose), np.array([0.0, 1.0]))
         traj = track_trajectory(
             two_r_model, task, np.array([0.2, 0.5])
         )
@@ -459,7 +460,7 @@ class TestEvaluateGrasp:
 
     def test_no_motion_task_errors(self, two_r_model):
         pose = forward_kinematics(two_r_model, [0.3, 0.9])
-        task = TaskTrajectory((pose, pose), np.array([0.0, 1.0]))
+        task = trajectory_of((pose, pose), np.array([0.0, 1.0]))
         with pytest.raises(ZeroMotionError):
             evaluate_grasp(
                 two_r_model,
@@ -478,7 +479,7 @@ class TestEvaluateGrasp:
         poses = tuple(
             Pose(Rotation.identity(), np.array([0.62, 0.10 - 0.02 * i, 0.12])) for i in range(6)
         )
-        task = TaskTrajectory(poses, np.linspace(0.0, 1.0, 6))
+        task = trajectory_of(poses, np.linspace(0.0, 1.0, 6))
         grasps = [
             GraspCandidate("a", Pose(down, np.array([0.0, -0.04, 0.1]))),
             GraspCandidate("b", Pose(down, np.array([0.0, 0.04, 0.1]))),
@@ -545,7 +546,9 @@ class TestEvaluateGrasp:
         world = Pose(rot, np.zeros(3))
         turned_model = replace(two_r_model, base_pose=world.compose(two_r_model.base_pose))
         turned_task = TaskTrajectory(
-            tuple(world.compose(p) for p in task.poses), task.times
+            [unit_quaternion(*quaternion_product(rot.quat, q)) for q in task.quaternions],
+            task.translations @ rot.as_matrix().T,
+            task.times,
         )
         turned_sc = evaluate_grasp(
             turned_model,
@@ -567,7 +570,7 @@ class TestEvaluateGrasp:
             two_r_model, task, grasp, small_object(), path_parameter(task), ik_seed=q0, gravity=G2D
         )
         warped_times = 2.0 * task.total_time * (task.times / task.total_time) ** 1.4
-        warped = TaskTrajectory(task.poses, warped_times)
+        warped = TaskTrajectory(task.quaternions, task.translations, warped_times)
         sc2 = evaluate_grasp(
             two_r_model, warped, grasp, small_object(), path_parameter(warped), ik_seed=q0, gravity=G2D
         )
@@ -587,7 +590,7 @@ def test_scorecard_holds_each_fact_once(two_r_model):
     poses = tuple(
         Pose(start.rotation, start.translation + u * direction) for u in np.linspace(0, 1.2, 12)
     )
-    trajectory = TaskTrajectory(poses, np.linspace(0, 2, 12))
+    trajectory = trajectory_of(poses, np.linspace(0, 2, 12))
     grasps = (GraspCandidate("g0", Pose.identity()), GraspCandidate("g1", Pose.identity()))
     spec = TaskSpec("outward", trajectory, small_object(), grasps, G2D, 12, q0)
     cards = evaluate_task(two_r_model, spec)

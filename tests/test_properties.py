@@ -33,10 +33,11 @@ from postgrasp import (
     mass_matrix,
 )
 from postgrasp.chain import link_frames_axes
+from postgrasp.geometry import quaternion_product, unit_quaternion
 from postgrasp.ik import _solve
 from postgrasp.task import path_parameter
 
-from oracles import eager_link_frames_axes, merged_model, pose_target, reference_dls, rotation_log
+from oracles import eager_link_frames_axes, merged_model, pose_target, reference_dls, rotation_log, trajectory_of
 
 # no shrink phase: a failure is reported on the example that first showed
 # it, so a broken kernel fails within the 60 examples instead of shrinking
@@ -290,13 +291,16 @@ def test_objectives_invariant_under_scene_rotation(case, axis, angle, grasp_pose
     grasp = GraspCandidate("g", grasp_pose)
     obj = RigidObject(mass=mass, inertia=inertia)
     release = grasp_pose.inverse()
-    task = TaskTrajectory(
-        tuple(forward_kinematics(model, q).compose(release) for q in qs),
-        np.linspace(0.0, 1.0, len(qs)),
+    task = trajectory_of(
+        (forward_kinematics(model, q).compose(release) for q in qs), np.linspace(0.0, 1.0, len(qs))
     )
     world = Pose(Rotation.from_axis_angle(axis, angle), np.zeros(3))
     turned_model = replace(model, base_pose=world.compose(model.base_pose))
-    turned_task = TaskTrajectory(tuple(world.compose(p) for p in task.poses), task.times)
+    turned_task = TaskTrajectory(
+        [unit_quaternion(*quaternion_product(world.rotation.quat, q)) for q in task.quaternions],
+        task.translations @ world.rotation.as_matrix().T,
+        task.times,
+    )
     gravity = np.array([0.0, 0.0, -9.81])
 
     def card(model, task, gravity):
