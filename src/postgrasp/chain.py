@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Pose, Rotation, matrix_quaternion, skew, unit_quaternion
+from .geometry import Pose, matrix_quaternion, skew, unit_quaternion
 
 _JOINT_KINDS = ("revolute", "prismatic")
 # (a x b)_i = a_j b_k - a_k b_j, (i, j, k) cyclic
@@ -310,13 +310,13 @@ def _pass_at(model: ChainModel, q) -> KinematicState:
     return kin
 
 
-def forward_kinematics(model: ChainModel, q) -> Pose:
-    """World pose of the operational point at one configuration, built
-    straight off the pass's floats: DLS asks for one at every iterate it
-    tries, so it skips the dataclass constructors and the copy."""
+def forward_kinematics(model: ChainModel, q) -> tuple:
+    """World pose of the operational point at one configuration, in the
+    form of a DLS target: seven floats, the unit quaternion (w, x, y, z),
+    then the translation, read straight off the pass."""
     kin = _pass_at(model, q)
-    quat = unit_quaternion(*matrix_quaternion(kin.tool_rotation.tolist()))
-    return Pose.from_parts(Rotation.from_unit(*quat), kin.tool_position)
+    quaternion = unit_quaternion(*matrix_quaternion(kin.tool_rotation.tolist()))
+    return quaternion + tuple(kin.tool_position.tolist())
 
 
 def geometric_jacobian(model: ChainModel, q) -> np.ndarray:

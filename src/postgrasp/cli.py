@@ -233,8 +233,8 @@ def _cmd_inspect_model(args) -> int:
         )
     pose = forward_kinematics(model, q)
     print(f"q: {', '.join(f'{x:g}' for x in q)}")
-    print(f"tool position: {', '.join(f'{x:.6g}' for x in pose.translation)}")
-    print(f"tool quaternion (w,x,y,z): {', '.join(f'{x:.6g}' for x in pose.rotation.quat)}")
+    print(f"tool position: {', '.join(f'{x:.6g}' for x in pose[4:])}")
+    print(f"tool quaternion (w,x,y,z): {', '.join(f'{x:.6g}' for x in pose[:4])}")
     print("jacobian:")
     for row in geometric_jacobian(model, q):
         print("  " + "  ".join(f"{x: .6g}" for x in row))

@@ -39,6 +39,7 @@ REPORT_SCHEMA_VERSION = 2
 # most waypoints (``resample_count``, ``--resample``) or sweep grasps a task
 # may ask for; past it a count would only exhaust memory or time
 MAX_COUNT = 100_000
+_SWEEP_ROTATION_TOLERANCE = 1e-6  # rad, between a sweep's end and start rotations
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -326,6 +327,14 @@ def load_task(path) -> TaskSpec:
         count = _count(sobj, "count", spath)
         start = _parse_pose(sobj["start"], f"{spath}.start")
         end = _parse_pose(sobj["end"], f"{spath}.end")
+        # every grasp takes start's orientation; q and -q are one rotation
+        dot = abs(float(start.rotation.quat @ end.rotation.quat))
+        angle = 2.0 * math.acos(min(1.0, dot))
+        if angle > _SWEEP_ROTATION_TOLERANCE:
+            raise SchemaError(
+                f"{spath}.end.quaternion: rotation differs from start's by {angle:.3g} rad;"
+                " a sweep keeps start's orientation"
+            )
         grasps = generate_grasp_sweep(start, end, count)
 
     resample_count = 50

@@ -5,8 +5,7 @@ written once, on floats or arrays alike (``quaternion_product``,
 (``unit_quaternion``) and Shepperd's method (``matrix_quaternion``), on
 floats; so a whole trajectory composed on arrays, or a pose read off a
 kinematic pass, matches ``Rotation`` and ``Pose`` bit for bit without
-building one per step.  ``Rotation.from_unit`` and ``Pose.from_parts`` then
-wrap such finished values without normalising or copying them again.
+building one per step.
 
 A ``Pose`` maps coordinates of its child frame into its parent frame,
 ``p_parent = R p_child + t``.  Spatial vectors are ordered
@@ -123,19 +122,6 @@ class Rotation:
         vars(self).update(zip("wxyz", unit_quaternion(self.w, self.x, self.y, self.z)))
 
     @classmethod
-    def from_unit(cls, w, x, y, z) -> "Rotation":
-        """The rotation of a quaternion that is already normalised as
-        ``unit_quaternion`` normalises, stored as given: normalising it
-        again would change the last bit of some entries."""
-        r = object.__new__(cls)
-        fields = vars(r)
-        fields["w"] = w
-        fields["x"] = x
-        fields["y"] = y
-        fields["z"] = z
-        return r
-
-    @classmethod
     def identity(cls) -> "Rotation":
         return cls(1.0, 0.0, 0.0, 0.0)
 
@@ -185,16 +171,6 @@ class Pose:
         t = np.array(self.translation, dtype=float).reshape(3)
         t.setflags(write=False)
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def from_parts(cls, rotation: Rotation, translation: np.ndarray) -> "Pose":
-        """A pose holding ``translation`` as given, without the copy: for a
-        read-only float64 array of shape (3,) that no caller can write."""
-        pose = object.__new__(cls)
-        fields = vars(pose)
-        fields["rotation"] = rotation
-        fields["translation"] = translation
-        return pose
 
     @classmethod
     def identity(cls) -> "Pose":

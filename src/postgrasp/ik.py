@@ -7,7 +7,8 @@ the joint path on one IK branch and computes no pose twice; joint
 velocities and accelerations are finite differences of the solved
 positions, so the energy metric reflects what the joint path actually
 does.  Each target is read off the trajectory's arrays as seven floats
-(quaternion, then translation), so tracking builds no target pose.
+(quaternion, then translation), the form ``forward_kinematics`` gives the
+tool pose in, so tracking builds no pose object.
 
 A solve that cannot meet the tolerances (target out of reach, or blocked
 by a joint limit) stops once its pose-error norm has fallen by less than
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainModel, forward_kinematics, geometric_jacobian
-from .geometry import Pose, quaternion_product, unit_quaternion
+from .geometry import quaternion_product, unit_quaternion
 from .task import TaskTrajectory
 
 DAMPING = 1e-3
@@ -59,23 +60,22 @@ def default_seed(model: ChainModel) -> np.ndarray:
     return seed
 
 
-def pose_error(target, current: Pose) -> np.ndarray:
+def pose_error(target, current) -> np.ndarray:
     """6-vector (position error; orientation error as a rotation vector),
-    world frame, consistent with the world-frame Jacobian, of the
-    ``current`` pose against a target's seven floats: its quaternion
-    (w, x, y, z), then its translation.  It runs on floats, with no
+    world frame, consistent with the world-frame Jacobian, of ``current``
+    against ``target``, two poses of seven floats each: the quaternion
+    (w, x, y, z), then the translation.  It runs on floats, with no
     ``Rotation`` built, as DLS calls it at every iterate it tries."""
     w1, x1, y1, z1, t0, t1, t2 = target
-    b = current.rotation
+    w2, x2, y2, z2, c0, c1, c2 = current
     # target * current^-1, each quaternion renormalised as ``Rotation``
     # renormalises, so the error equals the object form's bit for bit
-    conjugate = unit_quaternion(b.w, -b.x, -b.y, -b.z)
+    conjugate = unit_quaternion(w2, -x2, -y2, -z2)
     w, x, y, z = unit_quaternion(*quaternion_product((w1, x1, y1, z1), conjugate))
     # its log: 2 atan2(|v|, w) / |v| times v, or 2 v at a small angle
     v = np.array([x, y, z])
     sin_half = _norm(v)
     k = 2.0 if sin_half < 1e-9 else 2.0 * math.atan2(sin_half, w) / sin_half
-    c0, c1, c2 = current.translation.tolist()
     return np.array([t0 - c0, t1 - c1, t2 - c2, k * x, k * y, k * z])
 
 
@@ -89,7 +89,7 @@ def _converged(err: np.ndarray) -> bool:
     return _norm(err[:3]) <= POSITION_TOLERANCE and _norm(err[3:]) <= ORIENTATION_TOLERANCE
 
 
-def _solve(model, target, seed, current=None) -> tuple[np.ndarray, Pose, bool, int]:
+def _solve(model, target, seed, current=None) -> tuple[np.ndarray, tuple, bool, int]:
     """DLS from ``seed`` towards ``target``'s seven floats (``pose_error``):
     the last iterate, its tool pose, whether it meets the tolerances, and
     the number of iterations (Jacobians) run.

@@ -24,6 +24,9 @@ from .chain import validate_inertia_tensor
 from .geometry import Pose, quaternion_matrices, quaternion_product, unit_quaternion
 
 START_TIME_TOLERANCE = 1e-9  # s, on the first waypoint's time
+# on |q . q - 1| of a stored quaternion; ``unit_quaternion``'s outputs are
+# within 3 eps
+_UNIT_TOLERANCE = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,8 +36,8 @@ class TaskTrajectory:
 
     The data are read-only copies of the (m, 4) unit quaternions
     (w, x, y, z), each already normalised as ``Rotation`` normalises, the
-    (m, 3) translations and the (m,) times.  The rotation matrices are
-    derived on first read and kept."""
+    (m, 3) translations and the (m,) times, all finite.  The rotation
+    matrices are derived on first read and kept."""
 
     quaternions: np.ndarray
     translations: np.ndarray
@@ -45,11 +48,15 @@ class TaskTrajectory:
             value = np.array(getattr(self, name), dtype=float).reshape(shape)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        t, m = self.times, self.quaternions.shape[0]
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+        q, t, m = self.quaternions, self.times, self.quaternions.shape[0]
         if m < 2:
             raise ValueError("trajectory needs at least two waypoints")
         if t.shape[0] != m or self.translations.shape[0] != m:
             raise ValueError("quaternions, translations and times must have equal length")
+        if np.any(np.abs(np.einsum("ij,ij->i", q, q) - 1.0) > _UNIT_TOLERANCE):
+            raise ValueError("quaternions must have unit norm")
         if abs(t[0]) > START_TIME_TOLERANCE:
             raise ValueError("trajectory must start at t = 0")
         if np.any(np.diff(t) <= 0.0):

@@ -12,10 +12,12 @@ The rest builds on production functions, so it checks only the logic it
 adds.  ``eager_link_frames_axes`` is the kinematic pass with the
 joint-kind masks applied inside it and the motion columns built eagerly,
 the form ``chain`` ran before its joint constants carried the masks and
-``motion`` was derived on first read.  ``pose_target`` gives a pose as the
-seven floats IK reads a target as.  ``rotation_log`` is a rotation's
-rotation vector, the reference for the rotation logs that ``ik.pose_error``
-and ``metrics`` take on floats and arrays; ``rotation_pose_error`` is the
+``motion`` was derived on first read.  ``pose_of`` wraps seven finished
+floats, a DLS target or a forward-kinematics result, in a ``Pose`` without
+normalising them again, and ``pose_target`` gives a pose back as those
+seven floats.  ``rotation_log`` is a rotation's rotation vector, the
+reference for the rotation logs that ``ik.pose_error`` and ``metrics``
+take on floats and arrays; ``rotation_pose_error`` is the
 IK pose error on ``Rotation`` objects and ``loop_fd_derivatives`` the finite
 differences one waypoint at a time, the forms ``ik`` computed before it
 worked on floats and whole arrays.
@@ -208,6 +210,16 @@ def cuboid_inertia(mass: float, dims) -> np.ndarray:
     )
 
 
+def pose_of(floats) -> Pose:
+    """The ``Pose`` of seven finished floats, the form of a DLS target and
+    of ``forward_kinematics``'s result: the quaternion (w, x, y, z), held
+    as given, not normalised again, then the translation."""
+    w, x, y, z, *translation = floats
+    rotation = Rotation.identity()
+    vars(rotation).update(w=w, x=x, y=y, z=z)
+    return Pose(rotation, translation)
+
+
 def pose_target(pose: Pose) -> tuple:
     """A pose's seven floats as DLS reads a target: the quaternion
     (w, x, y, z), then the translation."""
@@ -329,7 +341,7 @@ def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:
     lo, hi = model.limits_arrays()
     q = np.clip(np.asarray(seed, dtype=float).reshape(model.n), lo, hi)
     lam2 = ik.DAMPING**2
-    err = rotation_pose_error(target, forward_kinematics(model, q))
+    err = rotation_pose_error(target, pose_of(forward_kinematics(model, q)))
     for _ in range(ik.MAX_ITERATIONS):
         if (
             np.linalg.norm(err[:3]) <= ik.POSITION_TOLERANCE
@@ -345,7 +357,7 @@ def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:
         err_norm = np.linalg.norm(err)
         for _ in range(5):
             q_new = np.clip(q + dq, lo, hi)
-            err_new = rotation_pose_error(target, forward_kinematics(model, q_new))
+            err_new = rotation_pose_error(target, pose_of(forward_kinematics(model, q_new)))
             if np.linalg.norm(err_new) <= err_norm or np.linalg.norm(dq) < 1e-12:
                 break
             dq = 0.5 * dq
@@ -480,6 +492,5 @@ def trajectory_poses(trajectory: TaskTrajectory) -> tuple[Pose, ...]:
     """The waypoints of ``trajectory`` as poses, each wrapping its stored
     quaternion and translation row as they are, not normalised again."""
     return tuple(
-        Pose.from_parts(Rotation.from_unit(*q), t)
-        for q, t in zip(trajectory.quaternions.tolist(), trajectory.translations)
+        pose_of(q + t) for q, t in zip(trajectory.quaternions.tolist(), trajectory.translations.tolist())
     )

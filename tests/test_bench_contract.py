@@ -26,7 +26,7 @@ from postgrasp import (
 )
 from postgrasp import chain, ik
 
-from oracles import trajectory_of
+from oracles import pose_of, trajectory_of
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -60,7 +60,7 @@ def test_tracking_calls_pose_and_jacobian_by_their_ik_names(arm7, monkeypatch):
     for name in calls:
         monkeypatch.setattr(ik, name, counting(name))
     qs = np.linspace([0.1, 0.5, -0.2, -1.2, 0.3, 0.8, 0.0], [0.2, 0.6, -0.1, -1.1, 0.4, 0.9, 0.1], 4)
-    poses = [forward_kinematics(arm7, q) for q in qs]
+    poses = [pose_of(forward_kinematics(arm7, q)) for q in qs]
     result = track_trajectory(arm7, trajectory_of(poses, np.linspace(0.0, 1.0, 4)), qs[0])
     assert calls["forward_kinematics"] > 0
     assert calls["geometric_jacobian"] > 0
@@ -83,7 +83,7 @@ def test_tracking_reaches_the_pass_through_its_module_binding(arm7, spans, monke
     for name in ("forward_kinematics", "geometric_jacobian"):
         monkeypatch.setattr(ik, name, recording(getattr(ik, name)))
     qs = np.linspace([0.1, 0.5, -0.2, -1.2, 0.3, 0.8, 0.0], [0.4, 0.8, 0.1, -0.9, 0.6, 1.1, 0.3], 4)
-    poses = [forward_kinematics(arm7, q) for q in qs]
+    poses = [pose_of(forward_kinematics(arm7, q)) for q in qs]
     monkeypatch.setattr(chain, "_last_pass", threading.local())
     with spans.Tracer() as tracer:
         result = ik.track_trajectory(arm7, trajectory_of(poses, np.linspace(0.0, 1.0, 4)), qs[0])

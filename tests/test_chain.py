@@ -25,7 +25,7 @@ from postgrasp import (
 from postgrasp import chain
 from postgrasp.geometry import matrix_quaternion
 
-from oracles import TwoRParams, finite_difference_jacobian, rotation_log, two_r_closed_form
+from oracles import TwoRParams, finite_difference_jacobian, pose_of, rotation_log, two_r_closed_form
 from conftest import make_two_r
 
 
@@ -42,26 +42,26 @@ def prismatic_z(mass=2.0):
 
 class TestForwardKinematics:
     def test_two_r_straight(self):
-        pose = forward_kinematics(unit_two_r(), [0.0, 0.0])
+        pose = pose_of(forward_kinematics(unit_two_r(), [0.0, 0.0]))
         assert np.abs(pose.translation - np.array([2.0, 0.0, 0.0])).max() <= 1e-12
         assert np.linalg.norm(rotation_log(pose.rotation)) <= 1e-12
 
     def test_two_r_first_joint_quarter_turn(self):
-        pose = forward_kinematics(unit_two_r(), [np.pi / 2, 0.0])
+        pose = pose_of(forward_kinematics(unit_two_r(), [np.pi / 2, 0.0]))
         assert np.abs(pose.translation - np.array([0.0, 2.0, 0.0])).max() <= 1e-12
 
     def test_two_r_matches_closed_form(self, two_r_params, two_r_model, rng):
         for _ in range(200):
             q = rng.uniform(-np.pi, np.pi, 2)
             oracle = two_r_closed_form(two_r_params, q)
-            pose = forward_kinematics(two_r_model, q)
+            pose = pose_of(forward_kinematics(two_r_model, q))
             assert np.abs(pose.translation - oracle["tip"]).max() <= 1e-12
             expected = Rotation.from_axis_angle((0.0, 0.0, 1.0), oracle["angle"])
             assert np.linalg.norm(rotation_log(pose.rotation.inverse() * expected)) <= 1e-9
 
     def test_prismatic_translates_along_axis(self):
         model = prismatic_z()
-        pose = forward_kinematics(model, [0.3])
+        pose = pose_of(forward_kinematics(model, [0.3]))
         assert np.abs(pose.translation - np.array([0.0, 0.0, 0.3])).max() <= 1e-15
 
     def test_base_pose_offsets_everything(self, rng):
@@ -73,8 +73,8 @@ class TestForwardKinematics:
             tool_transform=unit_two_r().tool_transform,
         )
         q = rng.uniform(-1, 1, 2)
-        expected = base.compose(forward_kinematics(unit_two_r(), q))
-        got = forward_kinematics(model, q)
+        expected = base.compose(pose_of(forward_kinematics(unit_two_r(), q)))
+        got = pose_of(forward_kinematics(model, q))
         assert np.abs(got.translation - expected.translation).max() <= 1e-12
 
     def test_dimension_mismatch(self):
@@ -112,15 +112,16 @@ def _signed_permutation_rotations():
 
 
 class TestForwardKinematicsPose:
-    """FK builds its pose straight off the pass: the same bytes as
-    ``Pose(Rotation(*matrix_quaternion(R)), p)`` on the pass's tool rotation R and
-    position p."""
+    """FK reads its seven floats straight off the pass: the same bits as
+    the quaternion of ``Rotation(*matrix_quaternion(R))``, then p, on the
+    pass's tool rotation R and position p."""
 
     @staticmethod
     def assert_pose_bytes(got, rotation, position):
-        want = Pose(Rotation(*matrix_quaternion(np.asarray(rotation, dtype=float).tolist())), position)
-        assert got.rotation.quat.tobytes() == want.rotation.quat.tobytes(), (rotation, got, want)
-        assert got.translation.tobytes() == want.translation.tobytes()
+        r = Rotation(*matrix_quaternion(np.asarray(rotation, dtype=float).tolist()))
+        want = (r.w, r.x, r.y, r.z, *np.asarray(position, dtype=float).tolist())
+        assert type(got) is tuple and [type(v) for v in got] == [float] * 7, got
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (rotation, got, want)
 
     def fk_on_tool(self, monkeypatch, model, rotation, position):
         """``forward_kinematics`` on a pass whose tool frame is given."""
@@ -157,13 +158,13 @@ class TestForwardKinematicsPose:
         for rotation in _signed_permutation_rotations():
             got = self.fk_on_tool(monkeypatch, model, rotation, position)
             self.assert_pose_bytes(got, rotation, position)
-            signs.update(np.signbit(got.rotation.quat[got.rotation.quat == 0.0]).tolist())
+            quat = np.array(got[:4])
+            signs.update(np.signbit(quat[quat == 0.0]).tolist())
         assert signs == {False, True}  # both signed zeros reach the quaternion
 
-    def test_translation_is_the_read_only_position(self, arm7):
-        pose = forward_kinematics(arm7, Q7)
-        assert not pose.translation.flags.writeable
-        assert pose.translation.shape == (3,) and pose.translation.dtype == np.float64
+    def test_seven_floats_of_the_pass(self, arm7):
+        kin = chain.link_frames_axes(arm7, Q7)
+        self.assert_pose_bytes(forward_kinematics(arm7, Q7), kin.tool_rotation, kin.tool_position)
 
 
 class TestGeometricJacobian:
@@ -192,7 +193,7 @@ class TestGeometricJacobian:
         # linear rows against FD of the tool position, angular rows against
         # FD of the rotation log
         def tool_pos(q):
-            return forward_kinematics(arm7, q).translation
+            return forward_kinematics(arm7, q)[4:]
 
         for _ in range(10):
             q = rng.uniform(-1.2, 1.2, 7)
@@ -205,8 +206,8 @@ class TestGeometricJacobian:
             for k in range(7):
                 dq = np.zeros(7)
                 dq[k] = h
-                ra = forward_kinematics(arm7, q - dq).rotation
-                rb = forward_kinematics(arm7, q + dq).rotation
+                ra = pose_of(forward_kinematics(arm7, q - dq)).rotation
+                rb = pose_of(forward_kinematics(arm7, q + dq)).rotation
                 omega = rotation_log(rb * ra.inverse()) / (2 * h)
                 assert np.abs(jac[3:, k] - omega).max() <= 1e-5
 
@@ -220,7 +221,7 @@ class TestPassMemo:
         q = np.linspace(-1.0, 1.0, 7)
         for model in (arm7, other, arm7, other):
             want = chain.link_frames_axes(model, q)
-            assert np.array_equal(forward_kinematics(model, q).translation, want.tool_position)
+            assert np.array_equal(forward_kinematics(model, q)[4:], want.tool_position)
             assert np.array_equal(geometric_jacobian(model, q), want.jacobian)
         assert not np.allclose(geometric_jacobian(arm7, q), geometric_jacobian(other, q))
 
@@ -293,8 +294,8 @@ class TestPassInputs:
         monkeypatch.setattr(chain, "_last_pass", threading.local())
         want = chain.link_frames_axes(arm7, np.asarray(q, dtype=float).ravel())
         pose = forward_kinematics(arm7, q)
-        assert pose.translation.tobytes() == want.tool_position.tobytes()
-        assert pose.rotation == Rotation(*matrix_quaternion(want.tool_rotation.tolist()))
+        assert np.array(pose[4:]).tobytes() == want.tool_position.tobytes()
+        assert pose_of(pose).rotation == Rotation(*matrix_quaternion(want.tool_rotation.tolist()))
         assert geometric_jacobian(arm7, q).tobytes() == want.jacobian.tobytes()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,7 +109,7 @@ class TestLoadRobot:
     def test_planar_rr_sanity(self, planar_rr):
         assert planar_rr.n == 2
         pose = forward_kinematics(planar_rr, [0.0, 0.0])
-        assert np.abs(pose.translation - np.array([2.0, 0.0, 0.0])).max() <= 1e-12
+        assert np.abs(np.array(pose[4:]) - np.array([2.0, 0.0, 0.0])).max() <= 1e-12
 
     def test_arm7_matches_file_numbers(self, arm7):
         data = json.loads(reference_robot_path("arm7").read_text())
@@ -199,6 +200,28 @@ class TestLoadTask:
         spec = load_task(path)
         assert [g.id for g in spec.grasps] == [f"g{i:02d}" for i in range(1, 11)]
         assert abs(spec.grasps[0].transform.translation[1] + 0.22) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "end, refused",
+        [
+            ([0.0, -1.0, 0.0, 0.0], False),  # -q is the start's rotation
+            ([0.0, math.cos(2e-7), math.sin(2e-7), 0.0], False),  # 4e-7 rad off
+            ([0.0, math.cos(1e-6), math.sin(1e-6), 0.0], True),  # 2e-6 rad off
+            ([1.0, 0.0, 0.0, 0.0], True),
+        ],
+    )
+    def test_sweep_end_keeps_the_start_rotation(self, tmp_path, end, refused):
+        # every grasp of a sweep takes start's orientation, so an end
+        # rotation that differs from it would be read and then ignored
+        data = _sweep_task_dict(3)
+        data["sweep"]["end"]["quaternion"] = end
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(data))
+        if not refused:
+            assert len(load_task(path).grasps) == 3
+            return
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}.sweep.end.quaternion: rotation differs"):
+            load_task(path)
 
     def test_grasps_and_sweep_exclusive(self, tmp_path):
         data = synthetic_task_dict()
@@ -547,8 +570,8 @@ class TestCliCommands:
         # out of the arm's plane: at waypoint 0 tov's direction is
         # unachievable and tem's is near-singular
         pose = forward_kinematics(planar_rr, [0.3, 0.9])
-        start = {"translation": pose.translation.tolist(), "quaternion": pose.rotation.quat.tolist()}
-        lifted = dict(start, translation=(pose.translation + [0.0, 0.0, 0.1]).tolist())
+        start = {"translation": list(pose[4:]), "quaternion": list(pose[:4])}
+        lifted = dict(start, translation=(np.array(pose[4:]) + [0.0, 0.0, 0.1]).tolist())
         task = {
             "schema_version": 1,
             "name": "lift",

@@ -25,6 +25,7 @@ from postgrasp.ik import (
 
 from oracles import (
     loop_fd_derivatives,
+    pose_of,
     pose_target,
     reference_dls,
     rotation_pose_error,
@@ -34,14 +35,14 @@ from oracles import (
 
 
 def joint_path_poses(model, qs):
-    return [forward_kinematics(model, q) for q in qs]
+    return [pose_of(forward_kinematics(model, q)) for q in qs]
 
 
 class TestSolveWaypoint:
     def test_already_solved_returns_seed(self, two_r_model, rng):
         seed = rng.uniform(-1.0, 1.0, 2)
         target = forward_kinematics(two_r_model, seed)
-        q, _, ok, _ = _solve(two_r_model, pose_target(target), seed)
+        q, _, ok, _ = _solve(two_r_model, target, seed)
         assert ok
         assert np.array_equal(q, seed)
 
@@ -51,7 +52,7 @@ class TestSolveWaypoint:
         for q1, q2 in branches:
             target = forward_kinematics(two_r_model, [q1, q2])
             seed = np.array([q1, q2]) + 0.3
-            q, _, ok, _ = _solve(two_r_model, pose_target(target), seed)
+            q, _, ok, _ = _solve(two_r_model, target, seed)
             assert ok
             assert np.abs(q - np.array([q1, q2])).max() <= 1e-5
 
@@ -59,9 +60,9 @@ class TestSolveWaypoint:
         seed = default_seed(arm7)
         q0 = rng.uniform(-1.0, 1.0, 7)
         target = forward_kinematics(arm7, q0)
-        q, _, ok, _ = _solve(arm7, pose_target(target), q0 + 0.15)
+        q, _, ok, _ = _solve(arm7, target, q0 + 0.15)
         assert ok
-        err = pose_error(pose_target(target), forward_kinematics(arm7, q))
+        err = pose_error(target, forward_kinematics(arm7, q))
         assert np.linalg.norm(err[:3]) <= POSITION_TOLERANCE
         assert np.linalg.norm(err[3:]) <= ORIENTATION_TOLERANCE
 
@@ -80,8 +81,8 @@ class TestSolveWaypoint:
                 seed = q0 + rng.uniform(-0.15, 0.15, model.n)
                 cases.append((model, forward_kinematics(model, q0), seed))
         for model, target, seed in cases:
-            q, _, ok, _ = _solve(model, pose_target(target), seed)
-            q_ref, ok_ref = reference_dls(model, target, seed)
+            q, _, ok, _ = _solve(model, target, seed)
+            q_ref, ok_ref = reference_dls(model, pose_of(target), seed)
             assert ok_ref
             assert ok == ok_ref
             assert np.array_equal(q, q_ref)
@@ -102,7 +103,7 @@ class TestSolveWaypoint:
 
 class TestTrackTrajectory:
     def test_constant_trajectory_zero_derivatives(self, two_r_model):
-        pose = forward_kinematics(two_r_model, [0.4, 0.8])
+        pose = pose_of(forward_kinematics(two_r_model, [0.4, 0.8]))
         times = np.linspace(0.0, 1.0, 8)
         traj = track_trajectory(two_r_model, trajectory_of([pose] * 8, times), np.array([0.4, 0.8]))
         assert np.abs(traj.velocities).max() <= 1e-12
@@ -161,7 +162,7 @@ class TestTrackTrajectory:
             for q in traj.positions
         )
         for i in range(len(poses) - 1):
-            step6 = np.linalg.norm(pose_error(pose_target(poses[i + 1]), poses[i]))
+            step6 = np.linalg.norm(pose_error(pose_target(poses[i + 1]), pose_target(poses[i])))
             dq = np.linalg.norm(traj.positions[i + 1] - traj.positions[i])
             assert dq <= 10.0 * step6 / sigma_min
 
@@ -177,7 +178,7 @@ class TestTrackTrajectory:
         # path marches straight out of the workspace: early waypoints fine,
         # later ones flagged, joint values stay finite
         q0 = np.array([0.6, 0.8])
-        start = forward_kinematics(two_r_model, q0)
+        start = pose_of(forward_kinematics(two_r_model, q0))
         direction = start.translation / np.linalg.norm(start.translation)
         poses = [
             Pose(start.rotation, start.translation + u * direction) for u in np.linspace(0, 1.2, 12)
@@ -188,7 +189,7 @@ class TestTrackTrajectory:
         assert np.isfinite(traj.positions).all()
 
     def test_non_increasing_times_rejected(self, two_r_model):
-        pose = forward_kinematics(two_r_model, [0.1, 0.2])
+        pose = pose_of(forward_kinematics(two_r_model, [0.1, 0.2]))
         with pytest.raises(ValueError):
             track_trajectory(two_r_model, trajectory_of([pose, pose], [0.0, 0.0]))
 
@@ -237,7 +238,8 @@ class TestFloatKernelsMatchOracles:
 
     def assert_pose_errors_identical(self, pairs):
         for target, current in pairs:
-            got, want = pose_error(pose_target(target), current), rotation_pose_error(target, current)
+            got = pose_error(pose_target(target), pose_target(current))
+            want = rotation_pose_error(target, current)
             assert got.tobytes() == want.tobytes(), (got, want)
 
     def test_random_poses(self, rng):

@@ -33,7 +33,15 @@ from postgrasp.geometry import quaternion_product, unit_quaternion
 from postgrasp.metrics import FLAGS, OBJECTIVES, directional_effective_mass
 from postgrasp.task import TaskSpec, gripper_trajectory, path_parameter, resample
 
-from oracles import effective_mass, rotation_log, trajectory_of, trajectory_poses, two_r_closed_form, two_r_ik
+from oracles import (
+    effective_mass,
+    pose_of,
+    rotation_log,
+    trajectory_of,
+    trajectory_poses,
+    two_r_closed_form,
+    two_r_ik,
+)
 
 G2D = np.array([0.0, -9.81, 0.0])
 
@@ -54,7 +62,7 @@ def svd_route_a2(jac, u, leak_tol=1e-2):
 
 def joint_path_task(model, qs, total_time=2.0):
     times = np.linspace(0.0, total_time, len(qs))
-    return trajectory_of((forward_kinematics(model, q) for q in qs), times)
+    return trajectory_of((pose_of(forward_kinematics(model, q)) for q in qs), times)
 
 
 def passes(model, traj):
@@ -189,7 +197,7 @@ class TestTov:
         assert abs(fine - coarse) / abs(fine) < 0.01
 
     def test_zero_motion_raises(self, two_r_model):
-        pose = forward_kinematics(two_r_model, [0.4, 0.8])
+        pose = pose_of(forward_kinematics(two_r_model, [0.4, 0.8]))
         task = trajectory_of((pose, pose, pose), np.array([0.0, 0.5, 1.0]))
         traj = track_trajectory(
             two_r_model, task, np.array([0.4, 0.8])
@@ -230,7 +238,7 @@ class TestTorqueEffort:
     def test_static_hold_matches_equilibrium_oracle(self, two_r_params, two_r_model):
         # constant trajectory: |tau|^2 = |N_arm + J_com^T (-m g)|^2
         q0 = np.array([0.5, 0.9])
-        pose = forward_kinematics(two_r_model, q0)
+        pose = pose_of(forward_kinematics(two_r_model, q0))
         task = trajectory_of((pose, pose), np.array([0.0, 1.0]))
         traj = track_trajectory(two_r_model, task, q0)
         obj = RigidObject(mass=0.3, inertia=np.eye(3) * 1e-5)
@@ -390,7 +398,7 @@ class TestTem:
         # tool orbits the second joint: translation present, but build a
         # genuinely stationary-translation task by rotating in place is not
         # possible for a 2R tool point; use identical poses instead
-        pose = forward_kinematics(two_r_model, [0.2, 0.5])
+        pose = pose_of(forward_kinematics(two_r_model, [0.2, 0.5]))
         task = trajectory_of((pose, pose), np.array([0.0, 1.0]))
         traj = track_trajectory(
             two_r_model, task, np.array([0.2, 0.5])
@@ -459,7 +467,7 @@ class TestEvaluateGrasp:
         assert sc.h_tov is None and sc.h_tme is None and sc.h_tem is None
 
     def test_no_motion_task_errors(self, two_r_model):
-        pose = forward_kinematics(two_r_model, [0.3, 0.9])
+        pose = pose_of(forward_kinematics(two_r_model, [0.3, 0.9]))
         task = trajectory_of((pose, pose), np.array([0.0, 1.0]))
         with pytest.raises(ZeroMotionError):
             evaluate_grasp(
@@ -585,7 +593,7 @@ def test_scorecard_holds_each_fact_once(two_r_model):
     # grasps (the same pose, as a 2R arm reaches one orientation per
     # point) show the grid is shared
     q0 = np.array([0.6, 0.8])
-    start = forward_kinematics(two_r_model, q0)
+    start = pose_of(forward_kinematics(two_r_model, q0))
     direction = start.translation / np.linalg.norm(start.translation)
     poses = tuple(
         Pose(start.rotation, start.translation + u * direction) for u in np.linspace(0, 1.2, 12)

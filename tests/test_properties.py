@@ -37,7 +37,7 @@ from postgrasp.geometry import quaternion_product, unit_quaternion
 from postgrasp.ik import _solve
 from postgrasp.task import path_parameter
 
-from oracles import eager_link_frames_axes, merged_model, pose_target, reference_dls, rotation_log, trajectory_of
+from oracles import eager_link_frames_axes, merged_model, pose_of, reference_dls, rotation_log, trajectory_of
 
 # no shrink phase: a failure is reported on the example that first showed
 # it, so a broken kernel fails within the 60 examples instead of shrinking
@@ -130,7 +130,7 @@ def test_jacobian_matches_central_differences(case):
     for k in range(model.n):
         dq = np.zeros(model.n)
         dq[k] = h
-        plus, minus = forward_kinematics(model, q + dq), forward_kinematics(model, q - dq)
+        plus, minus = pose_of(forward_kinematics(model, q + dq)), pose_of(forward_kinematics(model, q - dq))
         linear = (plus.translation - minus.translation) / (2 * h)
         angular = rotation_log(plus.rotation * minus.rotation.inverse()) / (2 * h)
         assert np.abs(jac[:3, k] - linear).max() <= 1e-7
@@ -292,7 +292,7 @@ def test_objectives_invariant_under_scene_rotation(case, axis, angle, grasp_pose
     obj = RigidObject(mass=mass, inertia=inertia)
     release = grasp_pose.inverse()
     task = trajectory_of(
-        (forward_kinematics(model, q).compose(release) for q in qs), np.linspace(0.0, 1.0, len(qs))
+        (pose_of(forward_kinematics(model, q)).compose(release) for q in qs), np.linspace(0.0, 1.0, len(qs))
     )
     world = Pose(Rotation.from_axis_angle(axis, angle), np.zeros(3))
     turned_model = replace(model, base_pose=world.compose(model.base_pose))
@@ -334,8 +334,8 @@ def test_converged_solves_match_reference_dls_on_random_chains(case):
     # a solve that meets the tolerances ran no stall check that stopped it,
     # so it must run the reference loop's iterates bit for bit
     model, target, seed = case
-    q, _, ok, _ = _solve(model, pose_target(target), seed)
+    q, _, ok, _ = _solve(model, target, seed)
     assume(ok)
-    q_ref, ok_ref = reference_dls(model, target, seed)
+    q_ref, ok_ref = reference_dls(model, pose_of(target), seed)
     assert ok_ref
     assert q.tobytes() == q_ref.tobytes()

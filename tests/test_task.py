@@ -18,7 +18,7 @@ from postgrasp import (
 )
 from postgrasp.geometry import quaternion_product
 
-from oracles import resample_poses, rotation_log, trajectory_of, trajectory_poses
+from oracles import pose_of, resample_poses, rotation_log, trajectory_of, trajectory_poses
 
 
 def translation_task(points, total_time=1.0):
@@ -28,6 +28,9 @@ def translation_task(points, total_time=1.0):
 
 # a quaternion, not normalised, one of whose libm-pow squares is not x * x
 POW_SQUARES_DIFFER = (0.60040144057608, -0.30084820291487846, -0.7060734954993589, 1.105694907482355)
+# a unit quaternion that ``unit_quaternion`` leaves as it is, but that a
+# normalisation squaring by x * x instead of libm ``pow`` moves
+POW_FIXED_POINT = (0.8399874755625039, -0.43841034873956514, -0.08630495791256212, 0.30784551524408477)
 
 
 def assert_same_arrays(got: TaskTrajectory, want: TaskTrajectory):
@@ -72,6 +75,23 @@ class TestTaskTrajectory:
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError):
             translation_task([(0, 0, 0), (1, 0, 0)], total_time=0.0)
+
+    def test_requires_unit_quaternions(self):
+        # accepted, this one gave a rotation matrix of determinant 5
+        with pytest.raises(ValueError, match="^quaternions must have unit norm$"):
+            TaskTrajectory([[1.0, 1.0, 0.0, 0.0]] * 2, np.zeros((2, 3)), [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [("quaternions", (1, 0), math.nan), ("translations", (0, 2), math.inf), ("times", 1, math.nan)],
+    )
+    def test_requires_finite_values(self, name, index, value):
+        # the order checks are false on NaN, so they alone let these through
+        data = {"quaternions": np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), "translations": np.zeros((3, 3))}
+        data["times"] = np.arange(3.0)
+        data[name][index] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            TaskTrajectory(**data)
 
 
 class TestGripperTrajectory:
@@ -145,7 +165,7 @@ class TestGripperTrajectory:
         # an identity object rotation makes the raw product the grasp's
         # quaternion itself, held unnormalised
         task = translation_task([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.2, 0.05, 0.0)])
-        grasp = GraspCandidate("g", Pose(Rotation.from_unit(*raw), np.array([0.0, 0.1, 0.0])))
+        grasp = GraspCandidate("g", pose_of((*raw, 0.0, 0.1, 0.0)))
         assert quaternion_product(task.quaternions[0], raw) == raw
         out = gripper_trajectory(task, grasp)
         want = [p.compose(grasp.transform) for p in trajectory_poses(task)]
@@ -259,10 +279,10 @@ class TestResample:
         # (q0 . q1 < 0, slerp flips q1), two pairs equal or 1e-12 rad apart
         # (theta < 1e-9, linear blend), uneven times starting just after 0
         # (the first waypoint's fraction is clamped to 0, so it is the first
-        # keyframe's quaternion normalised again; held unnormalised, with
-        # libm-pow squares that differ from x * x, it shows the squaring)
+        # keyframe's quaternion normalised again; ``POW_FIXED_POINT`` there
+        # shows the squaring)
         rotations = [Rotation(*rng.normal(size=4)) for _ in range(9)]
-        rotations[0] = Rotation.from_unit(*POW_SQUARES_DIFFER)
+        rotations[0] = Rotation(*POW_FIXED_POINT)
         rotations[3] = rotations[2]
         rotations[6] = rotations[5] * Rotation.from_axis_angle(rng.normal(size=3), 1e-12)
         poses = tuple(Pose(r, rng.normal(size=3)) for r in rotations)
@@ -273,6 +293,12 @@ class TestResample:
         assert sum(math.acos(min(d, 1.0)) < 1e-9 for d in dots) == 2
         for count in (2, 7, 50, 137):
             assert_same_arrays(resample(task, count), resample_poses(task, count))
+        assert task.quaternions[0].tolist() == list(POW_FIXED_POINT)
+        if any(v**2 != v * v for v in POW_FIXED_POINT):
+            # normalised again with x * x squares, the first waypoint moves
+            w, x, y, z = POW_FIXED_POINT
+            squared = np.array(POW_FIXED_POINT) * (1.0 / math.sqrt(w * w + x * x + y * y + z * z))
+            assert squared.tobytes() != resample(task, 2).quaternions[0].tobytes()
 
 
 class TestRigidObject:
