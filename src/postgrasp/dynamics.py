@@ -23,12 +23,13 @@ its mass, CoM and inertia in that link's frame, through the tool transform
 and the inverse grasp, and ``link_inertias`` builds its spatial inertia by
 the same formula as a link's and adds it to the last link's, as spatial
 inertias referred to one point add (Featherstone ch. 2).  Those link
-inertias, built once per grasp (``metrics.evaluate_grasp``), serve RNEA for
-the torque objective and CRBA for the effective-mass objective
-(``operational_mass_inverse``).  ``augmented_mass_matrix`` is the
-independent cross-check: the arm's mass matrix plus the object's 6x6
-inertia about the operational point pulled into joint space by the
-Jacobian, M + J^T M_obj J.  The two routes agree to machine precision.
+inertias, built once per batch of grasps with each grasp's own object on
+its rows (``metrics.evaluate_task``), serve RNEA for the torque objective
+and CRBA for the effective-mass objective (``operational_mass_inverse``).
+``augmented_mass_matrix`` is the independent cross-check: the arm's mass
+matrix plus the object's 6x6 inertia about the operational point pulled
+into joint space by the Jacobian, M + J^T M_obj J.  The two routes agree to
+machine precision.
 """
 
 from __future__ import annotations
@@ -67,20 +68,29 @@ def _spatial_inertias(rot, origins, masses, coms, inertias) -> np.ndarray:
     return out
 
 
-def link_inertias(model: ChainModel, kin: KinematicState, attached: LinkSpec | None = None) -> np.ndarray:
+def link_inertias(model: ChainModel, kin: KinematicState, attached=None) -> np.ndarray:
     """(..., n, 6, 6) inertias of ``model``'s links on the pass ``kin``,
     referred to the world origin, world axes, read-only: the input of
     ``mass_matrix``, ``inverse_dynamics`` and ``operational_mass_inverse``.
 
     ``attached`` is a body rigidly held by the last link, given in its
-    frame (``attach_object``); its inertia is added to that link's."""
+    frame (``attach_object``), or a sequence of such bodies, one per index
+    of the pass's first axis (one grasp's object per row of a stack of
+    joint paths); its inertia is added to that link's."""
     if kin.n != model.n:
         raise ValueError(f"kinematic state has {kin.n} joints, model has {model.n}")
     c = model._constants
     out = _spatial_inertias(kin.rotations, kin.origins, c.masses, c.coms, c.inertias)
     if attached is not None:
+        if isinstance(attached, LinkSpec):
+            mass, com, inertia = attached.mass, attached.com, attached.inertia
+        else:  # one body per row, broadcast over the pass's other batch axes
+            rows = (slice(None),) + (None,) * (kin.origins.ndim - 3)
+            mass = np.array([body.mass for body in attached])[rows]
+            com = np.stack([body.com for body in attached])[rows]
+            inertia = np.stack([body.inertia for body in attached])[rows]
         out[..., -1, :, :] += _spatial_inertias(
-            kin.rotations[..., -1, :, :], kin.origins[..., -1, :], attached.mass, attached.com, attached.inertia
+            kin.rotations[..., -1, :, :], kin.origins[..., -1, :], mass, com, inertia
         )
     out.flags.writeable = False
     return out

@@ -1,12 +1,14 @@
 """The three path objectives evaluated along a tracked trajectory.
 
 A task's grasps share one resampled trajectory, with its pose arrays, and
-one quadrature grid (``evaluate_task``).  Per grasp, the pipeline is:
-compose the gripper trajectory on those arrays, track it in joint space,
-then run one batched kinematic pass over the whole joint path, build the
-link inertias on it once with the object as one more body on the last
-link (``link_inertias``; the two dynamics objectives read that pass and
-those inertias, not a model), and compute every waypoint's value at once:
+one quadrature grid (``evaluate_task``).  Each grasp is tracked alone:
+compose the gripper trajectory on those arrays, then track it in joint
+space.  The tracked grasps are then scored in batches of stacked rows, one
+row per grasp and waypoint: one kinematic pass over the stacked joint
+paths, the link inertias built on it once with each grasp's object as one
+more body on the last link (``link_inertias``; the two dynamics objectives
+read that pass and those inertias, not a model), and every row's value
+of each objective in one call:
 
 * directional velocity manipulability a^2 along the motion direction
   (maximize its path integral),
@@ -15,18 +17,26 @@ those inertias, not a model), and compute every waypoint's value at once:
 * effective mass perceived in a collision along the motion direction
   (minimize).
 
-Each kernel (``tov``, ``torque_effort``, ``tem``) returns its samples and
-the flag it sets; ``evaluate_grasp`` integrates each once, trapezoidally
-over the task's grid (normalized arc length by default), so tov and tem
-depend on geometry only, while tme also feels the timing through the joint
-accelerations.  Near-singular waypoints are capped and flagged rather than
-turned into NaNs so whole-trajectory integrals stay finite and comparable.
+Each kernel (``tov``, ``torque_effort``, ``tem``) takes the pass over a
+(B, W, n) stack of B joint paths of W waypoints, with one trajectory per
+path, and returns its (B, W) samples and the flag it sets.  Each grasp's
+objectives are integrated once, trapezoidally over the task's grid
+(normalized arc length by default), so tov and tem depend on geometry
+only, while tme also feels the timing through the joint accelerations.
+A batch holds at most 256 rows (but at least one grasp), which bounds its
+memory; no value depends on how the grasps are split into batches, as
+numpy runs each slice of a stack as it runs one matrix or vector
+(``tests/test_lockstep_canary.py``).  Near-singular waypoints are capped
+and flagged rather than turned into NaNs so whole-trajectory integrals
+stay finite and comparable.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +48,7 @@ from .dynamics import (
     link_inertias,
     operational_mass_inverse,
 )
-from .ik import GraspInfeasible, JointTrajectory, track_trajectory
+from .ik import GraspInfeasible, track_trajectory
 from .task import (
     GraspCandidate,
     RigidObject,
@@ -53,6 +63,7 @@ EFFECTIVE_MASS_CAP = 1e9  # kg
 NEAR_SINGULAR_THRESHOLD = 1e-9  # 1/kg, on the directional inverse inertia
 _RANK_EPS = 1e-12  # eigenvalues of J J^T below this count as zero
 _NULL_LEAK_TOL = 1e-2  # squared direction mass allowed in null directions
+_SCORE_ROWS = 256  # grasp x waypoint rows scored per batch (at least one grasp)
 
 
 class ZeroMotionError(ValueError):
@@ -147,61 +158,66 @@ def _rank_deficient_manipulability(gram: np.ndarray, u: np.ndarray) -> tuple[flo
 
 
 def _segment_deltas(translations: np.ndarray, quats: np.ndarray) -> np.ndarray:
-    """6-vector pose increments per segment a -> b, from (m, 3)
-    translations and (m, 4) unit quaternions (w, x, y, z): the translation
-    step, then the rotation vector of b a^-1, its angle in [0, pi]."""
-    w0, v0 = quats[:-1, 0], quats[:-1, 1:]
-    w1, v1 = quats[1:, 0], quats[1:, 1:]
+    """6-vector pose increments per segment a -> b, from (..., m, 3)
+    translations and (..., m, 4) unit quaternions (w, x, y, z): the
+    translation step, then the rotation vector of b a^-1, its angle in
+    [0, pi]."""
+    w0, v0 = quats[..., :-1, 0], quats[..., :-1, 1:]
+    w1, v1 = quats[..., 1:, 0], quats[..., 1:, 1:]
     # q1 q0^-1, with the sign that makes w >= 0 so angles lie in [0, pi]
-    w = w1 * w0 + np.einsum("ij,ij->i", v1, v0)
-    v = w0[:, None] * v1 - w1[:, None] * v0 + np.cross(v0, v1)
+    w = w1 * w0 + np.einsum("...j,...j->...", v1, v0)
+    v = w0[..., None] * v1 - w1[..., None] * v0 + np.cross(v0, v1)
     sign = np.where(w < 0.0, -1.0, 1.0)
-    w, v = w * sign, v * sign[:, None]
-    s = np.linalg.norm(v, axis=1)
+    w, v = w * sign, v * sign[..., None]
+    s = np.linalg.norm(v, axis=-1)
     small = s < 1e-9  # 2 atan2(s, w) / s -> 2 / w with w ~ 1
     scale = np.where(small, 2.0, 2.0 * np.arctan2(s, w) / np.where(small, 1.0, s))
-    return np.hstack([np.diff(translations, axis=0), scale[:, None] * v])
+    return np.concatenate([np.diff(translations, axis=-2), scale[..., None] * v], axis=-1)
 
 
 def _fill_tangents(raw: np.ndarray) -> np.ndarray:
-    """Unit tangents at each waypoint from segment increments: waypoint i
-    uses segment i->i+1, the last reuses the final segment, and zero-motion
-    waypoints reuse the nearest preceding tangent (the first moving one for
-    a leading run of zero-motion waypoints)."""
-    norms = np.linalg.norm(raw, axis=1)
+    """Unit tangents at each waypoint from (..., m - 1, k) segment
+    increments: waypoint i uses segment i->i+1, the last reuses the final
+    segment, and zero-motion waypoints reuse the nearest preceding tangent
+    (the first moving one for a leading run of zero-motion waypoints)."""
+    norms = np.linalg.norm(raw, axis=-1)
     moving = norms >= 1e-12
-    if not moving.any():
+    if not moving.any(axis=-1).all():
         raise ZeroMotionError("trajectory has no motion; path direction undefined")
-    latest = np.maximum.accumulate(np.where(moving, np.arange(raw.shape[0]), -1))
-    source = np.append(np.where(latest < 0, np.argmax(moving), latest), latest[-1])
-    return raw[source] / norms[source, None]
+    latest = np.maximum.accumulate(np.where(moving, np.arange(raw.shape[-2]), -1), axis=-1)
+    first = np.argmax(moving, axis=-1)[..., None]
+    source = np.concatenate([np.where(latest < 0, first, latest), latest[..., -1:]], axis=-1)
+    return np.take_along_axis(raw, source[..., None], -2) / np.take_along_axis(norms, source, -1)[..., None]
 
 
 def _translation_tangents(translations: np.ndarray) -> np.ndarray:
-    """Unit translation directions of (m, 3) waypoints, padded with a zero
-    angular part."""
-    tangents3 = _fill_tangents(np.diff(translations, axis=0))
-    return np.hstack([tangents3, np.zeros_like(tangents3)])
+    """Unit translation directions of (..., m, 3) waypoints, padded with a
+    zero angular part."""
+    tangents3 = _fill_tangents(np.diff(translations, axis=-2))
+    return np.concatenate([tangents3, np.zeros_like(tangents3)], axis=-1)
 
 
-def tov(kins: KinematicState, gripper: TaskTrajectory) -> tuple[np.ndarray, np.ndarray]:
+def tov(kins: KinematicState, grippers) -> tuple[np.ndarray, np.ndarray]:
     """Task-oriented velocity manipulability per waypoint: a^2 along the 6D
     motion direction between consecutive gripper poses, and the
-    unachievable-direction flag.  ``kins`` is the kinematic pass over the
-    joint path (``link_frames_axes`` at the tracked joint positions)."""
-    tangents = _fill_tangents(_segment_deltas(gripper.translations, gripper.quaternions))
+    unachievable-direction flag, both (B, W).  ``kins`` is the kinematic
+    pass over a (B, W, n) stack of joint paths (``link_frames_axes`` at the
+    tracked joint positions) and ``grippers`` the B gripper trajectories
+    they track, one per path."""
+    translations = np.stack([g.translations for g in grippers])
+    tangents = _fill_tangents(_segment_deltas(translations, np.stack([g.quaternions for g in grippers])))
     return directional_manipulability(kins.jacobian, tangents)
 
 
-def torque_effort(
-    kins: KinematicState, inertias: np.ndarray, joint_traj: JointTrajectory, gravity=GRAVITY_DEFAULT
-) -> np.ndarray:
-    """Squared joint-torque norm per waypoint.  ``kins`` is the kinematic
-    pass over the joint path and ``inertias`` its link inertias
-    (``link_inertias``); the grasped object counts once they carry its
-    body (``attach_object``)."""
-    tau = inverse_dynamics(kins, inertias, joint_traj.velocities, joint_traj.accelerations, gravity)
-    return np.einsum("ij,ij->i", tau, tau)
+def torque_effort(kins: KinematicState, inertias: np.ndarray, joint_trajs, gravity=GRAVITY_DEFAULT) -> np.ndarray:
+    """(B, W) squared joint-torque norms.  ``kins`` is the kinematic pass
+    over the stacked positions of the B joint paths ``joint_trajs`` and
+    ``inertias`` its link inertias (``link_inertias``); the grasped object
+    counts once they carry its body (``attach_object``)."""
+    qd = np.stack([j.velocities for j in joint_trajs])
+    qdd = np.stack([j.accelerations for j in joint_trajs])
+    tau = inverse_dynamics(kins, inertias, qd, qdd, gravity)
+    return np.einsum("...j,...j->...", tau, tau)
 
 
 def directional_effective_mass(lambda_inv, direction) -> tuple[np.ndarray, np.ndarray]:
@@ -217,18 +233,53 @@ def directional_effective_mass(lambda_inv, direction) -> tuple[np.ndarray, np.nd
     return values, near_singular
 
 
-def tem(kins: KinematicState, inertias: np.ndarray, gripper: TaskTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Effective mass per waypoint along the motion direction, and the
+def tem(kins: KinematicState, inertias: np.ndarray, grippers) -> tuple[np.ndarray, np.ndarray]:
+    """(B, W) effective masses along the motion direction, and the
     near-singular flag (``directional_effective_mass``).
 
     Collisions are modeled as point impacts on the translating end
     effector, so the direction is the unit translation tangent of the
-    gripper path with zero angular part.  ``kins`` and ``inertias`` are as
-    for ``torque_effort``.
+    gripper path with zero angular part.  ``kins`` and ``grippers`` are as
+    for ``tov``, ``inertias`` as for ``torque_effort``.
     """
-    return directional_effective_mass(
-        operational_mass_inverse(kins, inertias), _translation_tangents(gripper.translations)
-    )
+    translations = np.stack([g.translations for g in grippers])
+    return directional_effective_mass(operational_mass_inverse(kins, inertias), _translation_tangents(translations))
+
+
+def _track(model: ChainModel, task: TaskTrajectory, grasp: GraspCandidate, ik_seed):
+    """(grasp, gripper trajectory, joint path) of a grasp tracked along the
+    task, or None when its first waypoint is out of reach."""
+    gripper = gripper_trajectory(task, grasp)
+    try:
+        return grasp, gripper, track_trajectory(model, gripper, ik_seed)
+    except GraspInfeasible:
+        return None
+
+
+def _score(model: ChainModel, obj: RigidObject, s: np.ndarray, gravity, tracked) -> list[GraspScorecard]:
+    """Scorecards of tracked grasps (``_track``), in order, scored as one
+    stack: one kinematic pass over the stacked joint paths, the link
+    inertias on it with each grasp's object on its own rows, then one call
+    per objective and one integration of each over the grid ``s``."""
+    grasps, grippers, paths = zip(*tracked)
+    kins = link_frames_axes(model, np.stack([path.positions for path in paths]))
+    inertias = link_inertias(model, kins, [attach_object(model, grasp, obj) for grasp in grasps])
+    a2, unachievable = tov(kins, grippers)
+    tau2 = torque_effort(kins, inertias, paths, gravity)
+    m_e, near_singular = tem(kins, inertias, grippers)
+    profiles = dict(zip(OBJECTIVES, (a2, tau2, m_e)))
+    scalars = {f"h_{name}": np.trapezoid(values, s, axis=-1).tolist() for name, values in profiles.items()}
+    return [
+        GraspScorecard(
+            grasp_id=grasp.id,
+            feasible=True,
+            **{key: values[i] for key, values in scalars.items()},
+            s=s,
+            profiles={name: values[i] for name, values in profiles.items()},
+            flags=dict(zip(FLAGS, (near_singular[i], unachievable[i], ~path.reachable))),
+        )
+        for i, (grasp, path) in enumerate(zip(grasps, paths))
+    ]
 
 
 def evaluate_grasp(
@@ -240,7 +291,8 @@ def evaluate_grasp(
     ik_seed=None,
     gravity=GRAVITY_DEFAULT,
 ) -> GraspScorecard:
-    """Run the full per-grasp pipeline and collect the three objectives.
+    """Track one grasp and score it as ``evaluate_task`` scores each, as a
+    batch of one.
 
     A grasp whose first waypoint is unreachable yields an infeasible
     scorecard (no scalars); unreachable waypoints later in the path are
@@ -248,28 +300,10 @@ def evaluate_grasp(
     value per waypoint (``path_parameter`` of the task); ``ik_seed`` is the
     joint configuration IK starts from (see ``track_trajectory``).
     """
-    gripper = gripper_trajectory(task, grasp)
-    try:
-        joint_traj = track_trajectory(model, gripper, ik_seed)
-    except GraspInfeasible:
+    tracked = _track(model, task, grasp, ik_seed)
+    if tracked is None:
         return GraspScorecard(grasp_id=grasp.id, feasible=False)
-    # one batched kinematic pass over the joint path serves all three
-    # objectives, and the link inertias on it, the object's body added to
-    # the last link's, serve both RNEA and CRBA
-    kins = link_frames_axes(model, joint_traj.positions)
-    inertias = link_inertias(model, kins, attach_object(model, grasp, obj))
-    a2, unachievable = tov(kins, gripper)
-    tau2 = torque_effort(kins, inertias, joint_traj, gravity)
-    m_e, near_singular = tem(kins, inertias, gripper)
-    profiles = dict(zip(OBJECTIVES, (a2, tau2, m_e)))
-    return GraspScorecard(
-        grasp_id=grasp.id,
-        feasible=True,
-        **{f"h_{name}": float(np.trapezoid(values, s)) for name, values in profiles.items()},
-        s=s,
-        profiles=profiles,
-        flags=dict(zip(FLAGS, (near_singular, unachievable, ~joint_traj.reachable))),
-    )
+    return _score(model, obj, s, gravity, [tracked])[0]
 
 
 def check_ik_seed(model: ChainModel, spec: TaskSpec) -> None:
@@ -290,18 +324,37 @@ def evaluate_task(
     """Scorecards of ``grasps`` (the task's own when None), in order, on
     the keyframes resampled to ``resample_count`` waypoints (the file's
     count when None).  One grid, arc length or the uniform waypoint index
-    (``index_quadrature``), serves every grasp; ``jobs > 1`` runs them on
-    a thread pool without changing a scorecard."""
+    (``index_quadrature``), serves every grasp.
+
+    Each grasp is tracked alone; ``jobs > 1`` runs the tracking on a thread
+    pool.  The feasible grasps are scored in input order, in batches of at
+    most 256 grasp x waypoint rows (but at least one grasp), each batch as
+    soon as its grasps are tracked.  Neither the jobs nor the batches
+    change a scorecard."""
     check_ik_seed(model, spec)
     task = resample(spec.trajectory, spec.resample_count if resample_count is None else resample_count)
     s = np.linspace(0.0, 1.0, len(task)) if index_quadrature else path_parameter(task)
     s.flags.writeable = False  # shared by every grasp's scorecard
-
-    def run_one(grasp: GraspCandidate) -> GraspScorecard:
-        return evaluate_grasp(model, task, grasp, spec.obj, s, ik_seed=spec.ik_seed, gravity=spec.gravity)
-
     grasps = spec.grasps if grasps is None else grasps
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, grasps))
-    return [run_one(g) for g in grasps]
+    per_batch = max(1, _SCORE_ROWS // len(task))
+    cards: list[GraspScorecard] = []
+    pending: list[tuple[int, tuple]] = []  # (position in ``cards``, ``_track`` result)
+
+    def score_pending() -> None:
+        scored = _score(model, spec.obj, s, spec.gravity, [row for _, row in pending])
+        for (i, _), card in zip(pending, scored):
+            cards[i] = card
+        pending.clear()
+
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        track = partial(_track, model, task, ik_seed=spec.ik_seed)
+        for grasp, row in zip(grasps, (pool.map if pool else map)(track, grasps)):
+            # an infeasible card is final; a tracked grasp's is replaced once scored
+            cards.append(GraspScorecard(grasp_id=grasp.id, feasible=row is not None))
+            if row is not None:
+                pending.append((len(cards) - 1, row))
+            if len(pending) == per_batch:
+                score_pending()
+    if pending:
+        score_pending()
+    return cards

@@ -48,3 +48,50 @@ def test_stacked_transpose_product_matches_single_products(rng):
         e = rng.standard_normal((m, 6))
         stacked = (np.swapaxes(jac, -1, -2) @ e[..., None])[..., 0]
         assert_rows_equal(stacked, [jac[i].T @ e[i] for i in range(m)])
+
+
+# Scoring a task's grasps as one (B, W) stack of rows rests on the same kind
+# of identity: each reduction or factorisation below runs per row, or along
+# an inner axis, and must give each slice the bits it gets alone.
+
+
+def test_stacked_eigvalsh_matches_single_eigvalsh(rng):
+    for m in SIZES:
+        jac = rng.standard_normal((m, 6, 7))
+        gram = jac @ np.swapaxes(jac, -1, -2)
+        assert_rows_equal(np.linalg.eigvalsh(gram), [np.linalg.eigvalsh(gram[i]) for i in range(m)])
+
+
+def test_stacked_solve_with_matrix_rhs_matches_single_solves(rng):
+    for m in SIZES:
+        a = rng.standard_normal((m, 7, 7))
+        a = a @ np.swapaxes(a, -1, -2) + np.eye(7)
+        jac = rng.standard_normal((m, 6, 7))
+        rhs = np.swapaxes(jac, -1, -2)
+        stacked = jac @ np.linalg.solve(a, rhs)
+        assert_rows_equal(stacked, [jac[i] @ np.linalg.solve(a[i], jac[i].T) for i in range(m)])
+
+
+def test_stacked_einsum_row_dot_matches_single_rows(rng):
+    for m in SIZES:
+        for k in (3, 6, 7):
+            x = rng.standard_normal((m, 12, k))
+            y = rng.standard_normal((m, 12, k))
+            stacked = np.einsum("...j,...j->...", x, y)
+            assert_rows_equal(stacked, [np.einsum("...j,...j->...", x[i], y[i]) for i in range(m)])
+
+
+def test_cumsum_and_flip_along_an_inner_axis_match_single_slices(rng):
+    for m in SIZES:
+        f = rng.standard_normal((m, 5, 7, 6))
+        stacked = np.flip(np.cumsum(np.flip(f, -2), axis=-2), -2)
+        singles = [np.flip(np.cumsum(np.flip(f[i], -2), axis=-2), -2) for i in range(m)]
+        assert_rows_equal(stacked, singles)
+
+
+def test_trapezoid_along_the_last_axis_matches_single_rows(rng):
+    for m in SIZES:
+        for w in (12, 50, 100):
+            s = np.sort(rng.random(w))
+            y = rng.standard_normal((m, w))
+            assert_rows_equal(np.trapezoid(y, s, axis=-1), [np.trapezoid(y[i], s) for i in range(m)])

@@ -66,8 +66,9 @@ def joint_path_task(model, qs, total_time=2.0):
 
 
 def passes(model, traj):
-    """The batched kinematic pass over a solved joint path."""
-    return link_frames_axes(model, traj.positions)
+    """The kinematic pass over a solved joint path, as a stack of one path:
+    the kernels take a (B, W, n) stack and return (B, W) rows."""
+    return link_frames_axes(model, traj.positions[None])
 
 
 def small_object():
@@ -150,7 +151,7 @@ class TestTov:
         traj = track_trajectory(
             two_r_model, task, traj_seed(task, two_r_params)
         )
-        values, _ = tov(passes(two_r_model, traj), task)
+        (values,), _ = tov(passes(two_r_model, traj), [task])
         assert values.min() > 0.0
         # oracle: secant tangents + closed-form Jacobian + SVD route
         oracle_vals = []
@@ -190,7 +191,7 @@ class TestTov:
                 qs.append(min(two_r_ik(two_r_params, x, y), key=lambda b: abs(b[1] - 1.0)))
             task = joint_path_task(two_r_model, np.array(qs))
             traj = track_trajectory(two_r_model, task, np.array(qs[0]))
-            values, _ = tov(passes(two_r_model, traj), task)
+            (values,), _ = tov(passes(two_r_model, traj), [task])
             return float(np.trapezoid(values, path_parameter(task)))
 
         coarse, fine = h_tov(50), h_tov(100)
@@ -203,7 +204,7 @@ class TestTov:
             two_r_model, task, np.array([0.4, 0.8])
         )
         with pytest.raises(ZeroMotionError):
-            tov(passes(two_r_model, traj), task)
+            tov(passes(two_r_model, traj), [task])
 
 
 def traj_seed(task, params):
@@ -232,7 +233,7 @@ class TestTorqueEffort:
         obj = RigidObject(mass=1e-12, inertia=np.eye(3) * 1e-15)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         kins = passes(model, traj)
-        values = torque_effort(kins, link_inertias(model, kins, loaded), traj, gravity=np.zeros(3))
+        (values,) = torque_effort(kins, link_inertias(model, kins, loaded), [traj], gravity=np.zeros(3))
         assert values.max() <= 1e-10
 
     def test_static_hold_matches_equilibrium_oracle(self, two_r_params, two_r_model):
@@ -244,10 +245,10 @@ class TestTorqueEffort:
         obj = RigidObject(mass=0.3, inertia=np.eye(3) * 1e-5)
         grasp = GraspCandidate("g", Pose.identity())
         kins = passes(two_r_model, traj)
-        values = torque_effort(
+        (values,) = torque_effort(
             kins,
             link_inertias(two_r_model, kins, attach_object(two_r_model, grasp, obj)),
-            traj,
+            [traj],
             gravity=G2D,
         )
         n_arm = two_r_closed_form(two_r_params, q0)["N"]
@@ -263,10 +264,10 @@ class TestTorqueEffort:
         grasp = GraspCandidate("g", Pose.identity())
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-4)
         kins = passes(two_r_model, traj)
-        with_obj = torque_effort(
+        (with_obj,) = torque_effort(
             kins,
             link_inertias(two_r_model, kins, attach_object(two_r_model, grasp, obj)),
-            traj,
+            [traj],
             gravity=G2D,
         )
         # no-object baseline straight from inverse dynamics
@@ -370,9 +371,9 @@ class TestEffectiveMass:
         kins = passes(arm7, static)
         prof1, prof2 = (
             torque_effort(
-                kins, link_inertias(arm7, kins, attach_object(arm7, grasp, obj)), static,
+                kins, link_inertias(arm7, kins, attach_object(arm7, grasp, obj)), [static],
                 gravity=spec.gravity,
-            )
+            )[0]
             for obj in (base, doubled)
         )
         assert np.all(prof2 >= prof1 - 1e-12)
@@ -390,7 +391,7 @@ class TestTem:
         obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         kins = passes(model, traj)
-        values, _ = tem(kins, link_inertias(model, kins, loaded), task)
+        (values,), _ = tem(kins, link_inertias(model, kins, loaded), [task])
         assert np.abs(values - 2.4).max() <= 1e-9
         assert abs(float(np.trapezoid(values, path_parameter(task))) - 2.4) <= 1e-9
 
@@ -408,7 +409,7 @@ class TestTem:
         )
         kins = passes(two_r_model, traj)
         with pytest.raises(ZeroMotionError):
-            tem(kins, link_inertias(two_r_model, kins, loaded), task)
+            tem(kins, link_inertias(two_r_model, kins, loaded), [task])
 
 
     def test_singular_mass_matrix_raises(self):
@@ -431,7 +432,7 @@ class TestTem:
         loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
         kins = passes(model, traj)
         with pytest.raises(DegenerateModelError, match="numerically singular"):
-            tem(kins, link_inertias(model, kins, loaded), task)
+            tem(kins, link_inertias(model, kins, loaded), [task])
 
 
 class TestEvaluateGrasp:
@@ -509,14 +510,15 @@ class TestEvaluateGrasp:
             assert first[gid].h_tem == second[gid].h_tem
 
     def test_scoring_invariants_are_built_once(self, monkeypatch):
-        # object frames once per task, link inertias once per grasp, and
-        # the attached model's constants derived from the robot's
+        # no object frames composed, the robot's constants never rebuilt, and
+        # per batch of scored grasps one kinematic pass, one inertia build and
+        # one call per objective
         from postgrasp import chain, dynamics, load_robot, load_task, metrics
         from postgrasp import reference_robot_path, reference_task_path
 
         model = load_robot(reference_robot_path("arm7"))
         model.limits_arrays()  # the robot's own constants, built before counting
-        calls = {"compose": 0, "inertias": 0, "constants": 0}
+        calls = dict.fromkeys(("compose", "constants", "passes", "inertias", "tov", "tme", "tem"), 0)
 
         def counting(key, fn):
             def counted(*args, **kwargs):
@@ -526,13 +528,20 @@ class TestEvaluateGrasp:
             return counted
 
         monkeypatch.setattr(Pose, "compose", counting("compose", Pose.compose))
+        monkeypatch.setattr(chain._ChainArrays, "of", classmethod(counting("constants", chain._ChainArrays.of.__func__)))
         inertias = counting("inertias", dynamics.link_inertias)
         monkeypatch.setattr(dynamics, "link_inertias", inertias)
         monkeypatch.setattr(metrics, "link_inertias", inertias)
-        monkeypatch.setattr(chain._ChainArrays, "of", classmethod(counting("constants", chain._ChainArrays.of.__func__)))
-        cards = evaluate_task(model, load_task(reference_task_path("task1")))
-        assert calls == {"compose": 0, "inertias": sum(c.feasible for c in cards), "constants": 0}
-        assert calls["inertias"] == len(cards)
+        monkeypatch.setattr(metrics, "link_frames_axes", counting("passes", metrics.link_frames_axes))
+        for key, name in (("tov", "tov"), ("tme", "torque_effort"), ("tem", "tem")):
+            monkeypatch.setattr(metrics, name, counting(key, getattr(metrics, name)))
+        spec = load_task(reference_task_path("task1"))
+        cards = evaluate_task(model, spec)
+        feasible = sum(c.feasible for c in cards)
+        per_batch = metrics._SCORE_ROWS // spec.resample_count
+        batches = -(-feasible // per_batch)
+        assert feasible == len(cards) == 10 and batches == 2
+        assert calls == {"compose": 0, "constants": 0, **dict.fromkeys(("passes", "inertias", "tov", "tme", "tem"), batches)}
 
     def test_index_quadrature_mode(self, two_r_model):
         task, q0 = self._task_and_grasp(two_r_model)
@@ -613,3 +622,45 @@ def test_scorecard_holds_each_fact_once(two_r_model):
         for name in OBJECTIVES:
             assert getattr(sc, f"h_{name}") == np.trapezoid(sc.profiles[name], sc.s)
         assert sc.s is cards[0].s
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_boundaries_change_no_scorecard(arm7, jobs):
+    # 6 feasible grasps x 60 waypoints exceed one batch's 256 rows, so they
+    # are scored in two; an infeasible grasp sits between feasible ones, and
+    # two different grasps share an id.  Each card is the card of its grasp
+    # scored alone, bit for bit, in input order.
+    from postgrasp import load_task, metrics, reference_task_path
+
+    spec = load_task(reference_task_path("task3"))
+    top = spec.grasps[0].transform.rotation
+    grasps = [
+        GraspCandidate("edge", Pose(top, (0.0, -0.6, 0.1))),  # feasible, with unreachable waypoints
+        spec.grasps[0],
+        GraspCandidate("far", Pose(top, (0.0, 0.6, 0.1))),  # infeasible
+        spec.grasps[2],
+        GraspCandidate("edge", Pose(top, (0.0, -0.52, 0.1))),  # the same id, another grasp
+        spec.grasps[4],
+        spec.grasps[6],
+    ]
+    waypoints = 60
+    assert 6 * waypoints > metrics._SCORE_ROWS
+    cards = evaluate_task(arm7, spec, grasps=grasps, resample_count=waypoints, jobs=jobs)
+    task = resample(spec.trajectory, waypoints)
+    s = path_parameter(task)
+    assert [c.grasp_id for c in cards] == [g.id for g in grasps]
+    assert [c.feasible for c in cards] == [True, True, False, True, True, True, True]
+    assert cards[0].counts()["unreachable"] > 0
+    for grasp, card in zip(grasps, cards):
+        alone = evaluate_grasp(arm7, task, grasp, spec.obj, s, ik_seed=spec.ik_seed, gravity=spec.gravity)
+        assert card.feasible is alone.feasible
+        for name in OBJECTIVES:
+            assert repr(getattr(card, f"h_{name}")) == repr(getattr(alone, f"h_{name}"))
+        if not alone.feasible:
+            assert card.profiles is card.flags is None
+            continue
+        assert card.s.tobytes() == alone.s.tobytes()
+        for name in OBJECTIVES:
+            assert card.profiles[name].tobytes() == alone.profiles[name].tobytes(), name
+        for name in FLAGS:
+            assert card.flags[name].tobytes() == alone.flags[name].tobytes(), name
