@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="integrate over uniform waypoint index instead of arc length",
     )
-    p_eval.add_argument("--jobs", type=int, default=1, help="parallel grasp evaluations")
+    p_eval.add_argument("--jobs", type=int, default=1, help="threads that track grasps (scoring stays on one)")
     p_eval.add_argument(
         "--grasps-override", default=None, help="JSON list or file replacing the task grasps"
     )
