@@ -10,9 +10,11 @@ returns a frozen ``KinematicState``: link rotations and origins, the
 operational point's rotation and position, the world-frame Jacobian and
 the world joint axes; the joint motion columns, which only the dynamics
 read, are derived on first read.  ``q`` may carry leading batch axes,
-``(..., n)``, so a whole joint path is one call.  A model's per-joint
-constants are stacked into arrays once, in the shape the pass broadcasts
-with: the model/data split of Pinocchio (Carpentier et al., SII 2019).
+``(..., n)``, so a whole joint path is one call.  The model is the
+constant half of Pinocchio's model/data split (Carpentier et al., SII
+2019): a ``ChainModel`` holds its specs and, stacked once when it is built,
+the read-only arrays that the pass and the dynamics read; the pass's
+``KinematicState`` is the data of one configuration or batch.
 
 ``forward_kinematics`` and ``geometric_jacobian`` take one configuration
 each and share a one-entry memo of the last pass per thread, keyed on the
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -103,74 +105,54 @@ class LinkSpec:
 class ChainModel:
     """Serial chain: per-joint specs and link bodies, a base pose in the
     world frame, and the fixed transform from the last link frame to the
-    operational point."""
+    operational point.
+
+    The specs' constants are stacked into read-only arrays once, when the
+    model is built, in the shapes the kinematic pass and the dynamics read
+    them; ``dataclasses.replace`` builds them anew for the new specs."""
 
     joints: tuple[JointSpec, ...]
     links: tuple[LinkSpec, ...]
     base_pose: Pose = Pose.identity()
     tool_transform: Pose = Pose.identity()
     name: str = ""
+    # the stacked constants, in the shapes the pass broadcasts over a batch
+    fixed: np.ndarray = field(init=False, repr=False)  # (n, 1, 4, 4) joint origin transforms
+    turn1: np.ndarray = field(init=False, repr=False)  # (n, 1, 4, 4) R_o K if revolute, else zero
+    turn2: np.ndarray = field(init=False, repr=False)  # (n, 1, 4, 4) R_o K^2 if revolute, else zero
+    slide: np.ndarray = field(init=False, repr=False)  # (n, 1, 4, 4) R_o a in column 3 if prismatic
+    axes: np.ndarray = field(init=False, repr=False)  # (n, 3, 1) joint axes in the link frames
+    revolute: np.ndarray = field(init=False, repr=False)  # (n, 1) 1.0 if revolute, else 0.0
+    prismatic: np.ndarray = field(init=False, repr=False)  # (n, 1) 1.0 if prismatic, else 0.0
+    lower: np.ndarray = field(init=False, repr=False)  # (n,) joint limits
+    upper: np.ndarray = field(init=False, repr=False)  # (n,)
+    base: np.ndarray = field(init=False, repr=False)  # (4, 4) base pose
+    tool: np.ndarray = field(init=False, repr=False)  # (4, 4) tool transform
+    masses: np.ndarray = field(init=False, repr=False)  # (n,)
+    coms: np.ndarray = field(init=False, repr=False)  # (n, 3) link frame
+    inertias: np.ndarray = field(init=False, repr=False)  # (n, 3, 3) about the CoM, link frame
 
     def __post_init__(self):
         object.__setattr__(self, "joints", tuple(self.joints))
         object.__setattr__(self, "links", tuple(self.links))
-        if len(self.joints) < 1:
+        joints, links, n = self.joints, self.links, self.n
+        if n < 1:
             raise ValueError("chain needs at least one joint")
-        if len(self.joints) != len(self.links):
+        if n != len(links):
             raise ValueError("need exactly one link per joint")
-
-    @property
-    def n(self) -> int:
-        return len(self.joints)
-
-    @cached_property
-    def _constants(self) -> "_ChainArrays":
-        return _ChainArrays.of(self)
-
-    def limits_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper joint limits, read-only, built once per model."""
-        c = self._constants
-        return c.lower, c.upper
-
-
-@dataclass(frozen=True, eq=False)
-class _ChainArrays:
-    """A model's per-joint and per-link constants as stacked arrays, built
-    once per ``ChainModel`` for the kinematic pass and the dynamics."""
-
-    # (n, 1, 4, 4), the shape the pass broadcasts over a batch of m
-    fixed: np.ndarray  # joint origin transforms
-    turn1: np.ndarray  # R_o K in the rotation block of a revolute joint, else zero
-    turn2: np.ndarray  # R_o K^2 in the rotation block of a revolute joint, else zero
-    slide: np.ndarray  # R_o a in the translation column of a prismatic joint, else zero
-    axes: np.ndarray  # (n, 3, 1) joint axes in the link frames
-    revolute: np.ndarray  # (n, 1) 1.0 for a revolute joint, else 0.0
-    prismatic: np.ndarray  # (n, 1) 1.0 for a prismatic joint, else 0.0
-    lower: np.ndarray  # (n,) joint limits (read-only)
-    upper: np.ndarray  # (n,)
-    base: np.ndarray  # (4, 4)
-    tool: np.ndarray  # (4, 4)
-    masses: np.ndarray  # (n,)
-    coms: np.ndarray  # (n, 3) link frame
-    inertias: np.ndarray  # (n, 3, 3) about the CoM, link frame
-
-    @classmethod
-    def of(cls, model: ChainModel) -> "_ChainArrays":
-        n = model.n
-        fixed = np.stack([j.origin.to_matrix() for j in model.joints])
+        fixed = np.stack([j.origin.to_matrix() for j in joints])
         turn1 = np.zeros((n, 4, 4))
         turn2 = np.zeros((n, 4, 4))
         slide = np.zeros((n, 4, 4))
-        axes = np.stack([j.axis for j in model.joints])
+        axes = np.stack([j.axis for j in joints])
         for i, k in enumerate(skew(axes)):
             turn1[i, :3, :3] = fixed[i, :3, :3] @ k
             turn2[i, :3, :3] = fixed[i, :3, :3] @ k @ k
             slide[i, :3, 3] = fixed[i, :3, :3] @ axes[i]
-        revolute = np.array([[j.kind == "revolute"] for j in model.joints], dtype=float)
+        revolute = np.array([[j.kind == "revolute"] for j in joints], dtype=float)
         prismatic = 1.0 - revolute
-        lower, upper = np.array([j.limits for j in model.joints]).T.copy()
-        lower.flags.writeable = upper.flags.writeable = False
-        return cls(
+        lower, upper = np.array([j.limits for j in joints]).T.copy()
+        constants = dict(
             fixed=fixed[:, None],
             turn1=(turn1 * revolute[:, :, None])[:, None],
             turn2=(turn2 * revolute[:, :, None])[:, None],
@@ -180,12 +162,19 @@ class _ChainArrays:
             prismatic=prismatic,
             lower=lower,
             upper=upper,
-            base=model.base_pose.to_matrix(),
-            tool=model.tool_transform.to_matrix(),
-            masses=np.array([link.mass for link in model.links]),
-            coms=np.stack([link.com for link in model.links]),
-            inertias=np.stack([link.inertia for link in model.links]),
+            base=self.base_pose.to_matrix(),
+            tool=self.tool_transform.to_matrix(),
+            masses=np.array([link.mass for link in links]),
+            coms=np.stack([link.com for link in links]),
+            inertias=np.stack([link.inertia for link in links]),
         )
+        for name, value in constants.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        return len(self.joints)
 
 
 def _check_q(model: ChainModel, q) -> np.ndarray:
@@ -259,26 +248,25 @@ def link_frames_axes(model: ChainModel, q) -> KinematicState:
     masks already, so the local transform is three products summed in place.
     """
     q = _check_q(model, q)
-    c = model._constants
     n = q.shape[-1]
     batch = q.shape[:-1]
     # joint-major (n, m): each joint's transforms are contiguous for matmul
     qj = q.reshape(-1, n).T
-    local = c.fixed + np.sin(qj)[..., None, None] * c.turn1
-    local += (1.0 - np.cos(qj))[..., None, None] * c.turn2
-    local += qj[..., None, None] * c.slide
+    local = model.fixed + np.sin(qj)[..., None, None] * model.turn1
+    local += (1.0 - np.cos(qj))[..., None, None] * model.turn2
+    local += qj[..., None, None] * model.slide
     frames = np.empty_like(local)
-    t = c.base
+    t = model.base
     for joint, frame in zip(local, frames):
         t = np.matmul(t, joint, out=frame)
-    tool = (t @ c.tool).reshape(batch + (4, 4))
+    tool = (t @ model.tool).reshape(batch + (4, 4))
     frames = frames.swapaxes(0, 1).reshape(batch + (n, 4, 4))
     rotations = frames[..., :3, :3]
     origins = frames[..., :3, 3]
     p_op = tool[..., :3, 3]
-    axes = np.matmul(rotations, c.axes)[..., 0]
-    spin = axes * c.revolute
-    slide = axes * c.prismatic
+    axes = np.matmul(rotations, model.axes)[..., 0]
+    spin = axes * model.revolute
+    slide = axes * model.prismatic
     # revolute: z x (p_op - p) at the tool
     lever = _cross(origins - p_op[..., None, :], spin)
     jacobian = np.concatenate(

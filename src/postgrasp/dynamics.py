@@ -79,8 +79,7 @@ def link_inertias(model: ChainModel, kin: KinematicState, attached=None) -> np.n
     joint paths); its inertia is added to that link's."""
     if kin.n != model.n:
         raise ValueError(f"kinematic state has {kin.n} joints, model has {model.n}")
-    c = model._constants
-    out = _spatial_inertias(kin.rotations, kin.origins, c.masses, c.coms, c.inertias)
+    out = _spatial_inertias(kin.rotations, kin.origins, model.masses, model.coms, model.inertias)
     if attached is not None:
         if isinstance(attached, LinkSpec):
             mass, com, inertia = attached.mass, attached.com, attached.inertia

@@ -52,12 +52,9 @@ class GraspInfeasible(Exception):
 
 def default_seed(model: ChainModel) -> np.ndarray:
     """Mid-range of the joint limits; zero where limits are infinite."""
-    seed = np.zeros(model.n)
-    for i, joint in enumerate(model.joints):
-        lo, hi = joint.limits
-        if math.isfinite(lo) and math.isfinite(hi):
-            seed[i] = 0.5 * (lo + hi)
-    return seed
+    finite = np.isfinite(model.lower) & np.isfinite(model.upper)
+    # infinite limits are zeroed before the sum, which would be inf - inf
+    return 0.5 * (np.where(finite, model.lower, 0.0) + np.where(finite, model.upper, 0.0))
 
 
 def pose_error(target, current) -> np.ndarray:
@@ -97,7 +94,7 @@ def _solve(model, target, seed, current=None) -> tuple[np.ndarray, tuple, bool, 
     ``current`` is the seed's tool pose when the caller has it.  Such a
     seed is an earlier solve's last iterate, a float array within the
     joint limits, so it is used as it is; any other seed is clamped."""
-    lo, hi = model.limits_arrays()
+    lo, hi = model.lower, model.upper
     if current is None:
         q = np.minimum(np.maximum(np.asarray(seed, dtype=float).reshape(model.n), lo), hi)
         current = forward_kinematics(model, q)

@@ -338,7 +338,7 @@ def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:
     """Damped least-squares IK that runs to ``ik.MAX_ITERATIONS``
     unless it meets the tolerances: the last iterate and whether it meets
     them."""
-    lo, hi = model.limits_arrays()
+    lo, hi = model.lower, model.upper
     q = np.clip(np.asarray(seed, dtype=float).reshape(model.n), lo, hi)
     lam2 = ik.DAMPING**2
     err = rotation_pose_error(target, pose_of(forward_kinematics(model, q)))

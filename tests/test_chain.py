@@ -1,7 +1,7 @@
 import itertools
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from postgrasp import (
     reference_task_path,
 )
 from postgrasp import chain
-from postgrasp.geometry import matrix_quaternion
+from postgrasp.geometry import matrix_quaternion, skew
 
 from oracles import TwoRParams, finite_difference_jacobian, pose_of, rotation_log, two_r_closed_form
 from conftest import make_two_r
@@ -38,6 +38,76 @@ def prismatic_z(mass=2.0):
         joints=(JointSpec(kind="prismatic", axis=(0, 0, 1)),),
         links=(LinkSpec(mass=mass, com=(0, 0, 0), inertia=np.zeros((3, 3))),),
     )
+
+
+def mixed_chain():
+    """Revolute, prismatic, revolute, on non-identity origins, base and
+    tool, with default and finite limits."""
+    return ChainModel(
+        joints=(
+            JointSpec("revolute", (0, 0, 1), Pose(Rotation.from_axis_angle((1, 0, 0), 0.3), (0, 0, 0.2))),
+            JointSpec("prismatic", (0, 1, 1), Pose(Rotation.from_axis_angle((0, 1, 0), -0.7), (0.4, 0, 0)), (-0.1, 0.3)),
+            JointSpec("revolute", (1, 0, 0), Pose(Rotation.identity(), (0.1, 0.2, 0.3)), (-2.0, 1.5)),
+        ),
+        links=(
+            LinkSpec(1.5, (0.1, 0, 0), np.diag([0.01, 0.02, 0.02])),
+            LinkSpec(0.8, (0, 0.05, 0), np.diag([0.03, 0.01, 0.03])),
+            LinkSpec(0.3, (0, 0, 0.07), np.diag([0.002, 0.002, 0.001])),
+        ),
+        base_pose=Pose(Rotation.from_axis_angle((0, 0, 1), 1.1), (0.5, -0.2, 0.8)),
+        tool_transform=Pose(Rotation.from_axis_angle((0, 1, 0), 0.4), (0, 0, 0.12)),
+    )
+
+
+class TestModelConstants:
+    # the stacked constants that the pass and the dynamics read, built once
+    # from the specs when the model is built
+
+    def test_each_constant_equals_its_specs(self):
+        model = mixed_chain()
+        joints, links = model.joints, model.links
+        for i, joint in enumerate(joints):
+            origin = joint.origin.to_matrix()
+            assert np.array_equal(model.fixed[i, 0], origin)
+            assert np.array_equal(model.axes[i, :, 0], joint.axis)
+            rotation, k = origin[:3, :3], skew(joint.axis)
+            revolute = joint.kind == "revolute"
+            assert np.array_equal(model.turn1[i, 0, :3, :3], rotation @ k if revolute else np.zeros((3, 3)))
+            assert np.array_equal(model.turn2[i, 0, :3, :3], rotation @ k @ k if revolute else np.zeros((3, 3)))
+            assert np.array_equal(model.slide[i, 0, :3, 3], np.zeros(3) if revolute else rotation @ joint.axis)
+        for constant in (model.turn1, model.turn2):
+            assert not constant[:, :, 3].any() and not constant[:, :, :3, 3].any()
+        assert not model.slide[:, :, :, :3].any() and not model.slide[:, :, 3].any()
+        assert model.revolute.tolist() == [[1.0], [0.0], [1.0]]
+        assert model.prismatic.tolist() == [[0.0], [1.0], [0.0]]
+        assert model.lower.tolist() == [-np.inf, -0.1, -2.0]
+        assert model.upper.tolist() == [np.inf, 0.3, 1.5]
+        assert np.array_equal(model.base, model.base_pose.to_matrix())
+        assert np.array_equal(model.tool, model.tool_transform.to_matrix())
+        assert model.masses.tolist() == [link.mass for link in links]
+        assert np.array_equal(model.coms, np.stack([link.com for link in links]))
+        assert np.array_equal(model.inertias, np.stack([link.inertia for link in links]))
+
+    def test_every_constant_is_read_only_and_out_of_repr(self):
+        model = mixed_chain()
+        names = [f.name for f in fields(ChainModel) if not f.init]
+        assert len(names) == 14
+        for name in names:
+            with pytest.raises(ValueError):
+                getattr(model, name)[...] = 0.0
+            assert f"{name}=" not in repr(model)
+
+    def test_replace_rebuilds_every_constant(self):
+        model = mixed_chain()
+        body = LinkSpec(2.5, (0, 0, 0.1), np.diag([0.01, 0.01, 0.01]))
+        heavier = replace(model, links=model.links[:-1] + (body,))
+        assert heavier.masses.tolist() == [1.5, 0.8, 2.5]
+        assert np.array_equal(heavier.coms[-1], body.com)
+        assert model.masses.tolist() == [1.5, 0.8, 0.3]
+        tool = Pose(Rotation.identity(), (0, 0, 0.3))
+        longer = replace(model, tool_transform=tool)
+        assert np.array_equal(longer.tool, tool.to_matrix())
+        assert not np.array_equal(longer.tool, model.tool)
 
 
 class TestForwardKinematics:
@@ -131,7 +201,7 @@ class TestForwardKinematicsPose:
         return forward_kinematics(model, np.zeros(model.n))
 
     def test_arm7_passes(self, arm7, rng):
-        lo, hi = arm7.limits_arrays()
+        lo, hi = arm7.lower, arm7.upper
         branches = set()
         for q in rng.uniform(lo, hi, (400, 7)):
             kin = chain.link_frames_axes(arm7, q)

@@ -1,8 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from postgrasp import (
+    ChainModel,
     GraspInfeasible,
+    JointSpec,
+    LinkSpec,
     Pose,
     Rotation,
     forward_kinematics,
@@ -207,8 +213,27 @@ class TestTrackTrajectory:
 
     def test_default_seed_midrange(self, arm7):
         seed = default_seed(arm7)
-        lo, hi = arm7.limits_arrays()
+        lo, hi = arm7.lower, arm7.upper
         assert np.abs(seed - 0.5 * (lo + hi)).max() <= 1e-12
+
+    def test_default_seed_with_default_limits(self):
+        # mid-range where both limits are finite, 0 where either is the
+        # default infinity, with no inf - inf on the way
+        limits = ((-math.inf, math.inf), (-1.0, 2.5), (-math.inf, 0.7), (0.3, math.inf), (0.1, 0.4))
+        model = ChainModel(
+            joints=tuple(JointSpec("revolute", (0, 0, 1), limits=pair) for pair in limits),
+            links=tuple(LinkSpec(1.0, (0, 0, 0), np.zeros((3, 3))) for _ in limits),
+        )
+        expected = np.zeros(model.n)
+        for i, joint in enumerate(model.joints):
+            lo, hi = joint.limits
+            if math.isfinite(lo) and math.isfinite(hi):
+                expected[i] = 0.5 * (lo + hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seed = default_seed(model)
+        assert seed.tobytes() == expected.tobytes()
+        assert seed.tolist() == [0.0, 0.75, 0.0, 0.0, 0.25]
 
 
 def _poses(rng, count, angles):

@@ -510,15 +510,14 @@ class TestEvaluateGrasp:
             assert first[gid].h_tem == second[gid].h_tem
 
     def test_scoring_invariants_are_built_once(self, monkeypatch):
-        # no object frames composed, the robot's constants never rebuilt, and
-        # per batch of scored grasps one kinematic pass, one inertia build and
-        # one call per objective
+        # no object frames composed, no robot model built, and per batch of
+        # scored grasps one kinematic pass, one inertia build and one call per
+        # objective
         from postgrasp import chain, dynamics, load_robot, load_task, metrics
         from postgrasp import reference_robot_path, reference_task_path
 
         model = load_robot(reference_robot_path("arm7"))
-        model.limits_arrays()  # the robot's own constants, built before counting
-        calls = dict.fromkeys(("compose", "constants", "passes", "inertias", "tov", "tme", "tem"), 0)
+        calls = dict.fromkeys(("compose", "models", "passes", "inertias", "tov", "tme", "tem"), 0)
 
         def counting(key, fn):
             def counted(*args, **kwargs):
@@ -528,7 +527,7 @@ class TestEvaluateGrasp:
             return counted
 
         monkeypatch.setattr(Pose, "compose", counting("compose", Pose.compose))
-        monkeypatch.setattr(chain._ChainArrays, "of", classmethod(counting("constants", chain._ChainArrays.of.__func__)))
+        monkeypatch.setattr(chain.ChainModel, "__post_init__", counting("models", chain.ChainModel.__post_init__))
         inertias = counting("inertias", dynamics.link_inertias)
         monkeypatch.setattr(dynamics, "link_inertias", inertias)
         monkeypatch.setattr(metrics, "link_inertias", inertias)
@@ -541,7 +540,7 @@ class TestEvaluateGrasp:
         per_batch = metrics._SCORE_ROWS // spec.resample_count
         batches = -(-feasible // per_batch)
         assert feasible == len(cards) == 10 and batches == 2
-        assert calls == {"compose": 0, "constants": 0, **dict.fromkeys(("passes", "inertias", "tov", "tme", "tem"), batches)}
+        assert calls == {"compose": 0, "models": 0, **dict.fromkeys(("passes", "inertias", "tov", "tme", "tem"), batches)}
 
     def test_index_quadrature_mode(self, two_r_model):
         task, q0 = self._task_and_grasp(two_r_model)
