@@ -14,10 +14,10 @@ from .dynamics import (
     DegenerateModelError,
     attach_object,
     augmented_mass_matrix,
+    directional_inverse_inertia,
     inverse_dynamics,
     link_inertias,
     mass_matrix,
-    operational_mass_inverse,
 )
 from .fileio import (
     SchemaError,

@@ -183,7 +183,7 @@ def _parse_grasps_override(text: str) -> list[GraspCandidate]:
     """Accept either a JSON literal or a path to a JSON file holding
     [{"id", "translation", "quaternion"}, ...]."""
     raw = text.strip()
-    if not raw.startswith("["):
+    if raw and not raw.startswith("["):  # an empty value is refused as JSON, not read as the path "."
         try:
             raw = Path(text).read_text(encoding="utf-8")
         except OSError as exc:
@@ -209,12 +209,12 @@ def _cmd_evaluate(args) -> int:
         tasks=[Path(t) for t in args.task],
         out=Path(args.out),
         resample=args.resample,
-        weights=_parse_weights(args.weights) if args.weights else None,
+        weights=None if args.weights is None else _parse_weights(args.weights),
         allow_infeasible=args.allow_infeasible,
         index_quadrature=args.index_quadrature,
         jobs=args.jobs,
         grasps_override=(
-            _parse_grasps_override(args.grasps_override) if args.grasps_override else None
+            None if args.grasps_override is None else _parse_grasps_override(args.grasps_override)
         ),
     )
     return run_evaluation(config)
@@ -222,7 +222,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_inspect_model(args) -> int:
     model = fileio.load_robot(args.robot)
-    q = _parse_config_vector(args.config) if args.config else default_seed(model)
+    q = default_seed(model) if args.config is None else _parse_config_vector(args.config)
     if q.shape[0] != model.n:
         raise CliError(f"--config has {q.shape[0]} values, robot has {model.n} joints")
     _echo(f"model: {model.name} ({model.n} joints)")
@@ -269,7 +269,7 @@ def _cmd_metrics_at(args) -> int:
 
 def _cmd_pareto(args) -> int:
     scorecards = fileio.read_scorecards_csv(args.scorecards)
-    weights = _parse_weights(args.weights) if args.weights else None
+    weights = None if args.weights is None else _parse_weights(args.weights)
     try:
         report = build_report(scorecards, weights=weights)
     except ValueError as exc:

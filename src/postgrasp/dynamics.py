@@ -25,7 +25,8 @@ the same formula as a link's and adds it to the last link's, as spatial
 inertias referred to one point add (Featherstone ch. 2).  Those link
 inertias, built once per batch of grasps with each grasp's own object on
 its rows (``metrics.evaluate_task``), serve RNEA for the torque objective
-and CRBA for the effective-mass objective (``operational_mass_inverse``).
+and CRBA for the effective-mass objective (``directional_inverse_inertia``,
+the operational-space inverse inertia read along one direction per row).
 ``augmented_mass_matrix`` is the independent cross-check: the arm's mass
 matrix plus the object's 6x6 inertia about the operational point pulled
 into joint space by the Jacobian, M + J^T M_obj J.  The two routes agree to
@@ -49,10 +50,6 @@ class DegenerateModelError(ValueError):
     """Joint-space mass matrix is numerically singular."""
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.swapaxes(-1, -2))
-
-
 def _spatial_inertias(rot, origins, masses, coms, inertias) -> np.ndarray:
     """(..., 6, 6) world-origin inertias of bodies given by their masses,
     CoMs and inertias about the CoM in frames of world rotations ``rot``
@@ -71,7 +68,7 @@ def _spatial_inertias(rot, origins, masses, coms, inertias) -> np.ndarray:
 def link_inertias(model: ChainModel, kin: KinematicState, attached=None) -> np.ndarray:
     """(..., n, 6, 6) inertias of ``model``'s links on the pass ``kin``,
     referred to the world origin, world axes, read-only: the input of
-    ``mass_matrix``, ``inverse_dynamics`` and ``operational_mass_inverse``.
+    ``mass_matrix``, ``inverse_dynamics`` and ``directional_inverse_inertia``.
 
     ``attached`` is a body rigidly held by the last link, given in its
     frame (``attach_object``), or a sequence of such bodies, one per index
@@ -193,15 +190,17 @@ def augmented_mass_matrix(
     mo_world[3:, :3] = m * com_x
     mo_world[3:, 3:] = r_obj @ obj.inertia @ r_obj.T - m * com_x @ com_x
     jac = kin.jacobian
-    return _symmetrize(mass_matrix(kin, link_inertias(model, kin)) + jac.T @ mo_world @ jac)
+    total = mass_matrix(kin, link_inertias(model, kin)) + jac.T @ mo_world @ jac
+    return 0.5 * (total + total.T)
 
 
-def operational_mass_inverse(kin: KinematicState, inertias: np.ndarray) -> np.ndarray:
-    """Operational-space inverse inertia J M^-1 J^T at the operational point.
+def directional_inverse_inertia(kin: KinematicState, inertias: np.ndarray, directions) -> np.ndarray:
+    """Operational-space inverse inertia u^T J M^-1 J^T u along (..., 6)
+    directions u, one per configuration of the state, solved as w^T M^-1 w
+    with w = J^T u: no 6x6 form and no Jacobian inverse, so redundant and
+    singular configurations need no special case.  A grasped object counts
+    once ``inertias`` carry the body ``attach_object`` returns.
 
-    A grasped object counts once ``inertias`` carry the body
-    ``attach_object`` returns.  Valid for redundant chains; at a singular
-    configuration the result is rank-deficient but still well defined.
     Raises DegenerateModelError if the joint-space mass matrix itself is
     numerically singular at any configuration of the state: its condition
     number, the ratio of the extreme eigenvalue magnitudes of the symmetric
@@ -214,5 +213,5 @@ def operational_mass_inverse(kin: KinematicState, inertias: np.ndarray) -> np.nd
             "joint-space mass matrix is numerically singular; "
             "check for massless distal links"
         )
-    jac = kin.jacobian
-    return _symmetrize(jac @ np.linalg.solve(m, jac.swapaxes(-1, -2)))
+    w = (kin.jacobian.swapaxes(-1, -2) @ np.asarray(directions, dtype=float)[..., None])[..., 0]
+    return np.einsum("...i,...i->...", w, np.linalg.solve(m, w[..., None])[..., 0])

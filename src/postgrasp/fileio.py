@@ -402,11 +402,15 @@ def read_scorecards_csv(path) -> list[GraspScorecard]:
     non-empty and unique, ``feasible`` must be ``true`` or ``false``, and a
     feasible row needs its scalars; errors name the file, the
     row (the header is row 1) and the column.  A row's count cells are
-    all empty (no counts) or all non-negative integers."""
+    all empty (no counts) or all non-negative integers.  No column name
+    repeats, and no row has more cells than the header."""
     cards = []
     seen = set()
     reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
     header = reader.fieldnames or ()
+    repeated = dict.fromkeys(c for c in header if header.count(c) > 1)
+    if repeated:
+        raise SchemaError(f"{path}: row 1: repeated column(s) {', '.join(map(repr, repeated))}")
     missing = [c for c in _SCORECARD_COLUMNS if c not in header]
     if missing:
         raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -416,6 +420,8 @@ def read_scorecards_csv(path) -> list[GraspScorecard]:
         raise SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
     for row in reader:
         where = f"{path}: row {reader.line_num}"
+        if None in row:  # DictReader's key for the cells past the header's
+            raise SchemaError(f"{where}: {len(header) + len(row[None])} cells, the header has {len(header)}")
         gid = row["grasp_id"]
         if not gid:
             raise SchemaError(f"{where}, column grasp_id: must be non-empty")

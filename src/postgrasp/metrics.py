@@ -44,9 +44,9 @@ from .chain import ChainModel, KinematicState, link_frames_axes
 from .dynamics import (
     GRAVITY_DEFAULT,
     attach_object,
+    directional_inverse_inertia,
     inverse_dynamics,
     link_inertias,
-    operational_mass_inverse,
 )
 from .ik import GraspInfeasible, track_trajectory
 from .task import (
@@ -190,13 +190,6 @@ def _fill_tangents(raw: np.ndarray) -> np.ndarray:
     return np.take_along_axis(raw, source[..., None], -2) / np.take_along_axis(norms, source, -1)[..., None]
 
 
-def _translation_tangents(translations: np.ndarray) -> np.ndarray:
-    """Unit translation directions of (..., m, 3) waypoints, padded with a
-    zero angular part."""
-    tangents3 = _fill_tangents(np.diff(translations, axis=-2))
-    return np.concatenate([tangents3, np.zeros_like(tangents3)], axis=-1)
-
-
 def tov(kins: KinematicState, grippers) -> tuple[np.ndarray, np.ndarray]:
     """Task-oriented velocity manipulability per waypoint: a^2 along the 6D
     motion direction between consecutive gripper poses, and the
@@ -220,30 +213,22 @@ def torque_effort(kins: KinematicState, inertias: np.ndarray, joint_trajs, gravi
     return np.einsum("...j,...j->...", tau, tau)
 
 
-def directional_effective_mass(lambda_inv, direction) -> tuple[np.ndarray, np.ndarray]:
-    """Effective mass 1 / (u^T Lambda^-1 u) along unit directions from
-    operational-space inverse inertias, per row of (..., 6, 6) and (..., 6)
-    arrays, with the near-singular cap-and-flag policy: where the quadratic
-    form falls below ``NEAR_SINGULAR_THRESHOLD`` the value is
-    ``EFFECTIVE_MASS_CAP`` and the flag is set."""
-    u = _check_unit(direction)
-    quad = np.einsum("...i,...i->...", (u[..., None, :] @ lambda_inv)[..., 0, :], u)
-    near_singular = quad < NEAR_SINGULAR_THRESHOLD
-    values = np.where(near_singular, EFFECTIVE_MASS_CAP, 1.0 / np.where(near_singular, 1.0, quad))
-    return values, near_singular
-
-
 def tem(kins: KinematicState, inertias: np.ndarray, grippers) -> tuple[np.ndarray, np.ndarray]:
-    """(B, W) effective masses along the motion direction, and the
-    near-singular flag (``directional_effective_mass``).
+    """(B, W) effective masses along the motion direction u, 1 / (u^T J M^-1
+    J^T u) (``directional_inverse_inertia``), and the near-singular flag:
+    where that form falls below ``NEAR_SINGULAR_THRESHOLD`` the mass is
+    capped at ``EFFECTIVE_MASS_CAP`` and the flag is set.
 
     Collisions are modeled as point impacts on the translating end
-    effector, so the direction is the unit translation tangent of the
-    gripper path with zero angular part.  ``kins`` and ``grippers`` are as
-    for ``tov``, ``inertias`` as for ``torque_effort``.
+    effector, so u is the unit translation tangent of the gripper path
+    with zero angular part.  ``kins`` and ``grippers`` are as for ``tov``,
+    ``inertias`` as for ``torque_effort``.
     """
-    translations = np.stack([g.translations for g in grippers])
-    return directional_effective_mass(operational_mass_inverse(kins, inertias), _translation_tangents(translations))
+    tangents3 = _fill_tangents(np.diff(np.stack([g.translations for g in grippers]), axis=-2))
+    u = np.concatenate([tangents3, np.zeros_like(tangents3)], axis=-1)
+    quad = directional_inverse_inertia(kins, inertias, u)
+    near_singular = quad < NEAR_SINGULAR_THRESHOLD
+    return np.where(near_singular, EFFECTIVE_MASS_CAP, 1.0 / np.where(near_singular, 1.0, quad)), near_singular
 
 
 def _track(model: ChainModel, task: TaskTrajectory, grasp: GraspCandidate, ik_seed):

@@ -26,8 +26,13 @@ stopped on a stall, on the production forward kinematics and Jacobian and
 ``rotation_pose_error``.  ``gravity_vector`` and ``coriolis_matrix``
 (Christoffel form, finite differences of the CRBA mass matrix) derive the
 terms of the equation of motion from ``inverse_dynamics`` and
-``mass_matrix``; ``effective_mass`` is the single-configuration form of the
-``tem`` objective on ``operational_mass_inverse``.
+``mass_matrix``.  ``operational_mass_inverse`` is the whole 6x6
+operational-space inverse inertia J M^-1 J^T, with the production guard,
+and ``directional_effective_mass`` reads 1 / (u^T Lambda^-1 u) off it with
+the cap-and-flag rule: the form ``tem`` took before it solved for
+w^T M^-1 w with w = J^T u (``dynamics.directional_inverse_inertia``).
+``effective_mass`` is the single-configuration form of the ``tem``
+objective on those two.
 ``merge_bodies`` folds two bodies into one by the parallel-axis theorem,
 and ``merged_model`` puts a held body into a chain's last link that way,
 the form the dynamics took a grasped object in before it became one more
@@ -56,14 +61,15 @@ from postgrasp.chain import (
     link_frames_axes,
 )
 from postgrasp.dynamics import (
+    CONDITION_LIMIT,
     GRAVITY_DEFAULT,
+    DegenerateModelError,
     attach_object,
     inverse_dynamics,
     link_inertias,
     mass_matrix,
-    operational_mass_inverse,
 )
-from postgrasp.metrics import directional_effective_mass
+from postgrasp.metrics import EFFECTIVE_MASS_CAP, NEAR_SINGULAR_THRESHOLD, _check_unit
 from postgrasp.geometry import Pose, Rotation, skew
 from postgrasp.task import GraspCandidate, RigidObject, TaskTrajectory
 
@@ -403,6 +409,35 @@ def coriolis_matrix(model: ChainModel, q, qdot, step: float = CHRISTOFFEL_STEP) 
         - np.einsum("ikj,k->ij", partials, qd)
     )
     return 0.5 * c
+
+
+def operational_mass_inverse(kin, inertias: np.ndarray) -> np.ndarray:
+    """Operational-space inverse inertia J M^-1 J^T at the operational
+    point, per configuration of the state, symmetrised; raises
+    DegenerateModelError where ``dynamics.directional_inverse_inertia``
+    does."""
+    m = mass_matrix(kin, inertias)
+    eigs = np.abs(np.linalg.eigvalsh(m))
+    if np.any(eigs.min(axis=-1) <= eigs.max(axis=-1) / CONDITION_LIMIT):
+        raise DegenerateModelError(
+            "joint-space mass matrix is numerically singular; "
+            "check for massless distal links"
+        )
+    jac = kin.jacobian
+    lam_inv = jac @ np.linalg.solve(m, jac.swapaxes(-1, -2))
+    return 0.5 * (lam_inv + lam_inv.swapaxes(-1, -2))
+
+
+def directional_effective_mass(lambda_inv, direction) -> tuple[np.ndarray, np.ndarray]:
+    """Effective mass 1 / (u^T Lambda^-1 u) along unit directions, per row
+    of (..., 6, 6) inverse inertias and (..., 6) directions, and the
+    near-singular flag: where the form falls below
+    ``NEAR_SINGULAR_THRESHOLD`` the value is ``EFFECTIVE_MASS_CAP``."""
+    u = _check_unit(direction)
+    quad = np.einsum("...i,...i->...", (u[..., None, :] @ lambda_inv)[..., 0, :], u)
+    near_singular = quad < NEAR_SINGULAR_THRESHOLD
+    values = np.where(near_singular, EFFECTIVE_MASS_CAP, 1.0 / np.where(near_singular, 1.0, quad))
+    return values, near_singular
 
 
 def effective_mass(

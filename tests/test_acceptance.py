@@ -27,22 +27,23 @@ from postgrasp import (
     link_inertias,
     load_task,
     mass_matrix,
-    operational_mass_inverse,
     build_report,
     reference_robot_path,
     reference_task_path,
 )
 from postgrasp.chain import link_frames_axes
 from postgrasp.cli import RunConfig, run_evaluation
-from postgrasp.metrics import GraspScorecard, directional_effective_mass
+from postgrasp.metrics import GraspScorecard
 from postgrasp.task import path_parameter, resample
 
 from oracles import (
     TwoRParams,
     brute_force_pareto,
     coriolis_matrix,
+    directional_effective_mass,
     effective_mass,
     gravity_vector,
+    operational_mass_inverse,
     two_r_closed_form,
 )
 from conftest import make_two_r

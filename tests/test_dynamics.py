@@ -12,11 +12,11 @@ from postgrasp import (
     Rotation,
     attach_object,
     augmented_mass_matrix,
+    directional_inverse_inertia,
     geometric_jacobian,
     inverse_dynamics,
     link_inertias,
     mass_matrix,
-    operational_mass_inverse,
 )
 from postgrasp.chain import link_frames_axes
 
@@ -25,6 +25,7 @@ from oracles import (
     coriolis_matrix,
     cuboid_inertia,
     gravity_vector,
+    operational_mass_inverse,
     two_r_closed_form,
 )
 from conftest import make_two_r
@@ -413,3 +414,57 @@ class TestOperationalMassInverse:
     def test_state_of_another_chain_rejected(self, arm7, two_r_model):
         with pytest.raises(ValueError, match="kinematic state has 2 joints"):
             link_inertias(arm7, link_frames_axes(two_r_model, np.zeros(2)))
+
+
+class TestDirectionalInverseInertia:
+    def test_prismatic_reciprocal_mass(self):
+        model = ChainModel(
+            joints=(JointSpec(kind="prismatic", axis=(0, 0, 1)),),
+            links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
+        )
+        kin = link_frames_axes(model, [0.3])
+        u = np.array([0, 0, 1.0, 0, 0, 0])
+        assert abs(directional_inverse_inertia(kin, link_inertias(model, kin), u) - 0.5) <= 1e-12
+
+    def test_straightened_two_r_radial_direction_vanishes(self, two_r_model):
+        kin = link_frames_axes(two_r_model, np.zeros(2))
+        u = np.array([1.0, 0, 0, 0, 0, 0])
+        assert abs(directional_inverse_inertia(kin, link_inertias(two_r_model, kin), u)) <= 1e-12
+
+    def test_stack_matches_the_operational_form_and_its_rows(self, arm7, rng):
+        # each row of a (3, 2) stack equals u^T Lambda^-1 u of the 6x6
+        # oracle, and has the bits of the same configuration alone
+        q = rng.uniform(-1.2, 1.2, (3, 2, 7))
+        u = rng.normal(size=(3, 2, 6))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        kin = link_frames_axes(arm7, q)
+        inertias = link_inertias(arm7, kin)
+        got = directional_inverse_inertia(kin, inertias, u)
+        want = np.einsum("...i,...ij,...j->...", u, operational_mass_inverse(kin, inertias), u)
+        assert got.shape == (3, 2)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for i, j in np.ndindex(3, 2):
+            one = link_frames_axes(arm7, q[i, j])
+            assert got[i, j].tobytes() == directional_inverse_inertia(one, link_inertias(arm7, one), u[i, j]).tobytes()
+
+    def test_degenerate_model_raises(self):
+        # massless second link makes the joint-space mass matrix singular
+        model = ChainModel(
+            joints=(
+                JointSpec(kind="revolute", axis=(0, 0, 1)),
+                JointSpec(kind="revolute", axis=(0, 0, 1), origin=Pose(Rotation.identity(), (1, 0, 0))),
+            ),
+            links=(
+                LinkSpec(mass=1.0, com=(1, 0, 0), inertia=np.zeros((3, 3))),
+                LinkSpec(mass=0.0, com=np.zeros(3), inertia=np.zeros((3, 3))),
+            ),
+        )
+        kin = link_frames_axes(model, np.array([0.3, 0.4]))
+        with pytest.raises(DegenerateModelError, match="numerically singular"):
+            directional_inverse_inertia(kin, link_inertias(model, kin), np.eye(6)[0])
+
+    def test_inertias_of_another_pass_rejected(self, arm7, rng):
+        one = link_frames_axes(arm7, rng.uniform(-1.0, 1.0, 7))
+        three = link_frames_axes(arm7, rng.uniform(-1.0, 1.0, (3, 7)))
+        with pytest.raises(ValueError, match="do not fit"):
+            directional_inverse_inertia(one, link_inertias(arm7, three), np.eye(6)[0])

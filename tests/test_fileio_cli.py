@@ -988,6 +988,57 @@ class TestStrictScorecardsInput:
         assert captured.err == f"error: {path}: {message}\n"
         assert captured.out == ""
 
+    def test_repeated_column_rejected(self, tmp_path, capsys):
+        # csv.DictReader would keep the second h_tov and rank on it
+        path = tmp_path / "cards.csv"
+        path.write_text(self.HEADER[:-1] + ",h_tov\na,true,2.0,1,1.0,5.0\nb,true,3.0,2,2.0,1.0\n")
+        assert main(["pareto", "--scorecards", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: row 1: repeated column(s) 'h_tov'\n"
+        assert captured.out == ""
+
+    def test_row_longer_than_the_header_rejected(self, tmp_path, capsys):
+        # csv.DictReader would file the extra cells under None and drop them
+        path, rc = self._pareto(tmp_path, "a,true,2.0,1,1.0\nb,true,3.0,2,2.0,9\n")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: row 3: 6 cells, the header has 5\n"
+        assert captured.out == ""
+
+
+class TestEmptyOptionValues:
+    # an option given with an empty value (``--weights=``) is refused and
+    # named, not taken as absent
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--weights", "--weights: could not convert"), ("--grasps-override", "--grasps-override: invalid JSON")],
+    )
+    def test_evaluate_refuses_before_out_is_made(
+        self, tmp_path, synthetic_task_path, capsys, monkeypatch, option, message
+    ):
+        calls = []
+        monkeypatch.setattr("postgrasp.cli.evaluate_task", lambda *a, **k: calls.append(1))
+        out = tmp_path / "cli_out"
+        assert _evaluate(reference_robot_path("arm7"), [synthetic_task_path], out, f"{option}=") == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert calls == []
+        assert not out.exists()
+
+    def test_pareto_refuses_empty_weights(self, tmp_path, capsys):
+        path = tmp_path / "cards.csv"
+        path.write_text("grasp_id,feasible,h_tov,h_tme,h_tem\na,true,2.0,1,1.0\nb,true,1.0,2,2.0\n")
+        assert main(["pareto", "--scorecards", str(path), "--weights="]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --weights: could not convert")
+        assert captured.out == ""
+
+    def test_inspect_model_refuses_empty_config(self, capsys):
+        assert main(["inspect-model", "--robot", str(reference_robot_path("arm7")), "--config="]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --config: could not convert")
+        assert captured.out == ""
+
 
 NAN, INF = float("nan"), float("inf")
 

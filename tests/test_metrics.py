@@ -22,7 +22,6 @@ from postgrasp import (
     geometric_jacobian,
     inverse_dynamics,
     link_inertias,
-    operational_mass_inverse,
     tem,
     torque_effort,
     tov,
@@ -30,11 +29,13 @@ from postgrasp import (
 )
 from postgrasp.chain import link_frames_axes
 from postgrasp.geometry import quaternion_product, unit_quaternion
-from postgrasp.metrics import FLAGS, OBJECTIVES, directional_effective_mass
+from postgrasp.metrics import FLAGS, OBJECTIVES
 from postgrasp.task import TaskSpec, gripper_trajectory, path_parameter, resample
 
 from oracles import (
+    directional_effective_mass,
     effective_mass,
+    operational_mass_inverse,
     pose_of,
     rotation_log,
     trajectory_of,

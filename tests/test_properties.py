@@ -2,8 +2,9 @@
 chains: 1-7 joints, revolute and prismatic mixed, random joint origins,
 base and tool poses and link inertias, at one configuration or a stack,
 including the pass's bit identity with its eager form, the dynamics'
-linearity in the link inertias and a held body's inertia against the
-parallel-axis merge; of damped least-squares IK against the
+linearity in the link inertias, a held body's inertia against the
+parallel-axis merge and the directional inverse inertia against the 6x6
+operational form; of damped least-squares IK against the
 reference loop on such a chain; and of the three objectives along a joint
 path on such a chain."""
 
@@ -26,6 +27,7 @@ from postgrasp import (
     ZeroMotionError,
     attach_object,
     augmented_mass_matrix,
+    directional_inverse_inertia,
     evaluate_grasp,
     forward_kinematics,
     inverse_dynamics,
@@ -37,7 +39,15 @@ from postgrasp.geometry import quaternion_product, unit_quaternion
 from postgrasp.ik import _solve
 from postgrasp.task import path_parameter
 
-from oracles import eager_link_frames_axes, merged_model, pose_of, reference_dls, rotation_log, trajectory_of
+from oracles import (
+    eager_link_frames_axes,
+    merged_model,
+    operational_mass_inverse,
+    pose_of,
+    reference_dls,
+    rotation_log,
+    trajectory_of,
+)
 
 # no shrink phase: a failure is reported on the example that first showed
 # it, so a broken kernel fails within the 60 examples instead of shrinking
@@ -224,6 +234,38 @@ def test_pass_matches_the_eager_pass_bit_for_bit(case):
         or getattr(kin, name).tobytes() != want[name].tobytes()
     ]
     assert differ == []
+
+
+@st.composite
+def directions(draw):
+    """A unit 6-vector, linear and angular parts mixed."""
+    u = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 6)))
+    assume(np.linalg.norm(u) > 0.1)
+    return u / np.linalg.norm(u)
+
+
+@PROPERTY_SETTINGS
+@given(chains_and_stacks(), st.data())
+def test_directional_inverse_inertia_matches_the_operational_form(case, data):
+    # w^T M^-1 w with w = J^T u equals u^T (J M^-1 J^T) u read off the 6x6
+    # oracle, at one configuration and on an (m, 2) stack, for chains of
+    # fewer than six joints too (a rank-deficient J M^-1 J^T).  Relative
+    # error 1e-12 with an absolute floor of 1e-12 times the largest
+    # eigenvalue of J M^-1 J^T: along a direction near the null space of
+    # J^T both forms cancel to round-off of that size.
+    model, q, _, _ = case
+    u = np.array([[data.draw(directions()) for _ in range(2)] for _ in q])
+    stack = link_frames_axes(model, q[:, None].repeat(2, axis=1))
+    inertias = link_inertias(model, stack)
+    lam_inv = operational_mass_inverse(stack, inertias)
+    want = np.einsum("...i,...ij,...j->...", u, lam_inv, u)
+    floor = np.linalg.eigvalsh(lam_inv)[..., -1]
+    tol = 1e-12 * np.maximum(np.abs(want), floor)
+    assert np.all(np.abs(directional_inverse_inertia(stack, inertias, u) - want) <= tol)
+    one = link_frames_axes(model, q[0])
+    got = directional_inverse_inertia(one, link_inertias(model, one), u[0, 0])
+    assert got.shape == ()
+    assert abs(got - want[0, 0]) <= tol[0, 0]
 
 
 @st.composite
