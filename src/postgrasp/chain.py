@@ -17,16 +17,15 @@ the read-only arrays that the pass and the dynamics read; the pass's
 ``KinematicState`` is the data of one configuration or batch.
 
 ``forward_kinematics`` and ``geometric_jacobian`` take one configuration
-each and share a one-entry memo of the last pass per thread, keyed on the
-model object and the bytes of ``q``: DLS asks for the pose at each new
-iterate and then for the Jacobian at the accepted one, so the memo saves a
-second pass per iteration.
+each and share a one-entry memo of the last pass, keyed on the model object
+and the bytes of ``q``: DLS asks for the pose at each new iterate and then
+for the Jacobian at the accepted one, so the memo saves a second pass per
+iteration.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -275,26 +274,23 @@ def link_frames_axes(model: ChainModel, q) -> KinematicState:
     return KinematicState(rotations, origins, tool[..., :3, :3], p_op, jacobian, spin, slide)
 
 
-# .entry: (model, q bytes, KinematicState) of the calling thread's last
-# single-configuration pass; per thread, so grasps tracked on concurrent
-# threads never evict each other's entry
-_last_pass = threading.local()
-_NO_PASS = (None, b"", None)
+# (model, q bytes, KinematicState) of the last single-configuration pass
+_last_pass = (None, b"", None)
 _FLOAT = np.dtype(float)
 
 
 def _pass_at(model: ChainModel, q) -> KinematicState:
     """``link_frames_axes`` at one configuration, reused while the model
-    object and the bytes of q repeat on the calling thread.  A float64
-    (n,) array, what IK always passes, is used as it is; any other q is
-    checked and flattened first."""
+    object and the bytes of q repeat.  A float64 (n,) array, what IK always
+    passes, is used as it is; any other q is checked and flattened first."""
+    global _last_pass
     if type(q) is not np.ndarray or q.dtype is not _FLOAT or q.shape != (model.n,):
         q = _check_q(model, np.ravel(q))
     key = q.tobytes()
-    last_model, last_key, kin = getattr(_last_pass, "entry", _NO_PASS)
+    last_model, last_key, kin = _last_pass
     if last_model is not model or last_key != key:
         kin = link_frames_axes(model, q)
-        _last_pass.entry = (model, key, kin)
+        _last_pass = (model, key, kin)
     return kin
 
 

@@ -9,7 +9,7 @@ Verbs:
 * ``pareto``         re-rank an existing scorecards.csv
 
 Everything is randomness-free; two runs on identical inputs produce
-byte-identical outputs regardless of the parallelism degree.
+byte-identical outputs, in one process or in two.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class RunConfig:
     weights: tuple[float, float, float] | None = None
     allow_infeasible: bool = False
     index_quadrature: bool = False
-    jobs: int = 1
     grasps_override: list[GraspCandidate] | None = None
 
 
@@ -143,9 +142,7 @@ def run_evaluation(config: RunConfig) -> int:
         raise CliError(f"--out: cannot create directory ({exc})") from exc
     status = 0
     for path, spec, outdir in zip(config.tasks, specs, outdirs):
-        scorecards = _score(
-            path, model, spec, config.grasps_override, config.resample, config.index_quadrature, config.jobs
-        )
+        scorecards = _score(path, model, spec, config.grasps_override, config.resample, config.index_quadrature)
         try:
             status = max(status, _write_task(config, model.name, spec, outdir, scorecards))
         except OSError as exc:
@@ -201,8 +198,6 @@ def _parse_grasps_override(text: str) -> list[GraspCandidate]:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.jobs < 1:
-        raise CliError("--jobs must be >= 1")
     _check_resample(args.resample)
     config = RunConfig(
         robot=Path(args.robot),
@@ -212,7 +207,6 @@ def _cmd_evaluate(args) -> int:
         weights=None if args.weights is None else _parse_weights(args.weights),
         allow_infeasible=args.allow_infeasible,
         index_quadrature=args.index_quadrature,
-        jobs=args.jobs,
         grasps_override=(
             None if args.grasps_override is None else _parse_grasps_override(args.grasps_override)
         ),
@@ -301,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="integrate over uniform waypoint index instead of arc length",
     )
-    p_eval.add_argument("--jobs", type=int, default=1, help="threads that track grasps (scoring stays on one)")
     p_eval.add_argument(
         "--grasps-override", default=None, help="JSON list or file replacing the task grasps"
     )

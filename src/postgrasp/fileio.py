@@ -249,8 +249,8 @@ def parse_grasps(entries, path: str) -> list[GraspCandidate]:
         if gid in seen:
             raise SchemaError(f"{gpath}.id: duplicate grasp id {gid!r}")
         seen.add(gid)
-        pose = _parse_pose({"translation": g["translation"], "quaternion": g["quaternion"]}, gpath)
-        grasps.append(GraspCandidate(gid, pose))
+        q, t = _pose_parts(g, gpath)
+        grasps.append(GraspCandidate(gid, Pose(Rotation(*q), t)))
     return grasps
 
 

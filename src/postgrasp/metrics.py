@@ -33,10 +33,7 @@ stay finite and comparable.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -304,18 +301,16 @@ def evaluate_task(
     grasps=None,
     resample_count: int | None = None,
     index_quadrature: bool = False,
-    jobs: int = 1,
 ) -> list[GraspScorecard]:
     """Scorecards of ``grasps`` (the task's own when None), in order, on
     the keyframes resampled to ``resample_count`` waypoints (the file's
     count when None).  One grid, arc length or the uniform waypoint index
     (``index_quadrature``), serves every grasp.
 
-    Each grasp is tracked alone; ``jobs > 1`` runs the tracking on a thread
-    pool.  The feasible grasps are scored in input order, in batches of at
-    most 256 grasp x waypoint rows (but at least one grasp), each batch as
-    soon as its grasps are tracked.  Neither the jobs nor the batches
-    change a scorecard."""
+    Each grasp is tracked alone, in input order.  The feasible grasps are
+    scored in batches of at most 256 grasp x waypoint rows (but at least one
+    grasp), each batch as soon as it fills.  The batches change no
+    scorecard."""
     check_ik_seed(model, spec)
     task = resample(spec.trajectory, spec.resample_count if resample_count is None else resample_count)
     s = np.linspace(0.0, 1.0, len(task)) if index_quadrature else path_parameter(task)
@@ -331,15 +326,14 @@ def evaluate_task(
             cards[i] = card
         pending.clear()
 
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        track = partial(_track, model, task, ik_seed=spec.ik_seed)
-        for grasp, row in zip(grasps, (pool.map if pool else map)(track, grasps)):
-            # an infeasible card is final; a tracked grasp's is replaced once scored
-            cards.append(GraspScorecard(grasp_id=grasp.id, feasible=row is not None))
-            if row is not None:
-                pending.append((len(cards) - 1, row))
-            if len(pending) == per_batch:
-                score_pending()
+    for grasp in grasps:
+        row = _track(model, task, grasp, spec.ik_seed)
+        # an infeasible card is final; a tracked grasp's is replaced once scored
+        cards.append(GraspScorecard(grasp_id=grasp.id, feasible=row is not None))
+        if row is not None:
+            pending.append((len(cards) - 1, row))
+        if len(pending) == per_batch:
+            score_pending()
     if pending:
         score_pending()
     return cards

@@ -5,12 +5,15 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines live.
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import postgrasp
 from postgrasp import (
     ChainModel,
     GraspCandidate,
@@ -333,7 +336,6 @@ def test_criterion_7_heatmap_structure(tmp_path):
         robot=reference_robot_path("arm7"),
         tasks=[reference_task_path(name) for name in ("task1", "task2", "task3")],
         out=tmp_path,
-        jobs=1,
     )
     status = run_evaluation(config)
     if status != 0:
@@ -389,30 +391,26 @@ def test_criterion_9_determinism(tmp_path):
         "scalars_long.csv",
         "report.json",
     ]
+    robot, task = reference_robot_path("arm7"), reference_task_path("task3")
 
-    def run(tag, jobs):
-        out = tmp_path / tag
-        config = RunConfig(
-            robot=reference_robot_path("arm7"),
-            tasks=[reference_task_path("task3")],
-            out=out,
-            jobs=jobs,
-        )
-        status = run_evaluation(config)
+    def outputs(tag, status):
         if status != 0:
             failures.append(f"{tag}: exit {status}")
-        return {name: (out / "task3" / name).read_bytes() for name in names}
+        return {name: (tmp_path / tag / "task3" / name).read_bytes() for name in names}
 
-    max_jobs = max(2, os.cpu_count() or 2)
-    serial_a = run("serial_a", 1)
-    serial_b = run("serial_b", 1)
-    parallel_a = run("parallel_a", max_jobs)
-    parallel_b = run("parallel_b", max_jobs)
+    def in_process(tag):
+        return outputs(tag, run_evaluation(RunConfig(robot=robot, tasks=[task], out=tmp_path / tag)))
+
+    def fresh_interpreter(tag):
+        env = dict(os.environ, PYTHONPATH=str(Path(postgrasp.__file__).parents[1]))
+        argv = ["evaluate", "--robot", str(robot), "--task", str(task), "--out", str(tmp_path / tag)]
+        run = subprocess.run([sys.executable, "-m", "postgrasp", *argv], capture_output=True, env=env, timeout=300)
+        return outputs(tag, run.returncode)
+
+    first, second, fresh = in_process("first"), in_process("second"), fresh_interpreter("fresh")
     for name in names:
-        if serial_a[name] != serial_b[name]:
-            failures.append(f"{name}: serial reruns differ")
-        if parallel_a[name] != parallel_b[name]:
-            failures.append(f"{name}: parallel reruns differ")
-        if serial_a[name] != parallel_a[name]:
-            failures.append(f"{name}: parallelism changes bytes")
-    report(9, f"byte-identical outputs at jobs=1 and jobs={max_jobs}", failures)
+        if first[name] != second[name]:
+            failures.append(f"{name}: in-process reruns differ")
+        if first[name] != fresh[name]:
+            failures.append(f"{name}: a fresh interpreter writes other bytes")
+    report(9, "byte-identical outputs across two in-process runs and a fresh interpreter", failures)

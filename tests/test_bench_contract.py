@@ -11,7 +11,6 @@ called once per grasp.  spans.py is loaded from its file and only read.
 """
 
 import importlib.util
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from postgrasp import (
     reference_task_path,
     track_trajectory,
 )
-from postgrasp import chain, ik
+from postgrasp import ik
 
 from oracles import pose_of, trajectory_of
 
@@ -67,7 +66,7 @@ def test_tracking_calls_pose_and_jacobian_by_their_ik_names(arm7, monkeypatch):
     assert result.reachable.shape == (4,)
 
 
-def test_tracking_reaches_the_pass_through_its_module_binding(arm7, spans, monkeypatch):
+def test_tracking_reaches_the_pass_through_its_module_binding(arm7, spans, monkeypatch, clear_pass_memo):
     # chain.ik_passes_per_pair counts postgrasp.chain.link_frames_axes as
     # the tracer rebinds it: DLS must reach the pass by that module name,
     # once per distinct iterate whose pose or Jacobian it asks for
@@ -84,7 +83,7 @@ def test_tracking_reaches_the_pass_through_its_module_binding(arm7, spans, monke
         monkeypatch.setattr(ik, name, recording(getattr(ik, name)))
     qs = np.linspace([0.1, 0.5, -0.2, -1.2, 0.3, 0.8, 0.0], [0.4, 0.8, 0.1, -0.9, 0.6, 1.1, 0.3], 4)
     poses = [pose_of(forward_kinematics(arm7, q)) for q in qs]
-    monkeypatch.setattr(chain, "_last_pass", threading.local())
+    clear_pass_memo()
     with spans.Tracer() as tracer:
         result = ik.track_trajectory(arm7, trajectory_of(poses, np.linspace(0.0, 1.0, 4)), qs[0])
     assert tracer.absent == []

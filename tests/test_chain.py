@@ -1,6 +1,4 @@
 import itertools
-import sys
-import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,12 +13,9 @@ from postgrasp import (
     RigidObject,
     Rotation,
     attach_object,
-    evaluate_task,
     forward_kinematics,
     geometric_jacobian,
     link_inertias,
-    load_task,
-    reference_task_path,
 )
 from postgrasp import chain
 from postgrasp.geometry import matrix_quaternion, skew
@@ -193,11 +188,11 @@ class TestForwardKinematicsPose:
         assert type(got) is tuple and [type(v) for v in got] == [float] * 7, got
         assert np.array(got).tobytes() == np.array(want).tobytes(), (rotation, got, want)
 
-    def fk_on_tool(self, monkeypatch, model, rotation, position):
+    def fk_on_tool(self, monkeypatch, clear_pass_memo, model, rotation, position):
         """``forward_kinematics`` on a pass whose tool frame is given."""
         kin = replace(chain.link_frames_axes(model, np.zeros(model.n)), tool_rotation=rotation, tool_position=position)
         monkeypatch.setattr(chain, "link_frames_axes", lambda model, q: kin)
-        monkeypatch.setattr(chain, "_last_pass", threading.local())
+        clear_pass_memo()
         return forward_kinematics(model, np.zeros(model.n))
 
     def test_arm7_passes(self, arm7, rng):
@@ -209,7 +204,7 @@ class TestForwardKinematicsPose:
             self.assert_pose_bytes(forward_kinematics(arm7, q), kin.tool_rotation, kin.tool_position)
         assert branches == {"w", "x", "y", "z"}
 
-    def test_random_rotations_every_branch_and_flip(self, monkeypatch, rng):
+    def test_random_rotations_every_branch_and_flip(self, monkeypatch, clear_pass_memo, rng):
         model = unit_two_r()
         branches, flips = set(), 0
         for quat in rng.normal(size=(400, 4)):
@@ -217,16 +212,17 @@ class TestForwardKinematicsPose:
             position = rng.normal(size=3)
             branches.add(_shepperd_branch(rotation))
             flips += matrix_quaternion(rotation.tolist())[0] < 0.0
-            self.assert_pose_bytes(self.fk_on_tool(monkeypatch, model, rotation, position), rotation, position)
+            got = self.fk_on_tool(monkeypatch, clear_pass_memo, model, rotation, position)
+            self.assert_pose_bytes(got, rotation, position)
         assert branches == {"w", "x", "y", "z"}
         assert flips > 0  # a raw quaternion with w < 0, flipped by the normalisation
 
-    def test_signed_zeros(self, monkeypatch):
+    def test_signed_zeros(self, monkeypatch, clear_pass_memo):
         model = unit_two_r()
         position = np.array([0.0, -0.0, 1.0])
         signs = set()
         for rotation in _signed_permutation_rotations():
-            got = self.fk_on_tool(monkeypatch, model, rotation, position)
+            got = self.fk_on_tool(monkeypatch, clear_pass_memo, model, rotation, position)
             self.assert_pose_bytes(got, rotation, position)
             quat = np.array(got[:4])
             signs.update(np.signbit(quat[quat == 0.0]).tolist())
@@ -295,7 +291,7 @@ class TestPassMemo:
             assert np.array_equal(geometric_jacobian(model, q), want.jacobian)
         assert not np.allclose(geometric_jacobian(arm7, q), geometric_jacobian(other, q))
 
-    def test_pose_then_jacobian_is_one_pass(self, arm7, monkeypatch):
+    def test_pose_then_jacobian_is_one_pass(self, arm7, monkeypatch, clear_pass_memo):
         passes = []
 
         def counted(model, q):
@@ -304,7 +300,6 @@ class TestPassMemo:
 
         link_frames_axes = chain.link_frames_axes
         monkeypatch.setattr(chain, "link_frames_axes", counted)
-        monkeypatch.setattr(chain, "_last_pass", threading.local())
         q = np.linspace(-0.3, 0.9, 7)
         forward_kinematics(arm7, q)
         geometric_jacobian(arm7, q)
@@ -312,34 +307,6 @@ class TestPassMemo:
         assert len(passes) == 1
         geometric_jacobian(arm7, q + 1e-9)
         assert len(passes) == 2
-
-    def test_threads_keep_their_own_memo(self, arm7, monkeypatch):
-        # grasps tracked on two threads make as many passes as on one: the
-        # threads never evict each other's memo entry, however often they
-        # switch
-        spec = load_task(reference_task_path("task1"))
-        lock = threading.Lock()
-        passes = []
-
-        def counted(model, q):
-            with lock:
-                passes.append(1)
-            return link_frames_axes(model, q)
-
-        link_frames_axes = chain.link_frames_axes
-        monkeypatch.setattr(chain, "link_frames_axes", counted)
-        counts = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for jobs in (1, 2):
-                monkeypatch.setattr(chain, "_last_pass", threading.local())
-                passes.clear()
-                evaluate_task(arm7, spec, jobs=jobs)
-                counts.append(len(passes))
-        finally:
-            sys.setswitchinterval(interval)
-        assert counts[0] == counts[1] > 0
 
     def test_jacobian_is_read_only(self, arm7):
         jac = geometric_jacobian(arm7, np.zeros(7))
@@ -360,8 +327,7 @@ class TestPassInputs:
         [list(Q7), np.round(2 * Q7).astype(int), Q7.astype(np.float32), Q7[None, :], np.repeat(Q7, 2)[::2]],
         ids=["list", "int-array", "float32", "row", "strided"],
     )
-    def test_any_form_gives_the_pass_of_its_float_values(self, arm7, monkeypatch, q):
-        monkeypatch.setattr(chain, "_last_pass", threading.local())
+    def test_any_form_gives_the_pass_of_its_float_values(self, arm7, clear_pass_memo, q):
         want = chain.link_frames_axes(arm7, np.asarray(q, dtype=float).ravel())
         pose = forward_kinematics(arm7, q)
         assert np.array(pose[4:]).tobytes() == want.tool_position.tobytes()
@@ -374,8 +340,7 @@ class TestPassInputs:
         ids=["short", "long-int", "long-list", "two-rows"],
     )
     @pytest.mark.parametrize("function", [forward_kinematics, geometric_jacobian])
-    def test_wrong_length_rejected(self, arm7, monkeypatch, function, q, got):
-        monkeypatch.setattr(chain, "_last_pass", threading.local())
+    def test_wrong_length_rejected(self, arm7, clear_pass_memo, function, q, got):
         with pytest.raises(ValueError, match=f"^expected 7 joint values, got {got}$"):
             function(arm7, q)
 

@@ -624,8 +624,7 @@ def test_scorecard_holds_each_fact_once(two_r_model):
         assert sc.s is cards[0].s
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_batch_boundaries_change_no_scorecard(arm7, jobs):
+def test_batch_boundaries_change_no_scorecard(arm7):
     # 6 feasible grasps x 60 waypoints exceed one batch's 256 rows, so they
     # are scored in two; an infeasible grasp sits between feasible ones, and
     # two different grasps share an id.  Each card is the card of its grasp
@@ -645,7 +644,7 @@ def test_batch_boundaries_change_no_scorecard(arm7, jobs):
     ]
     waypoints = 60
     assert 6 * waypoints > metrics._SCORE_ROWS
-    cards = evaluate_task(arm7, spec, grasps=grasps, resample_count=waypoints, jobs=jobs)
+    cards = evaluate_task(arm7, spec, grasps=grasps, resample_count=waypoints)
     task = resample(spec.trajectory, waypoints)
     s = path_parameter(task)
     assert [c.grasp_id for c in cards] == [g.id for g in grasps]
