@@ -652,8 +652,10 @@ class TestCliCommands:
         assert "error:" in err and "weights" in err and "nan" in err
         assert not (tmp_path / "cli_out" / "synthetic" / "report.json").exists()
 
-    def test_jobs_option_unrecognized(self, tmp_path, synthetic_task_path, capsys):
-        # the program is single-threaded: there is no degree of parallelism to set
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, synthetic_task_path, capsys, jobs):
+        # the program is single-threaded: --jobs is no option at all, so any
+        # value of it is refused before --out is made
         with pytest.raises(SystemExit) as exc:
             main(
                 [
@@ -665,11 +667,11 @@ class TestCliCommands:
                     "--out",
                     str(tmp_path / "cli_out"),
                     "--jobs",
-                    "2",
+                    jobs,
                 ]
             )
         assert exc.value.code == 2
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "cli_out").exists()
 
     @pytest.mark.parametrize("count", ["0", "1"])

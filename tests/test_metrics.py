@@ -624,11 +624,13 @@ def test_scorecard_holds_each_fact_once(two_r_model):
         assert sc.s is cards[0].s
 
 
-def test_batch_boundaries_change_no_scorecard(arm7):
+@pytest.mark.parametrize("batches", [1, 2])
+def test_batch_boundaries_change_no_scorecard(arm7, monkeypatch, batches):
     # 6 feasible grasps x 60 waypoints exceed one batch's 256 rows, so they
-    # are scored in two; an infeasible grasp sits between feasible ones, and
-    # two different grasps share an id.  Each card is the card of its grasp
-    # scored alone, bit for bit, in input order.
+    # are scored in two, or in one when a batch holds all 360 rows; an
+    # infeasible grasp sits between feasible ones, and two different grasps
+    # share an id.  Each card is the card of its grasp scored alone, bit for
+    # bit, in input order.
     from postgrasp import load_task, metrics, reference_task_path
 
     spec = load_task(reference_task_path("task3"))
@@ -644,7 +646,18 @@ def test_batch_boundaries_change_no_scorecard(arm7):
     ]
     waypoints = 60
     assert 6 * waypoints > metrics._SCORE_ROWS
+    if batches == 1:
+        monkeypatch.setattr(metrics, "_SCORE_ROWS", 6 * waypoints)
+    score = metrics._score
+    sizes = []
+
+    def counted(model, obj, s, gravity, rows):
+        sizes.append(len(rows))
+        return score(model, obj, s, gravity, rows)
+
+    monkeypatch.setattr(metrics, "_score", counted)
     cards = evaluate_task(arm7, spec, grasps=grasps, resample_count=waypoints)
+    assert sizes == ([6] if batches == 1 else [4, 2])
     task = resample(spec.trajectory, waypoints)
     s = path_parameter(task)
     assert [c.grasp_id for c in cards] == [g.id for g in grasps]
