@@ -48,7 +48,6 @@ from .ranking import (
 )
 from .task import (
     GraspCandidate,
-    RigidObject,
     TaskTrajectory,
     generate_grasp_sweep,
     gripper_trajectory,

@@ -39,19 +39,19 @@ _CYCLE_J = np.array([1, 2, 0])
 _CYCLE_K = np.array([2, 0, 1])
 
 
-def validate_inertia_tensor(inertia, label: str = "inertia tensor") -> np.ndarray:
+def validate_inertia_tensor(inertia) -> np.ndarray:
     """Check symmetry, positive semidefiniteness and the triangle
     inequalities of a 3x3 inertia tensor; returns a symmetrized copy."""
     m = np.array(inertia, dtype=float).reshape(3, 3)
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.T).max() > 1e-9 * scale:
-        raise ValueError(f"{label} must be symmetric")
+        raise ValueError("inertia tensor must be symmetric")
     m = 0.5 * (m + m.T)
     eigs = np.linalg.eigvalsh(m)
     if eigs[0] < -1e-9 * scale:
-        raise ValueError(f"{label} must be positive semidefinite")
+        raise ValueError("inertia tensor must be positive semidefinite")
     if eigs[0] + eigs[1] < eigs[2] - 1e-9 * scale:
-        raise ValueError(f"{label} violates the principal-moment triangle inequality")
+        raise ValueError("inertia tensor violates the principal-moment triangle inequality")
     return m
 
 
@@ -83,7 +83,8 @@ class JointSpec:
 
 @dataclass(frozen=True, eq=False)
 class LinkSpec:
-    """Rigid-body parameters of one link, expressed in the link frame."""
+    """Rigid-body parameters of one body, a link or the grasped object:
+    mass, CoM and inertia about the CoM, expressed in the body's frame."""
 
     mass: float
     com: np.ndarray
@@ -91,11 +92,11 @@ class LinkSpec:
 
     def __post_init__(self):
         if self.mass < 0.0:
-            raise ValueError(f"link mass must be non-negative, got {self.mass}")
+            raise ValueError(f"mass must be non-negative, got {self.mass}")
         c = np.array(self.com, dtype=float).reshape(3)
         c.flags.writeable = False
         object.__setattr__(self, "com", c)
-        m = validate_inertia_tensor(self.inertia, "link inertia tensor")
+        m = validate_inertia_tensor(self.inertia)
         m.flags.writeable = False
         object.__setattr__(self, "inertia", m)
 

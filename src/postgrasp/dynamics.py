@@ -13,24 +13,24 @@ recursions are running sums along the chain (Featherstone, *Rigid Body
 Dynamics Algorithms*, 2008, ch. 5-6).
 
 A rigid body is given by its mass, its CoM and its 3x3 inertia about the
-CoM, from the task file (``task.RigidObject``) and the robot file
-(``chain.LinkSpec``) through to ``link_inertias``, the one place that reads
-a model's bodies: it turns them into each link's 6x6 world-origin inertia
-on a kinematic pass.  The recursions take that pass and those inertias and
-no model, so the inertial parameters are their explicit, linear input.  A
-grasped object is one more body on the last link: ``attach_object`` gives
-its mass, CoM and inertia in that link's frame, through the tool transform
-and the inverse grasp, and ``link_inertias`` builds its spatial inertia by
-the same formula as a link's and adds it to the last link's, as spatial
-inertias referred to one point add (Featherstone ch. 2).  Those link
-inertias, built once per batch of grasps with each grasp's own object on
-its rows (``metrics.evaluate_task``), serve RNEA for the torque objective
-and CRBA for the effective-mass objective (``directional_inverse_inertia``,
-the operational-space inverse inertia read along one direction per row).
-``augmented_mass_matrix`` is the independent cross-check: the arm's mass
-matrix plus the object's 6x6 inertia about the operational point pulled
-into joint space by the Jacobian, M + J^T M_obj J.  The two routes agree to
-machine precision.
+CoM in its own frame (``chain.LinkSpec``), a link's from the robot file and
+the grasped object's from the task file.  ``link_inertias`` is the one
+place that reads a model's bodies: it places each body by its frame on a
+kinematic pass and gives its 6x6 world-origin inertia.  The recursions take
+that pass and those inertias and no model, so the inertial parameters are
+their explicit, linear input.  A grasped object is one more body on the
+last link: ``attach_object`` gives the pose of its frame in that link's
+frame, the tool transform times the inverse grasp, and ``link_inertias``
+places the body in that frame by the same formula as a link and adds its
+inertia to the last link's, as spatial inertias referred to one point add
+(Featherstone ch. 2).  Those link inertias, built once per batch of grasps
+with each grasp's object frame on its rows (``metrics.evaluate_task``),
+serve RNEA for the torque objective and CRBA for the effective-mass
+objective (``directional_inverse_inertia``, the operational-space inverse
+inertia read along one direction per row).  ``augmented_mass_matrix`` is
+the independent cross-check: the arm's mass matrix plus the object's 6x6
+inertia about the operational point pulled into joint space by the
+Jacobian, M + J^T M_obj J.  The two routes agree to machine precision.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .chain import ChainModel, KinematicState, LinkSpec, link_frames_axes
 from .geometry import skew
-from .task import GraspCandidate, RigidObject
+from .task import GraspCandidate
 
 GRAVITY_DEFAULT = np.array([0.0, 0.0, -9.81])
 
@@ -70,23 +70,26 @@ def link_inertias(model: ChainModel, kin: KinematicState, attached=None) -> np.n
     referred to the world origin, world axes, read-only: the input of
     ``mass_matrix``, ``inverse_dynamics`` and ``directional_inverse_inertia``.
 
-    ``attached`` is a body rigidly held by the last link, given in its
-    frame (``attach_object``), or a sequence of such bodies, one per index
-    of the pass's first axis (one grasp's object per row of a stack of
-    joint paths); its inertia is added to that link's."""
+    ``attached`` is ``(body, frames)``: a body (``LinkSpec``) rigidly held
+    by the last link and the (..., 4, 4) pose of its frame in that link's
+    frame (``attach_object``), one pose or one per index of the pass's
+    leading batch axes (one grasp's per row of a stack of joint paths); the
+    body's inertia, placed in its frame, is added to that link's."""
     if kin.n != model.n:
         raise ValueError(f"kinematic state has {kin.n} joints, model has {model.n}")
     out = _spatial_inertias(kin.rotations, kin.origins, model.masses, model.coms, model.inertias)
     if attached is not None:
-        if isinstance(attached, LinkSpec):
-            mass, com, inertia = attached.mass, attached.com, attached.inertia
-        else:  # one body per row, broadcast over the pass's other batch axes
-            rows = (slice(None),) + (None,) * (kin.origins.ndim - 3)
-            mass = np.array([body.mass for body in attached])[rows]
-            com = np.stack([body.com for body in attached])[rows]
-            inertia = np.stack([body.inertia for body in attached])[rows]
+        body, frames = attached
+        frames = np.asarray(frames, dtype=float)
+        # trailing batch axes of the pass that the frames do not carry broadcast
+        frames = frames.reshape(frames.shape[:-2] + (1,) * (kin.origins.ndim - frames.ndim) + (4, 4))
+        last = kin.rotations[..., -1, :, :]
         out[..., -1, :, :] += _spatial_inertias(
-            kin.rotations[..., -1, :, :], kin.origins[..., -1, :], mass, com, inertia
+            last @ frames[..., :3, :3],
+            kin.origins[..., -1, :] + (last @ frames[..., :3, 3:])[..., 0],
+            body.mass,
+            body.com,
+            body.inertia,
         )
     out.flags.writeable = False
     return out
@@ -132,7 +135,7 @@ def inverse_dynamics(
     enters as a base acceleration of -g.  Joint i carries the sum of the
     link forces I_k a_k + v_k x* I_k v_k over links k >= i.  A grasped
     object enters through the inertias: build them with ``link_inertias``
-    and the body ``attach_object`` returns.
+    and the frame ``attach_object`` returns.
     """
     _check_inertias(kin, inertias)
     qd = np.asarray(qdot, dtype=float)
@@ -155,22 +158,16 @@ def inverse_dynamics(
     return np.einsum("...ij,...ij->...i", s, carried)
 
 
-def attach_object(model: ChainModel, grasp: GraspCandidate, obj: RigidObject) -> LinkSpec:
-    """The grasped object as a body on the last link, in that link's frame.
-
-    The object's pose in the gripper frame is the inverse grasp transform
-    g, and the gripper frame hangs off the last link by the tool transform
-    T: its CoM sits at T applied to g's translation and its inertia about
-    the CoM is R I R^T with R = R_T R_g.  Pass it to ``link_inertias``."""
-    g = grasp.transform.inverse()
-    tool = model.tool_transform
-    r = tool.rotation.as_matrix() @ g.rotation.as_matrix()
-    return LinkSpec(obj.mass, tool.apply(g.translation), r @ obj.inertia @ r.T)
+def attach_object(model: ChainModel, grasp: GraspCandidate) -> np.ndarray:
+    """The 4x4 pose of the grasped object's frame in the last link's frame:
+    the gripper frame hangs off the last link by the tool transform T and
+    the object's frame off the gripper's by the inverse grasp transform
+    g^-1, so the pose is T g^-1.  Pass it with the object to
+    ``link_inertias``."""
+    return model.tool @ grasp.transform.inverse().to_matrix()
 
 
-def augmented_mass_matrix(
-    model: ChainModel, q, grasp: GraspCandidate, obj: RigidObject
-) -> np.ndarray:
+def augmented_mass_matrix(model: ChainModel, q, grasp: GraspCandidate, obj: LinkSpec) -> np.ndarray:
     """Arm mass matrix plus the grasped object's inertia mapped into joint
     space: M_tot = M_arm + J^T M_obj J.
 
@@ -182,7 +179,7 @@ def augmented_mass_matrix(
     kin = link_frames_axes(model, q)
     r_grasp = grasp.transform.rotation.as_matrix()
     r_obj = kin.tool_rotation @ r_grasp.T  # object axes in the world
-    com_x = skew(-r_obj @ grasp.transform.translation)  # CoM offset from the tool point
+    com_x = skew(r_obj @ (obj.com - grasp.transform.translation))  # CoM offset from the tool point
     m = obj.mass
     mo_world = np.zeros((6, 6))
     mo_world[:3, :3] = m * np.eye(3)
@@ -199,7 +196,7 @@ def directional_inverse_inertia(kin: KinematicState, inertias: np.ndarray, direc
     directions u, one per configuration of the state, solved as w^T M^-1 w
     with w = J^T u: no 6x6 form and no Jacobian inverse, so redundant and
     singular configurations need no special case.  A grasped object counts
-    once ``inertias`` carry the body ``attach_object`` returns.
+    once ``inertias`` carry it (``link_inertias``, ``attach_object``).
 
     Raises DegenerateModelError if the joint-space mass matrix itself is
     numerically singular at any configuration of the state: its condition

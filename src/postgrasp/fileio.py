@@ -27,7 +27,6 @@ from .ranking import NormalizedScores, RankingReport
 from .task import (
     START_TIME_TOLERANCE,
     GraspCandidate,
-    RigidObject,
     TaskSpec,
     TaskTrajectory,
     generate_grasp_sweep,
@@ -286,7 +285,8 @@ def load_task(path) -> TaskSpec:
     if "extents" in oobj:
         _vector(oobj, "extents", opath, 3)
     try:
-        obj = RigidObject(mass=mass, inertia=inertia)
+        # the trajectory is of the object's CoM frame
+        obj = LinkSpec(mass=mass, com=np.zeros(3), inertia=inertia)
     except ValueError as exc:
         raise SchemaError(f"{opath}: {exc}") from exc
 

@@ -9,8 +9,9 @@ building one per step.
 
 A ``Pose`` maps coordinates of its child frame into its parent frame,
 ``p_parent = R p_child + t``.  Spatial vectors are ordered
-``(linear; angular)``.  Rigid bodies are described by mass, center of mass
-and the 3x3 inertia about it (``chain.LinkSpec``, ``task.RigidObject``).
+``(linear; angular)``.  A rigid body, a link or the grasped object, is one
+``chain.LinkSpec``: mass, center of mass and the 3x3 inertia about it in
+the body's frame, placed in the world by that frame's pose.
 """
 
 from __future__ import annotations

@@ -181,6 +181,8 @@ def track_trajectory(model: ChainModel, trajectory: TaskTrajectory, seed=None) -
     seed = default_seed(model) if seed is None else np.asarray(seed, dtype=float).reshape(-1)
     if seed.shape[0] != model.n:
         raise ValueError(f"IK seed has length {seed.shape[0]}, expected {model.n}")
+    if not np.isfinite(seed).all():
+        raise ValueError(f"IK seed {seed.tolist()} is not finite")
 
     targets = np.hstack([trajectory.quaternions, trajectory.translations]).tolist()
     n_wp = len(targets)

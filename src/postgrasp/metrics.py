@@ -5,10 +5,10 @@ one quadrature grid (``evaluate_task``).  Each grasp is tracked alone:
 compose the gripper trajectory on those arrays, then track it in joint
 space.  The tracked grasps are then scored in batches of stacked rows, one
 row per grasp and waypoint: one kinematic pass over the stacked joint
-paths, the link inertias built on it once with each grasp's object as one
-more body on the last link (``link_inertias``; the two dynamics objectives
-read that pass and those inertias, not a model), and every row's value
-of each objective in one call:
+paths, the link inertias built on it once with the object placed on the
+last link in each grasp's frame (``link_inertias``; the two dynamics
+objectives read that pass and those inertias, not a model), and every
+row's value of each objective in one call:
 
 * directional velocity manipulability a^2 along the motion direction
   (maximize its path integral),
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, KinematicState, link_frames_axes
+from .chain import ChainModel, KinematicState, LinkSpec, link_frames_axes
 from .dynamics import (
     GRAVITY_DEFAULT,
     attach_object,
@@ -48,7 +48,6 @@ from .dynamics import (
 from .ik import GraspInfeasible, track_trajectory
 from .task import (
     GraspCandidate,
-    RigidObject,
     TaskSpec,
     TaskTrajectory,
     gripper_trajectory,
@@ -203,7 +202,7 @@ def torque_effort(kins: KinematicState, inertias: np.ndarray, joint_trajs, gravi
     """(B, W) squared joint-torque norms.  ``kins`` is the kinematic pass
     over the stacked positions of the B joint paths ``joint_trajs`` and
     ``inertias`` its link inertias (``link_inertias``); the grasped object
-    counts once they carry its body (``attach_object``)."""
+    counts once they carry it (``link_inertias``, ``attach_object``)."""
     qd = np.stack([j.velocities for j in joint_trajs])
     qdd = np.stack([j.accelerations for j in joint_trajs])
     tau = inverse_dynamics(kins, inertias, qd, qdd, gravity)
@@ -238,14 +237,16 @@ def _track(model: ChainModel, task: TaskTrajectory, grasp: GraspCandidate, ik_se
         return None
 
 
-def _score(model: ChainModel, obj: RigidObject, s: np.ndarray, gravity, tracked) -> list[GraspScorecard]:
+def _score(model: ChainModel, obj: LinkSpec, s: np.ndarray, gravity, tracked) -> list[GraspScorecard]:
     """Scorecards of tracked grasps (``_track``), in order, scored as one
     stack: one kinematic pass over the stacked joint paths, the link
-    inertias on it with each grasp's object on its own rows, then one call
-    per objective and one integration of each over the grid ``s``."""
+    inertias on it with the object in each grasp's frame on its own rows,
+    then one call per objective and one integration of each over the grid
+    ``s``."""
     grasps, grippers, paths = zip(*tracked)
     kins = link_frames_axes(model, np.stack([path.positions for path in paths]))
-    inertias = link_inertias(model, kins, [attach_object(model, grasp, obj) for grasp in grasps])
+    frames = np.stack([attach_object(model, grasp) for grasp in grasps])
+    inertias = link_inertias(model, kins, (obj, frames))
     a2, unachievable = tov(kins, grippers)
     tau2 = torque_effort(kins, inertias, paths, gravity)
     m_e, near_singular = tem(kins, inertias, grippers)
@@ -268,7 +269,7 @@ def evaluate_grasp(
     model: ChainModel,
     task: TaskTrajectory,
     grasp: GraspCandidate,
-    obj: RigidObject,
+    obj: LinkSpec,
     s: np.ndarray,
     ik_seed=None,
     gravity=GRAVITY_DEFAULT,
@@ -289,10 +290,13 @@ def evaluate_grasp(
 
 
 def check_ik_seed(model: ChainModel, spec: TaskSpec) -> None:
-    """Raise ValueError unless the task's IK seed, if any, has one value per joint."""
+    """Raise ValueError unless the task's IK seed, if any, has one finite
+    value per joint."""
     seed = spec.ik_seed
     if seed is not None and seed.shape[0] != model.n:
         raise ValueError(f"task {spec.name!r}: ik_seed has length {seed.shape[0]}, robot has {model.n} joints")
+    if seed is not None and not np.isfinite(seed).all():
+        raise ValueError(f"task {spec.name!r}: ik_seed {seed.tolist()} is not finite")
 
 
 def evaluate_task(

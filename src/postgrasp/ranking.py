@@ -14,6 +14,7 @@ import numpy as np
 from .metrics import OBJECTIVES, GraspScorecard
 
 _SENSES = np.array(list(OBJECTIVES.values()))
+_FRONT_BLOCK = 256  # grasps compared against all others at a time (``_front``)
 
 
 def _feasible_table(scorecards) -> tuple[list[GraspScorecard], np.ndarray]:
@@ -49,10 +50,15 @@ def _normalized(cards, table) -> NormalizedScores:
 def _front(cards, signed) -> list[str]:
     """Ids of the non-dominated grasps, in input order: a grasp is
     dominated when another is at least as good in every objective and
-    strictly better in one, so exact ties are kept."""
-    weak = np.all(signed[:, None, :] <= signed[None, :, :], axis=-1)
-    strict = np.any(signed[:, None, :] < signed[None, :, :], axis=-1)
-    dominated = np.any(weak & strict, axis=0)
+    strictly better in one, so exact ties are kept.  The k grasps are
+    compared ``_FRONT_BLOCK`` candidate dominators at a time, so the
+    comparison arrays take O(k * block) memory, not O(k^2)."""
+    dominated = np.zeros(len(cards), dtype=bool)
+    for start in range(0, len(cards), _FRONT_BLOCK):
+        block = signed[start : start + _FRONT_BLOCK, None, :]
+        weak = np.all(block <= signed, axis=-1)
+        weak &= np.any(block < signed, axis=-1)
+        dominated |= np.any(weak, axis=0)
     return [sc.grasp_id for sc, dom in zip(cards, dominated) if not dom]
 
 

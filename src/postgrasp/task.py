@@ -4,6 +4,9 @@ A task prescribes a timed sequence of object-CoM poses; a grasp candidate
 is a fixed object-to-gripper transform.  Composing the two yields the
 gripper trajectory the arm must track, and the normalized arc length of
 the object path provides the integration variable for all path metrics.
+The object is one rigid body (``chain.LinkSpec``, as a link is) given in
+its own frame, the frame the trajectory moves, with its CoM at that
+frame's origin.
 
 A trajectory's data are arrays: its unit quaternions, translations and
 times.  Keyframes are resampled (``resample``) and every grasp of a task is
@@ -20,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import validate_inertia_tensor
+from .chain import LinkSpec
 from .geometry import Pose, quaternion_matrices, quaternion_product, unit_quaternion
 
 START_TIME_TOLERANCE = 1e-9  # s, on the first waypoint's time
@@ -90,28 +93,13 @@ class GraspCandidate:
 
 
 @dataclass(frozen=True, eq=False)
-class RigidObject:
-    """Mass and CoM inertia tensor of the manipulated object."""
-
-    mass: float
-    inertia: np.ndarray
-
-    def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError(f"object mass must be positive, got {self.mass}")
-        m = validate_inertia_tensor(self.inertia, "object inertia tensor")
-        m.flags.writeable = False
-        object.__setattr__(self, "inertia", m)
-
-
-@dataclass(frozen=True, eq=False)
 class TaskSpec:
     """A parsed task file: keyframe trajectory, object, grasp set and the
     evaluation settings the file carries."""
 
     name: str
     trajectory: TaskTrajectory
-    obj: RigidObject
+    obj: LinkSpec
     grasps: tuple[GraspCandidate, ...]
     gravity: np.ndarray
     resample_count: int

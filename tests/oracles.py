@@ -71,7 +71,7 @@ from postgrasp.dynamics import (
 )
 from postgrasp.metrics import EFFECTIVE_MASS_CAP, NEAR_SINGULAR_THRESHOLD, _check_unit
 from postgrasp.geometry import Pose, Rotation, skew
-from postgrasp.task import GraspCandidate, RigidObject, TaskTrajectory
+from postgrasp.task import GraspCandidate, TaskTrajectory
 
 CHRISTOFFEL_STEP = 1e-6  # rad; truncation/round-off balance for float64
 
@@ -444,14 +444,13 @@ def effective_mass(
     model: ChainModel,
     q,
     grasp: GraspCandidate,
-    obj: RigidObject,
+    obj: LinkSpec,
     direction,
 ) -> float:
     """Mass an obstacle would perceive in a collision along ``direction``:
     1 / (u^T Lambda_tot^-1 u), capped at 1e9 kg near singularities."""
-    loaded = attach_object(model, grasp, obj)
     kin = link_frames_axes(model, q)
-    lam_inv = operational_mass_inverse(kin, link_inertias(model, kin, loaded))
+    lam_inv = operational_mass_inverse(kin, link_inertias(model, kin, (obj, attach_object(model, grasp))))
     value, _ = directional_effective_mass(lam_inv, direction)
     return value
 
@@ -470,6 +469,17 @@ def merge_bodies(m1, c1, i1, m2, c2, i2) -> tuple:
         return ii + mi * (float(d @ d) * np.eye(3) - np.outer(d, d))
 
     return m, c, shifted(m1, c1, i1) + shifted(m2, c2, i2)
+
+
+def object_in_last_link(model: ChainModel, grasp: GraspCandidate, obj: LinkSpec) -> LinkSpec:
+    """The grasped object re-expressed as a body in the last link's frame:
+    the object's frame sits in that frame at T g^-1 (tool transform T,
+    grasp g), so its CoM is at T g^-1 applied to the object's CoM and its
+    inertia about the CoM is R I R^T with R = R_T R_g^-1."""
+    g = grasp.transform.inverse()
+    tool = model.tool_transform
+    r = tool.rotation.as_matrix() @ g.rotation.as_matrix()
+    return LinkSpec(obj.mass, tool.apply(g.apply(obj.com)), r @ obj.inertia @ r.T)
 
 
 def merged_model(model: ChainModel, body: LinkSpec) -> ChainModel:

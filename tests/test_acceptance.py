@@ -20,7 +20,6 @@ from postgrasp import (
     JointSpec,
     LinkSpec,
     Pose,
-    RigidObject,
     Rotation,
     TaskTrajectory,
     directional_manipulability,
@@ -170,7 +169,7 @@ def test_criterion_4_effective_mass_anchors():
         joints=(JointSpec(kind="prismatic", axis=(0, 0, 1)),),
         links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
     )
-    obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-9)
+    obj = LinkSpec(mass=0.4, com=np.zeros(3), inertia=np.eye(3) * 1e-9)
     m_e = effective_mass(
         prism, [0.25], GraspCandidate("g", Pose.identity()), obj, np.array([0, 0, 1.0, 0, 0, 0])
     )

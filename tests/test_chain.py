@@ -10,7 +10,6 @@ from postgrasp import (
     JointSpec,
     LinkSpec,
     Pose,
-    RigidObject,
     Rotation,
     attach_object,
     forward_kinematics,
@@ -366,7 +365,7 @@ class TestToolBodyMerge:
     def test_zero_mass_merge_is_noop(self, arm7):
         kin = chain.link_frames_axes(arm7, Q7)
         body = LinkSpec(mass=0.0, com=np.zeros(3), inertia=np.zeros((3, 3)))
-        assert np.abs(link_inertias(arm7, kin, body) - link_inertias(arm7, kin)).max() <= 1e-15
+        assert np.abs(link_inertias(arm7, kin, (body, np.eye(4))) - link_inertias(arm7, kin)).max() <= 1e-15
 
     def test_point_mass_merge_parallel_axis(self):
         # two point masses on a massless-frame link: combined inertia about
@@ -376,7 +375,8 @@ class TestToolBodyMerge:
             links=(LinkSpec(mass=1.0, com=(1.0, 0, 0), inertia=np.zeros((3, 3))),),
             tool_transform=Pose(Rotation.identity(), (2.0, 0.0, 0.0)),
         )
-        body = attach_object(model, GraspCandidate("g", Pose.identity()), RigidObject(1.0, np.zeros((3, 3))))
+        frame = attach_object(model, GraspCandidate("g", Pose.identity()))
+        body = (LinkSpec(1.0, np.zeros(3), np.zeros((3, 3))), frame)
         # two unit masses at +-0.5 from the common CoM at 1.5: Izz = 2 * 0.25
         merged = replace(model, links=(LinkSpec(mass=2.0, com=(1.5, 0, 0), inertia=np.diag([0.0, 0.5, 0.5])),))
         for q in (0.0, 0.7, -2.0):
@@ -402,7 +402,7 @@ class TestToolBodyMerge:
             # the object's CoM sits at the inverse grasp's translation
             c2_tool = rng.uniform(-0.5, 0.5, 3)
             grasp = GraspCandidate("g", Pose(Rotation.identity(), -c2_tool))
-            body = attach_object(model, grasp, RigidObject(m2, np.zeros((3, 3))))
+            body = (LinkSpec(m2, np.zeros(3), np.zeros((3, 3))), attach_object(model, grasp))
             c2 = tool.apply(c2_tool)
             d = c2 - c1
             expected = m1 * m2 / (m1 + m2) * (float(d @ d) * np.eye(3) - np.outer(d, d))

@@ -8,7 +8,6 @@ from postgrasp import (
     JointSpec,
     LinkSpec,
     Pose,
-    RigidObject,
     Rotation,
     attach_object,
     augmented_mass_matrix,
@@ -25,6 +24,8 @@ from oracles import (
     coriolis_matrix,
     cuboid_inertia,
     gravity_vector,
+    merged_model,
+    object_in_last_link,
     operational_mass_inverse,
     two_r_closed_form,
 )
@@ -270,7 +271,7 @@ class TestInverseDynamics:
         # static-equilibrium oracle: attaching a mass at the tool raises the
         # hold torque by J_com^T (-m g)
         obj_mass = 0.4
-        obj = RigidObject(mass=obj_mass, inertia=np.zeros((3, 3)))
+        obj = LinkSpec(mass=obj_mass, com=np.zeros(3), inertia=np.zeros((3, 3)))
         g = np.array([0.0, 0.0, -9.81])
         for _ in range(5):
             q = rng.uniform(-1.2, 1.2, 7)
@@ -278,7 +279,7 @@ class TestInverseDynamics:
             tau_free = inverse_dynamics(kin, link_inertias(arm7, kin), np.zeros(7), np.zeros(7), gravity=g)
             tau_load = inverse_dynamics(
                 kin,
-                link_inertias(arm7, kin, attach_object(arm7, GraspCandidate("g", Pose.identity()), obj)),
+                link_inertias(arm7, kin, (obj, attach_object(arm7, GraspCandidate("g", Pose.identity())))),
                 np.zeros(7),
                 np.zeros(7),
                 gravity=g,
@@ -293,7 +294,8 @@ class TestAugmentedDynamics:
         loaded = LinkSpec(mass=0.0, com=arm7.tool_transform.apply([0.0, 0.1, 0.05]), inertia=np.zeros((3, 3)))
         kin = link_frames_axes(arm7, rng.uniform(-1.0, 1.0, 7))
         assert np.abs(
-            mass_matrix(kin, link_inertias(arm7, kin, loaded)) - mass_matrix(kin, link_inertias(arm7, kin))
+            mass_matrix(kin, link_inertias(arm7, kin, (loaded, np.eye(4))))
+            - mass_matrix(kin, link_inertias(arm7, kin))
         ).max() <= 1e-12
 
     def test_prismatic_point_mass_direct_sum(self):
@@ -302,7 +304,7 @@ class TestAugmentedDynamics:
             links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
         )
         grasp = GraspCandidate("g", Pose.identity())
-        obj = RigidObject(mass=0.4, inertia=np.zeros((3, 3)))
+        obj = LinkSpec(mass=0.4, com=np.zeros(3), inertia=np.zeros((3, 3)))
         m_tot = augmented_mass_matrix(model, [0.2], grasp, obj)
         assert np.abs(m_tot - np.array([[2.4]])).max() <= 1e-12
 
@@ -318,16 +320,33 @@ class TestAugmentedDynamics:
         # must agree with the Jacobian-mapped augmentation; the grasp
         # rotation is not a half turn about a principal axis, so R I R^T != I
         # and a lost grasp rotation shows
-        obj = RigidObject(mass=0.4, inertia=cuboid_inertia(0.4, (0.5, 0.15, 0.2)))
+        obj = LinkSpec(mass=0.4, com=np.zeros(3), inertia=cuboid_inertia(0.4, (0.5, 0.15, 0.2)))
         rotation = Rotation.from_axis_angle((1.0, 2.0, 3.0), 0.7)
         grasp = GraspCandidate("g", Pose(rotation, np.array([0.0, 0.1, 0.1])))
-        body = attach_object(arm7, grasp, obj)
+        body = (obj, attach_object(arm7, grasp))
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, 7)
             m1 = augmented_mass_matrix(arm7, q, grasp, obj)
             kin = link_frames_axes(arm7, q)
             m2 = mass_matrix(kin, link_inertias(arm7, kin, body))
             assert np.abs(m1 - m2).max() / np.abs(m1).max() <= 1e-12
+
+    def test_object_com_off_its_frame_origin(self, arm7, rng):
+        # a CoM given off the object frame's origin is placed alike by the
+        # attached body, by the Jacobian-mapped augmentation and by the body
+        # re-expressed in the last link's frame and merged into that link
+        obj = LinkSpec(mass=0.4, com=(0.05, -0.02, 0.03), inertia=cuboid_inertia(0.4, (0.5, 0.15, 0.2)))
+        rotation = Rotation.from_axis_angle((1.0, 2.0, 3.0), 0.7)
+        grasp = GraspCandidate("g", Pose(rotation, np.array([0.0, 0.1, 0.1])))
+        merged = merged_model(arm7, object_in_last_link(arm7, grasp, obj))
+        for _ in range(5):
+            q = rng.uniform(-1.5, 1.5, 7)
+            kin = link_frames_axes(arm7, q)
+            m_aug = augmented_mass_matrix(arm7, q, grasp, obj)
+            m_attached = mass_matrix(kin, link_inertias(arm7, kin, (obj, attach_object(arm7, grasp))))
+            m_merged = mass_matrix(kin, link_inertias(merged, kin))
+            assert np.abs(m_attached - m_aug).max() / np.abs(m_aug).max() <= 1e-12
+            assert np.abs(m_merged - m_aug).max() / np.abs(m_aug).max() <= 1e-12
 
     def test_relink_last_link_as_object(self, arm7, rng):
         # detach the arm's own last link and re-attach it as the "grasped
@@ -340,7 +359,7 @@ class TestAugmentedDynamics:
             tool_transform=arm7.tool_transform,
             name="stripped",
         )
-        body = RigidObject(mass=last.mass, inertia=last.inertia)
+        body = LinkSpec(mass=last.mass, com=np.zeros(3), inertia=last.inertia)
         # the "object frame" sits at the link CoM with the link's axes, so
         # the gripper (tool) frame is the tool transform seen from the CoM
         grasp = GraspCandidate(

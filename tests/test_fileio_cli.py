@@ -288,6 +288,24 @@ class TestLoadTask:
             assert got.tobytes() == Rotation(*np.array(q)).quat.tobytes()
             assert got[0] > 0.0 and abs(np.linalg.norm(got) - 1.0) <= 4e-16
 
+    def test_positive_mass_required(self, tmp_path):
+        path = tmp_path / "object.json"
+        for mass in (0.0, -1.0):
+            data = synthetic_task_dict()
+            data["object"]["mass"] = mass
+            path.write_text(json.dumps(data))
+            with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}.object.mass: must be positive"):
+                load_task(path)
+
+    def test_triangle_inequality_enforced(self, tmp_path):
+        data = synthetic_task_dict()
+        data["object"]["inertia"] = [0.1, 0.1, 0.30001, 0.0, 0.0, 0.0]
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps(data))
+        message = "inertia tensor violates the principal-moment triangle inequality"
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}.object: {message}$"):
+            load_task(path)
+
     def test_bad_final_time_rejected(self, tmp_path):
         data = synthetic_task_dict()
         data["object_waypoints"][-1]["t"] = 0.5

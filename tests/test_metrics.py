@@ -11,7 +11,6 @@ from postgrasp import (
     LinkSpec,
     Pose,
     Rotation,
-    RigidObject,
     TaskTrajectory,
     ZeroMotionError,
     attach_object,
@@ -73,7 +72,7 @@ def passes(model, traj):
 
 
 def small_object():
-    return RigidObject(mass=0.2, inertia=np.eye(3) * 1e-4)
+    return LinkSpec(mass=0.2, com=np.zeros(3), inertia=np.eye(3) * 1e-4)
 
 
 class TestDirectionalManipulability:
@@ -231,8 +230,8 @@ class TestTorqueEffort:
         qs = np.linspace([0.3, 0.9], [0.8, 0.6], 10)
         task = joint_path_task(model, qs)
         traj = track_trajectory(model, task, qs[0])
-        obj = RigidObject(mass=1e-12, inertia=np.eye(3) * 1e-15)
-        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
+        obj = LinkSpec(mass=1e-12, com=np.zeros(3), inertia=np.eye(3) * 1e-15)
+        loaded = (obj, attach_object(model, GraspCandidate("g", Pose.identity())))
         kins = passes(model, traj)
         (values,) = torque_effort(kins, link_inertias(model, kins, loaded), [traj], gravity=np.zeros(3))
         assert values.max() <= 1e-10
@@ -243,12 +242,12 @@ class TestTorqueEffort:
         pose = pose_of(forward_kinematics(two_r_model, q0))
         task = trajectory_of((pose, pose), np.array([0.0, 1.0]))
         traj = track_trajectory(two_r_model, task, q0)
-        obj = RigidObject(mass=0.3, inertia=np.eye(3) * 1e-5)
+        obj = LinkSpec(mass=0.3, com=np.zeros(3), inertia=np.eye(3) * 1e-5)
         grasp = GraspCandidate("g", Pose.identity())
         kins = passes(two_r_model, traj)
         (values,) = torque_effort(
             kins,
-            link_inertias(two_r_model, kins, attach_object(two_r_model, grasp, obj)),
+            link_inertias(two_r_model, kins, (obj, attach_object(two_r_model, grasp))),
             [traj],
             gravity=G2D,
         )
@@ -263,11 +262,11 @@ class TestTorqueEffort:
         s = path_parameter(task)
         traj = track_trajectory(two_r_model, task, qs[0])
         grasp = GraspCandidate("g", Pose.identity())
-        obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-4)
+        obj = LinkSpec(mass=0.4, com=np.zeros(3), inertia=np.eye(3) * 1e-4)
         kins = passes(two_r_model, traj)
         (with_obj,) = torque_effort(
             kins,
-            link_inertias(two_r_model, kins, attach_object(two_r_model, grasp, obj)),
+            link_inertias(two_r_model, kins, (obj, attach_object(two_r_model, grasp))),
             [traj],
             gravity=G2D,
         )
@@ -292,7 +291,7 @@ class TestEffectiveMass:
             joints=(JointSpec(kind="prismatic", axis=(0, 0, 1)),),
             links=(LinkSpec(mass=2.0, com=np.zeros(3), inertia=np.zeros((3, 3))),),
         )
-        obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
+        obj = LinkSpec(mass=0.4, com=np.zeros(3), inertia=np.eye(3) * 1e-6)
         m_e = effective_mass(
             model, [0.1], GraspCandidate("g", Pose.identity()), obj, np.array([0, 0, 1.0, 0, 0, 0])
         )
@@ -321,11 +320,11 @@ class TestEffectiveMass:
         assert flagged
 
     def test_bounded_by_operational_inertia_spectrum(self, arm7, rng):
-        obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-3)
+        obj = LinkSpec(mass=0.4, com=np.zeros(3), inertia=np.eye(3) * 1e-3)
         grasp = GraspCandidate("g", Pose(Rotation.identity(), (0, 0, 0.1)))
         for _ in range(10):
             q = rng.uniform(-1.2, 1.2, 7)
-            loaded = attach_object(arm7, grasp, obj)
+            loaded = (obj, attach_object(arm7, grasp))
             kin = link_frames_axes(arm7, q)
             lam_inv = operational_mass_inverse(kin, link_inertias(arm7, kin, loaded))
             eigs = np.linalg.eigvalsh(lam_inv)
@@ -343,8 +342,8 @@ class TestEffectiveMass:
             u = np.zeros(6)
             u[:3] = rng.normal(size=3)
             u /= np.linalg.norm(u)
-            light = RigidObject(mass=0.2, inertia=np.eye(3) * 5e-4)
-            heavy = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-3)
+            light = LinkSpec(mass=0.2, com=np.zeros(3), inertia=np.eye(3) * 5e-4)
+            heavy = LinkSpec(mass=0.4, com=np.zeros(3), inertia=np.eye(3) * 1e-3)
             assert effective_mass(arm7, q, grasp, heavy, u) >= effective_mass(
                 arm7, q, grasp, light, u
             ) - 1e-12
@@ -367,12 +366,12 @@ class TestEffectiveMass:
             traj.times, traj.positions, np.zeros_like(traj.velocities),
             np.zeros_like(traj.accelerations), traj.reachable,
         )
-        base = RigidObject(mass=spec.obj.mass, inertia=spec.obj.inertia)
-        doubled = RigidObject(mass=2 * spec.obj.mass, inertia=2 * spec.obj.inertia)
+        base = spec.obj
+        doubled = LinkSpec(mass=2 * spec.obj.mass, com=np.zeros(3), inertia=2 * spec.obj.inertia)
         kins = passes(arm7, static)
         prof1, prof2 = (
             torque_effort(
-                kins, link_inertias(arm7, kins, attach_object(arm7, grasp, obj)), [static],
+                kins, link_inertias(arm7, kins, (obj, attach_object(arm7, grasp))), [static],
                 gravity=spec.gravity,
             )[0]
             for obj in (base, doubled)
@@ -389,8 +388,8 @@ class TestTem:
         poses = [Pose(Rotation.identity(), (0, 0, 0.1 * i)) for i in range(6)]
         task = trajectory_of(poses, np.linspace(0, 1, 6))
         traj = track_trajectory(model, task, np.zeros(1))
-        obj = RigidObject(mass=0.4, inertia=np.eye(3) * 1e-6)
-        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
+        obj = LinkSpec(mass=0.4, com=np.zeros(3), inertia=np.eye(3) * 1e-6)
+        loaded = (obj, attach_object(model, GraspCandidate("g", Pose.identity())))
         kins = passes(model, traj)
         (values,), _ = tem(kins, link_inertias(model, kins, loaded), [task])
         assert np.abs(values - 2.4).max() <= 1e-9
@@ -405,9 +404,7 @@ class TestTem:
         traj = track_trajectory(
             two_r_model, task, np.array([0.2, 0.5])
         )
-        loaded = attach_object(
-            two_r_model, GraspCandidate("g", Pose.identity()), small_object()
-        )
+        loaded = (small_object(), attach_object(two_r_model, GraspCandidate("g", Pose.identity())))
         kins = passes(two_r_model, traj)
         with pytest.raises(ZeroMotionError):
             tem(kins, link_inertias(two_r_model, kins, loaded), [task])
@@ -429,8 +426,8 @@ class TestTem:
         qs = np.linspace([0.4, -0.9, 0.3], [0.6, -1.1, 0.4], 5)
         task = joint_path_task(model, qs)
         traj = track_trajectory(model, task, qs[0])
-        obj = RigidObject(mass=0.5, inertia=np.zeros((3, 3)))
-        loaded = attach_object(model, GraspCandidate("g", Pose.identity()), obj)
+        obj = LinkSpec(mass=0.5, com=np.zeros(3), inertia=np.zeros((3, 3)))
+        loaded = (obj, attach_object(model, GraspCandidate("g", Pose.identity())))
         kins = passes(model, traj)
         with pytest.raises(DegenerateModelError, match="numerically singular"):
             tem(kins, link_inertias(model, kins, loaded), [task])
@@ -676,3 +673,15 @@ def test_batch_boundaries_change_no_scorecard(arm7, monkeypatch, batches):
             assert card.profiles[name].tobytes() == alone.profiles[name].tobytes(), name
         for name in FLAGS:
             assert card.flags[name].tobytes() == alone.flags[name].tobytes(), name
+
+
+def test_non_finite_ik_seed_named(two_r_model):
+    # a task built in code may carry a seed that a task file would refuse:
+    # it is named, not tracked into an infeasible card per grasp
+    task = joint_path_task(two_r_model, np.linspace([0.4, 1.1], [1.1, 0.6], 6))
+    seed = np.array([0.4, np.nan])
+    spec = TaskSpec("nan_seed", task, small_object(), (GraspCandidate("g", Pose.identity()),), G2D, 6, seed)
+    with pytest.raises(ValueError, match=r"^task 'nan_seed': ik_seed \[0\.4, nan\] is not finite$"):
+        evaluate_task(two_r_model, spec)
+    with pytest.raises(ValueError, match=r"^IK seed \[0\.4, nan\] is not finite$"):
+        track_trajectory(two_r_model, task, seed)

@@ -21,7 +21,6 @@ from postgrasp import (
     JointSpec,
     LinkSpec,
     Pose,
-    RigidObject,
     Rotation,
     TaskTrajectory,
     ZeroMotionError,
@@ -42,6 +41,7 @@ from postgrasp.task import path_parameter
 from oracles import (
     eager_link_frames_axes,
     merged_model,
+    object_in_last_link,
     operational_mass_inverse,
     pose_of,
     reference_dls,
@@ -179,9 +179,9 @@ def test_unit_acceleration_torques_are_mass_matrix_columns(case):
 def test_merged_object_matches_augmented_mass_matrix(case, grasp_pose, mass, inertia):
     model, q = case
     grasp = GraspCandidate("g", grasp_pose)
-    obj = RigidObject(mass=mass, inertia=inertia)
+    obj = LinkSpec(mass=mass, com=np.zeros(3), inertia=inertia)
     kin = link_frames_axes(model, q)
-    attached = mass_matrix(kin, link_inertias(model, kin, attach_object(model, grasp, obj)))
+    attached = mass_matrix(kin, link_inertias(model, kin, (obj, attach_object(model, grasp))))
     assert rel_err(attached, augmented_mass_matrix(model, q, grasp, obj)) <= 1e-12
 
 
@@ -192,9 +192,11 @@ def test_attached_body_matches_the_parallel_axis_merge(case, grasp_pose, mass, i
     # inertia of the one body the parallel-axis theorem merges them into,
     # at one configuration or a stack
     model, q = case
-    body = attach_object(model, GraspCandidate("g", grasp_pose), RigidObject(mass=mass, inertia=inertia))
+    grasp = GraspCandidate("g", grasp_pose)
+    obj = LinkSpec(mass=mass, com=np.zeros(3), inertia=inertia)
+    merged = merged_model(model, object_in_last_link(model, grasp, obj))
     kin = link_frames_axes(model, q)
-    assert rel_err(link_inertias(model, kin, body), link_inertias(merged_model(model, body), kin)) <= 1e-12
+    assert rel_err(link_inertias(model, kin, (obj, attach_object(model, grasp))), link_inertias(merged, kin)) <= 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -331,7 +333,7 @@ def test_objectives_invariant_under_scene_rotation(case, axis, angle, grasp_pose
     # rotating the base, the task and gravity together changes no scalar
     model, qs = case
     grasp = GraspCandidate("g", grasp_pose)
-    obj = RigidObject(mass=mass, inertia=inertia)
+    obj = LinkSpec(mass=mass, com=np.zeros(3), inertia=inertia)
     release = grasp_pose.inverse()
     task = trajectory_of(
         (pose_of(forward_kinematics(model, q)).compose(release) for q in qs), np.linspace(0.0, 1.0, len(qs))

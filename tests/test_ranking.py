@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from postgrasp import ranking
 from postgrasp import (
     GraspScorecard,
     build_report,
@@ -82,6 +85,29 @@ class TestParetoFront:
             front = set(build_report(cards).pareto)
             got = set(i for i, c in enumerate(cards) if c.grasp_id in front)
             assert got == expected
+
+    @pytest.mark.parametrize("k, block", [(40, 7), (300, 256)])
+    def test_blocks_match_brute_force_oracle_with_ties(self, rng, monkeypatch, k, block):
+        # small integer scalars repeat, so exact ties and duplicate points
+        # straddle the blocks of candidate dominators
+        monkeypatch.setattr(ranking, "_FRONT_BLOCK", block)
+        for _ in range(20 if k < 100 else 2):
+            points = rng.integers(1, 6, size=(k, 3)).astype(float)
+            cards = [card(f"g{i:03d}", *row) for i, row in enumerate(points.tolist())]
+            expected = brute_force_pareto(points, ("max", "min", "min"))
+            assert build_report(cards).pareto == tuple(cards[i].grasp_id for i in sorted(expected))
+
+    def test_front_memory_bounded(self, rng):
+        # 4,000 feasible grasps: the comparisons take O(k * block) memory;
+        # all k x k pairs at once peaked at 76.7 MiB
+        cards = [card(f"g{i}", *row) for i, row in enumerate(rng.uniform(0.1, 2.0, size=(4000, 3)).tolist())]
+        tracemalloc.start()
+        try:
+            build_report(cards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_never_empty(self, rng):
         for _ in range(50):

@@ -7,7 +7,6 @@ from postgrasp import (
     GraspCandidate,
     Pose,
     Rotation,
-    RigidObject,
     TaskTrajectory,
     generate_grasp_sweep,
     gripper_trajectory,
@@ -301,15 +300,7 @@ class TestResample:
             assert squared.tobytes() != resample(task, 2).quaternions[0].tobytes()
 
 
-class TestRigidObject:
-    def test_positive_mass_required(self):
-        with pytest.raises(ValueError):
-            RigidObject(mass=0.0, inertia=np.eye(3))
-
-    def test_triangle_inequality_enforced(self):
-        with pytest.raises(ValueError):
-            RigidObject(mass=1.0, inertia=np.diag([0.1, 0.1, 0.30001]))
-
+class TestGraspCandidate:
     def test_grasp_id_required(self):
         with pytest.raises(ValueError):
             GraspCandidate("", Pose.identity())
