@@ -9,6 +9,7 @@ from .chain import (
     LinkSpec,
     forward_kinematics,
     geometric_jacobian,
+    link_frames_axes,
 )
 from .dynamics import (
     DegenerateModelError,

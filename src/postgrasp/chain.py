@@ -16,11 +16,9 @@ constant half of Pinocchio's model/data split (Carpentier et al., SII
 the read-only arrays that the pass and the dynamics read; the pass's
 ``KinematicState`` is the data of one configuration or batch.
 
-``forward_kinematics`` and ``geometric_jacobian`` take one configuration
-each and share a one-entry memo of the last pass, keyed on the model object
-and the bytes of ``q``: DLS asks for the pose at each new iterate and then
-for the Jacobian at the accepted one, so the memo saves a second pass per
-iteration.
+``forward_kinematics`` and ``geometric_jacobian`` read the tool pose and
+the Jacobian of a one-configuration pass: the pass is a value its caller
+holds, so DLS builds one per iterate and reads both from it.
 """
 
 from __future__ import annotations
@@ -275,40 +273,25 @@ def link_frames_axes(model: ChainModel, q) -> KinematicState:
     return KinematicState(rotations, origins, tool[..., :3, :3], p_op, jacobian, spin, slide)
 
 
-# (model, q bytes, KinematicState) of the last single-configuration pass
-_last_pass = (None, b"", None)
-_FLOAT = np.dtype(float)
-
-
-def _pass_at(model: ChainModel, q) -> KinematicState:
-    """``link_frames_axes`` at one configuration, reused while the model
-    object and the bytes of q repeat.  A float64 (n,) array, what IK always
-    passes, is used as it is; any other q is checked and flattened first."""
-    global _last_pass
-    if type(q) is not np.ndarray or q.dtype is not _FLOAT or q.shape != (model.n,):
-        q = _check_q(model, np.ravel(q))
-    key = q.tobytes()
-    last_model, last_key, kin = _last_pass
-    if last_model is not model or last_key != key:
-        kin = link_frames_axes(model, q)
-        _last_pass = (model, key, kin)
-    return kin
-
-
-def forward_kinematics(model: ChainModel, q) -> tuple:
-    """World pose of the operational point at one configuration, in the
-    form of a DLS target: seven floats, the unit quaternion (w, x, y, z),
-    then the translation, read straight off the pass."""
-    kin = _pass_at(model, q)
+def forward_kinematics(kin: KinematicState) -> tuple:
+    """World pose of the operational point of a one-configuration pass, in
+    the form of a DLS target: seven floats, the unit quaternion (w, x, y,
+    z), then the translation, read straight off the pass."""
+    if kin.tool_position.shape != (3,):
+        batch = kin.tool_position.shape[:-1]
+        raise ValueError(f"forward_kinematics reads one configuration, got a batch of shape {batch}")
     quaternion = unit_quaternion(*matrix_quaternion(kin.tool_rotation.tolist()))
     return quaternion + tuple(kin.tool_position.tolist())
 
 
-def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
-    """6xn Jacobian at one configuration (read-only): world-frame (linear;
+def geometric_jacobian(kin: KinematicState) -> np.ndarray:
+    """The pass's Jacobian (read-only, (..., 6, n)): world-frame (linear;
     angular) twist of the operational point per unit joint velocity.
 
     Columns follow the classic construction: revolute joint i contributes
-    (z_i x (p - p_i); z_i), a prismatic joint contributes (z_i; 0).
+    (z_i x (p - p_i); z_i), a prismatic joint contributes (z_i; 0).  It is
+    a field read, kept as a function because DLS reads each iterate's
+    Jacobian through it: the benchmark's tracer counts its calls as the
+    Jacobians DLS evaluates.
     """
-    return _pass_at(model, q).jacobian
+    return kin.jacobian

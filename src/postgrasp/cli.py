@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .chain import forward_kinematics, geometric_jacobian
+from .chain import forward_kinematics, geometric_jacobian, link_frames_axes
 from .fileio import SchemaError
 from .ik import default_seed
 from .metrics import FLAGS, OBJECTIVES, check_ik_seed, evaluate_task
@@ -225,12 +225,13 @@ def _cmd_inspect_model(args) -> int:
             f"  joint {i}: {joint.kind:9s} axis=({', '.join(f'{a:g}' for a in joint.axis)}) "
             f"limits=({joint.limits[0]:g}, {joint.limits[1]:g})"
         )
-    pose = forward_kinematics(model, q)
+    kin = link_frames_axes(model, q)
+    pose = forward_kinematics(kin)
     print(f"q: {', '.join(f'{x:g}' for x in q)}")
     print(f"tool position: {', '.join(f'{x:.6g}' for x in pose[4:])}")
     print(f"tool quaternion (w,x,y,z): {', '.join(f'{x:.6g}' for x in pose[:4])}")
     print("jacobian:")
-    for row in geometric_jacobian(model, q):
+    for row in geometric_jacobian(kin):
         print("  " + "  ".join(f"{x: .6g}" for x in row))
     return 0
 

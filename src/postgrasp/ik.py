@@ -1,14 +1,16 @@
 """Damped least-squares differential inverse kinematics.
 
 Damping is deliberate: the metrics downstream probe near-singular regions
-where a plain pseudo-inverse step explodes.  Tracking a trajectory seeds
-each waypoint with the previous solution and its tool pose, which keeps
-the joint path on one IK branch and computes no pose twice; joint
-velocities and accelerations are finite differences of the solved
-positions, so the energy metric reflects what the joint path actually
-does.  Each target is read off the trajectory's arrays as seven floats
-(quaternion, then translation), the form ``forward_kinematics`` gives the
-tool pose in, so tracking builds no pose object.
+where a plain pseudo-inverse step explodes.  Each iterate DLS tries gets
+one kinematic pass (``link_frames_axes``), from which its tool pose and,
+once the iterate is accepted, its Jacobian are read.  Tracking a
+trajectory seeds each waypoint with the previous solution, its pass and
+its tool pose, which keeps the joint path on one IK branch and builds no
+pass twice; joint velocities and accelerations are finite differences of
+the solved positions, so the energy metric reflects what the joint path
+actually does.  Each target is read off the trajectory's arrays as seven
+floats (quaternion, then translation), the form ``forward_kinematics``
+gives the tool pose in, so tracking builds no pose object.
 
 A solve that cannot meet the tolerances (target out of reach, or blocked
 by a joint limit) stops once its pose-error norm has fallen by less than
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, forward_kinematics, geometric_jacobian
+from .chain import ChainModel, KinematicState, forward_kinematics, geometric_jacobian, link_frames_axes
 from .geometry import quaternion_product, unit_quaternion
 from .task import TaskTrajectory
 
@@ -86,26 +88,18 @@ def _converged(err: np.ndarray) -> bool:
     return _norm(err[:3]) <= POSITION_TOLERANCE and _norm(err[3:]) <= ORIENTATION_TOLERANCE
 
 
-def _solve(model, target, seed, current=None) -> tuple[np.ndarray, tuple, bool, int]:
-    """DLS from ``seed`` towards ``target``'s seven floats (``pose_error``):
-    the last iterate, its tool pose, whether it meets the tolerances, and
-    the number of iterations (Jacobians) run.
-
-    ``current`` is the seed's tool pose when the caller has it.  Such a
-    seed is an earlier solve's last iterate, a float array within the
-    joint limits, so it is used as it is; any other seed is clamped."""
+def _solve(model, target, q, kin, current) -> tuple[np.ndarray, KinematicState, tuple, bool, int]:
+    """DLS towards ``target``'s seven floats (``pose_error``) from ``q``, a
+    float array within the joint limits, with its pass ``kin`` and tool
+    pose ``current``: the last iterate, its pass and tool pose, whether it
+    meets the tolerances, and the number of iterations (Jacobians) run."""
     lo, hi = model.lower, model.upper
-    if current is None:
-        q = np.minimum(np.maximum(np.asarray(seed, dtype=float).reshape(model.n), lo), hi)
-        current = forward_kinematics(model, q)
-    else:
-        q = seed
     err = pose_error(target, current)
     err_norms = [_norm(err)]
     for it in range(MAX_ITERATIONS):
         if _converged(err):
-            return q, current, True, it
-        jac = geometric_jacobian(model, q)
+            return q, kin, current, True, it
+        jac = geometric_jacobian(kin)
         dq = jac.T @ np.linalg.solve(jac @ jac.T + _DAMPING_EYE, err)
         norm = _norm(dq)
         if norm > MAX_STEP:
@@ -116,20 +110,21 @@ def _solve(model, target, seed, current=None) -> tuple[np.ndarray, tuple, bool, 
             q_new = q + dq
             np.maximum(q_new, lo, out=q_new)
             np.minimum(q_new, hi, out=q_new)
-            pose_new = forward_kinematics(model, q_new)
+            kin_new = link_frames_axes(model, q_new)
+            pose_new = forward_kinematics(kin_new)
             err_new = pose_error(target, pose_new)
             norm_new = _norm(err_new)
             if norm_new <= err_norms[-1] or _norm(dq) < 1e-12:
                 break
             dq = 0.5 * dq
-        q, current, err = q_new, pose_new, err_new
+        q, kin, current, err = q_new, kin_new, pose_new, err_new
         err_norms.append(norm_new)
         if (
             len(err_norms) > STALL_WINDOW
             and err_norms[-1] > (1.0 - STALL_GAIN) * err_norms[-1 - STALL_WINDOW]
         ):
             break
-    return q, current, _converged(err), it + 1
+    return q, kin, current, _converged(err), it + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,8 +167,9 @@ def _fd_derivatives(times: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.
 def track_trajectory(model: ChainModel, trajectory: TaskTrajectory, seed=None) -> JointTrajectory:
     """Track a gripper trajectory waypoint by waypoint.
 
-    The first waypoint starts from ``seed`` (``default_seed`` when None);
-    each later one is seeded with the previous solution and its tool pose.
+    The first waypoint starts from ``seed`` (``default_seed`` when None),
+    clamped to the joint limits; each later one is seeded with the previous
+    solution, its pass and its tool pose.
     An unreachable waypoint after the first is flagged (its best-effort
     iterate is kept so the trajectory stays usable); an unreachable first
     waypoint makes the whole grasp infeasible.
@@ -188,12 +184,14 @@ def track_trajectory(model: ChainModel, trajectory: TaskTrajectory, seed=None) -
     n_wp = len(targets)
     positions = np.zeros((n_wp, model.n))
     reachable = np.ones(n_wp, dtype=bool)
-    q, current, ok, _ = _solve(model, targets[0], seed)
+    q = np.minimum(np.maximum(seed, model.lower), model.upper)
+    kin = link_frames_axes(model, q)
+    q, kin, current, ok, _ = _solve(model, targets[0], q, kin, forward_kinematics(kin))
     if not ok:
         raise GraspInfeasible("first trajectory waypoint is unreachable")
     positions[0] = q
     for i in range(1, n_wp):
-        q, current, ok, _ = _solve(model, targets[i], q, current)
+        q, kin, current, ok, _ = _solve(model, targets[i], q, kin, current)
         positions[i] = q
         reachable[i] = ok
     vel, acc = _fd_derivatives(trajectory.times, positions)

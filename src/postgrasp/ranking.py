@@ -7,6 +7,7 @@ reports are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,6 @@ import numpy as np
 from .metrics import OBJECTIVES, GraspScorecard
 
 _SENSES = np.array(list(OBJECTIVES.values()))
-_FRONT_BLOCK = 256  # grasps compared against all others at a time (``_front``)
 
 
 def _feasible_table(scorecards) -> tuple[list[GraspScorecard], np.ndarray]:
@@ -50,16 +50,28 @@ def _normalized(cards, table) -> NormalizedScores:
 def _front(cards, signed) -> list[str]:
     """Ids of the non-dominated grasps, in input order: a grasp is
     dominated when another is at least as good in every objective and
-    strictly better in one, so exact ties are kept.  The k grasps are
-    compared ``_FRONT_BLOCK`` candidate dominators at a time, so the
-    comparison arrays take O(k * block) memory, not O(k^2)."""
-    dominated = np.zeros(len(cards), dtype=bool)
-    for start in range(0, len(cards), _FRONT_BLOCK):
-        block = signed[start : start + _FRONT_BLOCK, None, :]
-        weak = np.all(block <= signed, axis=-1)
-        weak &= np.any(block < signed, axis=-1)
-        dominated |= np.any(weak, axis=0)
-    return [sc.grasp_id for sc, dom in zip(cards, dominated) if not dom]
+    strictly better in one, so exact ties are kept.
+
+    One sort and one sweep (Kung, Luccio & Preparata, J. ACM 1975): a
+    row's dominators all sort before it, so it is dominated exactly when an
+    earlier, different row is as good in the last two objectives, which a
+    staircase of their minima answers; exact duplicates share one verdict."""
+    order = np.lexsort(signed.T[::-1])
+    on_front = np.zeros(len(cards), dtype=bool)
+    seconds, neg_thirds = [], []  # the staircase; -third ascends with second
+    previous = None
+    for i, row in zip(order.tolist(), signed[order].tolist()):
+        if row != previous:
+            _, second, third = previous = row
+            at = bisect_right(seconds, second)
+            kept = at == 0 or neg_thirds[at - 1] < -third
+            if kept:  # it replaces the steps it covers
+                at = bisect_left(seconds, second)
+                end = bisect_right(neg_thirds, -third, at)
+                seconds[at:end] = [second]
+                neg_thirds[at:end] = [-third]
+        on_front[i] = kept
+    return [sc.grasp_id for sc, keep in zip(cards, on_front) if keep]
 
 
 def _argbest(cards, signed) -> dict[str, str]:

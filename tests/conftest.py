@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from postgrasp import ChainModel, JointSpec, LinkSpec, Pose, Rotation, chain, load_robot, reference_robot_path
+from postgrasp import ChainModel, JointSpec, LinkSpec, Pose, Rotation, load_robot, reference_robot_path
 
 from oracles import TwoRParams
 
@@ -50,14 +50,3 @@ def arm7() -> ChainModel:
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
-
-@pytest.fixture
-def clear_pass_memo(monkeypatch):
-    """Empties ``chain``'s one-entry memo of the last pass, now and at each
-    call of the returned function; the memo is restored after the test."""
-
-    def clear():
-        monkeypatch.setattr(chain, "_last_pass", (None, b"", None))
-
-    clear()
-    return clear

@@ -23,10 +23,11 @@ differences one waypoint at a time, the forms ``ik`` computed before it
 worked on floats and whole arrays.
 ``reference_dls`` is the damped least-squares loop as it ran before solves
 stopped on a stall, on the production forward kinematics and Jacobian and
-``rotation_pose_error``.  ``gravity_vector`` and ``coriolis_matrix``
-(Christoffel form, finite differences of the CRBA mass matrix) derive the
-terms of the equation of motion from ``inverse_dynamics`` and
-``mass_matrix``.  ``operational_mass_inverse`` is the whole 6x6
+``rotation_pose_error``; ``solve_from_seed`` starts the production
+``ik._solve`` from a seed as ``track_trajectory`` starts it.
+``gravity_vector`` and ``coriolis_matrix`` (Christoffel form, finite
+differences of the CRBA mass matrix) derive the terms of the equation of
+motion from ``inverse_dynamics`` and ``mass_matrix``.  ``operational_mass_inverse`` is the whole 6x6
 operational-space inverse inertia J M^-1 J^T, with the production guard,
 and ``directional_effective_mass`` reads 1 / (u^T Lambda^-1 u) off it with
 the cap-and-flag rule: the form ``tem`` took before it solved for
@@ -347,14 +348,14 @@ def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:
     lo, hi = model.lower, model.upper
     q = np.clip(np.asarray(seed, dtype=float).reshape(model.n), lo, hi)
     lam2 = ik.DAMPING**2
-    err = rotation_pose_error(target, pose_of(forward_kinematics(model, q)))
+    err = rotation_pose_error(target, pose_of(forward_kinematics(link_frames_axes(model, q))))
     for _ in range(ik.MAX_ITERATIONS):
         if (
             np.linalg.norm(err[:3]) <= ik.POSITION_TOLERANCE
             and np.linalg.norm(err[3:]) <= ik.ORIENTATION_TOLERANCE
         ):
             return q, True
-        jac = geometric_jacobian(model, q)
+        jac = geometric_jacobian(link_frames_axes(model, q))
         a = jac @ jac.T + lam2 * np.eye(6)
         dq = jac.T @ np.linalg.solve(a, err)
         norm = np.linalg.norm(dq)
@@ -363,7 +364,7 @@ def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:
         err_norm = np.linalg.norm(err)
         for _ in range(5):
             q_new = np.clip(q + dq, lo, hi)
-            err_new = rotation_pose_error(target, pose_of(forward_kinematics(model, q_new)))
+            err_new = rotation_pose_error(target, pose_of(forward_kinematics(link_frames_axes(model, q_new))))
             if np.linalg.norm(err_new) <= err_norm or np.linalg.norm(dq) < 1e-12:
                 break
             dq = 0.5 * dq
@@ -374,6 +375,16 @@ def reference_dls(model, target, seed) -> tuple[np.ndarray, bool]:
     ):
         return q, True
     return q, False
+
+
+def solve_from_seed(model, target, seed) -> tuple[np.ndarray, tuple, bool, int]:
+    """``ik._solve`` from ``seed`` clamped to the joint limits, with its
+    pass and tool pose: the last iterate, its tool pose, whether it meets
+    the tolerances and the number of iterations run."""
+    q = np.minimum(np.maximum(np.asarray(seed, dtype=float).reshape(model.n), model.lower), model.upper)
+    kin = link_frames_axes(model, q)
+    q, _, current, ok, iterations = ik._solve(model, target, q, kin, forward_kinematics(kin))
+    return q, current, ok, iterations
 
 
 def gravity_vector(model: ChainModel, q, gravity=GRAVITY_DEFAULT) -> np.ndarray:

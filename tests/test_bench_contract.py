@@ -19,11 +19,12 @@ import pytest
 from postgrasp import (
     evaluate_task,
     forward_kinematics,
+    link_frames_axes,
     load_task,
     reference_task_path,
     track_trajectory,
 )
-from postgrasp import ik
+from postgrasp import chain, ik
 
 from oracles import pose_of, trajectory_of
 
@@ -59,37 +60,35 @@ def test_tracking_calls_pose_and_jacobian_by_their_ik_names(arm7, monkeypatch):
     for name in calls:
         monkeypatch.setattr(ik, name, counting(name))
     qs = np.linspace([0.1, 0.5, -0.2, -1.2, 0.3, 0.8, 0.0], [0.2, 0.6, -0.1, -1.1, 0.4, 0.9, 0.1], 4)
-    poses = [pose_of(forward_kinematics(arm7, q)) for q in qs]
+    poses = [pose_of(forward_kinematics(link_frames_axes(arm7, q))) for q in qs]
     result = track_trajectory(arm7, trajectory_of(poses, np.linspace(0.0, 1.0, 4)), qs[0])
     assert calls["forward_kinematics"] > 0
     assert calls["geometric_jacobian"] > 0
     assert result.reachable.shape == (4,)
 
 
-def test_tracking_reaches_the_pass_through_its_module_binding(arm7, spans, monkeypatch, clear_pass_memo):
+def test_tracking_reaches_the_pass_through_its_module_binding(arm7, spans, monkeypatch):
     # chain.ik_passes_per_pair counts postgrasp.chain.link_frames_axes as
-    # the tracer rebinds it: DLS must reach the pass by that module name,
-    # once per distinct iterate whose pose or Jacobian it asks for
+    # the tracer rebinds it: DLS must reach the pass by a postgrasp binding
+    # of that function, once per distinct iterate it tries
     asked = []
+    original = ik.link_frames_axes
 
-    def recording(original):
-        def recorded(model, q):
-            asked.append(q.tobytes())
-            return original(model, q)
+    def recorded(model, q):
+        asked.append(q.tobytes())
+        return original(model, q)
 
-        return recorded
-
-    for name in ("forward_kinematics", "geometric_jacobian"):
-        monkeypatch.setattr(ik, name, recording(getattr(ik, name)))
     qs = np.linspace([0.1, 0.5, -0.2, -1.2, 0.3, 0.8, 0.0], [0.4, 0.8, 0.1, -0.9, 0.6, 1.1, 0.3], 4)
-    poses = [pose_of(forward_kinematics(arm7, q)) for q in qs]
-    clear_pass_memo()
+    poses = [pose_of(forward_kinematics(link_frames_axes(arm7, q))) for q in qs]
+    # the recorder is the function the tracer finds in chain, so it wraps
+    # every binding that holds the recorder, ik's among them
+    monkeypatch.setattr(chain, "link_frames_axes", recorded)
+    monkeypatch.setattr(ik, "link_frames_axes", recorded)
     with spans.Tracer() as tracer:
         result = ik.track_trajectory(arm7, trajectory_of(poses, np.linspace(0.0, 1.0, 4)), qs[0])
     assert tracer.absent == []
     assert result.reachable.all()
-    runs = sum(1 for i, key in enumerate(asked) if i == 0 or key != asked[i - 1])
-    assert tracer.counts["chain.link_frames_axes", "ik"] == runs == len(set(asked)) > len(qs)
+    assert tracer.counts["chain.link_frames_axes", "ik"] == len(asked) == len(set(asked)) > len(qs)
 
 
 def test_evaluate_task_tracks_each_grasp_once(arm7, spans):

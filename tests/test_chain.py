@@ -14,9 +14,9 @@ from postgrasp import (
     attach_object,
     forward_kinematics,
     geometric_jacobian,
+    link_frames_axes,
     link_inertias,
 )
-from postgrasp import chain
 from postgrasp.geometry import matrix_quaternion, skew
 
 from oracles import TwoRParams, finite_difference_jacobian, pose_of, rotation_log, two_r_closed_form
@@ -106,26 +106,26 @@ class TestModelConstants:
 
 class TestForwardKinematics:
     def test_two_r_straight(self):
-        pose = pose_of(forward_kinematics(unit_two_r(), [0.0, 0.0]))
+        pose = pose_of(forward_kinematics(link_frames_axes(unit_two_r(), [0.0, 0.0])))
         assert np.abs(pose.translation - np.array([2.0, 0.0, 0.0])).max() <= 1e-12
         assert np.linalg.norm(rotation_log(pose.rotation)) <= 1e-12
 
     def test_two_r_first_joint_quarter_turn(self):
-        pose = pose_of(forward_kinematics(unit_two_r(), [np.pi / 2, 0.0]))
+        pose = pose_of(forward_kinematics(link_frames_axes(unit_two_r(), [np.pi / 2, 0.0])))
         assert np.abs(pose.translation - np.array([0.0, 2.0, 0.0])).max() <= 1e-12
 
     def test_two_r_matches_closed_form(self, two_r_params, two_r_model, rng):
         for _ in range(200):
             q = rng.uniform(-np.pi, np.pi, 2)
             oracle = two_r_closed_form(two_r_params, q)
-            pose = pose_of(forward_kinematics(two_r_model, q))
+            pose = pose_of(forward_kinematics(link_frames_axes(two_r_model, q)))
             assert np.abs(pose.translation - oracle["tip"]).max() <= 1e-12
             expected = Rotation.from_axis_angle((0.0, 0.0, 1.0), oracle["angle"])
             assert np.linalg.norm(rotation_log(pose.rotation.inverse() * expected)) <= 1e-9
 
     def test_prismatic_translates_along_axis(self):
         model = prismatic_z()
-        pose = pose_of(forward_kinematics(model, [0.3]))
+        pose = pose_of(forward_kinematics(link_frames_axes(model, [0.3])))
         assert np.abs(pose.translation - np.array([0.0, 0.0, 0.3])).max() <= 1e-15
 
     def test_base_pose_offsets_everything(self, rng):
@@ -137,13 +137,13 @@ class TestForwardKinematics:
             tool_transform=unit_two_r().tool_transform,
         )
         q = rng.uniform(-1, 1, 2)
-        expected = base.compose(pose_of(forward_kinematics(unit_two_r(), q)))
-        got = pose_of(forward_kinematics(model, q))
+        expected = base.compose(pose_of(forward_kinematics(link_frames_axes(unit_two_r(), q))))
+        got = pose_of(forward_kinematics(link_frames_axes(model, q)))
         assert np.abs(got.translation - expected.translation).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            forward_kinematics(unit_two_r(), [0.1])
+            forward_kinematics(link_frames_axes(unit_two_r(), [0.1]))
 
 
 def _shepperd_branch(m) -> str:
@@ -187,23 +187,21 @@ class TestForwardKinematicsPose:
         assert type(got) is tuple and [type(v) for v in got] == [float] * 7, got
         assert np.array(got).tobytes() == np.array(want).tobytes(), (rotation, got, want)
 
-    def fk_on_tool(self, monkeypatch, clear_pass_memo, model, rotation, position):
+    def fk_on_tool(self, model, rotation, position):
         """``forward_kinematics`` on a pass whose tool frame is given."""
-        kin = replace(chain.link_frames_axes(model, np.zeros(model.n)), tool_rotation=rotation, tool_position=position)
-        monkeypatch.setattr(chain, "link_frames_axes", lambda model, q: kin)
-        clear_pass_memo()
-        return forward_kinematics(model, np.zeros(model.n))
+        kin = replace(link_frames_axes(model, np.zeros(model.n)), tool_rotation=rotation, tool_position=position)
+        return forward_kinematics(kin)
 
     def test_arm7_passes(self, arm7, rng):
         lo, hi = arm7.lower, arm7.upper
         branches = set()
         for q in rng.uniform(lo, hi, (400, 7)):
-            kin = chain.link_frames_axes(arm7, q)
+            kin = link_frames_axes(arm7, q)
             branches.add(_shepperd_branch(kin.tool_rotation))
-            self.assert_pose_bytes(forward_kinematics(arm7, q), kin.tool_rotation, kin.tool_position)
+            self.assert_pose_bytes(forward_kinematics(link_frames_axes(arm7, q)), kin.tool_rotation, kin.tool_position)
         assert branches == {"w", "x", "y", "z"}
 
-    def test_random_rotations_every_branch_and_flip(self, monkeypatch, clear_pass_memo, rng):
+    def test_random_rotations_every_branch_and_flip(self, rng):
         model = unit_two_r()
         branches, flips = set(), 0
         for quat in rng.normal(size=(400, 4)):
@@ -211,30 +209,30 @@ class TestForwardKinematicsPose:
             position = rng.normal(size=3)
             branches.add(_shepperd_branch(rotation))
             flips += matrix_quaternion(rotation.tolist())[0] < 0.0
-            got = self.fk_on_tool(monkeypatch, clear_pass_memo, model, rotation, position)
+            got = self.fk_on_tool(model, rotation, position)
             self.assert_pose_bytes(got, rotation, position)
         assert branches == {"w", "x", "y", "z"}
         assert flips > 0  # a raw quaternion with w < 0, flipped by the normalisation
 
-    def test_signed_zeros(self, monkeypatch, clear_pass_memo):
+    def test_signed_zeros(self):
         model = unit_two_r()
         position = np.array([0.0, -0.0, 1.0])
         signs = set()
         for rotation in _signed_permutation_rotations():
-            got = self.fk_on_tool(monkeypatch, clear_pass_memo, model, rotation, position)
+            got = self.fk_on_tool(model, rotation, position)
             self.assert_pose_bytes(got, rotation, position)
             quat = np.array(got[:4])
             signs.update(np.signbit(quat[quat == 0.0]).tolist())
         assert signs == {False, True}  # both signed zeros reach the quaternion
 
     def test_seven_floats_of_the_pass(self, arm7):
-        kin = chain.link_frames_axes(arm7, Q7)
-        self.assert_pose_bytes(forward_kinematics(arm7, Q7), kin.tool_rotation, kin.tool_position)
+        kin = link_frames_axes(arm7, Q7)
+        self.assert_pose_bytes(forward_kinematics(link_frames_axes(arm7, Q7)), kin.tool_rotation, kin.tool_position)
 
 
 class TestGeometricJacobian:
     def test_two_r_straight_config(self):
-        jac = geometric_jacobian(unit_two_r(), [0.0, 0.0])
+        jac = geometric_jacobian(link_frames_axes(unit_two_r(), [0.0, 0.0]))
         assert np.abs(jac[0] - np.array([0.0, 0.0])).max() <= 1e-12
         assert np.abs(jac[1] - np.array([2.0, 1.0])).max() <= 1e-12
         assert np.abs(jac[5] - np.array([1.0, 1.0])).max() <= 1e-12
@@ -243,26 +241,31 @@ class TestGeometricJacobian:
         for _ in range(100):
             q = rng.uniform(-np.pi, np.pi, 2)
             assert np.abs(
-                geometric_jacobian(two_r_model, q) - two_r_closed_form(two_r_params, q)["J"]
+                geometric_jacobian(link_frames_axes(two_r_model, q)) - two_r_closed_form(two_r_params, q)["J"]
             ).max() <= 1e-12
 
     def test_prismatic_column_has_no_angular_part(self):
-        jac = geometric_jacobian(prismatic_z(), [0.2])
+        jac = geometric_jacobian(link_frames_axes(prismatic_z(), [0.2]))
         assert np.abs(jac[3:, 0]).max() == 0.0
         assert np.abs(jac[:3, 0] - np.array([0, 0, 1.0])).max() <= 1e-15
 
     def test_shape(self, arm7):
-        assert geometric_jacobian(arm7, np.zeros(7)).shape == (6, 7)
+        assert geometric_jacobian(link_frames_axes(arm7, np.zeros(7))).shape == (6, 7)
+
+    def test_jacobian_is_read_only(self, arm7):
+        jac = geometric_jacobian(link_frames_axes(arm7, np.zeros(7)))
+        with pytest.raises(ValueError):
+            jac[0, 0] = 1.0
 
     def test_finite_difference_check(self, arm7, rng):
         # linear rows against FD of the tool position, angular rows against
         # FD of the rotation log
         def tool_pos(q):
-            return forward_kinematics(arm7, q)[4:]
+            return forward_kinematics(link_frames_axes(arm7, q))[4:]
 
         for _ in range(10):
             q = rng.uniform(-1.2, 1.2, 7)
-            jac = geometric_jacobian(arm7, q)
+            jac = geometric_jacobian(link_frames_axes(arm7, q))
             jac_fd = finite_difference_jacobian(tool_pos, q, 1e-7)
             scale = max(1.0, np.abs(jac[:3]).max())
             assert np.abs(jac[:3] - jac_fd).max() / scale <= 1e-5
@@ -271,84 +274,54 @@ class TestGeometricJacobian:
             for k in range(7):
                 dq = np.zeros(7)
                 dq[k] = h
-                ra = pose_of(forward_kinematics(arm7, q - dq)).rotation
-                rb = pose_of(forward_kinematics(arm7, q + dq)).rotation
+                ra = pose_of(forward_kinematics(link_frames_axes(arm7, q - dq))).rotation
+                rb = pose_of(forward_kinematics(link_frames_axes(arm7, q + dq))).rotation
                 omega = rotation_log(rb * ra.inverse()) / (2 * h)
                 assert np.abs(jac[3:, k] - omega).max() <= 1e-5
-
-
-class TestPassMemo:
-    def test_same_q_on_two_models(self, arm7):
-        # the memo must key on the model too: at the same q, a model with
-        # another tool transform has its own pose and Jacobian
-        tool = Pose(Rotation.from_axis_angle((0.0, 1.0, 0.0), 0.4), np.array([0.0, 0.05, 0.3]))
-        other = replace(arm7, tool_transform=tool)
-        q = np.linspace(-1.0, 1.0, 7)
-        for model in (arm7, other, arm7, other):
-            want = chain.link_frames_axes(model, q)
-            assert np.array_equal(forward_kinematics(model, q)[4:], want.tool_position)
-            assert np.array_equal(geometric_jacobian(model, q), want.jacobian)
-        assert not np.allclose(geometric_jacobian(arm7, q), geometric_jacobian(other, q))
-
-    def test_pose_then_jacobian_is_one_pass(self, arm7, monkeypatch, clear_pass_memo):
-        passes = []
-
-        def counted(model, q):
-            passes.append(1)
-            return link_frames_axes(model, q)
-
-        link_frames_axes = chain.link_frames_axes
-        monkeypatch.setattr(chain, "link_frames_axes", counted)
-        q = np.linspace(-0.3, 0.9, 7)
-        forward_kinematics(arm7, q)
-        geometric_jacobian(arm7, q)
-        forward_kinematics(arm7, list(q))
-        assert len(passes) == 1
-        geometric_jacobian(arm7, q + 1e-9)
-        assert len(passes) == 2
-
-    def test_jacobian_is_read_only(self, arm7):
-        jac = geometric_jacobian(arm7, np.zeros(7))
-        with pytest.raises(ValueError):
-            jac[0, 0] = 1.0
 
 
 Q7 = np.linspace(-1.2, 0.9, 7)
 
 
 class TestPassInputs:
-    # IK's float64 (n,) arrays go to the pass unchecked by the memo; every
-    # other form is still converted and flattened, and the pass itself
-    # checks every new q
+    # the pass converts and checks any form of q; forward kinematics reads
+    # only a pass of one configuration
 
     @pytest.mark.parametrize(
         "q",
-        [list(Q7), np.round(2 * Q7).astype(int), Q7.astype(np.float32), Q7[None, :], np.repeat(Q7, 2)[::2]],
-        ids=["list", "int-array", "float32", "row", "strided"],
+        [list(Q7), np.round(2 * Q7).astype(int), Q7.astype(np.float32), np.repeat(Q7, 2)[::2]],
+        ids=["list", "int-array", "float32", "strided"],
     )
-    def test_any_form_gives_the_pass_of_its_float_values(self, arm7, clear_pass_memo, q):
-        want = chain.link_frames_axes(arm7, np.asarray(q, dtype=float).ravel())
-        pose = forward_kinematics(arm7, q)
+    def test_any_form_gives_the_pass_of_its_float_values(self, arm7, q):
+        want = link_frames_axes(arm7, np.asarray(q, dtype=float).ravel())
+        kin = link_frames_axes(arm7, q)
+        pose = forward_kinematics(kin)
         assert np.array(pose[4:]).tobytes() == want.tool_position.tobytes()
         assert pose_of(pose).rotation == Rotation(*matrix_quaternion(want.tool_rotation.tolist()))
-        assert geometric_jacobian(arm7, q).tobytes() == want.jacobian.tobytes()
+        assert geometric_jacobian(kin).tobytes() == want.jacobian.tobytes()
 
     @pytest.mark.parametrize(
         "q, got",
-        [(np.zeros(6), 6), (np.zeros(8, dtype=int), 8), ([0.0] * 8, 8), (np.zeros((2, 7)), 14)],
-        ids=["short", "long-int", "long-list", "two-rows"],
+        [(np.zeros(6), 6), (np.zeros(8, dtype=int), 8), ([0.0] * 8, 8)],
+        ids=["short", "long-int", "long-list"],
     )
     @pytest.mark.parametrize("function", [forward_kinematics, geometric_jacobian])
-    def test_wrong_length_rejected(self, arm7, clear_pass_memo, function, q, got):
+    def test_wrong_length_rejected(self, arm7, function, q, got):
         with pytest.raises(ValueError, match=f"^expected 7 joint values, got {got}$"):
-            function(arm7, q)
+            function(link_frames_axes(arm7, q))
+
+    @pytest.mark.parametrize("q", [Q7[None, :], np.stack([Q7, -Q7])], ids=["row", "two-rows"])
+    def test_forward_kinematics_refuses_a_batched_pass(self, arm7, q):
+        kin = link_frames_axes(arm7, q)
+        with pytest.raises(ValueError, match=rf"^forward_kinematics reads one configuration, got a batch of shape \({len(q)},\)$"):
+            forward_kinematics(kin)
 
     def test_pass_checks_every_new_q(self, arm7):
         with pytest.raises(ValueError, match="^expected 7 joint values, got 6$"):
-            chain.link_frames_axes(arm7, np.zeros(6))
+            link_frames_axes(arm7, np.zeros(6))
 
     def test_motion_is_derived_once_and_read_only(self, arm7):
-        kin = chain.link_frames_axes(arm7, Q7)
+        kin = link_frames_axes(arm7, Q7)
         assert "motion" not in vars(kin)
         motion = kin.motion
         assert kin.motion is motion
@@ -363,7 +336,7 @@ class TestToolBodyMerge:
     # parallel-axis theorem merges the two into
 
     def test_zero_mass_merge_is_noop(self, arm7):
-        kin = chain.link_frames_axes(arm7, Q7)
+        kin = link_frames_axes(arm7, Q7)
         body = LinkSpec(mass=0.0, com=np.zeros(3), inertia=np.zeros((3, 3)))
         assert np.abs(link_inertias(arm7, kin, (body, np.eye(4))) - link_inertias(arm7, kin)).max() <= 1e-15
 
@@ -380,7 +353,7 @@ class TestToolBodyMerge:
         # two unit masses at +-0.5 from the common CoM at 1.5: Izz = 2 * 0.25
         merged = replace(model, links=(LinkSpec(mass=2.0, com=(1.5, 0, 0), inertia=np.diag([0.0, 0.5, 0.5])),))
         for q in (0.0, 0.7, -2.0):
-            kin = chain.link_frames_axes(model, [q])
+            kin = link_frames_axes(model, [q])
             # entries up to 5 kg m^2 (Izz about the joint), so 1e-15 of that
             assert np.abs(link_inertias(model, kin, body) - link_inertias(merged, kin)).max() <= 5e-15
 
@@ -407,7 +380,7 @@ class TestToolBodyMerge:
             d = c2 - c1
             expected = m1 * m2 / (m1 + m2) * (float(d @ d) * np.eye(3) - np.outer(d, d))
             merged = replace(model, links=(LinkSpec(m1 + m2, (m1 * c1 + m2 * c2) / (m1 + m2), expected),))
-            kin = chain.link_frames_axes(model, rng.uniform(-np.pi, np.pi, 1))
+            kin = link_frames_axes(model, rng.uniform(-np.pi, np.pi, 1))
             assert np.abs(link_inertias(model, kin, body) - link_inertias(merged, kin)).max() <= 1e-12
 
 

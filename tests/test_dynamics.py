@@ -284,7 +284,7 @@ class TestInverseDynamics:
                 np.zeros(7),
                 gravity=g,
             )
-            jac = geometric_jacobian(arm7, q)
+            jac = geometric_jacobian(link_frames_axes(arm7, q))
             expected = jac[:3].T @ (-obj_mass * g)
             assert np.abs((tau_load - tau_free) - expected).max() <= 1e-10
 

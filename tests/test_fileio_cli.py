@@ -20,6 +20,7 @@ from postgrasp import (
     evaluate_task,
     forward_kinematics,
     generate_grasp_sweep,
+    link_frames_axes,
     load_robot,
     load_task,
     reference_robot_path,
@@ -108,7 +109,7 @@ def synthetic_task_path(tmp_path):
 class TestLoadRobot:
     def test_planar_rr_sanity(self, planar_rr):
         assert planar_rr.n == 2
-        pose = forward_kinematics(planar_rr, [0.0, 0.0])
+        pose = forward_kinematics(link_frames_axes(planar_rr, [0.0, 0.0]))
         assert np.abs(np.array(pose[4:]) - np.array([2.0, 0.0, 0.0])).max() <= 1e-12
 
     def test_arm7_matches_file_numbers(self, arm7):
@@ -586,7 +587,7 @@ class TestCliCommands:
         # the planar arm holds its first waypoint, but the path then lifts
         # out of the arm's plane: at waypoint 0 tov's direction is
         # unachievable and tem's is near-singular
-        pose = forward_kinematics(planar_rr, [0.3, 0.9])
+        pose = forward_kinematics(link_frames_axes(planar_rr, [0.3, 0.9]))
         start = {"translation": list(pose[4:]), "quaternion": list(pose[:4])}
         lifted = dict(start, translation=(np.array(pose[4:]) + [0.0, 0.0, 0.1]).tolist())
         task = {

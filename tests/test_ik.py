@@ -14,6 +14,7 @@ from postgrasp import (
     forward_kinematics,
     geometric_jacobian,
     gripper_trajectory,
+    link_frames_axes,
     load_task,
     reference_task_path,
     resample,
@@ -24,7 +25,6 @@ from postgrasp.ik import (
     ORIENTATION_TOLERANCE,
     POSITION_TOLERANCE,
     _fd_derivatives,
-    _solve,
     default_seed,
     pose_error,
 )
@@ -35,20 +35,21 @@ from oracles import (
     pose_target,
     reference_dls,
     rotation_pose_error,
+    solve_from_seed,
     trajectory_of,
     two_r_ik,
 )
 
 
 def joint_path_poses(model, qs):
-    return [pose_of(forward_kinematics(model, q)) for q in qs]
+    return [pose_of(forward_kinematics(link_frames_axes(model, q))) for q in qs]
 
 
 class TestSolveWaypoint:
     def test_already_solved_returns_seed(self, two_r_model, rng):
         seed = rng.uniform(-1.0, 1.0, 2)
-        target = forward_kinematics(two_r_model, seed)
-        q, _, ok, _ = _solve(two_r_model, target, seed)
+        target = forward_kinematics(link_frames_axes(two_r_model, seed))
+        q, _, ok, _ = solve_from_seed(two_r_model, target, seed)
         assert ok
         assert np.array_equal(q, seed)
 
@@ -56,25 +57,25 @@ class TestSolveWaypoint:
         branches = two_r_ik(two_r_params, 1.0, 1.0)
         assert len(branches) == 2
         for q1, q2 in branches:
-            target = forward_kinematics(two_r_model, [q1, q2])
+            target = forward_kinematics(link_frames_axes(two_r_model, [q1, q2]))
             seed = np.array([q1, q2]) + 0.3
-            q, _, ok, _ = _solve(two_r_model, target, seed)
+            q, _, ok, _ = solve_from_seed(two_r_model, target, seed)
             assert ok
             assert np.abs(q - np.array([q1, q2])).max() <= 1e-5
 
     def test_tolerances_met(self, arm7, rng):
         seed = default_seed(arm7)
         q0 = rng.uniform(-1.0, 1.0, 7)
-        target = forward_kinematics(arm7, q0)
-        q, _, ok, _ = _solve(arm7, target, q0 + 0.15)
+        target = forward_kinematics(link_frames_axes(arm7, q0))
+        q, _, ok, _ = solve_from_seed(arm7, target, q0 + 0.15)
         assert ok
-        err = pose_error(target, forward_kinematics(arm7, q))
+        err = pose_error(target, forward_kinematics(link_frames_axes(arm7, q)))
         assert np.linalg.norm(err[:3]) <= POSITION_TOLERANCE
         assert np.linalg.norm(err[3:]) <= ORIENTATION_TOLERANCE
 
     def test_out_of_reach_raises(self, two_r_model):
         target = Pose(Rotation.identity(), (3.0, 0.0, 0.0))  # beyond l1 + l2
-        _, _, ok, _ = _solve(two_r_model, pose_target(target), np.array([0.3, 0.3]))
+        _, _, ok, _ = solve_from_seed(two_r_model, pose_target(target), np.array([0.3, 0.3]))
         assert not ok
 
     def test_converged_solves_match_reference_dls(self, arm7, two_r_model, rng):
@@ -85,9 +86,9 @@ class TestSolveWaypoint:
             for _ in range(count):
                 q0 = rng.uniform(-1.0, 1.0, model.n)
                 seed = q0 + rng.uniform(-0.15, 0.15, model.n)
-                cases.append((model, forward_kinematics(model, q0), seed))
+                cases.append((model, forward_kinematics(link_frames_axes(model, q0)), seed))
         for model, target, seed in cases:
-            q, _, ok, _ = _solve(model, target, seed)
+            q, _, ok, _ = solve_from_seed(model, target, seed)
             q_ref, ok_ref = reference_dls(model, pose_of(target), seed)
             assert ok_ref
             assert ok == ok_ref
@@ -96,20 +97,20 @@ class TestSolveWaypoint:
     def test_out_of_reach_stops_when_stalled(self, two_r_model, monkeypatch):
         jacobians = []
 
-        def counting_jacobian(model, q):
+        def counting_jacobian(kin):
             jacobians.append(1)
-            return geometric_jacobian(model, q)
+            return geometric_jacobian(kin)
 
         monkeypatch.setattr("postgrasp.ik.geometric_jacobian", counting_jacobian)
         target = Pose(Rotation.identity(), (3.0, 0.0, 0.0))  # beyond l1 + l2
-        _, _, ok, iterations = _solve(two_r_model, pose_target(target), np.array([0.3, 0.3]))
+        _, _, ok, iterations = solve_from_seed(two_r_model, pose_target(target), np.array([0.3, 0.3]))
         assert not ok
         assert iterations == len(jacobians) < 50
 
 
 class TestTrackTrajectory:
     def test_constant_trajectory_zero_derivatives(self, two_r_model):
-        pose = pose_of(forward_kinematics(two_r_model, [0.4, 0.8]))
+        pose = pose_of(forward_kinematics(link_frames_axes(two_r_model, [0.4, 0.8])))
         times = np.linspace(0.0, 1.0, 8)
         traj = track_trajectory(two_r_model, trajectory_of([pose] * 8, times), np.array([0.4, 0.8]))
         assert np.abs(traj.velocities).max() <= 1e-12
@@ -133,15 +134,20 @@ class TestTrackTrajectory:
         assert steps.max() < 0.2
 
     def test_carried_pose_gives_the_joint_path_of_a_fresh_pass(self, arm7, monkeypatch):
-        # each waypoint starts from the previous solve's iterate and tool
-        # pose; asking forward kinematics again at that iterate instead must
-        # give the same joint path bit for bit
+        # each waypoint starts from the previous solve's iterate, pass and
+        # tool pose; a fresh pass and pose at that iterate instead must give
+        # the same joint path bit for bit
         spec = load_task(reference_task_path("task1"))
         task = resample(spec.trajectory, spec.resample_count)
         grippers = [gripper_trajectory(task, g) for g in spec.grasps]
         carried = [track_trajectory(arm7, g, spec.ik_seed) for g in grippers]
         solve = ik._solve
-        monkeypatch.setattr(ik, "_solve", lambda model, target, seed, current=None: solve(model, target, seed))
+
+        def fresh(model, target, q, kin, current):
+            kin = link_frames_axes(model, q)
+            return solve(model, target, q, kin, forward_kinematics(kin))
+
+        monkeypatch.setattr(ik, "_solve", fresh)
         for gripper, got in zip(grippers, carried):
             want = track_trajectory(arm7, gripper, spec.ik_seed)
             assert got.positions.tobytes() == want.positions.tobytes()
@@ -153,7 +159,7 @@ class TestTrackTrajectory:
         traj = track_trajectory(arm7, trajectory_of(poses, np.linspace(0, 2, 15)), qs[0] + 0.05)
         assert traj.reachable.all()
         for q, target in zip(traj.positions, poses):
-            err = pose_error(pose_target(target), forward_kinematics(arm7, q))
+            err = pose_error(pose_target(target), forward_kinematics(link_frames_axes(arm7, q)))
             assert np.linalg.norm(err[:3]) <= 10 * POSITION_TOLERANCE
             assert np.linalg.norm(err[3:]) <= 10 * ORIENTATION_TOLERANCE
 
@@ -164,7 +170,7 @@ class TestTrackTrajectory:
         poses = joint_path_poses(arm7, qs)
         traj = track_trajectory(arm7, trajectory_of(poses, np.linspace(0, 2, 20)), qs[0])
         sigma_min = min(
-            np.linalg.svd(geometric_jacobian(arm7, q), compute_uv=False)[-1]
+            np.linalg.svd(geometric_jacobian(link_frames_axes(arm7, q)), compute_uv=False)[-1]
             for q in traj.positions
         )
         for i in range(len(poses) - 1):
@@ -184,7 +190,7 @@ class TestTrackTrajectory:
         # path marches straight out of the workspace: early waypoints fine,
         # later ones flagged, joint values stay finite
         q0 = np.array([0.6, 0.8])
-        start = pose_of(forward_kinematics(two_r_model, q0))
+        start = pose_of(forward_kinematics(link_frames_axes(two_r_model, q0)))
         direction = start.translation / np.linalg.norm(start.translation)
         poses = [
             Pose(start.rotation, start.translation + u * direction) for u in np.linspace(0, 1.2, 12)
@@ -195,7 +201,7 @@ class TestTrackTrajectory:
         assert np.isfinite(traj.positions).all()
 
     def test_non_increasing_times_rejected(self, two_r_model):
-        pose = pose_of(forward_kinematics(two_r_model, [0.1, 0.2]))
+        pose = pose_of(forward_kinematics(link_frames_axes(two_r_model, [0.1, 0.2])))
         with pytest.raises(ValueError):
             track_trajectory(two_r_model, trajectory_of([pose, pose], [0.0, 0.0]))
 

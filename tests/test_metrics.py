@@ -62,7 +62,7 @@ def svd_route_a2(jac, u, leak_tol=1e-2):
 
 def joint_path_task(model, qs, total_time=2.0):
     times = np.linspace(0.0, total_time, len(qs))
-    return trajectory_of((pose_of(forward_kinematics(model, q)) for q in qs), times)
+    return trajectory_of((pose_of(forward_kinematics(link_frames_axes(model, q))) for q in qs), times)
 
 
 def passes(model, traj):
@@ -93,7 +93,7 @@ class TestDirectionalManipulability:
         assert abs(a2 - eigs[-1]) <= 1e-10 * eigs[-1]
 
     def test_null_direction_gives_zero(self, two_r_model):
-        jac = geometric_jacobian(two_r_model, np.zeros(2))  # straightened arm
+        jac = geometric_jacobian(link_frames_axes(two_r_model, np.zeros(2)))  # straightened arm
         u = np.array([1.0, 0, 0, 0, 0, 0])  # radial translation: unreachable
         a2, _ = directional_manipulability(jac, u)
         assert a2 == 0.0
@@ -122,7 +122,7 @@ class TestDirectionalManipulability:
 
     def test_positive_for_full_rank(self, arm7, rng):
         for _ in range(20):
-            jac = geometric_jacobian(arm7, rng.uniform(-1.2, 1.2, 7))
+            jac = geometric_jacobian(link_frames_axes(arm7, rng.uniform(-1.2, 1.2, 7)))
             if np.linalg.matrix_rank(jac) < 6:
                 continue
             u = rng.normal(size=6)
@@ -198,7 +198,7 @@ class TestTov:
         assert abs(fine - coarse) / abs(fine) < 0.01
 
     def test_zero_motion_raises(self, two_r_model):
-        pose = pose_of(forward_kinematics(two_r_model, [0.4, 0.8]))
+        pose = pose_of(forward_kinematics(link_frames_axes(two_r_model, [0.4, 0.8])))
         task = trajectory_of((pose, pose, pose), np.array([0.0, 0.5, 1.0]))
         traj = track_trajectory(
             two_r_model, task, np.array([0.4, 0.8])
@@ -239,7 +239,7 @@ class TestTorqueEffort:
     def test_static_hold_matches_equilibrium_oracle(self, two_r_params, two_r_model):
         # constant trajectory: |tau|^2 = |N_arm + J_com^T (-m g)|^2
         q0 = np.array([0.5, 0.9])
-        pose = pose_of(forward_kinematics(two_r_model, q0))
+        pose = pose_of(forward_kinematics(link_frames_axes(two_r_model, q0)))
         task = trajectory_of((pose, pose), np.array([0.0, 1.0]))
         traj = track_trajectory(two_r_model, task, q0)
         obj = LinkSpec(mass=0.3, com=np.zeros(3), inertia=np.eye(3) * 1e-5)
@@ -399,7 +399,7 @@ class TestTem:
         # tool orbits the second joint: translation present, but build a
         # genuinely stationary-translation task by rotating in place is not
         # possible for a 2R tool point; use identical poses instead
-        pose = pose_of(forward_kinematics(two_r_model, [0.2, 0.5]))
+        pose = pose_of(forward_kinematics(link_frames_axes(two_r_model, [0.2, 0.5])))
         task = trajectory_of((pose, pose), np.array([0.0, 1.0]))
         traj = track_trajectory(
             two_r_model, task, np.array([0.2, 0.5])
@@ -466,7 +466,7 @@ class TestEvaluateGrasp:
         assert sc.h_tov is None and sc.h_tme is None and sc.h_tem is None
 
     def test_no_motion_task_errors(self, two_r_model):
-        pose = pose_of(forward_kinematics(two_r_model, [0.3, 0.9]))
+        pose = pose_of(forward_kinematics(link_frames_axes(two_r_model, [0.3, 0.9])))
         task = trajectory_of((pose, pose), np.array([0.0, 1.0]))
         with pytest.raises(ZeroMotionError):
             evaluate_grasp(
@@ -599,7 +599,7 @@ def test_scorecard_holds_each_fact_once(two_r_model):
     # grasps (the same pose, as a 2R arm reaches one orientation per
     # point) show the grid is shared
     q0 = np.array([0.6, 0.8])
-    start = pose_of(forward_kinematics(two_r_model, q0))
+    start = pose_of(forward_kinematics(link_frames_axes(two_r_model, q0)))
     direction = start.translation / np.linalg.norm(start.translation)
     poses = tuple(
         Pose(start.rotation, start.translation + u * direction) for u in np.linspace(0, 1.2, 12)

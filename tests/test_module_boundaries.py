@@ -1,6 +1,8 @@
 """A module of the package uses only the public names of its siblings: an
-underscore name is private to the module that defines it.  And the package
-runs on one thread: the benchmark's tracer (bench/spans.py) takes a span's
+underscore name is private to the module that defines it.  No module keeps
+state between calls in module globals: what a call needs, such as the
+kinematic pass DLS reads, is passed to it.  And the package runs on one
+thread: the benchmark's tracer (bench/spans.py) takes a span's
 self time as its wall time less its children's, which holds only while no
 two spans overlap."""
 
@@ -32,6 +34,15 @@ def test_no_private_names_imported_across_modules():
     ]
     assert private == []
 
+
+def test_no_module_rebinds_a_global():
+    found = [
+        f"{path.name}:{node.lineno}: global {', '.join(node.names)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
 
 
 def absolute_imports(tree: ast.Module):

@@ -35,7 +35,6 @@ from postgrasp import (
 )
 from postgrasp.chain import link_frames_axes
 from postgrasp.geometry import quaternion_product, unit_quaternion
-from postgrasp.ik import _solve
 from postgrasp.task import path_parameter
 
 from oracles import (
@@ -46,6 +45,7 @@ from oracles import (
     pose_of,
     reference_dls,
     rotation_log,
+    solve_from_seed,
     trajectory_of,
 )
 
@@ -140,7 +140,7 @@ def test_jacobian_matches_central_differences(case):
     for k in range(model.n):
         dq = np.zeros(model.n)
         dq[k] = h
-        plus, minus = pose_of(forward_kinematics(model, q + dq)), pose_of(forward_kinematics(model, q - dq))
+        plus, minus = pose_of(forward_kinematics(link_frames_axes(model, q + dq))), pose_of(forward_kinematics(link_frames_axes(model, q - dq)))
         linear = (plus.translation - minus.translation) / (2 * h)
         angular = rotation_log(plus.rotation * minus.rotation.inverse()) / (2 * h)
         assert np.abs(jac[:3, k] - linear).max() <= 1e-7
@@ -336,7 +336,7 @@ def test_objectives_invariant_under_scene_rotation(case, axis, angle, grasp_pose
     obj = LinkSpec(mass=mass, com=np.zeros(3), inertia=inertia)
     release = grasp_pose.inverse()
     task = trajectory_of(
-        (pose_of(forward_kinematics(model, q)).compose(release) for q in qs), np.linspace(0.0, 1.0, len(qs))
+        (pose_of(forward_kinematics(link_frames_axes(model, q))).compose(release) for q in qs), np.linspace(0.0, 1.0, len(qs))
     )
     world = Pose(Rotation.from_axis_angle(axis, angle), np.zeros(3))
     turned_model = replace(model, base_pose=world.compose(model.base_pose))
@@ -369,7 +369,7 @@ def chains_targets_and_seeds(draw):
     that some first steps exceed ``ik.MAX_STEP`` and are scaled down."""
     model, q0 = draw(chains_and_configurations())
     offset = np.array([draw(st.floats(-0.5, 0.5)) for _ in range(model.n)])
-    return model, forward_kinematics(model, q0), q0 + offset
+    return model, forward_kinematics(link_frames_axes(model, q0)), q0 + offset
 
 
 @PROPERTY_SETTINGS
@@ -378,7 +378,7 @@ def test_converged_solves_match_reference_dls_on_random_chains(case):
     # a solve that meets the tolerances ran no stall check that stopped it,
     # so it must run the reference loop's iterates bit for bit
     model, target, seed = case
-    q, _, ok, _ = _solve(model, target, seed)
+    q, _, ok, _ = solve_from_seed(model, target, seed)
     assume(ok)
     q_ref, ok_ref = reference_dls(model, pose_of(target), seed)
     assert ok_ref

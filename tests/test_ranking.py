@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from postgrasp import ranking
 from postgrasp import (
     GraspScorecard,
     build_report,
@@ -86,20 +85,31 @@ class TestParetoFront:
             got = set(i for i, c in enumerate(cards) if c.grasp_id in front)
             assert got == expected
 
-    @pytest.mark.parametrize("k, block", [(40, 7), (300, 256)])
-    def test_blocks_match_brute_force_oracle_with_ties(self, rng, monkeypatch, k, block):
+    @pytest.mark.parametrize("k", [40, 300])
+    def test_sweep_matches_brute_force_oracle_with_ties(self, rng, k):
         # small integer scalars repeat, so exact ties and duplicate points
-        # straddle the blocks of candidate dominators
-        monkeypatch.setattr(ranking, "_FRONT_BLOCK", block)
+        # meet in the sweep and its staircase
         for _ in range(20 if k < 100 else 2):
             points = rng.integers(1, 6, size=(k, 3)).astype(float)
             cards = [card(f"g{i:03d}", *row) for i, row in enumerate(points.tolist())]
             expected = brute_force_pareto(points, ("max", "min", "min"))
             assert build_report(cards).pareto == tuple(cards[i].grasp_id for i in sorted(expected))
 
+    @pytest.mark.parametrize("k", [1, 40, 300])
+    def test_sweep_matches_brute_force_oracle_all_on_front(self, rng, k):
+        # tov = tme + tem in integers: a grasp better in tov is worse in tme
+        # or tem, so every row, duplicates too, is on the front
+        for _ in range(20 if k < 100 else 2):
+            tme_tem = rng.integers(0, 50, size=(k, 2))
+            points = np.column_stack([tme_tem.sum(axis=1), tme_tem]).astype(float)
+            cards = [card(f"g{i:03d}", *row) for i, row in enumerate(points.tolist())]
+            expected = brute_force_pareto(points, ("max", "min", "min"))
+            assert expected == set(range(k))
+            assert build_report(cards).pareto == tuple(cards[i].grasp_id for i in sorted(expected))
+
     def test_front_memory_bounded(self, rng):
-        # 4,000 feasible grasps: the comparisons take O(k * block) memory;
-        # all k x k pairs at once peaked at 76.7 MiB
+        # 4,000 feasible grasps: the sweep takes O(k) memory; all k x k
+        # pairs compared at once peaked at 76.7 MiB
         cards = [card(f"g{i}", *row) for i, row in enumerate(rng.uniform(0.1, 2.0, size=(4000, 3)).tolist())]
         tracemalloc.start()
         try:
