@@ -8,6 +8,10 @@ Verbs:
 * ``metrics-at``     per-waypoint metric values for one grasp (debugging)
 * ``pareto``         re-rank an existing scorecards.csv
 
+``evaluate`` and ``metrics-at`` apply their grasp and waypoint-count
+options to each loaded spec (``dataclasses.replace``), so the spec that
+``metrics.evaluate_task`` reads is the task as evaluated.
+
 Everything is randomness-free; two runs on identical inputs produce
 byte-identical outputs, in one process or in two.
 """
@@ -19,7 +23,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,10 +84,10 @@ def emit_plot_data(outdir: Path, scorecards, scores) -> None:
     fileio.write_scalars_long_csv(outdir / "scalars_long.csv", scores)
 
 
-def _score(task_path, model, spec, *args, **kwargs):
+def _score(task_path, model, spec, index_quadrature=False):
     """``evaluate_task``; an error raised while scoring names the task file."""
     try:
-        return evaluate_task(model, spec, *args, **kwargs)
+        return evaluate_task(model, spec, index_quadrature)
     except ValueError as exc:
         raise CliError(f"{task_path}: {exc}") from exc
 
@@ -97,6 +101,9 @@ def _write_task(config: RunConfig, model_name: str, spec, outdir: Path, scorecar
         print(f"{spec.name}: infeasible grasps: {', '.join(infeasible)}", file=sys.stderr)
     if not any(sc.feasible for sc in scorecards):
         fileio.write_scorecards_csv(outdir / "scorecards.csv", scorecards, None)
+        # an earlier run's other result files would describe other grasps
+        for name in ("report.json", "scalars_long.csv", *(f"profile_{key}.csv" for key in OBJECTIVES)):
+            (outdir / name).unlink(missing_ok=True)
         print(f"{spec.name}: no feasible grasps", file=sys.stderr)
         return 2
 
@@ -132,7 +139,12 @@ def run_evaluation(config: RunConfig) -> int:
     ``config.out`` created, before the first task is scored.
     """
     model = fileio.load_robot(config.robot)
-    specs = [fileio.load_task(path) for path in config.tasks]
+    overrides = {}
+    if config.grasps_override is not None:
+        overrides["grasps"] = tuple(config.grasps_override)
+    if config.resample is not None:
+        overrides["resample_count"] = config.resample
+    specs = [replace(fileio.load_task(path), **overrides) for path in config.tasks]
     outdirs = _output_dirs(config, specs)
     for spec in specs:
         check_ik_seed(model, spec)
@@ -142,7 +154,7 @@ def run_evaluation(config: RunConfig) -> int:
         raise CliError(f"--out: cannot create directory ({exc})") from exc
     status = 0
     for path, spec, outdir in zip(config.tasks, specs, outdirs):
-        scorecards = _score(path, model, spec, config.grasps_override, config.resample, config.index_quadrature)
+        scorecards = _score(path, model, spec, config.index_quadrature)
         try:
             status = max(status, _write_task(config, model.name, spec, outdir, scorecards))
         except OSError as exc:
@@ -247,7 +259,7 @@ def _cmd_metrics_at(args) -> int:
     n = spec.resample_count if args.resample is None else args.resample
     if not 0 <= k < n:
         raise CliError(f"--waypoint must be in [0, {n - 1}]")
-    (sc,) = _score(args.task, model, spec, grasps=[grasps[args.grasp]], resample_count=args.resample)
+    (sc,) = _score(args.task, model, replace(spec, grasps=(grasps[args.grasp],), resample_count=n))
     if not sc.feasible:
         print(f"grasp {args.grasp}: infeasible (first waypoint unreachable)")
         return 2

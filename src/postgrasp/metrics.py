@@ -1,14 +1,14 @@
 """The three path objectives evaluated along a tracked trajectory.
 
 A task's grasps share one resampled trajectory, with its pose arrays, and
-one quadrature grid (``evaluate_task``).  Each grasp is tracked alone:
-compose the gripper trajectory on those arrays, then track it in joint
-space.  The tracked grasps are then scored in batches of stacked rows, one
-row per grasp and waypoint: one kinematic pass over the stacked joint
-paths, the link inertias built on it once with the object placed on the
-last link in each grasp's frame (``link_inertias``; the two dynamics
-objectives read that pass and those inertias, not a model), and every
-row's value of each objective in one call:
+one quadrature grid (``evaluate_task``).  They are taken in chunks: each
+grasp of a chunk is tracked alone (its gripper trajectory composed on
+those arrays, then tracked in joint space), then the chunk is scored as
+one stack of rows, one per grasp and waypoint: one kinematic pass over the
+stacked joint paths, the link inertias built on it once with the object
+placed on the last link in each grasp's frame (``link_inertias``; the two
+dynamics objectives read that pass and those inertias, not a model), and
+every row's value of each objective in one call:
 
 * directional velocity manipulability a^2 along the motion direction
   (maximize its path integral),
@@ -23,8 +23,8 @@ path, and returns its (B, W) samples and the flag it sets.  Each grasp's
 objectives are integrated once, trapezoidally over the task's grid
 (normalized arc length by default), so tov and tem depend on geometry
 only, while tme also feels the timing through the joint accelerations.
-A batch holds at most 256 rows (but at least one grasp), which bounds its
-memory; no value depends on how the grasps are split into batches, as
+A chunk holds at most 256 rows (but at least one grasp), which bounds its
+memory; no value depends on how the grasps are split into chunks, as
 numpy runs each slice of a stack as it runs one matrix or vector
 (``tests/test_lockstep_canary.py``).  Near-singular waypoints are capped
 and flagged rather than turned into NaNs so whole-trajectory integrals
@@ -59,7 +59,7 @@ EFFECTIVE_MASS_CAP = 1e9  # kg
 NEAR_SINGULAR_THRESHOLD = 1e-9  # 1/kg, on the directional inverse inertia
 _RANK_EPS = 1e-12  # eigenvalues of J J^T below this count as zero
 _NULL_LEAK_TOL = 1e-2  # squared direction mass allowed in null directions
-_SCORE_ROWS = 256  # grasp x waypoint rows scored per batch (at least one grasp)
+_SCORE_ROWS = 256  # grasp x waypoint rows per chunk (at least one grasp)
 
 
 class ZeroMotionError(ValueError):
@@ -299,45 +299,28 @@ def check_ik_seed(model: ChainModel, spec: TaskSpec) -> None:
         raise ValueError(f"task {spec.name!r}: ik_seed {seed.tolist()} is not finite")
 
 
-def evaluate_task(
-    model: ChainModel,
-    spec: TaskSpec,
-    grasps=None,
-    resample_count: int | None = None,
-    index_quadrature: bool = False,
-) -> list[GraspScorecard]:
-    """Scorecards of ``grasps`` (the task's own when None), in order, on
-    the keyframes resampled to ``resample_count`` waypoints (the file's
-    count when None).  One grid, arc length or the uniform waypoint index
-    (``index_quadrature``), serves every grasp.
+def evaluate_task(model: ChainModel, spec: TaskSpec, index_quadrature: bool = False) -> list[GraspScorecard]:
+    """Scorecards of the spec's grasps, in order, on its keyframes resampled
+    to ``spec.resample_count`` waypoints, over one grid for every grasp:
+    arc length or the uniform waypoint index (``index_quadrature``).
 
-    Each grasp is tracked alone, in input order.  The feasible grasps are
-    scored in batches of at most 256 grasp x waypoint rows (but at least one
-    grasp), each batch as soon as it fills.  The batches change no
-    scorecard."""
+    Grasps go in chunks of at most 256 grasp x waypoint rows (but at least
+    one grasp): each grasp of a chunk is tracked alone, in input order,
+    then the chunk's feasible grasps are scored as one stack.  The chunks
+    change no scorecard."""
     check_ik_seed(model, spec)
-    task = resample(spec.trajectory, spec.resample_count if resample_count is None else resample_count)
+    task = resample(spec.trajectory, spec.resample_count)
     s = np.linspace(0.0, 1.0, len(task)) if index_quadrature else path_parameter(task)
     s.flags.writeable = False  # shared by every grasp's scorecard
-    grasps = spec.grasps if grasps is None else grasps
-    per_batch = max(1, _SCORE_ROWS // len(task))
+    per_chunk = max(1, _SCORE_ROWS // len(task))
     cards: list[GraspScorecard] = []
-    pending: list[tuple[int, tuple]] = []  # (position in ``cards``, ``_track`` result)
-
-    def score_pending() -> None:
-        scored = _score(model, spec.obj, s, spec.gravity, [row for _, row in pending])
-        for (i, _), card in zip(pending, scored):
-            cards[i] = card
-        pending.clear()
-
-    for grasp in grasps:
-        row = _track(model, task, grasp, spec.ik_seed)
-        # an infeasible card is final; a tracked grasp's is replaced once scored
-        cards.append(GraspScorecard(grasp_id=grasp.id, feasible=row is not None))
-        if row is not None:
-            pending.append((len(cards) - 1, row))
-        if len(pending) == per_batch:
-            score_pending()
-    if pending:
-        score_pending()
+    for start in range(0, len(spec.grasps), per_chunk):
+        chunk = spec.grasps[start : start + per_chunk]
+        tracked = [_track(model, task, grasp, spec.ik_seed) for grasp in chunk]
+        feasible = [row for row in tracked if row is not None]
+        scored = iter(_score(model, spec.obj, s, spec.gravity, feasible) if feasible else ())
+        cards += [
+            GraspScorecard(grasp_id=grasp.id, feasible=False) if row is None else next(scored)
+            for grasp, row in zip(chunk, tracked)
+        ]
     return cards

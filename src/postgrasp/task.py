@@ -94,8 +94,10 @@ class GraspCandidate:
 
 @dataclass(frozen=True, eq=False)
 class TaskSpec:
-    """A parsed task file: keyframe trajectory, object, grasp set and the
-    evaluation settings the file carries."""
+    """A task as evaluated: keyframe trajectory, object, grasp set and
+    evaluation settings, from a task file or with its grasps and waypoint
+    count replaced (``dataclasses.replace``, as ``--grasps-override`` and
+    ``--resample`` do).  ``metrics.evaluate_task`` reads the task here."""
 
     name: str
     trajectory: TaskTrajectory

@@ -11,6 +11,7 @@ called once per grasp.  spans.py is loaded from its file and only read.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_evaluate_task_tracks_each_grasp_once(arm7, spans):
     # waypoint count per grasp
     spec = load_task(reference_task_path("task1"))
     with spans.ReachObserver() as observer:
-        cards = evaluate_task(arm7, spec, resample_count=6)
+        cards = evaluate_task(arm7, replace(spec, resample_count=6))
     flags = observer.take()
     assert observer.present
     assert flags is not None and len(flags) == len(cards) == len(spec.grasps)

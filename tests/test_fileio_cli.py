@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -424,7 +425,7 @@ class TestFlagOutputs:
             Pose(Rotation(0.0, 1.0, 0.0, 0.0), np.array([0.0, 0.6, 0.1])),
             6,
         )
-        cards = evaluate_task(arm7, task, grasps=grasps, resample_count=8)
+        cards = evaluate_task(arm7, replace(task, grasps=tuple(grasps), resample_count=8))
         config = RunConfig(
             robot=reference_robot_path("arm7"),
             tasks=[reference_task_path("task3")],
@@ -535,6 +536,21 @@ class TestRunEvaluation:
         assert run_evaluation(relaxed) == 0
         cards = read_scorecards_csv(tmp_path / "relaxed" / "synthetic" / "scorecards.csv")
         assert [c.feasible for c in cards] == [True, False]
+
+    def test_rerun_without_feasible_grasps_leaves_only_its_scorecards(self, tmp_path, synthetic_task_path, capsys):
+        # a rerun into the same directory whose every grasp is infeasible
+        # writes the scorecards alone; no report, profile or scalars file of
+        # the first run's grasps is left beside them
+        argv = ["evaluate", "--robot", str(reference_robot_path("arm7")), "--task", str(synthetic_task_path)]
+        argv += ["--out", str(tmp_path)]
+        assert main(argv) == 0
+        outdir = tmp_path / "synthetic"
+        assert len(list(outdir.iterdir())) == 6
+        far = '[{"id":"far","translation":[0,3,0.1],"quaternion":[0,1,0,0]}]'
+        assert main(argv + ["--grasps-override", far]) == 2
+        assert [p.name for p in outdir.iterdir()] == ["scorecards.csv"]
+        assert [c.grasp_id for c in read_scorecards_csv(outdir / "scorecards.csv")] == ["far"]
+        assert capsys.readouterr().err.endswith("synthetic: no feasible grasps\n")
 
 
 class TestCliCommands:

@@ -621,13 +621,14 @@ def test_scorecard_holds_each_fact_once(two_r_model):
         assert sc.s is cards[0].s
 
 
-@pytest.mark.parametrize("batches", [1, 2])
+@pytest.mark.parametrize("batches", [1, 2, 7])
 def test_batch_boundaries_change_no_scorecard(arm7, monkeypatch, batches):
-    # 6 feasible grasps x 60 waypoints exceed one batch's 256 rows, so they
-    # are scored in two, or in one when a batch holds all 360 rows; an
-    # infeasible grasp sits between feasible ones, and two different grasps
-    # share an id.  Each card is the card of its grasp scored alone, bit for
-    # bit, in input order.
+    # 7 grasps x 60 waypoints exceed one chunk's 256 rows, so they are taken
+    # in two chunks of 4 and 3 grasps, in one when a chunk holds all 420
+    # rows, or in seven of one grasp each; an infeasible grasp sits between
+    # feasible ones (its chunk of one is not scored), and two different
+    # grasps share an id.  Each card is the card of its grasp scored alone,
+    # bit for bit, in input order.
     from postgrasp import load_task, metrics, reference_task_path
 
     spec = load_task(reference_task_path("task3"))
@@ -644,17 +645,22 @@ def test_batch_boundaries_change_no_scorecard(arm7, monkeypatch, batches):
     waypoints = 60
     assert 6 * waypoints > metrics._SCORE_ROWS
     if batches == 1:
-        monkeypatch.setattr(metrics, "_SCORE_ROWS", 6 * waypoints)
+        monkeypatch.setattr(metrics, "_SCORE_ROWS", 7 * waypoints)
+    if batches == 7:
+        monkeypatch.setattr(metrics, "_SCORE_ROWS", waypoints)
     score = metrics._score
     sizes = []
+    scored_ids = []
 
     def counted(model, obj, s, gravity, rows):
         sizes.append(len(rows))
+        scored_ids.extend(grasp.id for grasp, _, _ in rows)
         return score(model, obj, s, gravity, rows)
 
     monkeypatch.setattr(metrics, "_score", counted)
-    cards = evaluate_task(arm7, spec, grasps=grasps, resample_count=waypoints)
-    assert sizes == ([6] if batches == 1 else [4, 2])
+    cards = evaluate_task(arm7, replace(spec, grasps=tuple(grasps), resample_count=waypoints))
+    assert sizes == {1: [6], 2: [3, 3], 7: [1] * 6}[batches]
+    assert "far" not in scored_ids
     task = resample(spec.trajectory, waypoints)
     s = path_parameter(task)
     assert [c.grasp_id for c in cards] == [g.id for g in grasps]
