@@ -6,11 +6,11 @@ one kinematic pass (``link_frames_axes``), from which its tool pose and,
 once the iterate is accepted, its Jacobian are read.  Tracking a
 trajectory seeds each waypoint with the previous solution, its pass and
 its tool pose, which keeps the joint path on one IK branch and builds no
-pass twice; joint velocities and accelerations are finite differences of
-the solved positions, so the energy metric reflects what the joint path
-actually does.  Each target is read off the trajectory's arrays as seven
-floats (quaternion, then translation), the form ``forward_kinematics``
-gives the tool pose in, so tracking builds no pose object.
+pass twice.  The tracker returns joint positions and reachability flags
+only; the scorer derives the joint rates from them (``metrics``).  Each
+target is read off the trajectory's arrays as seven floats (quaternion,
+then translation), the form ``forward_kinematics`` gives the tool pose in,
+so tracking builds no pose object.
 
 A solve that cannot meet the tolerances (target out of reach, or blocked
 by a joint limit) stops once its pose-error norm has fallen by less than
@@ -129,39 +129,12 @@ def _solve(model, target, q, kin, current) -> tuple[np.ndarray, KinematicState, 
 
 @dataclass(frozen=True, eq=False)
 class JointTrajectory:
-    """Solved joint path with finite-difference velocities/accelerations
-    and a per-waypoint reachability flag."""
+    """Solved joint path on the trajectory's times, with a per-waypoint
+    reachability flag."""
 
     times: np.ndarray
     positions: np.ndarray
-    velocities: np.ndarray
-    accelerations: np.ndarray
     reachable: np.ndarray
-
-
-def _fd_derivatives(times: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic-fit finite differences on a (possibly non-uniform) grid,
-    one-sided at the endpoints: waypoint i fits the three waypoints from
-    k = clip(i - 1, 0, n - 3)."""
-    n = pos.shape[0]
-    if n == 2:
-        vel = np.zeros_like(pos)
-        vel[0] = vel[1] = (pos[1] - pos[0]) / (times[1] - times[0])
-        return vel, np.zeros_like(pos)
-    k = np.minimum(np.maximum(np.arange(n) - 1, 0), n - 3)
-    t = times[:, None]
-    t0, t1, t2 = t[k], t[k + 1], t[k + 2]
-    y0, y1, y2 = pos[k], pos[k + 1], pos[k + 2]
-    d0 = (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
-    d1 = (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
-    d2 = (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
-    vel = d0 * y0 + d1 * y1 + d2 * y2
-    acc = 2.0 * (
-        y0 / ((t0 - t1) * (t0 - t2))
-        + y1 / ((t1 - t0) * (t1 - t2))
-        + y2 / ((t2 - t0) * (t2 - t1))
-    )
-    return vel, acc
 
 
 def track_trajectory(model: ChainModel, trajectory: TaskTrajectory, seed=None) -> JointTrajectory:
@@ -194,5 +167,4 @@ def track_trajectory(model: ChainModel, trajectory: TaskTrajectory, seed=None) -
         q, kin, current, ok, _ = _solve(model, targets[i], q, kin, current)
         positions[i] = q
         reachable[i] = ok
-    vel, acc = _fd_derivatives(trajectory.times, positions)
-    return JointTrajectory(trajectory.times, positions, vel, acc, reachable)
+    return JointTrajectory(trajectory.times, positions, reachable)

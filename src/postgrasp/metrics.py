@@ -7,8 +7,9 @@ those arrays, then tracked in joint space), then the chunk is scored as
 one stack of rows, one per grasp and waypoint: one kinematic pass over the
 stacked joint paths, the link inertias built on it once with the object
 placed on the last link in each grasp's frame (``link_inertias``; the two
-dynamics objectives read that pass and those inertias, not a model), and
-every row's value of each objective in one call:
+dynamics objectives read that pass and those inertias, not a model), the
+joint rates and gripper pose increments of the stacked paths, and every
+row's value of each objective in one call:
 
 * directional velocity manipulability a^2 along the motion direction
   (maximize its path integral),
@@ -18,11 +19,13 @@ every row's value of each objective in one call:
   (minimize).
 
 Each kernel (``tov``, ``torque_effort``, ``tem``) takes the pass over a
-(B, W, n) stack of B joint paths of W waypoints, with one trajectory per
-path, and returns its (B, W) samples and the flag it sets.  Each grasp's
-objectives are integrated once, trapezoidally over the task's grid
-(normalized arc length by default), so tov and tem depend on geometry
-only, while tme also feels the timing through the joint accelerations.
+(B, W, n) stack of B joint paths of W waypoints and arrays over that
+stack, and returns its (B, W) samples and the flag it sets.  Joint rates
+are finite differences of the tracked positions, so the energy metric
+reflects what the joint path actually does.  Each grasp's objectives are
+integrated once, trapezoidally over the task's grid (normalized arc
+length by default), so tov and tem depend on geometry only, while tme
+also feels the timing through the joint accelerations.
 A chunk holds at most 256 rows (but at least one grasp), which bounds its
 memory; no value depends on how the grasps are split into chunks, as
 numpy runs each slice of a stack as it runs one matrix or vector
@@ -134,23 +137,43 @@ def directional_manipulability(jacobian, direction) -> tuple[np.ndarray, np.ndar
     unachievable = np.zeros(u.shape[0], dtype=bool)
     w = np.linalg.solve(gram[full], u[full, :, None])[..., 0]
     a2[full] = 1.0 / np.einsum("ij,ij->i", u[full], w)
-    for i in np.flatnonzero(~full):
-        a2[i], unachievable[i] = _rank_deficient_manipulability(gram[i], u[i])
+    # the rank-deficient rows: masked sums add their terms in eigenvalue order, as per-row sums do
+    eigs, vecs = np.linalg.eigh(gram[~full])
+    sq = ((vecs.swapaxes(-1, -2) @ u[~full, :, None])[..., 0]) ** 2
+    null = eigs < _RANK_EPS
+    null_mass = np.where(null, sq, 0.0).sum(axis=-1)
+    leaks = null_mass > _NULL_LEAK_TOL
+    live = sq / np.where(leaks, 1.0, 1.0 - null_mass)[:, None]  # renormalized projection
+    denom = np.where(null, 0.0, live / np.where(null, 1.0, eigs)).sum(axis=-1)
+    lost = leaks | (denom <= 0.0)
+    a2[~full] = np.where(lost, 0.0, 1.0 / np.where(lost, 1.0, denom))
+    unachievable[~full] = lost
     return a2.reshape(lead), unachievable.reshape(lead)
 
 
-def _rank_deficient_manipulability(gram: np.ndarray, u: np.ndarray) -> tuple[float, bool]:
-    eigs, vecs = np.linalg.eigh(gram)
-    coords = vecs.T @ u
-    null = eigs < _RANK_EPS
-    null_mass = float(np.sum(coords[null] ** 2))
-    if null_mass > _NULL_LEAK_TOL:
-        return 0.0, True
-    live = coords[~null] ** 2 / (1.0 - null_mass)  # renormalized projection
-    denom = float(np.sum(live / eigs[~null]))
-    if denom <= 0.0:
-        return 0.0, True
-    return 1.0 / denom, False
+def _fd_derivatives(times: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint rates of (..., W, n) paths on a (possibly non-uniform) grid by
+    quadratic-fit finite differences, one-sided at the endpoints: waypoint
+    i fits the three waypoints from k = clip(i - 1, 0, W - 3)."""
+    w = pos.shape[-2]
+    if w == 2:
+        vel = np.zeros_like(pos)
+        vel[..., 0, :] = vel[..., 1, :] = (pos[..., 1, :] - pos[..., 0, :]) / (times[1] - times[0])
+        return vel, np.zeros_like(pos)
+    k = np.minimum(np.maximum(np.arange(w) - 1, 0), w - 3)
+    t = times[:, None]
+    t0, t1, t2 = t[k], t[k + 1], t[k + 2]
+    y0, y1, y2 = pos[..., k, :], pos[..., k + 1, :], pos[..., k + 2, :]
+    d0 = (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+    d1 = (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+    d2 = (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
+    vel = d0 * y0 + d1 * y1 + d2 * y2
+    acc = 2.0 * (
+        y0 / ((t0 - t1) * (t0 - t2))
+        + y1 / ((t1 - t0) * (t1 - t2))
+        + y2 / ((t2 - t0) * (t2 - t1))
+    )
+    return vel, acc
 
 
 def _segment_deltas(translations: np.ndarray, quats: np.ndarray) -> np.ndarray:
@@ -186,30 +209,26 @@ def _fill_tangents(raw: np.ndarray) -> np.ndarray:
     return np.take_along_axis(raw, source[..., None], -2) / np.take_along_axis(norms, source, -1)[..., None]
 
 
-def tov(kins: KinematicState, grippers) -> tuple[np.ndarray, np.ndarray]:
+def tov(kins: KinematicState, increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Task-oriented velocity manipulability per waypoint: a^2 along the 6D
     motion direction between consecutive gripper poses, and the
     unachievable-direction flag, both (B, W).  ``kins`` is the kinematic
     pass over a (B, W, n) stack of joint paths (``link_frames_axes`` at the
-    tracked joint positions) and ``grippers`` the B gripper trajectories
-    they track, one per path."""
-    translations = np.stack([g.translations for g in grippers])
-    tangents = _fill_tangents(_segment_deltas(translations, np.stack([g.quaternions for g in grippers])))
-    return directional_manipulability(kins.jacobian, tangents)
+    tracked joint positions) and ``increments`` the (B, W - 1, 6) pose
+    increments (``_segment_deltas``) of the gripper paths they track."""
+    return directional_manipulability(kins.jacobian, _fill_tangents(increments))
 
 
-def torque_effort(kins: KinematicState, inertias: np.ndarray, joint_trajs, gravity=GRAVITY_DEFAULT) -> np.ndarray:
+def torque_effort(kins: KinematicState, inertias: np.ndarray, qdot, qddot, gravity=GRAVITY_DEFAULT) -> np.ndarray:
     """(B, W) squared joint-torque norms.  ``kins`` is the kinematic pass
-    over the stacked positions of the B joint paths ``joint_trajs`` and
-    ``inertias`` its link inertias (``link_inertias``); the grasped object
-    counts once they carry it (``link_inertias``, ``attach_object``)."""
-    qd = np.stack([j.velocities for j in joint_trajs])
-    qdd = np.stack([j.accelerations for j in joint_trajs])
-    tau = inverse_dynamics(kins, inertias, qd, qdd, gravity)
+    over a (B, W, n) stack of joint positions, ``qdot`` and ``qddot`` their
+    rates (``_fd_derivatives``) and ``inertias`` its link inertias; the
+    grasped object counts once they carry it (``link_inertias``)."""
+    tau = inverse_dynamics(kins, inertias, qdot, qddot, gravity)
     return np.einsum("...j,...j->...", tau, tau)
 
 
-def tem(kins: KinematicState, inertias: np.ndarray, grippers) -> tuple[np.ndarray, np.ndarray]:
+def tem(kins: KinematicState, inertias: np.ndarray, increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B, W) effective masses along the motion direction u, 1 / (u^T J M^-1
     J^T u) (``directional_inverse_inertia``), and the near-singular flag:
     where that form falls below ``NEAR_SINGULAR_THRESHOLD`` the mass is
@@ -217,10 +236,11 @@ def tem(kins: KinematicState, inertias: np.ndarray, grippers) -> tuple[np.ndarra
 
     Collisions are modeled as point impacts on the translating end
     effector, so u is the unit translation tangent of the gripper path
-    with zero angular part.  ``kins`` and ``grippers`` are as for ``tov``,
-    ``inertias`` as for ``torque_effort``.
+    with zero angular part (the translation part of ``increments``).
+    ``kins`` and ``increments`` are as for ``tov``, ``inertias`` as for
+    ``torque_effort``.
     """
-    tangents3 = _fill_tangents(np.diff(np.stack([g.translations for g in grippers]), axis=-2))
+    tangents3 = _fill_tangents(increments[..., :3])
     u = np.concatenate([tangents3, np.zeros_like(tangents3)], axis=-1)
     quad = directional_inverse_inertia(kins, inertias, u)
     near_singular = quad < NEAR_SINGULAR_THRESHOLD
@@ -239,17 +259,21 @@ def _track(model: ChainModel, task: TaskTrajectory, grasp: GraspCandidate, ik_se
 
 def _score(model: ChainModel, obj: LinkSpec, s: np.ndarray, gravity, tracked) -> list[GraspScorecard]:
     """Scorecards of tracked grasps (``_track``), in order, scored as one
-    stack: one kinematic pass over the stacked joint paths, the link
-    inertias on it with the object in each grasp's frame on its own rows,
-    then one call per objective and one integration of each over the grid
-    ``s``."""
+    stack: once each, the kinematic pass and joint rates of the stacked
+    joint paths, the gripper pose increments, and the link inertias with
+    the object in each grasp's frame on its own rows; then one call per
+    objective and one integration of each over the grid ``s``."""
     grasps, grippers, paths = zip(*tracked)
-    kins = link_frames_axes(model, np.stack([path.positions for path in paths]))
+    positions = np.stack([path.positions for path in paths])
+    kins = link_frames_axes(model, positions)
+    qdot, qddot = _fd_derivatives(paths[0].times, positions)
+    translations = np.stack([g.translations for g in grippers])
+    increments = _segment_deltas(translations, np.stack([g.quaternions for g in grippers]))
     frames = np.stack([attach_object(model, grasp) for grasp in grasps])
     inertias = link_inertias(model, kins, (obj, frames))
-    a2, unachievable = tov(kins, grippers)
-    tau2 = torque_effort(kins, inertias, paths, gravity)
-    m_e, near_singular = tem(kins, inertias, grippers)
+    a2, unachievable = tov(kins, increments)
+    tau2 = torque_effort(kins, inertias, qdot, qddot, gravity)
+    m_e, near_singular = tem(kins, inertias, increments)
     profiles = dict(zip(OBJECTIVES, (a2, tau2, m_e)))
     scalars = {f"h_{name}": np.trapezoid(values, s, axis=-1).tolist() for name, values in profiles.items()}
     return [

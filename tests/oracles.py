@@ -18,9 +18,14 @@ normalising them again, and ``pose_target`` gives a pose back as those
 seven floats.  ``rotation_log`` is a rotation's rotation vector, the
 reference for the rotation logs that ``ik.pose_error`` and ``metrics``
 take on floats and arrays; ``rotation_pose_error`` is the
-IK pose error on ``Rotation`` objects and ``loop_fd_derivatives`` the finite
-differences one waypoint at a time, the forms ``ik`` computed before it
-worked on floats and whole arrays.
+IK pose error on ``Rotation`` objects, the form ``ik`` computed before it
+worked on floats.  ``loop_fd_derivatives`` is the joint-rate finite
+differences one waypoint at a time, the form ``metrics._fd_derivatives``
+had before it worked on whole arrays (it was ``ik``'s until the tracker
+stopped deriving rates).  ``rank_deficient_manipulability`` is one
+rank-deficient row of ``metrics.directional_manipulability``, with sums
+over selected eigenbasis coordinates, as the kernel ran those rows one at
+a time before it took them as one stack.
 ``reference_dls`` is the damped least-squares loop as it ran before solves
 stopped on a stall, on the production forward kinematics and Jacobian and
 ``rotation_pose_error``; ``solve_from_seed`` starts the production
@@ -70,7 +75,13 @@ from postgrasp.dynamics import (
     link_inertias,
     mass_matrix,
 )
-from postgrasp.metrics import EFFECTIVE_MASS_CAP, NEAR_SINGULAR_THRESHOLD, _check_unit
+from postgrasp.metrics import (
+    _NULL_LEAK_TOL,
+    _RANK_EPS,
+    EFFECTIVE_MASS_CAP,
+    NEAR_SINGULAR_THRESHOLD,
+    _check_unit,
+)
 from postgrasp.geometry import Pose, Rotation, skew
 from postgrasp.task import GraspCandidate, TaskTrajectory
 
@@ -278,6 +289,22 @@ def loop_fd_derivatives(times, pos) -> tuple[np.ndarray, np.ndarray]:
             + y2 / ((t2 - t0) * (t2 - t1))
         )
     return vel, acc
+
+
+def rank_deficient_manipulability(gram: np.ndarray, u: np.ndarray) -> tuple[float, bool]:
+    """(a^2, unachievable) of one 6x6 Gram matrix J J^T whose least
+    eigenvalue is below 1e-12 and one unit 6-direction."""
+    eigs, vecs = np.linalg.eigh(gram)
+    coords = vecs.T @ u
+    null = eigs < _RANK_EPS
+    null_mass = float(np.sum(coords[null] ** 2))
+    if null_mass > _NULL_LEAK_TOL:
+        return 0.0, True
+    live = coords[~null] ** 2 / (1.0 - null_mass)  # renormalized projection
+    denom = float(np.sum(live / eigs[~null]))
+    if denom <= 0.0:
+        return 0.0, True
+    return 1.0 / denom, False
 
 
 def eager_link_frames_axes(model: ChainModel, q) -> dict[str, np.ndarray]:

@@ -9,6 +9,8 @@ here by name rather than as a golden drift.
 
 import numpy as np
 
+from postgrasp.metrics import _fd_derivatives, _segment_deltas
+
 # stack sizes; 300 cases per identity
 SIZES = (1, 2, 5, 32, 260)
 
@@ -62,6 +64,18 @@ def test_stacked_eigvalsh_matches_single_eigvalsh(rng):
         assert_rows_equal(np.linalg.eigvalsh(gram), [np.linalg.eigvalsh(gram[i]) for i in range(m)])
 
 
+def test_stacked_eigh_matches_single_eigh(rng):
+    # rank-deficient Gram matrices, as of arms with fewer than six joints
+    for m in SIZES:
+        for n in (2, 5):
+            jac = rng.standard_normal((m, 6, n))
+            gram = jac @ np.swapaxes(jac, -1, -2)
+            eigs, vecs = np.linalg.eigh(gram)
+            singles = [np.linalg.eigh(gram[i]) for i in range(m)]
+            assert_rows_equal(eigs, [e for e, _ in singles])
+            assert_rows_equal(vecs, [v for _, v in singles])
+
+
 def test_stacked_solve_with_matrix_rhs_matches_single_solves(rng):
     for m in SIZES:
         a = rng.standard_normal((m, 7, 7))
@@ -95,3 +109,35 @@ def test_trapezoid_along_the_last_axis_matches_single_rows(rng):
             s = np.sort(rng.random(w))
             y = rng.standard_normal((m, w))
             assert_rows_equal(np.trapezoid(y, s, axis=-1), [np.trapezoid(y[i], s) for i in range(m)])
+
+
+# The scorer derives the joint rates and the gripper pose increments once
+# per chunk, over the stacked paths; each path must get the bits it gets
+# alone.
+
+
+def test_fd_derivatives_of_a_stack_match_single_paths(rng):
+    for w in (2, 3, 12):
+        uniform = np.linspace(0.0, 1.0, w)
+        non_uniform = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, w - 1))])
+        for times in (uniform, non_uniform):
+            for m in SIZES:
+                pos = rng.standard_normal((m, w, 7))
+                vel, acc = _fd_derivatives(times, pos)
+                singles = [_fd_derivatives(times, pos[i]) for i in range(m)]
+                assert_rows_equal(vel, [v for v, _ in singles])
+                assert_rows_equal(acc, [a for _, a in singles])
+
+
+def test_segment_deltas_of_a_stack_match_single_paths(rng):
+    for w in (2, 12):
+        for m in SIZES:
+            translations = rng.standard_normal((m, w, 3))
+            quats = rng.standard_normal((m, w, 4))
+            quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+            # a repeated and a sign-flipped orientation: the small-angle and
+            # the w < 0 branches
+            quats[:, -1] = quats[:, -2]
+            quats[:, 1] = -quats[:, 0]
+            stacked = _segment_deltas(translations, quats)
+            assert_rows_equal(stacked, [_segment_deltas(translations[i], quats[i]) for i in range(m)])

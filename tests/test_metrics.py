@@ -28,7 +28,7 @@ from postgrasp import (
 )
 from postgrasp.chain import link_frames_axes
 from postgrasp.geometry import quaternion_product, unit_quaternion
-from postgrasp.metrics import FLAGS, OBJECTIVES
+from postgrasp.metrics import FLAGS, OBJECTIVES, _fd_derivatives, _segment_deltas
 from postgrasp.task import TaskSpec, gripper_trajectory, path_parameter, resample
 
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     effective_mass,
     operational_mass_inverse,
     pose_of,
+    rank_deficient_manipulability,
     rotation_log,
     trajectory_of,
     trajectory_poses,
@@ -69,6 +70,17 @@ def passes(model, traj):
     """The kinematic pass over a solved joint path, as a stack of one path:
     the kernels take a (B, W, n) stack and return (B, W) rows."""
     return link_frames_axes(model, traj.positions[None])
+
+
+def rates(traj):
+    """Joint velocities and accelerations of a solved joint path, as a
+    stack of one path."""
+    return _fd_derivatives(traj.times, traj.positions[None])
+
+
+def increments(task):
+    """Pose increments of a gripper trajectory, as a stack of one path."""
+    return _segment_deltas(task.translations[None], task.quaternions[None])
 
 
 def small_object():
@@ -120,6 +132,26 @@ class TestDirectionalManipulability:
         with pytest.raises(ValueError):
             directional_manipulability(np.eye(6), np.array([1.0, 1.0, 0, 0, 0, 0]))
 
+    def test_rank_deficient_rows_match_the_per_row_oracle(self, planar_rr, rng):
+        # every row of a two-joint arm is rank-deficient, and so is every
+        # row of a random 6 x k Jacobian with k < 6, whose k live terms sum
+        # in an order that shows; the directions are achievable ones
+        # (J qdot) with null leaks from none to large, so both outcomes of
+        # the leak test occur
+        jacobians = [link_frames_axes(planar_rr, rng.uniform(-np.pi, np.pi, (3, 40, 2))).jacobian]
+        jacobians += [rng.normal(size=(3, 40, 6, k)) for k in (3, 4, 5)]
+        for jac in jacobians:
+            u = (jac @ rng.normal(size=(3, 40, jac.shape[-1], 1)))[..., 0]
+            u /= np.linalg.norm(u, axis=-1, keepdims=True)
+            leak = rng.normal(size=u.shape) * rng.choice([0.0, 1e-8, 0.05, 0.2, 10.0], size=(3, 40, 1))
+            u = (u + leak) / np.linalg.norm(u + leak, axis=-1, keepdims=True)
+            a2, unachievable = directional_manipulability(jac, u)
+            gram = (jac @ np.swapaxes(jac, -1, -2)).reshape(-1, 6, 6)
+            want = [rank_deficient_manipulability(g, d) for g, d in zip(gram, u.reshape(-1, 6))]
+            assert a2.tobytes() == np.array([w for w, _ in want]).reshape(3, 40).tobytes()
+            assert unachievable.tolist() == np.array([f for _, f in want]).reshape(3, 40).tolist()
+            assert 0 < unachievable.sum() < unachievable.size
+
     def test_positive_for_full_rank(self, arm7, rng):
         for _ in range(20):
             jac = geometric_jacobian(link_frames_axes(arm7, rng.uniform(-1.2, 1.2, 7)))
@@ -151,7 +183,7 @@ class TestTov:
         traj = track_trajectory(
             two_r_model, task, traj_seed(task, two_r_params)
         )
-        (values,), _ = tov(passes(two_r_model, traj), [task])
+        (values,), _ = tov(passes(two_r_model, traj), increments(task))
         assert values.min() > 0.0
         # oracle: secant tangents + closed-form Jacobian + SVD route
         oracle_vals = []
@@ -191,7 +223,7 @@ class TestTov:
                 qs.append(min(two_r_ik(two_r_params, x, y), key=lambda b: abs(b[1] - 1.0)))
             task = joint_path_task(two_r_model, np.array(qs))
             traj = track_trajectory(two_r_model, task, np.array(qs[0]))
-            (values,), _ = tov(passes(two_r_model, traj), [task])
+            (values,), _ = tov(passes(two_r_model, traj), increments(task))
             return float(np.trapezoid(values, path_parameter(task)))
 
         coarse, fine = h_tov(50), h_tov(100)
@@ -204,7 +236,7 @@ class TestTov:
             two_r_model, task, np.array([0.4, 0.8])
         )
         with pytest.raises(ZeroMotionError):
-            tov(passes(two_r_model, traj), [task])
+            tov(passes(two_r_model, traj), increments(task))
 
 
 def traj_seed(task, params):
@@ -233,7 +265,7 @@ class TestTorqueEffort:
         obj = LinkSpec(mass=1e-12, com=np.zeros(3), inertia=np.eye(3) * 1e-15)
         loaded = (obj, attach_object(model, GraspCandidate("g", Pose.identity())))
         kins = passes(model, traj)
-        (values,) = torque_effort(kins, link_inertias(model, kins, loaded), [traj], gravity=np.zeros(3))
+        (values,) = torque_effort(kins, link_inertias(model, kins, loaded), *rates(traj), gravity=np.zeros(3))
         assert values.max() <= 1e-10
 
     def test_static_hold_matches_equilibrium_oracle(self, two_r_params, two_r_model):
@@ -248,7 +280,7 @@ class TestTorqueEffort:
         (values,) = torque_effort(
             kins,
             link_inertias(two_r_model, kins, (obj, attach_object(two_r_model, grasp))),
-            [traj],
+            *rates(traj),
             gravity=G2D,
         )
         n_arm = two_r_closed_form(two_r_params, q0)["N"]
@@ -267,16 +299,17 @@ class TestTorqueEffort:
         (with_obj,) = torque_effort(
             kins,
             link_inertias(two_r_model, kins, (obj, attach_object(two_r_model, grasp))),
-            [traj],
+            *rates(traj),
             gravity=G2D,
         )
         # no-object baseline straight from inverse dynamics
         rows = [link_frames_axes(two_r_model, traj.positions[i]) for i in range(len(task))]
+        (velocities,), (accelerations,) = rates(traj)
         base_vals = np.array(
             [
                 float(np.sum(inverse_dynamics(
                     kin, link_inertias(two_r_model, kin),
-                    traj.velocities[i], traj.accelerations[i], gravity=G2D,
+                    velocities[i], accelerations[i], gravity=G2D,
                 ) ** 2))
                 for i, kin in enumerate(rows)
             ]
@@ -362,16 +395,13 @@ class TestEffectiveMass:
             gripper_trajectory(task, grasp),
             spec.ik_seed,
         )
-        static = type(traj)(
-            traj.times, traj.positions, np.zeros_like(traj.velocities),
-            np.zeros_like(traj.accelerations), traj.reachable,
-        )
+        static = np.zeros_like(traj.positions[None])
         base = spec.obj
         doubled = LinkSpec(mass=2 * spec.obj.mass, com=np.zeros(3), inertia=2 * spec.obj.inertia)
-        kins = passes(arm7, static)
+        kins = passes(arm7, traj)
         prof1, prof2 = (
             torque_effort(
-                kins, link_inertias(arm7, kins, (obj, attach_object(arm7, grasp))), [static],
+                kins, link_inertias(arm7, kins, (obj, attach_object(arm7, grasp))), static, static,
                 gravity=spec.gravity,
             )[0]
             for obj in (base, doubled)
@@ -391,7 +421,7 @@ class TestTem:
         obj = LinkSpec(mass=0.4, com=np.zeros(3), inertia=np.eye(3) * 1e-6)
         loaded = (obj, attach_object(model, GraspCandidate("g", Pose.identity())))
         kins = passes(model, traj)
-        (values,), _ = tem(kins, link_inertias(model, kins, loaded), [task])
+        (values,), _ = tem(kins, link_inertias(model, kins, loaded), increments(task))
         assert np.abs(values - 2.4).max() <= 1e-9
         assert abs(float(np.trapezoid(values, path_parameter(task))) - 2.4) <= 1e-9
 
@@ -407,7 +437,7 @@ class TestTem:
         loaded = (small_object(), attach_object(two_r_model, GraspCandidate("g", Pose.identity())))
         kins = passes(two_r_model, traj)
         with pytest.raises(ZeroMotionError):
-            tem(kins, link_inertias(two_r_model, kins, loaded), [task])
+            tem(kins, link_inertias(two_r_model, kins, loaded), increments(task))
 
 
     def test_singular_mass_matrix_raises(self):
@@ -430,7 +460,7 @@ class TestTem:
         loaded = (obj, attach_object(model, GraspCandidate("g", Pose.identity())))
         kins = passes(model, traj)
         with pytest.raises(DegenerateModelError, match="numerically singular"):
-            tem(kins, link_inertias(model, kins, loaded), [task])
+            tem(kins, link_inertias(model, kins, loaded), increments(task))
 
 
 class TestEvaluateGrasp:
@@ -509,13 +539,15 @@ class TestEvaluateGrasp:
 
     def test_scoring_invariants_are_built_once(self, monkeypatch):
         # no object frames composed, no robot model built, and per batch of
-        # scored grasps one kinematic pass, one inertia build and one call per
+        # scored grasps one kinematic pass, one inertia build, one derivation
+        # each of the joint rates and the pose increments, and one call per
         # objective
         from postgrasp import chain, dynamics, load_robot, load_task, metrics
         from postgrasp import reference_robot_path, reference_task_path
 
         model = load_robot(reference_robot_path("arm7"))
-        calls = dict.fromkeys(("compose", "models", "passes", "inertias", "tov", "tme", "tem"), 0)
+        per_batch_keys = ("passes", "inertias", "rates", "increments", "tov", "tme", "tem")
+        calls = dict.fromkeys(("compose", "models", *per_batch_keys), 0)
 
         def counting(key, fn):
             def counted(*args, **kwargs):
@@ -530,7 +562,8 @@ class TestEvaluateGrasp:
         monkeypatch.setattr(dynamics, "link_inertias", inertias)
         monkeypatch.setattr(metrics, "link_inertias", inertias)
         monkeypatch.setattr(metrics, "link_frames_axes", counting("passes", metrics.link_frames_axes))
-        for key, name in (("tov", "tov"), ("tme", "torque_effort"), ("tem", "tem")):
+        named = (("rates", "_fd_derivatives"), ("increments", "_segment_deltas"))
+        for key, name in (*named, ("tov", "tov"), ("tme", "torque_effort"), ("tem", "tem")):
             monkeypatch.setattr(metrics, name, counting(key, getattr(metrics, name)))
         spec = load_task(reference_task_path("task1"))
         cards = evaluate_task(model, spec)
@@ -538,7 +571,7 @@ class TestEvaluateGrasp:
         per_batch = metrics._SCORE_ROWS // spec.resample_count
         batches = -(-feasible // per_batch)
         assert feasible == len(cards) == 10 and batches == 2
-        assert calls == {"compose": 0, "models": 0, **dict.fromkeys(("passes", "inertias", "tov", "tme", "tem"), batches)}
+        assert calls == {"compose": 0, "models": 0, **dict.fromkeys(per_batch_keys, batches)}
 
     def test_index_quadrature_mode(self, two_r_model):
         task, q0 = self._task_and_grasp(two_r_model)
