@@ -23,7 +23,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,47 +41,21 @@ class CliError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Inputs of one ``evaluate`` invocation."""
-
-    robot: Path
-    tasks: list[Path]
-    out: Path
-    resample: int | None = None
-    weights: tuple[float, float, float] | None = None
-    allow_infeasible: bool = False
-    index_quadrature: bool = False
-    grasps_override: list[GraspCandidate] | None = None
-
-
 def _sanitize(name: str) -> str:
     out = re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_")
     return "task" if out in ("", ".", "..") else out
 
 
-def _output_dirs(config: RunConfig, specs) -> list[Path]:
-    """One directory under ``config.out`` per task, checked before any
+def _output_dirs(out: Path, tasks: list[Path], specs) -> list[Path]:
+    """One directory under ``out`` per task, checked before any
     evaluation: two tasks never share one."""
     owners: dict[str, Path] = {}
-    for path, spec in zip(config.tasks, specs):
+    for path, spec in zip(tasks, specs):
         name = _sanitize(spec.name)
         if name in owners:
-            raise CliError(f"tasks {owners[name]} and {path} both write to {config.out / name}")
+            raise CliError(f"tasks {owners[name]} and {path} both write to {out / name}")
         owners[name] = path
-    return [config.out / name for name in owners]
-
-
-def emit_plot_data(outdir: Path, scorecards, scores) -> None:
-    """Write the per-metric heatmap CSVs and the long-format normalized
-    scalars CSV for external plotting."""
-    feasible = [sc for sc in scorecards if sc.feasible]
-    ids = [sc.grasp_id for sc in feasible]
-    for name in OBJECTIVES:
-        fileio.write_profile_csv(
-            outdir / f"profile_{name}.csv", feasible[0].s, ids, [sc.profiles[name] for sc in feasible]
-        )
-    fileio.write_scalars_long_csv(outdir / "scalars_long.csv", scores)
+    return [out / name for name in owners]
 
 
 def _score(task_path, model, spec, index_quadrature=False):
@@ -92,14 +66,17 @@ def _score(task_path, model, spec, index_quadrature=False):
         raise CliError(f"{task_path}: {exc}") from exc
 
 
-def _write_task(config: RunConfig, model_name: str, spec, outdir: Path, scorecards) -> int:
-    """Write one task's result files into ``outdir``; returns its exit status."""
+def _write_task(outdir: Path, model_name: str, spec, scorecards, weights, allow_infeasible) -> int:
+    """Write one task's result files into ``outdir``: the scorecards, one
+    heatmap CSV per objective, the long-format normalized scalars and the
+    report; returns the task's exit status."""
     outdir.mkdir(exist_ok=True)
     infeasible = [sc.grasp_id for sc in scorecards if not sc.feasible]
-    status = 2 if infeasible and not config.allow_infeasible else 0
+    status = 2 if infeasible and not allow_infeasible else 0
     if status:
         print(f"{spec.name}: infeasible grasps: {', '.join(infeasible)}", file=sys.stderr)
-    if not any(sc.feasible for sc in scorecards):
+    feasible = [sc for sc in scorecards if sc.feasible]
+    if not feasible:
         fileio.write_scorecards_csv(outdir / "scorecards.csv", scorecards, None)
         # an earlier run's other result files would describe other grasps
         for name in ("report.json", "scalars_long.csv", *(f"profile_{key}.csv" for key in OBJECTIVES)):
@@ -107,14 +84,19 @@ def _write_task(config: RunConfig, model_name: str, spec, outdir: Path, scorecar
         print(f"{spec.name}: no feasible grasps", file=sys.stderr)
         return 2
 
-    report = build_report(scorecards, weights=config.weights)
+    report = build_report(scorecards, weights=weights)
     fileio.write_scorecards_csv(outdir / "scorecards.csv", scorecards, report)
-    emit_plot_data(outdir, scorecards, report.scores)
+    ids = [sc.grasp_id for sc in feasible]
+    for name in OBJECTIVES:
+        fileio.write_profile_csv(
+            outdir / f"profile_{name}.csv", feasible[0].s, ids, [sc.profiles[name] for sc in feasible]
+        )
+    fileio.write_scalars_long_csv(outdir / "scalars_long.csv", report.scores)
     fileio.write_report_json(
         outdir / "report.json", fileio.report_to_dict(report, spec.name, model_name, scorecards)
     )
     _echo(
-        f"{spec.name}: feasible {sum(sc.feasible for sc in scorecards)}/{len(scorecards)}, "
+        f"{spec.name}: feasible {len(feasible)}/{len(scorecards)}, "
         f"conflict={str(report.conflict).lower()}, pareto=[{', '.join(report.pareto)}] "
         f"-> {outdir}"
     )
@@ -129,37 +111,6 @@ def _echo(line: str) -> None:
         print(line)
     except UnicodeEncodeError as exc:
         print(line.encode(exc.encoding, "backslashreplace").decode(exc.encoding))
-
-
-def run_evaluation(config: RunConfig) -> int:
-    """Evaluate every task in the config; returns the process exit status.
-
-    Nonzero when any grasp is infeasible (unless allowed) or when a task
-    has no feasible grasp at all.  Every input is loaded and checked, and
-    ``config.out`` created, before the first task is scored.
-    """
-    model = fileio.load_robot(config.robot)
-    overrides = {}
-    if config.grasps_override is not None:
-        overrides["grasps"] = tuple(config.grasps_override)
-    if config.resample is not None:
-        overrides["resample_count"] = config.resample
-    specs = [replace(fileio.load_task(path), **overrides) for path in config.tasks]
-    outdirs = _output_dirs(config, specs)
-    for spec in specs:
-        check_ik_seed(model, spec)
-    try:
-        config.out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"--out: cannot create directory ({exc})") from exc
-    status = 0
-    for path, spec, outdir in zip(config.tasks, specs, outdirs):
-        scorecards = _score(path, model, spec, config.index_quadrature)
-        try:
-            status = max(status, _write_task(config, model.name, spec, outdir, scorecards))
-        except OSError as exc:
-            raise CliError(f"{exc.filename or outdir}: cannot write ({exc.strerror or exc})") from exc
-    return status
 
 
 def _parse_weights(text: str) -> tuple[float, float, float]:
@@ -210,20 +161,39 @@ def _parse_grasps_override(text: str) -> list[GraspCandidate]:
 
 
 def _cmd_evaluate(args) -> int:
+    """Evaluate every task; returns the process exit status.
+
+    Nonzero when any grasp is infeasible (unless allowed) or when a task
+    has no feasible grasp at all.  Every input is loaded and checked, and
+    ``--out`` created, before the first task is scored.
+    """
     _check_resample(args.resample)
-    config = RunConfig(
-        robot=Path(args.robot),
-        tasks=[Path(t) for t in args.task],
-        out=Path(args.out),
-        resample=args.resample,
-        weights=None if args.weights is None else _parse_weights(args.weights),
-        allow_infeasible=args.allow_infeasible,
-        index_quadrature=args.index_quadrature,
-        grasps_override=(
-            None if args.grasps_override is None else _parse_grasps_override(args.grasps_override)
-        ),
-    )
-    return run_evaluation(config)
+    weights = None if args.weights is None else _parse_weights(args.weights)
+    overrides = {}
+    if args.grasps_override is not None:
+        overrides["grasps"] = tuple(_parse_grasps_override(args.grasps_override))
+    if args.resample is not None:
+        overrides["resample_count"] = args.resample
+    out, tasks = Path(args.out), [Path(t) for t in args.task]
+    model = fileio.load_robot(Path(args.robot))
+    specs = [replace(fileio.load_task(path), **overrides) for path in tasks]
+    outdirs = _output_dirs(out, tasks, specs)
+    for spec in specs:
+        check_ik_seed(model, spec)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"--out: cannot create directory ({exc})") from exc
+    status = 0
+    for path, spec, outdir in zip(tasks, specs, outdirs):
+        scorecards = _score(path, model, spec, args.index_quadrature)
+        try:
+            status = max(
+                status, _write_task(outdir, model.name, spec, scorecards, weights, args.allow_infeasible)
+            )
+        except OSError as exc:
+            raise CliError(f"{exc.filename or outdir}: cannot write ({exc.strerror or exc})") from exc
+    return status
 
 
 def _cmd_inspect_model(args) -> int:

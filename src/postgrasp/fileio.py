@@ -83,7 +83,9 @@ def _load_json(path) -> dict:
     return data
 
 
-def _check_keys(obj: dict, required: set, optional: set, path: str):
+def _check_keys(obj: dict, required: tuple, optional: tuple, path: str):
+    """Refuse a non-object, an unknown field, or a missing required field;
+    the first missing field in ``required``'s order is the one named."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     for key in obj:
@@ -155,7 +157,7 @@ def _pose_parts(obj, path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_pose(obj, path) -> Pose:
-    _check_keys(obj, {"translation", "quaternion"}, set(), path)
+    _check_keys(obj, ("translation", "quaternion"), (), path)
     q, t = _pose_parts(obj, path)
     return Pose(Rotation(*q), t)
 
@@ -181,8 +183,8 @@ def load_robot(path) -> ChainModel:
     data = _load_json(path)
     _check_keys(
         data,
-        {"schema_version", "name", "base_pose", "joints", "links", "tool_transform"},
-        {"notes"},
+        ("schema_version", "name", "base_pose", "joints", "links", "tool_transform"),
+        ("notes",),
         fname,
     )
     _check_schema_version(data, fname)
@@ -199,7 +201,7 @@ def load_robot(path) -> ChainModel:
     joints = []
     for i, jobj in enumerate(data["joints"]):
         jpath = f"{fname}.joints[{i}]"
-        _check_keys(jobj, {"kind", "axis", "origin", "limits", "velocity_limit"}, set(), jpath)
+        _check_keys(jobj, ("kind", "axis", "origin", "limits", "velocity_limit"), (), jpath)
         kind = _string(jobj, "kind", jpath)
         if kind not in ("revolute", "prismatic"):
             raise SchemaError(f"{jpath}.kind: must be 'revolute' or 'prismatic'")
@@ -217,7 +219,7 @@ def load_robot(path) -> ChainModel:
     links = []
     for i, lobj in enumerate(data["links"]):
         lpath = f"{fname}.links[{i}]"
-        _check_keys(lobj, {"mass", "com", "inertia"}, set(), lpath)
+        _check_keys(lobj, ("mass", "com", "inertia"), (), lpath)
         mass = _number(lobj, "mass", lpath)
         if mass < 0.0:
             raise SchemaError(f"{lpath}.mass: must be non-negative, got {mass}")
@@ -241,7 +243,7 @@ def parse_grasps(entries, path: str) -> list[GraspCandidate]:
     seen = set()
     for i, g in enumerate(entries):
         gpath = f"{path}[{i}]"
-        _check_keys(g, {"id", "translation", "quaternion"}, set(), gpath)
+        _check_keys(g, ("id", "translation", "quaternion"), (), gpath)
         gid = _string(g, "id", gpath)
         if not gid:
             raise SchemaError(f"{gpath}.id: must be non-empty")
@@ -260,8 +262,8 @@ def load_task(path) -> TaskSpec:
     data = _load_json(path)
     _check_keys(
         data,
-        {"schema_version", "name", "total_time_s", "object", "object_waypoints"},
-        {"gravity", "grasps", "sweep", "resample_count", "ik_seed", "notes"},
+        ("schema_version", "name", "total_time_s", "object", "object_waypoints"),
+        ("gravity", "grasps", "sweep", "resample_count", "ik_seed", "notes"),
         fname,
     )
     _check_schema_version(data, fname)
@@ -277,7 +279,7 @@ def load_task(path) -> TaskSpec:
 
     opath = f"{fname}.object"
     oobj = data["object"]
-    _check_keys(oobj, {"mass", "inertia"}, {"extents"}, opath)
+    _check_keys(oobj, ("mass", "inertia"), ("extents",), opath)
     mass = _number(oobj, "mass", opath)
     if not mass > 0.0:
         raise SchemaError(f"{opath}.mass: must be positive, got {mass}")
@@ -298,7 +300,7 @@ def load_task(path) -> TaskSpec:
     translations = []
     for i, wp in enumerate(wobj):
         wpath = f"{fname}.object_waypoints[{i}]"
-        _check_keys(wp, {"t", "translation", "quaternion"}, set(), wpath)
+        _check_keys(wp, ("t", "translation", "quaternion"), (), wpath)
         times.append(_number(wp, "t", wpath))
         q, t = _pose_parts(wp, wpath)
         quaternions.append(unit_quaternion(*q))
@@ -323,7 +325,7 @@ def load_task(path) -> TaskSpec:
     else:
         spath = f"{fname}.sweep"
         sobj = data["sweep"]
-        _check_keys(sobj, {"start", "end", "count"}, set(), spath)
+        _check_keys(sobj, ("start", "end", "count"), (), spath)
         count = _count(sobj, "count", spath)
         start = _parse_pose(sobj["start"], f"{spath}.start")
         end = _parse_pose(sobj["end"], f"{spath}.end")

@@ -132,7 +132,10 @@ def directional_manipulability(jacobian, direction) -> tuple[np.ndarray, np.ndar
     lead = u.shape[:-1]
     u = u.reshape(-1, 6)
     gram = (jac @ jac.swapaxes(-1, -2)).reshape(-1, 6, 6)
-    full = np.linalg.eigvalsh(gram)[:, 0] >= _RANK_EPS
+    if jac.shape[-1] < 6:  # fewer joints than task dimensions: no row has full rank
+        full = np.zeros(u.shape[0], dtype=bool)
+    else:
+        full = np.linalg.eigvalsh(gram)[:, 0] >= _RANK_EPS
     a2 = np.zeros(u.shape[0])
     unachievable = np.zeros(u.shape[0], dtype=bool)
     w = np.linalg.solve(gram[full], u[full, :, None])[..., 0]

@@ -34,7 +34,7 @@ from postgrasp import (
     reference_task_path,
 )
 from postgrasp.chain import link_frames_axes
-from postgrasp.cli import RunConfig, run_evaluation
+from postgrasp.cli import main
 from postgrasp.metrics import GraspScorecard
 from postgrasp.task import path_parameter, resample
 
@@ -331,12 +331,10 @@ def test_criterion_6_runtime_budget(arm7):
 
 def test_criterion_7_heatmap_structure(tmp_path):
     failures = []
-    config = RunConfig(
-        robot=reference_robot_path("arm7"),
-        tasks=[reference_task_path(name) for name in ("task1", "task2", "task3")],
-        out=tmp_path,
-    )
-    status = run_evaluation(config)
+    argv = ["evaluate", "--robot", str(reference_robot_path("arm7")), "--out", str(tmp_path)]
+    for name in ("task1", "task2", "task3"):
+        argv += ["--task", str(reference_task_path(name))]
+    status = main(argv)
     if status != 0:
         failures.append(f"evaluate exited {status}")
     conflict_task = None
@@ -392,24 +390,25 @@ def test_criterion_9_determinism(tmp_path):
     ]
     robot, task = reference_robot_path("arm7"), reference_task_path("task3")
 
+    def argv(tag):
+        return ["evaluate", "--robot", str(robot), "--task", str(task), "--out", str(tmp_path / tag)]
+
     def outputs(tag, status):
         if status != 0:
             failures.append(f"{tag}: exit {status}")
         return {name: (tmp_path / tag / "task3" / name).read_bytes() for name in names}
 
-    def in_process(tag):
-        return outputs(tag, run_evaluation(RunConfig(robot=robot, tasks=[task], out=tmp_path / tag)))
-
-    def fresh_interpreter(tag):
-        env = dict(os.environ, PYTHONPATH=str(Path(postgrasp.__file__).parents[1]))
-        argv = ["evaluate", "--robot", str(robot), "--task", str(task), "--out", str(tmp_path / tag)]
-        run = subprocess.run([sys.executable, "-m", "postgrasp", *argv], capture_output=True, env=env, timeout=300)
+    def fresh_interpreter(tag, hash_seed):
+        env = dict(os.environ, PYTHONPATH=str(Path(postgrasp.__file__).parents[1]), PYTHONHASHSEED=hash_seed)
+        run = subprocess.run([sys.executable, "-m", "postgrasp", *argv(tag)], capture_output=True, env=env, timeout=300)
         return outputs(tag, run.returncode)
 
-    first, second, fresh = in_process("first"), in_process("second"), fresh_interpreter("fresh")
-    for name in names:
-        if first[name] != second[name]:
-            failures.append(f"{name}: in-process reruns differ")
-        if first[name] != fresh[name]:
-            failures.append(f"{name}: a fresh interpreter writes other bytes")
-    report(9, "byte-identical outputs across two in-process runs and a fresh interpreter", failures)
+    # two fresh interpreters under different string hash seeds: no output
+    # may depend on the order in which a set or dict of strings is walked
+    runs = {tag: outputs(tag, main(argv(tag))) for tag in ("first", "second")}
+    runs.update((f"seed{seed}", fresh_interpreter(f"seed{seed}", seed)) for seed in ("1", "2"))
+    for tag, files in runs.items():
+        for name in names:
+            if files[name] != runs["first"][name]:
+                failures.append(f"{name}: the {tag} run writes other bytes than the first in-process run")
+    report(9, "byte-identical outputs across two in-process runs and two hash seeds", failures)

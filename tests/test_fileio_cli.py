@@ -12,7 +12,6 @@ import pytest
 
 import postgrasp
 from postgrasp import (
-    GraspCandidate,
     GraspScorecard,
     Pose,
     Rotation,
@@ -27,7 +26,7 @@ from postgrasp import (
     reference_robot_path,
     reference_task_path,
 )
-from postgrasp.cli import RunConfig, main, run_evaluation
+from postgrasp.cli import main
 from postgrasp.fileio import (
     MAX_COUNT,
     REPORT_SCHEMA_VERSION,
@@ -100,6 +99,11 @@ def planar_task_dict():
     }
 
 
+def evaluate_argv(task, out, *options) -> list[str]:
+    """``evaluate`` on ``arm7`` and one task file."""
+    return ["evaluate", "--robot", str(reference_robot_path("arm7")), "--task", str(task), "--out", str(out), *options]
+
+
 @pytest.fixture
 def synthetic_task_path(tmp_path):
     path = tmp_path / "synthetic.json"
@@ -146,6 +150,24 @@ class TestLoadRobot:
         bad.write_text(json.dumps(data))
         with pytest.raises(SchemaError, match="tool_transform"):
             load_robot(bad)
+
+    def test_first_listed_missing_field_named_under_every_hash_seed(self, tmp_path):
+        # a file missing two fields is refused for the one the schema lists
+        # first, whatever order the string hash gives a set of field names
+        data = json.loads(reference_robot_path("planar_rr").read_text())
+        del data["name"], data["links"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        errors = set()
+        for seed in ("1", "2", "3", "4", "5", "6"):
+            env = dict(os.environ, PYTHONPATH=str(Path(postgrasp.__file__).parents[1]), PYTHONHASHSEED=seed)
+            run = subprocess.run(
+                [sys.executable, "-m", "postgrasp", "inspect-model", "--robot", str(bad)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert run.returncode == 2
+            errors.add(run.stderr)
+        assert errors == {f"error: {bad}.name: missing field\n"}
 
     def test_bad_quaternion_rejected(self, tmp_path):
         data = json.loads(reference_robot_path("planar_rr").read_text())
@@ -426,15 +448,12 @@ class TestFlagOutputs:
             6,
         )
         cards = evaluate_task(arm7, replace(task, grasps=tuple(grasps), resample_count=8))
-        config = RunConfig(
-            robot=reference_robot_path("arm7"),
-            tasks=[reference_task_path("task3")],
-            out=tmp_path,
-            resample=8,
-            allow_infeasible=True,
-            grasps_override=grasps,
-        )
-        assert run_evaluation(config) == 0
+        override = [
+            {"id": g.id, "translation": g.transform.translation.tolist(), "quaternion": g.transform.rotation.quat.tolist()}
+            for g in grasps
+        ]
+        options = ["--resample", "8", "--allow-infeasible", "--grasps-override", json.dumps(override)]
+        assert main(evaluate_argv(reference_task_path("task3"), tmp_path, *options)) == 0
         outdir = tmp_path / task.name
         payload = json.loads((outdir / "report.json").read_text())
         back = {sc.grasp_id: sc for sc in read_scorecards_csv(outdir / "scorecards.csv")}
@@ -451,12 +470,7 @@ class TestFlagOutputs:
 class TestRunEvaluation:
     def test_outputs_and_determinism(self, tmp_path, synthetic_task_path):
         def run(outdir):
-            config = RunConfig(
-                robot=reference_robot_path("arm7"),
-                tasks=[synthetic_task_path],
-                out=outdir,
-            )
-            assert run_evaluation(config) == 0
+            assert main(evaluate_argv(synthetic_task_path, outdir)) == 0
             return outdir / "synthetic"
 
         out1 = run(tmp_path / "a")
@@ -500,15 +514,8 @@ class TestRunEvaluation:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_grasps_override_single(self, tmp_path, synthetic_task_path):
-        config = RunConfig(
-            robot=reference_robot_path("arm7"),
-            tasks=[synthetic_task_path],
-            out=tmp_path / "o",
-            grasps_override=[
-                GraspCandidate("solo", Pose(Rotation(0.0, 1.0, 0.0, 0.0), np.array([0.0, 0.0, 0.1])))
-            ],
-        )
-        assert run_evaluation(config) == 0
+        solo = '[{"id": "solo", "translation": [0.0, 0.0, 0.1], "quaternion": [0.0, 1.0, 0.0, 0.0]}]'
+        assert main(evaluate_argv(synthetic_task_path, tmp_path / "o", "--grasps-override", solo)) == 0
         rows = (tmp_path / "o" / "synthetic" / "scorecards.csv").read_text().splitlines()
         header = rows[0].split(",")
         vals = rows[1].split(",")
@@ -523,17 +530,8 @@ class TestRunEvaluation:
         ]
         task = tmp_path / "task.json"
         task.write_text(json.dumps(synthetic_task_dict(grasps)))
-        strict = RunConfig(
-            robot=reference_robot_path("arm7"), tasks=[task], out=tmp_path / "strict"
-        )
-        assert run_evaluation(strict) == 2
-        relaxed = RunConfig(
-            robot=reference_robot_path("arm7"),
-            tasks=[task],
-            out=tmp_path / "relaxed",
-            allow_infeasible=True,
-        )
-        assert run_evaluation(relaxed) == 0
+        assert main(evaluate_argv(task, tmp_path / "strict")) == 2
+        assert main(evaluate_argv(task, tmp_path / "relaxed", "--allow-infeasible")) == 0
         cards = read_scorecards_csv(tmp_path / "relaxed" / "synthetic" / "scorecards.csv")
         assert [c.feasible for c in cards] == [True, False]
 

@@ -1,6 +1,6 @@
 """The ranking layer and the writers, pinned byte for byte.
 
-Hand-built scorecards go through ``cli.run_evaluation`` (which runs
+Hand-built scorecards go through ``postgrasp evaluate`` (which runs
 ``build_report`` and every writer) in place of an evaluation.  They include
 one infeasible grasp, one dominated grasp, an argbest tie and an objective
 (``tov``) whose feasible scalars are all 0.0, so its normalized column takes
@@ -18,7 +18,6 @@ import numpy as np
 import postgrasp.cli as cli
 from postgrasp import GraspScorecard, reference_robot_path, reference_task_path
 from postgrasp.metrics import FLAGS
-from postgrasp.cli import RunConfig, run_evaluation
 
 S = np.array((0.0, 0.5, 1.0))
 
@@ -223,14 +222,9 @@ g5,4,1.3333333333333333,4
 
 def test_ranking_and_writers_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "evaluate_task", lambda *args: CARDS)
-    config = RunConfig(
-        robot=reference_robot_path("arm7"),
-        tasks=[reference_task_path("task1")],
-        out=tmp_path,
-        weights=(0.4, 0.3, 0.3),
-        allow_infeasible=True,
-    )
-    assert run_evaluation(config) == 0
+    argv = ["evaluate", "--robot", str(reference_robot_path("arm7")), "--task", str(reference_task_path("task1"))]
+    argv += ["--out", str(tmp_path), "--weights", "0.4,0.3,0.3", "--allow-infeasible"]
+    assert cli.main(argv) == 0
     outdir = tmp_path / "task1"
     assert capsys.readouterr().out == (
         f"task1: feasible 4/5, conflict=true, pareto=[g1, g2, g4] -> {outdir}\n"
