@@ -8,8 +8,8 @@ coincides with the joint frame after the joint motion is applied.
 ``link_frames_axes(model, q)`` is the only place link frames are built.  It
 returns a frozen ``KinematicState``: link rotations and origins, the
 operational point's rotation and position, the world-frame Jacobian and
-the world joint axes; the joint motion columns, which only the dynamics
-read, are derived on first read.  ``q`` may carry leading batch axes,
+the world joint axes.  The dynamics derive the joint motion columns from
+it (``dynamics.motion_columns``).  ``q`` may carry leading batch axes,
 ``(..., n)``, so a whole joint path is one call.  The model is the
 constant half of Pinocchio's model/data split (Carpentier et al., SII
 2019): a ``ChainModel`` holds its specs and, stacked once when it is built,
@@ -25,16 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .geometry import Pose, matrix_quaternion, skew, unit_quaternion
+from .geometry import Pose, cross, matrix_quaternion, skew, unit_quaternion
 
 _JOINT_KINDS = ("revolute", "prismatic")
-# (a x b)_i = a_j b_k - a_k b_j, (i, j, k) cyclic
-_CYCLE_J = np.array([1, 2, 0])
-_CYCLE_K = np.array([2, 0, 1])
 
 
 def validate_inertia_tensor(inertia) -> np.ndarray:
@@ -198,8 +194,8 @@ class KinematicState:
     a grasped object enters the dynamics through the link inertias built on
     it (``dynamics.link_inertias``), with no second pass.
 
-    The fields are built by the pass; ``motion``, which only the dynamics
-    read, is derived from them on first read and then kept.
+    It holds only the arrays the pass builds; the dynamics derive the joint
+    motion columns from them (``dynamics.motion_columns``).
     """
 
     rotations: np.ndarray  # (..., n, 3, 3) link-frame rotations
@@ -217,21 +213,6 @@ class KinematicState:
     @property
     def n(self) -> int:
         return self.origins.shape[-2]
-
-    @cached_property
-    def motion(self) -> np.ndarray:
-        """(..., n, 6) joint motion columns referred to the world origin:
-        (p x z; z) for a revolute joint, (z; 0) for a prismatic one."""
-        motion = np.concatenate([_cross(self.origins, self.spin) + self.slide, self.spin], axis=-1)
-        motion.setflags(write=False)
-        return motion
-
-
-def _cross(a, b) -> np.ndarray:
-    """Cross product over the last axis of broadcastable (..., 3) arrays,
-    a_j b_k - a_k b_j on the cyclic index arrays; several times cheaper
-    than ``np.cross`` on the small arrays used here."""
-    return a.take(_CYCLE_J, -1) * b.take(_CYCLE_K, -1) - a.take(_CYCLE_K, -1) * b.take(_CYCLE_J, -1)
 
 
 def link_frames_axes(model: ChainModel, q) -> KinematicState:
@@ -266,7 +247,7 @@ def link_frames_axes(model: ChainModel, q) -> KinematicState:
     spin = axes * model.revolute
     slide = axes * model.prismatic
     # revolute: z x (p_op - p) at the tool
-    lever = _cross(origins - p_op[..., None, :], spin)
+    lever = cross(origins - p_op[..., None, :], spin)
     jacobian = np.concatenate(
         [(lever + slide).swapaxes(-1, -2), spin.swapaxes(-1, -2)], axis=-2
     )

@@ -145,7 +145,7 @@ def _parse_grasps_override(text: str) -> list[GraspCandidate]:
     raw = text.strip()
     if raw and not raw.startswith("["):  # an empty value is refused as JSON, not read as the path "."
         try:
-            raw = Path(text).read_text(encoding="utf-8")
+            raw = Path(text).read_text(encoding="utf-8-sig")  # as ``fileio`` reads its inputs
         except OSError as exc:
             raise CliError(f"--grasps-override: cannot read file ({exc})") from exc
         except UnicodeDecodeError as exc:

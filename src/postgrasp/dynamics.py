@@ -10,7 +10,9 @@ tests can cross-validate one against the other.  Both work with world-frame
 spatial vectors (linear; angular) referred to the world origin.  In that
 frame no quantity needs transforming from one link to the next, so both
 recursions are running sums along the chain (Featherstone, *Rigid Body
-Dynamics Algorithms*, 2008, ch. 5-6).
+Dynamics Algorithms*, 2008, ch. 5-6).  Both read the pass's joints as
+motion columns (``motion_columns``), derived here from its axes and
+origins.
 
 A rigid body is given by its mass, its CoM and its 3x3 inertia about the
 CoM in its own frame (``chain.LinkSpec``), a link's from the robot file and
@@ -38,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import ChainModel, KinematicState, LinkSpec, link_frames_axes
-from .geometry import skew
+from .geometry import cross, skew
 from .task import GraspCandidate
 
 GRAVITY_DEFAULT = np.array([0.0, 0.0, -9.81])
@@ -95,11 +97,18 @@ def link_inertias(model: ChainModel, kin: KinematicState, attached=None) -> np.n
     return out
 
 
+def motion_columns(kin: KinematicState) -> np.ndarray:
+    """(..., n, 6) joint motion columns of a pass referred to the world
+    origin: (p x z; z) for a revolute joint, (z; 0) for a prismatic one."""
+    return np.concatenate([cross(kin.origins, kin.spin) + kin.slide, kin.spin], axis=-1)
+
+
 def _check_inertias(kin: KinematicState, inertias: np.ndarray) -> None:
-    if inertias.shape != kin.motion.shape + (6,):
+    want = kin.origins.shape[:-1] + (6, 6)
+    if inertias.shape != want:
         raise ValueError(
             f"link inertias of shape {inertias.shape} do not fit the kinematic "
-            f"state's {kin.motion.shape + (6,)}"
+            f"state's {want}"
         )
 
 
@@ -108,7 +117,7 @@ def mass_matrix(kin: KinematicState, inertias: np.ndarray) -> np.ndarray:
     M_ij = s_i . C_j s_j for i <= j, with C_j the inertia of links j..n-1
     (``inertias`` is ``link_inertias`` on ``kin``)."""
     _check_inertias(kin, inertias)
-    s = kin.motion
+    s = motion_columns(kin)
     composite = np.flip(np.cumsum(np.flip(inertias, -3), axis=-3), -3)
     sf = s @ (composite @ s[..., None])[..., 0].swapaxes(-1, -2)
     return np.where(np.tri(kin.n, dtype=bool), sf.swapaxes(-1, -2), sf)
@@ -140,14 +149,14 @@ def inverse_dynamics(
     _check_inertias(kin, inertias)
     qd = np.asarray(qdot, dtype=float)
     qdd = np.asarray(qddot, dtype=float)
-    batch = kin.motion.shape[:-1]
+    batch = kin.origins.shape[:-1]
     if qd.shape != batch or qdd.shape != batch:
         raise ValueError(
             f"joint rates of shapes {qd.shape} and {qdd.shape} do not match "
             f"the kinematic state's {batch}"
         )
     g = np.asarray(gravity, dtype=float).reshape(3)
-    s = kin.motion
+    s = motion_columns(kin)
     s_qd = s * qd[..., None]
     v = np.cumsum(s_qd, axis=-2)
     vx = _motion_cross(v)

@@ -62,9 +62,10 @@ def _fmt(x: float) -> str:
 
 
 def _read_text(path, newline=None) -> str:
-    """An input file's text, decoded as UTF-8; errors name the file."""
+    """An input file's text, decoded as UTF-8 less a leading byte-order
+    mark (a spreadsheet saves one); errors name the file."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             return fh.read()
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read file ({exc})") from exc

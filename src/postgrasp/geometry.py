@@ -1,11 +1,11 @@
-"""SE(3) primitives: unit-quaternion rotations, rigid poses and the
-cross-product matrix.  The quaternion product and the rotation matrix are
-written once, on floats or arrays alike (``quaternion_product``,
-``quaternion_matrices``), and so are a ``Rotation``'s normalisation
-(``unit_quaternion``) and Shepperd's method (``matrix_quaternion``), on
-floats; so a whole trajectory composed on arrays, or a pose read off a
-kinematic pass, matches ``Rotation`` and ``Pose`` bit for bit without
-building one per step.
+"""SE(3) primitives: unit-quaternion rotations, rigid poses, the cross
+product and the cross-product matrix.  The quaternion product and the
+rotation matrix are written once, on floats or arrays alike
+(``quaternion_product``, ``quaternion_matrices``), and so are a
+``Rotation``'s normalisation (``unit_quaternion``) and Shepperd's method
+(``matrix_quaternion``), on floats; so a whole trajectory composed on
+arrays, or a pose read off a kinematic pass, matches ``Rotation`` and
+``Pose`` bit for bit without building one per step.
 
 A ``Pose`` maps coordinates of its child frame into its parent frame,
 ``p_parent = R p_child + t``.  Spatial vectors are ordered
@@ -20,6 +20,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# (a x b)_i = a_j b_k - a_k b_j, (i, j, k) cyclic
+_CYCLE_J = np.array([1, 2, 0])
+_CYCLE_K = np.array([2, 0, 1])
+
+
+def cross(a, b) -> np.ndarray:
+    """Cross product over the last axis of broadcastable (..., 3) arrays,
+    a_j b_k - a_k b_j on the cyclic index arrays; several times cheaper
+    than ``np.cross`` on the small arrays used here."""
+    return a.take(_CYCLE_J, -1) * b.take(_CYCLE_K, -1) - a.take(_CYCLE_K, -1) * b.take(_CYCLE_J, -1)
 
 
 def skew(v) -> np.ndarray:

@@ -6,11 +6,13 @@ one kinematic pass (``link_frames_axes``), from which its tool pose and,
 once the iterate is accepted, its Jacobian are read.  Tracking a
 trajectory seeds each waypoint with the previous solution, its pass and
 its tool pose, which keeps the joint path on one IK branch and builds no
-pass twice.  The tracker returns joint positions and reachability flags
-only; the scorer derives the joint rates from them (``metrics``).  Each
-target is read off the trajectory's arrays as seven floats (quaternion,
-then translation), the form ``forward_kinematics`` gives the tool pose in,
-so tracking builds no pose object.
+pass twice.  The tracker returns one row of joint positions and one
+reachability flag per waypoint, ``JointTrajectory(positions, reachable)``;
+the scorer derives the joint rates from the positions on the trajectory's
+times (``metrics``).  Each target is read off the trajectory's arrays as
+seven floats (quaternion, then translation), the form
+``forward_kinematics`` gives the tool pose in, so tracking builds no pose
+object.
 
 A solve that cannot meet the tolerances (target out of reach, or blocked
 by a joint limit) stops once its pose-error norm has fallen by less than
@@ -129,10 +131,9 @@ def _solve(model, target, q, kin, current) -> tuple[np.ndarray, KinematicState, 
 
 @dataclass(frozen=True, eq=False)
 class JointTrajectory:
-    """Solved joint path on the trajectory's times, with a per-waypoint
-    reachability flag."""
+    """Solved joint path, one row of joint positions per waypoint of the
+    tracked trajectory, with a per-waypoint reachability flag."""
 
-    times: np.ndarray
     positions: np.ndarray
     reachable: np.ndarray
 
@@ -167,4 +168,4 @@ def track_trajectory(model: ChainModel, trajectory: TaskTrajectory, seed=None) -
         q, kin, current, ok, _ = _solve(model, targets[i], q, kin, current)
         positions[i] = q
         reachable[i] = ok
-    return JointTrajectory(trajectory.times, positions, reachable)
+    return JointTrajectory(positions, reachable)

@@ -269,7 +269,7 @@ def _score(model: ChainModel, obj: LinkSpec, s: np.ndarray, gravity, tracked) ->
     grasps, grippers, paths = zip(*tracked)
     positions = np.stack([path.positions for path in paths])
     kins = link_frames_axes(model, positions)
-    qdot, qddot = _fd_derivatives(paths[0].times, positions)
+    qdot, qddot = _fd_derivatives(grippers[0].times, positions)
     translations = np.stack([g.translations for g in grippers])
     increments = _segment_deltas(translations, np.stack([g.quaternions for g in grippers]))
     frames = np.stack([attach_object(model, grasp) for grasp in grasps])

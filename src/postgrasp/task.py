@@ -8,10 +8,11 @@ The object is one rigid body (``chain.LinkSpec``, as a link is) given in
 its own frame, the frame the trajectory moves, with its CoM at that
 frame's origin.
 
-A trajectory's data are arrays: its unit quaternions, translations and
-times.  Keyframes are resampled (``resample``) and every grasp of a task is
-composed (``gripper_trajectory``) on those arrays into a new trajectory's
-arrays, with no ``Pose`` built; IK and the path metrics read the gripper
+A trajectory holds only its arrays: its unit quaternions, translations
+and times.  Keyframes are resampled (``resample``) and every grasp of a
+task is composed (``gripper_trajectory``, which derives the rotation
+matrices it composes with) on those arrays into a new trajectory's arrays,
+with no ``Pose`` built; IK and the path metrics read the gripper
 trajectory's arrays.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +39,7 @@ class TaskTrajectory:
 
     The data are read-only copies of the (m, 4) unit quaternions
     (w, x, y, z), each already normalised as ``Rotation`` normalises, the
-    (m, 3) translations and the (m,) times, all finite.  The rotation
-    matrices are derived on first read and kept."""
+    (m, 3) translations and the (m,) times, all finite."""
 
     quaternions: np.ndarray
     translations: np.ndarray
@@ -71,13 +70,6 @@ class TaskTrajectory:
     @property
     def total_time(self) -> float:
         return float(self.times[-1])
-
-    @cached_property
-    def rotation_matrices(self) -> np.ndarray:
-        """(m, 3, 3) rotation matrices of the quaternions, read-only."""
-        matrices = quaternion_matrices(self.quaternions)
-        matrices.flags.writeable = False
-        return matrices
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +109,7 @@ def gripper_trajectory(task: TaskTrajectory, grasp: GraspCandidate) -> TaskTraje
     products = quaternion_product(task.quaternions.T, (r.w, r.x, r.y, r.z))
     # normalised on floats: numpy's ``**2`` on an array is not libm ``pow``
     quats = [unit_quaternion(*q) for q in zip(*(p.tolist() for p in products))]
-    translations = task.translations + task.rotation_matrices @ g.translation
+    translations = task.translations + quaternion_matrices(task.quaternions) @ g.translation
     return TaskTrajectory(quats, translations, task.times)
 
 

@@ -12,10 +12,10 @@ The rest builds on production functions, so it checks only the logic it
 adds.  ``eager_link_frames_axes`` is the kinematic pass with the
 joint-kind masks applied inside it and the motion columns built eagerly,
 the form ``chain`` ran before its joint constants carried the masks and
-``motion`` was derived on first read.  ``pose_of`` wraps seven finished
-floats, a DLS target or a forward-kinematics result, in a ``Pose`` without
-normalising them again, and ``pose_target`` gives a pose back as those
-seven floats.  ``rotation_log`` is a rotation's rotation vector, the
+the motion columns left the pass for ``dynamics.motion_columns``.
+``pose_of`` wraps seven finished floats, a DLS target or a
+forward-kinematics result, in a ``Pose`` without normalising them again,
+and ``pose_target`` gives a pose back as those seven floats.  ``rotation_log`` is a rotation's rotation vector, the
 reference for the rotation logs that ``ik.pose_error`` and ``metrics``
 take on floats and arrays; ``rotation_pose_error`` is the
 IK pose error on ``Rotation`` objects, the form ``ik`` computed before it
@@ -310,8 +310,9 @@ def rank_deficient_manipulability(gram: np.ndarray, u: np.ndarray) -> tuple[floa
 def eager_link_frames_axes(model: ChainModel, q) -> dict[str, np.ndarray]:
     """The kinematic pass as it ran while the joint-kind masks were applied
     inside it and the motion columns were built eagerly: every field of a
-    ``KinematicState``, ``motion`` included, by name.  The joint constants
-    are stacked here as ``chain`` stacked them then, unmasked."""
+    ``KinematicState`` by name, and the motion columns as ``motion``.  The
+    joint constants are stacked here as ``chain`` stacked them then,
+    unmasked."""
     q = _check_q(model, q)
     n = model.n
     fixed = np.stack([j.origin.to_matrix() for j in model.joints])

@@ -17,9 +17,17 @@ from postgrasp import (
     link_frames_axes,
     link_inertias,
 )
+from postgrasp.dynamics import motion_columns
 from postgrasp.geometry import matrix_quaternion, skew
 
-from oracles import TwoRParams, finite_difference_jacobian, pose_of, rotation_log, two_r_closed_form
+from oracles import (
+    TwoRParams,
+    eager_link_frames_axes,
+    finite_difference_jacobian,
+    pose_of,
+    rotation_log,
+    two_r_closed_form,
+)
 from conftest import make_two_r
 
 
@@ -320,14 +328,11 @@ class TestPassInputs:
         with pytest.raises(ValueError, match="^expected 7 joint values, got 6$"):
             link_frames_axes(arm7, np.zeros(6))
 
-    def test_motion_is_derived_once_and_read_only(self, arm7):
-        kin = link_frames_axes(arm7, Q7)
-        assert "motion" not in vars(kin)
-        motion = kin.motion
-        assert kin.motion is motion
-        assert motion.shape == (7, 6)
-        with pytest.raises(ValueError):
-            motion[0, 0] = 1.0
+    @pytest.mark.parametrize("q", [Q7, np.stack([Q7, -Q7])], ids=["one", "two-rows"])
+    def test_motion_columns_shape_and_bits(self, arm7, q):
+        motion = motion_columns(link_frames_axes(arm7, q))
+        assert motion.shape == np.shape(q) + (6,)
+        assert motion.tobytes() == eager_link_frames_axes(arm7, q)["motion"].tobytes()
 
 
 class TestToolBodyMerge:

@@ -18,6 +18,7 @@ from postgrasp import (
     mass_matrix,
 )
 from postgrasp.chain import link_frames_axes
+from postgrasp.dynamics import motion_columns
 
 from oracles import (
     TwoRParams,
@@ -421,7 +422,7 @@ class TestOperationalMassInverse:
         planar = link_inertias(two_r_model, link_frames_axes(two_r_model, np.zeros(2)))
         cases = ((one, link_inertias(arm7, three)), (three, link_inertias(arm7, one)), (one, planar))
         for kin, inertias in cases:
-            rates = np.zeros(kin.motion.shape[:-1])
+            rates = np.zeros(motion_columns(kin).shape[:-1])
             for call in (
                 lambda: mass_matrix(kin, inertias),
                 lambda: inverse_dynamics(kin, inertias, rates, rates),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from postgrasp import (
     reference_robot_path,
     reference_task_path,
 )
-from postgrasp.cli import main
+from postgrasp.cli import _parse_grasps_override, main
 from postgrasp.fileio import (
     MAX_COUNT,
     REPORT_SCHEMA_VERSION,
@@ -337,6 +338,53 @@ class TestLoadTask:
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaError, match="total_time_s"):
             load_task(path)
+
+
+def _tree(value):
+    """A value as nested tuples that compare equal exactly when the values
+    hold the same fields and the same array bytes."""
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return (type(value).__name__,) + tuple((f.name, _tree(getattr(value, f.name))) for f in fields)
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (tuple, list)):
+        return tuple(_tree(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, _tree(v)) for k, v in value.items())
+    return value
+
+
+class TestByteOrderMark:
+    # an input re-saved by a spreadsheet or an editor may start with a
+    # UTF-8 byte-order mark; it is read as the same file without one
+
+    @staticmethod
+    def _with_bom(path, tmp_path) -> Path:
+        copy = tmp_path / f"bom_{Path(path).name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        return copy
+
+    def test_scorecards_csv(self, tmp_path):
+        path = tmp_path / "scorecards.csv"
+        cards = [flagged_card("a", 2.0, 1.0, 1.0, unreachable=[0, 2]), GraspScorecard("b", False)]
+        write_scorecards_csv(path, cards, None)
+        bom = self._with_bom(path, tmp_path)
+        assert _tree(read_scorecards_csv(bom)) == _tree(read_scorecards_csv(path))
+
+    def test_task_json(self, tmp_path):
+        path = reference_task_path("task1")
+        assert _tree(load_task(self._with_bom(path, tmp_path))) == _tree(load_task(path))
+
+    def test_robot_json(self, tmp_path):
+        path = reference_robot_path("arm7")
+        assert _tree(load_robot(self._with_bom(path, tmp_path))) == _tree(load_robot(path))
+
+    def test_grasps_override_file(self, tmp_path):
+        path = tmp_path / "grasps.json"
+        path.write_text(json.dumps(synthetic_task_dict()["grasps"]))
+        bom = self._with_bom(path, tmp_path)
+        assert _tree(_parse_grasps_override(str(bom))) == _tree(_parse_grasps_override(str(path)))
 
 
 class TestCsvPrecision:

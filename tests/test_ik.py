@@ -113,7 +113,7 @@ class TestTrackTrajectory:
         pose = pose_of(forward_kinematics(link_frames_axes(two_r_model, [0.4, 0.8])))
         times = np.linspace(0.0, 1.0, 8)
         traj = track_trajectory(two_r_model, trajectory_of([pose] * 8, times), np.array([0.4, 0.8]))
-        velocities, accelerations = _fd_derivatives(traj.times, traj.positions)
+        velocities, accelerations = _fd_derivatives(times, traj.positions)
         assert np.abs(velocities).max() <= 1e-12
         assert np.abs(accelerations).max() <= 1e-12
         assert traj.reachable.all()
@@ -213,7 +213,7 @@ class TestTrackTrajectory:
         qs = np.stack([0.2 + 0.3 * times + 0.1 * times**2, 0.9 - 0.2 * times], axis=1)
         poses = joint_path_poses(two_r_model, qs)
         traj = track_trajectory(two_r_model, trajectory_of(poses, times), qs[0])
-        velocities, accelerations = _fd_derivatives(traj.times, traj.positions)
+        velocities, accelerations = _fd_derivatives(times, traj.positions)
         expected_v0 = 0.3 + 0.2 * times
         assert np.abs(velocities[:, 0] - expected_v0).max() <= 1e-4
         assert np.abs(accelerations[:, 0] - 0.2).max() <= 1e-3

@@ -72,10 +72,10 @@ def passes(model, traj):
     return link_frames_axes(model, traj.positions[None])
 
 
-def rates(traj):
-    """Joint velocities and accelerations of a solved joint path, as a
-    stack of one path."""
-    return _fd_derivatives(traj.times, traj.positions[None])
+def rates(times, traj):
+    """Joint velocities and accelerations of a solved joint path on its
+    trajectory's times, as a stack of one path."""
+    return _fd_derivatives(times, traj.positions[None])
 
 
 def increments(task):
@@ -265,7 +265,8 @@ class TestTorqueEffort:
         obj = LinkSpec(mass=1e-12, com=np.zeros(3), inertia=np.eye(3) * 1e-15)
         loaded = (obj, attach_object(model, GraspCandidate("g", Pose.identity())))
         kins = passes(model, traj)
-        (values,) = torque_effort(kins, link_inertias(model, kins, loaded), *rates(traj), gravity=np.zeros(3))
+        inertias = link_inertias(model, kins, loaded)
+        (values,) = torque_effort(kins, inertias, *rates(task.times, traj), gravity=np.zeros(3))
         assert values.max() <= 1e-10
 
     def test_static_hold_matches_equilibrium_oracle(self, two_r_params, two_r_model):
@@ -280,7 +281,7 @@ class TestTorqueEffort:
         (values,) = torque_effort(
             kins,
             link_inertias(two_r_model, kins, (obj, attach_object(two_r_model, grasp))),
-            *rates(traj),
+            *rates(task.times, traj),
             gravity=G2D,
         )
         n_arm = two_r_closed_form(two_r_params, q0)["N"]
@@ -299,12 +300,12 @@ class TestTorqueEffort:
         (with_obj,) = torque_effort(
             kins,
             link_inertias(two_r_model, kins, (obj, attach_object(two_r_model, grasp))),
-            *rates(traj),
+            *rates(task.times, traj),
             gravity=G2D,
         )
         # no-object baseline straight from inverse dynamics
         rows = [link_frames_axes(two_r_model, traj.positions[i]) for i in range(len(task))]
-        (velocities,), (accelerations,) = rates(traj)
+        (velocities,), (accelerations,) = rates(task.times, traj)
         base_vals = np.array(
             [
                 float(np.sum(inverse_dynamics(

@@ -1,10 +1,12 @@
 """A module of the package uses only the public names of its siblings: an
 underscore name is private to the module that defines it.  No module keeps
 state between calls in module globals: what a call needs, such as the
-kinematic pass DLS reads, is passed to it.  And the package runs on one
-thread: the benchmark's tracer (bench/spans.py) takes a span's
-self time as its wall time less its children's, which holds only while no
-two spans overlap."""
+kinematic pass DLS reads, is passed to it.  Nor does an object keep memo
+state (``functools.cached_property``): a data type holds the arrays it is
+built with, and the one reader of a derived quantity derives it.  And the
+package runs on one thread: the benchmark's tracer (bench/spans.py) takes
+a span's self time as its wall time less its children's, which holds only
+while no two spans overlap."""
 
 import ast
 from pathlib import Path
@@ -41,6 +43,16 @@ def test_no_module_rebinds_a_global():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
+def test_no_module_uses_cached_property():
+    found = [
+        f"{path.name}:{node.lineno}: cached_property"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "cached_property" in (getattr(node, key, None) for key in ("id", "attr", "name"))
     ]
     assert found == []
 

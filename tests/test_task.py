@@ -15,7 +15,7 @@ from postgrasp import (
     reference_task_path,
     resample,
 )
-from postgrasp.geometry import quaternion_product
+from postgrasp.geometry import quaternion_matrices, quaternion_product
 
 from oracles import pose_of, resample_poses, rotation_log, trajectory_of, trajectory_poses
 
@@ -63,11 +63,11 @@ class TestTaskTrajectory:
         assert task.quaternions.tobytes() == quats.tobytes()
         assert task.translations.tobytes() == translations.tobytes()
         assert task.times.tobytes() == times.tobytes()
-        assert task.rotation_matrices.tobytes() == np.array([r.as_matrix() for r in rotations]).tobytes()
+        assert quaternion_matrices(task.quaternions).tobytes() == np.array([r.as_matrix() for r in rotations]).tobytes()
         quats[0] = translations[0, 0] = times[1] = 0.0
         assert task.quaternions[0].tobytes() == rotations[0].quat.tobytes()
         assert task.translations[0, 0] != 0.0 and task.times[1] == 0.25
-        for array in (task.quaternions, task.rotation_matrices, task.translations, task.times):
+        for array in (task.quaternions, task.translations, task.times):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
