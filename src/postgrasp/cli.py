@@ -58,10 +58,10 @@ def _output_dirs(out: Path, tasks: list[Path], specs) -> list[Path]:
     return [out / name for name in owners]
 
 
-def _score(task_path, model, spec, index_quadrature=False):
+def _score(task_path, model, spec):
     """``evaluate_task``; an error raised while scoring names the task file."""
     try:
-        return evaluate_task(model, spec, index_quadrature)
+        return evaluate_task(model, spec)
     except ValueError as exc:
         raise CliError(f"{task_path}: {exc}") from exc
 
@@ -186,7 +186,7 @@ def _cmd_evaluate(args) -> int:
         raise CliError(f"--out: cannot create directory ({exc})") from exc
     status = 0
     for path, spec, outdir in zip(tasks, specs, outdirs):
-        scorecards = _score(path, model, spec, args.index_quadrature)
+        scorecards = _score(path, model, spec)
         try:
             status = max(
                 status, _write_task(outdir, model.name, spec, scorecards, weights, args.allow_infeasible)
@@ -273,11 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--resample", type=int, default=None, help="waypoint count override")
     p_eval.add_argument("--weights", default=None, help="scalarization weights a,b,c")
     p_eval.add_argument("--allow-infeasible", action="store_true")
-    p_eval.add_argument(
-        "--index-quadrature",
-        action="store_true",
-        help="integrate over uniform waypoint index instead of arc length",
-    )
     p_eval.add_argument(
         "--grasps-override", default=None, help="JSON list or file replacing the task grasps"
     )

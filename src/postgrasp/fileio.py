@@ -115,16 +115,11 @@ def _number(obj, key, path) -> float:
     return float(v)
 
 
-def _integer(obj, key, path) -> int:
+def _count(obj, key, path) -> int:
+    """A waypoint or grasp count: an integer in [2, MAX_COUNT]."""
     v = obj[key]
     if not isinstance(v, int) or isinstance(v, bool):
         raise SchemaError(f"{path}.{key}: expected an integer")
-    return v
-
-
-def _count(obj, key, path) -> int:
-    """A waypoint or grasp count, in [2, MAX_COUNT]."""
-    v = _integer(obj, key, path)
     if v < 2:
         raise SchemaError(f"{path}.{key}: must be >= 2")
     if v > MAX_COUNT:
@@ -258,7 +253,9 @@ def parse_grasps(entries, path: str) -> list[GraspCandidate]:
 
 def load_task(path) -> TaskSpec:
     """Load and validate a task file.  ``notes`` and ``object.extents`` are
-    documentation only: they are checked (a string; 3 numbers), not kept."""
+    documentation only: they are checked (a string; 3 numbers), not kept.
+    The required, positive ``total_time_s`` is a checksum: it must equal the
+    last waypoint's ``t`` within 1e-9, and nothing else reads it."""
     fname = str(path)
     data = _load_json(path)
     _check_keys(
@@ -463,8 +460,8 @@ def _scalar_cell(row: dict, column: str, where: str) -> float:
 
 def write_profile_csv(path, s, grasp_ids, rows):
     """Grasp x waypoint matrix of one metric (heatmap data): the header row
-    carries the quadrature grid ``s`` (normalized arc length or waypoint
-    index), then one row of samples per grasp."""
+    carries the integration grid ``s`` (``task.path_parameter``), then one
+    row of samples per grasp."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["grasp_id"] + [_fmt(si) for si in s])

@@ -23,9 +23,9 @@ Each kernel (``tov``, ``torque_effort``, ``tem``) takes the pass over a
 stack, and returns its (B, W) samples and the flag it sets.  Joint rates
 are finite differences of the tracked positions, so the energy metric
 reflects what the joint path actually does.  Each grasp's objectives are
-integrated once, trapezoidally over the task's grid (normalized arc
-length by default), so tov and tem depend on geometry only, while tme
-also feels the timing through the joint accelerations.
+integrated once, trapezoidally over the normalized arc length of the
+object path (``path_parameter``), so tov and tem depend on geometry only,
+while tme also feels the timing through the joint accelerations.
 A chunk holds at most 256 rows (but at least one grasp), which bounds its
 memory; no value depends on how the grasps are split into chunks, as
 numpy runs each slice of a stack as it runs one matrix or vector
@@ -297,23 +297,21 @@ def evaluate_grasp(
     task: TaskTrajectory,
     grasp: GraspCandidate,
     obj: LinkSpec,
-    s: np.ndarray,
     ik_seed=None,
     gravity=GRAVITY_DEFAULT,
 ) -> GraspScorecard:
     """Track one grasp and score it as ``evaluate_task`` scores each, as a
-    batch of one.
+    batch of one, over the task's ``path_parameter``.
 
     A grasp whose first waypoint is unreachable yields an infeasible
     scorecard (no scalars); unreachable waypoints later in the path are
-    flagged but the grasp still scores.  ``s`` is the quadrature grid, one
-    value per waypoint (``path_parameter`` of the task); ``ik_seed`` is the
-    joint configuration IK starts from (see ``track_trajectory``).
+    flagged but the grasp still scores.  ``ik_seed`` is the joint
+    configuration IK starts from (see ``track_trajectory``).
     """
     tracked = _track(model, task, grasp, ik_seed)
     if tracked is None:
         return GraspScorecard(grasp_id=grasp.id, feasible=False)
-    return _score(model, obj, s, gravity, [tracked])[0]
+    return _score(model, obj, path_parameter(task), gravity, [tracked])[0]
 
 
 def check_ik_seed(model: ChainModel, spec: TaskSpec) -> None:
@@ -326,10 +324,10 @@ def check_ik_seed(model: ChainModel, spec: TaskSpec) -> None:
         raise ValueError(f"task {spec.name!r}: ik_seed {seed.tolist()} is not finite")
 
 
-def evaluate_task(model: ChainModel, spec: TaskSpec, index_quadrature: bool = False) -> list[GraspScorecard]:
+def evaluate_task(model: ChainModel, spec: TaskSpec) -> list[GraspScorecard]:
     """Scorecards of the spec's grasps, in order, on its keyframes resampled
     to ``spec.resample_count`` waypoints, over one grid for every grasp:
-    arc length or the uniform waypoint index (``index_quadrature``).
+    the resampled path's ``path_parameter``, its normalized arc length.
 
     Grasps go in chunks of at most 256 grasp x waypoint rows (but at least
     one grasp): each grasp of a chunk is tracked alone, in input order,
@@ -337,7 +335,7 @@ def evaluate_task(model: ChainModel, spec: TaskSpec, index_quadrature: bool = Fa
     change no scorecard."""
     check_ik_seed(model, spec)
     task = resample(spec.trajectory, spec.resample_count)
-    s = np.linspace(0.0, 1.0, len(task)) if index_quadrature else path_parameter(task)
+    s = path_parameter(task)
     s.flags.writeable = False  # shared by every grasp's scorecard
     per_chunk = max(1, _SCORE_ROWS // len(task))
     cards: list[GraspScorecard] = []

@@ -8,6 +8,7 @@ reports are deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,12 @@ class RankingReport:
 
 
 def build_report(scorecards, weights=None) -> RankingReport:
-    """Assemble the decision-support summary for a completed grasp set."""
+    """Assemble the decision-support summary for a completed grasp set; two
+    scorecards (feasible or not) sharing a grasp id raise ValueError naming
+    it, as the report and every writer key by id."""
+    shared = [gid for gid, n in Counter(sc.grasp_id for sc in scorecards).items() if n > 1]
+    if shared:
+        raise ValueError(f"grasp id {shared[0]!r} names two scorecards")
     cards, table = _feasible_table(scorecards)
     signed = table * _SENSES
     argbest = _argbest(cards, signed)

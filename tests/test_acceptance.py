@@ -36,7 +36,7 @@ from postgrasp import (
 from postgrasp.chain import link_frames_axes
 from postgrasp.cli import main
 from postgrasp.metrics import GraspScorecard
-from postgrasp.task import path_parameter, resample
+from postgrasp.task import resample
 
 from oracles import (
     TwoRParams,
@@ -229,7 +229,6 @@ def test_criterion_5_reparametrization(arm7, reference_scorecards):
                 warped,
                 spec.grasps[idx],
                 spec.obj,
-                path_parameter(warped),
                 ik_seed=spec.ik_seed,
                 gravity=spec.gravity,
             )

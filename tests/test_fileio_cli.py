@@ -24,8 +24,10 @@ from postgrasp import (
     link_frames_axes,
     load_robot,
     load_task,
+    path_parameter,
     reference_robot_path,
     reference_task_path,
+    resample,
 )
 from postgrasp.cli import _parse_grasps_override, main
 from postgrasp.fileio import (
@@ -698,19 +700,19 @@ class TestCliCommands:
                 "8",
                 "--weights",
                 "0.4,0.3,0.3",
-                "--index-quadrature",
             ]
         )
         assert rc == 0
         report = json.loads((tmp_path / "cli_out" / "synthetic" / "report.json").read_text())
         assert report["weights"] == [0.4, 0.3, 0.3]
         assert report["scalarized_order"] is not None
-        # index quadrature: the profile header carries the uniform grid
+        # the profile header carries the grid: the resampled path's arc length
         header = (
             (tmp_path / "cli_out" / "synthetic" / "profile_tov.csv").read_text().splitlines()[0]
         )
         s_values = [float(x) for x in header.split(",")[1:]]
-        assert np.abs(np.array(s_values) - np.linspace(0, 1, 8)).max() <= 1e-15
+        s = path_parameter(resample(load_task(synthetic_task_path).trajectory, 8))
+        assert np.abs(np.array(s_values) - s).max() <= 1e-15
 
     def test_non_finite_weights_rejected(self, tmp_path, synthetic_task_path, capsys):
         rc = main(

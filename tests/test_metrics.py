@@ -206,7 +206,7 @@ class TestTov:
         task = joint_path_task(two_r_model, qs)
         s = path_parameter(task)
         sc = evaluate_grasp(
-            two_r_model, task, GraspCandidate("g", Pose.identity()), small_object(), s, ik_seed=qs[0], gravity=G2D
+            two_r_model, task, GraspCandidate("g", Pose.identity()), small_object(), ik_seed=qs[0], gravity=G2D
         )
         values = sc.profiles["tov"]
         manual = 0.0
@@ -476,7 +476,6 @@ class TestEvaluateGrasp:
             task,
             GraspCandidate("g01", Pose.identity()),
             small_object(),
-            path_parameter(task),
             ik_seed=q0,
             gravity=G2D,
         )
@@ -491,7 +490,7 @@ class TestEvaluateGrasp:
         task, q0 = self._task_and_grasp(two_r_model)
         far = GraspCandidate("gx", Pose(Rotation.identity(), (5.0, 0.0, 0.0)))
         sc = evaluate_grasp(
-            two_r_model, task, far, small_object(), path_parameter(task), ik_seed=q0, gravity=G2D
+            two_r_model, task, far, small_object(), ik_seed=q0, gravity=G2D
         )
         assert not sc.feasible
         assert sc.h_tov is None and sc.h_tme is None and sc.h_tem is None
@@ -505,7 +504,6 @@ class TestEvaluateGrasp:
                 task,
                 GraspCandidate("g", Pose.identity()),
                 small_object(),
-                path_parameter(task),
                 ik_seed=np.array([0.3, 0.9]),
                 gravity=G2D,
             )
@@ -526,7 +524,7 @@ class TestEvaluateGrasp:
 
         def run(order):
             return {
-                g.id: evaluate_grasp(arm7, task, g, small_object(), path_parameter(task), ik_seed=seed)
+                g.id: evaluate_grasp(arm7, task, g, small_object(), ik_seed=seed)
                 for g in order
             }
 
@@ -574,21 +572,13 @@ class TestEvaluateGrasp:
         assert feasible == len(cards) == 10 and batches == 2
         assert calls == {"compose": 0, "models": 0, **dict.fromkeys(per_batch_keys, batches)}
 
-    def test_index_quadrature_mode(self, two_r_model):
-        task, q0 = self._task_and_grasp(two_r_model)
-        spec = TaskSpec(
-            "t", task, small_object(), (GraspCandidate("g", Pose.identity()),), G2D, len(task), q0
-        )
-        (sc,) = evaluate_task(two_r_model, spec, index_quadrature=True)
-        assert np.abs(sc.s - np.linspace(0, 1, len(task))).max() <= 1e-15
-
     def test_frame_invariance(self, two_r_model):
         # rotating base, task and gravity together leaves all three scalars
         # unchanged
         task, q0 = self._task_and_grasp(two_r_model)
         grasp = GraspCandidate("g", Pose.identity())
         base_sc = evaluate_grasp(
-            two_r_model, task, grasp, small_object(), path_parameter(task), ik_seed=q0, gravity=G2D
+            two_r_model, task, grasp, small_object(), ik_seed=q0, gravity=G2D
         )
         rot = Rotation.from_axis_angle((0.3, -0.5, 0.8), 1.1)
         world = Pose(rot, np.zeros(3))
@@ -603,7 +593,6 @@ class TestEvaluateGrasp:
             turned_task,
             grasp,
             small_object(),
-            path_parameter(turned_task),
             ik_seed=q0,
             gravity=rot.apply(G2D),
         )
@@ -615,12 +604,12 @@ class TestEvaluateGrasp:
         task, q0 = self._task_and_grasp(two_r_model)
         grasp = GraspCandidate("g", Pose.identity())
         sc = evaluate_grasp(
-            two_r_model, task, grasp, small_object(), path_parameter(task), ik_seed=q0, gravity=G2D
+            two_r_model, task, grasp, small_object(), ik_seed=q0, gravity=G2D
         )
         warped_times = 2.0 * task.total_time * (task.times / task.total_time) ** 1.4
         warped = TaskTrajectory(task.quaternions, task.translations, warped_times)
         sc2 = evaluate_grasp(
-            two_r_model, warped, grasp, small_object(), path_parameter(warped), ik_seed=q0, gravity=G2D
+            two_r_model, warped, grasp, small_object(), ik_seed=q0, gravity=G2D
         )
         assert sc2.h_tov == sc.h_tov
         assert sc2.h_tem == sc.h_tem
@@ -701,14 +690,14 @@ def test_batch_boundaries_change_no_scorecard(arm7, monkeypatch, batches):
     assert [c.feasible for c in cards] == [True, True, False, True, True, True, True]
     assert cards[0].counts()["unreachable"] > 0
     for grasp, card in zip(grasps, cards):
-        alone = evaluate_grasp(arm7, task, grasp, spec.obj, s, ik_seed=spec.ik_seed, gravity=spec.gravity)
+        alone = evaluate_grasp(arm7, task, grasp, spec.obj, ik_seed=spec.ik_seed, gravity=spec.gravity)
         assert card.feasible is alone.feasible
         for name in OBJECTIVES:
             assert repr(getattr(card, f"h_{name}")) == repr(getattr(alone, f"h_{name}"))
         if not alone.feasible:
             assert card.profiles is card.flags is None
             continue
-        assert card.s.tobytes() == alone.s.tobytes()
+        assert card.s.tobytes() == alone.s.tobytes() == s.tobytes()
         for name in OBJECTIVES:
             assert card.profiles[name].tobytes() == alone.profiles[name].tobytes(), name
         for name in FLAGS:

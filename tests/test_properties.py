@@ -36,7 +36,6 @@ from postgrasp import (
 from postgrasp.chain import link_frames_axes
 from postgrasp.dynamics import motion_columns
 from postgrasp.geometry import quaternion_product, unit_quaternion
-from postgrasp.task import path_parameter
 
 from oracles import (
     eager_link_frames_axes,
@@ -356,7 +355,7 @@ def test_objectives_invariant_under_scene_rotation(case, axis, angle, grasp_pose
     gravity = np.array([0.0, 0.0, -9.81])
 
     def card(model, task, gravity):
-        return evaluate_grasp(model, task, grasp, obj, path_parameter(task), ik_seed=qs[0], gravity=gravity)
+        return evaluate_grasp(model, task, grasp, obj, ik_seed=qs[0], gravity=gravity)
 
     try:
         base = card(model, task, gravity)

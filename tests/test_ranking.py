@@ -214,3 +214,11 @@ class TestBuildReport:
     def test_argmax_ties_go_to_the_first(self):
         report = build_report([card("a", 1.0, 2.0, 0.0), card("b", 1.0, 2.0, 0.0), card("c", 0.5, 1.0, 0.0)])
         assert report.argmax == {"tov": "a", "tme": "a", "tem": "a"}
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_shared_grasp_id_refused(self, feasible):
+        # the report and every writer key by grasp id: an argbest or a
+        # normalization maximum named 'g01' could be either card
+        cards = [card("g01", 2.0, 1.0, 1.0), card("g02", 1.0, 2.0, 2.0), card("g01", 3.0, 0.5, 3.0, feasible)]
+        with pytest.raises(ValueError, match=r"^grasp id 'g01' names two scorecards$"):
+            build_report(cards)
