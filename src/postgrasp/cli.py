@@ -8,9 +8,9 @@ Verbs:
 * ``metrics-at``     per-waypoint metric values for one grasp (debugging)
 * ``pareto``         re-rank an existing scorecards.csv
 
-``evaluate`` and ``metrics-at`` apply their grasp and waypoint-count
-options to each loaded spec (``dataclasses.replace``), so the spec that
-``metrics.evaluate_task`` reads is the task as evaluated.
+``evaluate`` and ``metrics-at`` apply their waypoint count, and
+``metrics-at`` its grasp, to each loaded spec (``dataclasses.replace``), so
+the spec that ``metrics.evaluate_task`` reads is the task as evaluated.
 
 Everything is randomness-free; two runs on identical inputs produce
 byte-identical outputs, in one process or in two.
@@ -34,7 +34,6 @@ from .fileio import SchemaError
 from .ik import default_seed
 from .metrics import FLAGS, OBJECTIVES, check_ik_seed, evaluate_task
 from .ranking import build_report, check_weights
-from .task import GraspCandidate
 
 
 class CliError(Exception):
@@ -139,27 +138,6 @@ def _parse_config_vector(text: str) -> np.ndarray:
     return q
 
 
-def _parse_grasps_override(text: str) -> list[GraspCandidate]:
-    """Accept either a JSON literal or a path to a JSON file holding
-    [{"id", "translation", "quaternion"}, ...]."""
-    raw = text.strip()
-    if raw and not raw.startswith("["):  # an empty value is refused as JSON, not read as the path "."
-        try:
-            raw = Path(text).read_text(encoding="utf-8-sig")  # as ``fileio`` reads its inputs
-        except OSError as exc:
-            raise CliError(f"--grasps-override: cannot read file ({exc})") from exc
-        except UnicodeDecodeError as exc:
-            raise CliError(f"--grasps-override: {text}: cannot decode as UTF-8 ({exc})") from exc
-    try:
-        entries = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"--grasps-override: invalid JSON ({exc.msg})") from exc
-    try:
-        return fileio.parse_grasps(entries, "grasps")
-    except SchemaError as exc:
-        raise CliError(f"--grasps-override: {exc}") from exc
-
-
 def _cmd_evaluate(args) -> int:
     """Evaluate every task; returns the process exit status.
 
@@ -169,14 +147,11 @@ def _cmd_evaluate(args) -> int:
     """
     _check_resample(args.resample)
     weights = None if args.weights is None else _parse_weights(args.weights)
-    overrides = {}
-    if args.grasps_override is not None:
-        overrides["grasps"] = tuple(_parse_grasps_override(args.grasps_override))
-    if args.resample is not None:
-        overrides["resample_count"] = args.resample
     out, tasks = Path(args.out), [Path(t) for t in args.task]
     model = fileio.load_robot(Path(args.robot))
-    specs = [replace(fileio.load_task(path), **overrides) for path in tasks]
+    specs = [fileio.load_task(path) for path in tasks]
+    if args.resample is not None:
+        specs = [replace(spec, resample_count=args.resample) for spec in specs]
     outdirs = _output_dirs(out, tasks, specs)
     for spec in specs:
         check_ik_seed(model, spec)
@@ -273,9 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--resample", type=int, default=None, help="waypoint count override")
     p_eval.add_argument("--weights", default=None, help="scalarization weights a,b,c")
     p_eval.add_argument("--allow-infeasible", action="store_true")
-    p_eval.add_argument(
-        "--grasps-override", default=None, help="JSON list or file replacing the task grasps"
-    )
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_inspect = sub.add_parser("inspect-model", help="FK/Jacobian at a configuration")
@@ -300,7 +272,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one verb; returns its exit status, argparse's own included."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         try:
             status = args.func(args)

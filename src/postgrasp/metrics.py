@@ -26,12 +26,13 @@ reflects what the joint path actually does.  Each grasp's objectives are
 integrated once, trapezoidally over the normalized arc length of the
 object path (``path_parameter``), so tov and tem depend on geometry only,
 while tme also feels the timing through the joint accelerations.
-A chunk holds at most 256 rows (but at least one grasp), which bounds its
-memory; no value depends on how the grasps are split into chunks, as
-numpy runs each slice of a stack as it runs one matrix or vector
-(``tests/test_lockstep_canary.py``).  Near-singular waypoints are capped
-and flagged rather than turned into NaNs so whole-trajectory integrals
-stay finite and comparable.
+A chunk holds at most 256 rows (but at least one grasp); past 256
+waypoints it is one grasp, so memory grows with W, ~9 KB per waypoint
+(~0.9 GB at ``fileio.MAX_COUNT``).  No value depends on how the grasps are
+split into chunks, as numpy runs each slice of a stack as it runs one
+matrix or vector (``tests/test_lockstep_canary.py``).  Near-singular
+waypoints are capped and flagged rather than turned into NaNs so
+whole-trajectory integrals stay finite and comparable.
 """
 
 from __future__ import annotations
@@ -332,7 +333,8 @@ def evaluate_task(model: ChainModel, spec: TaskSpec) -> list[GraspScorecard]:
     Grasps go in chunks of at most 256 grasp x waypoint rows (but at least
     one grasp): each grasp of a chunk is tracked alone, in input order,
     then the chunk's feasible grasps are scored as one stack.  The chunks
-    change no scorecard."""
+    change no scorecard; past 256 waypoints a chunk is one grasp, at
+    ~9 KB of memory per waypoint (~0.9 GB at ``fileio.MAX_COUNT``)."""
     check_ik_seed(model, spec)
     task = resample(spec.trajectory, spec.resample_count)
     s = path_parameter(task)

@@ -29,7 +29,7 @@ from postgrasp import (
     reference_task_path,
     resample,
 )
-from postgrasp.cli import _parse_grasps_override, main
+from postgrasp.cli import main
 from postgrasp.fileio import (
     MAX_COUNT,
     REPORT_SCHEMA_VERSION,
@@ -382,12 +382,6 @@ class TestByteOrderMark:
         path = reference_robot_path("arm7")
         assert _tree(load_robot(self._with_bom(path, tmp_path))) == _tree(load_robot(path))
 
-    def test_grasps_override_file(self, tmp_path):
-        path = tmp_path / "grasps.json"
-        path.write_text(json.dumps(synthetic_task_dict()["grasps"]))
-        bom = self._with_bom(path, tmp_path)
-        assert _tree(_parse_grasps_override(str(bom))) == _tree(_parse_grasps_override(str(path)))
-
 
 class TestCsvPrecision:
     def test_scorecards_round_trip_exact_floats(self, tmp_path):
@@ -498,12 +492,18 @@ class TestFlagOutputs:
             6,
         )
         cards = evaluate_task(arm7, replace(task, grasps=tuple(grasps), resample_count=8))
-        override = [
-            {"id": g.id, "translation": g.transform.translation.tolist(), "quaternion": g.transform.rotation.quat.tolist()}
-            for g in grasps
-        ]
-        options = ["--resample", "8", "--allow-infeasible", "--grasps-override", json.dumps(override)]
-        assert main(evaluate_argv(reference_task_path("task3"), tmp_path, *options)) == 0
+        data = json.loads(reference_task_path("task3").read_text())
+        del data["grasps"]
+        data["sweep"] = {
+            "start": {"translation": [0.0, -0.6, 0.1], "quaternion": [0.0, 1.0, 0.0, 0.0]},
+            "end": {"translation": [0.0, 0.6, 0.1], "quaternion": [0.0, 1.0, 0.0, 0.0]},
+            "count": 6,
+        }
+        path = tmp_path / "task3_sweep.json"
+        path.write_text(json.dumps(data))
+        assert _tree(load_task(path).grasps) == _tree(tuple(grasps))
+        options = ["--resample", "8", "--allow-infeasible"]
+        assert main(evaluate_argv(path, tmp_path, *options)) == 0
         outdir = tmp_path / task.name
         payload = json.loads((outdir / "report.json").read_text())
         back = {sc.grasp_id: sc for sc in read_scorecards_csv(outdir / "scorecards.csv")}
@@ -563,9 +563,11 @@ class TestRunEvaluation:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_grasps_override_single(self, tmp_path, synthetic_task_path):
-        solo = '[{"id": "solo", "translation": [0.0, 0.0, 0.1], "quaternion": [0.0, 1.0, 0.0, 0.0]}]'
-        assert main(evaluate_argv(synthetic_task_path, tmp_path / "o", "--grasps-override", solo)) == 0
+    def test_single_grasp_task(self, tmp_path):
+        solo = [{"id": "solo", "translation": [0.0, 0.0, 0.1], "quaternion": [0.0, 1.0, 0.0, 0.0]}]
+        task = tmp_path / "solo.json"
+        task.write_text(json.dumps(synthetic_task_dict(solo)))
+        assert main(evaluate_argv(task, tmp_path / "o")) == 0
         rows = (tmp_path / "o" / "synthetic" / "scorecards.csv").read_text().splitlines()
         header = rows[0].split(",")
         vals = rows[1].split(",")
@@ -589,13 +591,15 @@ class TestRunEvaluation:
         # a rerun into the same directory whose every grasp is infeasible
         # writes the scorecards alone; no report, profile or scalars file of
         # the first run's grasps is left beside them
-        argv = ["evaluate", "--robot", str(reference_robot_path("arm7")), "--task", str(synthetic_task_path)]
-        argv += ["--out", str(tmp_path)]
-        assert main(argv) == 0
+        argv = ["evaluate", "--robot", str(reference_robot_path("arm7")), "--out", str(tmp_path)]
+        assert main(argv + ["--task", str(synthetic_task_path)]) == 0
         outdir = tmp_path / "synthetic"
         assert len(list(outdir.iterdir())) == 6
-        far = '[{"id":"far","translation":[0,3,0.1],"quaternion":[0,1,0,0]}]'
-        assert main(argv + ["--grasps-override", far]) == 2
+        # a second file, also named synthetic, writes to the same directory
+        grasps = [{"id": "far", "translation": [0, 3, 0.1], "quaternion": [0, 1, 0, 0]}]
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps(synthetic_task_dict(grasps)))
+        assert main(argv + ["--task", str(far)]) == 2
         assert [p.name for p in outdir.iterdir()] == ["scorecards.csv"]
         assert [c.grasp_id for c in read_scorecards_csv(outdir / "scorecards.csv")] == ["far"]
         assert capsys.readouterr().err.endswith("synthetic: no feasible grasps\n")
@@ -739,21 +743,20 @@ class TestCliCommands:
     def test_jobs_below_one_rejected(self, tmp_path, synthetic_task_path, capsys, jobs):
         # the program is single-threaded: --jobs is no option at all, so any
         # value of it is refused before --out is made
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "evaluate",
-                    "--robot",
-                    str(reference_robot_path("arm7")),
-                    "--task",
-                    str(synthetic_task_path),
-                    "--out",
-                    str(tmp_path / "cli_out"),
-                    "--jobs",
-                    jobs,
-                ]
-            )
-        assert exc.value.code == 2
+        rc = main(
+            [
+                "evaluate",
+                "--robot",
+                str(reference_robot_path("arm7")),
+                "--task",
+                str(synthetic_task_path),
+                "--out",
+                str(tmp_path / "cli_out"),
+                "--jobs",
+                jobs,
+            ]
+        )
+        assert rc == 2
         assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "cli_out").exists()
 
@@ -925,9 +928,13 @@ class TestCliCommands:
         assert "numerically singular" in capsys.readouterr().err
 
     def test_duplicate_override_ids_rejected(self, tmp_path, capsys):
-        # the override gets the checks a task file's grasps get, before any
-        # output directory is made
+        # a task file's grasp ids are unique, checked before any output
+        # directory is made
         grasp = {"id": "g06", "translation": [0.0, 0.0, 0.1], "quaternion": [0.0, 1.0, 0.0, 0.0]}
+        data = json.loads(reference_task_path("task2").read_text())
+        data["grasps"] = [grasp, grasp]
+        task = tmp_path / "task2.json"
+        task.write_text(json.dumps(data))
         out = tmp_path / "cli_out"
         rc = main(
             [
@@ -935,35 +942,19 @@ class TestCliCommands:
                 "--robot",
                 str(reference_robot_path("arm7")),
                 "--task",
-                str(reference_task_path("task2")),
+                str(task),
                 "--out",
                 str(out),
-                "--grasps-override",
-                json.dumps([grasp, grasp]),
             ]
         )
         assert rc == 2
-        assert "--grasps-override: grasps[1].id: duplicate grasp id 'g06'" in capsys.readouterr().err
+        assert f"{task}.grasps[1].id: duplicate grasp id 'g06'" in capsys.readouterr().err
         assert not (out / "task2").exists()
 
-    def test_unreadable_override_file_rejected(self, tmp_path, capsys):
-        out = tmp_path / "cli_out"
-        rc = main(
-            [
-                "evaluate",
-                "--robot",
-                str(reference_robot_path("arm7")),
-                "--task",
-                str(reference_task_path("task2")),
-                "--out",
-                str(out),
-                "--grasps-override",
-                str(tmp_path / "missing.json"),
-            ]
-        )
-        assert rc == 2
-        assert "--grasps-override: cannot read file" in capsys.readouterr().err
-        assert not out.exists()
+    def test_help_returns_zero(self, capsys):
+        # argparse exits on --help; main returns its status instead
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: postgrasp")
 
     def test_unknown_grasp_id_errors(self, synthetic_task_path, capsys):
         rc = main(
@@ -1097,7 +1088,7 @@ class TestEmptyOptionValues:
 
     @pytest.mark.parametrize(
         "option, message",
-        [("--weights", "--weights: could not convert"), ("--grasps-override", "--grasps-override: invalid JSON")],
+        [("--weights", "--weights: could not convert")],
     )
     def test_evaluate_refuses_before_out_is_made(
         self, tmp_path, synthetic_task_path, capsys, monkeypatch, option, message
@@ -1142,8 +1133,6 @@ NON_FINITE_INPUTS = [
     ("evaluate", "task", ("grasps", 0, "translation"), [INF, -0.05, 0.1],
      "grasps[0].translation: expected 3 finite numbers"),
     ("evaluate", "task", ("total_time_s",), 10**400, "total_time_s: expected a finite number"),
-    ("evaluate", "override", (1, "translation"), [0.0, -INF, 0.1],
-     "--grasps-override: grasps[1].translation: expected 3 finite numbers"),
     ("pareto", "scorecards", (1, 3), "nan", "row 3, column h_tme: expected a finite number, got 'nan'"),
 ]
 
@@ -1157,7 +1146,6 @@ def test_non_finite_input_rejected_with_its_field(tmp_path, capsys, command, tar
     inputs = {
         "robot": json.loads(reference_robot_path("arm7").read_text()),
         "task": synthetic_task_dict(),
-        "override": synthetic_task_dict()["grasps"],
         "scorecards": [["a", "true", "2.0", "1", "1.0"], ["b", "true", "1.0", "2", "2.0"]],
     }
     edited = inputs[target]
@@ -1175,8 +1163,6 @@ def test_non_finite_input_rejected_with_its_field(tmp_path, capsys, command, tar
         "inspect-model": ["inspect-model", "--robot", str(robot)],
         "pareto": ["pareto", "--scorecards", str(cards)],
     }[command]
-    if target == "override":
-        argv += ["--grasps-override", json.dumps(inputs["override"])]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
@@ -1271,7 +1257,7 @@ def test_write_error_names_the_file(tmp_path, synthetic_task_path, capsys):
     assert f"error: {blocked}: cannot write (" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("reader", ["robot", "task", "override", "scorecards"])
+@pytest.mark.parametrize("reader", ["robot", "task", "scorecards"])
 def test_non_utf8_input_names_its_file(tmp_path, capsys, reader):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe[]")
@@ -1280,7 +1266,6 @@ def test_non_utf8_input_names_its_file(tmp_path, capsys, reader):
     argv = {
         "robot": evaluate + ["--robot", str(bad), "--task", str(task)],
         "task": evaluate + ["--robot", str(robot), "--task", str(bad)],
-        "override": evaluate + ["--robot", str(robot), "--task", str(task), "--grasps-override", str(bad)],
         "scorecards": ["pareto", "--scorecards", str(bad)],
     }[reader]
     assert main(argv) == 2

@@ -238,6 +238,17 @@ class TestGraspSweep:
         for g in sweep:
             assert np.linalg.norm(rotation_log(g.transform.rotation.inverse() * rot)) <= 1e-12
 
+    def test_shipped_grasp_lists_are_sweeps(self):
+        # each shipped task's ten grasps are, bit for bit, the sweep from its
+        # first grasp to its last: the file's ``sweep`` form of its ``grasps``
+        for name in ("task1", "task2", "task3"):
+            grasps = load_task(reference_task_path(name)).grasps
+            sweep = generate_grasp_sweep(grasps[0].transform, grasps[-1].transform, 10)
+            assert [g.id for g in sweep] == [g.id for g in grasps], name
+            for want, got in zip(grasps, sweep):
+                assert got.transform.translation.tobytes() == want.transform.translation.tobytes(), (name, want.id)
+                assert got.transform.rotation.quat.tolist() == want.transform.rotation.quat.tolist(), (name, want.id)
+
 
 class TestResample:
     def test_endpoints_preserved(self):
