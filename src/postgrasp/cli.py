@@ -8,9 +8,9 @@ Verbs:
 * ``metrics-at``     per-waypoint metric values for one grasp (debugging)
 * ``pareto``         re-rank an existing scorecards.csv
 
-``evaluate`` and ``metrics-at`` apply their waypoint count, and
-``metrics-at`` its grasp, to each loaded spec (``dataclasses.replace``), so
-the spec that ``metrics.evaluate_task`` reads is the task as evaluated.
+A run's waypoint count is its task file's ``resample_count`` alone.
+``metrics-at`` keeps only its grasp in the loaded spec (``dataclasses.replace``),
+so ``metrics.evaluate_task`` reads the task as evaluated, on ``evaluate``'s grid.
 
 Everything is randomness-free; two runs on identical inputs produce
 byte-identical outputs, in one process or in two.
@@ -120,14 +120,6 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
         raise CliError(f"--weights: {exc}") from exc
 
 
-def _check_resample(count: int | None) -> None:
-    """Check ``--resample`` before any evaluation runs."""
-    if count is not None and count < 2:
-        raise CliError("--resample must be >= 2")
-    if count is not None and count > fileio.MAX_COUNT:
-        raise CliError(f"--resample must be <= {fileio.MAX_COUNT}")
-
-
 def _parse_config_vector(text: str) -> np.ndarray:
     try:
         q = np.array([float(p) for p in text.split(",")])
@@ -145,13 +137,10 @@ def _cmd_evaluate(args) -> int:
     has no feasible grasp at all.  Every input is loaded and checked, and
     ``--out`` created, before the first task is scored.
     """
-    _check_resample(args.resample)
     weights = None if args.weights is None else _parse_weights(args.weights)
     out, tasks = Path(args.out), [Path(t) for t in args.task]
     model = fileio.load_robot(Path(args.robot))
     specs = [fileio.load_task(path) for path in tasks]
-    if args.resample is not None:
-        specs = [replace(spec, resample_count=args.resample) for spec in specs]
     outdirs = _output_dirs(out, tasks, specs)
     for spec in specs:
         check_ik_seed(model, spec)
@@ -194,17 +183,15 @@ def _cmd_inspect_model(args) -> int:
 
 
 def _cmd_metrics_at(args) -> int:
-    _check_resample(args.resample)
     model = fileio.load_robot(args.robot)
     spec = fileio.load_task(args.task)
     grasps = {g.id: g for g in spec.grasps}
     if args.grasp not in grasps:
         raise CliError(f"grasp {args.grasp!r} not in task (ids: {', '.join(grasps)})")
-    k = args.waypoint
-    n = spec.resample_count if args.resample is None else args.resample
+    k, n = args.waypoint, spec.resample_count
     if not 0 <= k < n:
         raise CliError(f"--waypoint must be in [0, {n - 1}]")
-    (sc,) = _score(args.task, model, replace(spec, grasps=(grasps[args.grasp],), resample_count=n))
+    (sc,) = _score(args.task, model, replace(spec, grasps=(grasps[args.grasp],)))
     if not sc.feasible:
         print(f"grasp {args.grasp}: infeasible (first waypoint unreachable)")
         return 2
@@ -245,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--task", required=True, action="append", help="task JSON (repeatable)"
     )
     p_eval.add_argument("--out", required=True, help="output directory")
-    p_eval.add_argument("--resample", type=int, default=None, help="waypoint count override")
     p_eval.add_argument("--weights", default=None, help="scalarization weights a,b,c")
     p_eval.add_argument("--allow-infeasible", action="store_true")
     p_eval.set_defaults(func=_cmd_evaluate)
@@ -260,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--task", required=True)
     p_metrics.add_argument("--grasp", required=True, help="grasp id")
     p_metrics.add_argument("--waypoint", type=int, required=True)
-    p_metrics.add_argument("--resample", type=int, default=None)
     p_metrics.set_defaults(func=_cmd_metrics_at)
 
     p_pareto = sub.add_parser("pareto", help="re-rank an existing scorecards.csv")

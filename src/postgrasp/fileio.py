@@ -1,12 +1,12 @@
 """JSON model/task ingestion and CSV/JSON result emission.
 
 Input schemas are versioned (``schema_version: 1``) and strict: unknown
-fields and non-finite numbers are rejected and invariant violations raise
-:class:`SchemaError` with the offending field path.  ``report.json`` has its
-own version (``REPORT_SCHEMA_VERSION``).  All numeric output is written with
-17 significant digits so values round-trip exactly, and every writer is
-deterministic byte for byte for identical inputs.  Files are read and
-written as UTF-8, whatever the locale.
+or repeated fields and non-finite numbers are rejected and invariant
+violations raise :class:`SchemaError` with the offending field path.
+``report.json`` has its own version (``REPORT_SCHEMA_VERSION``).  All
+numeric output is written with 17 significant digits so values round-trip
+exactly, and every writer is deterministic byte for byte for identical
+inputs.  Files are read and written as UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .task import (
 SCHEMA_VERSION = 1  # robot and task files
 # report.json; 2 added the per-grasp ``diagnostics`` and the ``normalization`` blocks
 REPORT_SCHEMA_VERSION = 2
-# most waypoints (``resample_count``, ``--resample``) or sweep grasps a task
-# may ask for; no memory bound: scoring takes ~9 KB a waypoint, ~0.9 GB at it
+# most waypoints (``resample_count``) or sweep grasps (``sweep.count``) a task
+# file may ask for; no memory bound: scoring takes ~9 KB a waypoint, ~0.9 GB at it
 MAX_COUNT = 100_000
 _SWEEP_ROTATION_TOLERANCE = 1e-6  # rad, between a sweep's end and start rotations
 
@@ -73,10 +73,25 @@ def _read_text(path, newline=None) -> str:
         raise SchemaError(f"{path}: cannot decode as UTF-8 ({exc})") from exc
 
 
+class _Repeats(dict):
+    """A JSON object that repeats a key, which ``repeated`` names; every
+    object a loader reads passes ``_check_keys``, which refuses it."""
+
+
+def _object(pairs: list) -> dict:
+    """``json``'s object hook: a ``_Repeats`` when a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj = _Repeats(obj)
+        obj.repeated = dict.fromkeys(k for k in keys if keys.count(k) > 1)
+    return obj
+
+
 def _load_json(path) -> dict:
     path = Path(path)
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads(_read_text(path), object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(data, dict):
@@ -85,10 +100,13 @@ def _load_json(path) -> dict:
 
 
 def _check_keys(obj: dict, required: tuple, optional: tuple, path: str):
-    """Refuse a non-object, an unknown field, or a missing required field;
-    the first missing field in ``required``'s order is the one named."""
+    """Refuse a non-object, a repeated key, an unknown field, or a missing
+    required field; the first missing field in ``required``'s order is the
+    one named."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
+    if isinstance(obj, _Repeats):
+        raise SchemaError(f"{path}: repeated key(s) {', '.join(map(repr, obj.repeated))}")
     for key in obj:
         if key not in required and key not in optional:
             raise SchemaError(f"{path}.{key}: unknown field")
@@ -164,12 +182,9 @@ def _inertia_from_six(v: np.ndarray) -> np.ndarray:
 
 
 def _check_schema_version(data: dict, path: str):
-    if "schema_version" not in data:
-        raise SchemaError(f"{path}.schema_version: missing field")
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}.schema_version: unsupported version {data['schema_version']!r}"
-        )
+    version = data["schema_version"]  # the integer 1: not true, not 1.0
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"{path}.schema_version: unsupported version {version!r}")
 
 
 def load_robot(path) -> ChainModel:
@@ -270,10 +285,7 @@ def load_task(path) -> TaskSpec:
     if not total_time > 0.0:
         raise SchemaError(f"{fname}.total_time_s: must be positive")
 
-    if "gravity" in data:
-        gravity = _vector(data, "gravity", fname, 3)
-    else:
-        gravity = GRAVITY_DEFAULT.copy()
+    gravity = _vector(data, "gravity", fname, 3) if "gravity" in data else GRAVITY_DEFAULT.copy()
 
     opath = f"{fname}.object"
     oobj = data["object"]
@@ -337,9 +349,7 @@ def load_task(path) -> TaskSpec:
             )
         grasps = generate_grasp_sweep(start, end, count)
 
-    resample_count = 50
-    if "resample_count" in data:
-        resample_count = _count(data, "resample_count", fname)
+    resample_count = _count(data, "resample_count", fname) if "resample_count" in data else 50
 
     ik_seed = None
     if "ik_seed" in data:

@@ -87,9 +87,9 @@ class GraspCandidate:
 @dataclass(frozen=True, eq=False)
 class TaskSpec:
     """A task as evaluated: keyframe trajectory, object, grasp set and
-    evaluation settings, from a task file, with its waypoint count (as
-    ``--resample`` does) or, in library code, its grasps replaced by
-    ``dataclasses.replace``.  ``metrics.evaluate_task`` reads the task here."""
+    evaluation settings, from a task file or, in library code, with its
+    grasps or waypoint count replaced by ``dataclasses.replace``.
+    ``metrics.evaluate_task`` reads the task here."""
 
     name: str
     trajectory: TaskTrajectory

@@ -107,11 +107,16 @@ def evaluate_argv(task, out, *options) -> list[str]:
     return ["evaluate", "--robot", str(reference_robot_path("arm7")), "--task", str(task), "--out", str(out), *options]
 
 
+def write_synthetic_task(tmp_path, resample_count=10) -> Path:
+    """The synthetic task, on a grid of ``resample_count`` waypoints."""
+    path = tmp_path / "synthetic.json"
+    path.write_text(json.dumps(dict(synthetic_task_dict(), resample_count=resample_count)))
+    return path
+
+
 @pytest.fixture
 def synthetic_task_path(tmp_path):
-    path = tmp_path / "synthetic.json"
-    path.write_text(json.dumps(synthetic_task_dict()))
-    return path
+    return write_synthetic_task(tmp_path)
 
 
 class TestLoadRobot:
@@ -342,6 +347,51 @@ class TestLoadTask:
             load_task(path)
 
 
+@pytest.mark.parametrize("value", [True, 1.0])
+@pytest.mark.parametrize("kind", ["robot", "task"])
+def test_schema_version_must_be_the_integer_one(tmp_path, kind, value):
+    # true and 1.0 both compare equal to 1; a version is an integer
+    source, loader = {
+        "robot": (reference_robot_path("planar_rr"), load_robot),
+        "task": (reference_task_path("task1"), load_task),
+    }[kind]
+    data = json.loads(source.read_text())
+    data["schema_version"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SchemaError) as excinfo:
+        loader(bad)
+    assert str(excinfo.value) == f"{bad}.schema_version: unsupported version {value!r}"
+
+
+class TestRepeatedKeys:
+    # JSON allows an object to repeat a key, and Python's reader keeps the
+    # last value; an input file that states a field twice is refused
+
+    def test_top_level_repeat_named(self, tmp_path):
+        text = reference_task_path("task1").read_text()
+        text = text.replace('"resample_count"', '"resample_count": 7, "resample_count"', 1)
+        text = text.replace('"name"', '"name": "other", "name"', 1)
+        bad = tmp_path / "task1.json"
+        bad.write_text(text)
+        with pytest.raises(SchemaError) as excinfo:
+            load_task(bad)
+        assert str(excinfo.value) == f"{bad}: repeated key(s) 'name', 'resample_count'"
+
+    def test_nested_repeat_named_with_its_field_path(self, tmp_path, capsys):
+        data = json.loads(reference_robot_path("planar_rr").read_text())
+        data["joints"][1]["origin"]["translation"] = "twice"
+        bad = tmp_path / "robot.json"
+        twice = '"translation": [9.0, 0.0, 0.0], "translation": [1.0, 0.0, 0.0]'
+        bad.write_text(json.dumps(data).replace('"translation": "twice"', twice))
+        message = f"{bad}.joints[1].origin: repeated key(s) 'translation'"
+        with pytest.raises(SchemaError) as excinfo:
+            load_robot(bad)
+        assert str(excinfo.value) == message
+        assert main(["inspect-model", "--robot", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _tree(value):
     """A value as nested tuples that compare equal exactly when the values
     hold the same fields and the same array bytes."""
@@ -499,11 +549,11 @@ class TestFlagOutputs:
             "end": {"translation": [0.0, 0.6, 0.1], "quaternion": [0.0, 1.0, 0.0, 0.0]},
             "count": 6,
         }
+        data["resample_count"] = 8
         path = tmp_path / "task3_sweep.json"
         path.write_text(json.dumps(data))
         assert _tree(load_task(path).grasps) == _tree(tuple(grasps))
-        options = ["--resample", "8", "--allow-infeasible"]
-        assert main(evaluate_argv(path, tmp_path, *options)) == 0
+        assert main(evaluate_argv(path, tmp_path, "--allow-infeasible")) == 0
         outdir = tmp_path / task.name
         payload = json.loads((outdir / "report.json").read_text())
         back = {sc.grasp_id: sc for sc in read_scorecards_csv(outdir / "scorecards.csv")}
@@ -690,7 +740,8 @@ class TestCliCommands:
         assert payload["pareto_front"] == ["a"]
         assert payload["conflict"] is False
 
-    def test_evaluate_cli_smoke(self, tmp_path, synthetic_task_path):
+    def test_evaluate_cli_smoke(self, tmp_path):
+        synthetic_task_path = write_synthetic_task(tmp_path, 8)
         rc = main(
             [
                 "evaluate",
@@ -700,8 +751,6 @@ class TestCliCommands:
                 str(synthetic_task_path),
                 "--out",
                 str(tmp_path / "cli_out"),
-                "--resample",
-                "8",
                 "--weights",
                 "0.4,0.3,0.3",
             ]
@@ -718,7 +767,8 @@ class TestCliCommands:
         s = path_parameter(resample(load_task(synthetic_task_path).trajectory, 8))
         assert np.abs(np.array(s_values) - s).max() <= 1e-15
 
-    def test_non_finite_weights_rejected(self, tmp_path, synthetic_task_path, capsys):
+    def test_non_finite_weights_rejected(self, tmp_path, capsys):
+        synthetic_task_path = write_synthetic_task(tmp_path, 4)
         rc = main(
             [
                 "evaluate",
@@ -728,8 +778,6 @@ class TestCliCommands:
                 str(synthetic_task_path),
                 "--out",
                 str(tmp_path / "cli_out"),
-                "--resample",
-                "4",
                 "--weights",
                 "nan,0.5,0.5",
             ]
@@ -760,58 +808,15 @@ class TestCliCommands:
         assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "cli_out").exists()
 
-    @pytest.mark.parametrize("count", ["0", "1"])
-    def test_resample_below_two_rejected(self, tmp_path, synthetic_task_path, capsys, count):
-        rc = main(
-            [
-                "evaluate",
-                "--robot",
-                str(reference_robot_path("arm7")),
-                "--task",
-                str(synthetic_task_path),
-                "--out",
-                str(tmp_path / "cli_out"),
-                "--resample",
-                count,
-            ]
-        )
-        assert rc == 2
-        assert "--resample must be >= 2" in capsys.readouterr().err
-        assert not (tmp_path / "cli_out").exists()
-
-    @pytest.mark.parametrize("count", ["0", "1"])
-    def test_metrics_at_resample_below_two_rejected(self, synthetic_task_path, capsys, count):
-        rc = main(
-            [
-                "metrics-at",
-                "--robot",
-                str(reference_robot_path("arm7")),
-                "--task",
-                str(synthetic_task_path),
-                "--grasp",
-                "g_a",
-                "--waypoint",
-                "0",
-                "--resample",
-                count,
-            ]
-        )
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "--resample must be >= 2" in captured.err
-        assert "tov a^2" not in captured.out
-
     @pytest.mark.parametrize(
-        "extra, bound",
-        [(["--waypoint", "999", "--resample", "400"], 399), (["--waypoint", "10"], 9), (["--waypoint", "-1"], 9)],
+        "extra, bound", [(["--waypoint", "999"], 399), (["--waypoint", "10"], 9), (["--waypoint", "-1"], 9)]
     )
-    def test_metrics_at_waypoint_checked_before_evaluation(
-        self, synthetic_task_path, capsys, monkeypatch, extra, bound
-    ):
-        # the range comes from --resample, else the file's resample_count (10)
+    def test_metrics_at_waypoint_checked_before_evaluation(self, tmp_path, capsys, monkeypatch, extra, bound):
+        # the range comes from the file's resample_count (bound + 1)
+        task_path = write_synthetic_task(tmp_path, resample_count=bound + 1)
         calls = []
         monkeypatch.setattr("postgrasp.cli.evaluate_task", lambda *a, **k: calls.append(1))
-        argv = ["metrics-at", "--robot", str(reference_robot_path("arm7")), "--task", str(synthetic_task_path)]
+        argv = ["metrics-at", "--robot", str(reference_robot_path("arm7")), "--task", str(task_path)]
         assert main(argv + ["--grasp", "g_a", *extra]) == 2
         assert f"error: --waypoint must be in [0, {bound}]" in capsys.readouterr().err
         assert calls == []
@@ -1170,13 +1175,14 @@ def test_non_finite_input_rejected_with_its_field(tmp_path, capsys, command, tar
     assert not out.exists()
 
 
-def test_metrics_at_prints_the_scalars_evaluate_writes(tmp_path, synthetic_task_path, capsys):
+def test_metrics_at_prints_the_scalars_evaluate_writes(tmp_path, capsys):
     robot = reference_robot_path("arm7")
-    assert _evaluate(robot, [synthetic_task_path], tmp_path, "--resample", "8") == 0
+    synthetic_task_path = write_synthetic_task(tmp_path, 8)
+    assert _evaluate(robot, [synthetic_task_path], tmp_path) == 0
     card = {c.grasp_id: c for c in read_scorecards_csv(tmp_path / "synthetic" / "scorecards.csv")}["g_b"]
     capsys.readouterr()
     argv = ["metrics-at", "--robot", str(robot), "--task", str(synthetic_task_path), "--grasp", "g_b"]
-    assert main(argv + ["--waypoint", "3", "--resample", "8"]) == 0
+    assert main(argv + ["--waypoint", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "grasp g_b, waypoint 3/7:"
     assert lines[-1] == f"scalars: H_tov={card.h_tov:.6g} H_tme={card.h_tme:.6g} H_tem={card.h_tem:.6g}"
@@ -1227,16 +1233,15 @@ def test_count_at_the_bound_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("verb", ["evaluate", "metrics-at"])
-@pytest.mark.parametrize("count", [MAX_COUNT + 1, 10**400])
-def test_resample_above_the_bound_rejected(tmp_path, synthetic_task_path, capsys, monkeypatch, verb, count):
-    calls = []
-    monkeypatch.setattr("postgrasp.cli.evaluate_task", lambda *a, **k: calls.append(1))
+def test_resample_option_refused(tmp_path, synthetic_task_path, capsys, verb):
+    # a run's waypoint count is its task file's resample_count alone
     out = tmp_path / "cli_out"
     argv = [verb, "--robot", str(reference_robot_path("arm7")), "--task", str(synthetic_task_path)]
     argv += ["--out", str(out)] if verb == "evaluate" else ["--grasp", "g_a", "--waypoint", "0"]
-    assert main(argv + ["--resample", str(count)]) == 2
-    assert f"error: --resample must be <= {MAX_COUNT}" in capsys.readouterr().err
-    assert calls == []
+    assert main(argv + ["--resample", "8"]) == 2
+    captured = capsys.readouterr()
+    assert "error: unrecognized arguments: --resample 8" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -1250,10 +1255,11 @@ def test_out_that_cannot_be_created_fails_before_scoring(tmp_path, synthetic_tas
     assert calls == []
 
 
-def test_write_error_names_the_file(tmp_path, synthetic_task_path, capsys):
+def test_write_error_names_the_file(tmp_path, capsys):
+    synthetic_task_path = write_synthetic_task(tmp_path, 5)
     blocked = tmp_path / "out" / "synthetic" / "scorecards.csv"
     blocked.mkdir(parents=True)
-    assert _evaluate(reference_robot_path("arm7"), [synthetic_task_path], tmp_path / "out", "--resample", "5") == 2
+    assert _evaluate(reference_robot_path("arm7"), [synthetic_task_path], tmp_path / "out") == 2
     assert f"error: {blocked}: cannot write (" in capsys.readouterr().err
 
 
@@ -1274,17 +1280,18 @@ def test_non_utf8_input_names_its_file(tmp_path, capsys, reader):
 
 
 @pytest.mark.parametrize("verb", ["evaluate", "metrics-at"])
-def test_scoring_error_names_the_task_file(tmp_path, synthetic_task_path, capsys, verb):
+def test_scoring_error_names_the_task_file(tmp_path, capsys, verb):
     # every waypoint of the second task holds one pose: the path direction
     # is undefined, which only scoring finds out
-    data = dict(synthetic_task_dict(), name="still")
+    synthetic_task_path = write_synthetic_task(tmp_path, 5)
+    data = dict(synthetic_task_dict(), name="still", resample_count=5)
     for wp in data["object_waypoints"]:
         wp["translation"] = [0.62, 0.0, 0.12]
     still = tmp_path / "still.json"
     still.write_text(json.dumps(data))
     robot = reference_robot_path("arm7")
     if verb == "evaluate":
-        rc = _evaluate(robot, [synthetic_task_path, still], tmp_path / "out", "--resample", "5")
+        rc = _evaluate(robot, [synthetic_task_path, still], tmp_path / "out")
     else:
         rc = main(["metrics-at", "--robot", str(robot), "--task", str(still), "--grasp", "g_a", "--waypoint", "0"])
     assert rc == 2
